@@ -23,6 +23,7 @@ from .errors import (
     KGraphWaveError,
     LevelTooSmall,
     NegativeArgument,
+    NonConstantDerivative,
     NoWaveletDegree,
     NotStronglyConnected,
     NotZeroOne,

@@ -45,7 +45,8 @@ PARSE_EXIT = 2
 VALIDATION_EXIT = 3
 NUMERIC_EXIT = 4
 
-_NUMERIC_ERRORS = (err.ConvergenceFailure, err.DivergentIntegral, err.GridTooCoarse)
+_NUMERIC_ERRORS = (err.ConvergenceFailure, err.DivergentIntegral, err.GridTooCoarse,
+                   err.NonConstantDerivative)
 
 
 class _Parser(argparse.ArgumentParser):

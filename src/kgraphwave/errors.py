@@ -3,7 +3,8 @@
 Errors fall into three families, mirrored by the CLI exit codes: parse
 errors (malformed input documents), validation errors (structurally bad
 graphs, incompatible shapes or arguments), and numeric errors (iteration
-caps, divergent integrals, too-coarse grids).
+caps, divergent integrals, too-coarse grids, non-constant Radon-Nikodym
+derivatives).
 """
 
 
@@ -49,6 +50,10 @@ class DegenerateVertexCount(KGraphWaveError):
 
 class NotZeroOne(KGraphWaveError):
     """Embedding requires all vertex matrices to be 0/1-valued."""
+
+
+class NonConstantDerivative(KGraphWaveError):
+    """Prefixing Radon-Nikodym derivative is not constant on a cylinder."""
 
 
 class LevelTooSmall(KGraphWaveError):

@@ -1,24 +1,25 @@
-"""Semibranching representation operators as matrices between cylinder levels.
+"""Semibranching representation operators as prefix index maps between cylinder levels.
 
-The prefixing operator S_lambda acts on functions constant on degree-L
-cylinders and lands in functions constant on degree L + d(lambda) cylinders.
-In the orthonormal bases of measure-normalized indicators it is the 0/1
-prefix map mu -> lambda*mu (source-compatible columns only): the numeric
-entry rho^{d(lambda)/2} * sqrt(M(Z(lambda mu)) / M(Z(mu))) collapses to 1
-exactly because the Radon-Nikodym derivative of prefixing is constant on
-cylinders.  We assemble the matrices explicitly and verify the four
-Cuntz-Krieger relations at a chosen level.
+The prefixing operator S_lambda maps functions constant on degree-L cylinders
+to functions constant on degree L + d(lambda) cylinders.  In the orthonormal
+bases of measure-normalized indicators it is the index map mu -> lambda*mu on
+the paths with r(mu) = s(lambda), with entries rho^{d(lambda)/2} *
+sqrt(M(Z(lambda mu)) / M(Z(mu))).  These are 1, and checked to be, because the
+Radon-Nikodym derivative of prefixing is constant on cylinders.  `s_matrix`
+returns the map and its `.matrix` is the dense view; `check_ck_relations`
+verifies the four Cuntz-Krieger relations at a chosen level on the maps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import cache, cached_property
 from itertools import product
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DegreeRangeError, LevelTooSmall
+from .errors import DegreeRangeError, LevelTooSmall, NonConstantDerivative
 from .kgraph import (
     Degree,
     KGraph,
@@ -31,7 +32,7 @@ from .kgraph import (
     enumerate_paths,
     vertex_path,
 )
-from .measure import CylinderFn, MeasureSpec, cylinder_measure
+from .measure import CylinderFn, MeasureSpec, cylinder_measure, refine
 
 
 @dataclass(frozen=True)
@@ -49,8 +50,6 @@ class LevelSpace:
 
     def vector_of(self, f: CylinderFn) -> np.ndarray:
         """Coefficients of f in the (unnormalized) indicator basis."""
-        from .measure import refine
-
         refined = refine(f, self.level)
         vec = np.zeros(len(self.basis))
         for p, c in refined.terms.items():
@@ -71,40 +70,51 @@ def level_space(spec: MeasureSpec, level: Sequence[int]) -> LevelSpace:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """A level-to-level operator in the normalized cylinder bases."""
+    """A level-to-level operator in the normalized cylinder bases, held as an
+    index map: entry vals[t] at (rows[t], cols[t]).  No column of S_path repeats."""
 
     domain_level: Degree
     codomain_level: Degree
-    matrix: np.ndarray
+    shape: tuple[int, int]
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
 
-    def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        if other.codomain_level != self.domain_level:
-            raise DegreeRangeError(
-                f"levels do not chain: {other.codomain_level} != {self.domain_level}")
-        return OperatorMatrix(other.domain_level, self.codomain_level,
-                              self.matrix @ other.matrix)
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense view."""
+        mat = np.zeros(self.shape)
+        mat[self.rows, self.cols] = self.vals
+        return mat
+
+    @cached_property
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The row and entry of each column (-1 and 0 if empty); no column may repeat."""
+        row, val = np.full(self.shape[1], -1), np.zeros(self.shape[1])
+        row[self.cols], val[self.cols] = self.rows, self.vals
+        return row, val
+
+
+def _prefix_map(spec: MeasureSpec, path: Path, dom: LevelSpace, cod: LevelSpace,
+                rn_tol: float = 1e-12) -> OperatorMatrix:
+    """S_path from `dom` to `cod`: column mu, for r(mu) = s(path), goes to the
+    row of path*mu with entry factor * sqrt(M(Z(path mu)) / M(Z(mu)))."""
+    cols = np.array([j for j, mu in enumerate(dom.basis) if mu.range == path.source], dtype=int)
+    rows = np.array([cod.index[compose(path, dom.basis[j])] for j in cols], dtype=int)
+    vals = spec.prefix_factor(path) * np.sqrt(cod.weights[rows] / dom.weights[cols])
+    bad = np.flatnonzero(~(np.abs(vals - 1.0) < rn_tol))
+    if len(bad):
+        raise NonConstantDerivative(f"Radon-Nikodym derivative not constant: entry "
+                                    f"{vals[bad[0]]} for {path}, {dom.basis[cols[bad[0]]]}")
+    return OperatorMatrix(dom.level, cod.level, (len(cod.basis), len(dom.basis)), rows, cols, vals)
 
 
 def s_matrix(spec: MeasureSpec, path: Path, domain_level: Sequence[int],
              rn_tol: float = 1e-12) -> OperatorMatrix:
-    """Matrix of S_path from level `domain_level` to `domain_level + d(path)`."""
-    graph = spec.graph
-    domain_level = as_degree(domain_level, graph.k)
-    codomain_level = deg_add(domain_level, path.degree)
-    dom = level_space(spec, domain_level)
-    cod = level_space(spec, codomain_level)
-    mat = np.zeros((len(cod.basis), len(dom.basis)))
-    factor = spec.prefix_factor(path)
-    for j, mu in enumerate(dom.basis):
-        if mu.range != path.source:
-            continue
-        tau = compose(path, mu)
-        entry = factor * np.sqrt(float(cylinder_measure(spec, tau))
-                                 / float(cylinder_measure(spec, mu)))
-        assert abs(entry - 1.0) < rn_tol, (
-            f"Radon-Nikodym derivative not constant: entry {entry} for {path}, {mu}")
-        mat[cod.index[tau], j] = entry
-    return OperatorMatrix(domain_level, codomain_level, mat)
+    """S_path from level `domain_level` to `domain_level + d(path)`."""
+    domain_level = as_degree(domain_level, spec.graph.k)
+    return _prefix_map(spec, path, level_space(spec, domain_level),
+                       level_space(spec, deg_add(domain_level, path.degree)), rn_tol)
 
 
 def s_star_matrix(spec: MeasureSpec, path: Path, domain_level: Sequence[int]) -> OperatorMatrix:
@@ -113,18 +123,9 @@ def s_star_matrix(spec: MeasureSpec, path: Path, domain_level: Sequence[int]) ->
     if not deg_le(path.degree, domain_level):
         raise DegreeRangeError(
             f"adjoint needs domain level >= d(path); {domain_level} < {path.degree}")
-    lower = deg_sub(domain_level, path.degree)
-    fwd = s_matrix(spec, path, lower)
-    return OperatorMatrix(domain_level, lower, fwd.matrix.T)
-
-
-def apply_operator(op: OperatorMatrix, spec: MeasureSpec, f: CylinderFn) -> CylinderFn:
-    """Apply a level operator to a cylinder function refinable to its domain."""
-    dom = level_space(spec, op.domain_level)
-    cod = level_space(spec, op.codomain_level)
-    vec = dom.vector_of(f) * np.sqrt(dom.weights)
-    out = op.matrix @ vec
-    return cod.function_of(out / np.sqrt(cod.weights))
+    fwd = s_matrix(spec, path, deg_sub(domain_level, path.degree))
+    return OperatorMatrix(domain_level, fwd.domain_level, fwd.shape[::-1],
+                          fwd.cols, fwd.rows, fwd.vals)
 
 
 def s_apply(spec: MeasureSpec, path: Path, f: CylinderFn) -> CylinderFn:
@@ -145,10 +146,6 @@ class RelationCheck:
     max_deviation: float
     witness: dict
 
-    def to_record(self) -> dict:
-        return {"relation": self.relation, "max_deviation": self.max_deviation,
-                "witness": self.witness}
-
 
 @dataclass(frozen=True)
 class CKReport:
@@ -160,11 +157,27 @@ class CKReport:
         return max(c.max_deviation for c in self.checks)
 
     def to_records(self) -> list[dict]:
-        return [c.to_record() for c in self.checks]
+        return [asdict(c) for c in self.checks]
 
 
-def _degree_grid(upto: Degree):
-    return product(*(range(t + 1) for t in upto))
+def _steps(upto: Degree) -> list[Degree]:
+    """The nonzero degrees up to `upto`, in product order."""
+    return [d for d in product(*(range(t + 1) for t in upto)) if any(d)]
+
+
+def _product(outer: tuple, inner: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """outer @ inner on column forms: each entry of inner goes on through the
+    column of outer at its row, so every entry is a single product."""
+    (ro, vo), (ri, vi) = outer, inner
+    return np.where(ri >= 0, ro[ri], -1), np.where(ri >= 0, vo[ri] * vi, 0.0)
+
+
+def _deviation(a: tuple, b: tuple) -> float:
+    """max |A - B| over the whole matrix, from column forms: per column,
+    |a - b| where the entries share a row, else the larger |entry|."""
+    (ra, va), (rb, vb) = a, b
+    dev = np.where(ra == rb, np.abs(va - vb), np.maximum(np.abs(va), np.abs(vb)))
+    return float(np.max(dev, initial=0.0))
 
 
 def check_ck_relations(spec: MeasureSpec, graph: KGraph,
@@ -173,77 +186,72 @@ def check_ck_relations(spec: MeasureSpec, graph: KGraph,
 
     All compositions are arranged to land at degree `test_level`; the report
     carries the worst absolute deviation per relation and where it occurred.
+    Each level space and each S_lambda, as an index map, is built once.
     """
     test_level = as_degree(test_level, graph.k)
     if any(t < 1 for t in test_level):
         raise LevelTooSmall(f"test level {test_level} must be >= 1 in every color")
+    worst = {relation: (0.0, {}) for relation in ("CK1", "CK2", "CK3", "CK4")}
 
-    vertex_ops = {v: s_matrix(spec, vertex_path(graph, v), test_level)
-                  for v in graph.vertices}
-    top = level_space(spec, test_level)
-    eye = np.eye(len(top.basis))
+    def record(relation: str, d: float, witness: dict):
+        if d > worst[relation][0]:
+            worst[relation] = (d, witness)
+
+    @cache
+    def space(level: Degree) -> LevelSpace:
+        return level_space(spec, level)
+
+    @cache
+    def s_op(path: Path, level: Degree) -> OperatorMatrix:
+        return _prefix_map(spec, path, space(level), space(deg_add(level, path.degree)))
+
+    projs = {v: s_op(vertex_path(graph, v), test_level).columns for v in graph.vertices}
+    at = np.arange(len(space(test_level).basis))
 
     # (CK1) vertex projections are orthogonal and sum to the identity
-    dev1, wit1 = 0.0, {}
-    total = np.zeros_like(eye)
-    for v, op in vertex_ops.items():
-        total += op.matrix
-        for w, op2 in vertex_ops.items():
-            target = op.matrix if v == w else 0.0
-            d = float(np.max(np.abs(op.matrix @ op2.matrix - target)))
-            if d > dev1:
-                dev1, wit1 = d, {"vertices": [v, w]}
-    d = float(np.max(np.abs(total - eye)))
-    if d > dev1:
-        dev1, wit1 = d, {"vertices": "sum"}
+    for v in graph.vertices:
+        for w in graph.vertices:
+            target = projs[v] if v == w else (at, np.zeros(len(at)))
+            record("CK1", _deviation(_product(projs[v], projs[w]), target), {"vertices": [v, w]})
+    # S_v fills only the columns mu with r(mu) = v: the sum has one term per entry
+    rows, vals = zip(*projs.values())
+    total = np.max(rows, axis=0), np.sum(vals, axis=0)
+    record("CK1", _deviation(total, (at, np.ones(len(at)))), {"vertices": "sum"})
 
     # (CK2) S_mu S_lambda = S_{mu lambda}
-    dev2, wit2 = 0.0, {}
-    for dm in _degree_grid(test_level):
-        for dl in _degree_grid(deg_sub(test_level, dm)):
-            if sum(dm) == 0 or sum(dl) == 0:
-                continue
+    for dm in _steps(test_level):
+        for dl in _steps(deg_sub(test_level, dm)):
             base = deg_sub(test_level, deg_add(dm, dl))
             for mu in enumerate_paths(graph, dm):
-                inner = s_matrix(spec, mu, deg_add(base, dl))
+                inner = s_op(mu, deg_add(base, dl)).columns
                 for lam in enumerate_paths(graph, dl, range=mu.source):
-                    lhs = inner @ s_matrix(spec, lam, base)
-                    rhs = s_matrix(spec, compose(mu, lam), base)
-                    d = float(np.max(np.abs(lhs.matrix - rhs.matrix)))
-                    if d > dev2:
-                        dev2, wit2 = d, {"mu": "".join(mu.word), "lambda": "".join(lam.word)}
+                    lhs = _product(inner, s_op(lam, base).columns)
+                    record("CK2", _deviation(lhs, s_op(compose(mu, lam), base).columns),
+                           {"mu": "".join(mu.word), "lambda": "".join(lam.word)})
 
-    # (CK3) S_mu* S_mu = S_{s(mu)}
-    dev3, wit3 = 0.0, {}
-    for dm in _degree_grid(test_level):
-        if sum(dm) == 0:
-            continue
+    # (CK3) S_mu* S_mu = S_{s(mu)}.  An injective S_mu has S* S = its squared
+    # entries on the diagonal at its columns; otherwise take the dense product.
+    for dm in _steps(test_level):
         base = deg_sub(test_level, dm)
-        proj = {v: s_matrix(spec, vertex_path(graph, v), base) for v in graph.vertices}
         for mu in enumerate_paths(graph, dm):
-            lhs = s_star_matrix(spec, mu, test_level) @ s_matrix(spec, mu, base)
-            d = float(np.max(np.abs(lhs.matrix - proj[mu.source].matrix)))
-            if d > dev3:
-                dev3, wit3 = d, {"mu": "".join(mu.word)}
+            op, target = s_op(mu, base), s_op(vertex_path(graph, mu.source), base)
+            if len(set(op.rows.tolist())) == len(op.rows):
+                size = target.shape[1]
+                diag = np.arange(size), np.bincount(op.cols, op.vals ** 2, minlength=size)
+                d = _deviation(diag, target.columns)
+            else:
+                d = float(np.max(np.abs(op.matrix.T @ op.matrix - target.matrix)))
+            record("CK3", d, {"mu": "".join(mu.word)})
 
-    # (CK4) S_v = sum over v Lambda^n of S_lambda S_lambda*
-    dev4, wit4 = 0.0, {}
-    for n in _degree_grid(test_level):
-        if sum(n) == 0:
-            continue
+    # (CK4) S_v = sum over v Lambda^n of S_lambda S_lambda*.  With one entry per
+    # column S S* is diagonal: the squared entries summed at their rows.
+    for n in _steps(test_level):
         base = deg_sub(test_level, n)
         for v in graph.vertices:
-            acc = np.zeros_like(eye)
+            acc = np.zeros(len(at))
             for lam in enumerate_paths(graph, n, range=v):
-                fwd = s_matrix(spec, lam, base)
-                acc += fwd.matrix @ fwd.matrix.T
-            d = float(np.max(np.abs(acc - vertex_ops[v].matrix)))
-            if d > dev4:
-                dev4, wit4 = d, {"n": list(n), "vertex": v}
+                op = s_op(lam, base)
+                acc += np.bincount(op.rows, op.vals ** 2, minlength=len(at))
+            record("CK4", _deviation((at, acc), projs[v]), {"n": list(n), "vertex": v})
 
-    return CKReport(test_level, (
-        RelationCheck("CK1", dev1, wit1),
-        RelationCheck("CK2", dev2, wit2),
-        RelationCheck("CK3", dev3, wit3),
-        RelationCheck("CK4", dev4, wit4),
-    ))
+    return CKReport(test_level, tuple(RelationCheck(r, *worst[r]) for r in worst))

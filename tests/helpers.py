@@ -2,11 +2,13 @@
 gate.  Each function returns the worst deviation it saw (0.0 for exact
 combinatorial checks) and raises AssertionError on failure."""
 
+import random
 from itertools import permutations, product
 
 import numpy as np
 
 from kgraphwave import (
+    compose,
     cylinder_measure,
     enumerate_paths,
     extensions,
@@ -15,7 +17,10 @@ from kgraphwave import (
     normal_form,
     refine,
     s_matrix,
+    segment,
+    vertex_path,
 )
+from kgraphwave.kgraph import deg_add, deg_sub
 
 
 def words_with_pattern(graph, pattern):
@@ -127,6 +132,67 @@ def check_isometry_columns(spec, path_degrees, domain_level, tol=1e-12):
     return worst
 
 
+def pointwise_s_matrix(spec, path, domain_level):
+    """Independent oracle: evaluate S_path f(x) = Theta_path(x) * factor *
+    f(shift(x)) pointwise on codomain cylinders, then change to the
+    normalized bases."""
+    graph = spec.graph
+    dom = level_space(spec, domain_level)
+    cod = level_space(spec, deg_add(domain_level, path.degree))
+    factor = spec.prefix_factor(path)
+    mat = np.zeros((len(cod.basis), len(dom.basis)))
+    zero = graph.zero_degree()
+    for i, tau in enumerate(cod.basis):
+        in_cylinder = segment(tau, zero, path.degree) == path
+        if not in_cylinder:
+            continue
+        shifted = segment(tau, path.degree, tau.degree)
+        for j, mu in enumerate(dom.basis):
+            if shifted == mu:
+                # value of S(Theta_mu / sqrt M(mu)) on Z(tau), times sqrt M(tau)
+                mat[i, j] = factor / np.sqrt(float(cylinder_measure(spec, mu))) \
+                    * np.sqrt(float(cylinder_measure(spec, tau)))
+    return mat
+
+
+def dense_ck_deviations(spec, level, matrix_of=pointwise_s_matrix):
+    """Worst deviation of each of (CK1)-(CK4) at `level`, from dense matrices
+    multiplied out in full.  ``matrix_of(spec, path, domain_level)`` gives the
+    matrix of S_path; the default is the pointwise oracle, which shares no
+    code with the index maps of ``check_ck_relations``."""
+    graph = spec.graph
+    level = tuple(level)
+    steps = [d for d in product(*(range(t + 1) for t in level)) if any(d)]
+
+    def proj(v, at=level):
+        return matrix_of(spec, vertex_path(graph, v), at)
+
+    ck1 = max(np.max(np.abs(proj(v) @ proj(w) - (proj(v) if v == w else 0.0)))
+              for v in graph.vertices for w in graph.vertices)
+    size = len(level_space(spec, level).basis)
+    total = sum((proj(v) for v in graph.vertices), np.zeros((size, size)))
+    ck1 = max(ck1, np.max(np.abs(total - np.eye(size))))
+    ck2 = ck3 = ck4 = 0.0
+    for dm in steps:
+        for dl in (d for d in steps if all(a + b <= t for a, b, t in zip(dm, d, level))):
+            base = deg_sub(level, deg_add(dm, dl))
+            for mu in enumerate_paths(graph, dm):
+                for lam in enumerate_paths(graph, dl, range=mu.source):
+                    lhs = matrix_of(spec, mu, deg_add(base, dl)) @ matrix_of(spec, lam, base)
+                    ck2 = max(ck2, np.max(np.abs(lhs - matrix_of(spec, compose(mu, lam), base))))
+        base = deg_sub(level, dm)
+        for mu in enumerate_paths(graph, dm):
+            fwd = matrix_of(spec, mu, base)
+            ck3 = max(ck3, np.max(np.abs(fwd.T @ fwd - proj(mu.source, base))))
+        for v in graph.vertices:
+            acc = np.zeros((size, size))
+            for lam in enumerate_paths(graph, dm, range=v):
+                fwd = matrix_of(spec, lam, base)
+                acc += fwd @ fwd.T
+            ck4 = max(ck4, np.max(np.abs(acc - proj(v))))
+    return [float(ck1), float(ck2), float(ck3), float(ck4)]
+
+
 def path_count(graph, degree):
     """|Lambda^degree| from the vertex matrices: an independent count oracle."""
     from kgraphwave import vertex_matrices
@@ -137,3 +203,56 @@ def path_count(graph, degree):
     for m, d in zip(mats, degree):
         acc = acc @ np.linalg.matrix_power(m.astype(object), d)
     return int(np.ones(n) @ acc @ np.ones(n))
+
+
+def torus_document(n, m):
+    """The product of an n-cycle (color 1) and an m-cycle (color 2): a
+    2-graph on Z_n x Z_m whose squares are all forced."""
+    def v(i, j):
+        return f"v{i % n}_{j % m}"
+
+    def edge(color, i, j):
+        return f"{'ab'[color - 1]}{i % n}_{j % m}"
+
+    edges, squares = [], []
+    for i in range(n):
+        for j in range(m):
+            edges.append({"id": edge(1, i, j), "color": 1,
+                          "source": v(i, j), "range": v(i + 1, j)})
+            edges.append({"id": edge(2, i, j), "color": 2,
+                          "source": v(i, j), "range": v(i, j + 1)})
+            # words list edges from the range end: [color-1 edge, color-2 edge]
+            squares.append({"left": [edge(1, i, j + 1), edge(2, i, j)],
+                            "right": [edge(2, i + 1, j), edge(1, i, j)]})
+    return {"k": 2, "vertices": [v(i, j) for i in range(n) for j in range(m)],
+            "edges": edges, "squares": squares}
+
+
+def twisted_circulant_document(n, shifts1, shifts2, seed):
+    """A 2-graph on Z_n with a color-1 edge u -> u+a for each a in shifts1 and
+    a color-2 edge u -> u+t for each t in shifts2.  Paths of the two colour
+    orders with the same endpoints are matched by a seeded bijection, so the
+    squares are non-trivial whenever shift sums repeat."""
+    rng = random.Random(seed)
+
+    def edge(color, start, shift):
+        return f"{'ab'[color - 1]}{start % n}s{shift}"
+
+    edges = [{"id": edge(color, u, s), "color": color,
+              "source": f"v{u}", "range": f"v{(u + s) % n}"}
+             for color, shifts in ((1, shifts1), (2, shifts2))
+             for u in range(n) for s in shifts]
+    by_sum = {}
+    for a in shifts1:
+        for t in shifts2:
+            by_sum.setdefault((a + t) % n, []).append((a, t))
+    squares = []
+    for u in range(n):
+        for total in sorted(by_sum):
+            pairs = by_sum[total]
+            image = rng.sample(pairs, len(pairs))
+            for (a, t), (a2, t2) in zip(pairs, image):
+                squares.append({"left": [edge(1, u + t, a), edge(2, u, t)],
+                                "right": [edge(2, u + a2, t2), edge(1, u, a2)]})
+    return {"k": 2, "vertices": [f"v{u}" for u in range(n)],
+            "edges": edges, "squares": squares}

@@ -1,19 +1,25 @@
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import kgraphwave.sbfs
 from kgraphwave import (
     CylinderFn,
     DegreeRangeError,
     LevelTooSmall,
     MeasureSpec,
+    NonConstantDerivative,
     check_ck_relations,
     cylinder_fns_equal,
     cylinder_measure,
     enumerate_paths,
+    fixture_path,
     level_space,
+    load_kgraph,
     normal_form,
+    pf_data,
     refine,
     s_apply,
     s_matrix,
@@ -21,8 +27,16 @@ from kgraphwave import (
     segment,
     vertex_path,
 )
+from kgraphwave.cli import main
 from kgraphwave.kgraph import deg_add, deg_le
-from helpers import check_isometry_columns
+import helpers
+from helpers import (
+    check_isometry_columns,
+    dense_ck_deviations,
+    pointwise_s_matrix,
+    torus_document,
+    twisted_circulant_document,
+)
 
 
 @pytest.fixture(scope="module")
@@ -38,29 +52,6 @@ def specL(ledrappier):
 @pytest.fixture(scope="module")
 def bern2(bouquet2):
     return MeasureSpec.bernoulli(bouquet2, (0.5, 0.5))
-
-
-def pointwise_s_matrix(spec, path, domain_level):
-    """Independent oracle: evaluate S_path f(x) = Theta_path(x) * factor *
-    f(shift(x)) pointwise on codomain cylinders, then change to the
-    normalized bases."""
-    graph = spec.graph
-    dom = level_space(spec, domain_level)
-    cod = level_space(spec, deg_add(domain_level, path.degree))
-    factor = spec.prefix_factor(path)
-    mat = np.zeros((len(cod.basis), len(dom.basis)))
-    zero = graph.zero_degree()
-    for i, tau in enumerate(cod.basis):
-        in_cylinder = segment(tau, zero, path.degree) == path
-        if not in_cylinder:
-            continue
-        shifted = segment(tau, path.degree, tau.degree)
-        for j, mu in enumerate(dom.basis):
-            if shifted == mu:
-                # value of S(Theta_mu / sqrt M(mu)) on Z(tau), times sqrt M(tau)
-                mat[i, j] = factor / np.sqrt(float(cylinder_measure(spec, mu))) \
-                    * np.sqrt(float(cylinder_measure(spec, tau)))
-    return mat
 
 
 class TestSMatrix:
@@ -215,3 +206,123 @@ class TestCKRelations:
     def test_level_too_small(self, spec3, lambda3):
         with pytest.raises(LevelTooSmall):
             check_ck_relations(spec3, lambda3, (0, 2))
+
+    def test_non_constant_derivative_is_a_typed_error(self, lambda3):
+        class Skewed(MeasureSpec):
+            def prefix_factor(self, path):
+                return super().prefix_factor(path) * (1 + 1e-6)
+
+        spec = Skewed(MeasureSpec.PF, lambda3, pf=pf_data(lambda3))
+        with pytest.raises(NonConstantDerivative):
+            s_matrix(spec, normal_form(lambda3, ["e"]), (0, 1))
+        with pytest.raises(NonConstantDerivative):
+            check_ck_relations(spec, lambda3, (1, 1))
+
+    def test_non_constant_derivative_exits_numeric(self, monkeypatch, capsys):
+        skewed = MeasureSpec.prefix_factor
+        monkeypatch.setattr(MeasureSpec, "prefix_factor",
+                            lambda self, path: skewed(self, path) * (1 + 1e-6))
+        with pytest.raises(SystemExit) as exc:
+            main(["ck-check", str(fixture_path("lambda3")), "--level", "1,1"])
+        err = capsys.readouterr().err.splitlines()
+        assert exc.value.code == 4
+        assert len(err) == 1 and json.loads(err[0])["error"] == "numeric"
+
+
+def _lines(*records):
+    return "".join(json.dumps(r) + "\n" for r in records)
+
+
+def _ck_records(witnesses, devs):
+    return _lines(*({"relation": f"CK{i}", "max_deviation": d, "witness": w}
+                    for i, (d, w) in enumerate(zip(devs, witnesses), start=1)))
+
+
+EPS2, EPS4 = 4.440892098500626e-16, 8.881784197001252e-16
+LEDRAPPIER_CK = _ck_records(
+    [{}, {"mu": "b", "lambda": "c"}, {"mu": "b"}, {"n": [0, 1], "vertex": "v1"}], [0.0, EPS2, EPS2, EPS2])
+
+# stdout of ck-check before S_lambda became an index map; it must not change
+GOLDEN_CK = [
+    (["ledrappier", "--level", "1,2"], LEDRAPPIER_CK),
+    (["ledrappier", "--level", "2,2"], LEDRAPPIER_CK),
+    (["lambda3", "--level", "3,3"], _ck_records(
+        [{}, {"mu": "f1", "lambda": "f1"}, {"mu": "f1"}, {"n": [0, 1], "vertex": "v"}],
+        [0.0, EPS2, EPS2, EPS2])),
+    (["bouquet-3", "--weights", "0.2,0.3,0.5", "--level", "3"], _ck_records(
+        [{}, {"mu": "0", "lambda": "2"}, {"mu": "000"}, {"n": [3], "vertex": "v"}],
+        [0.0, EPS2, EPS4, EPS4])),
+    (["circulant", "--level", "1,2"], _ck_records(
+        [{}, {"mu": "b0s1", "lambda": "b3s2"}, {"mu": "b0s1"}, {"n": [0, 1], "vertex": "v0"}],
+        [0.0, EPS2, EPS2, EPS2])),
+]
+
+
+# seeded 2-graphs beyond the fixtures, with the level each is checked at
+GENERATED = [
+    pytest.param(torus_document(3, 3), (1, 1), id="torus-3x3"),
+    pytest.param(torus_document(2, 3), (1, 2), id="torus-2x3"),
+    *(pytest.param(twisted_circulant_document(n, (1, 2), (1, 2), seed), (1, 1),
+                   id=f"circulant-{n}-seed{seed}") for seed, n in ((0, 4), (1, 5), (2, 5))),
+]
+
+
+def _as_dense(spec, path, level):
+    return s_matrix(spec, path, level).matrix
+
+
+class TestCKAsIndexMaps:
+    @pytest.mark.parametrize("argv,expected", GOLDEN_CK, ids=[" ".join(a) for a, _ in GOLDEN_CK])
+    def test_golden_stdout(self, argv, expected, tmp_path, capsys):
+        if argv[0] == "circulant":
+            graph = tmp_path / "circulant.kg"
+            graph.write_text(json.dumps(twisted_circulant_document(5, (1, 2), (1, 2), 7)))
+        else:
+            graph = fixture_path(argv[0])
+        assert main(["ck-check", str(graph), *argv[1:]]) == 0
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("doc,level", GENERATED)
+    def test_against_dense_reference(self, doc, level):
+        graph = load_kgraph(doc)
+        spec = MeasureSpec.perron_frobenius(graph)
+        got = [c.max_deviation for c in check_ck_relations(spec, graph, level).checks]
+        reference = dense_ck_deviations(spec, level)
+        assert max(got) < 1e-12 and max(reference) < 1e-12
+        assert np.allclose(got, reference, rtol=0, atol=1e-12)
+        # the dense products of the same operators give the same floats
+        assert got == dense_ck_deviations(spec, level, _as_dense)
+
+    def test_wrong_composite_is_caught(self, monkeypatch, spec3, lambda3):
+        f1, f2f2 = normal_form(lambda3, ["f1"]), normal_form(lambda3, ["f2", "f2"])
+        right = kgraphwave.sbfs.compose
+
+        def wrong(p, q):
+            return f2f2 if p == q == f1 else right(p, q)
+
+        monkeypatch.setattr(kgraphwave.sbfs, "compose", wrong)
+        monkeypatch.setattr(helpers, "compose", wrong)
+        report = check_ck_relations(spec3, lambda3, (2, 2))
+        ck2 = report.checks[1]
+        assert ck2.max_deviation >= 1.0
+        assert ck2.witness == {"mu": "f1", "lambda": "f1"}
+        assert [c.max_deviation for c in report.checks] == \
+            dense_ck_deviations(spec3, (2, 2), _as_dense)
+
+    def test_non_injective_map_is_caught(self, monkeypatch, spec3, lambda3):
+        # e q2 and e q3 land on e q1: S_e* S_e gains off-diagonal ones and
+        # S_e S_e* the entry 3 where S_v has 1
+        e = normal_form(lambda3, ["e"])
+        q1, q2, q3 = enumerate_paths(lambda3, (1, 2))[:3]
+        right = kgraphwave.sbfs.compose
+
+        def merging(p, q):
+            return right(p, q1 if p == e and q in (q2, q3) else q)
+
+        monkeypatch.setattr(kgraphwave.sbfs, "compose", merging)
+        monkeypatch.setattr(helpers, "compose", merging)
+        report = check_ck_relations(spec3, lambda3, (2, 2))
+        assert report.checks[2].max_deviation >= 1.0
+        assert report.checks[3].max_deviation >= 2.0
+        assert [c.max_deviation for c in report.checks] == \
+            dense_ck_deviations(spec3, (2, 2), _as_dense)
