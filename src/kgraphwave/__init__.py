@@ -28,6 +28,7 @@ from .errors import (
     NotStronglyConnected,
     NotZeroOne,
     ParseError,
+    ResidualTooLarge,
     ShapeMismatch,
     ValidationError,
 )

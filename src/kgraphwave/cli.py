@@ -46,7 +46,7 @@ VALIDATION_EXIT = 3
 NUMERIC_EXIT = 4
 
 _NUMERIC_ERRORS = (err.ConvergenceFailure, err.DivergentIntegral, err.GridTooCoarse,
-                   err.NonConstantDerivative)
+                   err.NonConstantDerivative, err.ResidualTooLarge)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,6 +85,14 @@ def _graph_path(args) -> str:
     if not path:
         _fail(USAGE_EXIT, "usage", "a graph document is required")
     return path
+
+
+def _vertex_index(graph, name: str | None, flag: str) -> int:
+    if name is None:
+        _fail(USAGE_EXIT, "usage", f"{flag} is required")
+    if name not in graph.vertex_index:
+        _fail(USAGE_EXIT, "usage", f"{flag} names unknown vertex {name!r}")
+    return graph.vertex_index[name]
 
 
 def _load_graph(args):
@@ -264,7 +272,7 @@ def _cmd_spectral(args):
               csv_fields=["index", "coefficient"])
         return
     if args.wavelet:
-        n = graph.vertex_index[args.n]
+        n = _vertex_index(graph, args.n, "--n")
         psi = spectral_wavelet(spec, kernel, args.t, n)
         _emit(args, [{"t": args.t, "n": args.n, "m": v, "value": float(x)}
                      for v, x in zip(graph.vertices, psi)],
@@ -282,7 +290,9 @@ def _cmd_spectral(args):
               csv_fields=["vertex", "value"])
         return
     if args.localize:
-        n, m = graph.vertex_index[args.n], graph.vertex_index[args.m]
+        n, m = _vertex_index(graph, args.n, "--n"), _vertex_index(graph, args.m, "--m")
+        if args.tlist is None:
+            _fail(USAGE_EXIT, "usage", "--localize needs --tlist")
         ts = [float(x) for x in args.tlist.split(",")]
         probe = localization_probe(spec, kernel, n, m, ts)
         recs = probe.to_records()

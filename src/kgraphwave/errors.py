@@ -4,7 +4,7 @@ Errors fall into three families, mirrored by the CLI exit codes: parse
 errors (malformed input documents), validation errors (structurally bad
 graphs, incompatible shapes or arguments), and numeric errors (iteration
 caps, divergent integrals, too-coarse grids, non-constant Radon-Nikodym
-derivatives).
+derivatives, eigen residuals over their bound).
 """
 
 
@@ -42,6 +42,10 @@ class HasSources(KGraphWaveError):
 
 class ConvergenceFailure(KGraphWaveError):
     """Iterative solver hit its iteration cap before reaching tolerance."""
+
+
+class ResidualTooLarge(KGraphWaveError):
+    """A computed eigenvector or eigenbasis misses its residual bound."""
 
 
 class DegenerateVertexCount(KGraphWaveError):

@@ -16,7 +16,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DegenerateVertexCount, HasSources, NotStronglyConnected
+from .errors import (
+    ConvergenceFailure,
+    DegenerateVertexCount,
+    HasSources,
+    NotStronglyConnected,
+    ResidualTooLarge,
+)
 from .kgraph import KGraph, vertex_matrices
 
 
@@ -67,8 +73,9 @@ def pf_data(graph: KGraph, tol: float = 1e-13, max_iter: int = 10 ** 6,
             resid_tol: float = 1e-10) -> PFData:
     """Power-iterate the product matrix and return the common PF data.
 
-    Raises NotStronglyConnected / HasSources when the preconditions fail and
-    ConvergenceFailure when the iteration cap is reached.
+    Raises NotStronglyConnected / HasSources when the preconditions fail,
+    ConvergenceFailure when the iteration cap is reached and
+    ResidualTooLarge when the limit is not a common eigenvector.
     """
     if not is_strongly_connected(graph):
         raise NotStronglyConnected("graph is not strongly connected")
@@ -97,10 +104,12 @@ def pf_data(graph: KGraph, tol: float = 1e-13, max_iter: int = 10 ** 6,
     for i, m in enumerate(mats):
         ratios = (m @ x) / x
         spread = ratios.max() - ratios.min()
-        assert spread < resid_tol, f"color {i + 1}: Rayleigh spread {spread:.2e}"
+        if not spread < resid_tol:
+            raise ResidualTooLarge(f"color {i + 1}: Rayleigh spread {spread:.2e}")
         rho[i] = ratios.mean()
         resid = np.max(np.abs(m @ x - rho[i] * x))
-        assert resid < resid_tol, f"color {i + 1}: eigen residual {resid:.2e}"
+        if not resid < resid_tol:
+            raise ResidualTooLarge(f"color {i + 1}: eigen residual {resid:.2e}")
     return PFData(rho=rho, x_lambda=x)
 
 

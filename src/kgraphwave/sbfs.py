@@ -57,7 +57,8 @@ class LevelSpace:
         return vec
 
     def function_of(self, vec: Sequence[float]) -> CylinderFn:
-        return CylinderFn(self.graph, {p: float(c) for p, c in zip(self.basis, vec)})
+        vec = np.asarray(vec, dtype=float)
+        return CylinderFn(self.graph, {self.basis[i]: float(vec[i]) for i in np.flatnonzero(vec)})
 
 
 def level_space(spec: MeasureSpec, level: Sequence[int]) -> LevelSpace:

@@ -27,6 +27,7 @@ from .errors import (
     DivergentIntegral,
     GridTooCoarse,
     NegativeArgument,
+    ResidualTooLarge,
 )
 from .kgraph import KGraph
 
@@ -84,7 +85,10 @@ class SpectralData:
 
 def eig_sym(delta: np.ndarray, sym_tol: float = 1e-12,
             resid_tol: float = 1e-10) -> SpectralData:
-    """Full symmetric eigendecomposition with deterministic signs."""
+    """Full symmetric eigendecomposition with deterministic signs.
+
+    Raises ResidualTooLarge when the eigenpairs or their orthonormality
+    miss ``resid_tol``."""
     delta = np.asarray(delta, dtype=float)
     if delta.ndim != 2 or delta.shape[0] != delta.shape[1]:
         raise AsymmetricInput(f"need a square matrix, got shape {delta.shape}")
@@ -96,8 +100,12 @@ def eig_sym(delta: np.ndarray, sym_tol: float = 1e-12,
         lead = next((x for x in v if abs(x) > 1e-12), 1.0)
         if lead < 0:
             vectors[:, col] = -v
-    assert np.max(np.abs(delta @ vectors - vectors * eigenvalues)) < resid_tol
-    assert np.max(np.abs(vectors.T @ vectors - np.eye(len(eigenvalues)))) < resid_tol
+    resid = np.max(np.abs(delta @ vectors - vectors * eigenvalues))
+    if not resid < resid_tol:
+        raise ResidualTooLarge(f"eigen residual {resid:.2e}")
+    resid = np.max(np.abs(vectors.T @ vectors - np.eye(len(eigenvalues))))
+    if not resid < resid_tol:
+        raise ResidualTooLarge(f"eigenvectors off orthonormal by {resid:.2e}")
     return SpectralData(delta, eigenvalues, vectors)
 
 

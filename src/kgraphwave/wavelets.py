@@ -14,7 +14,8 @@ word-shift wavelet system for the full shift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -26,6 +27,7 @@ from .kgraph import (
     Path,
     as_degree,
     bouquet_graph,
+    compose,
     deg_scale,
     enumerate_paths,
     normal_form,
@@ -93,18 +95,81 @@ def build_wavelet_family(graph: KGraph, pf: PFData | None = None,
 
 
 @dataclass(frozen=True)
+class _Group:
+    """The layer-j wavelets S_lambda f^{m,v} of one vertex v, lambdas by word.
+
+    ``lams`` indexes those lambdas in cascade level jJ; their blocks
+    lambda * D_v^J fill ``fine`` of level (j+1)J one after another, and
+    their coefficients fill ``coeffs`` of the label order, m fastest.
+    """
+
+    lams: np.ndarray
+    fine: slice
+    coeffs: slice
+    factors: np.ndarray  # prefix_factor(lambda)
+    c: np.ndarray        # C_v[1:], the zero-mean rows
+
+
+@dataclass(frozen=True)
 class WaveletBasis:
     """The depth-n orthonormal basis at cylinder level nJ.
 
-    ``labels`` is one record per basis vector; ``matrix`` holds its
-    coefficients over ``space.basis`` in the unnormalized indicator basis.
+    ``labels`` is one record per basis vector.  The basis is held as the
+    weighted-Haar cascade over the levels jJ, j <= n: ``layers[j]`` maps
+    level (j+1)J to the layer-j wavelets and level jJ, and ``order`` places
+    each cascade node of level nJ in ``space.basis``.  ``matrix``, the
+    coefficients of every basis vector over ``space.basis`` in the
+    unnormalized indicator basis, is built on first access only.
     """
 
     family: WaveletFamily
     depth: int
     space: LevelSpace
     labels: tuple[dict, ...]
-    matrix: np.ndarray
+    layers: tuple[tuple[_Group, ...], ...] = field(repr=False)
+    order: np.ndarray = field(repr=False)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense N x N view: the synthesis of the identity."""
+        return self._to_space(self._synthesis(np.eye(len(self.labels))))
+
+    def _to_space(self, cascade: np.ndarray) -> np.ndarray:
+        out = np.empty(cascade.shape)
+        out[..., self.order] = cascade
+        return out
+
+    def _scaling(self) -> np.ndarray:
+        return np.array([self.family.blocks[v].c_vectors[0, 0] for v in self.family.graph.vertices])
+
+    def _analysis(self, a: np.ndarray) -> np.ndarray:
+        """Coefficients from a = f * weights over the cascade's level nJ:
+        each layer reads its blocks, then sums them into the coarser level."""
+        lead = a.shape[:-1]
+        out = np.empty(a.shape)
+        for layer in reversed(self.layers):
+            coarse = np.empty(lead + (sum(len(g.lams) for g in layer),))
+            for g in layer:
+                blocks = a[..., g.fine].reshape(lead + (len(g.lams), g.c.shape[1]))
+                detail = g.factors[:, None] * (blocks @ g.c.T)
+                out[..., g.coeffs] = detail.reshape(lead + (-1,))
+                coarse[..., g.lams] = blocks.sum(axis=-1)
+            a = coarse
+        out[..., :a.shape[-1]] = self._scaling() * a
+        return out
+
+    def _synthesis(self, coeffs: np.ndarray) -> np.ndarray:
+        """The transpose of `_analysis`: values over the cascade's level nJ."""
+        lead = coeffs.shape[:-1]
+        s = coeffs[..., :len(self.family.graph.vertices)] * self._scaling()
+        for layer in self.layers:
+            fine = np.empty(lead + (layer[-1].fine.stop,))
+            for g in layer:
+                d = coeffs[..., g.coeffs].reshape(lead + (len(g.lams), g.c.shape[0]))
+                block = s[..., g.lams, None] + g.factors[:, None] * (d @ g.c)
+                fine[..., g.fine] = block.reshape(lead + (-1,))
+            s = fine
+        return s
 
     def functions(self) -> list[CylinderFn]:
         return [self.space.function_of(row) for row in self.matrix]
@@ -121,52 +186,67 @@ class WaveletBasis:
         return out
 
 
-def wavelet_basis(family: WaveletFamily, depth: int) -> WaveletBasis:
+def wavelet_basis(family: WaveletFamily, depth: int,
+                  space: LevelSpace | None = None) -> WaveletBasis:
     """Orthonormal basis of level-nJ cylinder functions: the normalized
-    vertex indicators plus all S_lambda f^{m,v} with d(lambda) = jJ, j < n."""
+    vertex indicators plus all S_lambda f^{m,v} with d(lambda) = jJ, j < n.
+
+    Cascade level 0 is the vertices; level (j+1)J lists lambda * p for the
+    lambdas of level jJ, grouped by source vertex v and by word, and p in
+    D_v^J.  ``space`` reuses a level space already built for level nJ.
+    """
     if depth < 1:
         raise BadShape(f"depth must be >= 1, got {depth}")
     graph = family.graph
-    spec = family.spec
     level = deg_scale(depth, family.shape)
-    space = level_space(spec, level)
+    if space is None:
+        space = level_space(family.spec, level)
+    elif space.level != level:
+        raise ShapeMismatch(f"level space is at {space.level}, the basis needs {level}")
 
-    labels: list[dict] = []
-    rows: list[np.ndarray] = []
-
-    def add(label: dict, fn: CylinderFn):
-        labels.append(label)
-        rows.append(space.vector_of(fn))
-
-    for v, fn in zip(graph.vertices, family.scaling):
-        add({"kind": "scaling", "vertex": v}, fn)
+    labels = [{"kind": "scaling", "vertex": v} for v in graph.vertices]
+    paths = [vertex_path(graph, v) for v in graph.vertices]
+    layers = []
     for j in range(depth):
-        step = deg_scale(j, family.shape)
+        by_source = {v: [] for v in graph.vertices}
+        for i, lam in enumerate(paths):
+            by_source[lam.source].append(i)
+        groups, fine = [], []
         for v in graph.vertices:
             block = family.blocks[v]
-            shifts = [vertex_path(graph, v)] if j == 0 else \
-                enumerate_paths(graph, step, source=v)
-            for lam in shifts:
-                for m in range(1, len(block.paths)):
-                    fn = s_apply(spec, lam, family.wavelet(m, v))
-                    add({"kind": "wavelet", "j": j, "vertex": v, "m": m,
-                         "shift": list(lam.word)}, fn)
+            lams = sorted(by_source[v], key=lambda i: paths[i].word)
+            n_m = len(block.paths) - 1
+            groups.append(_Group(
+                np.array(lams, dtype=int),
+                slice(len(fine), len(fine) + len(lams) * len(block.paths)),
+                slice(len(labels), len(labels) + len(lams) * n_m),
+                np.array([family.spec.prefix_factor(paths[i]) for i in lams]),
+                block.c_vectors[1:]))
+            for i in lams:
+                labels.extend({"kind": "wavelet", "j": j, "vertex": v, "m": m,
+                               "shift": list(paths[i].word)} for m in range(1, n_m + 1))
+                fine.extend(compose(paths[i], p) for p in block.paths)
+        layers.append(tuple(groups))
+        paths = fine
 
-    return WaveletBasis(family, depth, space, tuple(labels), np.array(rows))
+    order = np.array([space.index[p] for p in paths], dtype=int)
+    return WaveletBasis(family, depth, space, tuple(labels), tuple(layers), order)
 
 
 def analyze(basis: WaveletBasis, f: CylinderFn) -> np.ndarray:
-    """Coefficients <b_i, f> of f against the basis vectors."""
-    vec = basis.space.vector_of(refine(f, basis.space.level))
-    return basis.matrix @ (basis.space.weights * vec)
+    """Coefficients <b_i, f> of f against the basis vectors, by the cascade:
+    O(N * max |D_v^J|) time and O(N) memory for N basis vectors."""
+    space = basis.space
+    return basis._analysis((space.weights * space.vector_of(f))[basis.order])
 
 
 def synthesize(basis: WaveletBasis, coeffs: Sequence[float]) -> CylinderFn:
-    """The combination sum_i coeffs_i b_i as a level-nJ cylinder function."""
+    """The combination sum_i coeffs_i b_i as a level-nJ cylinder function,
+    by the transpose of the `analyze` cascade."""
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (len(basis.labels),):
         raise ShapeMismatch(f"need {len(basis.labels)} coefficients")
-    return basis.space.function_of(coeffs @ basis.matrix)
+    return basis.space.function_of(basis._to_space(basis._synthesis(coeffs)))
 
 
 # -- Markov (Bernoulli full-shift) wavelets --------------------------------
@@ -296,15 +376,15 @@ def subspace_compare(family: WaveletFamily, coarse_family: WaveletFamily,
             f"{coarse_family.shape} is not an integer multiple of {family.shape}")
     ell = ratios.pop()
 
-    fine = wavelet_basis(family, ell)
-    wavelet_rows = np.array([i for i, lab in enumerate(fine.labels)
-                             if lab["kind"] == "wavelet"], dtype=int)
-    u_fine = fine.matrix[wavelet_rows] * np.sqrt(fine.space.weights)[None, :]
+    def wavelet_rows(basis: WaveletBasis) -> np.ndarray:
+        # the members after the leading scaling functions, in the orthonormal bases
+        rows = basis.matrix[len(family.graph.vertices):]
+        return rows * np.sqrt(basis.space.weights)[None, :]
 
-    coarse = wavelet_basis(coarse_family, 1)
-    rows = np.array([i for i, lab in enumerate(coarse.labels)
-                     if lab["kind"] == "wavelet"], dtype=int)
-    u_coarse = coarse.matrix[rows] * np.sqrt(coarse.space.weights)[None, :]
+    fine = wavelet_basis(family, ell)
+    # both bases sit at level lJ, in the same column order
+    u_fine = wavelet_rows(fine)
+    u_coarse = wavelet_rows(wavelet_basis(coarse_family, 1, space=fine.space))
 
     angles = _principal_angles(u_fine, u_coarse)
     equal = (u_fine.shape[0] == u_coarse.shape[0]

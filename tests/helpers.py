@@ -8,6 +8,7 @@ from itertools import permutations, product
 import numpy as np
 
 from kgraphwave import (
+    CylinderFn,
     compose,
     cylinder_measure,
     enumerate_paths,
@@ -16,6 +17,7 @@ from kgraphwave import (
     level_space,
     normal_form,
     refine,
+    s_apply,
     s_matrix,
     segment,
     vertex_path,
@@ -191,6 +193,38 @@ def dense_ck_deviations(spec, level, matrix_of=pointwise_s_matrix):
                 acc += fwd @ fwd.T
             ck4 = max(ck4, np.max(np.abs(acc - proj(v))))
     return [float(ck1), float(ck2), float(ck3), float(ck4)]
+
+
+def dense_wavelet_basis(family, depth):
+    """Independent oracle for the cascade transform: the labels and the dense
+    matrix of the depth-n basis, each member S_lambda f^{m,v} built on its
+    own terms by s_apply and laid over the level space by vector_of."""
+    graph, spec = family.graph, family.spec
+    space = level_space(spec, tuple(depth * j for j in family.shape))
+    labels, rows = [], []
+    for v, fn in zip(graph.vertices, family.scaling):
+        labels.append({"kind": "scaling", "vertex": v})
+        rows.append(space.vector_of(fn))
+    for j in range(depth):
+        for v in graph.vertices:
+            shifts = [vertex_path(graph, v)] if j == 0 else \
+                enumerate_paths(graph, tuple(j * s for s in family.shape), source=v)
+            for lam in shifts:
+                for m in range(1, len(family.blocks[v].paths)):
+                    labels.append({"kind": "wavelet", "j": j, "vertex": v, "m": m,
+                                   "shift": list(lam.word)})
+                    rows.append(space.vector_of(s_apply(spec, lam, family.wavelet(m, v))))
+    return labels, np.array(rows)
+
+
+def random_cylinder_fn(graph, level, terms, rng):
+    """A function of `terms` random terms at random degrees up to `level`."""
+    pairs = []
+    for _ in range(terms):
+        degree = tuple(int(rng.integers(0, t + 1)) for t in level)
+        paths = enumerate_paths(graph, degree)
+        pairs.append((paths[int(rng.integers(len(paths)))], float(rng.standard_normal())))
+    return CylinderFn.combination(pairs)
 
 
 def path_count(graph, degree):

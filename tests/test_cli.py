@@ -1,9 +1,13 @@
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
+import kgraphwave
 from kgraphwave import CylinderFn, fixture_path, load_kgraph, normal_form
 from kgraphwave.cli import main
+from helpers import twisted_circulant_document
 
 LED = str(fixture_path("ledrappier"))
 L3 = str(fixture_path("lambda3"))
@@ -226,12 +230,76 @@ class TestErrorChannel:
                              expect_exit=3)
         assert json.loads(errtext)["error"] == "validation"
 
+    @pytest.mark.parametrize("argv", [
+        ("--wavelet",),
+        ("--wavelet", "--n", "nowhere"),
+        ("--localize", "--m", "v", "--tlist", "1"),
+        ("--localize", "--n", "v", "--m", "nowhere", "--tlist", "1"),
+        ("--localize", "--n", "v", "--m", "v"),
+    ])
+    def test_spectral_vertex_arguments(self, capsys, argv):
+        _, errtext = run_cli(capsys, "spectral", L3, *argv, expect_exit=1)
+        (line,) = errtext.splitlines()
+        assert json.loads(line)["error"] == "usage"
+
+    def test_eigen_residual_is_numeric(self, capsys, monkeypatch):
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: (eigh(m)[0] + 1e-6, eigh(m)[1]))
+        _, errtext = run_cli(capsys, "spectral", LED, "--eig", expect_exit=4)
+        (line,) = errtext.splitlines()
+        assert json.loads(line)["error"] == "numeric"
+
+    def test_pf_residual_is_numeric(self, capsys, monkeypatch):
+        # colours without a common eigenvector: A_1 A_2 has the PF vector 1,
+        # on which A_2 = diag(1, 2, 3, 4) has Rayleigh quotients 1..4
+        mats = [np.ones((4, 4), dtype=int), np.diag([1, 2, 3, 4])]
+        monkeypatch.setattr(kgraphwave.perron, "vertex_matrices", lambda graph: mats)
+        _, errtext = run_cli(capsys, "pf", LED, expect_exit=4)
+        (line,) = errtext.splitlines()
+        assert json.loads(line)["error"] == "numeric"
+
     def test_numeric_error(self, capsys, tmp_path):
         sig = tmp_path / "sig.json"
         sig.write_text("[1.0, 0.0, 0.0, -1.0]")
         _, errtext = run_cli(capsys, "spectral", LED, "--reconstruct", str(sig),
                              "--tgrid", "0.001,0.1,10", expect_exit=4)
         assert json.loads(errtext)["error"] == "numeric"
+
+
+# sha256 of `wavelets` listing and --compare stdout, captured while the basis
+# was still built member by member as a dense matrix; it must not change
+GOLDEN_WAVELETS = [
+    (["lambda3", "--shape", "1,1", "--depth", "3"],
+     "3fbbe472f396aa0d71d38737aca400979d7ea90caaf9a5a15aea750a74dbe627"),
+    (["ledrappier", "--shape", "1,1", "--depth", "3"],
+     "9d6aa8eb8cde5bab77bd2c6efe6e85de37e9e0e9efed610bde72034b933d76a5"),
+    (["ledrappier", "--shape", "1,2", "--depth", "2"],
+     "20352ad38506bd15bcb1f1f5049b6b5314655eae00aec1b4364f11bdc5a82829"),
+    (["ledrappier", "--shape", "2,1", "--depth", "1"],
+     "76d2ce7cb23213000b0af8cbb23efeca9b1bcdc289010f25eaa93410911d3ae6"),
+    (["circulant", "--shape", "1,1", "--depth", "2"],
+     "d5d8b02c1be662f82e1e694d4e8cbcbadf2f2d20be23147c1852676c227dcd92"),
+    (["ledrappier", "--shape", "1,1", "--compare", "2"],
+     "6e71b26b5727753a5a3a445396b6d650ec4cfa34a597e99592d50bbcde7804a2"),
+    (["ledrappier", "--shape", "1,1", "--compare", "3"],
+     "62d58e561061ff9f7513c06a383b2c4c68d2b98f30cf7cb112d0d93e08326e3c"),
+    (["circulant", "--shape", "1,1", "--compare", "2"],
+     "b57f44f12314025953d2db1fb8eba059f8138cd269573632ea34dc243020262c"),
+    (["lambda3", "--shape", "1,1", "--compare", "2"],
+     "b51c7e744beb39af118a69334e675a9347914f7d39506c0a9e0bcbfa71d5a7da"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_WAVELETS,
+                         ids=[" ".join(a) for a, _ in GOLDEN_WAVELETS])
+def test_wavelets_golden_stdout(argv, digest, tmp_path, capsys):
+    if argv[0] == "circulant":
+        graph = tmp_path / "circulant.kg"
+        graph.write_text(json.dumps(twisted_circulant_document(5, (1, 2), (1, 2), 7)))
+    else:
+        graph = fixture_path(argv[0])
+    out, _ = run_cli(capsys, "wavelets", str(graph), *argv[1:])
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestRoundTrips:

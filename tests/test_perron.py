@@ -3,10 +3,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import kgraphwave
 from kgraphwave import (
     DegenerateVertexCount,
     HasSources,
     NotStronglyConnected,
+    ResidualTooLarge,
     hausdorff_dimension,
     is_strongly_connected,
     load_kgraph,
@@ -87,6 +89,14 @@ class TestPFData:
             pf = pf_data(graph)
             for m, r in zip(vertex_matrices(graph), pf.rho):
                 assert np.max(np.abs(m @ pf.x_lambda - r * pf.x_lambda)) < 1e-10
+
+    def test_no_common_eigenvector_raises(self, monkeypatch, ledrappier):
+        # A_1 A_2 + I power-iterates to the vector 1, on which
+        # A_2 = diag(1, 2, 3, 4) has Rayleigh quotients 1..4
+        mats = [np.ones((4, 4), dtype=int), np.diag([1, 2, 3, 4])]
+        monkeypatch.setattr(kgraphwave.perron, "vertex_matrices", lambda graph: mats)
+        with pytest.raises(ResidualTooLarge, match="color 2: Rayleigh spread"):
+            pf_data(ledrappier)
 
     def test_not_strongly_connected(self, sphere):
         with pytest.raises(NotStronglyConnected):

@@ -12,6 +12,7 @@ from kgraphwave import (
     KernelPiece,
     KernelSpec,
     NegativeArgument,
+    ResidualTooLarge,
     cg_constant,
     cg_constant_numeric,
     default_kernel,
@@ -151,6 +152,19 @@ class TestEigSym:
     def test_asymmetric_rejected(self):
         with pytest.raises(AsymmetricInput):
             eig_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_eigen_residual_raises(self, monkeypatch):
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: (eigh(m)[0] + 1e-6, eigh(m)[1]))
+        with pytest.raises(ResidualTooLarge, match="eigen residual"):
+            eig_sym(np.diag([1.0, 2.0, 3.0]))
+
+    def test_orthonormality_raises(self, monkeypatch):
+        # doubled vectors still solve the eigen equations but are not unit
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: (eigh(m)[0], 2.0 * eigh(m)[1]))
+        with pytest.raises(ResidualTooLarge, match="orthonormal"):
+            eig_sym(np.diag([1.0, 2.0, 3.0]))
 
 
 class TestGFT:

@@ -1,7 +1,10 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kgraphwave import (
     BadShape,
@@ -10,9 +13,13 @@ from kgraphwave import (
     analyze,
     build_wavelet_family,
     bouquet_graph,
+    ShapeMismatch,
     cylinder_fns_equal,
+    fixture_path,
     inner_product,
     integral,
+    level_space,
+    load_kgraph,
     markov_wavelets,
     normal_form,
     subspace_compare,
@@ -20,7 +27,13 @@ from kgraphwave import (
     vertex_path,
     wavelet_basis,
 )
-from helpers import path_count
+from helpers import (
+    dense_wavelet_basis,
+    path_count,
+    random_cylinder_fn,
+    torus_document,
+    twisted_circulant_document,
+)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -201,6 +214,104 @@ class TestTransforms:
         deep = CylinderFn.indicator(enumerate_paths(famL.graph, (2, 2))[0])
         with pytest.raises(DegreeRangeError):
             analyze(basis, deep)
+
+
+def check_cascade(basis, fn, tol=1e-12):
+    """analyze against the dense oracle, in the same label order; the round
+    trip and Parseval; and no dense N x N array on the way."""
+    labels, dense = dense_wavelet_basis(basis.family, basis.depth)
+    assert list(basis.labels) == labels
+    space = basis.space
+    vec = space.vector_of(fn)
+    scale = max(1.0, float(np.max(np.abs(vec))))
+    coeffs = analyze(basis, fn)
+    assert np.max(np.abs(coeffs - dense @ (space.weights * vec))) <= tol * scale
+    back = space.vector_of(synthesize(basis, coeffs))
+    assert np.max(np.abs(back - vec)) <= tol * scale
+    energy = float(np.sum(space.weights * vec ** 2))
+    assert abs(float(np.sum(coeffs ** 2)) - energy) <= tol * max(1.0, energy)
+    assert "matrix" not in basis.__dict__
+    return dense
+
+
+FIXTURE_CASES = [("lambda3", (1, 1), 4), ("ledrappier", (1, 1), 3), ("ledrappier", (1, 2), 2),
+                 ("ledrappier", (2, 1), 1), ("bouquet-3", (2,), 2)]
+
+
+@st.composite
+def generated_cases(draw):
+    """A seeded generated graph or a fixture, a shape, a depth small enough
+    for the dense oracle, and a seed for the analyzed function."""
+    kind = draw(st.sampled_from(["torus", "circulant", "lambda3", "ledrappier"]))
+    if kind == "torus":
+        doc = torus_document(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    elif kind == "circulant":
+        doc = twisted_circulant_document(draw(st.integers(3, 6)), (1, 2), (1, 2),
+                                         draw(st.integers(0, 2 ** 16)))
+    else:
+        doc = fixture_path(kind)
+    shape = draw(st.sampled_from([(1, 1), (1, 2), (2, 1)]))
+    depth = draw(st.integers(1, 2 if shape == (1, 1) else 1))
+    return doc, shape, depth, draw(st.integers(0, 2 ** 32 - 1))
+
+
+class TestCascade:
+    @pytest.mark.parametrize("name,shape,depth", FIXTURE_CASES)
+    def test_fixtures_against_dense_oracle(self, name, shape, depth):
+        graph = load_kgraph(fixture_path(name))
+        basis = wavelet_basis(build_wavelet_family(graph, shape=shape), depth)
+        level = tuple(depth * j for j in shape)
+        assert basis.space.basis == level_space(basis.family.spec, level).basis
+        fn = random_cylinder_fn(graph, level, 12, np.random.default_rng(depth))
+        dense = check_cascade(basis, fn)
+        # the synthesis of the identity is the oracle to the last bit, so
+        # listings print the same bytes
+        assert np.array_equal(basis.matrix, dense)
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(generated_cases())
+    def test_generated_against_dense_oracle(self, case):
+        doc, shape, depth, seed = case
+        graph = load_kgraph(doc)
+        basis = wavelet_basis(build_wavelet_family(graph, shape=shape), depth)
+        fn = random_cylinder_fn(graph, tuple(depth * j for j in shape), 8,
+                                np.random.default_rng(seed))
+        check_cascade(basis, fn)
+
+    def test_depth6_round_trip_without_dense_basis(self, ledrappier):
+        family = build_wavelet_family(ledrappier, shape=(1, 1))
+        fn = random_cylinder_fn(ledrappier, (6, 6), 40, np.random.default_rng(6))
+        tracemalloc.start()
+        try:
+            basis = wavelet_basis(family, 6)
+            coeffs = analyze(basis, fn)
+            back = synthesize(basis, coeffs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = len(basis.labels)
+        assert n == path_count(ledrappier, (6, 6)) == 16384
+        # a dense basis alone is n * n * 8 bytes = 2 GiB
+        assert peak < 200 * 2 ** 20
+        assert "matrix" not in basis.__dict__
+        space = basis.space
+        vec = space.vector_of(fn)
+        assert np.max(np.abs(space.vector_of(back) - vec)) < 1e-12 * max(1.0, np.max(np.abs(vec)))
+        energy = float(np.sum(space.weights * vec ** 2))
+        assert abs(float(np.sum(coeffs ** 2)) - energy) < 1e-12 * max(1.0, energy)
+
+    def test_shared_level_space(self, famL):
+        basis = wavelet_basis(famL, 2)
+        shared = wavelet_basis(famL, 2, space=basis.space)
+        assert shared.space is basis.space and shared.labels == basis.labels
+        assert np.array_equal(shared.order, basis.order)
+        with pytest.raises(ShapeMismatch):
+            wavelet_basis(famL, 1, space=basis.space)
+
+    def test_synthesize_rejects_wrong_length(self, fam3):
+        basis = wavelet_basis(fam3, 2)
+        with pytest.raises(ShapeMismatch):
+            synthesize(basis, np.zeros(len(basis.labels) + 1))
 
 
 class TestMarkov:
