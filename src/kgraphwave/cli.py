@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -37,7 +38,7 @@ from .spectral import (
     reconstruct,
     spectral_wavelet,
 )
-from .traffic import PreferredPaths, default_preferred_paths, traffic_measure, traffic_wavelet_family
+from .traffic import PreferredPaths, default_preferred_paths, traffic_wavelet_family
 from .wavelets import analyze, build_wavelet_family, markov_wavelets, subspace_compare, synthesize, wavelet_basis
 
 USAGE_EXIT = 1
@@ -63,11 +64,20 @@ def _fail(code: int, kind: str, message: str, reason: str | None = None):
     raise SystemExit(code)
 
 
-def _parse_degree(text: str) -> tuple[int, ...]:
+def _parse_list(text: str, kind, what: str, example: str) -> tuple:
     try:
-        return tuple(int(x) for x in text.split(","))
+        return tuple(kind(x) for x in text.split(","))
     except ValueError:
-        _fail(USAGE_EXIT, "usage", f"bad degree/shape {text!r}; expected e.g. 1,2")
+        _fail(USAGE_EXIT, "usage", f"bad {what} {text!r}; expected e.g. {example}")
+
+
+def _parse_tgrid(text: str) -> np.ndarray:
+    """``lo,hi,count``: count log-spaced scales from lo to hi."""
+    values = _parse_list(text, float, "--tgrid", "1e-5,2e3,2000")
+    if not (len(values) == 3 and all(0 < x < math.inf for x in values[:2])
+            and values[2] >= 2 and values[2].is_integer()):
+        _fail(USAGE_EXIT, "usage", f"--tgrid {text!r} needs lo,hi,count with lo, hi > 0 and count >= 2")
+    return np.geomspace(values[0], values[1], int(values[2]))
 
 
 def _parse_word(graph, text: str):
@@ -151,6 +161,8 @@ def _cmd_validate(args):
 
 
 def _cmd_pf(args):
+    if not 0 < args.tol < math.inf:
+        _fail(USAGE_EXIT, "usage", f"--tol must be a positive number, got {args.tol}")
     graph = _load_graph(args)
     pf = pf_data(graph, tol=args.tol)
     rec = {"rho": [float(r) for r in pf.rho],
@@ -179,14 +191,14 @@ def _cmd_measure(args):
 def _cmd_ck_check(args):
     graph = _load_graph(args)
     spec = _load_measure(graph, args)
-    report = check_ck_relations(spec, graph, _parse_degree(args.level))
+    report = check_ck_relations(spec, graph, _parse_list(args.level, int, "degree/shape", "1,2"))
     _emit(args, report.to_records(),
           csv_fields=["relation", "max_deviation"])
 
 
 def _cmd_wavelets(args):
     graph = _load_graph(args)
-    family = build_wavelet_family(graph, shape=_parse_degree(args.shape))
+    family = build_wavelet_family(graph, shape=_parse_list(args.shape, int, "degree/shape", "1,2"))
     if args.compare:
         coarse = build_wavelet_family(
             graph, shape=tuple(args.compare * j for j in family.shape))
@@ -237,10 +249,9 @@ def _cmd_traffic(args):
         prefs = PreferredPaths(root, assignment)
     else:
         prefs = default_preferred_paths(graph, args.root or graph.vertices[0])
-    nu = traffic_measure(graph, pf, prefs)
-    records = [{"kind": "measure",
-                "values": {v: float(x) for v, x in zip(graph.vertices, nu)}}]
     family = traffic_wavelet_family(graph, pf, prefs)
+    records = [{"kind": "measure",
+                "values": {v: float(x) for v, x in zip(graph.vertices, family.measure)}}]
     records.extend(family.to_records())
     records.append({"kind": "summary", "complete": family.complete})
     _emit(args, records)
@@ -260,32 +271,31 @@ def _cmd_laplacian(args):
 
 def _cmd_spectral(args):
     graph = _load_graph(args)
-    spec = eig_sym(kgraph_laplacian(incidence_matrices(graph)))
-    kernel = default_kernel()
+
+    def eigendata():  # each mode checks its own arguments first
+        return eig_sym(kgraph_laplacian(incidence_matrices(graph)))
+
     if args.eig:
-        _emit(args, spec.to_records(), csv_fields=["eigenvalue"])
+        _emit(args, eigendata().to_records(), csv_fields=["eigenvalue"])
         return
     if args.gft:
-        sig = _signal_from_file(args.gft, spec.n)
-        coeffs = gft(spec, sig)
+        sig = _signal_from_file(args.gft, len(graph.vertices))
+        coeffs = gft(eigendata(), sig)
         _emit(args, [{"index": i, "coefficient": float(c)} for i, c in enumerate(coeffs, 1)],
               csv_fields=["index", "coefficient"])
         return
     if args.wavelet:
         n = _vertex_index(graph, args.n, "--n")
-        psi = spectral_wavelet(spec, kernel, args.t, n)
+        psi = spectral_wavelet(eigendata(), default_kernel(), args.t, n)
         _emit(args, [{"t": args.t, "n": args.n, "m": v, "value": float(x)}
                      for v, x in zip(graph.vertices, psi)],
               csv_fields=["t", "n", "m", "value"])
         return
     if args.reconstruct:
-        sig = _signal_from_file(args.reconstruct, spec.n)
-        if args.tgrid:
-            lo, hi, count = args.tgrid.split(",")
-            grid = np.geomspace(float(lo), float(hi), int(count))
-        else:
-            grid = default_tgrid(spec)
-        rec = reconstruct(spec, kernel, sig, grid)
+        grid = _parse_tgrid(args.tgrid) if args.tgrid else None
+        sig = _signal_from_file(args.reconstruct, len(graph.vertices))
+        spec = eigendata()
+        rec = reconstruct(spec, default_kernel(), sig, default_tgrid(spec) if grid is None else grid)
         _emit(args, [{"vertex": v, "value": float(x)} for v, x in zip(graph.vertices, rec)],
               csv_fields=["vertex", "value"])
         return
@@ -293,8 +303,8 @@ def _cmd_spectral(args):
         n, m = _vertex_index(graph, args.n, "--n"), _vertex_index(graph, args.m, "--m")
         if args.tlist is None:
             _fail(USAGE_EXIT, "usage", "--localize needs --tlist")
-        ts = [float(x) for x in args.tlist.split(",")]
-        probe = localization_probe(spec, kernel, n, m, ts)
+        ts = _parse_list(args.tlist, float, "--tlist", "0.5,0.25")
+        probe = localization_probe(eigendata(), default_kernel(), n, m, ts)
         recs = probe.to_records()
         recs.append({"slope": probe.slope})
         _emit(args, recs, csv_fields=["t", "ratio"])
@@ -315,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="alternative to the positional graph argument")
         p.add_argument("--out", help="write output to this file instead of stdout")
         p.add_argument("--csv", action="store_true", help="emit CSV where supported")
-        p.add_argument("--tol", type=float, default=1e-13, help="iteration tolerance")
 
     p = sub.add_parser("validate", help="load a graph document and report its shape")
     common(p)
@@ -324,6 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pf", help="Perron-Frobenius spectral data")
     common(p)
     p.add_argument("--hausdorff", action="store_true")
+    p.add_argument("--tol", type=float, default=1e-13, help="power-iteration tolerance, > 0")
     p.set_defaults(handler=_cmd_pf)
 
     p = sub.add_parser("measure", help="cylinder measures of paths")

@@ -55,8 +55,3 @@ def complement_basis(weights) -> np.ndarray:
         row[mid:hi] = -np.sqrt(w_left / (w_right * total))
     return rows
 
-
-def orthonormal_with_constant(weights) -> np.ndarray:
-    """(m, m) array: row 0 the constant unit vector, rows 1.. the complement."""
-    w = np.asarray(weights, dtype=float)
-    return np.vstack([constant_unit_vector(w)[None, :], complement_basis(w)])

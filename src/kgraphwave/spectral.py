@@ -60,8 +60,9 @@ def incidence_matrices(graph: KGraph) -> IncidenceSet:
 
 
 def kgraph_laplacian(inc: IncidenceSet) -> np.ndarray:
-    """Delta = sum over colors of M_s M_s^T."""
-    return sum(m @ m.T for m in inc.matrices)
+    """Delta = sum over colors of M_s M_s^T, multiplied in float64 (by BLAS,
+    unlike int64) and cast back exactly, as every entry is a small integer."""
+    return sum(a @ a.T for a in (m.astype(float) for m in inc.matrices)).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -301,8 +302,10 @@ def reconstruct(spec: SpectralData, kernel: KernelSpec, signal: Sequence[float],
                 grid_tol: float = 1e-3) -> np.ndarray:
     """Quadrature of (1/C_g) sum_n int <psi_{g,t,n}, f> psi_{g,t,n} dt/t.
 
-    Recovers the component of f orthogonal to the Laplacian kernel; the
-    lambda = 0 part is annihilated because g(0) = 0.  Raises GridTooCoarse
+    The frame is diagonal in the eigenbasis, so this scales the l-th
+    eigencomponent of f by its grid energy sum_t w_t g(t lambda_l)^2 over C_g.
+    Recovers the component of f orthogonal to the Laplacian kernel:
+    eigenvalues <= 1e-12 get gain 0 because g(0) = 0.  Raises GridTooCoarse
     when the grid's per-eigenvalue energy misses C_g by more than grid_tol
     (relative).
     """
@@ -323,20 +326,16 @@ def reconstruct(spec: SpectralData, kernel: KernelSpec, signal: Sequence[float],
     w[1:] += du / 2
 
     cg = cg_constant(kernel)
-    for lam in spec.eigenvalues:
+    energy = np.zeros(spec.n)
+    for i, lam in enumerate(spec.eigenvalues):
         if lam <= 1e-12:
             continue
-        energy = float(np.sum(w * kernel_eval(kernel, t * lam) ** 2))
-        if abs(energy - cg) > grid_tol * cg:
+        energy[i] = np.sum(w * kernel_eval(kernel, t * lam) ** 2)
+        if abs(energy[i] - cg) > grid_tol * cg:
             raise GridTooCoarse(
-                f"grid energy {energy:.6g} misses C_g {cg:.6g} at eigenvalue {lam:.6g}")
-
-    acc = np.zeros(spec.n)
-    for ti, wi in zip(t, w):
-        op = wavelet_operator(spec, kernel, ti)
-        coeffs = op @ f          # <psi_{g,t,n}, f> per vertex n
-        acc += wi * (op @ coeffs)  # sum_n coeff_n psi_{g,t,n}
-    return acc / cg
+                f"grid energy {energy[i]:.6g} misses C_g {cg:.6g} at eigenvalue {lam:.6g}")
+    vectors = spec.eigenvectors
+    return vectors @ (energy / cg * (vectors.T @ f))
 
 
 @dataclass(frozen=True)

@@ -142,8 +142,7 @@ def traffic_wavelet_family(graph: KGraph, pf: PFData,
     """Build the g^{m,J} family; degree classes in graded-lex order, vertices
     within a class in graph order.  Raises NoWaveletDegree when every class
     is a singleton."""
-    validate_prefs(graph, prefs)
-    nu = traffic_measure(graph, pf, prefs)
+    nu = traffic_measure(graph, pf, prefs)  # validates prefs
 
     classes: dict[Degree, list[int]] = {}
     for i, w in enumerate(graph.vertices):

@@ -9,8 +9,10 @@ import numpy as np
 
 from kgraphwave import (
     CylinderFn,
+    cg_constant,
     compose,
     cylinder_measure,
+    default_tgrid,
     enumerate_paths,
     extensions,
     inner_product,
@@ -21,6 +23,7 @@ from kgraphwave import (
     s_matrix,
     segment,
     vertex_path,
+    wavelet_operator,
 )
 from kgraphwave.kgraph import deg_add, deg_sub
 
@@ -290,3 +293,20 @@ def twisted_circulant_document(n, shifts1, shifts2, seed):
                                 "right": [edge(2, u + a2, t2), edge(1, u, a2)]})
     return {"k": 2, "vertices": [f"v{u}" for u in range(n)],
             "edges": edges, "squares": squares}
+
+
+def quadrature_reconstruct(spec, kernel, signal, t_grid=None):
+    """Independent oracle for `reconstruct`: the frame quadrature summed scale
+    by scale, each scale through its dense n x n wavelet operator, with
+    trapezoid weights in log t.  No grid-energy check."""
+    f = np.asarray(signal, dtype=float)
+    t = np.sort(np.asarray(default_tgrid(spec) if t_grid is None else t_grid, dtype=float))
+    du = np.diff(np.log(t))
+    w = np.zeros_like(t)
+    w[:-1] += du / 2
+    w[1:] += du / 2
+    acc = np.zeros(spec.n)
+    for ti, wi in zip(t, w):
+        op = wavelet_operator(spec, kernel, ti)
+        acc += wi * (op @ (op @ f))  # sum_n <psi_{g,t,n}, f> psi_{g,t,n}
+    return acc / cg_constant(kernel)

@@ -7,7 +7,7 @@ import pytest
 import kgraphwave
 from kgraphwave import CylinderFn, fixture_path, load_kgraph, normal_form
 from kgraphwave.cli import main
-from helpers import twisted_circulant_document
+from helpers import torus_document, twisted_circulant_document
 
 LED = str(fixture_path("ledrappier"))
 L3 = str(fixture_path("lambda3"))
@@ -258,6 +258,42 @@ class TestErrorChannel:
         (line,) = errtext.splitlines()
         assert json.loads(line)["error"] == "numeric"
 
+    @pytest.mark.parametrize("argv", [
+        ("--localize", "--n", "v", "--m", "v", "--tlist", "a,b"),
+        ("--localize", "--n", "v", "--m", "v", "--tlist", ""),
+        ("--reconstruct", "SIG", "--tgrid", "1e-3,10"),
+        ("--reconstruct", "SIG", "--tgrid", "1e-3,10,x"),
+        ("--reconstruct", "SIG", "--tgrid", "0,10,100"),
+        ("--reconstruct", "SIG", "--tgrid=-1e-3,-10,100"),
+        ("--reconstruct", "SIG", "--tgrid", "1e-3,inf,100"),
+        ("--reconstruct", "SIG", "--tgrid", "1e-3,10,1"),
+        ("--reconstruct", "SIG", "--tgrid", "1e-3,10,0"),
+        ("--reconstruct", "SIG", "--tgrid", "1e-3,10,2.5"),
+        ("--wavelet", "--n", "nowhere"),
+    ])
+    def test_spectral_usage_errors_come_before_eigendata(self, capsys, monkeypatch, tmp_path, argv):
+        def eig_sym(_):
+            raise AssertionError("eigendecomposition before the argument check")
+        monkeypatch.setattr(kgraphwave.cli, "eig_sym", eig_sym)
+        sig = tmp_path / "sig.json"
+        sig.write_text("[1.0]")
+        argv = [str(sig) if a == "SIG" else a for a in argv]
+        _, errtext = run_cli(capsys, "spectral", L3, *argv, expect_exit=1)
+        (line,) = errtext.splitlines()
+        assert json.loads(line)["error"] == "usage"
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "x"])
+    def test_pf_tol_must_be_positive(self, capsys, tol):
+        _, errtext = run_cli(capsys, "pf", LED, "--tol", tol, expect_exit=1)
+        assert json.loads(errtext.splitlines()[-1])["error"] == "usage"
+
+    def test_tol_is_a_pf_option(self, capsys):
+        out, _ = run_cli(capsys, "pf", LED, "--tol", "1e-12")
+        assert records(out)[0]["rho"] == pytest.approx([2.0, 2.0])
+        for command in ("validate", "laplacian", "spectral"):
+            _, errtext = run_cli(capsys, command, LED, "--tol", "1e-12", expect_exit=1)
+            assert json.loads(errtext.splitlines()[-1])["error"] == "usage"
+
     def test_numeric_error(self, capsys, tmp_path):
         sig = tmp_path / "sig.json"
         sig.write_text("[1.0, 0.0, 0.0, -1.0]")
@@ -299,6 +335,27 @@ def test_wavelets_golden_stdout(argv, digest, tmp_path, capsys):
     else:
         graph = fixture_path(argv[0])
     out, _ = run_cli(capsys, "wavelets", str(graph), *argv[1:])
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of integer-valued stdout captured while the Laplacian was still
+# multiplied in int64 and every graph load ran a commutation check
+GOLDEN_INTEGER_OUTPUT = [
+    ("torus", "validate", "e3237ed26e3b1c60e69887d035d304449eccef7f5b70bfacba1f376c66b90234"),
+    ("torus", "laplacian", "fe745c423cb06b65ab7416d2ab3c82a832215213f37bfd5a0278e343ae4ddbd4"),
+    ("circulant", "validate", "4d2adbd4aa521bfe6e63b659111f643d2ca1e5a42a3bda6318323afa14ce8962"),
+    ("circulant", "laplacian", "3806b719dae395770284e3acf2306d87451f85bc69f5b9da3795f12096341406"),
+]
+
+
+@pytest.mark.parametrize("graph,command,digest", GOLDEN_INTEGER_OUTPUT,
+                         ids=[f"{c} {g}" for g, c, _ in GOLDEN_INTEGER_OUTPUT])
+def test_integer_golden_stdout(graph, command, digest, tmp_path, capsys):
+    doc = torus_document(4, 6) if graph == "torus" else \
+        twisted_circulant_document(24, (1, 2), (1, 3), 11)
+    path = tmp_path / f"{graph}.kg"
+    path.write_text(json.dumps(doc))
+    out, _ = run_cli(capsys, command, str(path))
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

@@ -3,6 +3,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgraphwave import (
     CompositionError,
@@ -17,7 +19,7 @@ from kgraphwave import (
     vertex_matrices,
     vertex_path,
 )
-from helpers import check_confluence
+from helpers import check_confluence, torus_document, twisted_circulant_document
 
 
 def doc_of(graph):
@@ -80,12 +82,40 @@ class TestLoading:
             load_kgraph(doc)
         assert exc.value.reason == "dangling_reference"
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_square_with_unknown_edge_rejected(self, lambda3, side):
+        doc = doc_of(lambda3)
+        doc["squares"][0][side][0] = "ghost"
+        with pytest.raises(ValidationError) as exc:
+            load_kgraph(doc)
+        assert exc.value.reason == "dangling_reference"
+
     def test_color_out_of_range_rejected(self, lambda3):
         doc = doc_of(lambda3)
         doc["edges"][0]["color"] = 7
         with pytest.raises(ValidationError) as exc:
             load_kgraph(doc)
         assert exc.value.reason == "color_out_of_range"
+
+    @pytest.mark.parametrize("squares", [
+        [],
+        [{"left": ["e", "f"], "right": ["f", "e"]}],
+        [{"left": ["f", "e"], "right": ["e", "f"]}],
+    ], ids=["no squares", "square with a non-composable side", "reversed square"])
+    @pytest.mark.parametrize("colors", [(1, 2), (2, 1)], ids=["e ascending", "e descending"])
+    def test_non_commuting_skeleton_rejected(self, squares, colors):
+        # e: u -> v and a loop f at u, of distinct colors.  The word (e, f)
+        # runs from u to v, and no word (f', e') of the other color order
+        # does, so A_1 A_2 != A_2 A_1; square validation alone must reject it.
+        doc = {"k": 2, "vertices": ["u", "v"],
+               "edges": [{"id": "e", "color": colors[0], "source": "u", "range": "v"},
+                         {"id": "f", "color": colors[1], "source": "u", "range": "u"}],
+               "squares": squares}
+        a_e, a_f = np.array([[0, 0], [1, 0]]), np.array([[1, 0], [0, 0]])
+        assert not np.array_equal(a_e @ a_f, a_f @ a_e)
+        with pytest.raises(ValidationError) as exc:
+            load_kgraph(doc)
+        assert exc.value.reason in {"missing_square", "non_bijective_squares"}
 
     def test_document_round_trip(self, ledrappier):
         doc = doc_of(ledrappier)
@@ -259,6 +289,33 @@ class TestVertexMatrices:
             for i in range(len(mats)):
                 for j in range(len(mats)):
                     assert np.array_equal(mats[i] @ mats[j], mats[j] @ mats[i])
+
+
+@st.composite
+def generated_documents(draw):
+    """A torus or a seeded twisted circulant, loops and repeated shift sums
+    included."""
+    if draw(st.booleans()):
+        return torus_document(draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    shifts = st.lists(st.integers(0, 7), min_size=1, max_size=3, unique=True)
+    return twisted_circulant_document(draw(st.integers(1, 8)), tuple(draw(shifts)),
+                                      tuple(draw(shifts)), draw(st.integers(0, 2 ** 16)))
+
+
+class TestSquaresForceCommutation:
+    """No commutation check runs at load: bijective square coverage implies
+    A_1 A_2 = A_2 A_1, and every square is needed for coverage."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(generated_documents(), st.data())
+    def test_accepted_graphs_commute_and_need_every_square(self, doc, data):
+        a1, a2 = vertex_matrices(load_kgraph(doc))
+        assert np.array_equal(a1 @ a2, a2 @ a1)
+        i = data.draw(st.integers(0, len(doc["squares"]) - 1))
+        dropped = {**doc, "squares": doc["squares"][:i] + doc["squares"][i + 1:]}
+        with pytest.raises(ValidationError) as exc:
+            load_kgraph(dropped)
+        assert exc.value.reason == "missing_square"
 
 
 def test_rewriting_confluence_exhaustive(lambda3, ledrappier, sphere):

@@ -75,6 +75,34 @@ def test_cube_violation_rejected():
     assert exc.value.reason == "cube_condition"
 
 
+def double_cover(squares):
+    """The two-vertex lift of ``skeleton_doc(squares)`` in which color-3 edges
+    swap the vertices and the other edges stay loops.  Words lift uniquely
+    from their source, so the lift meets the cube condition exactly when the
+    one-vertex base does, but its edges of distinct colors no longer share
+    every endpoint."""
+    base = skeleton_doc(squares)
+    step = {e["id"]: int(e["color"] == 3) for e in base["edges"]}
+
+    def lift(eid, i):  # the lift of eid with source v{i}
+        return f"{eid}_{i}"
+
+    edges = [{"id": lift(e["id"], i), "color": e["color"], "source": f"v{i}",
+              "range": f"v{(i + step[e['id']]) % 2}"} for e in base["edges"] for i in (0, 1)]
+    lifted = [{"left": [lift(a, (i + step[b]) % 2), lift(b, i)],
+               "right": [lift(c, (i + step[d]) % 2), lift(d, i)]}
+              for sq in base["squares"] for (a, b), (c, d) in [(sq["left"], sq["right"])]
+              for i in (0, 1)]
+    return {"k": 3, "vertices": ["v0", "v1"], "edges": edges, "squares": lifted}
+
+
+def test_cube_condition_on_a_two_vertex_cover():
+    assert check_confluence(load_kgraph(double_cover(VALID_SQUARES)), (1, 1, 1)) > 0
+    with pytest.raises(ValidationError) as exc:
+        load_kgraph(double_cover(CUBE_VIOLATING_SQUARES))
+    assert exc.value.reason == "cube_condition"
+
+
 def test_valid_rank3_loads_and_is_confluent(rank3):
     assert rank3.k == 3
     assert check_confluence(rank3, (1, 1, 1)) > 0

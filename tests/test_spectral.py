@@ -13,6 +13,7 @@ from kgraphwave import (
     KernelSpec,
     NegativeArgument,
     ResidualTooLarge,
+    SpectralData,
     cg_constant,
     cg_constant_numeric,
     default_kernel,
@@ -30,6 +31,7 @@ from kgraphwave import (
     spectral_wavelet,
     wavelet_operator,
 )
+from helpers import quadrature_reconstruct, torus_document, twisted_circulant_document
 
 REF_M1 = [
     [0, 1, 0, 0, 0, 0, 0, -1],
@@ -98,6 +100,12 @@ class TestIncidenceAndLaplacian:
             delta = kgraph_laplacian(incidence_matrices(graph))
             ones = np.ones(len(graph.vertices))
             assert np.max(np.abs(delta @ ones)) == 0
+
+    def test_float_product_is_exact(self):
+        inc = incidence_matrices(load_kgraph(twisted_circulant_document(40, (1, 2), (1, 3), 3)))
+        delta = kgraph_laplacian(inc)
+        assert delta.dtype == np.int64
+        assert np.array_equal(delta, sum(m @ m.T for m in inc.matrices))
 
     def test_orientation_invariance(self, ledrappier):
         doc = ledrappier.to_document()
@@ -329,6 +337,42 @@ class TestReconstruction:
         k = KernelSpec((KernelPiece(0.0, math.inf, "power", (1.0, -1.0)),), 0, "")
         with pytest.raises(DivergentIntegral):
             reconstruct(led_spectral, k, np.ones(4))
+
+
+class TestDiagonalReconstruction:
+    """`reconstruct` scales each eigencomponent by its grid energy; the
+    scale-by-scale sum of dense wavelet operators is the oracle."""
+
+    @pytest.mark.parametrize("doc", [
+        "ledrappier",
+        torus_document(4, 5),
+        twisted_circulant_document(12, (1, 2), (1, 3), 5),
+    ], ids=["ledrappier", "torus 4x5", "circulant 12"])
+    def test_agrees_with_operator_quadrature(self, ledrappier, doc):
+        graph = ledrappier if doc == "ledrappier" else load_kgraph(doc)
+        spec = eig_sym(kgraph_laplacian(incidence_matrices(graph)))
+        f = np.random.default_rng(spec.n).standard_normal(spec.n)
+        rec = reconstruct(spec, default_kernel(), f)
+        assert np.max(np.abs(rec - quadrature_reconstruct(spec, default_kernel(), f))) < 1e-12
+
+    def test_agrees_on_a_custom_grid(self, led_spectral):
+        grid = np.geomspace(1e-5, 2e3, 1500)
+        f = np.array([0.5, -1.0, 2.0, 0.25])
+        rec = reconstruct(led_spectral, default_kernel(), f, grid)
+        assert np.max(np.abs(rec - quadrature_reconstruct(led_spectral, default_kernel(), f, grid))) < 1e-12
+
+    def test_roundoff_negative_zero_eigenvalue_at_large_scales(self, led_spectral):
+        # eigh can return the zero eigenvalue as -7e-16; at t = 1e7 the
+        # kernel argument -7e-9 lies below kernel_eval's -1e-9 clamp.  The
+        # eigenvalue gets gain 0 and never reaches the kernel.
+        values = led_spectral.eigenvalues.copy()
+        values[0] = -7e-16
+        spec = SpectralData(led_spectral.laplacian, values, led_spectral.eigenvectors)
+        grid = np.geomspace(1e-4 / values[-1], 1e7, 3000)
+        f = np.array([1.0, 2.0, -0.5, 0.25])
+        rec = reconstruct(spec, default_kernel(), f, grid)
+        target = f - led_spectral.eigenvectors[:, 0] * (led_spectral.eigenvectors[:, 0] @ f)
+        assert np.linalg.norm(rec - target) < 1e-3 * np.linalg.norm(target)
 
 
 class TestLocalization:
