@@ -168,7 +168,7 @@ def _cmd_pf(args):
     rec = {"rho": [float(r) for r in pf.rho],
            "x_lambda": {v: float(x) for v, x in zip(graph.vertices, pf.x_lambda)}}
     if args.hausdorff:
-        rec["hausdorff_dimension"] = hausdorff_dimension(graph)
+        rec["hausdorff_dimension"] = hausdorff_dimension(graph, pf)
     _emit(args, [rec])
 
 
@@ -244,7 +244,13 @@ def _cmd_traffic(args):
                 if not line.strip():
                     continue
                 rec = json.loads(line)
+                if not (isinstance(rec, dict) and isinstance(rec.get("vertex"), str)
+                        and isinstance(rec.get("path"), str)):
+                    raise err.ParseError(
+                        f"preferred-path records need string 'vertex' and 'path' fields, got {line.strip()}")
                 assignment[rec["vertex"]] = _parse_word(graph, rec["path"])
+        if not assignment:
+            raise err.ValidationError("bad_preferred_path", f"{args.prefs} holds no preferred paths")
         root = args.root or next(iter(assignment.values())).range
         prefs = PreferredPaths(root, assignment)
     else:

@@ -15,6 +15,7 @@ deterministic: edge ids sort lexicographically, path lists sort by word.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path as FilePath
 from typing import Iterable, Sequence
@@ -100,7 +101,7 @@ class KGraph:
         self.squares = tuple(squares)
         self._validate_skeleton()
         self._swap = self._build_swap()
-        self._by_range_color = self._index_edges()
+        self._by_range_color, self._ranges_from = self._index_edges()
         self._check_square_coverage()
         if self.k >= 3:
             self._check_cube_condition()
@@ -153,12 +154,16 @@ class KGraph:
                 swap[key] = val
         return swap
 
-    def _index_edges(self) -> dict[tuple[str, int], tuple[str, ...]]:
-        index: dict[tuple[str, int], list[str]] = {}
+    def _index_edges(self):
+        """Edge ids by (range, color), sorted by id, and the ranges of the
+        edges by (source, color), for searches that go backward from a source."""
+        into: dict[tuple[str, int], list[str]] = defaultdict(list)
+        ranges_from: dict[tuple[str, int], list[str]] = defaultdict(list)
         for eid in sorted(self.edges):
             e = self.edges[eid]
-            index.setdefault((e.range, e.color), []).append(eid)
-        return {key: tuple(ids) for key, ids in index.items()}
+            into[e.range, e.color].append(eid)
+            ranges_from[e.source, e.color].append(e.range)
+        return {key: tuple(ids) for key, ids in into.items()}, dict(ranges_from)
 
     def _mixed_pairs(self):
         """Composable two-color words (a, b), b taken from the range index."""
@@ -223,18 +228,25 @@ class KGraph:
                     f"(source {self.edges[a].source} != range {self.edges[b].range})")
 
     def _rewrite(self, word: Sequence[str], leftmost: bool = True) -> tuple[str, ...]:
-        """Sort a composable word into ascending-color order via square swaps."""
+        """Sort a composable word into ascending-color order via square swaps.
+
+        Each step swaps the leftmost inversion (the rightmost one with
+        ``leftmost=False``).  A swap at i changes only the pairs next to it,
+        and the pairs already passed hold no inversion, so the scan resumes
+        one step back instead of starting over.
+        """
         w = list(word)
-        while True:
-            positions = range(len(w) - 1)
-            if not leftmost:
-                positions = reversed(positions)
-            for i in positions:
-                if self.edges[w[i]].color > self.edges[w[i + 1]].color:
-                    w[i], w[i + 1] = self._swap[(w[i], w[i + 1])]
-                    break
+        colors = [self.edges[eid].color for eid in w]
+        last = len(w) - 2
+        i, step = (0, 1) if leftmost else (last, -1)
+        while 0 <= i <= last:
+            if colors[i] > colors[i + 1]:
+                w[i], w[i + 1] = self._swap[(w[i], w[i + 1])]
+                colors[i], colors[i + 1] = colors[i + 1], colors[i]
+                i = min(max(i - step, 0), last)
             else:
-                return tuple(w)
+                i += step
+        return tuple(w)
 
     def _pull_prefix(self, word: Sequence[str], p: Degree) -> tuple[tuple[str, ...], tuple[str, ...]]:
         """Split a composable word as prefix * suffix with the prefix of degree p.
@@ -328,7 +340,8 @@ def compose(p: Path, q: Path) -> Path:
         return q
     if q.is_vertex():
         return p
-    return _path_from_normal_word(p.graph, p.graph._rewrite(p.word + q.word))
+    return Path(p.graph, p.graph._rewrite(p.word + q.word),
+                deg_add(p.degree, q.degree), p.range, q.source)
 
 
 def segment(path: Path, p: Sequence[int], q: Sequence[int]) -> Path:
@@ -348,11 +361,27 @@ def segment(path: Path, p: Sequence[int], q: Sequence[int]) -> Path:
     return _path_from_normal_word(graph, seg)
 
 
-def enumerate_paths(graph: KGraph, degree: Sequence[int],
-                    range: str | None = None, source: str | None = None) -> list[Path]:
+def _reach(graph: KGraph, colors: list[int], source: str) -> list[set[str] | None]:
+    """reach[pos], for pos >= 1: the vertices from which a path with the
+    color sequence colors[pos:] ends at the source."""
+    reach: list[set[str] | None] = [None] * len(colors) + [{source}]
+    for pos in range(len(colors) - 1, 0, -1):
+        reach[pos] = {r for v in reach[pos + 1]
+                      for r in graph._ranges_from.get((v, colors[pos]), ())}
+    return reach
+
+
+def enumerate_paths(graph: KGraph, degree: Sequence[int], range: str | None = None,
+                    source: str | None = None, limit: int | None = None) -> list[Path]:
     """All normal-form paths of the given degree, lexicographic by edge word.
 
-    Degree-0 paths are the vertex paths, listed in graph vertex order.
+    Degree-0 paths are the vertex paths, listed in graph vertex order.  With
+    ``limit`` (>= 1), only the first ``limit`` paths of that list.
+
+    With a source, the search first goes backward from it: ``reach[pos]``
+    holds the vertices from which the colors ``colors[pos:]`` can still end
+    at the source.  An edge whose source is outside ``reach[pos + 1]`` starts
+    a dead branch and is skipped, so the cost follows the size of the output.
     """
     deg = as_degree(degree, graph.k)
     if range is not None and range not in graph.vertex_index:
@@ -362,34 +391,36 @@ def enumerate_paths(graph: KGraph, degree: Sequence[int],
     if sum(deg) == 0:
         verts = [v for v in graph.vertices
                  if (range is None or v == range) and (source is None or v == source)]
-        return [vertex_path(graph, v) for v in verts]
+        return [vertex_path(graph, v) for v in verts[:limit]]
 
     colors: list[int] = []
     for c, count in enumerate(deg, start=1):
         colors.extend([c] * count)
-
+    last = len(colors) - 1
+    reach = [None] * (last + 2) if source is None else _reach(graph, colors, source)
+    edges, into = graph.edges, graph._by_range_color
     out: list[Path] = []
+    word: list[str] = []
 
-    def extend(word: list[str], pos: int):
-        if pos == len(colors):
-            if source is None or graph.edge(word[-1]).source == source:
-                out.append(_path_from_normal_word(graph, tuple(word)))
-            return
-        color = colors[pos]
-        if pos == 0:
-            if range is not None:
-                candidates = graph.edges_into(range, color)
-            else:
-                candidates = tuple(eid for eid in sorted(graph.edges)
-                                   if graph.color(eid) == color)
-        else:
-            candidates = graph.edges_into(graph.edge(word[-1]).source, color)
+    def extend(pos: int, candidates: Iterable[str]):
+        live = reach[pos + 1]
         for eid in candidates:
+            tail = edges[eid].source
+            if live is not None and tail not in live:
+                continue
             word.append(eid)
-            extend(word, pos + 1)
+            if pos == last:
+                out.append(Path(graph, tuple(word), deg, edges[word[0]].range, tail))
+            else:
+                extend(pos + 1, into.get((tail, colors[pos + 1]), ()))
             word.pop()
+            if len(out) == limit:
+                return
 
-    extend([], 0)
+    if range is not None:
+        extend(0, graph.edges_into(range, colors[0]))
+    else:
+        extend(0, sorted(eid for eid, e in edges.items() if e.color == colors[0]))
     return out
 
 
@@ -421,6 +452,10 @@ _EDGE_FIELDS = {"id", "color", "source", "range"}
 _SQUARE_FIELDS = {"left", "right"}
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)  # JSON true is no integer
+
+
 def load_kgraph(document) -> KGraph:
     """Build and fully validate a KGraph from a document.
 
@@ -446,11 +481,14 @@ def load_kgraph(document) -> KGraph:
     missing = _TOP_FIELDS - set(document)
     if missing:
         raise ParseError(f"missing required fields: {sorted(missing)}")
-    if not isinstance(document["k"], int):
+    if not _is_int(document["k"]):
         raise ParseError("field 'k' must be an integer")
     if not isinstance(document["vertices"], list) or not all(
             isinstance(v, str) for v in document["vertices"]):
         raise ParseError("field 'vertices' must be a list of names")
+    for field in ("edges", "squares"):
+        if not isinstance(document[field], list):
+            raise ParseError(f"field {field!r} must be a list of records")
 
     edges = []
     for rec in document["edges"]:
@@ -461,9 +499,12 @@ def load_kgraph(document) -> KGraph:
             raise ParseError(f"unknown edge fields: {sorted(unknown)}")
         if set(rec) != _EDGE_FIELDS:
             raise ParseError(f"edge record missing fields: {sorted(_EDGE_FIELDS - set(rec))}")
-        if not isinstance(rec["color"], int):
-            raise ParseError(f"edge {rec.get('id')!r} color must be an integer")
-        edges.append(Edge(str(rec["id"]), rec["color"], str(rec["source"]), str(rec["range"])))
+        if not _is_int(rec["color"]):
+            raise ParseError(f"edge {rec['id']!r} color must be an integer")
+        for field in ("id", "source", "range"):
+            if not isinstance(rec[field], str):
+                raise ParseError(f"edge {rec['id']!r} field {field!r} must be a string")
+        edges.append(Edge(rec["id"], rec["color"], rec["source"], rec["range"]))
     edge_color = {e.id: e.color for e in edges}
 
     squares = []

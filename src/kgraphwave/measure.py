@@ -88,9 +88,11 @@ class MeasureSpec:
     @classmethod
     def perron_frobenius(cls, graph: KGraph, pf: PFData | None = None,
                          exact: bool = False) -> "MeasureSpec":
-        if not is_strongly_connected(graph):
+        if pf is None:
+            pf = pf_data(graph)  # checks strong connectivity itself
+        elif not is_strongly_connected(graph):
             raise NotStronglyConnected("PF measure needs a strongly connected graph")
-        return cls(cls.PF, graph, pf=pf if pf is not None else pf_data(graph), exact=exact)
+        return cls(cls.PF, graph, pf=pf, exact=exact)
 
     @classmethod
     def bernoulli(cls, graph: KGraph, weights: Sequence[float],

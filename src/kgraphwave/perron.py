@@ -43,23 +43,29 @@ class PFData:
 
 
 def is_strongly_connected(graph: KGraph) -> bool:
-    """True iff every ordered vertex pair is joined by a path (any colors)."""
-    n = len(graph.vertices)
-    adj = [[] for _ in range(n)]
+    """True iff every ordered vertex pair is joined by a path (any colors):
+    the first vertex reaches every vertex and every vertex reaches it."""
+    if not graph.vertices:
+        return True
+    forward = {v: [] for v in graph.vertices}
+    backward = {v: [] for v in graph.vertices}
     for e in graph.edges.values():
-        adj[graph.vertex_index[e.source]].append(graph.vertex_index[e.range])
-    for start in range(n):
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != n:
-            return False
-    return True
+        forward[e.source].append(e.range)
+        backward[e.range].append(e.source)
+    return all(_reached(graph.vertices[0], adj) == len(graph.vertices)
+               for adj in (forward, backward))
+
+
+def _reached(start: str, adj: dict[str, list[str]]) -> int:
+    """Number of vertices reachable from start along adj, start included."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen)
 
 
 def has_sources(graph: KGraph) -> bool:
@@ -175,13 +181,15 @@ def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fracti
     return x
 
 
-def hausdorff_dimension(graph: KGraph) -> float:
+def hausdorff_dimension(graph: KGraph, pf: PFData | None = None) -> float:
     """Dimension of the N-adic fractal image: log of the product spectral
-    radius over k * log of the vertex count."""
+    radius over k * log of the vertex count.  ``pf`` reuses PF data already
+    computed for this graph."""
     n = len(graph.vertices)
     if n <= 1:
         raise DegenerateVertexCount("dimension formula needs more than one vertex")
-    pf = pf_data(graph)
+    if pf is None:
+        pf = pf_data(graph)
     if any(int(m.max()) > 1 for m in vertex_matrices(graph)):
         warnings.warn(
             "some vertex matrix has an entry > 1; the N-adic fractal embedding "

@@ -55,18 +55,26 @@ def validate_prefs(graph: KGraph, prefs: PreferredPaths):
 def default_preferred_paths(graph: KGraph, root: str) -> PreferredPaths:
     """Per vertex, the lexicographically least path of the least degree under
     graded-lex order from the root.  Deterministic; may well give every
-    vertex its own degree class."""
+    vertex its own degree class.
+
+    Any walk rewrites to a normal-form path of the same degree, so the least
+    total degree of a path from w up to the root is the any-color BFS
+    distance of w from the root; only the degrees of that total are searched.
+    """
+    dist = _distances_to(graph, root)
     assignment = {}
     for w in graph.vertices:
-        assignment[w] = _least_path(graph, root, w)
+        if w not in dist:
+            raise ValidationError("bad_preferred_path", f"no path from {w} to root {root}")
+        assignment[w] = _least_path(graph, root, w, dist[w])
     return PreferredPaths(root, assignment)
 
 
-def _least_path(graph: KGraph, root: str, w: str) -> Path:
-    # any-color BFS bound on the edge count of a shortest root<-w path
+def _distances_to(graph: KGraph, root: str) -> dict[str, int]:
+    """Edge count of a shortest path (any colors) from each vertex up to the root."""
     dist = {root: 0}
     frontier = [root]
-    while frontier and w not in dist:
+    while frontier:
         nxt = []
         for v in frontier:
             for c in range(1, graph.k + 1):
@@ -76,13 +84,14 @@ def _least_path(graph: KGraph, root: str, w: str) -> Path:
                         dist[u] = dist[v] + 1
                         nxt.append(u)
         frontier = nxt
-    if w not in dist:
-        raise ValidationError("bad_preferred_path", f"no path from {w} to root {root}")
-    for total in range(dist[w] + 1):
-        for degree in _degrees_of_total(total, graph.k):
-            found = enumerate_paths(graph, degree, range=root, source=w)
-            if found:
-                return found[0]
+    return dist
+
+
+def _least_path(graph: KGraph, root: str, w: str, total: int) -> Path:
+    for degree in _degrees_of_total(total, graph.k):
+        found = enumerate_paths(graph, degree, range=root, source=w, limit=1)
+        if found:
+            return found[0]
     raise AssertionError("BFS found a path but degree enumeration did not")
 
 

@@ -6,6 +6,7 @@ import random
 from itertools import permutations, product
 
 import numpy as np
+from hypothesis import strategies as st
 
 from kgraphwave import (
     CylinderFn,
@@ -71,6 +72,54 @@ def all_rewrite_terminals(graph, word):
                 seen.add(nxt)
                 frontier.append(nxt)
     return terminals
+
+
+def restart_rewrite(graph, word, leftmost=True):
+    """Oracle for ``KGraph._rewrite``: swap the leftmost (else the rightmost)
+    inversion, then scan again from the start, until no inversion is left."""
+    w = list(word)
+    while True:
+        positions = range(len(w) - 1)
+        if not leftmost:
+            positions = reversed(positions)
+        for i in positions:
+            if graph.color(w[i]) > graph.color(w[i + 1]):
+                w[i], w[i + 1] = graph._swap[(w[i], w[i + 1])]
+                break
+        else:
+            return tuple(w)
+
+
+def random_word(graph, length, rng):
+    """A random composable word of `length` edges in any color order."""
+    word = [rng.choice(sorted(graph.edges))]
+    while len(word) < length:
+        into = [eid for c in range(1, graph.k + 1)
+                for eid in graph.edges_into(graph.edge(word[-1]).source, c)]
+        if not into:
+            break
+        word.append(rng.choice(into))
+    return word
+
+
+def filtered_paths(graph, degree, target, source):
+    """Oracle for the source-pruned search: every path of the degree into
+    `target`, then those that start at `source`."""
+    return [p for p in enumerate_paths(graph, degree, range=target) if p.source == source]
+
+
+def exhaustive_least_path(graph, root, w):
+    """Oracle for the default preferred path of w: every total degree from 0
+    up, every degree of that total in lexicographic order, and the first
+    path of the filtered list.  None when no path joins w to the root (a
+    shortest one repeats no vertex, so its total is below the vertex count)."""
+    for total in range(len(graph.vertices)):
+        for degree in sorted(d for d in product(range(total + 1), repeat=graph.k)
+                             if sum(d) == total):
+            found = filtered_paths(graph, degree, root, w)
+            if found:
+                return found[0]
+    return None
 
 
 def check_confluence(graph, max_census=(2, 2)):
@@ -293,6 +342,17 @@ def twisted_circulant_document(n, shifts1, shifts2, seed):
                                 "right": [edge(2, u + a2, t2), edge(1, u, a2)]})
     return {"k": 2, "vertices": [f"v{u}" for u in range(n)],
             "edges": edges, "squares": squares}
+
+
+@st.composite
+def generated_documents(draw):
+    """A torus or a seeded twisted circulant, loops and repeated shift sums
+    included."""
+    if draw(st.booleans()):
+        return torus_document(draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    shifts = st.lists(st.integers(0, 7), min_size=1, max_size=3, unique=True)
+    return twisted_circulant_document(draw(st.integers(1, 8)), tuple(draw(shifts)),
+                                      tuple(draw(shifts)), draw(st.integers(0, 2 ** 16)))
 
 
 def quadrature_reconstruct(spec, kernel, signal, t_grid=None):

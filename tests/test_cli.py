@@ -294,6 +294,66 @@ class TestErrorChannel:
             _, errtext = run_cli(capsys, command, LED, "--tol", "1e-12", expect_exit=1)
             assert json.loads(errtext.splitlines()[-1])["error"] == "usage"
 
+    def test_pf_hausdorff_solves_once(self, capsys, monkeypatch):
+        calls = []
+        real = kgraphwave.perron.pf_data
+
+        def counting(graph, *args, **kwargs):
+            calls.append(graph)
+            return real(graph, *args, **kwargs)
+
+        monkeypatch.setattr(kgraphwave.perron, "pf_data", counting)
+        monkeypatch.setattr(kgraphwave.cli, "pf_data", counting)
+        out, _ = run_cli(capsys, "pf", LED, "--hausdorff")
+        assert records(out)[0]["hausdorff_dimension"] == 0.5
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("lines", [
+        ['[1]'],
+        ['"v1"'],
+        ['{"path": "a,c,c"}'],
+        ['{"vertex": "v1"}'],
+        ['{"vertex": "v1", "path": "a,c,c"}', '{"vertex": "v2"}'],
+        ['{"vertex": "v1", "path": ["a", "c", "c"]}'],
+        ['{"vertex": 1, "path": "a,c,c"}'],
+    ], ids=["list", "string", "no vertex", "no path", "second record", "path list", "vertex number"])
+    def test_traffic_prefs_records_must_be_objects_with_vertex_and_path(self, capsys, tmp_path, lines):
+        prefs = tmp_path / "prefs.jsonl"
+        prefs.write_text("\n".join(lines) + "\n")
+        _, errtext = run_cli(capsys, "traffic", LED, "--prefs", str(prefs), expect_exit=2)
+        (line,) = errtext.splitlines()
+        assert json.loads(line)["error"] == "parse"
+
+    @pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank lines"])
+    def test_traffic_prefs_file_without_records(self, capsys, tmp_path, text):
+        prefs = tmp_path / "prefs.jsonl"
+        prefs.write_text(text)
+        for root in ([], ["--root", "v1"]):
+            _, errtext = run_cli(capsys, "traffic", LED, "--prefs", str(prefs), *root, expect_exit=3)
+            (line,) = errtext.splitlines()
+            assert json.loads(line)["reason"] == "bad_preferred_path"
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.update(edges=5),
+        lambda doc: doc.update(squares=5),
+        lambda doc: doc.update(edges={"e": doc["edges"][0]}),
+        lambda doc: doc.update(k=True),
+        lambda doc: doc["edges"][0].update(color=True),
+        lambda doc: doc["edges"][0].update(id=7),
+        lambda doc: doc["edges"][0].update(id=["e"]),
+        lambda doc: doc["edges"][0].update(source=None),
+        lambda doc: doc["edges"][0].update(range=["v"]),
+    ], ids=["edges number", "squares number", "edges object", "k true", "color true",
+            "id number", "id list", "source null", "range list"])
+    def test_malformed_graph_documents(self, capsys, tmp_path, edit):
+        doc = json.loads(open(L3).read())
+        edit(doc)
+        bad = tmp_path / "bad.kg"
+        bad.write_text(json.dumps(doc))
+        _, errtext = run_cli(capsys, "validate", str(bad), expect_exit=2)
+        (line,) = errtext.splitlines()
+        assert json.loads(line)["error"] == "parse"
+
     def test_numeric_error(self, capsys, tmp_path):
         sig = tmp_path / "sig.json"
         sig.write_text("[1.0, 0.0, 0.0, -1.0]")

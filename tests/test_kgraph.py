@@ -1,4 +1,5 @@
 import json
+import random
 from itertools import product
 
 import numpy as np
@@ -19,7 +20,14 @@ from kgraphwave import (
     vertex_matrices,
     vertex_path,
 )
-from helpers import check_confluence, torus_document, twisted_circulant_document
+from helpers import (
+    check_confluence,
+    filtered_paths,
+    generated_documents,
+    path_count,
+    random_word,
+    restart_rewrite,
+)
 
 
 def doc_of(graph):
@@ -291,17 +299,6 @@ class TestVertexMatrices:
                     assert np.array_equal(mats[i] @ mats[j], mats[j] @ mats[i])
 
 
-@st.composite
-def generated_documents(draw):
-    """A torus or a seeded twisted circulant, loops and repeated shift sums
-    included."""
-    if draw(st.booleans()):
-        return torus_document(draw(st.integers(1, 5)), draw(st.integers(1, 5)))
-    shifts = st.lists(st.integers(0, 7), min_size=1, max_size=3, unique=True)
-    return twisted_circulant_document(draw(st.integers(1, 8)), tuple(draw(shifts)),
-                                      tuple(draw(shifts)), draw(st.integers(0, 2 ** 16)))
-
-
 class TestSquaresForceCommutation:
     """No commutation check runs at load: bijective square coverage implies
     A_1 A_2 = A_2 A_1, and every square is needed for coverage."""
@@ -322,3 +319,59 @@ def test_rewriting_confluence_exhaustive(lambda3, ledrappier, sphere):
     assert check_confluence(lambda3, (2, 2)) > 0
     assert check_confluence(ledrappier, (2, 2)) > 0
     assert check_confluence(sphere, (2, 2)) > 0
+
+
+class TestPathSearch:
+    """The source-pruned search, the resuming rewrite and compose against the
+    code they replace (the oracles in helpers)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(generated_documents(), st.data())
+    def test_pruned_search_is_the_filtered_list(self, doc, data):
+        graph = load_kgraph(doc)
+        degree = data.draw(st.tuples(st.integers(0, 3), st.integers(0, 3)))
+        target = data.draw(st.sampled_from(graph.vertices))
+        source = data.draw(st.sampled_from(graph.vertices))
+        expected = filtered_paths(graph, degree, target, source)
+        assert enumerate_paths(graph, degree, range=target, source=source) == expected
+        assert enumerate_paths(graph, degree, range=target, source=source, limit=1) == expected[:1]
+        everything = enumerate_paths(graph, degree)
+        assert enumerate_paths(graph, degree, source=source) == \
+            [p for p in everything if p.source == source]
+        assert len(everything) == path_count(graph, degree)
+        if sum(degree):
+            # degree, range and source set by the search, not by a census
+            assert all(p == normal_form(graph, p.word) for p in everything)
+
+    def test_pruned_search_on_fixtures(self, lambda3, ledrappier, sphere):
+        for graph in (lambda3, ledrappier, sphere):
+            for degree in product(range(3), repeat=2):
+                for target, source in product(graph.vertices, repeat=2):
+                    expected = filtered_paths(graph, degree, target, source)
+                    assert enumerate_paths(graph, degree, range=target, source=source) == expected
+
+    def test_limit(self, ledrappier):
+        every = enumerate_paths(ledrappier, (1, 2))
+        assert enumerate_paths(ledrappier, (1, 2), limit=5) == every[:5]
+        assert enumerate_paths(ledrappier, (0, 0), limit=2) == enumerate_paths(ledrappier, (0, 0))[:2]
+
+    @settings(max_examples=60, deadline=None)
+    @given(generated_documents(), st.integers(2, 9), st.integers(0, 2 ** 16))
+    def test_resuming_rewrite_matches_restarting_oracle(self, doc, length, seed):
+        graph = load_kgraph(doc)
+        rng = random.Random(seed)
+        for _ in range(5):
+            word = random_word(graph, length, rng)
+            for leftmost in (True, False):
+                assert graph._rewrite(word, leftmost) == restart_rewrite(graph, word, leftmost)
+
+    @settings(max_examples=60, deadline=None)
+    @given(generated_documents(), st.integers(2, 9), st.data())
+    def test_compose_matches_normal_form_of_the_concatenation(self, doc, length, data):
+        graph = load_kgraph(doc)
+        word = random_word(graph, length, random.Random(data.draw(st.integers(0, 2 ** 16))))
+        cut = data.draw(st.integers(1, len(word) - 1))
+        got = compose(normal_form(graph, word[:cut]), normal_form(graph, word[cut:]))
+        want = normal_form(graph, word)
+        assert (got.word, got.degree, got.range, got.source) == \
+            (want.word, want.degree, want.range, want.source)

@@ -1,14 +1,18 @@
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
+import kgraphwave
 from kgraphwave import (
     BadWeights,
     CylinderFn,
     DegreeRangeError,
     MeasureSpec,
+    NotStronglyConnected,
     NotZeroOne,
+    PFData,
     cylinder_fns_equal,
     cylinder_measure,
     embed_to_interval,
@@ -17,6 +21,7 @@ from kgraphwave import (
     load_kgraph,
     mce,
     normal_form,
+    pf_data,
     refine,
     vertex_path,
 )
@@ -36,6 +41,32 @@ def spec3x(lambda3):
 @pytest.fixture(scope="module")
 def specL(ledrappier):
     return MeasureSpec.perron_frobenius(ledrappier)
+
+
+class TestPerronFrobeniusSpec:
+    def test_connectivity_checked_once(self, monkeypatch, ledrappier):
+        calls = []
+        real = kgraphwave.perron.is_strongly_connected
+
+        def counting(graph):
+            calls.append(graph)
+            return real(graph)
+
+        monkeypatch.setattr(kgraphwave.perron, "is_strongly_connected", counting)
+        monkeypatch.setattr(kgraphwave.measure, "is_strongly_connected", counting)
+        MeasureSpec.perron_frobenius(ledrappier)  # inside pf_data only
+        assert len(calls) == 1
+        pf = pf_data(ledrappier)
+        MeasureSpec.perron_frobenius(ledrappier, pf)  # a given pf is checked against the graph
+        assert len(calls) == 3
+
+    def test_disconnected_graph_rejected(self, sphere):
+        with pytest.raises(NotStronglyConnected):
+            MeasureSpec.perron_frobenius(sphere)
+        n = len(sphere.vertices)
+        pf = PFData(rho=np.ones(sphere.k), x_lambda=np.full(n, 1.0 / n))
+        with pytest.raises(NotStronglyConnected):
+            MeasureSpec.perron_frobenius(sphere, pf)
 
 
 class TestCylinderMeasure:

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kgraphwave
 from kgraphwave import (
@@ -66,6 +68,27 @@ class TestStrongConnectivity:
 
     def test_one_way_pair_not_connected(self):
         assert not is_strongly_connected(one_way_pair())
+
+    def test_no_vertices(self):
+        assert is_strongly_connected(load_kgraph({"k": 1, "vertices": [], "edges": [], "squares": []}))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12))))
+    def test_random_digraphs_against_all_pairs_closure(self, case):
+        n, arcs = case
+        graph = load_kgraph({
+            "k": 1, "vertices": [f"v{i}" for i in range(n)],
+            "edges": [{"id": f"e{j}", "color": 1, "source": f"v{s}", "range": f"v{r}"}
+                      for j, (s, r) in enumerate(arcs)],
+            "squares": []})
+        # oracle: reflexive-transitive closure of the adjacency matrix
+        reach = np.eye(n, dtype=bool)
+        for s, r in arcs:
+            reach[r, s] = True
+        for _ in range(n):
+            reach = (reach.astype(int) @ reach.astype(int)) > 0
+        assert is_strongly_connected(graph) == bool(reach.all())
 
 
 class TestPFData:
@@ -158,6 +181,11 @@ class TestPFData:
 class TestHausdorffDimension:
     def test_two_vertex_full_shift(self):
         assert hausdorff_dimension(full_shift_graph(2)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_reuses_given_pf_data(self, monkeypatch, ledrappier):
+        pf = pf_data(ledrappier)
+        monkeypatch.setattr(kgraphwave.perron, "pf_data", None)  # a second solve would fail
+        assert hausdorff_dimension(ledrappier, pf) == pytest.approx(0.5, abs=1e-12)
 
     def test_ledrappier_with_eigen_oracle(self, ledrappier):
         s = hausdorff_dimension(ledrappier)

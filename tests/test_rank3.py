@@ -1,17 +1,21 @@
 """Rank-3 coverage: the cube condition as a real gate, and the full pipeline
 (measure, operators, wavelets) on a 3-graph with a twisted color pair."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
 from kgraphwave import (
     CylinderFn,
+    KGraph,
     MeasureSpec,
     ValidationError,
     build_wavelet_family,
     check_ck_relations,
     cylinder_fns_equal,
     cylinder_measure,
+    default_preferred_paths,
     enumerate_paths,
     load_kgraph,
     normal_form,
@@ -19,7 +23,14 @@ from kgraphwave import (
     segment,
     wavelet_basis,
 )
-from helpers import check_confluence, path_count
+from helpers import (
+    check_confluence,
+    exhaustive_least_path,
+    filtered_paths,
+    path_count,
+    restart_rewrite,
+    words_with_pattern,
+)
 
 
 def skeleton_doc(squares):
@@ -101,6 +112,33 @@ def test_cube_condition_on_a_two_vertex_cover():
     with pytest.raises(ValidationError) as exc:
         load_kgraph(double_cover(CUBE_VIOLATING_SQUARES))
     assert exc.value.reason == "cube_condition"
+
+
+def test_rewrite_orders_without_the_cube_condition(monkeypatch):
+    """Where the cube condition fails the two swap orders disagree, and each
+    order must still give what restarting its scan after every swap gives."""
+    monkeypatch.setattr(KGraph, "_check_cube_condition", lambda self: None)
+    for doc in (skeleton_doc(CUBE_VIOLATING_SQUARES), double_cover(CUBE_VIOLATING_SQUARES)):
+        graph = load_kgraph(doc)
+        disagree = 0
+        for length in (3, 4):
+            for pattern in product((1, 2, 3), repeat=length):
+                for word in words_with_pattern(graph, pattern):
+                    for leftmost in (True, False):
+                        assert graph._rewrite(word, leftmost) == restart_rewrite(graph, word, leftmost)
+                    disagree += graph._rewrite(word, True) != graph._rewrite(word, False)
+        assert disagree > 0
+
+
+def test_path_search_on_a_two_vertex_cover():
+    graph = load_kgraph(double_cover(VALID_SQUARES))
+    for degree in product(range(2), range(3), range(3)):
+        for target, source in product(graph.vertices, repeat=2):
+            assert enumerate_paths(graph, degree, range=target, source=source) \
+                == filtered_paths(graph, degree, target, source)
+    for root in graph.vertices:
+        assert default_preferred_paths(graph, root).assignment == \
+            {w: exhaustive_least_path(graph, root, w) for w in graph.vertices}
 
 
 def test_valid_rank3_loads_and_is_confluent(rank3):

@@ -1,5 +1,9 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgraphwave import (
     NoWaveletDegree,
@@ -14,6 +18,7 @@ from kgraphwave import (
     traffic_wavelet_family,
     vertex_path,
 )
+from helpers import exhaustive_least_path, generated_documents, twisted_circulant_document
 
 SQRT2 = np.sqrt(2.0)
 
@@ -167,3 +172,34 @@ class TestValidationAndDefaults:
     def test_default_chooser_unreachable_root(self, sphere):
         with pytest.raises(ValidationError):
             default_preferred_paths(sphere, "u")
+
+
+class TestDefaultChooserSearch:
+    """The least-total search against the exhaustive chooser it replaces."""
+
+    def check_against_oracle(self, graph, root):
+        expected = {w: exhaustive_least_path(graph, root, w) for w in graph.vertices}
+        if None in expected.values():
+            with pytest.raises(ValidationError) as exc:
+                default_preferred_paths(graph, root)
+            assert exc.value.reason == "bad_preferred_path"
+        else:
+            assert default_preferred_paths(graph, root).assignment == expected
+
+    def test_fixtures(self, lambda3, ledrappier, sphere):
+        for graph in (lambda3, ledrappier, sphere):
+            for root in graph.vertices:
+                self.check_against_oracle(graph, root)
+
+    @settings(max_examples=40, deadline=None)
+    @given(generated_documents(), st.data())
+    def test_generated_graphs(self, doc, data):
+        graph = load_kgraph(doc)
+        self.check_against_oracle(graph, data.draw(st.sampled_from(graph.vertices)))
+
+    def test_sixty_vertex_circulant_is_fast(self):
+        graph = load_kgraph(twisted_circulant_document(60, (1, 2, 5), (1, 3, 4), 7))
+        start = time.perf_counter()
+        prefs = default_preferred_paths(graph, graph.vertices[0])
+        assert time.perf_counter() - start < 0.5  # the exhaustive chooser took 45 s on a 2-core host
+        assert max(sum(p.degree) for p in prefs.assignment.values()) >= 10
