@@ -71,6 +71,14 @@ def _parse_list(text: str, kind, what: str, example: str) -> tuple:
         _fail(USAGE_EXIT, "usage", f"bad {what} {text!r}; expected e.g. {example}")
 
 
+def _parse_weights(text: str) -> list:
+    """Letter weights: a Fraction where written as p/q, else a float."""
+    try:
+        return [Fraction(w) if "/" in w else float(w) for w in text.split(",")]
+    except (ValueError, ZeroDivisionError):
+        _fail(USAGE_EXIT, "usage", f"bad --weights {text!r}; expected e.g. 1/3,2/3 or 0.25,0.75")
+
+
 def _parse_tgrid(text: str) -> np.ndarray:
     """``lo,hi,count``: count log-spaced scales from lo to hi."""
     values = _parse_list(text, float, "--tgrid", "1e-5,2e3,2000")
@@ -111,7 +119,7 @@ def _load_graph(args):
 
 def _load_measure(graph, args) -> MeasureSpec:
     if getattr(args, "weights", None):
-        weights = [Fraction(w) if "/" in w else float(w) for w in args.weights.split(",")]
+        weights = _parse_weights(args.weights)
         exact = getattr(args, "exact", False) and all(isinstance(w, Fraction) for w in weights)
         return MeasureSpec.bernoulli(graph, weights, exact=exact)
     return MeasureSpec.perron_frobenius(graph, exact=getattr(args, "exact", False))
@@ -197,9 +205,11 @@ def _cmd_ck_check(args):
 
 
 def _cmd_wavelets(args):
+    if args.compare is not None and args.compare < 1:
+        _fail(USAGE_EXIT, "usage", f"--compare must be an integer >= 1, got {args.compare}")
     graph = _load_graph(args)
     family = build_wavelet_family(graph, shape=_parse_list(args.shape, int, "degree/shape", "1,2"))
-    if args.compare:
+    if args.compare is not None:
         coarse = build_wavelet_family(
             graph, shape=tuple(args.compare * j for j in family.shape))
         _emit(args, [subspace_compare(family, coarse).to_record()])
@@ -229,8 +239,7 @@ def _cmd_wavelets(args):
 
 
 def _cmd_markov(args):
-    weights = [Fraction(w) if "/" in w else float(w) for w in args.weights.split(",")]
-    system = markov_wavelets(args.alphabet, weights, args.depth)
+    system = markov_wavelets(args.alphabet, _parse_weights(args.weights), args.depth)
     _emit(args, system.to_records())
 
 
@@ -365,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--analyze", help="cylinder-function records file to analyze")
     p.add_argument("--synthesize", help="coefficient records file to synthesize")
     p.add_argument("--compare", type=int,
-                   help="compare against the family of shape L*J for this integer L")
+                   help="compare against the family of shape L*J for this integer L >= 1")
     p.set_defaults(handler=_cmd_wavelets)
 
     p = sub.add_parser("markov", help="full-shift wavelets for a Bernoulli measure")

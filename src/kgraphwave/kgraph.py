@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cache, cached_property
 from pathlib import Path as FilePath
 from typing import Iterable, Sequence
 
@@ -61,6 +62,36 @@ def deg_scale(n: int, p: Degree) -> Degree:
     return tuple(n * a for a in p)
 
 
+@cache
+def _swap_schedule(colors: tuple[int, ...], leftmost: bool = True) -> tuple[int, ...]:
+    """The positions i at which rewriting a word of these colors swaps
+    (w[i], w[i+1]), in order.  The swaps depend on the colors alone.
+
+    Each step swaps the leftmost inversion (the rightmost one with
+    ``leftmost=False``).  A swap at i changes only the pairs next to it, and
+    the pairs already passed hold no inversion, so the scan resumes one step
+    back instead of starting over.
+    """
+    colors = list(colors)
+    steps: list[int] = []
+    last = len(colors) - 2
+    i, step = (0, 1) if leftmost else (last, -1)
+    while 0 <= i <= last:
+        if colors[i] > colors[i + 1]:
+            steps.append(i)
+            colors[i], colors[i + 1] = colors[i + 1], colors[i]
+            i = min(max(i - step, 0), last)
+        else:
+            i += step
+    return tuple(steps)
+
+
+@cache
+def _degree_colors(degree: Degree) -> tuple[int, ...]:
+    """The color sequence of a normal-form word of this degree."""
+    return tuple(c for c, count in enumerate(degree, start=1) for _ in range(count))
+
+
 @dataclass(frozen=True)
 class Edge:
     """A colored edge; ``source``/``range`` name vertices, color is 1-based."""
@@ -101,7 +132,7 @@ class KGraph:
         self.squares = tuple(squares)
         self._validate_skeleton()
         self._swap = self._build_swap()
-        self._by_range_color, self._ranges_from = self._index_edges()
+        self._by_range_color = self._index_edges()
         self._check_square_coverage()
         if self.k >= 3:
             self._check_cube_condition()
@@ -155,15 +186,12 @@ class KGraph:
         return swap
 
     def _index_edges(self):
-        """Edge ids by (range, color), sorted by id, and the ranges of the
-        edges by (source, color), for searches that go backward from a source."""
+        """Edge ids by (range, color), sorted by id."""
         into: dict[tuple[str, int], list[str]] = defaultdict(list)
-        ranges_from: dict[tuple[str, int], list[str]] = defaultdict(list)
         for eid in sorted(self.edges):
             e = self.edges[eid]
             into[e.range, e.color].append(eid)
-            ranges_from[e.source, e.color].append(e.range)
-        return {key: tuple(ids) for key, ids in into.items()}, dict(ranges_from)
+        return {key: tuple(ids) for key, ids in into.items()}
 
     def _mixed_pairs(self):
         """Composable two-color words (a, b), b taken from the range index."""
@@ -215,6 +243,11 @@ class KGraph:
     def zero_degree(self) -> Degree:
         return (0,) * self.k
 
+    @cached_property
+    def word_kernel(self) -> "WordKernel":
+        """The word-array tables of this graph, built on first use."""
+        return WordKernel(self)
+
     # -- word rewriting ----------------------------------------------------
 
     def _check_word(self, word: Sequence[str]):
@@ -228,24 +261,11 @@ class KGraph:
                     f"(source {self.edges[a].source} != range {self.edges[b].range})")
 
     def _rewrite(self, word: Sequence[str], leftmost: bool = True) -> tuple[str, ...]:
-        """Sort a composable word into ascending-color order via square swaps.
-
-        Each step swaps the leftmost inversion (the rightmost one with
-        ``leftmost=False``).  A swap at i changes only the pairs next to it,
-        and the pairs already passed hold no inversion, so the scan resumes
-        one step back instead of starting over.
-        """
+        """Sort a composable word into ascending-color order via square swaps,
+        at the positions `_swap_schedule` gives for its colors."""
         w = list(word)
-        colors = [self.edges[eid].color for eid in w]
-        last = len(w) - 2
-        i, step = (0, 1) if leftmost else (last, -1)
-        while 0 <= i <= last:
-            if colors[i] > colors[i + 1]:
-                w[i], w[i + 1] = self._swap[(w[i], w[i + 1])]
-                colors[i], colors[i + 1] = colors[i + 1], colors[i]
-                i = min(max(i - step, 0), last)
-            else:
-                i += step
+        for i in _swap_schedule(tuple(self.edges[eid].color for eid in w), leftmost):
+            w[i], w[i + 1] = self._swap[(w[i], w[i + 1])]
         return tuple(w)
 
     def _pull_prefix(self, word: Sequence[str], p: Degree) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -361,13 +381,17 @@ def segment(path: Path, p: Sequence[int], q: Sequence[int]) -> Path:
     return _path_from_normal_word(graph, seg)
 
 
-def _reach(graph: KGraph, colors: list[int], source: str) -> list[set[str] | None]:
-    """reach[pos], for pos >= 1: the vertices from which a path with the
-    color sequence colors[pos:] ends at the source."""
-    reach: list[set[str] | None] = [None] * len(colors) + [{source}]
+def _reach(graph: KGraph, colors: Sequence[int], source: str) -> list[np.ndarray | None]:
+    """reach[pos], for pos >= 1: marks the vertices from which a path with
+    the color sequence colors[pos:] ends at the source."""
+    kernel = graph.word_kernel
+    reach: list[np.ndarray | None] = [None] * (len(colors) + 1)
+    reach[-1] = np.zeros(len(graph.vertices), dtype=bool)
+    reach[-1][graph.vertex_index[source]] = True
     for pos in range(len(colors) - 1, 0, -1):
-        reach[pos] = {r for v in reach[pos + 1]
-                      for r in graph._ranges_from.get((v, colors[pos]), ())}
+        edges = kernel.edges_of(colors[pos])
+        reach[pos] = np.zeros(len(graph.vertices), dtype=bool)
+        reach[pos][kernel.range[edges[reach[pos + 1][kernel.source[edges]]]]] = True
     return reach
 
 
@@ -379,9 +403,10 @@ def enumerate_paths(graph: KGraph, degree: Sequence[int], range: str | None = No
     ``limit`` (>= 1), only the first ``limit`` paths of that list.
 
     With a source, the search first goes backward from it: ``reach[pos]``
-    holds the vertices from which the colors ``colors[pos:]`` can still end
-    at the source.  An edge whose source is outside ``reach[pos + 1]`` starts
-    a dead branch and is skipped, so the cost follows the size of the output.
+    marks the vertices from which the colors ``colors[pos:]`` can still end
+    at the source, one vectorised step per color.  An edge whose source is
+    unmarked in ``reach[pos + 1]`` starts a dead branch and is skipped, so
+    the search follows the size of the output.
     """
     deg = as_degree(degree, graph.k)
     if range is not None and range not in graph.vertex_index:
@@ -393,12 +418,10 @@ def enumerate_paths(graph: KGraph, degree: Sequence[int], range: str | None = No
                  if (range is None or v == range) and (source is None or v == source)]
         return [vertex_path(graph, v) for v in verts[:limit]]
 
-    colors: list[int] = []
-    for c, count in enumerate(deg, start=1):
-        colors.extend([c] * count)
+    colors = _degree_colors(deg)
     last = len(colors) - 1
     reach = [None] * (last + 2) if source is None else _reach(graph, colors, source)
-    edges, into = graph.edges, graph._by_range_color
+    edges, into, index = graph.edges, graph._by_range_color, graph.vertex_index
     out: list[Path] = []
     word: list[str] = []
 
@@ -406,7 +429,7 @@ def enumerate_paths(graph: KGraph, degree: Sequence[int], range: str | None = No
         live = reach[pos + 1]
         for eid in candidates:
             tail = edges[eid].source
-            if live is not None and tail not in live:
+            if live is not None and not live[index[tail]]:
                 continue
             word.append(eid)
             if pos == last:
@@ -422,6 +445,154 @@ def enumerate_paths(graph: KGraph, degree: Sequence[int], range: str | None = No
     else:
         extend(0, sorted(eid for eid, e in edges.items() if e.color == colors[0]))
     return out
+
+
+def _expand_runs(first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The indices first[i], first[i] + 1, ..., first[i] + count[i] - 1,
+    for each i in turn."""
+    ends = np.cumsum(count)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(first - (ends - count), count)
+
+
+class WordKernel:
+    """Normal-form paths of whole levels as rows of edge indices.
+
+    Edges are numbered in id order, so rows compare as their words do.  A
+    level's rows, with the range and source vertex index of each, come in
+    `enumerate_paths` order, and ``paths`` turns rows back into `Path`
+    objects at the I/O boundary.
+
+    - Every word of one color sequence is rewritten with swaps at the same
+      positions (`_swap_schedule`), so `compose` sorts all rows of a level
+      at once: one gather per swap through the sorted table of square pairs.
+      A pair that no square covers raises, and a lookup that misses never
+      reads a neighbouring entry.
+    - The position of a normal-form word in its level is a sum of one offset
+      per letter (`rank`).  The offset of edge e at position pos counts the
+      words that agree before pos and carry a smaller edge there: the
+      completions, from the sources of the smaller edges with e's range (any
+      range at pos 0), of the colors after pos.
+
+    Built on first use of `KGraph.word_kernel`; tables are cached per degree.
+    """
+
+    def __init__(self, graph: KGraph):
+        self.graph = graph
+        self.ids = tuple(sorted(graph.edges))
+        self.position = {eid: i for i, eid in enumerate(self.ids)}
+        edges = [graph.edges[eid] for eid in self.ids]
+        index = graph.vertex_index
+        self.color = np.array([e.color for e in edges], dtype=np.intp)
+        self.source = np.array([index[e.source] for e in edges], dtype=np.intp)
+        self.range = np.array([index[e.range] for e in edges], dtype=np.intp)
+        # rewriting to normal form only ever swaps a descending pair
+        pairs = sorted((self.position[a] * len(edges) + self.position[b],
+                        self.position[c], self.position[d])
+                       for (a, b), (c, d) in graph._swap.items()
+                       if graph.edges[a].color > graph.edges[b].color)
+        pairs.append((np.iinfo(np.intp).max, -1, -1))
+        self.pair_key, self.pair_left, self.pair_right = (
+            np.array(column, dtype=np.intp) for column in zip(*pairs))
+        # per color: its edges by range, then id, and where each range's run starts
+        self._into = {}
+        n = len(graph.vertices)
+        for c in range(1, graph.k + 1):
+            of_color = np.flatnonzero(self.color == c)
+            by_range = of_color[np.argsort(self.range[of_color], kind="stable")]
+            self._into[c] = by_range, np.searchsorted(self.range[by_range], np.arange(n + 1))
+        self._levels: dict[Degree, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._offsets: dict[Degree, np.ndarray] = {}
+
+    def edges_of(self, color: int) -> np.ndarray:
+        """The edges of one color, by range."""
+        return self._into[color][0]
+
+    def word(self, path: Path) -> np.ndarray:
+        """The edge indices of a path's word."""
+        return np.array([self.position[eid] for eid in path.word], dtype=np.intp)
+
+    def row(self, path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One path as a level of one row: its word, range and source."""
+        index = self.graph.vertex_index
+        return (self.word(path)[None, :], np.array([index[path.range]]),
+                np.array([index[path.source]]))
+
+    def level(self, degree: Degree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rows, ranges and sources of all normal-form paths of the
+        degree, in `enumerate_paths` order (read-only, shared)."""
+        if degree not in self._levels:
+            colors = _degree_colors(degree)
+            if not colors:
+                at = np.arange(len(self.graph.vertices))
+                words = np.empty((len(at), 0), dtype=np.intp)
+                out = words, at, at
+            else:
+                words = np.flatnonzero(self.color == colors[0])[:, None]
+                for c in colors[1:]:
+                    by_range, starts = self._into[c]
+                    tail = self.source[words[:, -1]]
+                    count = starts[tail + 1] - starts[tail]
+                    words = np.column_stack([np.repeat(words, count, axis=0),
+                                             by_range[_expand_runs(starts[tail], count)]])
+                out = words, self.range[words[:, 0]], self.source[words[:, -1]]
+            for a in out:
+                a.flags.writeable = False
+            self._levels[degree] = out
+        return self._levels[degree]
+
+    def compose(self, heads: np.ndarray, head_degree: Degree,
+                tails: np.ndarray, tail_degree: Degree) -> np.ndarray:
+        """The normal-form rows of heads[i] * tails[i]; a single head row is
+        broadcast.  Each source of a head must be the range of its tail."""
+        cut = heads.shape[-1]
+        words = np.empty((len(tails), cut + tails.shape[1]), dtype=np.intp)
+        words[:, :cut], words[:, cut:] = heads, tails
+        keys, left, right = self.pair_key, self.pair_left, self.pair_right
+        for i in _swap_schedule(_degree_colors(head_degree) + _degree_colors(tail_degree)):
+            key = words[:, i] * len(self.ids) + words[:, i + 1]
+            at = keys.searchsorted(key)  # the last key is a sentinel above every pair
+            hit = keys[at] == key
+            if not hit.all():
+                a, b = words[np.argmin(hit), i:i + 2]
+                raise ValidationError(
+                    "missing_square",
+                    f"no square covers the composable pair ({self.ids[a]}, {self.ids[b]})")
+            words[:, i], words[:, i + 1] = left[at], right[at]
+        return words
+
+    def rank(self, words: np.ndarray, degree: Degree) -> np.ndarray:
+        """The position of each normal-form row in the level of `degree`
+        (nonzero: a degree-0 path is ranked by its vertex index)."""
+        if degree not in self._offsets:
+            self._offsets[degree] = self._rank_offsets(_degree_colors(degree))
+        offsets = self._offsets[degree]
+        return offsets[np.arange(len(offsets)), words].sum(axis=1)
+
+    def _rank_offsets(self, colors: tuple[int, ...]) -> np.ndarray:
+        """offsets[pos, e]: the rank added by edge e at position pos."""
+        after = np.ones(len(self.graph.vertices), dtype=np.intp)  # completions by range
+        offsets = np.zeros((len(colors), len(self.ids)), dtype=np.intp)
+        for pos in reversed(range(len(colors))):
+            by_range, starts = self._into[colors[pos]]
+            if pos == 0:
+                by_range = np.sort(by_range)  # any range: the edges in id order
+                starts = np.array([0, len(by_range)])
+            counts = np.concatenate([[0], np.cumsum(after[self.source[by_range]])])
+            group = starts[self.range[by_range]] if pos else 0
+            offsets[pos, by_range] = counts[:-1] - counts[group]
+            after = counts[starts[1:]] - counts[starts[:-1]]
+        return offsets
+
+    def paths(self, rows: tuple[np.ndarray, np.ndarray, np.ndarray], degree: Degree) -> list[Path]:
+        """`Path` objects for rows of the degree, given with their ranges and
+        sources as `level` gives them."""
+        words, ranges, sources = rows
+        vertices = self.graph.vertices
+        if not any(degree):
+            return [vertex_path(self.graph, vertices[v]) for v in ranges.tolist()]
+        ids = np.array(self.ids, dtype=object)
+        return [Path(self.graph, tuple(word), degree, vertices[r], vertices[s])
+                for word, r, s in zip(ids[words].tolist(), ranges.tolist(), sources.tolist())]
 
 
 def extensions(path: Path, degree: Sequence[int]) -> list[Path]:

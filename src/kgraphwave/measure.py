@@ -102,10 +102,35 @@ class MeasureSpec:
     def prefix_factor(self, path: Path) -> float:
         """The constant value of (d(M o sigma_path)/dM)^{-1/2} on Z(s(path)):
         the isometry normalization of the prefixing operator."""
+        return float(self.prefix_factors(path.degree, self.graph.word_kernel.word(path)[None, :])[0])
+
+    # Word-kernel rows hold edge indices in id order, which on a bouquet is
+    # the alphabet order: a row's entries index ``weights`` directly.
+
+    def prefix_factors(self, degree: Degree, words: np.ndarray) -> np.ndarray:
+        """`prefix_factor` of each path of one degree, from word-kernel rows:
+        rho^{d/2} for PF, the product of the letters' w^{-1/2} for Bernoulli."""
         if self.kind == self.PF:
-            return float(np.prod(np.asarray(self.pf.rho) ** (np.asarray(path.degree) / 2.0)))
-        return float(np.prod([float(self.weights[self._letter_index[a]]) ** -0.5
-                              for a in path.word]))
+            factor = float(np.prod(np.asarray(self.pf.rho) ** (np.asarray(degree) / 2.0)))
+            return np.full(len(words), factor)
+        return _column_product(np.array([float(w) ** -0.5 for w in self.weights]), words)
+
+    def level_weights(self, level: Degree, words: np.ndarray, sources: np.ndarray) -> np.ndarray:
+        """float `cylinder_measure` of each path of one level, from word-kernel
+        rows and source vertex indices, in float mode: one gather for PF, a
+        column-by-column product of letter weights for Bernoulli."""
+        if self.kind == self.PF:
+            return self.pf.rho_pow(tuple(-d for d in level)) * np.asarray(self.pf.x_lambda)[sources]
+        return _column_product(np.array([float(w) for w in self.weights]), words)
+
+
+def _column_product(letters: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Per row, the product of the letters' values left to right, as a loop
+    over the word multiplies them."""
+    out = np.ones(len(words))
+    for column in words.T:
+        out = out * letters[column]
+    return out
 
 
 def cylinder_measure(spec: MeasureSpec, path: Path):

@@ -24,36 +24,65 @@ from .kgraph import (
     Degree,
     KGraph,
     Path,
+    _expand_runs,
     as_degree,
     compose,
     deg_add,
     deg_le,
     deg_sub,
     enumerate_paths,
-    vertex_path,
 )
-from .measure import CylinderFn, MeasureSpec, cylinder_measure, refine
+from .measure import CylinderFn, MeasureSpec, cylinder_measure
 
 
 @dataclass(frozen=True)
 class LevelSpace:
     """The ordered basis of degree-`level` cylinder indicators with their
     masses; Theta_lambda / sqrt(M(Z(lambda))) is the attached orthonormal
-    basis."""
+    basis.
+
+    The paths are held as word-kernel rows (`KGraph.word_kernel`) with the
+    range and source vertex index of each, in `enumerate_paths` order;
+    ``basis`` turns them into `Path` objects on first access.
+    """
 
     graph: KGraph
     spec: MeasureSpec
     level: Degree
-    basis: tuple[Path, ...]
+    words: np.ndarray = field(repr=False)
+    ranges: np.ndarray = field(repr=False)
+    sources: np.ndarray = field(repr=False)
     weights: np.ndarray
-    index: dict = field(repr=False)
+
+    @cached_property
+    def basis(self) -> tuple[Path, ...]:
+        return tuple(self.graph.word_kernel.paths((self.words, self.ranges, self.sources), self.level))
+
+    @cached_property
+    def index(self) -> dict[Path, int]:
+        return {p: i for i, p in enumerate(self.basis)}
+
+    def _extension_indices(self, path: Path) -> np.ndarray:
+        """The positions of the paths path * mu, d(mu) = level - d(path),
+        in the order of the mu."""
+        if not deg_le(path.degree, self.level):
+            raise DegreeRangeError(f"term at degree {path.degree} above level {self.level}")
+        vertex = self.graph.vertex_index
+        if not any(self.level):
+            return np.array([vertex[path.range]])
+        kernel = self.graph.word_kernel
+        step = deg_sub(self.level, path.degree)
+        tails, ranges, _ = kernel.level(step)
+        tails = tails[ranges == vertex[path.source]]
+        return kernel.rank(kernel.compose(kernel.word(path), path.degree, tails, step), self.level)
 
     def vector_of(self, f: CylinderFn) -> np.ndarray:
-        """Coefficients of f in the (unnormalized) indicator basis."""
-        refined = refine(f, self.level)
-        vec = np.zeros(len(self.basis))
-        for p, c in refined.terms.items():
-            vec[self.index[p]] = c
+        """Coefficients of f in the (unnormalized) indicator basis: each term
+        adds its coefficient at the paths that extend it, in term order, the
+        order in which `refine` sums them."""
+        vec = np.zeros(len(self.words))
+        for p, c in f.terms.items():
+            vec[self._extension_indices(p)] += c
         return vec
 
     def function_of(self, vec: Sequence[float]) -> CylinderFn:
@@ -63,10 +92,14 @@ class LevelSpace:
 
 def level_space(spec: MeasureSpec, level: Sequence[int]) -> LevelSpace:
     level = as_degree(level, spec.graph.k)
-    basis = tuple(enumerate_paths(spec.graph, level))
-    weights = np.array([float(cylinder_measure(spec, p)) for p in basis])
-    return LevelSpace(spec.graph, spec, level, basis,
-                      weights, {p: i for i, p in enumerate(basis)})
+    kernel = spec.graph.word_kernel
+    words, ranges, sources = kernel.level(level)
+    if spec.exact:  # Fractions, rounded path by path
+        weights = np.array([float(cylinder_measure(spec, p))
+                            for p in kernel.paths((words, ranges, sources), level)])
+    else:
+        weights = spec.level_weights(level, words, sources)
+    return LevelSpace(spec.graph, spec, level, words, ranges, sources, weights)
 
 
 @dataclass(frozen=True)
@@ -96,26 +129,43 @@ class OperatorMatrix:
         return row, val
 
 
-def _prefix_map(spec: MeasureSpec, path: Path, dom: LevelSpace, cod: LevelSpace,
-                rn_tol: float = 1e-12) -> OperatorMatrix:
-    """S_path from `dom` to `cod`: column mu, for r(mu) = s(path), goes to the
-    row of path*mu with entry factor * sqrt(M(Z(path mu)) / M(Z(mu)))."""
-    cols = np.array([j for j, mu in enumerate(dom.basis) if mu.range == path.source], dtype=int)
-    rows = np.array([cod.index[compose(path, dom.basis[j])] for j in cols], dtype=int)
-    vals = spec.prefix_factor(path) * np.sqrt(cod.weights[rows] / dom.weights[cols])
+def _prefix_maps(spec: MeasureSpec, lams: tuple[np.ndarray, np.ndarray, np.ndarray],
+                 degree: Degree, dom: LevelSpace, cod: LevelSpace,
+                 rn_tol: float = 1e-12) -> list[OperatorMatrix]:
+    """S_lambda from `dom` to `cod` for each of the paths `lams` of one degree,
+    given as word-kernel rows, ranges and sources: column mu, for r(mu) =
+    s(lambda), goes to the row of lambda*mu with entry factor *
+    sqrt(M(Z(lambda mu)) / M(Z(mu))).  All products are composed at once."""
+    kernel = spec.graph.word_kernel
+    words, _, sources = lams
+    by_range = np.argsort(dom.ranges, kind="stable")
+    starts = np.searchsorted(dom.ranges[by_range], np.arange(len(spec.graph.vertices) + 1))
+    count = starts[sources + 1] - starts[sources]
+    owner = np.repeat(np.arange(len(words)), count)
+    cols = by_range[_expand_runs(starts[sources], count)]
+    if any(cod.level):
+        rows = kernel.rank(kernel.compose(words[owner], degree, dom.words[cols], dom.level), cod.level)
+    else:  # vertices on level 0
+        rows = cols
+    vals = spec.prefix_factors(degree, words)[owner] * np.sqrt(cod.weights[rows] / dom.weights[cols])
     bad = np.flatnonzero(~(np.abs(vals - 1.0) < rn_tol))
     if len(bad):
+        lam = kernel.paths(tuple(a[owner[bad[:1]]] for a in lams), degree)[0]
         raise NonConstantDerivative(f"Radon-Nikodym derivative not constant: entry "
-                                    f"{vals[bad[0]]} for {path}, {dom.basis[cols[bad[0]]]}")
-    return OperatorMatrix(dom.level, cod.level, (len(cod.basis), len(dom.basis)), rows, cols, vals)
+                                    f"{vals[bad[0]]} for {lam}, {dom.basis[cols[bad[0]]]}")
+    shape = (len(cod.weights), len(dom.weights))
+    ends = np.cumsum(count).tolist()
+    return [OperatorMatrix(dom.level, cod.level, shape, rows[a:b], cols[a:b], vals[a:b])
+            for a, b in zip([0] + ends[:-1], ends)]
 
 
 def s_matrix(spec: MeasureSpec, path: Path, domain_level: Sequence[int],
              rn_tol: float = 1e-12) -> OperatorMatrix:
     """S_path from level `domain_level` to `domain_level + d(path)`."""
     domain_level = as_degree(domain_level, spec.graph.k)
-    return _prefix_map(spec, path, level_space(spec, domain_level),
-                       level_space(spec, deg_add(domain_level, path.degree)), rn_tol)
+    row = spec.graph.word_kernel.row(path)
+    return _prefix_maps(spec, row, path.degree, level_space(spec, domain_level),
+                        level_space(spec, deg_add(domain_level, path.degree)), rn_tol)[0]
 
 
 def s_star_matrix(spec: MeasureSpec, path: Path, domain_level: Sequence[int]) -> OperatorMatrix:
@@ -187,7 +237,8 @@ def check_ck_relations(spec: MeasureSpec, graph: KGraph,
 
     All compositions are arranged to land at degree `test_level`; the report
     carries the worst absolute deviation per relation and where it occurred.
-    Each level space and each S_lambda, as an index map, is built once.
+    Each level space is built once, and the S_lambda of one degree at one
+    level are built together, as index maps.
     """
     test_level = as_degree(test_level, graph.k)
     if any(t < 1 for t in test_level):
@@ -202,40 +253,52 @@ def check_ck_relations(spec: MeasureSpec, graph: KGraph,
     def space(level: Degree) -> LevelSpace:
         return level_space(spec, level)
 
-    @cache
-    def s_op(path: Path, level: Degree) -> OperatorMatrix:
-        return _prefix_map(spec, path, space(level), space(deg_add(level, path.degree)))
+    kernel = graph.word_kernel
 
-    projs = {v: s_op(vertex_path(graph, v), test_level).columns for v in graph.vertices}
-    at = np.arange(len(space(test_level).basis))
+    @cache
+    def s_ops(degree: Degree, level: Degree) -> list[OperatorMatrix]:
+        """S_lambda at `level` for every lambda of `degree`, in `enumerate_paths` order."""
+        return _prefix_maps(spec, kernel.level(degree), degree, space(level),
+                            space(deg_add(level, degree)))
+
+    def with_ops(degree: Degree, level: Degree) -> list[tuple[Path, OperatorMatrix]]:
+        return list(zip(enumerate_paths(graph, degree), s_ops(degree, level)))
+
+    projs = [op.columns for op in s_ops(graph.zero_degree(), test_level)]
+    at = np.arange(len(space(test_level).weights))
 
     # (CK1) vertex projections are orthogonal and sum to the identity
-    for v in graph.vertices:
-        for w in graph.vertices:
-            target = projs[v] if v == w else (at, np.zeros(len(at)))
-            record("CK1", _deviation(_product(projs[v], projs[w]), target), {"vertices": [v, w]})
+    for v, pv in zip(graph.vertices, projs):
+        for w, pw in zip(graph.vertices, projs):
+            target = pv if v == w else (at, np.zeros(len(at)))
+            record("CK1", _deviation(_product(pv, pw), target), {"vertices": [v, w]})
     # S_v fills only the columns mu with r(mu) = v: the sum has one term per entry
-    rows, vals = zip(*projs.values())
+    rows, vals = zip(*projs)
     total = np.max(rows, axis=0), np.sum(vals, axis=0)
     record("CK1", _deviation(total, (at, np.ones(len(at)))), {"vertices": "sum"})
 
-    # (CK2) S_mu S_lambda = S_{mu lambda}
+    # (CK2) S_mu S_lambda = S_{mu lambda}; the composites are found by rank
     for dm in _steps(test_level):
         for dl in _steps(deg_sub(test_level, dm)):
-            base = deg_sub(test_level, deg_add(dm, dl))
-            for mu in enumerate_paths(graph, dm):
-                inner = s_op(mu, deg_add(base, dl)).columns
-                for lam in enumerate_paths(graph, dl, range=mu.source):
-                    lhs = _product(inner, s_op(lam, base).columns)
-                    record("CK2", _deviation(lhs, s_op(compose(mu, lam), base).columns),
-                           {"mu": "".join(mu.word), "lambda": "".join(lam.word)})
+            base, both = deg_sub(test_level, deg_add(dm, dl)), deg_add(dm, dl)
+            lams = with_ops(dl, base)
+            pairs = [(mu, outer, lam, op) for mu, outer in with_ops(dm, deg_add(base, dl))
+                     for lam, op in lams if lam.range == mu.source]
+            words = [[kernel.position[e] for e in compose(mu, lam).word] for mu, _, lam, _ in pairs]
+            ranks = kernel.rank(np.array(words, dtype=np.intp).reshape(len(pairs), sum(both)), both)
+            composites = s_ops(both, base)
+            for (mu, outer, lam, op), at_both in zip(pairs, ranks.tolist()):
+                lhs = _product(outer.columns, op.columns)
+                record("CK2", _deviation(lhs, composites[at_both].columns),
+                       {"mu": "".join(mu.word), "lambda": "".join(lam.word)})
 
     # (CK3) S_mu* S_mu = S_{s(mu)}.  An injective S_mu has S* S = its squared
     # entries on the diagonal at its columns; otherwise take the dense product.
     for dm in _steps(test_level):
         base = deg_sub(test_level, dm)
-        for mu in enumerate_paths(graph, dm):
-            op, target = s_op(mu, base), s_op(vertex_path(graph, mu.source), base)
+        targets = s_ops(graph.zero_degree(), base)
+        for mu, op in with_ops(dm, base):
+            target = targets[graph.vertex_index[mu.source]]
             if len(set(op.rows.tolist())) == len(op.rows):
                 size = target.shape[1]
                 diag = np.arange(size), np.bincount(op.cols, op.vals ** 2, minlength=size)
@@ -248,11 +311,12 @@ def check_ck_relations(spec: MeasureSpec, graph: KGraph,
     # column S S* is diagonal: the squared entries summed at their rows.
     for n in _steps(test_level):
         base = deg_sub(test_level, n)
-        for v in graph.vertices:
+        lams = with_ops(n, base)
+        for v, pv in zip(graph.vertices, projs):
             acc = np.zeros(len(at))
-            for lam in enumerate_paths(graph, n, range=v):
-                op = s_op(lam, base)
-                acc += np.bincount(op.rows, op.vals ** 2, minlength=len(at))
-            record("CK4", _deviation((at, acc), projs[v]), {"n": list(n), "vertex": v})
+            for lam, op in lams:
+                if lam.range == v:
+                    acc += np.bincount(op.rows, op.vals ** 2, minlength=len(at))
+            record("CK4", _deviation((at, acc), pv), {"n": list(n), "vertex": v})
 
     return CKReport(test_level, tuple(RelationCheck(r, *worst[r]) for r in worst))

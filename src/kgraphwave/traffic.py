@@ -59,15 +59,19 @@ def default_preferred_paths(graph: KGraph, root: str) -> PreferredPaths:
 
     Any walk rewrites to a normal-form path of the same degree, so the least
     total degree of a path from w up to the root is the any-color BFS
-    distance of w from the root; only the degrees of that total are searched.
+    distance of w from the root, and the degrees of a path from w are those
+    of the walks back from the root to w.  One pass over the degrees, total
+    by total, finds which of them reach each vertex; each vertex then takes
+    its least one and one search for the first path of it.
     """
     dist = _distances_to(graph, root)
-    assignment = {}
     for w in graph.vertices:
         if w not in dist:
             raise ValidationError("bad_preferred_path", f"no path from {w} to root {root}")
-        assignment[w] = _least_path(graph, root, w, dist[w])
-    return PreferredPaths(root, assignment)
+    least = _least_degrees(graph, root, max(dist.values()))
+    return PreferredPaths(root, {
+        w: enumerate_paths(graph, least[w], range=root, source=w, limit=1)[0]
+        for w in graph.vertices})
 
 
 def _distances_to(graph: KGraph, root: str) -> dict[str, int]:
@@ -87,12 +91,31 @@ def _distances_to(graph: KGraph, root: str) -> dict[str, int]:
     return dist
 
 
-def _least_path(graph: KGraph, root: str, w: str, total: int) -> Path:
-    for degree in _degrees_of_total(total, graph.k):
-        found = enumerate_paths(graph, degree, range=root, source=w, limit=1)
-        if found:
-            return found[0]
-    raise AssertionError("BFS found a path but degree enumeration did not")
+def _least_degrees(graph: KGraph, root: str, top: int) -> dict[str, Degree]:
+    """For each vertex w within total `top` of the root, the least degree,
+    in graded-lex order, of a path from w up to the root.
+
+    ``back[d]`` marks the vertices that walks with the color counts of d lead
+    to, going back from the root; it is one step back along the color-c
+    edges from ``back[d - e_c]``, for any c with d_c > 0.
+    """
+    kernel = graph.word_kernel
+    marks = np.zeros(len(graph.vertices), dtype=bool)
+    marks[graph.vertex_index[root]] = True
+    back = {graph.zero_degree(): marks}
+    least = {root: graph.zero_degree()}
+    for total in range(1, top + 1):
+        below, back = back, {}
+        for d in _degrees_of_total(total, graph.k):
+            c = next(i for i, x in enumerate(d) if x)
+            edges = kernel.edges_of(c + 1)
+            prev = below[d[:c] + (d[c] - 1,) + d[c + 1:]]
+            marks = np.zeros(len(graph.vertices), dtype=bool)
+            marks[kernel.source[edges[prev[kernel.range[edges]]]]] = True
+            back[d] = marks
+            for w in np.flatnonzero(marks).tolist():
+                least.setdefault(graph.vertices[w], d)
+    return least
 
 
 def _degrees_of_total(total: int, k: int):

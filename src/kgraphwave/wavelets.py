@@ -27,7 +27,6 @@ from .kgraph import (
     Path,
     as_degree,
     bouquet_graph,
-    compose,
     deg_scale,
     enumerate_paths,
     normal_form,
@@ -119,7 +118,8 @@ class WaveletBasis:
     level (j+1)J to the layer-j wavelets and level jJ, and ``order`` places
     each cascade node of level nJ in ``space.basis``.  ``matrix``, the
     coefficients of every basis vector over ``space.basis`` in the
-    unnormalized indicator basis, is built on first access only.
+    unnormalized indicator basis, is built on first access only; listings
+    build each member from its own support instead.
     """
 
     family: WaveletFamily
@@ -171,19 +171,52 @@ class WaveletBasis:
             s = fine
         return s
 
+    def _members(self):
+        """Each basis vector in label order, as the space positions it is
+        nonzero on and its values there.
+
+        A member lives on the level-nJ descendants of its cascade node: the
+        scaling function of v on the paths from v, S_lambda f^{m,v} on those
+        of lambda * p with the value factor(lambda) * C_v[m, p].  Every
+        other step of the one-hot synthesis adds a zero, so the values are
+        its row of ``matrix`` to the last bit.
+        """
+        # ancestors[j][i]: the level-jJ node above level-nJ node i; child[j][i]:
+        # the index p of level-jJ node i in the block of its parent
+        ancestors, child = [np.arange(len(self.order))], []
+        for layer in reversed(self.layers):
+            parent = np.concatenate([np.repeat(g.lams, g.c.shape[1]) for g in layer])
+            child.append(np.concatenate([np.tile(np.arange(g.c.shape[1]), len(g.lams)) for g in layer]))
+            ancestors.append(parent[ancestors[-1]])
+        ancestors.reverse()
+        child.reverse()  # child[j] is for level (j+1)J
+        for v, value in enumerate(self._scaling()):
+            nodes = np.flatnonzero(ancestors[0] == v)
+            yield self.order[nodes], np.full(len(nodes), value)
+        for j, layer in enumerate(self.layers):
+            # nodes by level-jJ ancestor, then by space position
+            by_node = np.lexsort((self.order, ancestors[j]))
+            width = sum(len(g.lams) for g in layer)
+            bounds = np.searchsorted(ancestors[j][by_node], np.arange(width + 1))
+            block_index = child[j][ancestors[j + 1][by_node]]
+            for g in layer:
+                for lam, factor in zip(g.lams, g.factors):
+                    run = slice(bounds[lam], bounds[lam + 1])
+                    for row in g.c:
+                        yield self.order[by_node[run]], factor * row[block_index[run]]
+
     def functions(self) -> list[CylinderFn]:
-        return [self.space.function_of(row) for row in self.matrix]
+        basis, graph = self.space.basis, self.family.graph
+        return [CylinderFn(graph, {basis[i]: value for i, value in zip(at.tolist(), values)})
+                for at, values in self._members()]
 
     def gram(self) -> np.ndarray:
         weighted = self.matrix * self.space.weights[None, :]
         return weighted @ self.matrix.T
 
     def to_records(self) -> list[dict]:
-        out = []
-        for label, row in zip(self.labels, self.matrix):
-            fn = self.space.function_of(row)
-            out.append({**label, "terms": fn.to_records()})
-        return out
+        return [{**label, "terms": fn.to_records()}
+                for label, fn in zip(self.labels, self.functions())]
 
 
 def wavelet_basis(family: WaveletFamily, depth: int,
@@ -193,44 +226,52 @@ def wavelet_basis(family: WaveletFamily, depth: int,
 
     Cascade level 0 is the vertices; level (j+1)J lists lambda * p for the
     lambdas of level jJ, grouped by source vertex v and by word, and p in
-    D_v^J.  ``space`` reuses a level space already built for level nJ.
+    D_v^J.  The levels are word-kernel rows (`KGraph.word_kernel`): each is
+    composed as a whole, and sorting by word is sorting by rank.  ``space``
+    reuses a level space already built for level nJ.
     """
     if depth < 1:
         raise BadShape(f"depth must be >= 1, got {depth}")
-    graph = family.graph
-    level = deg_scale(depth, family.shape)
+    graph, spec, shape = family.graph, family.spec, family.shape
+    level = deg_scale(depth, shape)
     if space is None:
-        space = level_space(family.spec, level)
+        space = level_space(spec, level)
     elif space.level != level:
         raise ShapeMismatch(f"level space is at {space.level}, the basis needs {level}")
 
+    kernel = graph.word_kernel
+    blocks, block_ranges, block_sources = kernel.level(shape)  # D_v^J is the rows of range v
+    ids = np.array(kernel.ids, dtype=object)
     labels = [{"kind": "scaling", "vertex": v} for v in graph.vertices]
-    paths = [vertex_path(graph, v) for v in graph.vertices]
+    at = np.arange(len(graph.vertices))
+    words, sources, ranks = np.empty((len(at), 0), dtype=np.intp), at, at
     layers = []
     for j in range(depth):
-        by_source = {v: [] for v in graph.vertices}
-        for i, lam in enumerate(paths):
-            by_source[lam.source].append(i)
-        groups, fine = [], []
-        for v in graph.vertices:
-            block = family.blocks[v]
-            lams = sorted(by_source[v], key=lambda i: paths[i].word)
-            n_m = len(block.paths) - 1
-            groups.append(_Group(
-                np.array(lams, dtype=int),
-                slice(len(fine), len(fine) + len(lams) * len(block.paths)),
-                slice(len(labels), len(labels) + len(lams) * n_m),
-                np.array([family.spec.prefix_factor(paths[i]) for i in lams]),
-                block.c_vectors[1:]))
-            for i in lams:
-                labels.extend({"kind": "wavelet", "j": j, "vertex": v, "m": m,
-                               "shift": list(paths[i].word)} for m in range(1, n_m + 1))
-                fine.extend(compose(paths[i], p) for p in block.paths)
+        lam_degree = deg_scale(j, shape)
+        factors = spec.prefix_factors(lam_degree, words)
+        shifts = ids[words].tolist()
+        groups, heads, tails, tail_sources = [], [], [], []
+        n_fine = 0
+        for v, name in enumerate(graph.vertices):
+            block = np.flatnonzero(block_ranges == v)
+            c = family.blocks[name].c_vectors[1:]
+            lams = np.flatnonzero(sources == v)
+            lams = lams[np.argsort(ranks[lams], kind="stable")]
+            groups.append(_Group(lams, slice(n_fine, n_fine + len(lams) * len(block)),
+                                 slice(len(labels), len(labels) + len(lams) * len(c)),
+                                 factors[lams], c))
+            n_fine += len(lams) * len(block)
+            for i in lams.tolist():
+                labels.extend({"kind": "wavelet", "j": j, "vertex": name, "m": m,
+                               "shift": list(shifts[i])} for m in range(1, len(c) + 1))
+            heads.append(np.repeat(words[lams], len(block), axis=0))
+            tails.append(np.tile(blocks[block], (len(lams), 1)))
+            tail_sources.append(np.tile(block_sources[block], len(lams)))
         layers.append(tuple(groups))
-        paths = fine
-
-    order = np.array([space.index[p] for p in paths], dtype=int)
-    return WaveletBasis(family, depth, space, tuple(labels), tuple(layers), order)
+        words = kernel.compose(np.concatenate(heads), lam_degree, np.concatenate(tails), shape)
+        sources = np.concatenate(tail_sources)
+        ranks = kernel.rank(words, deg_scale(j + 1, shape))
+    return WaveletBasis(family, depth, space, tuple(labels), tuple(layers), ranks)
 
 
 def analyze(basis: WaveletBasis, f: CylinderFn) -> np.ndarray:

@@ -122,6 +122,34 @@ def exhaustive_least_path(graph, root, w):
     return None
 
 
+def least_total_chooser(graph, root):
+    """Oracle for the default preferred paths on graphs too large for
+    `exhaustive_least_path`: for each vertex, a first-path search of every
+    degree of its BFS distance, in lexicographic order.  Every vertex must
+    reach the root."""
+    dist = {root: 0}
+    frontier = [root]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for c in range(1, graph.k + 1):
+                for eid in graph.edges_into(v, c):
+                    u = graph.edge(eid).source
+                    if u not in dist:
+                        dist[u] = dist[v] + 1
+                        nxt.append(u)
+        frontier = nxt
+    out = {}
+    for w in graph.vertices:
+        for degree in sorted(d for d in product(range(dist[w] + 1), repeat=graph.k)
+                             if sum(d) == dist[w]):
+            found = enumerate_paths(graph, degree, range=root, source=w, limit=1)
+            if found:
+                out[w] = found[0]
+                break
+    return out
+
+
 def check_confluence(graph, max_census=(2, 2)):
     """Every composable word of census <= max_census rewrites to one normal
     form regardless of swap order."""
@@ -269,6 +297,81 @@ def dense_wavelet_basis(family, depth):
     return labels, np.array(rows)
 
 
+def compose_cascade(family, depth):
+    """Oracle for `wavelet_basis`: the cascade built path by path, each node
+    of level (j+1)J composed by `compose` and placed in the level space by a
+    dict keyed by `Path`.  Returns the labels, ``order`` and the per-layer
+    prefix factors, groups in vertex order."""
+    graph, spec = family.graph, family.spec
+    labels = [{"kind": "scaling", "vertex": v} for v in graph.vertices]
+    paths = [vertex_path(graph, v) for v in graph.vertices]
+    factors = []
+    for j in range(depth):
+        by_source = {v: [] for v in graph.vertices}
+        for i, lam in enumerate(paths):
+            by_source[lam.source].append(i)
+        fine, layer = [], []
+        for v in graph.vertices:
+            block = family.blocks[v]
+            lams = sorted(by_source[v], key=lambda i: paths[i].word)
+            layer.append(np.array([pointwise_prefix_factor(spec, paths[i]) for i in lams]))
+            for i in lams:
+                labels.extend({"kind": "wavelet", "j": j, "vertex": v, "m": m,
+                               "shift": list(paths[i].word)} for m in range(1, len(block.paths)))
+                fine.extend(compose(paths[i], p) for p in block.paths)
+        factors.append(layer)
+        paths = fine
+    level = tuple(depth * j for j in family.shape)
+    index = {p: i for i, p in enumerate(enumerate_paths(graph, level))}
+    return labels, np.array([index[p] for p in paths]), factors
+
+
+def pointwise_prefix_factor(spec, path):
+    """Oracle for `MeasureSpec.prefix_factor`: rho^{d/2} for PF, and for
+    Bernoulli the product of the letters' w^{-1/2} taken by numpy."""
+    if spec.kind == spec.PF:
+        return float(np.prod(np.asarray(spec.pf.rho) ** (np.asarray(path.degree) / 2.0)))
+    letter = {a: i for i, a in enumerate(spec.alphabet)}
+    return float(np.prod([float(spec.weights[letter[a]]) ** -0.5 for a in path.word]))
+
+
+def refine_vector_of(space, f):
+    """Oracle for `LevelSpace.vector_of`: refine f to the level, then look
+    each term up in a dict keyed by `Path`."""
+    index = {p: i for i, p in enumerate(enumerate_paths(space.graph, space.level))}
+    vec = np.zeros(len(index))
+    for p, c in refine(f, space.level).terms.items():
+        vec[index[p]] = c
+    return vec
+
+
+def per_path_weights(spec, level):
+    """Oracle for the level-space weights: `cylinder_measure` path by path."""
+    return np.array([float(cylinder_measure(spec, p)) for p in enumerate_paths(spec.graph, level)])
+
+
+def compose_prefix_map(spec, path, level):
+    """Oracle for the S_path index maps: each column mu composed by
+    `compose` and found in the codomain by a dict keyed by `Path`.
+    Returns rows, cols and values."""
+    graph = spec.graph
+    dom = enumerate_paths(graph, level)
+    cod = {p: i for i, p in enumerate(enumerate_paths(graph, deg_add(level, path.degree)))}
+    cols = [j for j, mu in enumerate(dom) if mu.range == path.source]
+    rows = [cod[compose(path, dom[j])] for j in cols]
+    vals = pointwise_prefix_factor(spec, path) * np.sqrt(
+        np.array([float(cylinder_measure(spec, compose(path, dom[j]))) for j in cols])
+        / np.array([float(cylinder_measure(spec, dom[j])) for j in cols]))
+    return np.array(rows, dtype=int), np.array(cols, dtype=int), vals
+
+
+def dense_listing(basis):
+    """Oracle for `WaveletBasis.to_records`: each member read off its row of
+    the dense matrix, the synthesis of the identity."""
+    return [{**label, "terms": basis.space.function_of(row).to_records()}
+            for label, row in zip(basis.labels, basis.matrix)]
+
+
 def random_cylinder_fn(graph, level, terms, rng):
     """A function of `terms` random terms at random degrees up to `level`."""
     pairs = []
@@ -342,6 +445,69 @@ def twisted_circulant_document(n, shifts1, shifts2, seed):
                                 "right": [edge(2, u + a2, t2), edge(1, u, a2)]})
     return {"k": 2, "vertices": [f"v{u}" for u in range(n)],
             "edges": edges, "squares": squares}
+
+
+def skeleton_doc(squares):
+    return {
+        "k": 3,
+        "vertices": ["v"],
+        "edges": [
+            {"id": "e", "color": 1, "source": "v", "range": "v"},
+            {"id": "f1", "color": 2, "source": "v", "range": "v"},
+            {"id": "f2", "color": 2, "source": "v", "range": "v"},
+            {"id": "g1", "color": 3, "source": "v", "range": "v"},
+            {"id": "g2", "color": 3, "source": "v", "range": "v"},
+        ],
+        "squares": squares,
+    }
+
+
+# bijective pair data that is NOT associative: found by exhaustive search
+# over all bijection choices on this skeleton, witness word (g1, f1, e)
+CUBE_VIOLATING_SQUARES = [
+    {"left": ["e", "f1"], "right": ["f1", "e"]},
+    {"left": ["e", "f2"], "right": ["f2", "e"]},
+    {"left": ["e", "g1"], "right": ["g2", "e"]},
+    {"left": ["e", "g2"], "right": ["g1", "e"]},
+    {"left": ["f1", "g1"], "right": ["g1", "f1"]},
+    {"left": ["f1", "g2"], "right": ["g1", "f2"]},
+    {"left": ["f2", "g1"], "right": ["g2", "f1"]},
+    {"left": ["f2", "g2"], "right": ["g2", "f2"]},
+]
+
+# the same skeleton with compatible choices: colors (1,2) twisted, the rest
+# commuting identically
+VALID_SQUARES = [
+    {"left": ["e", "f1"], "right": ["f2", "e"]},
+    {"left": ["e", "f2"], "right": ["f1", "e"]},
+    {"left": ["e", "g1"], "right": ["g1", "e"]},
+    {"left": ["e", "g2"], "right": ["g2", "e"]},
+    {"left": ["f1", "g1"], "right": ["g1", "f1"]},
+    {"left": ["f1", "g2"], "right": ["g2", "f1"]},
+    {"left": ["f2", "g1"], "right": ["g1", "f2"]},
+    {"left": ["f2", "g2"], "right": ["g2", "f2"]},
+]
+
+
+def double_cover(squares):
+    """The two-vertex lift of ``skeleton_doc(squares)`` in which color-3 edges
+    swap the vertices and the other edges stay loops.  Words lift uniquely
+    from their source, so the lift meets the cube condition exactly when the
+    one-vertex base does, but its edges of distinct colors no longer share
+    every endpoint."""
+    base = skeleton_doc(squares)
+    step = {e["id"]: int(e["color"] == 3) for e in base["edges"]}
+
+    def lift(eid, i):  # the lift of eid with source v{i}
+        return f"{eid}_{i}"
+
+    edges = [{"id": lift(e["id"], i), "color": e["color"], "source": f"v{i}",
+              "range": f"v{(i + step[e['id']]) % 2}"} for e in base["edges"] for i in (0, 1)]
+    lifted = [{"left": [lift(a, (i + step[b]) % 2), lift(b, i)],
+               "right": [lift(c, (i + step[d]) % 2), lift(d, i)]}
+              for sq in base["squares"] for (a, b), (c, d) in [(sq["left"], sq["right"])]
+              for i in (0, 1)]
+    return {"k": 3, "vertices": ["v0", "v1"], "edges": edges, "squares": lifted}
 
 
 @st.composite

@@ -7,7 +7,7 @@ import pytest
 import kgraphwave
 from kgraphwave import CylinderFn, fixture_path, load_kgraph, normal_form
 from kgraphwave.cli import main
-from helpers import torus_document, twisted_circulant_document
+from helpers import random_cylinder_fn, torus_document, twisted_circulant_document
 
 LED = str(fixture_path("ledrappier"))
 L3 = str(fixture_path("lambda3"))
@@ -287,6 +287,24 @@ class TestErrorChannel:
         _, errtext = run_cli(capsys, "pf", LED, "--tol", tol, expect_exit=1)
         assert json.loads(errtext.splitlines()[-1])["error"] == "usage"
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_compare_below_one_is_a_usage_error(self, capsys, value):
+        out, errtext = run_cli(capsys, "wavelets", LED, "--shape", "1,1", "--compare", value,
+                               expect_exit=1)
+        (line,) = errtext.splitlines()
+        assert json.loads(line)["error"] == "usage" and out == ""
+
+    @pytest.mark.parametrize("weights", ["1/0,1/2", "a,b", "1/2,", "1/x,1/2"])
+    @pytest.mark.parametrize("argv", [
+        ["markov", "--alphabet", "2", "--weights"],
+        ["ck-check", str(fixture_path("bouquet-2")), "--level", "2", "--weights"],
+        ["measure", str(fixture_path("bouquet-2")), "--path", "0", "--weights"],
+    ], ids=["markov", "ck-check", "measure"])
+    def test_malformed_weights_are_usage_errors(self, capsys, argv, weights):
+        out, errtext = run_cli(capsys, *argv, weights, expect_exit=1)
+        (line,) = errtext.splitlines()
+        assert json.loads(line)["error"] == "usage" and out == ""
+
     def test_tol_is_a_pf_option(self, capsys):
         out, _ = run_cli(capsys, "pf", LED, "--tol", "1e-12")
         assert records(out)[0]["rho"] == pytest.approx([2.0, 2.0])
@@ -396,6 +414,39 @@ def test_wavelets_golden_stdout(argv, digest, tmp_path, capsys):
         graph = fixture_path(argv[0])
     out, _ = run_cli(capsys, "wavelets", str(graph), *argv[1:])
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of --analyze stdout, and of --synthesize stdout fed that output,
+# captured while the cascade was still built path by path with compose
+GOLDEN_TRANSFORMS = [
+    ("ledrappier", "1,1", 5,
+     "d08458d0559cd6b33b1482b50a7c3f0fd24e69e78541bebeda844d4bf3e430ff",
+     "50c73849d2dfe2f0efced2751865aadbafe2e40ab9f9ca4fb64071dc5fea43c0"),
+    ("circulant", "1,2", 2,
+     "0d8709ea89b33186e1865eaa15417125386357e4d64037bee8509ce16f2cbf7f",
+     "e0d33137b1908cf9c91609c132d465c01ff3c67e344ed18fd3ea877d6c2a2daf"),
+]
+
+
+@pytest.mark.parametrize("graph,shape,depth,analyzed,synthesized", GOLDEN_TRANSFORMS,
+                         ids=[g for g, *_ in GOLDEN_TRANSFORMS])
+def test_transform_golden_stdout(graph, shape, depth, analyzed, synthesized, tmp_path, capsys):
+    if graph == "circulant":
+        path = tmp_path / "circulant.kg"
+        path.write_text(json.dumps(twisted_circulant_document(16, (1, 2), (1, 2), 5)))
+    else:
+        path = fixture_path(graph)
+    g = load_kgraph(str(path))
+    level = tuple(depth * int(j) for j in shape.split(","))
+    fn = random_cylinder_fn(g, level, 40, np.random.default_rng(2024))
+    fn_file, coeff_file = tmp_path / "fn.jsonl", tmp_path / "coeffs.jsonl"
+    fn_file.write_text("".join(json.dumps(r) + "\n" for r in fn.to_records()))
+    wav = ["wavelets", str(path), "--shape", shape, "--depth", str(depth)]
+    out, _ = run_cli(capsys, *wav, "--analyze", str(fn_file))
+    assert hashlib.sha256(out.encode()).hexdigest() == analyzed
+    coeff_file.write_text(out)
+    out, _ = run_cli(capsys, *wav, "--synthesize", str(coeff_file))
+    assert hashlib.sha256(out.encode()).hexdigest() == synthesized
 
 
 # sha256 of integer-valued stdout captured while the Laplacian was still

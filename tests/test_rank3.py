@@ -24,55 +24,17 @@ from kgraphwave import (
     wavelet_basis,
 )
 from helpers import (
+    CUBE_VIOLATING_SQUARES,
+    VALID_SQUARES,
     check_confluence,
+    double_cover,
     exhaustive_least_path,
     filtered_paths,
     path_count,
     restart_rewrite,
+    skeleton_doc,
     words_with_pattern,
 )
-
-
-def skeleton_doc(squares):
-    return {
-        "k": 3,
-        "vertices": ["v"],
-        "edges": [
-            {"id": "e", "color": 1, "source": "v", "range": "v"},
-            {"id": "f1", "color": 2, "source": "v", "range": "v"},
-            {"id": "f2", "color": 2, "source": "v", "range": "v"},
-            {"id": "g1", "color": 3, "source": "v", "range": "v"},
-            {"id": "g2", "color": 3, "source": "v", "range": "v"},
-        ],
-        "squares": squares,
-    }
-
-
-# bijective pair data that is NOT associative: found by exhaustive search
-# over all bijection choices on this skeleton, witness word (g1, f1, e)
-CUBE_VIOLATING_SQUARES = [
-    {"left": ["e", "f1"], "right": ["f1", "e"]},
-    {"left": ["e", "f2"], "right": ["f2", "e"]},
-    {"left": ["e", "g1"], "right": ["g2", "e"]},
-    {"left": ["e", "g2"], "right": ["g1", "e"]},
-    {"left": ["f1", "g1"], "right": ["g1", "f1"]},
-    {"left": ["f1", "g2"], "right": ["g1", "f2"]},
-    {"left": ["f2", "g1"], "right": ["g2", "f1"]},
-    {"left": ["f2", "g2"], "right": ["g2", "f2"]},
-]
-
-# the same skeleton with compatible choices: colors (1,2) twisted, the rest
-# commuting identically
-VALID_SQUARES = [
-    {"left": ["e", "f1"], "right": ["f2", "e"]},
-    {"left": ["e", "f2"], "right": ["f1", "e"]},
-    {"left": ["e", "g1"], "right": ["g1", "e"]},
-    {"left": ["e", "g2"], "right": ["g2", "e"]},
-    {"left": ["f1", "g1"], "right": ["g1", "f1"]},
-    {"left": ["f1", "g2"], "right": ["g2", "f1"]},
-    {"left": ["f2", "g1"], "right": ["g1", "f2"]},
-    {"left": ["f2", "g2"], "right": ["g2", "f2"]},
-]
 
 
 @pytest.fixture(scope="module")
@@ -84,27 +46,6 @@ def test_cube_violation_rejected():
     with pytest.raises(ValidationError) as exc:
         load_kgraph(skeleton_doc(CUBE_VIOLATING_SQUARES))
     assert exc.value.reason == "cube_condition"
-
-
-def double_cover(squares):
-    """The two-vertex lift of ``skeleton_doc(squares)`` in which color-3 edges
-    swap the vertices and the other edges stay loops.  Words lift uniquely
-    from their source, so the lift meets the cube condition exactly when the
-    one-vertex base does, but its edges of distinct colors no longer share
-    every endpoint."""
-    base = skeleton_doc(squares)
-    step = {e["id"]: int(e["color"] == 3) for e in base["edges"]}
-
-    def lift(eid, i):  # the lift of eid with source v{i}
-        return f"{eid}_{i}"
-
-    edges = [{"id": lift(e["id"], i), "color": e["color"], "source": f"v{i}",
-              "range": f"v{(i + step[e['id']]) % 2}"} for e in base["edges"] for i in (0, 1)]
-    lifted = [{"left": [lift(a, (i + step[b]) % 2), lift(b, i)],
-               "right": [lift(c, (i + step[d]) % 2), lift(d, i)]}
-              for sq in base["squares"] for (a, b), (c, d) in [(sq["left"], sq["right"])]
-              for i in (0, 1)]
-    return {"k": 3, "vertices": ["v0", "v1"], "edges": edges, "squares": lifted}
 
 
 def test_cube_condition_on_a_two_vertex_cover():

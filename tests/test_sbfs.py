@@ -209,8 +209,8 @@ class TestCKRelations:
 
     def test_non_constant_derivative_is_a_typed_error(self, lambda3):
         class Skewed(MeasureSpec):
-            def prefix_factor(self, path):
-                return super().prefix_factor(path) * (1 + 1e-6)
+            def prefix_factors(self, degree, words):
+                return super().prefix_factors(degree, words) * (1 + 1e-6)
 
         spec = Skewed(MeasureSpec.PF, lambda3, pf=pf_data(lambda3))
         with pytest.raises(NonConstantDerivative):
@@ -219,9 +219,9 @@ class TestCKRelations:
             check_ck_relations(spec, lambda3, (1, 1))
 
     def test_non_constant_derivative_exits_numeric(self, monkeypatch, capsys):
-        skewed = MeasureSpec.prefix_factor
-        monkeypatch.setattr(MeasureSpec, "prefix_factor",
-                            lambda self, path: skewed(self, path) * (1 + 1e-6))
+        skewed = MeasureSpec.prefix_factors
+        monkeypatch.setattr(MeasureSpec, "prefix_factors",
+                            lambda self, degree, words: skewed(self, degree, words) * (1 + 1e-6))
         with pytest.raises(SystemExit) as exc:
             main(["ck-check", str(fixture_path("lambda3")), "--level", "1,1"])
         err = capsys.readouterr().err.splitlines()
@@ -319,8 +319,22 @@ class TestCKAsIndexMaps:
         def merging(p, q):
             return right(p, q1 if p == e and q in (q2, q3) else q)
 
+        # the prefix maps compose whole levels of rows in the word kernel
+        kernel = lambda3.word_kernel
+        right_rows = kernel.compose
+        e_row, (q1_row, q2_row, q3_row) = kernel.word(e), (kernel.word(q) for q in (q1, q2, q3))
+
+        def merging_rows(heads, head_degree, tails, tail_degree):
+            if head_degree == e.degree and tail_degree == q1.degree:
+                heads = np.broadcast_to(heads, (len(tails), heads.shape[-1]))
+                merge = np.all(heads == e_row, axis=1) & (
+                    np.all(tails == q2_row, axis=1) | np.all(tails == q3_row, axis=1))
+                tails = np.where(merge[:, None], q1_row, tails)
+            return right_rows(heads, head_degree, tails, tail_degree)
+
         monkeypatch.setattr(kgraphwave.sbfs, "compose", merging)
         monkeypatch.setattr(helpers, "compose", merging)
+        monkeypatch.setattr(kernel, "compose", merging_rows)
         report = check_ck_relations(spec3, lambda3, (2, 2))
         assert report.checks[2].max_deviation >= 1.0
         assert report.checks[3].max_deviation >= 2.0
