@@ -116,6 +116,7 @@ from .wavelets import (
     markov_wavelets,
     subspace_compare,
     synthesize,
+    synthesize_vector,
     wavelet_basis,
 )
 

@@ -39,7 +39,14 @@ from .spectral import (
     spectral_wavelet,
 )
 from .traffic import PreferredPaths, default_preferred_paths, traffic_wavelet_family
-from .wavelets import analyze, build_wavelet_family, markov_wavelets, subspace_compare, synthesize, wavelet_basis
+from .wavelets import (
+    analyze,
+    build_wavelet_family,
+    markov_wavelets,
+    subspace_compare,
+    synthesize_vector,
+    wavelet_basis,
+)
 
 USAGE_EXIT = 1
 PARSE_EXIT = 2
@@ -142,6 +149,35 @@ def _emit(args, records: list[dict], csv_fields: list[str] | None = None):
         sys.stdout.write(text)
 
 
+def _is_number(value) -> bool:
+    """A JSON number that fits a finite float; JSON true is no number, and
+    NaN and Infinity are no JSON."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+_RECORD_FIELDS = {
+    "path": (lambda v: type(v) is list and all(type(e) is str for e in v), "a list of strings"),
+    "coeff": (_is_number, "a number"),
+}
+
+
+def _read_records(filename: str, fields: tuple[str, ...]) -> list[dict]:
+    """The records of a JSON-lines transform input, one object per nonblank
+    line, each holding the named `fields` in valid form: ``path`` a list of
+    strings, ``coeff`` a number."""
+    checks = [(name, *_RECORD_FIELDS[name]) for name in fields]
+    with open(filename) as fh:
+        lines = [(number, line) for number, line in enumerate(fh, 1) if line.strip()]
+    records = [json.loads(line) for _, line in lines]
+    for (number, line), rec in zip(lines, records):
+        if type(rec) is not dict:
+            raise err.ParseError(f"{filename} line {number}: expected a JSON object, got {line.strip()}")
+        for name, check, what in checks:
+            if not check(rec.get(name)):
+                raise err.ParseError(f"{filename} line {number}: field {name!r} must be {what}")
+    return records
+
+
 def _signal_from_file(path: str, n: int) -> np.ndarray:
     with open(path) as fh:
         data = json.load(fh)
@@ -224,16 +260,14 @@ def _cmd_wavelets(args):
         return
     basis = wavelet_basis(family, args.depth)
     if args.analyze:
-        with open(args.analyze) as fh:
-            fn = CylinderFn.from_records(graph, [json.loads(line) for line in fh if line.strip()])
+        fn = CylinderFn.from_records(graph, _read_records(args.analyze, ("path", "coeff")))
         coeffs = analyze(basis, fn)
         _emit(args, [{**label, "coeff": float(c)} for label, c in zip(basis.labels, coeffs)])
         return
     if args.synthesize:
-        with open(args.synthesize) as fh:
-            coeffs = [float(json.loads(line)["coeff"]) for line in fh if line.strip()]
-        fn = synthesize(basis, coeffs)
-        _emit(args, fn.to_records())
+        coeffs = [float(rec["coeff"]) for rec in _read_records(args.synthesize, ("coeff",))]
+        values = synthesize_vector(basis, coeffs)
+        _emit(args, basis.space.records(np.arange(len(values)), values))
         return
     _emit(args, basis.to_records())
 

@@ -87,7 +87,33 @@ class LevelSpace:
 
     def function_of(self, vec: Sequence[float]) -> CylinderFn:
         vec = np.asarray(vec, dtype=float)
-        return CylinderFn(self.graph, {self.basis[i]: float(vec[i]) for i in np.flatnonzero(vec)})
+        at = np.flatnonzero(vec)
+        return self.function_at(at, vec[at])
+
+    def function_at(self, at: np.ndarray, values: np.ndarray) -> CylinderFn:
+        """The function with the given values at the given distinct positions."""
+        basis = self.basis
+        return CylinderFn(self.graph, {basis[i]: v for i, v in zip(at.tolist(), values.tolist())})
+
+    @cached_property
+    def _record_paths(self) -> list[list[str]]:
+        """The ``path`` field of each position's term record, at a nonzero level."""
+        return np.array(self.graph.word_kernel.ids, dtype=object)[self.words].tolist()
+
+    def records(self, at: np.ndarray, values: np.ndarray) -> list[dict]:
+        """`CylinderFn.to_records` of `function_at(at, values)`, from the rows.
+
+        ``at`` must ascend.  At a nonzero level, position order is the
+        (word, range) order the records are sorted by; exact zeros, -0.0
+        too, are dropped as `CylinderFn` drops them.  Records of one
+        position share its path list.
+        """
+        if not any(self.level):  # vertices: positions follow graph order, records names
+            return self.function_at(at, values).to_records()
+        keep = values != 0.0
+        paths = self._record_paths
+        return [{"path": paths[i], "coeff": v}
+                for i, v in zip(at[keep].tolist(), values[keep].tolist())]
 
 
 def level_space(spec: MeasureSpec, level: Sequence[int]) -> LevelSpace:

@@ -29,13 +29,12 @@ from .kgraph import (
     bouquet_graph,
     deg_scale,
     enumerate_paths,
-    normal_form,
     vertex_path,
 )
-from .measure import CylinderFn, MeasureSpec, cylinder_measure, refine
+from .measure import CylinderFn, MeasureSpec, cylinder_measure
 from .orthobasis import complement_basis, constant_unit_vector
 from .perron import PFData, pf_data
-from .sbfs import LevelSpace, level_space, s_apply
+from .sbfs import LevelSpace, level_space
 
 
 @dataclass(frozen=True)
@@ -113,26 +112,40 @@ class _Group:
 class WaveletBasis:
     """The depth-n orthonormal basis at cylinder level nJ.
 
-    ``labels`` is one record per basis vector.  The basis is held as the
-    weighted-Haar cascade over the levels jJ, j <= n: ``layers[j]`` maps
-    level (j+1)J to the layer-j wavelets and level jJ, and ``order`` places
-    each cascade node of level nJ in ``space.basis``.  ``matrix``, the
-    coefficients of every basis vector over ``space.basis`` in the
-    unnormalized indicator basis, is built on first access only; listings
-    build each member from its own support instead.
+    The basis is held as the weighted-Haar cascade over the levels jJ,
+    j <= n: ``layers[j]`` maps level (j+1)J to the layer-j wavelets and
+    level jJ, ``shifts[j]`` holds the word-kernel rows of level jJ, and
+    ``order`` places each cascade node of level nJ, one per basis vector,
+    in ``space.basis``.  ``labels``, one record per basis vector, and
+    ``matrix``, the coefficients of every basis vector over ``space.basis``
+    in the unnormalized indicator basis, are built on first access only;
+    listings write each member from its own support instead.
     """
 
     family: WaveletFamily
     depth: int
     space: LevelSpace
-    labels: tuple[dict, ...]
     layers: tuple[tuple[_Group, ...], ...] = field(repr=False)
     order: np.ndarray = field(repr=False)
+    shifts: tuple[np.ndarray, ...] = field(repr=False)
+
+    @cached_property
+    def labels(self) -> tuple[dict, ...]:
+        vertices = self.family.graph.vertices
+        ids = np.array(self.family.graph.word_kernel.ids, dtype=object)
+        labels = [{"kind": "scaling", "vertex": v} for v in vertices]
+        for j, (layer, words) in enumerate(zip(self.layers, self.shifts)):
+            shift_ids = ids[words].tolist()
+            for name, g in zip(vertices, layer):
+                for i in g.lams.tolist():
+                    labels.extend({"kind": "wavelet", "j": j, "vertex": name, "m": m,
+                                   "shift": list(shift_ids[i])} for m in range(1, len(g.c) + 1))
+        return tuple(labels)
 
     @cached_property
     def matrix(self) -> np.ndarray:
         """The dense N x N view: the synthesis of the identity."""
-        return self._to_space(self._synthesis(np.eye(len(self.labels))))
+        return self._to_space(self._synthesis(np.eye(len(self.order))))
 
     def _to_space(self, cascade: np.ndarray) -> np.ndarray:
         out = np.empty(cascade.shape)
@@ -172,8 +185,8 @@ class WaveletBasis:
         return s
 
     def _members(self):
-        """Each basis vector in label order, as the space positions it is
-        nonzero on and its values there.
+        """Each basis vector in label order, as the ascending space positions
+        it is nonzero on and its values there.
 
         A member lives on the level-nJ descendants of its cascade node: the
         scaling function of v on the paths from v, S_lambda f^{m,v} on those
@@ -190,11 +203,11 @@ class WaveletBasis:
             ancestors.append(parent[ancestors[-1]])
         ancestors.reverse()
         child.reverse()  # child[j] is for level (j+1)J
-        for v, value in enumerate(self._scaling()):
-            nodes = np.flatnonzero(ancestors[0] == v)
-            yield self.order[nodes], np.full(len(nodes), value)
+        for v, value in enumerate(self._scaling()):  # on the paths from v
+            at = np.flatnonzero(self.space.ranges == v)
+            yield at, np.full(len(at), value)
         for j, layer in enumerate(self.layers):
-            # nodes by level-jJ ancestor, then by space position
+            # nodes by level-jJ ancestor, then by space position: each run ascends
             by_node = np.lexsort((self.order, ancestors[j]))
             width = sum(len(g.lams) for g in layer)
             bounds = np.searchsorted(ancestors[j][by_node], np.arange(width + 1))
@@ -206,17 +219,15 @@ class WaveletBasis:
                         yield self.order[by_node[run]], factor * row[block_index[run]]
 
     def functions(self) -> list[CylinderFn]:
-        basis, graph = self.space.basis, self.family.graph
-        return [CylinderFn(graph, {basis[i]: value for i, value in zip(at.tolist(), values)})
-                for at, values in self._members()]
+        return [self.space.function_at(at, values) for at, values in self._members()]
 
     def gram(self) -> np.ndarray:
         weighted = self.matrix * self.space.weights[None, :]
         return weighted @ self.matrix.T
 
     def to_records(self) -> list[dict]:
-        return [{**label, "terms": fn.to_records()}
-                for label, fn in zip(self.labels, self.functions())]
+        return [{**label, "terms": self.space.records(at, values)}
+                for label, (at, values) in zip(self.labels, self._members())]
 
 
 def wavelet_basis(family: WaveletFamily, depth: int,
@@ -241,15 +252,13 @@ def wavelet_basis(family: WaveletFamily, depth: int,
 
     kernel = graph.word_kernel
     blocks, block_ranges, block_sources = kernel.level(shape)  # D_v^J is the rows of range v
-    ids = np.array(kernel.ids, dtype=object)
-    labels = [{"kind": "scaling", "vertex": v} for v in graph.vertices]
     at = np.arange(len(graph.vertices))
     words, sources, ranks = np.empty((len(at), 0), dtype=np.intp), at, at
-    layers = []
+    layers, shifts = [], []
+    n_coeffs = len(at)
     for j in range(depth):
         lam_degree = deg_scale(j, shape)
         factors = spec.prefix_factors(lam_degree, words)
-        shifts = ids[words].tolist()
         groups, heads, tails, tail_sources = [], [], [], []
         n_fine = 0
         for v, name in enumerate(graph.vertices):
@@ -258,20 +267,19 @@ def wavelet_basis(family: WaveletFamily, depth: int,
             lams = np.flatnonzero(sources == v)
             lams = lams[np.argsort(ranks[lams], kind="stable")]
             groups.append(_Group(lams, slice(n_fine, n_fine + len(lams) * len(block)),
-                                 slice(len(labels), len(labels) + len(lams) * len(c)),
+                                 slice(n_coeffs, n_coeffs + len(lams) * len(c)),
                                  factors[lams], c))
             n_fine += len(lams) * len(block)
-            for i in lams.tolist():
-                labels.extend({"kind": "wavelet", "j": j, "vertex": name, "m": m,
-                               "shift": list(shifts[i])} for m in range(1, len(c) + 1))
+            n_coeffs += len(lams) * len(c)
             heads.append(np.repeat(words[lams], len(block), axis=0))
             tails.append(np.tile(blocks[block], (len(lams), 1)))
             tail_sources.append(np.tile(block_sources[block], len(lams)))
         layers.append(tuple(groups))
+        shifts.append(words)
         words = kernel.compose(np.concatenate(heads), lam_degree, np.concatenate(tails), shape)
         sources = np.concatenate(tail_sources)
         ranks = kernel.rank(words, deg_scale(j + 1, shape))
-    return WaveletBasis(family, depth, space, tuple(labels), tuple(layers), ranks)
+    return WaveletBasis(family, depth, space, tuple(layers), ranks, tuple(shifts))
 
 
 def analyze(basis: WaveletBasis, f: CylinderFn) -> np.ndarray:
@@ -281,13 +289,18 @@ def analyze(basis: WaveletBasis, f: CylinderFn) -> np.ndarray:
     return basis._analysis((space.weights * space.vector_of(f))[basis.order])
 
 
-def synthesize(basis: WaveletBasis, coeffs: Sequence[float]) -> CylinderFn:
-    """The combination sum_i coeffs_i b_i as a level-nJ cylinder function,
+def synthesize_vector(basis: WaveletBasis, coeffs: Sequence[float]) -> np.ndarray:
+    """The values over ``basis.space`` of the combination sum_i coeffs_i b_i,
     by the transpose of the `analyze` cascade."""
     coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (len(basis.labels),):
-        raise ShapeMismatch(f"need {len(basis.labels)} coefficients")
-    return basis.space.function_of(basis._to_space(basis._synthesis(coeffs)))
+    if coeffs.shape != (len(basis.order),):
+        raise ShapeMismatch(f"need {len(basis.order)} coefficients")
+    return basis._to_space(basis._synthesis(coeffs))
+
+
+def synthesize(basis: WaveletBasis, coeffs: Sequence[float]) -> CylinderFn:
+    """The combination sum_i coeffs_i b_i as a level-nJ cylinder function."""
+    return basis.space.function_of(synthesize_vector(basis, coeffs))
 
 
 # -- Markov (Bernoulli full-shift) wavelets --------------------------------
@@ -297,7 +310,12 @@ class MarkovWaveletSystem:
     """Scaling functions and shifted wavelets on words over 0..N-1.
 
     ``level`` is the common word length n+1 every member refines to; the
-    system is an orthonormal basis of the level-(n+1) cylinder functions.
+    system is an orthonormal basis of the level-(n+1) cylinder functions,
+    held over ``space``.  Each member covers one run of consecutive
+    positions: ``layers`` holds, for the scaling functions and then for each
+    wavelet layer, the start of each member's run and, row by row, its
+    values there, members in label order.  ``functions`` is built on first
+    access only.
     """
 
     graph: KGraph
@@ -305,16 +323,28 @@ class MarkovWaveletSystem:
     depth: int
     level: int
     labels: tuple[dict, ...]
-    functions: tuple[CylinderFn, ...]
+    space: LevelSpace = field(repr=False)
+    layers: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False)
+
+    def _members(self):
+        """Each member in label order, as its positions and its values there."""
+        for starts, rows in self.layers:
+            for start, row in zip(starts.tolist(), rows):
+                yield np.arange(start, start + len(row)), row
+
+    @cached_property
+    def functions(self) -> tuple[CylinderFn, ...]:
+        return tuple(self.space.function_at(at, values) for at, values in self._members())
 
     def gram(self) -> np.ndarray:
-        space = level_space(self.spec, (self.level,))
-        mat = np.array([space.vector_of(f) for f in self.functions])
-        return (mat * space.weights[None, :]) @ mat.T
+        mat = np.zeros((len(self.labels), len(self.space.weights)))
+        for i, (at, values) in enumerate(self._members()):
+            mat[i, at] = values
+        return (mat * self.space.weights[None, :]) @ mat.T
 
     def to_records(self) -> list[dict]:
-        return [{**label, "terms": fn.to_records()}
-                for label, fn in zip(self.labels, self.functions)]
+        return [{**label, "terms": self.space.records(at, values)}
+                for label, (at, values) in zip(self.labels, self._members())]
 
 
 def markov_wavelets(n_letters: int, weights: Sequence[float], depth: int) -> MarkovWaveletSystem:
@@ -324,6 +354,11 @@ def markov_wavelets(n_letters: int, weights: Sequence[float], depth: int) -> Mar
     combine two-letter cylinders through the zero-mean vectors of the
     weighted inner product; deeper layers are word shifts.  The combined
     system has n_letters**(depth+1) members.
+
+    Level positions count words in base n_letters, so the layer-m wavelet
+    S_w psi_{j,a} covers the n**(depth-m) positions from (w*n + a) *
+    n**(depth-m) on, with the value prefix_factor(w) * C[j-1, b] / sqrt(p_a)
+    repeated over the extensions of each w*a*b.
     """
     if n_letters < 2:
         raise BadWeights("need at least two letters")
@@ -333,38 +368,24 @@ def markov_wavelets(n_letters: int, weights: Sequence[float], depth: int) -> Mar
     spec = MeasureSpec.bernoulli(graph, weights)
     letters = spec.alphabet
     p = np.array([float(w) for w in spec.weights])
-    c_rows = complement_basis(p)
-
-    labels: list[dict] = []
-    functions: list[CylinderFn] = []
-    for k, a in enumerate(letters):
-        phi = CylinderFn(graph, {normal_form(graph, [a]): 1.0 / np.sqrt(p[k])})
-        labels.append({"kind": "scaling", "letter": a})
-        functions.append(phi)
-
-    base: dict[tuple[int, str], CylinderFn] = {}
-    for k, a in enumerate(letters):
-        for j in range(1, n_letters):
-            psi = CylinderFn.combination(
-                (normal_form(graph, [a, b]), c_rows[j - 1, i] / np.sqrt(p[k]))
-                for i, b in enumerate(letters))
-            base[(j, a)] = psi
-
-    for m in range(depth):
-        words = [()] if m == 0 else [w.word for w in enumerate_paths(graph, (m,))]
-        for w in words:
-            shift = None if not w else normal_form(graph, list(w))
-            for k, a in enumerate(letters):
-                for j in range(1, n_letters):
-                    psi = base[(j, a)]
-                    fn = psi if shift is None else s_apply(spec, shift, psi)
-                    labels.append({"kind": "wavelet", "layer": m,
-                                   "word": list(w), "letter": a, "m": j})
-                    functions.append(fn)
-
     level = depth + 1
-    functions = [refine(f, (level,)) for f in functions]
-    return MarkovWaveletSystem(graph, spec, depth, level, tuple(labels), tuple(functions))
+    space = level_space(spec, (level,))
+    kernel = graph.word_kernel
+    ids = np.array(kernel.ids, dtype=object)
+
+    run = n_letters ** depth
+    labels = [{"kind": "scaling", "letter": a} for a in letters]
+    layers = [(np.arange(n_letters) * run, np.repeat((1.0 / np.sqrt(p))[:, None], run, axis=1))]
+    psi = complement_basis(p)[None, :, :] / np.sqrt(p)[:, None, None]  # [a, j - 1, b]
+    for m in range(depth):
+        words = kernel.level((m,))[0]
+        run = n_letters ** (depth - m)
+        values = spec.prefix_factors((m,), words)[:, None, None, None] * psi[None]
+        layers.append((np.repeat(np.arange(len(words) * n_letters) * run, n_letters - 1),
+                       np.repeat(values.reshape(-1, n_letters), run // n_letters, axis=1)))
+        labels.extend({"kind": "wavelet", "layer": m, "word": list(w), "letter": a, "m": j}
+                      for w in ids[words].tolist() for a in letters for j in range(1, n_letters))
+    return MarkovWaveletSystem(graph, spec, depth, level, tuple(labels), space, tuple(layers))
 
 
 # -- subspace comparison (shape J versus shape lJ) --------------------------

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from kgraphwave import (
     CylinderFn,
+    MeasureSpec,
+    bouquet_graph,
     cg_constant,
     compose,
     cylinder_measure,
@@ -23,10 +25,12 @@ from kgraphwave import (
     s_apply,
     s_matrix,
     segment,
+    synthesize,
     vertex_path,
     wavelet_operator,
 )
 from kgraphwave.kgraph import deg_add, deg_sub
+from kgraphwave.orthobasis import complement_basis
 
 
 def words_with_pattern(graph, pattern):
@@ -370,6 +374,48 @@ def dense_listing(basis):
     the dense matrix, the synthesis of the identity."""
     return [{**label, "terms": basis.space.function_of(row).to_records()}
             for label, row in zip(basis.labels, basis.matrix)]
+
+
+def cylinder_listing(basis):
+    """Oracle for `WaveletBasis.to_records`: each member as a `CylinderFn`
+    over `Path` terms, written by `CylinderFn.to_records`."""
+    return [{**label, "terms": fn.to_records()}
+            for label, fn in zip(basis.labels, basis.functions())]
+
+
+def cylinder_synthesis_records(basis, coeffs):
+    """Oracle for the records of ``wavelets --synthesize``: `synthesize` as a
+    `CylinderFn`, written by `CylinderFn.to_records`."""
+    return synthesize(basis, coeffs).to_records()
+
+
+def markov_member_records(n_letters, weights, depth):
+    """Oracle for `markov_wavelets(...).to_records()`: every member built on
+    its own terms, the wavelets of layer m by `s_apply` of the word shift to
+    the two-letter base wavelet, then `refine`d to the common level."""
+    graph = bouquet_graph(n_letters)
+    spec = MeasureSpec.bernoulli(graph, weights)
+    letters = spec.alphabet
+    p = np.array([float(w) for w in spec.weights])
+    c_rows = complement_basis(p)
+    labels, functions = [], []
+    for k, a in enumerate(letters):
+        labels.append({"kind": "scaling", "letter": a})
+        functions.append(CylinderFn(graph, {normal_form(graph, [a]): 1.0 / np.sqrt(p[k])}))
+    base = {(j, a): CylinderFn.combination(
+                (normal_form(graph, [a, b]), c_rows[j - 1, i] / np.sqrt(p[k]))
+                for i, b in enumerate(letters))
+            for k, a in enumerate(letters) for j in range(1, n_letters)}
+    for m in range(depth):
+        words = [()] if m == 0 else [w.word for w in enumerate_paths(graph, (m,))]
+        for w in words:
+            for a in letters:
+                for j in range(1, n_letters):
+                    fn = base[(j, a)] if not w else s_apply(spec, normal_form(graph, list(w)), base[(j, a)])
+                    labels.append({"kind": "wavelet", "layer": m, "word": list(w), "letter": a, "m": j})
+                    functions.append(fn)
+    return [{**label, "terms": refine(fn, (depth + 1,)).to_records()}
+            for label, fn in zip(labels, functions)]
 
 
 def random_cylinder_fn(graph, level, terms, rng):

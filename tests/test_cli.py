@@ -1,12 +1,14 @@
 import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
 
 import kgraphwave
-from kgraphwave import CylinderFn, fixture_path, load_kgraph, normal_form
+from kgraphwave import CylinderFn, LevelSpace, WaveletBasis, fixture_path, load_kgraph, normal_form
 from kgraphwave.cli import main
+from kgraphwave.kgraph import WordKernel
 from helpers import random_cylinder_fn, torus_document, twisted_circulant_document
 
 LED = str(fixture_path("ledrappier"))
@@ -372,6 +374,35 @@ class TestErrorChannel:
         (line,) = errtext.splitlines()
         assert json.loads(line)["error"] == "parse"
 
+    @pytest.mark.parametrize("mode,line", [
+        ("--synthesize", '{"x": 1}'),
+        ("--synthesize", '[1, 2]'),
+        ("--synthesize", '{"coeff": "abc"}'),
+        ("--synthesize", '{"coeff": true}'),
+        ("--synthesize", '{"coeff": null}'),
+        ("--synthesize", '{"coeff": 1' + "0" * 400 + '}'),
+        ("--synthesize", '{"coeff": 1e999}'),
+        ("--synthesize", '{"coeff": NaN}'),
+        ("--analyze", '{"path": ["e"]}'),
+        ("--analyze", '[1, 2]'),
+        ("--analyze", '{"path": "gh", "coeff": 1}'),
+        ("--analyze", '{"path": ["e", 7], "coeff": 1}'),
+        ("--analyze", '{"path": ["e"], "coeff": "abc"}'),
+        ("--analyze", '{"path": ["e"], "coeff": false}'),
+        ("--analyze", '{"coeff": 1}'),
+    ], ids=["synthesize no coeff", "synthesize list", "synthesize coeff string",
+            "synthesize coeff true", "synthesize coeff null", "synthesize coeff too large",
+            "synthesize coeff infinite", "synthesize coeff nan",
+            "analyze no coeff", "analyze list", "analyze path string", "analyze path number",
+            "analyze coeff string", "analyze coeff false", "analyze no path"])
+    def test_malformed_transform_records(self, capsys, tmp_path, mode, line):
+        records_file = tmp_path / "records.jsonl"
+        records_file.write_text(line + "\n")
+        _, errtext = run_cli(capsys, "wavelets", L3, "--shape", "1,1", "--depth", "1",
+                             mode, str(records_file), expect_exit=2)
+        (err_line,) = errtext.splitlines()
+        assert json.loads(err_line)["error"] == "parse"
+
     def test_numeric_error(self, capsys, tmp_path):
         sig = tmp_path / "sig.json"
         sig.write_text("[1.0, 0.0, 0.0, -1.0]")
@@ -401,6 +432,9 @@ GOLDEN_WAVELETS = [
      "b57f44f12314025953d2db1fb8eba059f8138cd269573632ea34dc243020262c"),
     (["lambda3", "--shape", "1,1", "--compare", "2"],
      "b51c7e744beb39af118a69334e675a9347914f7d39506c0a9e0bcbfa71d5a7da"),
+    # captured while listings were written from Path-keyed CylinderFn terms
+    (["ledrappier", "--shape", "1,1", "--depth", "4"],
+     "f691fed562654a57727fc6685e0e2fe0b24c74e255534bdc99f6c641db0b7035"),
 ]
 
 
@@ -414,6 +448,63 @@ def test_wavelets_golden_stdout(argv, digest, tmp_path, capsys):
         graph = fixture_path(argv[0])
     out, _ = run_cli(capsys, "wavelets", str(graph), *argv[1:])
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of `markov` stdout, captured while every member was built by s_apply
+# and refine.  The 3-letter weights give exactly-zero coefficients, which stay
+# dropped; 11 letters have two-digit ids, whose string order is their position
+GOLDEN_MARKOV = [
+    (["--alphabet", "3", "--weights", "11/60,2/5,5/12", "--depth", "5"],
+     "9d08a894e82234e5f605ad6ed0ddb89f1cc3625ca030fb7da9f4c9e7107ea1f0"),
+    (["--alphabet", "2", "--weights", "0.25,0.75", "--depth", "4"],
+     "cf1aea970b4741b56029f4fd59f5f44ef692392e30547d81691e7cf38dbe1ecd"),
+    (["--alphabet", "11", "--weights", ",".join(f"{k}/66" for k in range(1, 12)), "--depth", "1"],
+     "6342677a9c3f8c4bf0c4fde4dac94c59a876b98b7d39e70955f1d0a1057f0c97"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_MARKOV, ids=["3 letters", "2 letters", "11 letters"])
+def test_markov_golden_stdout(argv, digest, capsys):
+    out, _ = run_cli(capsys, "markov", *argv)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def forbid_path_building(monkeypatch):
+    """Make `refine`, `s_apply`, `LevelSpace.basis` and `WordKernel.paths`
+    raise, in every kgraphwave namespace that holds them."""
+    def boom(*args, **kwargs):
+        raise AssertionError("output built Path objects")
+
+    for name, module in list(sys.modules.items()):
+        if name == "kgraphwave" or name.startswith("kgraphwave."):
+            for attr in ("refine", "s_apply"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, boom)
+    monkeypatch.setattr(LevelSpace, "basis", property(boom))
+    monkeypatch.setattr(WordKernel, "paths", boom)
+
+
+@pytest.mark.parametrize("argv", [
+    ["markov", "--alphabet", "3", "--weights", "0.2,0.3,0.5", "--depth", "3"],
+    ["wavelets", LED, "--shape", "1,1", "--depth", "3"],
+    ["wavelets", LED, "--shape", "1,2", "--depth", "2"],
+], ids=["markov", "listing 1,1", "listing 1,2"])
+def test_output_builds_no_paths(argv, capsys, monkeypatch):
+    expected, _ = run_cli(capsys, *argv)
+    forbid_path_building(monkeypatch)
+    out, _ = run_cli(capsys, *argv)
+    assert out == expected
+
+
+def test_synthesize_builds_no_paths_and_no_labels(capsys, monkeypatch, tmp_path):
+    coeff_file = tmp_path / "coeffs.jsonl"
+    coeff_file.write_text("".join(json.dumps({"coeff": (i % 7) - 3.5}) + "\n" for i in range(256)))
+    argv = ["wavelets", LED, "--shape", "1,1", "--depth", "3", "--synthesize", str(coeff_file)]
+    expected, _ = run_cli(capsys, *argv)
+    forbid_path_building(monkeypatch)
+    monkeypatch.setattr(WaveletBasis, "labels", property(lambda self: pytest.fail("labels built")))
+    out, _ = run_cli(capsys, *argv)
+    assert out == expected
 
 
 # sha256 of --analyze stdout, and of --synthesize stdout fed that output,

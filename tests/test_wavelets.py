@@ -1,5 +1,10 @@
+import contextlib
+import io
+import json
+import tempfile
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,8 +32,12 @@ from kgraphwave import (
     vertex_path,
     wavelet_basis,
 )
+from kgraphwave.cli import main
 from helpers import (
+    cylinder_listing,
+    cylinder_synthesis_records,
     dense_wavelet_basis,
+    markov_member_records,
     path_count,
     random_cylinder_fn,
     torus_document,
@@ -314,7 +323,64 @@ class TestCascade:
             synthesize(basis, np.zeros(len(basis.labels) + 1))
 
 
+@st.composite
+def generated_bases(draw):
+    """A generated torus or twisted circulant, a shape, a depth, and a seed
+    for the synthesized coefficients."""
+    if draw(st.booleans()):
+        doc = torus_document(draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    else:
+        shifts = st.sampled_from([(1,), (1, 2), (2, 3)])
+        doc = twisted_circulant_document(draw(st.integers(3, 7)), draw(shifts), draw(shifts),
+                                         draw(st.integers(0, 2 ** 16)))
+    shape = draw(st.sampled_from([(1, 1), (1, 2), (2, 1)]))
+    return doc, shape, draw(st.integers(1, 2)), draw(st.integers(0, 2 ** 32 - 1))
+
+
+class TestRecords:
+    """Listings and --synthesize records, written from level coordinates,
+    against the same records written from Path-keyed `CylinderFn` terms."""
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(generated_bases())
+    def test_listing_and_synthesis_against_cylinder_oracle(self, case):
+        doc, shape, depth, seed = case
+        basis = wavelet_basis(build_wavelet_family(load_kgraph(doc), shape=shape), depth)
+        assert basis.to_records() == cylinder_listing(basis)
+        rng = np.random.default_rng(seed)
+        # sparse coefficients leave whole subtrees at exactly zero
+        coeffs = rng.standard_normal(len(basis.labels)) * (rng.random(len(basis.labels)) < rng.random())
+        with tempfile.TemporaryDirectory() as tmp:
+            graph, coeff_file = Path(tmp) / "graph.kg", Path(tmp) / "coeffs.jsonl"
+            graph.write_text(json.dumps(doc))
+            coeff_file.write_text("".join(json.dumps({"coeff": float(c)}) + "\n" for c in coeffs))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                main(["wavelets", str(graph), "--shape", ",".join(map(str, shape)),
+                      "--depth", str(depth), "--synthesize", str(coeff_file)])
+        records = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert records == cylinder_synthesis_records(basis, coeffs)
+
+
+@st.composite
+def letter_weights(draw):
+    """An alphabet of 2-5 letters and positive weights summing to 1, as
+    Fractions or as floats."""
+    counts = draw(st.lists(st.integers(1, 20), min_size=2, max_size=5))
+    total = sum(counts)
+    if draw(st.booleans()):
+        return len(counts), tuple(Fraction(c, total) for c in counts)
+    return len(counts), tuple(c / total for c in counts)
+
+
 class TestMarkov:
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(letter_weights(), st.integers(0, 4))
+    def test_records_against_member_oracle(self, letters, depth):
+        n_letters, weights = letters
+        assert markov_wavelets(n_letters, weights, depth).to_records() \
+            == markov_member_records(n_letters, weights, depth)
+
     def test_haar_system(self):
         system = markov_wavelets(2, (0.5, 0.5), 1)
         assert len(system.functions) == 4
