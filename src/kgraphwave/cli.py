@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -125,11 +126,10 @@ def _load_graph(args):
 
 
 def _load_measure(graph, args) -> MeasureSpec:
+    exact = getattr(args, "exact", False)
     if getattr(args, "weights", None):
-        weights = _parse_weights(args.weights)
-        exact = getattr(args, "exact", False) and all(isinstance(w, Fraction) for w in weights)
-        return MeasureSpec.bernoulli(graph, weights, exact=exact)
-    return MeasureSpec.perron_frobenius(graph, exact=getattr(args, "exact", False))
+        return MeasureSpec.bernoulli(graph, _parse_weights(args.weights), exact=exact)
+    return MeasureSpec.perron_frobenius(graph, exact=exact)
 
 
 def _emit(args, records: list[dict], csv_fields: list[str] | None = None):
@@ -390,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--path", action="append", required=True,
                    help="edge word like e,f1 (or @v for a vertex); repeatable")
     p.add_argument("--weights", help="Bernoulli letter weights p1,p2,... (bouquet only)")
-    p.add_argument("--exact", action="store_true", help="rational output when available")
+    p.add_argument("--exact", action="store_true", help="rational output (p/q --weights or integer PF radii)")
     p.add_argument("--embed", action="store_true", help="also emit the N-adic interval")
     p.set_defaults(handler=_cmd_measure)
 
@@ -445,9 +445,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first `main` call and reused by later ones."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         args.handler(args)
     except err.ParseError as exc:

@@ -5,15 +5,19 @@ to functions constant on degree L + d(lambda) cylinders.  In the orthonormal
 bases of measure-normalized indicators it is the index map mu -> lambda*mu on
 the paths with r(mu) = s(lambda), with entries rho^{d(lambda)/2} *
 sqrt(M(Z(lambda mu)) / M(Z(mu))).  These are 1, and checked to be, because the
-Radon-Nikodym derivative of prefixing is constant on cylinders.  `s_matrix`
-returns the map and its `.matrix` is the dense view; `check_ck_relations`
-verifies the four Cuntz-Krieger relations at a chosen level on the maps.
+Radon-Nikodym derivative of prefixing is constant on cylinders.  With at most
+one entry per column, the S_lambda of every lambda of one degree, at one
+level, form one column-form table: rows[i, mu] and vals[i, mu] are the row and
+entry of column mu of the i-th S_lambda, -1 and 0 where the column is empty.
+`check_ck_relations` verifies the four Cuntz-Krieger relations on the tables,
+each for all its cases of one degree at once; `s_matrix` reads one row of a
+table as an `OperatorMatrix`, whose `.matrix` is the dense view.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from itertools import product
 from typing import Sequence
 
@@ -30,7 +34,6 @@ from .kgraph import (
     deg_add,
     deg_le,
     deg_sub,
-    enumerate_paths,
 )
 from .measure import CylinderFn, MeasureSpec, cylinder_measure
 
@@ -147,28 +150,25 @@ class OperatorMatrix:
         mat[self.rows, self.cols] = self.vals
         return mat
 
-    @cached_property
-    def columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """The row and entry of each column (-1 and 0 if empty); no column may repeat."""
-        row, val = np.full(self.shape[1], -1), np.zeros(self.shape[1])
-        row[self.cols], val[self.cols] = self.rows, self.vals
-        return row, val
+
+def _matching(sources: np.ndarray, ranges: np.ndarray, vertices: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (i, j) with sources[i] == ranges[j], i-major, j ascending."""
+    by_range = np.argsort(ranges, kind="stable")
+    starts = np.searchsorted(ranges[by_range], np.arange(vertices + 1))
+    count = starts[sources + 1] - starts[sources]
+    return np.repeat(np.arange(len(sources)), count), by_range[_expand_runs(starts[sources], count)]
 
 
-def _prefix_maps(spec: MeasureSpec, lams: tuple[np.ndarray, np.ndarray, np.ndarray],
-                 degree: Degree, dom: LevelSpace, cod: LevelSpace,
-                 rn_tol: float = 1e-12) -> list[OperatorMatrix]:
-    """S_lambda from `dom` to `cod` for each of the paths `lams` of one degree,
-    given as word-kernel rows, ranges and sources: column mu, for r(mu) =
-    s(lambda), goes to the row of lambda*mu with entry factor *
+def _prefix_table(spec: MeasureSpec, lams: tuple[np.ndarray, np.ndarray, np.ndarray],
+                  degree: Degree, dom: LevelSpace, cod: LevelSpace,
+                  rn_tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+    """The table of S_lambda from `dom` to `cod` for the paths `lams` of one
+    degree, given as word-kernel rows, ranges and sources: column mu, for
+    r(mu) = s(lambda), goes to the row of lambda*mu with entry factor *
     sqrt(M(Z(lambda mu)) / M(Z(mu))).  All products are composed at once."""
     kernel = spec.graph.word_kernel
     words, _, sources = lams
-    by_range = np.argsort(dom.ranges, kind="stable")
-    starts = np.searchsorted(dom.ranges[by_range], np.arange(len(spec.graph.vertices) + 1))
-    count = starts[sources + 1] - starts[sources]
-    owner = np.repeat(np.arange(len(words)), count)
-    cols = by_range[_expand_runs(starts[sources], count)]
+    owner, cols = _matching(sources, dom.ranges, len(spec.graph.vertices))
     if any(cod.level):
         rows = kernel.rank(kernel.compose(words[owner], degree, dom.words[cols], dom.level), cod.level)
     else:  # vertices on level 0
@@ -179,19 +179,20 @@ def _prefix_maps(spec: MeasureSpec, lams: tuple[np.ndarray, np.ndarray, np.ndarr
         lam = kernel.paths(tuple(a[owner[bad[:1]]] for a in lams), degree)[0]
         raise NonConstantDerivative(f"Radon-Nikodym derivative not constant: entry "
                                     f"{vals[bad[0]]} for {lam}, {dom.basis[cols[bad[0]]]}")
-    shape = (len(cod.weights), len(dom.weights))
-    ends = np.cumsum(count).tolist()
-    return [OperatorMatrix(dom.level, cod.level, shape, rows[a:b], cols[a:b], vals[a:b])
-            for a, b in zip([0] + ends[:-1], ends)]
+    table = np.full((len(words), len(dom.weights)), -1), np.zeros((len(words), len(dom.weights)))
+    table[0][owner, cols], table[1][owner, cols] = rows, vals
+    return table
 
 
 def s_matrix(spec: MeasureSpec, path: Path, domain_level: Sequence[int],
              rn_tol: float = 1e-12) -> OperatorMatrix:
     """S_path from level `domain_level` to `domain_level + d(path)`."""
-    domain_level = as_degree(domain_level, spec.graph.k)
-    row = spec.graph.word_kernel.row(path)
-    return _prefix_maps(spec, row, path.degree, level_space(spec, domain_level),
-                        level_space(spec, deg_add(domain_level, path.degree)), rn_tol)[0]
+    dom = level_space(spec, domain_level)
+    cod = level_space(spec, deg_add(dom.level, path.degree))
+    rows, vals = _prefix_table(spec, spec.graph.word_kernel.row(path), path.degree, dom, cod, rn_tol)
+    cols = np.flatnonzero(rows[0] >= 0)
+    return OperatorMatrix(dom.level, cod.level, (len(cod.weights), len(dom.weights)),
+                          rows[0, cols], cols, vals[0, cols])
 
 
 def s_star_matrix(spec: MeasureSpec, path: Path, domain_level: Sequence[int]) -> OperatorMatrix:
@@ -242,19 +243,20 @@ def _steps(upto: Degree) -> list[Degree]:
     return [d for d in product(*(range(t + 1) for t in upto)) if any(d)]
 
 
-def _product(outer: tuple, inner: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """outer @ inner on column forms: each entry of inner goes on through the
-    column of outer at its row, so every entry is a single product."""
-    (ro, vo), (ri, vi) = outer, inner
-    return np.where(ri >= 0, ro[ri], -1), np.where(ri >= 0, vo[ri] * vi, 0.0)
+def _product(outer: tuple, i: np.ndarray, inner: tuple, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """outer[i[p]] @ inner[j[p]] per case p, on column-form tables: each entry
+    of inner goes on through the column of outer at its row, a single product."""
+    (ro, vo), (ri, vi) = outer, (inner[0][j], inner[1][j])
+    at = i[:, None], ri
+    return np.where(ri >= 0, ro[at], -1), np.where(ri >= 0, vo[at] * vi, 0.0)
 
 
-def _deviation(a: tuple, b: tuple) -> float:
-    """max |A - B| over the whole matrix, from column forms: per column,
+def _deviation(a: tuple, b: tuple) -> np.ndarray:
+    """max |A - B| per case, over the last axis of column forms: per column
     |a - b| where the entries share a row, else the larger |entry|."""
     (ra, va), (rb, vb) = a, b
     dev = np.where(ra == rb, np.abs(va - vb), np.maximum(np.abs(va), np.abs(vb)))
-    return float(np.max(dev, initial=0.0))
+    return np.max(dev, axis=-1, initial=0.0)
 
 
 def check_ck_relations(spec: MeasureSpec, graph: KGraph,
@@ -262,87 +264,79 @@ def check_ck_relations(spec: MeasureSpec, graph: KGraph,
     """Verify (CK1)-(CK4) as matrix identities on cylinder level spaces.
 
     All compositions are arranged to land at degree `test_level`; the report
-    carries the worst absolute deviation per relation and where it occurred.
-    Each level space is built once, and the S_lambda of one degree at one
-    level are built together, as index maps.
+    carries the worst absolute deviation per relation and the first case
+    where it occurred.  Each level space is built once, and so is the table
+    of the S_lambda of one degree at one level; each relation is checked for
+    all its cases of one degree at once.
     """
+    if graph is not spec.graph:
+        raise ValueError("measure and graph live on different graphs")
     test_level = as_degree(test_level, graph.k)
     if any(t < 1 for t in test_level):
         raise LevelTooSmall(f"test level {test_level} must be >= 1 in every color")
     worst = {relation: (0.0, {}) for relation in ("CK1", "CK2", "CK3", "CK4")}
 
-    def record(relation: str, d: float, witness: dict):
-        if d > worst[relation][0]:
-            worst[relation] = (d, witness)
+    def record(relation: str, devs: np.ndarray, witness):
+        """Keep the first case with the largest deviation; ``witness(p)`` names
+        case p.  No list of cases is empty: a measured graph has no sources."""
+        p = int(np.argmax(devs))
+        if devs[p] > worst[relation][0]:
+            worst[relation] = (float(devs[p]), witness(p))
+
+    space, kernel, vertices = cache(partial(level_space, spec)), graph.word_kernel, graph.vertices
 
     @cache
-    def space(level: Degree) -> LevelSpace:
-        return level_space(spec, level)
-
-    kernel = graph.word_kernel
-
-    @cache
-    def s_ops(degree: Degree, level: Degree) -> list[OperatorMatrix]:
+    def table(degree: Degree, level: Degree) -> tuple[np.ndarray, np.ndarray]:
         """S_lambda at `level` for every lambda of `degree`, in `enumerate_paths` order."""
-        return _prefix_maps(spec, kernel.level(degree), degree, space(level),
-                            space(deg_add(level, degree)))
+        return _prefix_table(spec, kernel.level(degree), degree, space(level), space(deg_add(level, degree)))
 
-    def with_ops(degree: Degree, level: Degree) -> list[tuple[Path, OperatorMatrix]]:
-        return list(zip(enumerate_paths(graph, degree), s_ops(degree, level)))
+    def word(degree: Degree, i: int) -> str:
+        return "".join(kernel.ids[e] for e in kernel.level(degree)[0][i])
 
-    projs = [op.columns for op in s_ops(graph.zero_degree(), test_level)]
-    at = np.arange(len(space(test_level).weights))
+    projs = table(graph.zero_degree(), test_level)
+    at = np.arange(projs[0].shape[1])
 
     # (CK1) vertex projections are orthogonal and sum to the identity
-    for v, pv in zip(graph.vertices, projs):
-        for w, pw in zip(graph.vertices, projs):
-            target = pv if v == w else (at, np.zeros(len(at)))
-            record("CK1", _deviation(_product(pv, pw), target), {"vertices": [v, w]})
+    for v in range(len(vertices)):
+        target = projs[0][v], np.where(np.arange(len(vertices))[:, None] == v, projs[1][v], 0.0)
+        lhs = _product(projs, np.full(len(vertices), v), projs, np.arange(len(vertices)))
+        record("CK1", _deviation(lhs, target), lambda w: {"vertices": [vertices[v], vertices[w]]})
     # S_v fills only the columns mu with r(mu) = v: the sum has one term per entry
-    rows, vals = zip(*projs)
-    total = np.max(rows, axis=0), np.sum(vals, axis=0)
-    record("CK1", _deviation(total, (at, np.ones(len(at)))), {"vertices": "sum"})
+    total = projs[0].max(axis=0, keepdims=True), projs[1].sum(axis=0, keepdims=True)
+    record("CK1", _deviation(total, (at, np.ones(len(at)))), lambda _: {"vertices": "sum"})
 
-    # (CK2) S_mu S_lambda = S_{mu lambda}; the composites are found by rank
-    for dm in _steps(test_level):
-        for dl in _steps(deg_sub(test_level, dm)):
-            base, both = deg_sub(test_level, deg_add(dm, dl)), deg_add(dm, dl)
-            lams = with_ops(dl, base)
-            pairs = [(mu, outer, lam, op) for mu, outer in with_ops(dm, deg_add(base, dl))
-                     for lam, op in lams if lam.range == mu.source]
-            words = [[kernel.position[e] for e in compose(mu, lam).word] for mu, _, lam, _ in pairs]
-            ranks = kernel.rank(np.array(words, dtype=np.intp).reshape(len(pairs), sum(both)), both)
-            composites = s_ops(both, base)
-            for (mu, outer, lam, op), at_both in zip(pairs, ranks.tolist()):
-                lhs = _product(outer.columns, op.columns)
-                record("CK2", _deviation(lhs, composites[at_both].columns),
-                       {"mu": "".join(mu.word), "lambda": "".join(lam.word)})
-
-    # (CK3) S_mu* S_mu = S_{s(mu)}.  An injective S_mu has S* S = its squared
-    # entries on the diagonal at its columns; otherwise take the dense product.
-    for dm in _steps(test_level):
-        base = deg_sub(test_level, dm)
-        targets = s_ops(graph.zero_degree(), base)
-        for mu, op in with_ops(dm, base):
-            target = targets[graph.vertex_index[mu.source]]
-            if len(set(op.rows.tolist())) == len(op.rows):
-                size = target.shape[1]
-                diag = np.arange(size), np.bincount(op.cols, op.vals ** 2, minlength=size)
-                d = _deviation(diag, target.columns)
-            else:
-                d = float(np.max(np.abs(op.matrix.T @ op.matrix - target.matrix)))
-            record("CK3", d, {"mu": "".join(mu.word)})
-
-    # (CK4) S_v = sum over v Lambda^n of S_lambda S_lambda*.  With one entry per
-    # column S S* is diagonal: the squared entries summed at their rows.
-    for n in _steps(test_level):
-        base = deg_sub(test_level, n)
-        lams = with_ops(n, base)
-        for v, pv in zip(graph.vertices, projs):
-            acc = np.zeros(len(at))
-            for lam, op in lams:
-                if lam.range == v:
-                    acc += np.bincount(op.rows, op.vals ** 2, minlength=len(at))
-            record("CK4", _deviation((at, acc), pv), {"n": list(n), "vertex": v})
+    for d in _steps(test_level):
+        mus = kernel.level(d)
+        # (CK2) S_mu S_lambda = S_{mu lambda} for d(mu) = d and each lambda with
+        # r(lambda) = s(mu); the composites are found by rank
+        for dl in _steps(deg_sub(test_level, d)):
+            base, both = deg_sub(test_level, deg_add(d, dl)), deg_add(d, dl)
+            lams = kernel.level(dl)
+            i, j = _matching(mus[2], lams[1], len(vertices))
+            lhs = _product(table(d, deg_add(base, dl)), i, table(dl, base), j)
+            at_both = kernel.rank(kernel.compose(mus[0][i], d, lams[0][j], dl), both)
+            rows, vals = table(both, base)
+            record("CK2", _deviation(lhs, (rows[at_both], vals[at_both])),
+                   lambda p: {"mu": word(d, i[p]), "lambda": word(dl, j[p])})
+        # (CK3) S_mu* S_mu = S_{s(mu)}.  S* S holds the squared entries on its
+        # diagonal and, where two columns share a row, their product: the
+        # largest such product in a row is that of its two largest entries.
+        base = deg_sub(test_level, d)
+        rows, vals = table(d, base)
+        targets = table(graph.zero_degree(), base)
+        dev = _deviation((np.arange(rows.shape[1]), vals ** 2), (targets[0][mus[2]], targets[1][mus[2]]))
+        lam, col = np.nonzero(rows >= 0)
+        row, val = rows[lam, col], vals[lam, col]
+        key, size = lam * len(at) + row, np.abs(val)
+        order = np.lexsort((-size, key))  # by case and row, the largest entry first
+        key, size, mu = key[order], size[order], lam[order]
+        shared = np.flatnonzero(key[1:] == key[:-1])
+        np.maximum.at(dev, mu[shared], size[shared] * size[shared + 1])
+        record("CK3", dev, lambda p: {"mu": word(d, p)})
+        # (CK4) S_v = sum over v Lambda^d of S_lambda S_lambda*.  With one entry
+        # per column S S* is diagonal: the squared entries summed at their rows.
+        acc = np.zeros(projs[1].shape)
+        np.add.at(acc, (mus[1][lam], row), val ** 2)
+        record("CK4", _deviation((at, acc), projs), lambda v: {"n": list(d), "vertex": vertices[v]})
 
     return CKReport(test_level, tuple(RelationCheck(r, *worst[r]) for r in worst))

@@ -197,6 +197,22 @@ class TestDeterminism:
         second, _ = run_cli(capsys, *argv)
         assert first == second
 
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        build = kgraphwave.cli.build_parser
+        built = []
+        monkeypatch.setattr(kgraphwave.cli, "build_parser", lambda: built.append(1) or build())
+        kgraphwave.cli._parser.cache_clear()
+        run_cli(capsys, "pf", LED)
+        run_cli(capsys, "ck-check", L3, "--level", "1,1")
+        assert built == [1]
+
+    def test_usage_error_leaves_the_parser_as_it_was(self, capsys):
+        argv = ("measure", L3, "--exact", "--path", "e", "--path", "e,f1")
+        first, _ = run_cli(capsys, *argv)
+        run_cli(capsys, "measure", L3, "--path", "e", "--bogus", expect_exit=1)
+        second, _ = run_cli(capsys, *argv)
+        assert first == second
+
 
 class TestErrorChannel:
     def test_usage_error(self, capsys):
@@ -226,6 +242,14 @@ class TestErrorChannel:
         rec = json.loads(errtext)
         assert rec["error"] == "validation"
         assert rec["reason"] == "missing_square"
+
+    def test_exact_needs_fraction_weights(self, capsys):
+        bouquet = str(fixture_path("bouquet-3"))
+        out, _ = run_cli(capsys, "measure", bouquet, "--weights", "1/5,3/10,1/2", "--exact", "--path", "0")
+        assert records(out)[0]["measure"] == "1/5"
+        _, errtext = run_cli(capsys, "measure", bouquet, "--weights", "0.2,0.3,1/2", "--exact",
+                             "--path", "0", expect_exit=3)
+        assert json.loads(errtext)["error"] == "validation"
 
     def test_pf_on_disconnected_graph(self, capsys):
         _, errtext = run_cli(capsys, "pf", str(fixture_path("lambda1-sphere")),
@@ -471,7 +495,8 @@ def test_markov_golden_stdout(argv, digest, capsys):
 
 def forbid_path_building(monkeypatch):
     """Make `refine`, `s_apply`, `LevelSpace.basis` and `WordKernel.paths`
-    raise, in every kgraphwave namespace that holds them."""
+    raise, in every kgraphwave namespace that holds them, and `enumerate_paths`
+    and `compose` in `kgraphwave.sbfs`."""
     def boom(*args, **kwargs):
         raise AssertionError("output built Path objects")
 
@@ -482,13 +507,17 @@ def forbid_path_building(monkeypatch):
                     monkeypatch.setattr(module, attr, boom)
     monkeypatch.setattr(LevelSpace, "basis", property(boom))
     monkeypatch.setattr(WordKernel, "paths", boom)
+    for attr in ("enumerate_paths", "compose"):
+        monkeypatch.setattr(kgraphwave.sbfs, attr, boom, raising=False)
 
 
 @pytest.mark.parametrize("argv", [
     ["markov", "--alphabet", "3", "--weights", "0.2,0.3,0.5", "--depth", "3"],
     ["wavelets", LED, "--shape", "1,1", "--depth", "3"],
     ["wavelets", LED, "--shape", "1,2", "--depth", "2"],
-], ids=["markov", "listing 1,1", "listing 1,2"])
+    ["ck-check", LED, "--level", "2,2"],
+    ["ck-check", str(fixture_path("bouquet-3")), "--weights", "0.2,0.3,0.5", "--level", "3"],
+], ids=["markov", "listing 1,1", "listing 1,2", "ck ledrappier", "ck bouquet-3 bernoulli"])
 def test_output_builds_no_paths(argv, capsys, monkeypatch):
     expected, _ = run_cli(capsys, *argv)
     forbid_path_building(monkeypatch)

@@ -3,19 +3,22 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-import kgraphwave.sbfs
 from kgraphwave import (
     CylinderFn,
     DegreeRangeError,
     LevelTooSmall,
     MeasureSpec,
     NonConstantDerivative,
+    bouquet_graph,
     check_ck_relations,
     cylinder_fns_equal,
     cylinder_measure,
     enumerate_paths,
     fixture_path,
+    is_strongly_connected,
     level_space,
     load_kgraph,
     normal_form,
@@ -33,6 +36,7 @@ import helpers
 from helpers import (
     check_isometry_columns,
     dense_ck_deviations,
+    generated_documents,
     pointwise_s_matrix,
     torus_document,
     twisted_circulant_document,
@@ -294,14 +298,27 @@ class TestCKAsIndexMaps:
         assert got == dense_ck_deviations(spec, level, _as_dense)
 
     def test_wrong_composite_is_caught(self, monkeypatch, spec3, lambda3):
+        # f1 f1 composes to f2 f2: in the word-kernel rows, which the prefix
+        # tables and CK2 compose, and in the paths of the dense reference
         f1, f2f2 = normal_form(lambda3, ["f1"]), normal_form(lambda3, ["f2", "f2"])
-        right = kgraphwave.sbfs.compose
+        right = helpers.compose
 
         def wrong(p, q):
             return f2f2 if p == q == f1 else right(p, q)
 
-        monkeypatch.setattr(kgraphwave.sbfs, "compose", wrong)
+        kernel = lambda3.word_kernel
+        right_rows = kernel.compose
+        f1_row, f2f2_row = kernel.word(f1), kernel.word(f2f2)
+
+        def wrong_rows(heads, head_degree, tails, tail_degree):
+            words = right_rows(heads, head_degree, tails, tail_degree)
+            if head_degree == tail_degree == f1.degree:
+                heads = np.broadcast_to(heads, (len(tails), heads.shape[-1]))
+                words[np.all(heads == f1_row, axis=1) & np.all(tails == f1_row, axis=1)] = f2f2_row
+            return words
+
         monkeypatch.setattr(helpers, "compose", wrong)
+        monkeypatch.setattr(kernel, "compose", wrong_rows)
         report = check_ck_relations(spec3, lambda3, (2, 2))
         ck2 = report.checks[1]
         assert ck2.max_deviation >= 1.0
@@ -314,7 +331,7 @@ class TestCKAsIndexMaps:
         # S_e S_e* the entry 3 where S_v has 1
         e = normal_form(lambda3, ["e"])
         q1, q2, q3 = enumerate_paths(lambda3, (1, 2))[:3]
-        right = kgraphwave.sbfs.compose
+        right = helpers.compose
 
         def merging(p, q):
             return right(p, q1 if p == e and q in (q2, q3) else q)
@@ -332,7 +349,6 @@ class TestCKAsIndexMaps:
                 tails = np.where(merge[:, None], q1_row, tails)
             return right_rows(heads, head_degree, tails, tail_degree)
 
-        monkeypatch.setattr(kgraphwave.sbfs, "compose", merging)
         monkeypatch.setattr(helpers, "compose", merging)
         monkeypatch.setattr(kernel, "compose", merging_rows)
         report = check_ck_relations(spec3, lambda3, (2, 2))
@@ -340,3 +356,26 @@ class TestCKAsIndexMaps:
         assert report.checks[3].max_deviation >= 2.0
         assert [c.max_deviation for c in report.checks] == \
             dense_ck_deviations(spec3, (2, 2), _as_dense)
+
+    def test_spec_on_another_graph_is_refused(self, specL, lambda3):
+        with pytest.raises(ValueError, match="different graphs"):
+            check_ck_relations(specL, lambda3, (1, 1))
+
+    # the table arithmetic against the dense products of the same operators
+    @settings(max_examples=10, deadline=None)
+    @given(generated_documents(), st.sampled_from([(1, 1), (1, 2), (2, 1)]))
+    def test_generated_graphs_match_dense_products(self, doc, level):
+        graph = load_kgraph(doc)
+        assume(is_strongly_connected(graph))
+        spec = MeasureSpec.perron_frobenius(graph)
+        assert [c.max_deviation for c in check_ck_relations(spec, graph, level).checks] == \
+            dense_ck_deviations(spec, level, _as_dense)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 3), st.integers(1, 3), st.data())
+    def test_bernoulli_bouquets_match_dense_products(self, letters, level, data):
+        graph = bouquet_graph(letters)
+        parts = data.draw(st.lists(st.integers(1, 9), min_size=letters, max_size=letters))
+        spec = MeasureSpec.bernoulli(graph, [a / sum(parts) for a in parts])
+        assert [c.max_deviation for c in check_ck_relations(spec, graph, (level,)).checks] == \
+            dense_ck_deviations(spec, (level,), _as_dense)
