@@ -96,6 +96,13 @@ def _parse_tgrid(text: str) -> np.ndarray:
     return np.geomspace(values[0], values[1], int(values[2]))
 
 
+def _check_scales(values, flag: str):
+    """Wavelet scales must be finite and > 0."""
+    for t in values:
+        if not 0 < t < math.inf:
+            _fail(USAGE_EXIT, "usage", f"{flag} scales must be finite and > 0, got {t}")
+
+
 def _parse_word(graph, text: str):
     if text.startswith("@"):
         return vertex_path(graph, text[1:])
@@ -179,8 +186,11 @@ def _read_records(filename: str, fields: tuple[str, ...]) -> list[dict]:
 
 
 def _signal_from_file(path: str, n: int) -> np.ndarray:
+    """A vertex signal: a JSON list of n numbers, each finite and not a bool."""
     with open(path) as fh:
         data = json.load(fh)
+    if type(data) is not list or not all(_is_number(x) for x in data):
+        raise err.ParseError(f"signal in {path} must be a JSON list of finite numbers")
     sig = np.asarray(data, dtype=float)
     if sig.shape != (n,):
         raise err.DimensionMismatch(f"signal in {path} has shape {sig.shape}, need ({n},)")
@@ -191,8 +201,8 @@ def _signal_from_file(path: str, n: int) -> np.ndarray:
 
 def _cmd_validate(args):
     graph = _load_graph(args)
-    per_color = {c: sum(1 for e in graph.edges.values() if e.color == c)
-                 for c in range(1, graph.k + 1)}
+    counts = np.bincount(graph.edge_color).tolist()
+    per_color = {c: counts[c] if c < len(counts) else 0 for c in range(1, graph.k + 1)}
     _emit(args, [{
         "ok": True,
         "k": graph.k,
@@ -314,7 +324,7 @@ def _cmd_laplacian(args):
         records.append({"kind": "incidence", "color": color,
                         "edges": list(order), "matrix": mat.tolist()})
     records.append({"kind": "laplacian",
-                    "matrix": kgraph_laplacian(inc).tolist()})
+                    "matrix": kgraph_laplacian(graph).tolist()})
     _emit(args, records)
 
 
@@ -322,7 +332,7 @@ def _cmd_spectral(args):
     graph = _load_graph(args)
 
     def eigendata():  # each mode checks its own arguments first
-        return eig_sym(kgraph_laplacian(incidence_matrices(graph)))
+        return eig_sym(kgraph_laplacian(graph))
 
     if args.eig:
         _emit(args, eigendata().to_records(), csv_fields=["eigenvalue"])
@@ -335,6 +345,7 @@ def _cmd_spectral(args):
         return
     if args.wavelet:
         n = _vertex_index(graph, args.n, "--n")
+        _check_scales([args.t], "--t")
         psi = spectral_wavelet(eigendata(), default_kernel(), args.t, n)
         _emit(args, [{"t": args.t, "n": args.n, "m": v, "value": float(x)}
                      for v, x in zip(graph.vertices, psi)],
@@ -353,6 +364,7 @@ def _cmd_spectral(args):
         if args.tlist is None:
             _fail(USAGE_EXIT, "usage", "--localize needs --tlist")
         ts = _parse_list(args.tlist, float, "--tlist", "0.5,0.25")
+        _check_scales(ts, "--tlist")
         probe = localization_probe(eigendata(), default_kernel(), n, m, ts)
         recs = probe.to_records()
         recs.append({"slope": probe.slope})

@@ -89,7 +89,8 @@ class AsymmetricInput(KGraphWaveError):
 
 
 class DimensionMismatch(KGraphWaveError):
-    """Vector length does not match the vertex count of the spectral data."""
+    """Vector length does not match the vertex count of the spectral data,
+    or PF data does not fit the graph's colors and vertices."""
 
 
 class NegativeArgument(KGraphWaveError):

@@ -131,8 +131,8 @@ class KGraph:
         self.edges = {e.id: e for e in edges}
         self.squares = tuple(squares)
         self._validate_skeleton()
+        self._index_edges()
         self._swap = self._build_swap()
-        self._by_range_color = self._index_edges()
         self._check_square_coverage()
         if self.k >= 3:
             self._check_cube_condition()
@@ -153,45 +153,59 @@ class KGraph:
                     raise ValidationError(
                         "dangling_reference", f"edge {e.id} references unknown vertex {v}")
 
+    def _index_edges(self):
+        """The edge arrays, edge i being the i-th id in sorted order:
+        ``edge_ids``, ``edge_position`` (id to i), and the ``edge_color``,
+        ``edge_source`` and ``edge_range`` (vertex index) of each as read-only
+        intp arrays; and the edge ids by (range, color), sorted by id."""
+        self.edge_ids = tuple(sorted(self.edges))
+        self.edge_position = {eid: i for i, eid in enumerate(self.edge_ids)}
+        ordered = [self.edges[eid] for eid in self.edge_ids]
+        index, count = self.vertex_index, len(ordered)
+        self.edge_color = np.fromiter((e.color for e in ordered), np.intp, count)
+        self.edge_source = np.fromiter((index[e.source] for e in ordered), np.intp, count)
+        self.edge_range = np.fromiter((index[e.range] for e in ordered), np.intp, count)
+        for a in (self.edge_color, self.edge_source, self.edge_range):
+            a.flags.writeable = False
+        into: dict[tuple[str, int], list[str]] = defaultdict(list)
+        for e in ordered:
+            into[e.range, e.color].append(e.id)
+        self._by_range_color = {key: tuple(ids) for key, ids in into.items()}
+
     def _build_swap(self) -> dict[tuple[str, str], tuple[str, str]]:
+        edges = self.edges
         swap: dict[tuple[str, str], tuple[str, str]] = {}
         for sq in self.squares:
-            for pair in (sq.left, sq.right):
-                for eid in pair:
-                    if eid not in self.edges:
-                        raise ValidationError(
-                            "dangling_reference", f"square references unknown edge {eid}")
-            le, lf = (self.edges[i] for i in sq.left)
-            rf, re = (self.edges[i] for i in sq.right)
-            if not (le.color < lf.color and rf.color == lf.color and re.color == le.color):
+            left, right = sq.left, sq.right
+            try:
+                (le, lf), (rf, re) = [edges[i] for i in left], [edges[i] for i in right]
+            except KeyError:
+                eid = next(i for i in (*left, *right) if i not in edges)
+                raise ValidationError(
+                    "dangling_reference", f"square references unknown edge {eid}") from None
+            low, high = le.color, lf.color
+            if not (low < high and rf.color == high and re.color == low):
                 raise ValidationError(
                     "non_bijective_squares",
-                    f"square {sq.left}/{sq.right} does not pair ascending with descending colors")
-            if sq.color_pair != (le.color, lf.color):
+                    f"square {left}/{right} does not pair ascending with descending colors")
+            if sq.color_pair != (low, high):
                 raise ValidationError(
-                    "non_bijective_squares", f"square {sq.left} color pair mismatch")
+                    "non_bijective_squares", f"square {left} color pair mismatch")
             if le.source != lf.range or rf.source != re.range:
                 raise ValidationError(
                     "non_bijective_squares",
-                    f"square side {sq.left} or {sq.right} is not composable")
+                    f"square side {left} or {right} is not composable")
             if le.range != rf.range or lf.source != re.source:
                 raise ValidationError(
                     "non_bijective_squares",
-                    f"square {sq.left}/{sq.right} sides have different endpoints")
-            for key, val in ((sq.left, sq.right), (sq.right, sq.left)):
+                    f"square {left}/{right} sides have different endpoints")
+            # the colors differ, so left != right
+            for key in (left, right):
                 if key in swap:
                     raise ValidationError(
                         "non_bijective_squares", f"edge pair {key} appears in two squares")
-                swap[key] = val
+            swap[left], swap[right] = right, left
         return swap
-
-    def _index_edges(self):
-        """Edge ids by (range, color), sorted by id."""
-        into: dict[tuple[str, int], list[str]] = defaultdict(list)
-        for eid in sorted(self.edges):
-            e = self.edges[eid]
-            into[e.range, e.color].append(eid)
-        return {key: tuple(ids) for key, ids in into.items()}
 
     def _mixed_pairs(self):
         """Composable two-color words (a, b), b taken from the range index."""
@@ -204,6 +218,16 @@ class KGraph:
     def _check_square_coverage(self):
         """Every composable two-color word lies in a square.
 
+        ``_build_swap`` has shown that every key of ``_swap`` is a composable
+        two-color word and that no key repeats, so the keys are a subset of
+        those words, and they cover all of them exactly when the two sets
+        have the same size.  A word (a, b) takes b among the edges into s(a)
+        of a color other than c(a), so there are
+        sum_a (indeg(s(a)) - indeg_{c(a)}(s(a))) words: a bincount of the
+        edge ranges, then one per color that edges carry, each O(n + E).
+        Only when the count falls short does the scan of ``_mixed_pairs``
+        run, to name the first missing pair.
+
         This and ``_build_swap`` force the vertex matrices to commute.  For
         i < j, (A_i A_j)[v, w] counts the composable words (e, f) from w to v
         with e of color i and f of color j, and (A_j A_i)[v, w] those with the
@@ -211,6 +235,14 @@ class KGraph:
         word is covered, a square joins an ascending and a descending word
         with the same endpoints, and no word lies in two squares.
         """
+        n = len(self.vertices)
+        sources, ranges, colors = self.edge_source, self.edge_range, self.edge_color
+        words = int(np.bincount(ranges, minlength=n)[sources].sum())
+        for c in set(colors.tolist()):
+            same = colors == c
+            words -= int(np.bincount(ranges[same], minlength=n)[sources[same]].sum())
+        if len(self._swap) == words:
+            return
         for a, b in self._mixed_pairs():
             if (a, b) not in self._swap:
                 raise ValidationError(
@@ -250,21 +282,31 @@ class KGraph:
 
     # -- word rewriting ----------------------------------------------------
 
-    def _check_word(self, word: Sequence[str]):
-        for eid in word:
-            if eid not in self.edges:
-                raise CompositionError(f"unknown edge id {eid!r}")
-        for a, b in zip(word, word[1:]):
-            if self.edges[a].source != self.edges[b].range:
+    def _check_word(self, word: Sequence[str]) -> tuple[int, ...]:
+        """The colors of a composable word's edges.  Raises CompositionError
+        at the first unknown edge, else at the first pair that does not
+        compose."""
+        try:
+            edges = [self.edges[eid] for eid in word]
+        except KeyError:
+            eid = next(eid for eid in word if eid not in self.edges)
+            raise CompositionError(f"unknown edge id {eid!r}") from None
+        for a, b in zip(edges, edges[1:]):
+            if a.source != b.range:
                 raise CompositionError(
-                    f"edges {a} and {b} are not composable "
-                    f"(source {self.edges[a].source} != range {self.edges[b].range})")
+                    f"edges {a.id} and {b.id} are not composable "
+                    f"(source {a.source} != range {b.range})")
+        return tuple([e.color for e in edges])
 
-    def _rewrite(self, word: Sequence[str], leftmost: bool = True) -> tuple[str, ...]:
+    def _rewrite(self, word: Sequence[str], leftmost: bool = True,
+                 colors: tuple[int, ...] | None = None) -> tuple[str, ...]:
         """Sort a composable word into ascending-color order via square swaps,
-        at the positions `_swap_schedule` gives for its colors."""
+        at the positions `_swap_schedule` gives for its colors (read off the
+        edges unless given)."""
         w = list(word)
-        for i in _swap_schedule(tuple(self.edges[eid].color for eid in w), leftmost):
+        if colors is None:
+            colors = tuple(self.edges[eid].color for eid in w)
+        for i in _swap_schedule(colors, leftmost):
             w[i], w[i + 1] = self._swap[(w[i], w[i + 1])]
         return tuple(w)
 
@@ -345,8 +387,10 @@ def normal_form(graph: KGraph, word: Sequence[str]) -> Path:
     """Rewrite a composable edge word to its unique normal-form path."""
     if not word:
         raise CompositionError("empty word has no endpoints; use vertex_path")
-    graph._check_word(word)
-    return _path_from_normal_word(graph, graph._rewrite(word))
+    colors = graph._check_word(word)
+    word = graph._rewrite(word, colors=colors)
+    return Path(graph, word, tuple(colors.count(c) for c in range(1, graph.k + 1)),
+                graph.edges[word[0]].range, graph.edges[word[-1]].source)
 
 
 def compose(p: Path, q: Path) -> Path:
@@ -478,18 +522,13 @@ class WordKernel:
 
     def __init__(self, graph: KGraph):
         self.graph = graph
-        self.ids = tuple(sorted(graph.edges))
-        self.position = {eid: i for i, eid in enumerate(self.ids)}
-        edges = [graph.edges[eid] for eid in self.ids]
-        index = graph.vertex_index
-        self.color = np.array([e.color for e in edges], dtype=np.intp)
-        self.source = np.array([index[e.source] for e in edges], dtype=np.intp)
-        self.range = np.array([index[e.range] for e in edges], dtype=np.intp)
+        self.ids, self.position = graph.edge_ids, graph.edge_position
+        self.color, self.source, self.range = graph.edge_color, graph.edge_source, graph.edge_range
         # rewriting to normal form only ever swaps a descending pair
-        pairs = sorted((self.position[a] * len(edges) + self.position[b],
-                        self.position[c], self.position[d])
+        pos, edges = self.position, graph.edges
+        pairs = sorted((pos[a] * len(self.ids) + pos[b], pos[c], pos[d])
                        for (a, b), (c, d) in graph._swap.items()
-                       if graph.edges[a].color > graph.edges[b].color)
+                       if edges[a].color > edges[b].color)
         pairs.append((np.iinfo(np.intp).max, -1, -1))
         self.pair_key, self.pair_left, self.pair_right = (
             np.array(column, dtype=np.intp) for column in zip(*pairs))
@@ -610,10 +649,9 @@ def vertex_matrices(graph: KGraph) -> list[np.ndarray]:
     construction force it (see ``KGraph._check_square_coverage``).
     """
     n = len(graph.vertices)
-    mats = [np.zeros((n, n), dtype=np.int64) for _ in range(graph.k)]
-    for e in graph.edges.values():
-        mats[e.color - 1][graph.vertex_index[e.range], graph.vertex_index[e.source]] += 1
-    return mats
+    cells = ((graph.edge_color - 1) * n + graph.edge_range) * n + graph.edge_source
+    counts = np.bincount(cells, minlength=graph.k * n * n).astype(np.int64, copy=False)
+    return list(counts.reshape(graph.k, n, n))
 
 
 # -- document parsing ------------------------------------------------------
@@ -661,39 +699,47 @@ def load_kgraph(document) -> KGraph:
         if not isinstance(document[field], list):
             raise ParseError(f"field {field!r} must be a list of records")
 
+    # a well-formed record passes the first test; any other gets the checks
+    # that name its fault
     edges = []
     for rec in document["edges"]:
-        if not isinstance(rec, dict):
-            raise ParseError("edge records must be objects")
-        unknown = set(rec) - _EDGE_FIELDS
-        if unknown:
-            raise ParseError(f"unknown edge fields: {sorted(unknown)}")
-        if set(rec) != _EDGE_FIELDS:
-            raise ParseError(f"edge record missing fields: {sorted(_EDGE_FIELDS - set(rec))}")
-        if not _is_int(rec["color"]):
-            raise ParseError(f"edge {rec['id']!r} color must be an integer")
-        for field in ("id", "source", "range"):
-            if not isinstance(rec[field], str):
-                raise ParseError(f"edge {rec['id']!r} field {field!r} must be a string")
+        if not (type(rec) is dict and rec.keys() == _EDGE_FIELDS and type(rec["id"]) is str
+                and type(rec["color"]) is int and type(rec["source"]) is str
+                and type(rec["range"]) is str):
+            if not isinstance(rec, dict):
+                raise ParseError("edge records must be objects")
+            unknown = set(rec) - _EDGE_FIELDS
+            if unknown:
+                raise ParseError(f"unknown edge fields: {sorted(unknown)}")
+            if set(rec) != _EDGE_FIELDS:
+                raise ParseError(f"edge record missing fields: {sorted(_EDGE_FIELDS - set(rec))}")
+            if not _is_int(rec["color"]):
+                raise ParseError(f"edge {rec['id']!r} color must be an integer")
+            for field in ("id", "source", "range"):
+                if not isinstance(rec[field], str):
+                    raise ParseError(f"edge {rec['id']!r} field {field!r} must be a string")
         edges.append(Edge(rec["id"], rec["color"], rec["source"], rec["range"]))
     edge_color = {e.id: e.color for e in edges}
 
     squares = []
     for rec in document["squares"]:
-        if not isinstance(rec, dict):
-            raise ParseError("square records must be objects")
-        unknown = set(rec) - _SQUARE_FIELDS
-        if unknown:
-            raise ParseError(f"unknown square fields: {sorted(unknown)}")
-        if set(rec) != _SQUARE_FIELDS:
-            raise ParseError("square record must have 'left' and 'right'")
-        left, right = rec["left"], rec["right"]
-        if not (isinstance(left, list) and isinstance(right, list)
-                and len(left) == 2 and len(right) == 2):
-            raise ParseError("square sides must be two-edge lists")
+        if not (type(rec) is dict and rec.keys() == _SQUARE_FIELDS
+                and type(rec["left"]) is list and type(rec["right"]) is list
+                and len(rec["left"]) == 2 and len(rec["right"]) == 2):
+            if not isinstance(rec, dict):
+                raise ParseError("square records must be objects")
+            unknown = set(rec) - _SQUARE_FIELDS
+            if unknown:
+                raise ParseError(f"unknown square fields: {sorted(unknown)}")
+            if set(rec) != _SQUARE_FIELDS:
+                raise ParseError("square record must have 'left' and 'right'")
+            if not (isinstance(rec["left"], list) and isinstance(rec["right"], list)
+                    and len(rec["left"]) == 2 and len(rec["right"]) == 2):
+                raise ParseError("square sides must be two-edge lists")
+        left, right = tuple(rec["left"]), tuple(rec["right"])
         # KGraph._build_swap rejects squares that name unknown edges
         pair = (edge_color.get(left[0]), edge_color.get(left[1]))
-        squares.append(FactorizationSquare(pair, tuple(left), tuple(right)))
+        squares.append(FactorizationSquare(pair, left, right))
 
     return KGraph(document["k"], document["vertices"], edges, squares)
 

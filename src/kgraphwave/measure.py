@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import BadWeights, DegreeRangeError, NotStronglyConnected, NotZeroOne
+from .errors import BadWeights, DegreeRangeError, DimensionMismatch, NotStronglyConnected, NotZeroOne
 from .kgraph import (
     Degree,
     KGraph,
@@ -61,6 +61,10 @@ class MeasureSpec:
         if kind == self.PF:
             if pf is None:
                 raise ValueError("PF measure needs PFData")
+            if len(pf.rho) != graph.k or len(pf.x_lambda) != len(graph.vertices):
+                raise DimensionMismatch(
+                    f"PF data with {len(pf.rho)} radii and {len(pf.x_lambda)} vertex entries "
+                    f"does not fit a graph of {graph.k} colors and {len(graph.vertices)} vertices")
             if exact:
                 self._exact_rho, self._exact_x = rational_pf_data(graph, pf)
         elif kind == self.BERNOULLI:

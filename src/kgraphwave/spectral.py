@@ -43,26 +43,32 @@ class IncidenceSet:
 def incidence_matrices(graph: KGraph) -> IncidenceSet:
     """M_s[v, e] = +1 at the range, -1 at the source of each non-loop edge of
     color s; columns ordered alphabetically by edge id."""
-    n = len(graph.vertices)
-    mats = []
-    orders = []
+    mats, orders = [], []
     for color in range(1, graph.k + 1):
-        ids = tuple(sorted(e.id for e in graph.edges.values() if e.color == color))
-        m = np.zeros((n, len(ids)), dtype=np.int64)
-        for j, eid in enumerate(ids):
-            e = graph.edge(eid)
-            if e.range != e.source:
-                m[graph.vertex_index[e.range], j] = 1
-                m[graph.vertex_index[e.source], j] = -1
+        edges = np.flatnonzero(graph.edge_color == color)
+        m = np.zeros((len(graph.vertices), len(edges)), dtype=np.int64)
+        moving = np.flatnonzero(graph.edge_source[edges] != graph.edge_range[edges])
+        m[graph.edge_range[edges[moving]], moving] = 1
+        m[graph.edge_source[edges[moving]], moving] = -1
         mats.append(m)
-        orders.append(ids)
+        orders.append(tuple(graph.edge_ids[i] for i in edges.tolist()))
     return IncidenceSet(tuple(mats), tuple(orders))
 
 
-def kgraph_laplacian(inc: IncidenceSet) -> np.ndarray:
-    """Delta = sum over colors of M_s M_s^T, multiplied in float64 (by BLAS,
-    unlike int64) and cast back exactly, as every entry is a small integer."""
-    return sum(a @ a.T for a in (m.astype(float) for m in inc.matrices)).astype(np.int64)
+def kgraph_laplacian(graph: KGraph) -> np.ndarray:
+    """Delta = sum over colors of M_s M_s^T, counted from the edges in exact
+    int64 without forming M_s.  Column e of M_s is 1_{r(e)} - 1_{s(e)} (zero
+    for a loop), so each non-loop edge adds 1 at (r, r) and (s, s) and -1 at
+    (r, s) and (s, r): Delta is the diagonal of end counts minus the
+    symmetrized edge counts, whatever the colors.  One n x n array is built
+    and filled in place."""
+    n = len(graph.vertices)
+    moving = graph.edge_source != graph.edge_range
+    s, r = graph.edge_source[moving], graph.edge_range[moving]
+    delta = np.bincount(np.concatenate([s * n + r, r * n + s]), minlength=n * n).reshape(n, n)
+    np.negative(delta, out=delta)
+    delta.flat[::n + 1] = np.bincount(np.concatenate([s, r]), minlength=n)  # no loop reaches it
+    return delta.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -80,8 +86,8 @@ class SpectralData:
         return len(self.eigenvalues)
 
     def to_records(self) -> list[dict]:
-        return [{"eigenvalue": float(lam), "eigenvector": [float(x) for x in vec]}
-                for lam, vec in zip(self.eigenvalues, self.eigenvectors.T)]
+        return [{"eigenvalue": lam, "eigenvector": vec}
+                for lam, vec in zip(self.eigenvalues.tolist(), self.eigenvectors.T.tolist())]
 
 
 def eig_sym(delta: np.ndarray, sym_tol: float = 1e-12,
@@ -96,11 +102,10 @@ def eig_sym(delta: np.ndarray, sym_tol: float = 1e-12,
     if np.max(np.abs(delta - delta.T)) > sym_tol:
         raise AsymmetricInput("matrix is not symmetric within tolerance")
     eigenvalues, vectors = np.linalg.eigh(delta)
-    for col in range(vectors.shape[1]):
-        v = vectors[:, col]
-        lead = next((x for x in v if abs(x) > 1e-12), 1.0)
-        if lead < 0:
-            vectors[:, col] = -v
+    visible = np.abs(vectors) > 1e-12
+    lead = vectors[visible.argmax(axis=0), np.arange(vectors.shape[1])]
+    flip = visible.any(axis=0) & (lead < 0)
+    vectors[:, flip] = -vectors[:, flip]
     resid = np.max(np.abs(delta @ vectors - vectors * eigenvalues))
     if not resid < resid_tol:
         raise ResidualTooLarge(f"eigen residual {resid:.2e}")
@@ -297,6 +302,9 @@ def default_tgrid(spec: SpectralData, count: int = 2000) -> np.ndarray:
     return np.geomspace(1e-4 / positive.max(), 1e4 / positive.min(), count)
 
 
+_ENERGY_ROWS = 32  # eigenvalues per block of grid energies: 32 x T floats at a time
+
+
 def reconstruct(spec: SpectralData, kernel: KernelSpec, signal: Sequence[float],
                 t_grid: Sequence[float] | None = None,
                 grid_tol: float = 1e-3) -> np.ndarray:
@@ -305,9 +313,10 @@ def reconstruct(spec: SpectralData, kernel: KernelSpec, signal: Sequence[float],
     The frame is diagonal in the eigenbasis, so this scales the l-th
     eigencomponent of f by its grid energy sum_t w_t g(t lambda_l)^2 over C_g.
     Recovers the component of f orthogonal to the Laplacian kernel:
-    eigenvalues <= 1e-12 get gain 0 because g(0) = 0.  Raises GridTooCoarse
-    when the grid's per-eigenvalue energy misses C_g by more than grid_tol
-    (relative).
+    eigenvalues <= 1e-12 get gain 0 because g(0) = 0, and never reach the
+    kernel.  The energies of the others are taken in blocks of _ENERGY_ROWS
+    eigenvalues.  Raises GridTooCoarse at the first eigenvalue, in order, whose
+    grid energy misses C_g by more than grid_tol (relative).
     """
     f = np.asarray(signal, dtype=float)
     if f.shape != (spec.n,):
@@ -327,13 +336,16 @@ def reconstruct(spec: SpectralData, kernel: KernelSpec, signal: Sequence[float],
 
     cg = cg_constant(kernel)
     energy = np.zeros(spec.n)
-    for i, lam in enumerate(spec.eigenvalues):
-        if lam <= 1e-12:
-            continue
-        energy[i] = np.sum(w * kernel_eval(kernel, t * lam) ** 2)
-        if abs(energy[i] - cg) > grid_tol * cg:
-            raise GridTooCoarse(
-                f"grid energy {energy[i]:.6g} misses C_g {cg:.6g} at eigenvalue {lam:.6g}")
+    positive = np.flatnonzero(spec.eigenvalues > 1e-12)
+    for start in range(0, len(positive), _ENERGY_ROWS):
+        rows = positive[start:start + _ENERGY_ROWS]
+        lam = spec.eigenvalues[rows]
+        energy[rows] = np.sum(w * kernel_eval(kernel, lam[:, None] * t) ** 2, axis=1)
+        bad = np.abs(energy[rows] - cg) > grid_tol * cg
+        if bad.any():
+            i = rows[bad.argmax()]
+            raise GridTooCoarse(f"grid energy {energy[i]:.6g} misses C_g {cg:.6g} "
+                                f"at eigenvalue {spec.eigenvalues[i]:.6g}")
     vectors = spec.eigenvectors
     return vectors @ (energy / cg * (vectors.T @ f))
 

@@ -161,11 +161,10 @@ class TrafficWaveletFamily:
         return (mat * self.measure[None, :]) @ mat.T
 
     def to_records(self) -> list[dict]:
-        recs = [{"kind": "wavelet", "m": m, "shape": list(J),
-                 "values": [float(x) for x in sig]}
+        recs = [{"kind": "wavelet", "m": m, "shape": list(J), "values": sig.tolist()}
                 for (m, J), sig in self.wavelets]
         if self.constant is not None:
-            recs.append({"kind": "constant", "values": [float(x) for x in self.constant]})
+            recs.append({"kind": "constant", "values": self.constant.tolist()})
         return recs
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from kgraphwave import (
     CylinderFn,
+    GridTooCoarse,
     MeasureSpec,
     bouquet_graph,
     cg_constant,
@@ -19,6 +20,7 @@ from kgraphwave import (
     enumerate_paths,
     extensions,
     inner_product,
+    kernel_eval,
     level_space,
     normal_form,
     refine,
@@ -582,3 +584,88 @@ def quadrature_reconstruct(spec, kernel, signal, t_grid=None):
         op = wavelet_operator(spec, kernel, ti)
         acc += wi * (op @ (op @ f))  # sum_n <psi_{g,t,n}, f> psi_{g,t,n}
     return acc / cg_constant(kernel)
+
+
+def loop_vertex_matrices(graph):
+    """Oracle for `vertex_matrices`: one += per edge."""
+    n = len(graph.vertices)
+    mats = [np.zeros((n, n), dtype=np.int64) for _ in range(graph.k)]
+    for e in graph.edges.values():
+        mats[e.color - 1][graph.vertex_index[e.range], graph.vertex_index[e.source]] += 1
+    return mats
+
+
+def loop_incidence_matrices(graph):
+    """Oracle for `incidence_matrices`: the columns of each color filled edge
+    by edge, in id order.  Returns the matrices and the column orders."""
+    n = len(graph.vertices)
+    mats, orders = [], []
+    for color in range(1, graph.k + 1):
+        ids = tuple(sorted(e.id for e in graph.edges.values() if e.color == color))
+        m = np.zeros((n, len(ids)), dtype=np.int64)
+        for j, eid in enumerate(ids):
+            e = graph.edge(eid)
+            if e.range != e.source:
+                m[graph.vertex_index[e.range], j] = 1
+                m[graph.vertex_index[e.source], j] = -1
+        mats.append(m)
+        orders.append(ids)
+    return mats, orders
+
+
+def gram_laplacian(graph):
+    """Oracle for `kgraph_laplacian`: sum over colors of M_s M_s^T, multiplied
+    in float64 and cast back to int64."""
+    mats, _ = loop_incidence_matrices(graph)
+    return sum(a @ a.T for a in (m.astype(float) for m in mats)).astype(np.int64)
+
+
+def loop_sign_normalize(vectors):
+    """Oracle for the sign convention of `eig_sym`: column by column, negate
+    when the first entry of size above 1e-12 is negative."""
+    vectors = vectors.copy()
+    for col in range(vectors.shape[1]):
+        v = vectors[:, col]
+        lead = next((x for x in v if abs(x) > 1e-12), 1.0)
+        if lead < 0:
+            vectors[:, col] = -v
+    return vectors
+
+
+def loop_reconstruct(spec, kernel, signal, t_grid=None, grid_tol=1e-3):
+    """Oracle for `reconstruct`: the grid energy of each eigenvalue above
+    1e-12 by its own kernel evaluation, checked against C_g in order."""
+    f = np.asarray(signal, dtype=float)
+    t = np.sort(np.asarray(default_tgrid(spec) if t_grid is None else t_grid, dtype=float))
+    du = np.diff(np.log(t))
+    w = np.zeros_like(t)
+    w[:-1] += du / 2
+    w[1:] += du / 2
+    cg = cg_constant(kernel)
+    energy = np.zeros(spec.n)
+    for i, lam in enumerate(spec.eigenvalues):
+        if lam <= 1e-12:
+            continue
+        energy[i] = np.sum(w * kernel_eval(kernel, t * lam) ** 2)
+        if abs(energy[i] - cg) > grid_tol * cg:
+            raise GridTooCoarse(
+                f"grid energy {energy[i]:.6g} misses C_g {cg:.6g} at eigenvalue {lam:.6g}")
+    vectors = spec.eigenvectors
+    return vectors @ (energy / cg * (vectors.T @ f))
+
+
+def scan_missing_square(doc):
+    """Oracle for the square-coverage check of a k-graph document whose
+    squares are otherwise valid: every composable two-color word (a, b), a in
+    document order, b by color and then id, looked up among the square
+    sides.  The message of the first uncovered word, or None."""
+    sides = {tuple(sq[side]) for sq in doc["squares"] for side in ("left", "right")}
+    for a in doc["edges"]:
+        for color in range(1, doc["k"] + 1):
+            if color == a["color"]:
+                continue
+            for b in sorted(e["id"] for e in doc["edges"]
+                            if e["color"] == color and e["range"] == a["source"]):
+                if (a["id"], b) not in sides:
+                    return f"no square covers the composable pair ({a['id']}, {b})"
+    return None

@@ -193,7 +193,7 @@ def test_criterion_10_laplacian(ledrappier):
         [0, 0, -1, 1, -1, 1, 0, 0],
         [1, 0, 0, 0, 1, -1, -1, 0],
         [0, 0, 0, -1, 0, 0, 1, 0]]
-    delta = kgraph_laplacian(inc)
+    delta = kgraph_laplacian(ledrappier)
     assert delta.tolist() == [
         [4, -2, -1, -1], [-2, 8, -3, -3], [-1, -3, 6, -2], [-1, -3, -2, 6]]
     sd = eig_sym(delta)
@@ -232,7 +232,7 @@ def test_criterion_11_kernel_and_reconstruction(ledrappier):
     numeric = cg_constant_numeric(kernel)
     assert abs(closed - numeric) < 1e-8 * closed
 
-    sd = eig_sym(kgraph_laplacian(incidence_matrices(ledrappier)))
+    sd = eig_sym(kgraph_laplacian(ledrappier))
     rng = np.random.default_rng(17)
     start = time.perf_counter()
     for _ in range(2):

@@ -42,6 +42,14 @@ class TestCommands:
             "cube_condition": "n/a (k<3)", "strongly_connected": True,
         }
 
+    def test_validate_counts_colors_without_edges(self, capsys, tmp_path):
+        doc = tmp_path / "loop.kg"
+        doc.write_text(json.dumps({"k": 3, "vertices": ["v"], "squares": [], "edges": [
+            {"id": "e", "color": 2, "source": "v", "range": "v"}]}))
+        out, _ = run_cli(capsys, "validate", str(doc))
+        (rec,) = records(out)
+        assert rec["edges_per_color"] == {"1": 0, "2": 1, "3": 0}
+
     def test_pf(self, capsys):
         out, _ = run_cli(capsys, "pf", LED, "--hausdorff")
         (rec,) = records(out)
@@ -296,6 +304,14 @@ class TestErrorChannel:
         ("--reconstruct", "SIG", "--tgrid", "1e-3,10,0"),
         ("--reconstruct", "SIG", "--tgrid", "1e-3,10,2.5"),
         ("--wavelet", "--n", "nowhere"),
+        ("--wavelet", "--n", "v", "--t", "nan"),
+        ("--wavelet", "--n", "v", "--t", "-1"),
+        ("--wavelet", "--n", "v", "--t", "inf"),
+        ("--wavelet", "--n", "v", "--t", "0"),
+        ("--localize", "--n", "v", "--m", "v", "--tlist", "0,0.5"),
+        ("--localize", "--n", "v", "--m", "v", "--tlist", "0.5,nan"),
+        ("--localize", "--n", "v", "--m", "v", "--tlist=-1,0.5"),
+        ("--localize", "--n", "v", "--m", "v", "--tlist", "0.5,inf"),
     ])
     def test_spectral_usage_errors_come_before_eigendata(self, capsys, monkeypatch, tmp_path, argv):
         def eig_sym(_):
@@ -307,6 +323,33 @@ class TestErrorChannel:
         _, errtext = run_cli(capsys, "spectral", L3, *argv, expect_exit=1)
         (line,) = errtext.splitlines()
         assert json.loads(line)["error"] == "usage"
+
+    @pytest.mark.parametrize("mode", ["--gft", "--reconstruct"])
+    @pytest.mark.parametrize("text", [
+        "[NaN, 1, 1, 1]", "[1e400, 1, 1, 1]", "[-Infinity, 1, 1, 1]", '["a", 1, 1, 1]',
+        "[[1], 1, 1, 1]", "[true, 1, 1, 1]", "[1, 1, 1, null]", '{"v1": 1}', "1.0",
+    ])
+    def test_signal_must_be_a_list_of_finite_numbers(self, capsys, tmp_path, mode, text):
+        sig = tmp_path / "sig.json"
+        sig.write_text(text)
+        out, errtext = run_cli(capsys, "spectral", LED, mode, str(sig), expect_exit=2)
+        assert out == ""
+        (line,) = errtext.splitlines()
+        assert json.loads(line)["error"] == "parse"
+
+    @pytest.mark.parametrize("mode", ["--gft", "--reconstruct"])
+    def test_integer_signal_reads_as_floats(self, capsys, tmp_path, mode):
+        ints, floats = tmp_path / "ints.json", tmp_path / "floats.json"
+        ints.write_text("[3, -1, 0, 2]")
+        floats.write_text("[3.0, -1.0, 0.0, 2.0]")
+        assert run_cli(capsys, "spectral", LED, mode, str(ints)) == \
+            run_cli(capsys, "spectral", LED, mode, str(floats))
+
+    def test_signal_of_wrong_length_is_a_validation_error(self, capsys, tmp_path):
+        sig = tmp_path / "sig.json"
+        sig.write_text("[1, 2, 3]")
+        _, errtext = run_cli(capsys, "spectral", LED, "--gft", str(sig), expect_exit=3)
+        assert json.loads(errtext)["error"] == "validation"
 
     @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "x"])
     def test_pf_tol_must_be_positive(self, capsys, tol):

@@ -1,6 +1,8 @@
 import json
 import random
+import re
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from kgraphwave import (
     CompositionError,
     DegreeRangeError,
+    KGraph,
     ParseError,
     ValidationError,
     compose,
@@ -21,12 +24,16 @@ from kgraphwave import (
     vertex_path,
 )
 from helpers import (
+    VALID_SQUARES,
     check_confluence,
+    double_cover,
     filtered_paths,
     generated_documents,
     path_count,
     random_word,
     restart_rewrite,
+    scan_missing_square,
+    skeleton_doc,
 )
 
 
@@ -313,6 +320,79 @@ class TestSquaresForceCommutation:
         with pytest.raises(ValidationError) as exc:
             load_kgraph(dropped)
         assert exc.value.reason == "missing_square"
+
+
+class TestCoverageCount:
+    """The count-based coverage check names the same missing pair as the
+    scan it replaced (the oracle in helpers), for every single-square
+    deletion."""
+
+    @staticmethod
+    def check_every_deletion(doc):
+        assert scan_missing_square(doc) is None
+        if doc["k"] == 2:  # the cube check, for k >= 3, scans the words itself
+            with mock.patch.object(KGraph, "_mixed_pairs", side_effect=AssertionError("scanned")):
+                load_kgraph(doc)
+        else:
+            load_kgraph(doc)
+        for i in range(len(doc["squares"])):
+            dropped = {**doc, "squares": doc["squares"][:i] + doc["squares"][i + 1:]}
+            with pytest.raises(ValidationError) as exc:
+                load_kgraph(dropped)
+            assert (exc.value.reason, str(exc.value)) == ("missing_square", scan_missing_square(dropped))
+
+    @settings(max_examples=25, deadline=None)
+    @given(generated_documents())
+    def test_generated(self, doc):
+        self.check_every_deletion(doc)
+
+    def test_fixtures_and_rank_3(self, lambda3, ledrappier, sphere):
+        for graph in (lambda3, ledrappier, sphere):
+            self.check_every_deletion(doc_of(graph))
+        self.check_every_deletion(skeleton_doc(VALID_SQUARES))
+        self.check_every_deletion(double_cover(VALID_SQUARES))
+
+
+class TestRecordChecks:
+    """Well-formed records take the fast path; records of other types are
+    still judged by the checks that name their fault."""
+
+    def test_subclassed_records_load_alike(self, lambda3):
+        class Record(dict):
+            pass
+
+        class Name(str):
+            pass
+
+        doc = doc_of(lambda3)
+        doc["edges"] = [Record(rec, id=Name(rec["id"])) for rec in doc["edges"]]
+        doc["squares"] = [Record(sq) for sq in doc["squares"]]
+        assert load_kgraph(doc).to_document() == doc_of(lambda3)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rec: rec.update(color=True), "edge 'e' color must be an integer"),
+        (lambda rec: rec.update(color=1.0), "edge 'e' color must be an integer"),
+        (lambda rec: rec.update(source=1), "edge 'e' field 'source' must be a string"),
+        (lambda rec: rec.pop("range"), "edge record missing fields: ['range']"),
+        (lambda rec: rec.update(extra=1), "unknown edge fields: ['extra']"),
+    ])
+    def test_malformed_edge_messages(self, lambda3, edit, message):
+        doc = doc_of(lambda3)
+        edit(doc["edges"][0])
+        with pytest.raises(ParseError, match=re.escape(message)):
+            load_kgraph(doc)
+
+    @pytest.mark.parametrize("square, message", [
+        ("e", "square records must be objects"),
+        ({"left": ["e", "f1"]}, "square record must have 'left' and 'right'"),
+        ({"left": ["e", "f1"], "right": ("f2", "e")}, "square sides must be two-edge lists"),
+        ({"left": ["e"], "right": ["f2", "e"]}, "square sides must be two-edge lists"),
+    ])
+    def test_malformed_square_messages(self, lambda3, square, message):
+        doc = doc_of(lambda3)
+        doc["squares"][0] = square
+        with pytest.raises(ParseError, match=re.escape(message)):
+            load_kgraph(doc)
 
 
 def test_rewriting_confluence_exhaustive(lambda3, ledrappier, sphere):

@@ -9,6 +9,7 @@ from kgraphwave import (
     BadWeights,
     CylinderFn,
     DegreeRangeError,
+    DimensionMismatch,
     MeasureSpec,
     NotStronglyConnected,
     NotZeroOne,
@@ -59,6 +60,15 @@ class TestPerronFrobeniusSpec:
         pf = pf_data(ledrappier)
         MeasureSpec.perron_frobenius(ledrappier, pf)  # a given pf is checked against the graph
         assert len(calls) == 3
+
+    def test_pf_data_of_another_graph_rejected(self, lambda3, ledrappier):
+        with pytest.raises(DimensionMismatch):
+            MeasureSpec.perron_frobenius(lambda3, pf=pf_data(ledrappier))
+        with pytest.raises(DimensionMismatch):
+            MeasureSpec.perron_frobenius(ledrappier, pf=pf_data(lambda3))
+        rho_only = PFData(rho=np.array([2.0, 2.0, 2.0]), x_lambda=np.full(4, 0.25))
+        with pytest.raises(DimensionMismatch):
+            MeasureSpec.perron_frobenius(ledrappier, pf=rho_only)
 
     def test_disconnected_graph_rejected(self, sphere):
         with pytest.raises(NotStronglyConnected):

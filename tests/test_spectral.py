@@ -1,9 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import kgraphwave.spectral
 from kgraphwave import (
     AsymmetricInput,
     DimensionMismatch,
@@ -29,9 +33,20 @@ from kgraphwave import (
     probe_kernel,
     reconstruct,
     spectral_wavelet,
+    vertex_matrices,
     wavelet_operator,
 )
-from helpers import quadrature_reconstruct, torus_document, twisted_circulant_document
+from helpers import (
+    generated_documents,
+    gram_laplacian,
+    loop_incidence_matrices,
+    loop_reconstruct,
+    loop_sign_normalize,
+    loop_vertex_matrices,
+    quadrature_reconstruct,
+    torus_document,
+    twisted_circulant_document,
+)
 
 REF_M1 = [
     [0, 1, 0, 0, 0, 0, 0, -1],
@@ -64,7 +79,7 @@ def path_graph(n_edges):
 
 @pytest.fixture(scope="module")
 def led_spectral(ledrappier):
-    return eig_sym(kgraph_laplacian(incidence_matrices(ledrappier)))
+    return eig_sym(kgraph_laplacian(ledrappier))
 
 
 class TestIncidenceAndLaplacian:
@@ -74,12 +89,12 @@ class TestIncidenceAndLaplacian:
         assert inc.edge_orders[1] == ("b", "c", "e", "h", "i", "j", "m", "o")
         assert inc.matrices[0].tolist() == REF_M1
         assert inc.matrices[1].tolist() == REF_M2
-        assert kgraph_laplacian(inc).tolist() == REF_DELTA
+        assert kgraph_laplacian(ledrappier).tolist() == REF_DELTA
 
     def test_loops_give_zero_columns(self, bouquet3):
         inc = incidence_matrices(bouquet3)
         assert np.all(inc.matrices[0] == 0)
-        assert np.all(kgraph_laplacian(inc) == 0)
+        assert np.all(kgraph_laplacian(bouquet3) == 0)
 
     def test_single_edge_column(self):
         g = load_kgraph({
@@ -97,15 +112,15 @@ class TestIncidenceAndLaplacian:
 
     def test_annihilates_constants(self, lambda3, ledrappier, sphere):
         for graph in (lambda3, ledrappier, sphere):
-            delta = kgraph_laplacian(incidence_matrices(graph))
+            delta = kgraph_laplacian(graph)
             ones = np.ones(len(graph.vertices))
             assert np.max(np.abs(delta @ ones)) == 0
 
-    def test_float_product_is_exact(self):
-        inc = incidence_matrices(load_kgraph(twisted_circulant_document(40, (1, 2), (1, 3), 3)))
-        delta = kgraph_laplacian(inc)
+    def test_edge_counts_equal_gram_sum(self):
+        graph = load_kgraph(twisted_circulant_document(40, (0, 1, 2), (1, 3), 3))
+        delta = kgraph_laplacian(graph)
         assert delta.dtype == np.int64
-        assert np.array_equal(delta, sum(m @ m.T for m in inc.matrices))
+        assert np.array_equal(delta, sum(m @ m.T for m in incidence_matrices(graph).matrices))
 
     def test_orientation_invariance(self, ledrappier):
         doc = ledrappier.to_document()
@@ -120,7 +135,7 @@ class TestIncidenceAndLaplacian:
         doc["squares"] = [{"left": s["right"][::-1], "right": s["left"][::-1]}
                           for s in doc["squares"]]
         g2 = load_kgraph(doc)
-        d2 = kgraph_laplacian(incidence_matrices(g2))
+        d2 = kgraph_laplacian(g2)
         assert d2.tolist() == REF_DELTA
 
 
@@ -350,7 +365,7 @@ class TestDiagonalReconstruction:
     ], ids=["ledrappier", "torus 4x5", "circulant 12"])
     def test_agrees_with_operator_quadrature(self, ledrappier, doc):
         graph = ledrappier if doc == "ledrappier" else load_kgraph(doc)
-        spec = eig_sym(kgraph_laplacian(incidence_matrices(graph)))
+        spec = eig_sym(kgraph_laplacian(graph))
         f = np.random.default_rng(spec.n).standard_normal(spec.n)
         rec = reconstruct(spec, default_kernel(), f)
         assert np.max(np.abs(rec - quadrature_reconstruct(spec, default_kernel(), f))) < 1e-12
@@ -379,13 +394,13 @@ class TestLocalization:
     def test_exact_zero_beyond_square_reach(self):
         # the default kernel is exactly x^2 below 1: at small t the wavelet
         # vanishes identically past distance 2
-        sd = eig_sym(kgraph_laplacian(incidence_matrices(path_graph(5))))
+        sd = eig_sym(kgraph_laplacian(path_graph(5)))
         probe = localization_probe(sd, default_kernel(), 0, 3,
                                    np.geomspace(1e-3, 1e-2, 6))
         assert all(r < 1e-12 for _, r in probe.rows)
 
     def test_quadratic_decay_with_probe_kernel(self):
-        sd = eig_sym(kgraph_laplacian(incidence_matrices(path_graph(5))))
+        sd = eig_sym(kgraph_laplacian(path_graph(5)))
         probe = localization_probe(sd, probe_kernel(), 0, 3,
                                    np.geomspace(3e-3, 3e-2, 8))
         assert probe.slope == pytest.approx(2.0, abs=0.1)
@@ -393,7 +408,7 @@ class TestLocalization:
         assert all(a < b for a, b in zip(ratios, ratios[1:]))  # monotone in t
 
     def test_self_localization_bounded_below(self):
-        sd = eig_sym(kgraph_laplacian(incidence_matrices(path_graph(5))))
+        sd = eig_sym(kgraph_laplacian(path_graph(5)))
         probe = localization_probe(sd, probe_kernel(), 0, 0,
                                    np.geomspace(1e-3, 1e-2, 6))
         assert min(r for _, r in probe.rows) > 0.1
@@ -411,3 +426,81 @@ def test_default_tgrid_span(led_spectral):
     assert grid[0] == pytest.approx(1e-4 / led_spectral.eigenvalues[-1])
     positive = led_spectral.eigenvalues[led_spectral.eigenvalues > 1e-12]
     assert grid[-1] == pytest.approx(1e4 / positive.min())
+
+
+def _outcome(fn, *args):
+    """The result of fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (GridTooCoarse, DivergentIntegral) as exc:
+        return type(exc), str(exc)
+
+
+class TestEdgeArraysAgainstLoops:
+    """The edge-array Laplacian, incidence and vertex matrices, the argmax
+    sign flip and the blocked grid energies, bit for bit against the loops
+    they replace (the oracles in helpers)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(generated_documents())
+    def test_matrices(self, doc):
+        graph = load_kgraph(doc)
+        delta = kgraph_laplacian(graph)
+        assert delta.dtype == np.int64 and np.array_equal(delta, gram_laplacian(graph))
+        inc = incidence_matrices(graph)
+        mats, orders = loop_incidence_matrices(graph)
+        assert inc.edge_orders == tuple(orders)
+        assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(inc.matrices, mats))
+        assert all(a.dtype == b.dtype and np.array_equal(a, b)
+                   for a, b in zip(vertex_matrices(graph), loop_vertex_matrices(graph)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(generated_documents())
+    def test_sign_flip(self, doc):
+        delta = kgraph_laplacian(load_kgraph(doc)).astype(float)
+        vectors = eig_sym(delta).eigenvectors
+        assert np.array_equal(vectors, loop_sign_normalize(np.linalg.eigh(delta)[1]))
+
+    @pytest.mark.parametrize("angle", [1e-10, -1e-10, 1e-13, 0.0])
+    def test_sign_flip_at_the_visibility_threshold(self, angle):
+        # a rotation by `angle` in the first two coordinates: the eigenvector
+        # (-sin, cos) leads with an entry just above, or at or below, 1e-12
+        q = np.eye(4)
+        q[:2, :2] = [[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]]
+        delta = q @ np.diag([1.0, 2.0, 3.0, 4.0]) @ q.T
+        delta = (delta + delta.T) / 2
+        vectors = eig_sym(delta).eigenvectors
+        assert np.array_equal(vectors, loop_sign_normalize(np.linalg.eigh(delta)[1]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(generated_documents(), st.integers(1, 40), st.floats(1e-4, 10.0), st.data())
+    def test_blocked_energies(self, doc, rows, lo, data):
+        spec = eig_sym(kgraph_laplacian(load_kgraph(doc)))
+        f = np.array(data.draw(st.lists(st.floats(-10, 10), min_size=spec.n, max_size=spec.n)))
+        # the default grid, and one that misses C_g from some eigenvalue on
+        grids = [None, np.geomspace(lo, 1e4, 400)]
+        with mock.patch.object(kgraphwave.spectral, "_ENERGY_ROWS", rows):
+            for grid in grids:
+                got = _outcome(reconstruct, spec, default_kernel(), f, grid)
+                want = _outcome(loop_reconstruct, spec, default_kernel(), f, grid)
+                if isinstance(want, tuple):
+                    assert got == want
+                else:
+                    assert np.array_equal(got, want)
+
+    def test_coarse_grid_message(self, led_spectral):
+        grid = np.geomspace(1e-3, 1e-1, 10)
+        with pytest.raises(GridTooCoarse) as exc:
+            reconstruct(led_spectral, default_kernel(), np.ones(4), grid)
+        with pytest.raises(GridTooCoarse) as want:
+            loop_reconstruct(led_spectral, default_kernel(), np.ones(4), grid)
+        assert str(exc.value) == str(want.value)
+
+    def test_blocks_on_a_300_vertex_circulant(self):
+        graph = load_kgraph(twisted_circulant_document(300, (1, 2), (1, 3), 7))
+        delta = kgraph_laplacian(graph)
+        assert np.array_equal(delta, gram_laplacian(graph))
+        spec = eig_sym(delta)
+        f = np.random.default_rng(5).standard_normal(spec.n)
+        assert np.array_equal(reconstruct(spec, default_kernel(), f),
+                              loop_reconstruct(spec, default_kernel(), f))
