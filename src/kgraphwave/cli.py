@@ -469,7 +469,7 @@ def main(argv: list[str] | None = None) -> int:
         args.handler(args)
     except err.ParseError as exc:
         _fail(PARSE_EXIT, "parse", exc)
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing or unreadable file, or a directory in its place
         _fail(PARSE_EXIT, "parse", exc)
     except json.JSONDecodeError as exc:
         _fail(PARSE_EXIT, "parse", exc)

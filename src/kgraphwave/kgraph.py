@@ -668,15 +668,16 @@ def _is_int(value) -> bool:
 def load_kgraph(document) -> KGraph:
     """Build and fully validate a KGraph from a document.
 
-    Accepts a dict, a JSON string, or a filesystem path to a ``.kg`` file.
-    Unknown fields are rejected at every level.
+    Accepts a dict, a JSON string, or a filesystem path to a ``.kg`` file,
+    as a `pathlib.Path` or a string that does not start with ``{``.  The
+    text of a file is always read as JSON.  Unknown fields are rejected at
+    every level.
     """
+    if isinstance(document, str) and not document.lstrip().startswith("{"):
+        document = FilePath(document)
     if isinstance(document, FilePath):
         document = document.read_text()
     if isinstance(document, str):
-        stripped = document.lstrip()
-        if not stripped.startswith("{"):
-            document = FilePath(document).read_text()
         try:
             document = json.loads(document)
         except json.JSONDecodeError as exc:
@@ -725,7 +726,9 @@ def load_kgraph(document) -> KGraph:
     for rec in document["squares"]:
         if not (type(rec) is dict and rec.keys() == _SQUARE_FIELDS
                 and type(rec["left"]) is list and type(rec["right"]) is list
-                and len(rec["left"]) == 2 and len(rec["right"]) == 2):
+                and len(rec["left"]) == 2 and len(rec["right"]) == 2
+                and type(rec["left"][0]) is type(rec["left"][1]) is type(rec["right"][0])
+                is type(rec["right"][1]) is str):
             if not isinstance(rec, dict):
                 raise ParseError("square records must be objects")
             unknown = set(rec) - _SQUARE_FIELDS
@@ -736,6 +739,8 @@ def load_kgraph(document) -> KGraph:
             if not (isinstance(rec["left"], list) and isinstance(rec["right"], list)
                     and len(rec["left"]) == 2 and len(rec["right"]) == 2):
                 raise ParseError("square sides must be two-edge lists")
+            if not all(isinstance(e, str) for e in rec["left"] + rec["right"]):
+                raise ParseError("square sides must name edges by their string ids")
         left, right = tuple(rec["left"]), tuple(rec["right"])
         # KGraph._build_swap rejects squares that name unknown edges
         pair = (edge_color.get(left[0]), edge_color.get(left[1]))

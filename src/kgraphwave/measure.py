@@ -1,11 +1,16 @@
 """Measures on the infinite path space and finite cylinder functions.
 
-Two measure kinds are supported.  The Perron-Frobenius measure of a strongly
-connected k-graph assigns a cylinder Z(lambda) the mass
-prod_i rho_i**(-d_i) * x_{s(lambda)}; the Bernoulli measure lives on the
-1-vertex bouquet graph and assigns a word cylinder the product of its letter
-weights.  Both have constant Radon-Nikodym derivative under prefixing, which
-is what makes every wavelet construction downstream work.
+Every measure is one model, a triple (rho, x, w): a spectral radius rho_i
+per color, a weight x_v per vertex and a weight w_e per edge give the
+cylinder Z(lambda) the mass
+
+    M(Z(lambda)) = rho^{-d(lambda)} * x_{s(lambda)} * prod_{e in lambda} w_e.
+
+The Perron-Frobenius measure of a strongly connected k-graph takes rho and x
+from its PF data and w = 1; the Bernoulli measure on the 1-vertex bouquet
+takes rho = 1, x = 1 and the letter weights as w.  Either way prefixing by
+lambda has the constant Radon-Nikodym derivative rho^{-d(lambda)} * prod w_e,
+which is what makes every wavelet construction downstream work.
 
 A CylinderFn is a finite real combination of cylinder indicators.  Functions
 at mixed degrees are compared and integrated by refining to a common degree
@@ -15,6 +20,7 @@ minimal common extensions.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Mapping, Sequence
@@ -41,121 +47,94 @@ from .perron import PFData, is_strongly_connected, pf_data, rational_pf_data
 
 
 class MeasureSpec:
-    """A cylinder-set measure: Perron-Frobenius on any strongly connected
-    graph, or Bernoulli on a bouquet.  ``exact=True`` switches
-    ``cylinder_measure`` to Fraction arithmetic (PF kind requires integer
-    spectral radii for that)."""
+    """The cylinder-set measure of a triple (rho, x, w) on a graph, held as
+    float arrays ``rho`` (per color), ``x`` (per vertex, in graph order) and
+    ``w`` (per edge, in id order, the order of word-kernel entries).
+
+    An exact spec also holds the triple as exact rationals (Fractions, and
+    int edge weights 1), and its masses are Fractions; prefix factors read
+    the float triple either way.  ``kind``, ``pf`` and ``weights`` record
+    which constructor made the triple: `perron_frobenius` or `bernoulli`."""
 
     PF = "perron-frobenius"
     BERNOULLI = "bernoulli"
 
-    def __init__(self, kind: str, graph: KGraph, pf: PFData | None = None,
-                 weights: Sequence[float] | None = None, exact: bool = False):
-        self.kind = kind
-        self.graph = graph
-        self.exact = exact
-        self.pf = pf
-        self.weights = None
-        self._exact_rho = None
-        self._exact_x = None
-        if kind == self.PF:
-            if pf is None:
-                raise ValueError("PF measure needs PFData")
-            if len(pf.rho) != graph.k or len(pf.x_lambda) != len(graph.vertices):
-                raise DimensionMismatch(
-                    f"PF data with {len(pf.rho)} radii and {len(pf.x_lambda)} vertex entries "
-                    f"does not fit a graph of {graph.k} colors and {len(graph.vertices)} vertices")
-            if exact:
-                self._exact_rho, self._exact_x = rational_pf_data(graph, pf)
-        elif kind == self.BERNOULLI:
-            if weights is None:
-                raise ValueError("Bernoulli measure needs letter weights")
-            self._check_bouquet(graph)
-            self.alphabet = tuple(sorted(graph.edges))
-            if len(weights) != len(self.alphabet):
-                raise BadWeights(f"need {len(self.alphabet)} weights, got {len(weights)}")
-            wsum = sum(Fraction(w) if isinstance(w, Rational) else w for w in weights)
-            if any(not 0 < float(w) < 1 for w in weights) or abs(float(wsum) - 1.0) > 1e-12:
-                raise BadWeights("weights must lie in (0,1) and sum to 1")
-            if exact and not all(isinstance(w, Rational) for w in weights):
-                raise BadWeights("exact Bernoulli mode needs rational weights")
-            self.weights = tuple(weights)
-            self._letter_index = {a: i for i, a in enumerate(self.alphabet)}
-        else:
-            raise ValueError(f"unknown measure kind {kind!r}")
-
-    @staticmethod
-    def _check_bouquet(graph: KGraph):
-        if len(graph.vertices) != 1 or graph.k != 1:
-            raise BadWeights("Bernoulli measure lives on the 1-vertex, 1-color bouquet")
+    def __init__(self, kind: str, graph: KGraph, triple: tuple, exact_triple: tuple | None = None,
+                 pf: PFData | None = None, weights: Sequence | None = None):
+        self.kind, self.graph, self.pf, self.weights = kind, graph, pf, weights
+        self.exact = exact_triple is not None
+        self.rho, self.x, self.w = (np.asarray(a, dtype=float) for a in triple)
+        self._masses = (self.rho, self.x, self.w) if exact_triple is None else \
+            tuple(np.array(a, dtype=object) for a in exact_triple)
+        self._w_root = np.array([v ** -0.5 for v in self.w.tolist()])
+        self._scales: dict[Degree, object] = {}  # rho^{-L} of the mass triple, per level
 
     @classmethod
     def perron_frobenius(cls, graph: KGraph, pf: PFData | None = None,
                          exact: bool = False) -> "MeasureSpec":
+        """rho and x from the PF data, w = 1; ``exact`` needs integer
+        spectral radii."""
         if pf is None:
             pf = pf_data(graph)  # checks strong connectivity itself
         elif not is_strongly_connected(graph):
             raise NotStronglyConnected("PF measure needs a strongly connected graph")
-        return cls(cls.PF, graph, pf=pf, exact=exact)
+        if len(pf.rho) != graph.k or len(pf.x_lambda) != len(graph.vertices):
+            raise DimensionMismatch(
+                f"PF data with {len(pf.rho)} radii and {len(pf.x_lambda)} vertex entries "
+                f"does not fit a graph of {graph.k} colors and {len(graph.vertices)} vertices")
+        exact_triple = None
+        if exact:
+            rho, x = rational_pf_data(graph, pf)
+            exact_triple = [Fraction(r) for r in rho], x, [1] * len(graph.edges)
+        return cls(cls.PF, graph, (pf.rho, pf.x_lambda, np.ones(len(graph.edges))), exact_triple, pf=pf)
 
     @classmethod
     def bernoulli(cls, graph: KGraph, weights: Sequence[float],
                   exact: bool = False) -> "MeasureSpec":
-        return cls(cls.BERNOULLI, graph, weights=weights, exact=exact)
+        """rho = 1 and x = 1 on the bouquet, the letter weights as w, in
+        letter (edge id) order; ``exact`` needs rational weights."""
+        if len(graph.vertices) != 1 or graph.k != 1:
+            raise BadWeights("Bernoulli measure lives on the 1-vertex, 1-color bouquet")
+        if len(weights) != len(graph.edges):
+            raise BadWeights(f"need {len(graph.edges)} weights, got {len(weights)}")
+        wsum = sum(Fraction(w) if isinstance(w, Rational) else w for w in weights)
+        if any(not 0 < float(w) < 1 for w in weights) or abs(float(wsum) - 1.0) > 1e-12:
+            raise BadWeights("weights must lie in (0,1) and sum to 1")
+        if exact and not all(isinstance(w, Rational) for w in weights):
+            raise BadWeights("exact Bernoulli mode needs rational weights")
+        weights = tuple(weights)
+        one = (Fraction(1),)
+        exact_triple = (one, one, [Fraction(w) for w in weights]) if exact else None
+        return cls(cls.BERNOULLI, graph, ((1.0,), (1.0,), weights), exact_triple, weights=weights)
 
     def prefix_factor(self, path: Path) -> float:
         """The constant value of (d(M o sigma_path)/dM)^{-1/2} on Z(s(path)):
         the isometry normalization of the prefixing operator."""
         return float(self.prefix_factors(path.degree, self.graph.word_kernel.word(path)[None, :])[0])
 
-    # Word-kernel rows hold edge indices in id order, which on a bouquet is
-    # the alphabet order: a row's entries index ``weights`` directly.
-
     def prefix_factors(self, degree: Degree, words: np.ndarray) -> np.ndarray:
         """`prefix_factor` of each path of one degree, from word-kernel rows:
-        rho^{d/2} for PF, the product of the letters' w^{-1/2} for Bernoulli."""
-        if self.kind == self.PF:
-            factor = float(np.prod(np.asarray(self.pf.rho) ** (np.asarray(degree) / 2.0)))
-            return np.full(len(words), factor)
-        return _column_product(np.array([float(w) ** -0.5 for w in self.weights]), words)
+        rho^{d/2} times the product of the edges' w^{-1/2}, from the float
+        triple."""
+        return np.prod(self.rho ** (np.asarray(degree) / 2.0)) * np.multiply.reduce(self._w_root[words], axis=1)
 
     def level_weights(self, level: Degree, words: np.ndarray, sources: np.ndarray) -> np.ndarray:
-        """float `cylinder_measure` of each path of one level, from word-kernel
-        rows and source vertex indices, in float mode: one gather for PF, a
-        column-by-column product of letter weights for Bernoulli."""
-        if self.kind == self.PF:
-            return self.pf.rho_pow(tuple(-d for d in level)) * np.asarray(self.pf.x_lambda)[sources]
-        return _column_product(np.array([float(w) for w in self.weights]), words)
+        """`cylinder_measure` of each path of one level, from word-kernel rows
+        and source vertex indices: rho^{-L} * x[source] times the product of
+        the edges' w.  Fractions, in an object array, for an exact spec.
 
-
-def _column_product(letters: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Per row, the product of the letters' values left to right, as a loop
-    over the word multiplies them."""
-    out = np.ones(len(words))
-    for column in words.T:
-        out = out * letters[column]
-    return out
+        Each product runs left to right, as a reduction by np.multiply does."""
+        rho, x, w = self._masses
+        if level not in self._scales:  # math.prod: np.prod's order, without its object-array cost
+            self._scales[level] = math.prod(rho ** -np.array(level, dtype=rho.dtype))
+        return self._scales[level] * x[sources] * np.multiply.reduce(w[words], axis=1)
 
 
 def cylinder_measure(spec: MeasureSpec, path: Path):
-    """Mass of the cylinder Z(path); Fraction in exact mode, float otherwise."""
-    if spec.kind == MeasureSpec.PF:
-        if spec.exact:
-            value = spec._exact_x[spec.graph.vertex_index[path.source]]
-            for r, d in zip(spec._exact_rho, path.degree):
-                value *= Fraction(1, r) ** d
-            return value
-        return float(spec.pf.rho_pow(tuple(-d for d in path.degree))
-                     * spec.pf.x_lambda[spec.graph.vertex_index[path.source]])
-    if spec.exact:
-        value = Fraction(1)
-        for a in path.word:
-            value *= Fraction(spec.weights[spec._letter_index[a]])
-        return value
-    value = 1.0
-    for a in path.word:
-        value *= float(spec.weights[spec._letter_index[a]])
-    return value
+    """Mass of the cylinder Z(path), one row of `MeasureSpec.level_weights`:
+    a Fraction for an exact spec, a float otherwise."""
+    words, _, sources = spec.graph.word_kernel.row(path)
+    return spec.level_weights(path.degree, words, sources).item(0)
 
 
 class CylinderFn:

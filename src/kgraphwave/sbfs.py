@@ -35,7 +35,7 @@ from .kgraph import (
     deg_le,
     deg_sub,
 )
-from .measure import CylinderFn, MeasureSpec, cylinder_measure
+from .measure import CylinderFn, MeasureSpec
 
 
 @dataclass(frozen=True)
@@ -60,10 +60,6 @@ class LevelSpace:
     @cached_property
     def basis(self) -> tuple[Path, ...]:
         return tuple(self.graph.word_kernel.paths((self.words, self.ranges, self.sources), self.level))
-
-    @cached_property
-    def index(self) -> dict[Path, int]:
-        return {p: i for i, p in enumerate(self.basis)}
 
     def _extension_indices(self, path: Path) -> np.ndarray:
         """The positions of the paths path * mu, d(mu) = level - d(path),
@@ -121,13 +117,9 @@ class LevelSpace:
 
 def level_space(spec: MeasureSpec, level: Sequence[int]) -> LevelSpace:
     level = as_degree(level, spec.graph.k)
-    kernel = spec.graph.word_kernel
-    words, ranges, sources = kernel.level(level)
-    if spec.exact:  # Fractions, rounded path by path
-        weights = np.array([float(cylinder_measure(spec, p))
-                            for p in kernel.paths((words, ranges, sources), level)])
-    else:
-        weights = spec.level_weights(level, words, sources)
+    words, ranges, sources = spec.graph.word_kernel.level(level)
+    # an exact spec's masses are Fractions, rounded one by one
+    weights = np.asarray(spec.level_weights(level, words, sources), dtype=float)
     return LevelSpace(spec.graph, spec, level, words, ranges, sources, weights)
 
 

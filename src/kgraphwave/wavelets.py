@@ -31,7 +31,7 @@ from .kgraph import (
     enumerate_paths,
     vertex_path,
 )
-from .measure import CylinderFn, MeasureSpec, cylinder_measure
+from .measure import CylinderFn, MeasureSpec
 from .orthobasis import complement_basis, constant_unit_vector
 from .perron import PFData, pf_data
 from .sbfs import LevelSpace, level_space
@@ -78,11 +78,12 @@ def build_wavelet_family(graph: KGraph, pf: PFData | None = None,
     blocks = {}
     scaling = []
     wavelets = []
-    for v in graph.vertices:
+    space = level_space(spec, shape)  # D_v^J is the paths of range v, in order
+    for i, v in enumerate(graph.vertices):
         paths = tuple(enumerate_paths(graph, shape, range=v))
         if not paths:
             raise EmptyDv(f"no paths of shape {shape} reach vertex {v}")
-        weights = np.array([float(cylinder_measure(spec, p)) for p in paths])
+        weights = space.weights[space.ranges == i]
         c = np.vstack([constant_unit_vector(weights)[None, :], complement_basis(weights)])
         blocks[v] = VertexBlock(v, paths, c)
         # the constant row rebuilds Theta_v / sqrt(M(Z(v))) after coarsening
@@ -366,8 +367,7 @@ def markov_wavelets(n_letters: int, weights: Sequence[float], depth: int) -> Mar
         raise BadWeights("depth must be >= 0")
     graph = bouquet_graph(n_letters)
     spec = MeasureSpec.bernoulli(graph, weights)
-    letters = spec.alphabet
-    p = np.array([float(w) for w in spec.weights])
+    letters, p = graph.edge_ids, spec.w
     level = depth + 1
     space = level_space(spec, (level,))
     kernel = graph.word_kernel

@@ -3,14 +3,18 @@ gate.  Each function returns the worst deviation it saw (0.0 for exact
 combinatorial checks) and raises AssertionError on failure."""
 
 import random
+import sys
+from fractions import Fraction
 from itertools import permutations, product
 
 import numpy as np
 from hypothesis import strategies as st
 
+import kgraphwave
 from kgraphwave import (
     CylinderFn,
     GridTooCoarse,
+    LevelSpace,
     MeasureSpec,
     bouquet_graph,
     cg_constant,
@@ -23,6 +27,7 @@ from kgraphwave import (
     kernel_eval,
     level_space,
     normal_form,
+    rational_pf_data,
     refine,
     s_apply,
     s_matrix,
@@ -31,7 +36,7 @@ from kgraphwave import (
     vertex_path,
     wavelet_operator,
 )
-from kgraphwave.kgraph import deg_add, deg_sub
+from kgraphwave.kgraph import WordKernel, deg_add, deg_sub
 from kgraphwave.orthobasis import complement_basis
 
 
@@ -337,7 +342,7 @@ def pointwise_prefix_factor(spec, path):
     Bernoulli the product of the letters' w^{-1/2} taken by numpy."""
     if spec.kind == spec.PF:
         return float(np.prod(np.asarray(spec.pf.rho) ** (np.asarray(path.degree) / 2.0)))
-    letter = {a: i for i, a in enumerate(spec.alphabet)}
+    letter = spec.graph.edge_position
     return float(np.prod([float(spec.weights[letter[a]]) ** -0.5 for a in path.word]))
 
 
@@ -351,9 +356,50 @@ def refine_vector_of(space, f):
     return vec
 
 
-def per_path_weights(spec, level):
-    """Oracle for the level-space weights: `cylinder_measure` path by path."""
-    return np.array([float(cylinder_measure(spec, p)) for p in enumerate_paths(spec.graph, level)])
+def per_kind_masses(spec, level):
+    """Oracle for the (rho, x, w) measure model: the formulas it replaced,
+    one per measure kind, for the paths of one level in `enumerate_paths`
+    order.  Returns the prefix factors (`MeasureSpec.prefix_factors`), the
+    level-space weights and the cylinder masses (`cylinder_measure`, and
+    `MeasureSpec.level_weights`), Fractions for an exact spec.
+
+    PF: rho^{d/2}; rho_pow(-L) * x[source]; exactly, x[source] times
+    (1/rho_i)^{L_i} for the integer radii of `rational_pf_data`.
+    Bernoulli: the letters' w^{-1/2} and w multiplied left to right."""
+    graph = spec.graph
+    paths = enumerate_paths(graph, level)
+    words, _, sources = graph.word_kernel.level(tuple(level))
+    if spec.kind == spec.PF:
+        factors = np.full(len(paths), float(np.prod(np.asarray(spec.pf.rho) ** (np.asarray(level) / 2.0))))
+        floats = spec.pf.rho_pow(tuple(-d for d in level)) * np.asarray(spec.pf.x_lambda)[sources]
+        if not spec.exact:
+            return factors, floats, floats.tolist()
+        rho, x = rational_pf_data(graph, spec.pf)
+        masses = []
+        for p in paths:
+            value = x[graph.vertex_index[p.source]]
+            for r, d in zip(rho, p.degree):
+                value *= Fraction(1, r) ** d
+            masses.append(value)
+        return factors, np.array([float(m) for m in masses]), masses
+
+    def column_product(letters):
+        out = np.ones(len(words))
+        for column in words.T:
+            out = out * letters[column]
+        return out
+
+    factors = column_product(np.array([float(w) ** -0.5 for w in spec.weights]))
+    floats = column_product(np.array([float(w) for w in spec.weights]))
+    if not spec.exact:
+        return factors, floats, floats.tolist()
+    masses = []
+    for p in paths:
+        value = Fraction(1)
+        for a in p.word:
+            value *= Fraction(spec.weights[graph.edge_position[a]])
+        masses.append(value)
+    return factors, np.array([float(m) for m in masses]), masses
 
 
 def compose_prefix_map(spec, path, level):
@@ -369,6 +415,24 @@ def compose_prefix_map(spec, path, level):
         np.array([float(cylinder_measure(spec, compose(path, dom[j]))) for j in cols])
         / np.array([float(cylinder_measure(spec, dom[j])) for j in cols]))
     return np.array(rows, dtype=int), np.array(cols, dtype=int), vals
+
+
+def forbid_path_building(monkeypatch):
+    """Make `refine`, `s_apply`, `LevelSpace.basis` and `WordKernel.paths`
+    raise, in every kgraphwave namespace that holds them, and `enumerate_paths`
+    and `compose` in `kgraphwave.sbfs`."""
+    def boom(*args, **kwargs):
+        raise AssertionError("output built Path objects")
+
+    for name, module in list(sys.modules.items()):
+        if name == "kgraphwave" or name.startswith("kgraphwave."):
+            for attr in ("refine", "s_apply"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, boom)
+    monkeypatch.setattr(LevelSpace, "basis", property(boom))
+    monkeypatch.setattr(WordKernel, "paths", boom)
+    for attr in ("enumerate_paths", "compose"):
+        monkeypatch.setattr(kgraphwave.sbfs, attr, boom, raising=False)
 
 
 def dense_listing(basis):
@@ -397,7 +461,7 @@ def markov_member_records(n_letters, weights, depth):
     the two-letter base wavelet, then `refine`d to the common level."""
     graph = bouquet_graph(n_letters)
     spec = MeasureSpec.bernoulli(graph, weights)
-    letters = spec.alphabet
+    letters = graph.edge_ids
     p = np.array([float(w) for w in spec.weights])
     c_rows = complement_basis(p)
     labels, functions = [], []

@@ -1,15 +1,13 @@
 import hashlib
 import json
-import sys
 
 import numpy as np
 import pytest
 
 import kgraphwave
-from kgraphwave import CylinderFn, LevelSpace, WaveletBasis, fixture_path, load_kgraph, normal_form
+from kgraphwave import CylinderFn, WaveletBasis, fixture_path, load_kgraph, normal_form
 from kgraphwave.cli import main
-from kgraphwave.kgraph import WordKernel
-from helpers import random_cylinder_fn, torus_document, twisted_circulant_document
+from helpers import forbid_path_building, random_cylinder_fn, torus_document, twisted_circulant_document
 
 LED = str(fixture_path("ledrappier"))
 L3 = str(fixture_path("lambda3"))
@@ -430,8 +428,12 @@ class TestErrorChannel:
         lambda doc: doc["edges"][0].update(id=["e"]),
         lambda doc: doc["edges"][0].update(source=None),
         lambda doc: doc["edges"][0].update(range=["v"]),
+        lambda doc: doc["squares"][0].update(left=[["e"], "f1"]),
+        lambda doc: doc["squares"][0].update(left=[{"a": 1}, 3]),
+        lambda doc: doc["squares"][0].update(right=["f2", 3]),
     ], ids=["edges number", "squares number", "edges object", "k true", "color true",
-            "id number", "id list", "source null", "range list"])
+            "id number", "id list", "source null", "range list", "square side list",
+            "square side object", "square side number"])
     def test_malformed_graph_documents(self, capsys, tmp_path, edit):
         doc = json.loads(open(L3).read())
         edit(doc)
@@ -440,6 +442,22 @@ class TestErrorChannel:
         _, errtext = run_cli(capsys, "validate", str(bad), expect_exit=2)
         (line,) = errtext.splitlines()
         assert json.loads(line)["error"] == "parse"
+
+    @pytest.mark.parametrize("text", [LED, ""], ids=["a filename", "empty"])
+    def test_file_text_is_json(self, capsys, tmp_path, text):
+        # the text of a graph file is never opened as another path
+        bad = tmp_path / "bad.kg"
+        bad.write_text(text)
+        _, errtext = run_cli(capsys, "validate", str(bad), expect_exit=2)
+        (line,) = errtext.splitlines()
+        assert json.loads(line)["error"] == "parse"
+
+    @pytest.mark.parametrize("where", ["graph", "out"])
+    def test_directory_in_place_of_a_file(self, capsys, tmp_path, where):
+        argv = ["validate", str(tmp_path)] if where == "graph" else ["validate", L3, "--out", str(tmp_path)]
+        out, errtext = run_cli(capsys, *argv, expect_exit=2)
+        (line,) = errtext.splitlines()
+        assert json.loads(line)["error"] == "parse" and out == ""
 
     @pytest.mark.parametrize("mode,line", [
         ("--synthesize", '{"x": 1}'),
@@ -534,24 +552,6 @@ GOLDEN_MARKOV = [
 def test_markov_golden_stdout(argv, digest, capsys):
     out, _ = run_cli(capsys, "markov", *argv)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-def forbid_path_building(monkeypatch):
-    """Make `refine`, `s_apply`, `LevelSpace.basis` and `WordKernel.paths`
-    raise, in every kgraphwave namespace that holds them, and `enumerate_paths`
-    and `compose` in `kgraphwave.sbfs`."""
-    def boom(*args, **kwargs):
-        raise AssertionError("output built Path objects")
-
-    for name, module in list(sys.modules.items()):
-        if name == "kgraphwave" or name.startswith("kgraphwave."):
-            for attr in ("refine", "s_apply"):
-                if hasattr(module, attr):
-                    monkeypatch.setattr(module, attr, boom)
-    monkeypatch.setattr(LevelSpace, "basis", property(boom))
-    monkeypatch.setattr(WordKernel, "paths", boom)
-    for attr in ("enumerate_paths", "compose"):
-        monkeypatch.setattr(kgraphwave.sbfs, attr, boom, raising=False)
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,6 +3,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kgraphwave
 from kgraphwave import (
@@ -14,19 +16,29 @@ from kgraphwave import (
     NotStronglyConnected,
     NotZeroOne,
     PFData,
+    bouquet_graph,
     cylinder_fns_equal,
     cylinder_measure,
     embed_to_interval,
     enumerate_paths,
+    fixture_path,
     inner_product,
+    level_space,
     load_kgraph,
+    load_kgraph_file,
     mce,
     normal_form,
     pf_data,
     refine,
     vertex_path,
 )
-from helpers import check_ip_refinement_invariance, check_measure_additivity
+from helpers import (
+    check_ip_refinement_invariance,
+    check_measure_additivity,
+    per_kind_masses,
+    torus_document,
+    twisted_circulant_document,
+)
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +123,54 @@ class TestCylinderMeasure:
             MeasureSpec.bernoulli(bouquet2, (1.2, -0.2))
         with pytest.raises(BadWeights):
             MeasureSpec.bernoulli(lambda3, (0.5, 0.5))
+
+
+@st.composite
+def measures(draw):
+    """A float or exact measure: PF on a generated torus, on a twisted
+    circulant (rho = 2, or rho = 3 with three shifts per color) or on
+    bouquet-3, or Bernoulli on a bouquet with float or Fraction weights."""
+    kind = draw(st.sampled_from(["torus", "circulant", "circulant-3", "bouquet-3", "bernoulli"]))
+    exact = draw(st.booleans())
+    if kind == "bernoulli":
+        graph = bouquet_graph(draw(st.integers(2, 4)))
+        size = len(graph.edges)
+        if exact or draw(st.booleans()):
+            parts = draw(st.lists(st.integers(1, 9), min_size=size, max_size=size))
+            weights = [Fraction(a, sum(parts)) for a in parts]
+        else:
+            parts = draw(st.lists(st.floats(0.01, 1.0), min_size=size, max_size=size))
+            weights = [a / sum(parts) for a in parts]
+        return MeasureSpec.bernoulli(graph, weights, exact=exact)
+    seed = draw(st.integers(0, 2 ** 16))
+    if kind == "torus":
+        graph = load_kgraph(torus_document(draw(st.integers(1, 3)), draw(st.integers(1, 3))))
+    elif kind == "circulant":
+        graph = load_kgraph(twisted_circulant_document(draw(st.integers(3, 6)), (1, 2), (1, 2), seed))
+    elif kind == "circulant-3":
+        graph = load_kgraph(twisted_circulant_document(7, (1, 2, 3), (1, 2, 4), seed))
+    else:
+        graph = load_kgraph_file(fixture_path("bouquet-3"))
+    return MeasureSpec.perron_frobenius(graph, exact=exact)
+
+
+class TestOneModel:
+    """The (rho, x, w) model gives the per-kind formulas' values to the last
+    bit: prefix factors, level-space weights and masses, float and exact."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(measures())
+    def test_against_per_kind_formulas(self, spec):
+        graph = spec.graph
+        # words of up to four letters on a bouquet, where their order matters
+        for level in product(range(5 if graph.k == 1 else 3), repeat=graph.k):
+            factors, weights, masses = per_kind_masses(spec, level)
+            words, _, sources = graph.word_kernel.level(level)
+            assert np.array_equal(spec.prefix_factors(level, words), factors)
+            assert np.array_equal(level_space(spec, level).weights, weights)
+            assert np.array_equal(spec.level_weights(level, words, sources), masses)
+            got = [cylinder_measure(spec, p) for p in enumerate_paths(graph, level)]
+            assert got == masses and list(map(type, got)) == list(map(type, masses))
 
 
 class TestRefine:

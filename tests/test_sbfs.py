@@ -96,7 +96,7 @@ class TestSMatrix:
         for j, w in enumerate(dom.basis):
             col = op.matrix[:, j]
             assert np.linalg.norm(col) == pytest.approx(1.0, abs=1e-14)
-            target = cod.index[normal_form(g, ["0", *w.word])]
+            target = g.word_kernel.rank(g.word_kernel.word(normal_form(g, ["0", *w.word]))[None, :], cod.level)[0]
             assert col[target] == pytest.approx(1.0, abs=1e-14)
 
     def test_vertex_projection(self, specL):
@@ -207,6 +207,14 @@ class TestCKRelations:
         spec = MeasureSpec.bernoulli(bouquet2, (Fraction(1, 4), Fraction(3, 4)))
         assert check_ck_relations(spec, bouquet2, (3,)).max_deviation < 1e-12
 
+    def test_exact_specs_build_no_paths(self, monkeypatch, lambda3, bouquet2):
+        # exact masses come from word-kernel rows, as float ones do
+        cases = [(MeasureSpec.perron_frobenius(lambda3, exact=True), (2, 2)),
+                 (MeasureSpec.bernoulli(bouquet2, (Fraction(1, 4), Fraction(3, 4)), exact=True), (3,))]
+        expected = [check_ck_relations(spec, spec.graph, level).to_records() for spec, level in cases]
+        helpers.forbid_path_building(monkeypatch)
+        assert [check_ck_relations(spec, spec.graph, level).to_records() for spec, level in cases] == expected
+
     def test_level_too_small(self, spec3, lambda3):
         with pytest.raises(LevelTooSmall):
             check_ck_relations(spec3, lambda3, (0, 2))
@@ -216,7 +224,7 @@ class TestCKRelations:
             def prefix_factors(self, degree, words):
                 return super().prefix_factors(degree, words) * (1 + 1e-6)
 
-        spec = Skewed(MeasureSpec.PF, lambda3, pf=pf_data(lambda3))
+        spec = Skewed.perron_frobenius(lambda3, pf=pf_data(lambda3))
         with pytest.raises(NonConstantDerivative):
             s_matrix(spec, normal_form(lambda3, ["e"]), (0, 1))
         with pytest.raises(NonConstantDerivative):

@@ -35,7 +35,7 @@ from helpers import (
     compose_prefix_map,
     dense_listing,
     double_cover,
-    per_path_weights,
+    per_kind_masses,
     random_cylinder_fn,
     refine_vector_of,
     torus_document,
@@ -92,7 +92,7 @@ class TestLevels:
             if any(degree):
                 assert np.array_equal(kernel.rank(rows[0], degree), np.arange(len(paths)))
             space = level_space(spec, degree)
-            assert np.array_equal(space.weights, per_path_weights(spec, degree))
+            assert np.array_equal(space.weights, per_kind_masses(spec, degree)[1])
             assert space.basis == tuple(paths)
 
     @pytest.mark.parametrize("spec", [
@@ -102,7 +102,7 @@ class TestLevels:
     def test_exact_weights(self, spec):
         spec = spec()
         for degree in product(range(3), repeat=spec.graph.k):
-            assert np.array_equal(level_space(spec, degree).weights, per_path_weights(spec, degree))
+            assert np.array_equal(level_space(spec, degree).weights, per_kind_masses(spec, degree)[1])
 
     @PROPERTY
     @given(measured_graphs(), st.integers(0, 2 ** 32 - 1))
