@@ -208,7 +208,7 @@ def _cmd_validate(args):
         "k": graph.k,
         "vertices": len(graph.vertices),
         "edges_per_color": per_color,
-        "squares": len(graph.squares),
+        "squares": len(graph.square_edges),
         "cube_condition": "checked" if graph.k >= 3 else "n/a (k<3)",
         "strongly_connected": is_strongly_connected(graph),
     }])

@@ -15,7 +15,6 @@ deterministic: edge ids sort lexicographically, path lists sort by word.
 from __future__ import annotations
 
 import json
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache, cached_property
 from pathlib import Path as FilePath
@@ -117,123 +116,183 @@ class FactorizationSquare:
     right: tuple[str, str]
 
 
+def _lookup(table: dict, keys: list) -> np.ndarray:
+    """table[key] for each key, as an intp array with -1 for a missing key."""
+    try:
+        return np.fromiter(map(table.__getitem__, keys), np.intp, len(keys))
+    except KeyError:
+        return np.array([table.get(key, -1) for key in keys], dtype=np.intp)
+
+
 class KGraph:
-    """A finite k-graph: validated skeleton plus factorization squares."""
+    """A finite k-graph: validated skeleton plus factorization squares.
+
+    The graph is held as columns.  Edge i is the i-th id in sorted order:
+    ``edge_ids``, ``edge_position`` (id to i), and the ``edge_color``,
+    ``edge_source`` and ``edge_range`` (vertex index) of each as read-only
+    intp arrays.  ``square_edges`` holds one row per square, in document
+    order: the edges of its left (ascending) side, then of its right side.
+    `edges`, `squares`, the swap table and the range index are views of the
+    columns, built on first read.
+    """
 
     def __init__(self, k: int, vertices: Sequence[str], edges: Iterable[Edge],
                  squares: Iterable[FactorizationSquare]):
+        edges, squares = list(edges), list(squares)
+        self._validate(k, vertices, [e.id for e in edges], [e.color for e in edges],
+                       [e.source for e in edges], [e.range for e in edges],
+                       [(*sq.left, *sq.right) for sq in squares],
+                       [sq.color_pair for sq in squares])
+
+    @classmethod
+    def _from_columns(cls, k: int, vertices: Sequence[str], ids: Sequence[str],
+                      colors: Sequence[int], sources: Sequence[str], ranges: Sequence[str],
+                      squares: Sequence[Sequence[str]]) -> "KGraph":
+        """The graph of the edges (ids[i], colors[i], sources[i], ranges[i])
+        and the squares (left[0], left[1], right[0], right[1]), each in
+        document order, with the checks of the constructor."""
+        graph = cls.__new__(cls)
+        graph._validate(k, vertices, ids, colors, sources, ranges, squares)
+        return graph
+
+    # -- construction-time validation -------------------------------------
+
+    def _validate(self, k, vertices, ids, colors, sources, ranges, squares, color_pairs=None):
+        """Fill the columns and check them.  Each check names the first
+        offender in document order: duplicate ids, the skeleton (colors and
+        vertex references, edge by edge), the squares, their coverage and,
+        for k >= 3, the cube condition."""
         self.k = int(k)
         self.vertices = tuple(vertices)
-        self.vertex_index = {v: i for i, v in enumerate(self.vertices)}
-        edges = list(edges)
-        if len({e.id for e in edges}) != len(edges):
+        self.vertex_index = index = {v: i for i, v in enumerate(self.vertices)}
+        self.edge_ids = tuple(sorted(ids))
+        self.edge_position = position = dict(zip(self.edge_ids, range(len(ids))))
+        if len(position) != len(ids):
             raise ValidationError("duplicate_id", "duplicate edge ids")
-        self.edges = {e.id: e for e in edges}
-        self.squares = tuple(squares)
-        self._validate_skeleton()
-        self._index_edges()
-        self._swap = self._build_swap()
+        if self.k < 1:
+            raise ValidationError("color_out_of_range", f"k must be >= 1, got {self.k}")
+        if len(index) != len(self.vertices):
+            raise ValidationError("duplicate_id", "duplicate vertex names")
+
+        count = len(ids)
+        try:
+            color = np.array(colors, dtype=np.intp).reshape(count)
+        except OverflowError:  # a color beyond the machine integers is out of range
+            color = np.array([c if 1 <= c <= self.k else 0 for c in colors], dtype=np.intp)
+        source, range_ = _lookup(index, sources), _lookup(index, ranges)
+        faults = np.array([(color < 1) | (color > self.k), source < 0, range_ < 0]).T
+        if faults.any():
+            i = int(np.argmax(faults.any(axis=1)))
+            if faults[i, 0]:
+                raise ValidationError(
+                    "color_out_of_range", f"edge {ids[i]} has color {colors[i]}, k={self.k}")
+            v = sources[i] if faults[i, 1] else ranges[i]
+            raise ValidationError(
+                "dangling_reference", f"edge {ids[i]} references unknown vertex {v}")
+
+        at = _lookup(position, ids)
+        self._document_order = at  # the position of each edge, in document order
+        for name, column in (("edge_color", color), ("edge_source", source), ("edge_range", range_)):
+            ordered = np.empty(count, dtype=np.intp)
+            ordered[at] = column
+            ordered.flags.writeable = False
+            setattr(self, name, ordered)
+        at.flags.writeable = False
+
+        self.square_edges = _lookup(position, [e for sq in squares for e in sq]).reshape(-1, 4)
+        self.square_edges.flags.writeable = False
+        self._check_squares(squares, color_pairs)
         self._check_square_coverage()
         if self.k >= 3:
             self._check_cube_condition()
 
-    # -- construction-time validation -------------------------------------
+    def _check_squares(self, squares, color_pairs):
+        """Each square pairs an ascending with a descending side: both
+        composable, with the same endpoints, and no side in two squares.
+        ``squares`` are the edge ids of the rows of ``square_edges``, and
+        ``color_pairs`` the color pair each square claims, if any.
 
-    def _validate_skeleton(self):
-        if self.k < 1:
-            raise ValidationError("color_out_of_range", f"k must be >= 1, got {self.k}")
-        if len(set(self.vertices)) != len(self.vertices):
-            raise ValidationError("duplicate_id", "duplicate vertex names")
-        for e in self.edges.values():
-            if not 1 <= e.color <= self.k:
-                raise ValidationError(
-                    "color_out_of_range", f"edge {e.id} has color {e.color}, k={self.k}")
-            for v in (e.source, e.range):
-                if v not in self.vertex_index:
-                    raise ValidationError(
-                        "dangling_reference", f"edge {e.id} references unknown vertex {v}")
+        A square's faults are taken in order: an unknown edge, its colors,
+        its claimed color pair, composability, endpoints, then its left and
+        its right side already seen in an earlier square (every earlier
+        square is sound, or it would have raised first)."""
+        rows = self.square_edges
+        # the color, source and range of each square's edges; an unknown edge
+        # (-1) reads the last column, and faults first anyway
+        table = np.full((3, len(self.edge_ids) + 1), -1, dtype=np.intp)
+        table[:, :-1] = self.edge_color, self.edge_source, self.edge_range
+        (low, high, high2, low2), source, range_ = table[:, rows.T]
+        claimed = (low, high) if color_pairs is None else np.array(color_pairs, np.intp).reshape(-1, 2).T
+        # a stable sort puts the first occurrence of each side first among its equals
+        sides = (rows[:, [0, 2]] * len(self.edge_ids) + rows[:, [1, 3]]).ravel()
+        order = np.argsort(sides, kind="stable")
+        repeated = np.zeros(len(sides), dtype=bool)
+        repeated[order[1:]] = sides[order[1:]] == sides[order[:-1]]
+        faults = np.array([
+            (rows < 0).any(axis=1),
+            ~((low < high) & (high2 == high) & (low2 == low)),
+            (claimed[0] != low) | (claimed[1] != high),
+            (source[0] != range_[1]) | (source[2] != range_[3]),
+            (range_[0] != range_[2]) | (source[1] != source[3]),
+            repeated[0::2],
+            repeated[1::2],
+        ]).T
+        if not faults.any():
+            return
+        i = int(np.argmax(faults.any(axis=1)))
+        left, right = tuple(squares[i][:2]), tuple(squares[i][2:])
+        fault = int(np.argmax(faults[i]))
+        if fault == 0:
+            eid = next(e for e in squares[i] if e not in self.edge_position)
+            raise ValidationError("dangling_reference", f"square references unknown edge {eid}")
+        raise ValidationError("non_bijective_squares", [
+            f"square {left}/{right} does not pair ascending with descending colors",
+            f"square {left} color pair mismatch",
+            f"square side {left} or {right} is not composable",
+            f"square {left}/{right} sides have different endpoints",
+            f"edge pair {left} appears in two squares",
+            f"edge pair {right} appears in two squares",
+        ][fault - 1])
 
-    def _index_edges(self):
-        """The edge arrays, edge i being the i-th id in sorted order:
-        ``edge_ids``, ``edge_position`` (id to i), and the ``edge_color``,
-        ``edge_source`` and ``edge_range`` (vertex index) of each as read-only
-        intp arrays; and the edge ids by (range, color), sorted by id."""
-        self.edge_ids = tuple(sorted(self.edges))
-        self.edge_position = {eid: i for i, eid in enumerate(self.edge_ids)}
-        ordered = [self.edges[eid] for eid in self.edge_ids]
-        index, count = self.vertex_index, len(ordered)
-        self.edge_color = np.fromiter((e.color for e in ordered), np.intp, count)
-        self.edge_source = np.fromiter((index[e.source] for e in ordered), np.intp, count)
-        self.edge_range = np.fromiter((index[e.range] for e in ordered), np.intp, count)
-        for a in (self.edge_color, self.edge_source, self.edge_range):
-            a.flags.writeable = False
-        into: dict[tuple[str, int], list[str]] = defaultdict(list)
-        for e in ordered:
-            into[e.range, e.color].append(e.id)
-        self._by_range_color = {key: tuple(ids) for key, ids in into.items()}
+    @cached_property
+    def edges_by_range(self) -> tuple[np.ndarray, np.ndarray]:
+        """The edges ordered by range, then color, then id, and for each
+        vertex v the run ``starts[v]:starts[v + 1]`` of the edges into it."""
+        order = np.lexsort((self.edge_color, self.edge_range))
+        starts = np.searchsorted(self.edge_range[order], np.arange(len(self.vertices) + 1))
+        return order, starts
 
-    def _build_swap(self) -> dict[tuple[str, str], tuple[str, str]]:
-        edges = self.edges
-        swap: dict[tuple[str, str], tuple[str, str]] = {}
-        for sq in self.squares:
-            left, right = sq.left, sq.right
-            try:
-                (le, lf), (rf, re) = [edges[i] for i in left], [edges[i] for i in right]
-            except KeyError:
-                eid = next(i for i in (*left, *right) if i not in edges)
-                raise ValidationError(
-                    "dangling_reference", f"square references unknown edge {eid}") from None
-            low, high = le.color, lf.color
-            if not (low < high and rf.color == high and re.color == low):
-                raise ValidationError(
-                    "non_bijective_squares",
-                    f"square {left}/{right} does not pair ascending with descending colors")
-            if sq.color_pair != (low, high):
-                raise ValidationError(
-                    "non_bijective_squares", f"square {left} color pair mismatch")
-            if le.source != lf.range or rf.source != re.range:
-                raise ValidationError(
-                    "non_bijective_squares",
-                    f"square side {left} or {right} is not composable")
-            if le.range != rf.range or lf.source != re.source:
-                raise ValidationError(
-                    "non_bijective_squares",
-                    f"square {left}/{right} sides have different endpoints")
-            # the colors differ, so left != right
-            for key in (left, right):
-                if key in swap:
-                    raise ValidationError(
-                        "non_bijective_squares", f"edge pair {key} appears in two squares")
-            swap[left], swap[right] = right, left
-        return swap
-
-    def _mixed_pairs(self):
-        """Composable two-color words (a, b), b taken from the range index."""
-        for a in self.edges.values():
-            for color in range(1, self.k + 1):
-                if color != a.color:
-                    for b in self.edges_into(a.source, color):
-                        yield a.id, b
+    def _mixed_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Composable two-color words (a, b): a in document order, and b among
+        the edges into s(a) of another color, by color and then id."""
+        into, starts = self.edges_by_range
+        a = self._document_order
+        tail = self.edge_source[a]
+        count = starts[tail + 1] - starts[tail]
+        a, b = np.repeat(a, count), into[_expand_runs(starts[tail], count)]
+        mixed = self.edge_color[a] != self.edge_color[b]
+        return a[mixed], b[mixed]
 
     def _check_square_coverage(self):
         """Every composable two-color word lies in a square.
 
-        ``_build_swap`` has shown that every key of ``_swap`` is a composable
-        two-color word and that no key repeats, so the keys are a subset of
+        ``_check_squares`` has shown that every square side is a composable
+        two-color word and that no side repeats, so the sides are a subset of
         those words, and they cover all of them exactly when the two sets
         have the same size.  A word (a, b) takes b among the edges into s(a)
         of a color other than c(a), so there are
         sum_a (indeg(s(a)) - indeg_{c(a)}(s(a))) words: a bincount of the
         edge ranges, then one per color that edges carry, each O(n + E).
-        Only when the count falls short does the scan of ``_mixed_pairs``
-        run, to name the first missing pair.
+        Only when the count falls short are the words listed, by
+        ``_mixed_pairs``, to name the first missing one.
 
-        This and ``_build_swap`` force the vertex matrices to commute.  For
-        i < j, (A_i A_j)[v, w] counts the composable words (e, f) from w to v
-        with e of color i and f of color j, and (A_j A_i)[v, w] those with the
-        colors swapped.  The squares pair these two sets one to one: every
-        word is covered, a square joins an ascending and a descending word
-        with the same endpoints, and no word lies in two squares.
+        This and ``_check_squares`` force the vertex matrices to commute.
+        For i < j, (A_i A_j)[v, w] counts the composable words (e, f) from w
+        to v with e of color i and f of color j, and (A_j A_i)[v, w] those
+        with the colors swapped.  The squares pair these two sets one to
+        one: every word is covered, a square joins an ascending and a
+        descending word with the same endpoints, and no word lies in two
+        squares.
         """
         n = len(self.vertices)
         sources, ranges, colors = self.edge_source, self.edge_range, self.edge_color
@@ -241,24 +300,81 @@ class KGraph:
         for c in set(colors.tolist()):
             same = colors == c
             words -= int(np.bincount(ranges[same], minlength=n)[sources[same]].sum())
-        if len(self._swap) == words:
+        if 2 * len(self.square_edges) == words:
             return
-        for a, b in self._mixed_pairs():
-            if (a, b) not in self._swap:
-                raise ValidationError(
-                    "missing_square", f"no square covers the composable pair ({a}, {b})")
+        size = len(self.edge_ids)
+        a, b = self._mixed_pairs()
+        sides = self.square_edges[:, [0, 2]] * size + self.square_edges[:, [1, 3]]
+        i = int(np.argmax(~np.isin(a * size + b, sides)))
+        raise ValidationError(
+            "missing_square",
+            f"no square covers the composable pair ({self.edge_ids[a[i]]}, {self.edge_ids[b[i]]})")
 
     def _check_cube_condition(self):
-        for x, y in self._mixed_pairs():
-            for color in range(1, self.k + 1):
-                if color in (self.color(x), self.color(y)):
-                    continue
-                for z in self.edges_into(self.edges[y].source, color):
-                    word = (x, y, z)
-                    if self._rewrite(word, leftmost=True) != self._rewrite(word, leftmost=False):
-                        raise ValidationError(
-                            "cube_condition",
-                            f"tri-colored word {word} has order-dependent normal form")
+        """Every tri-colored word (x, y, z) has one normal form: its rewrites
+        by leftmost and by rightmost swaps agree.  The words come with (x, y)
+        in `_mixed_pairs` order and z among the edges into s(y) of the third
+        color, by color and then id; the rewrites run per color sequence."""
+        x, y = self._mixed_pairs()
+        into, starts = self.edges_by_range
+        tail = self.edge_source[y]
+        count = starts[tail + 1] - starts[tail]
+        words = np.column_stack([np.repeat(x, count), np.repeat(y, count),
+                                 into[_expand_runs(starts[tail], count)]])
+        colors = self.edge_color[words]
+        third = (colors[:, 2] != colors[:, 0]) & (colors[:, 2] != colors[:, 1])
+        words, colors = words[third], colors[third]
+        if not len(words):
+            return
+        kernel = self.word_kernel
+        split = np.zeros(len(words), dtype=bool)
+        patterns, group = np.unique(colors, axis=0, return_inverse=True)
+        for p, pattern in enumerate(patterns.tolist()):
+            rows = np.flatnonzero(group.ravel() == p)
+            split[rows] = (kernel.rewrite(words[rows], tuple(pattern), leftmost=True)
+                           != kernel.rewrite(words[rows], tuple(pattern), leftmost=False)).any(axis=1)
+        if split.any():
+            word = tuple(self.edge_ids[i] for i in words[np.argmax(split)].tolist())
+            raise ValidationError(
+                "cube_condition", f"tri-colored word {word} has order-dependent normal form")
+
+    # -- views of the columns, built on first read -------------------------
+
+    @cached_property
+    def edges(self) -> dict[str, Edge]:
+        """The edges by id, in document order."""
+        ids, vertices = self.edge_ids, self.vertices
+        at = self._document_order
+        return {ids[i]: Edge(ids[i], c, vertices[s], vertices[r]) for i, c, s, r in zip(
+            at.tolist(), self.edge_color[at].tolist(), self.edge_source[at].tolist(),
+            self.edge_range[at].tolist())}
+
+    @cached_property
+    def squares(self) -> tuple[FactorizationSquare, ...]:
+        """The factorization squares, in document order."""
+        ids, color = self.edge_ids, self.edge_color.tolist()
+        return tuple(FactorizationSquare((color[a], color[b]), (ids[a], ids[b]), (ids[c], ids[d]))
+                     for a, b, c, d in self.square_edges.tolist())
+
+    @cached_property
+    def _swap(self) -> dict[tuple[str, str], tuple[str, str]]:
+        """Each square side to the other side of its square."""
+        ids, swap = self.edge_ids, {}
+        for a, b, c, d in self.square_edges.tolist():
+            left, right = (ids[a], ids[b]), (ids[c], ids[d])
+            swap[left], swap[right] = right, left
+        return swap
+
+    @cached_property
+    def _by_range_color(self) -> dict[tuple[str, int], tuple[str, ...]]:
+        """The edge ids by (range, color), sorted by id."""
+        into: dict[tuple[str, int], list[str]] = {}
+        order, _ = self.edges_by_range
+        ids, vertices = self.edge_ids, self.vertices
+        for e, r, c in zip(order.tolist(), self.edge_range[order].tolist(),
+                           self.edge_color[order].tolist()):
+            into.setdefault((vertices[r], c), []).append(ids[e])
+        return {key: tuple(run) for key, run in into.items()}
 
     # -- lookups -----------------------------------------------------------
 
@@ -329,16 +445,18 @@ class KGraph:
     # -- serialization -----------------------------------------------------
 
     def to_document(self) -> dict:
+        ids = self.edge_ids
         return {
             "k": self.k,
             "vertices": list(self.vertices),
             "edges": [
-                {"id": e.id, "color": e.color, "source": e.source, "range": e.range}
-                for e in (self.edges[i] for i in sorted(self.edges))
+                {"id": eid, "color": c, "source": self.vertices[s], "range": self.vertices[r]}
+                for eid, c, s, r in zip(ids, self.edge_color.tolist(),
+                                        self.edge_source.tolist(), self.edge_range.tolist())
             ],
             "squares": [
-                {"left": list(sq.left), "right": list(sq.right)}
-                for sq in self.squares
+                {"left": [ids[a], ids[b]], "right": [ids[c], ids[d]]}
+                for a, b, c, d in self.square_edges.tolist()
             ],
         }
 
@@ -524,14 +642,14 @@ class WordKernel:
         self.graph = graph
         self.ids, self.position = graph.edge_ids, graph.edge_position
         self.color, self.source, self.range = graph.edge_color, graph.edge_source, graph.edge_range
-        # rewriting to normal form only ever swaps a descending pair
-        pos, edges = self.position, graph.edges
-        pairs = sorted((pos[a] * len(self.ids) + pos[b], pos[c], pos[d])
-                       for (a, b), (c, d) in graph._swap.items()
-                       if edges[a].color > edges[b].color)
-        pairs.append((np.iinfo(np.intp).max, -1, -1))
+        # rewriting to normal form only ever swaps a descending pair: the
+        # right side of a square, for its left side
+        squares = graph.square_edges
+        key = squares[:, 2] * len(self.ids) + squares[:, 3]
+        by_key = np.argsort(key)
         self.pair_key, self.pair_left, self.pair_right = (
-            np.array(column, dtype=np.intp) for column in zip(*pairs))
+            np.append(column[by_key], end) for column, end in (
+                (key, np.iinfo(np.intp).max), (squares[:, 0], -1), (squares[:, 1], -1)))
         # per color: its edges by range, then id, and where each range's run starts
         self._into = {}
         n = len(graph.vertices)
@@ -586,8 +704,13 @@ class WordKernel:
         cut = heads.shape[-1]
         words = np.empty((len(tails), cut + tails.shape[1]), dtype=np.intp)
         words[:, :cut], words[:, cut:] = heads, tails
+        return self.rewrite(words, _degree_colors(head_degree) + _degree_colors(tail_degree))
+
+    def rewrite(self, words: np.ndarray, colors: tuple[int, ...], leftmost: bool = True) -> np.ndarray:
+        """Rewrite rows of the color sequence `colors` in place to normal
+        form, by the swaps `_swap_schedule` gives, and return them."""
         keys, left, right = self.pair_key, self.pair_left, self.pair_right
-        for i in _swap_schedule(_degree_colors(head_degree) + _degree_colors(tail_degree)):
+        for i in _swap_schedule(colors, leftmost):
             key = words[:, i] * len(self.ids) + words[:, i + 1]
             at = keys.searchsorted(key)  # the last key is a sentinel above every pair
             hit = keys[at] == key
@@ -668,14 +791,27 @@ def _is_int(value) -> bool:
 def load_kgraph(document) -> KGraph:
     """Build and fully validate a KGraph from a document.
 
-    Accepts a dict, a JSON string, or a filesystem path to a ``.kg`` file,
-    as a `pathlib.Path` or a string that does not start with ``{``.  The
-    text of a file is always read as JSON.  Unknown fields are rejected at
-    every level.
+    Accepts a dict, a JSON string, or a filesystem path to a ``.kg`` file
+    as a `pathlib.Path` or a string.  A string that starts with ``{`` is a
+    document.  Any other string names a file when one can be read there;
+    when none can and the string parses as JSON, it is a document (so
+    ``"[]"`` is a ParseError, not a missing file), and otherwise the file
+    error is raised.  The text of a file is always read as JSON.  Unknown
+    fields are rejected at every level.
+
+    The records go straight into the columns of `KGraph._from_columns`,
+    which runs every construction check on them as array operations;
+    no `Edge` or `FactorizationSquare` is built.
     """
     if isinstance(document, str) and not document.lstrip().startswith("{"):
-        document = FilePath(document)
-    if isinstance(document, FilePath):
+        try:
+            document = FilePath(document).read_text()
+        except OSError as missing:
+            try:
+                json.loads(document)  # no such file, but a JSON document
+            except json.JSONDecodeError:
+                raise missing from None
+    elif isinstance(document, FilePath):
         document = document.read_text()
     if isinstance(document, str):
         try:
@@ -702,11 +838,10 @@ def load_kgraph(document) -> KGraph:
 
     # a well-formed record passes the first test; any other gets the checks
     # that name its fault
-    edges = []
-    for rec in document["edges"]:
-        if not (type(rec) is dict and rec.keys() == _EDGE_FIELDS and type(rec["id"]) is str
-                and type(rec["color"]) is int and type(rec["source"]) is str
-                and type(rec["range"]) is str):
+    edges, squares = document["edges"], document["squares"]
+    for rec in edges:
+        if not (type(rec) is dict and rec.keys() == _EDGE_FIELDS and type(rec["color"]) is int
+                and type(rec["id"]) is type(rec["source"]) is type(rec["range"]) is str):
             if not isinstance(rec, dict):
                 raise ParseError("edge records must be objects")
             unknown = set(rec) - _EDGE_FIELDS
@@ -719,16 +854,11 @@ def load_kgraph(document) -> KGraph:
             for field in ("id", "source", "range"):
                 if not isinstance(rec[field], str):
                     raise ParseError(f"edge {rec['id']!r} field {field!r} must be a string")
-        edges.append(Edge(rec["id"], rec["color"], rec["source"], rec["range"]))
-    edge_color = {e.id: e.color for e in edges}
-
-    squares = []
-    for rec in document["squares"]:
+    for rec in squares:
         if not (type(rec) is dict and rec.keys() == _SQUARE_FIELDS
-                and type(rec["left"]) is list and type(rec["right"]) is list
-                and len(rec["left"]) == 2 and len(rec["right"]) == 2
-                and type(rec["left"][0]) is type(rec["left"][1]) is type(rec["right"][0])
-                is type(rec["right"][1]) is str):
+                and type(left := rec["left"]) is type(right := rec["right"]) is list
+                and len(left) == len(right) == 2
+                and type(left[0]) is type(left[1]) is type(right[0]) is type(right[1]) is str):
             if not isinstance(rec, dict):
                 raise ParseError("square records must be objects")
             unknown = set(rec) - _SQUARE_FIELDS
@@ -741,12 +871,11 @@ def load_kgraph(document) -> KGraph:
                 raise ParseError("square sides must be two-edge lists")
             if not all(isinstance(e, str) for e in rec["left"] + rec["right"]):
                 raise ParseError("square sides must name edges by their string ids")
-        left, right = tuple(rec["left"]), tuple(rec["right"])
-        # KGraph._build_swap rejects squares that name unknown edges
-        pair = (edge_color.get(left[0]), edge_color.get(left[1]))
-        squares.append(FactorizationSquare(pair, left, right))
 
-    return KGraph(document["k"], document["vertices"], edges, squares)
+    return KGraph._from_columns(
+        document["k"], document["vertices"], [rec["id"] for rec in edges],
+        [rec["color"] for rec in edges], [rec["source"] for rec in edges],
+        [rec["range"] for rec in edges], [rec["left"] + rec["right"] for rec in squares])
 
 
 def load_kgraph_file(path) -> KGraph:

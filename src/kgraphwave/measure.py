@@ -85,8 +85,8 @@ class MeasureSpec:
         exact_triple = None
         if exact:
             rho, x = rational_pf_data(graph, pf)
-            exact_triple = [Fraction(r) for r in rho], x, [1] * len(graph.edges)
-        return cls(cls.PF, graph, (pf.rho, pf.x_lambda, np.ones(len(graph.edges))), exact_triple, pf=pf)
+            exact_triple = [Fraction(r) for r in rho], x, [1] * len(graph.edge_ids)
+        return cls(cls.PF, graph, (pf.rho, pf.x_lambda, np.ones(len(graph.edge_ids))), exact_triple, pf=pf)
 
     @classmethod
     def bernoulli(cls, graph: KGraph, weights: Sequence[float],
@@ -95,8 +95,8 @@ class MeasureSpec:
         letter (edge id) order; ``exact`` needs rational weights."""
         if len(graph.vertices) != 1 or graph.k != 1:
             raise BadWeights("Bernoulli measure lives on the 1-vertex, 1-color bouquet")
-        if len(weights) != len(graph.edges):
-            raise BadWeights(f"need {len(graph.edges)} weights, got {len(weights)}")
+        if len(weights) != len(graph.edge_ids):
+            raise BadWeights(f"need {len(graph.edge_ids)} weights, got {len(weights)}")
         wsum = sum(Fraction(w) if isinstance(w, Rational) else w for w in weights)
         if any(not 0 < float(w) < 1 for w in weights) or abs(float(wsum) - 1.0) > 1e-12:
             raise BadWeights("weights must lie in (0,1) and sum to 1")

@@ -47,32 +47,30 @@ def is_strongly_connected(graph: KGraph) -> bool:
     the first vertex reaches every vertex and every vertex reaches it."""
     if not graph.vertices:
         return True
-    forward = {v: [] for v in graph.vertices}
-    backward = {v: [] for v in graph.vertices}
-    for e in graph.edges.values():
-        forward[e.source].append(e.range)
-        backward[e.range].append(e.source)
-    return all(_reached(graph.vertices[0], adj) == len(graph.vertices)
-               for adj in (forward, backward))
+    return all(_reaches_all(tails, heads, len(graph.vertices)) for tails, heads in (
+        (graph.edge_source, graph.edge_range), (graph.edge_range, graph.edge_source)))
 
 
-def _reached(start: str, adj: dict[str, list[str]]) -> int:
-    """Number of vertices reachable from start along adj, start included."""
-    seen = {start}
-    stack = [start]
+def _reaches_all(tails: np.ndarray, heads: np.ndarray, n: int) -> bool:
+    """Whether vertex 0 reaches all n vertices along the arcs tails[i] -> heads[i]."""
+    order = np.argsort(tails, kind="stable")
+    starts = np.searchsorted(tails, np.arange(n + 1), sorter=order).tolist()
+    heads = heads[order].tolist()
+    seen = {0}
+    stack = [0]
     while stack:
-        for w in adj[stack.pop()]:
+        v = stack.pop()
+        for w in heads[starts[v]:starts[v + 1]]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    return len(seen)
+    return len(seen) == n
 
 
 def has_sources(graph: KGraph) -> bool:
     """True iff some vertex receives no edge of some color."""
-    return any(not graph.edges_into(v, c)
-               for v in graph.vertices
-               for c in range(1, graph.k + 1))
+    cells = set(zip(graph.edge_range.tolist(), graph.edge_color.tolist()))
+    return len(cells) < len(graph.vertices) * graph.k
 
 
 def pf_data(graph: KGraph, tol: float = 1e-13, max_iter: int = 10 ** 6,

@@ -76,19 +76,19 @@ def default_preferred_paths(graph: KGraph, root: str) -> PreferredPaths:
 
 def _distances_to(graph: KGraph, root: str) -> dict[str, int]:
     """Edge count of a shortest path (any colors) from each vertex up to the root."""
-    dist = {root: 0}
-    frontier = [root]
+    into, starts = graph.edges_by_range
+    sources, starts = graph.edge_source[into].tolist(), starts.tolist()
+    dist = {graph.vertex_index[root]: 0}
+    frontier = list(dist)
     while frontier:
         nxt = []
         for v in frontier:
-            for c in range(1, graph.k + 1):
-                for eid in graph.edges_into(v, c):
-                    u = graph.edge(eid).source
-                    if u not in dist:
-                        dist[u] = dist[v] + 1
-                        nxt.append(u)
+            for u in sources[starts[v]:starts[v + 1]]:
+                if u not in dist:
+                    dist[u] = dist[v] + 1
+                    nxt.append(u)
         frontier = nxt
-    return dist
+    return {graph.vertices[v]: d for v, d in dist.items()}
 
 
 def _least_degrees(graph: KGraph, root: str, top: int) -> dict[str, Degree]:

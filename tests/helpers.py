@@ -13,9 +13,13 @@ from hypothesis import strategies as st
 import kgraphwave
 from kgraphwave import (
     CylinderFn,
+    Edge,
+    FactorizationSquare,
     GridTooCoarse,
     LevelSpace,
     MeasureSpec,
+    ParseError,
+    ValidationError,
     bouquet_graph,
     cg_constant,
     compose,
@@ -435,6 +439,18 @@ def forbid_path_building(monkeypatch):
         monkeypatch.setattr(kgraphwave.sbfs, attr, boom, raising=False)
 
 
+def count_edge_objects(monkeypatch):
+    """Count every `Edge` and `FactorizationSquare` built from here on: the
+    returned dict maps each class name to its count so far."""
+    built = {Edge.__name__: 0, FactorizationSquare.__name__: 0}
+    for cls in (Edge, FactorizationSquare):
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting)
+    return built
+
+
 def dense_listing(basis):
     """Oracle for `WaveletBasis.to_records`: each member read off its row of
     the dense matrix, the synthesis of the identity."""
@@ -733,3 +749,158 @@ def scan_missing_square(doc):
                 if (a["id"], b) not in sides:
                     return f"no square covers the composable pair ({a['id']}, {b})"
     return None
+
+
+class ObjectGraph:
+    """Oracle for the checks of `KGraph` and the tables it builds: the
+    loader that held the graph as `Edge` and `FactorizationSquare` objects
+    and checked it record by record, in document order."""
+
+    def __init__(self, k, vertices, edges, squares):
+        self.k = int(k)
+        self.vertices = tuple(vertices)
+        self.vertex_index = {v: i for i, v in enumerate(self.vertices)}
+        edges = list(edges)
+        if len({e.id for e in edges}) != len(edges):
+            raise ValidationError("duplicate_id", "duplicate edge ids")
+        self.edges = {e.id: e for e in edges}
+        self.squares = tuple(squares)
+        self._validate_skeleton()
+        self._index_edges()
+        self._swap = self._build_swap()
+        self._check_square_coverage()
+        if self.k >= 3:
+            self._check_cube_condition()
+
+    def _validate_skeleton(self):
+        if self.k < 1:
+            raise ValidationError("color_out_of_range", f"k must be >= 1, got {self.k}")
+        if len(set(self.vertices)) != len(self.vertices):
+            raise ValidationError("duplicate_id", "duplicate vertex names")
+        for e in self.edges.values():
+            if not 1 <= e.color <= self.k:
+                raise ValidationError(
+                    "color_out_of_range", f"edge {e.id} has color {e.color}, k={self.k}")
+            for v in (e.source, e.range):
+                if v not in self.vertex_index:
+                    raise ValidationError(
+                        "dangling_reference", f"edge {e.id} references unknown vertex {v}")
+
+    def _index_edges(self):
+        self.edge_ids = tuple(sorted(self.edges))
+        self.edge_position = {eid: i for i, eid in enumerate(self.edge_ids)}
+        ordered = [self.edges[eid] for eid in self.edge_ids]
+        self.edge_color = np.array([e.color for e in ordered], dtype=np.intp)
+        self.edge_source = np.array([self.vertex_index[e.source] for e in ordered], dtype=np.intp)
+        self.edge_range = np.array([self.vertex_index[e.range] for e in ordered], dtype=np.intp)
+        into = {}
+        for e in ordered:
+            into.setdefault((e.range, e.color), []).append(e.id)
+        self._by_range_color = {key: tuple(ids) for key, ids in into.items()}
+
+    def edges_into(self, vertex, color):
+        return self._by_range_color.get((vertex, color), ())
+
+    def _build_swap(self):
+        edges = self.edges
+        swap = {}
+        for sq in self.squares:
+            left, right = sq.left, sq.right
+            try:
+                (le, lf), (rf, re) = [edges[i] for i in left], [edges[i] for i in right]
+            except KeyError:
+                eid = next(i for i in (*left, *right) if i not in edges)
+                raise ValidationError(
+                    "dangling_reference", f"square references unknown edge {eid}") from None
+            low, high = le.color, lf.color
+            if not (low < high and rf.color == high and re.color == low):
+                raise ValidationError(
+                    "non_bijective_squares",
+                    f"square {left}/{right} does not pair ascending with descending colors")
+            if sq.color_pair != (low, high):
+                raise ValidationError(
+                    "non_bijective_squares", f"square {left} color pair mismatch")
+            if le.source != lf.range or rf.source != re.range:
+                raise ValidationError(
+                    "non_bijective_squares",
+                    f"square side {left} or {right} is not composable")
+            if le.range != rf.range or lf.source != re.source:
+                raise ValidationError(
+                    "non_bijective_squares",
+                    f"square {left}/{right} sides have different endpoints")
+            for key in (left, right):
+                if key in swap:
+                    raise ValidationError(
+                        "non_bijective_squares", f"edge pair {key} appears in two squares")
+            swap[left], swap[right] = right, left
+        return swap
+
+    def _mixed_pairs(self):
+        for a in self.edges.values():
+            for color in range(1, self.k + 1):
+                if color != a.color:
+                    for b in self.edges_into(a.source, color):
+                        yield a.id, b
+
+    def _check_square_coverage(self):
+        for a, b in self._mixed_pairs():
+            if (a, b) not in self._swap:
+                raise ValidationError(
+                    "missing_square", f"no square covers the composable pair ({a}, {b})")
+
+    def _check_cube_condition(self):
+        for x, y in self._mixed_pairs():
+            for color in range(1, self.k + 1):
+                if color in (self.edges[x].color, self.edges[y].color):
+                    continue
+                for z in self.edges_into(self.edges[y].source, color):
+                    word = (x, y, z)
+                    if restart_rewrite(self, word, True) != restart_rewrite(self, word, False):
+                        raise ValidationError(
+                            "cube_condition",
+                            f"tri-colored word {word} has order-dependent normal form")
+
+    def color(self, eid):
+        return self.edges[eid].color
+
+    def to_document(self):
+        return {
+            "k": self.k,
+            "vertices": list(self.vertices),
+            "edges": [{"id": e.id, "color": e.color, "source": e.source, "range": e.range}
+                      for e in (self.edges[i] for i in sorted(self.edges))],
+            "squares": [{"left": list(sq.left), "right": list(sq.right)} for sq in self.squares],
+        }
+
+    def pair_table(self):
+        """The word kernel's (key, left, right) table of descending pairs,
+        sorted by key and closed by the sentinel key."""
+        pos, size = self.edge_position, len(self.edge_ids)
+        pairs = sorted((pos[a] * size + pos[b], pos[c], pos[d])
+                       for (a, b), (c, d) in self._swap.items() if self.color(a) > self.color(b))
+        pairs.append((np.iinfo(np.intp).max, -1, -1))
+        return tuple(np.array(column, dtype=np.intp) for column in zip(*pairs))
+
+
+def object_load_kgraph(doc):
+    """Oracle for `load_kgraph` on a dict document: each record checked and
+    made into an `Edge` or a `FactorizationSquare`, then an `ObjectGraph`."""
+    if set(doc) != {"k", "vertices", "edges", "squares"} or not isinstance(doc["k"], int):
+        raise ParseError("malformed document")
+    edges = []
+    for rec in doc["edges"]:
+        if not (type(rec) is dict and rec.keys() == {"id", "color", "source", "range"}
+                and type(rec["color"]) is int
+                and all(type(rec[f]) is str for f in ("id", "source", "range"))):
+            raise ParseError("malformed edge record")
+        edges.append(Edge(rec["id"], rec["color"], rec["source"], rec["range"]))
+    color = {e.id: e.color for e in edges}
+    squares = []
+    for rec in doc["squares"]:
+        if not (type(rec) is dict and rec.keys() == {"left", "right"}
+                and all(type(s) is list and len(s) == 2 and all(type(e) is str for e in s)
+                        for s in (rec["left"], rec["right"]))):
+            raise ParseError("malformed square record")
+        left, right = tuple(rec["left"]), tuple(rec["right"])
+        squares.append(FactorizationSquare((color.get(left[0]), color.get(left[1])), left, right))
+    return ObjectGraph(doc["k"], doc["vertices"], edges, squares)

@@ -7,7 +7,13 @@ import pytest
 import kgraphwave
 from kgraphwave import CylinderFn, WaveletBasis, fixture_path, load_kgraph, normal_form
 from kgraphwave.cli import main
-from helpers import forbid_path_building, random_cylinder_fn, torus_document, twisted_circulant_document
+from helpers import (
+    count_edge_objects,
+    forbid_path_building,
+    random_cylinder_fn,
+    torus_document,
+    twisted_circulant_document,
+)
 
 LED = str(fixture_path("ledrappier"))
 L3 = str(fixture_path("lambda3"))
@@ -624,13 +630,35 @@ GOLDEN_INTEGER_OUTPUT = [
 
 @pytest.mark.parametrize("graph,command,digest", GOLDEN_INTEGER_OUTPUT,
                          ids=[f"{c} {g}" for g, c, _ in GOLDEN_INTEGER_OUTPUT])
-def test_integer_golden_stdout(graph, command, digest, tmp_path, capsys):
+def test_integer_golden_stdout(graph, command, digest, tmp_path, capsys, monkeypatch):
     doc = torus_document(4, 6) if graph == "torus" else \
         twisted_circulant_document(24, (1, 2), (1, 3), 11)
     path = tmp_path / f"{graph}.kg"
     path.write_text(json.dumps(doc))
+    built = count_edge_objects(monkeypatch)
     out, _ = run_cli(capsys, command, str(path))
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert built == {"Edge": 0, "FactorizationSquare": 0}
+
+
+def test_spectral_ops_build_no_edges(tmp_path, capsys, monkeypatch):
+    """Load, validation and every spectral op read the edge and square
+    columns alone, on a 300-vertex circulant like the benchmark's."""
+    path = tmp_path / "circulant.kg"
+    path.write_text(json.dumps(twisted_circulant_document(300, (1, 2), (1, 3), 4)))
+    signal = tmp_path / "signal.json"
+    signal.write_text(json.dumps(np.random.default_rng(3).normal(size=300).round(6).tolist()))
+    p = str(path)
+    built = count_edge_objects(monkeypatch)
+    for argv in (["validate", p], ["pf", p], ["laplacian", p], ["spectral", p, "--eig"],
+                 ["spectral", p, "--gft", str(signal)],
+                 ["spectral", p, "--wavelet", "--t", "0.5", "--n", "v7"],
+                 ["spectral", p, "--localize", "--n", "v7", "--m", "v12", "--tlist", "1.0,0.5"],
+                 ["spectral", p, "--reconstruct", str(signal)]):
+        run_cli(capsys, *argv)
+        assert built == {"Edge": 0, "FactorizationSquare": 0}, argv
+    assert len(load_kgraph(p).edges) == 1200
+    assert built == {"Edge": 1200, "FactorizationSquare": 0}  # the counter counts
 
 
 class TestRoundTrips:

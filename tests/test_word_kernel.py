@@ -187,12 +187,17 @@ class TestSquareTable:
     def test_every_missing_square_raises(self):
         doc = twisted_circulant_document(5, (1, 2), (1, 2), 3)
         graph = load_kgraph(doc)
-        # the table holds the descending pairs, by edge id: drop its first
-        # key, its last one, and one between
-        pairs = sorted((a, b) for a, b in graph._swap if graph.color(a) > graph.color(b))
+        # the table holds the descending pairs, the right sides of the
+        # squares, by edge id: drop the square row of its first key, of its
+        # last one, and of one between
+        ids = graph.edge_ids
+        pairs = sorted((ids[c], ids[d]) for _, _, c, d in graph.square_edges.tolist())
         for pair in (pairs[0], pairs[len(pairs) // 2], pairs[-1]):
             graph = load_kgraph(doc)
-            del graph._swap[pair]
+            right = [graph.edge_position[eid] for eid in pair]
+            row = np.flatnonzero((graph.square_edges[:, 2:] == right).all(axis=1))
+            assert len(row) == 1
+            graph.square_edges = np.delete(graph.square_edges, row, axis=0)
             kernel = graph.word_kernel
             heads, tails = (kernel.level(d) for d in ((0, 1), (1, 0)))
             at = np.flatnonzero(tails[1][None, :] == heads[2][:, None])
