@@ -30,6 +30,7 @@ from .errors import (
     ParseError,
     ResidualTooLarge,
     ShapeMismatch,
+    TooLarge,
     ValidationError,
 )
 from .kgraph import (
@@ -107,6 +108,7 @@ from .traffic import (
     traffic_wavelet_family,
 )
 from .wavelets import (
+    MARKOV_MEMBER_LIMIT,
     MarkovWaveletSystem,
     SubspaceComparison,
     WaveletBasis,

@@ -146,9 +146,14 @@ def _emit(args, records: list[dict], csv_fields: list[str] | None = None):
         writer.writeheader()
         for rec in records:
             writer.writerow({k: rec.get(k, "") for k in csv_fields})
-        text = buf.getvalue()
+        _write(args, buf.getvalue())
     else:
-        text = "".join(json.dumps(rec) + "\n" for rec in records)
+        _write(args, "".join(json.dumps(rec) + "\n" for rec in records))
+
+
+def _write(args, text: str):
+    """Write output text to --out, or else to stdout: records from `_emit`
+    and the path-space listings, which `jsonl` renders as text."""
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -271,20 +276,19 @@ def _cmd_wavelets(args):
     basis = wavelet_basis(family, args.depth)
     if args.analyze:
         fn = CylinderFn.from_records(graph, _read_records(args.analyze, ("path", "coeff")))
-        coeffs = analyze(basis, fn)
-        _emit(args, [{**label, "coeff": float(c)} for label, c in zip(basis.labels, coeffs)])
+        _write(args, basis.coefficient_lines(analyze(basis, fn)))
         return
     if args.synthesize:
         coeffs = [float(rec["coeff"]) for rec in _read_records(args.synthesize, ("coeff",))]
         values = synthesize_vector(basis, coeffs)
-        _emit(args, basis.space.records(np.arange(len(values)), values))
+        _write(args, basis.space.lines(np.arange(len(values)), values))
         return
-    _emit(args, basis.to_records())
+    _write(args, basis.listing())
 
 
 def _cmd_markov(args):
     system = markov_wavelets(args.alphabet, _parse_weights(args.weights), args.depth)
-    _emit(args, system.to_records())
+    _write(args, system.listing())
 
 
 def _cmd_traffic(args):
@@ -467,6 +471,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         args.handler(args)
+    except err.TooLarge as exc:
+        _fail(USAGE_EXIT, "usage", exc, reason="size_limit")
     except err.ParseError as exc:
         _fail(PARSE_EXIT, "parse", exc)
     except OSError as exc:  # a missing or unreadable file, or a directory in its place

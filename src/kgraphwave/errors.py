@@ -103,3 +103,7 @@ class DivergentIntegral(KGraphWaveError):
 
 class GridTooCoarse(KGraphWaveError):
     """Reconstruction grid misses the kernel energy by more than the bound."""
+
+
+class TooLarge(KGraphWaveError):
+    """The requested output has more members than a documented size limit."""

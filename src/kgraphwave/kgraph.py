@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import jsonl
 from .errors import (
     CompositionError,
     DegreeRangeError,
@@ -398,21 +399,28 @@ class KGraph:
 
     # -- word rewriting ----------------------------------------------------
 
-    def _check_word(self, word: Sequence[str]) -> tuple[int, ...]:
-        """The colors of a composable word's edges.  Raises CompositionError
-        at the first unknown edge, else at the first pair that does not
-        compose."""
+    @cached_property
+    def _edge_lists(self) -> tuple[list[int], list[int], list[int]]:
+        """The color, source and range columns as lists, for word checks."""
+        return self.edge_color.tolist(), self.edge_source.tolist(), self.edge_range.tolist()
+
+    def _check_word(self, word: Sequence[str]) -> tuple[tuple[int, ...], str, str]:
+        """The colors of a composable word's edges, and its range and source
+        vertex, read off the edge columns.  Raises CompositionError at the
+        first unknown edge, else at the first pair that does not compose."""
+        position = self.edge_position
         try:
-            edges = [self.edges[eid] for eid in word]
+            at = [position[eid] for eid in word]
         except KeyError:
-            eid = next(eid for eid in word if eid not in self.edges)
+            eid = next(eid for eid in word if eid not in position)
             raise CompositionError(f"unknown edge id {eid!r}") from None
-        for a, b in zip(edges, edges[1:]):
-            if a.source != b.range:
-                raise CompositionError(
-                    f"edges {a.id} and {b.id} are not composable "
-                    f"(source {a.source} != range {b.range})")
-        return tuple([e.color for e in edges])
+        color, source, range_ = self._edge_lists
+        if any(source[a] != range_[b] for a, b in zip(at, at[1:])):
+            i = next(i for i in range(len(at) - 1) if source[at[i]] != range_[at[i + 1]])
+            raise CompositionError(
+                f"edges {word[i]} and {word[i + 1]} are not composable (source "
+                f"{self.vertices[source[at[i]]]} != range {self.vertices[range_[at[i + 1]]]})")
+        return tuple([color[a] for a in at]), self.vertices[range_[at[0]]], self.vertices[source[at[-1]]]
 
     def _rewrite(self, word: Sequence[str], leftmost: bool = True,
                  colors: tuple[int, ...] | None = None) -> tuple[str, ...]:
@@ -505,10 +513,9 @@ def normal_form(graph: KGraph, word: Sequence[str]) -> Path:
     """Rewrite a composable edge word to its unique normal-form path."""
     if not word:
         raise CompositionError("empty word has no endpoints; use vertex_path")
-    colors = graph._check_word(word)
-    word = graph._rewrite(word, colors=colors)
-    return Path(graph, word, tuple(colors.count(c) for c in range(1, graph.k + 1)),
-                graph.edges[word[0]].range, graph.edges[word[-1]].source)
+    colors, range_, source = graph._check_word(word)
+    return Path(graph, graph._rewrite(word, colors=colors),
+                tuple(colors.count(c) for c in range(1, graph.k + 1)), range_, source)
 
 
 def compose(p: Path, q: Path) -> Path:
@@ -650,19 +657,32 @@ class WordKernel:
         self.pair_key, self.pair_left, self.pair_right = (
             np.append(column[by_key], end) for column, end in (
                 (key, np.iinfo(np.intp).max), (squares[:, 0], -1), (squares[:, 1], -1)))
-        # per color: its edges by range, then id, and where each range's run starts
-        self._into = {}
+        # per color that an edge carries: its edges by range, then id, and
+        # where each range's run starts; a color no edge carries has empty runs
         n = len(graph.vertices)
-        for c in range(1, graph.k + 1):
-            of_color = np.flatnonzero(self.color == c)
-            by_range = of_color[np.argsort(self.range[of_color], kind="stable")]
-            self._into[c] = by_range, np.searchsorted(self.range[by_range], np.arange(n + 1))
+        order = np.lexsort((self.range, self.color))
+        colors = self.color[order]
+        cuts = np.append(np.flatnonzero(np.diff(colors, prepend=0)), len(order)).tolist()
+        self._empty_runs = np.empty(0, dtype=np.intp), np.zeros(n + 1, dtype=np.intp)
+        self._into = {}
+        for lo, hi in zip(cuts, cuts[1:]):
+            by_range = order[lo:hi]
+            self._into[int(colors[lo])] = by_range, np.searchsorted(self.range[by_range], np.arange(n + 1))
         self._levels: dict[Degree, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._offsets: dict[Degree, np.ndarray] = {}
 
+    @cached_property
+    def id_texts(self) -> np.ndarray:
+        """The JSON text of each edge id (`jsonl.strings`), made once."""
+        return jsonl.strings(self.ids)
+
     def edges_of(self, color: int) -> np.ndarray:
         """The edges of one color, by range."""
-        return self._into[color][0]
+        return self._runs(color)[0]
+
+    def _runs(self, color: int) -> tuple[np.ndarray, np.ndarray]:
+        """The edges of one color by range, and where each range's run starts."""
+        return self._into.get(color, self._empty_runs)
 
     def word(self, path: Path) -> np.ndarray:
         """The edge indices of a path's word."""
@@ -686,7 +706,7 @@ class WordKernel:
             else:
                 words = np.flatnonzero(self.color == colors[0])[:, None]
                 for c in colors[1:]:
-                    by_range, starts = self._into[c]
+                    by_range, starts = self._runs(c)
                     tail = self.source[words[:, -1]]
                     count = starts[tail + 1] - starts[tail]
                     words = np.column_stack([np.repeat(words, count, axis=0),
@@ -735,7 +755,7 @@ class WordKernel:
         after = np.ones(len(self.graph.vertices), dtype=np.intp)  # completions by range
         offsets = np.zeros((len(colors), len(self.ids)), dtype=np.intp)
         for pos in reversed(range(len(colors))):
-            by_range, starts = self._into[colors[pos]]
+            by_range, starts = self._runs(colors[pos])
             if pos == 0:
                 by_range = np.sort(by_range)  # any range: the edges in id order
                 starts = np.array([0, len(by_range)])

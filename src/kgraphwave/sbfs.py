@@ -23,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import jsonl
 from .errors import DegreeRangeError, LevelTooSmall, NonConstantDerivative
 from .kgraph import (
     Degree,
@@ -95,24 +96,35 @@ class LevelSpace:
         return CylinderFn(self.graph, {basis[i]: v for i, v in zip(at.tolist(), values.tolist())})
 
     @cached_property
-    def _record_paths(self) -> list[list[str]]:
-        """The ``path`` field of each position's term record, at a nonzero level."""
-        return np.array(self.graph.word_kernel.ids, dtype=object)[self.words].tolist()
+    def term_heads(self) -> np.ndarray:
+        """The text ``{"path": [...], "coeff": `` of each position's term
+        record (`jsonl`): its word, or ``@`` and its vertex at level zero."""
+        if any(self.level):
+            paths = jsonl.word_lists(self.graph.word_kernel.id_texts, self.words)
+        else:
+            paths = jsonl.strings(["@" + v for v in self.graph.vertices])[self.ranges]
+        return jsonl.cells('{"path": [', paths, '], "coeff": ')
 
-    def records(self, at: np.ndarray, values: np.ndarray) -> list[dict]:
-        """`CylinderFn.to_records` of `function_at(at, values)`, from the rows.
+    def lines(self, at: np.ndarray, values: np.ndarray) -> str:
+        """The JSON lines of `CylinderFn.to_records` of `function_at(at,
+        values)`, from the rows.
 
         ``at`` must ascend.  At a nonzero level, position order is the
-        (word, range) order the records are sorted by; exact zeros, -0.0
-        too, are dropped as `CylinderFn` drops them.  Records of one
-        position share its path list.
+        (word, range) order the records are sorted by; at level zero they
+        are sorted by vertex name.  Exact zeros, -0.0 too, are dropped as
+        `CylinderFn` drops them.
         """
-        if not any(self.level):  # vertices: positions follow graph order, records names
-            return self.function_at(at, values).to_records()
         keep = values != 0.0
-        paths = self._record_paths
-        return [{"path": paths[i], "coeff": v}
-                for i, v in zip(at[keep].tolist(), values[keep].tolist())]
+        at, values = at[keep], values[keep]
+        if not any(self.level):
+            names = self.graph.vertices
+            order = sorted(range(len(at)), key=lambda i: names[at[i]])
+            at, values = at[order], values[order]
+        return jsonl.text(self.term_heads[at], jsonl.numbers(values), "}\n")
+
+    def records(self, at: np.ndarray, values: np.ndarray) -> list[dict]:
+        """The records of `lines`: `CylinderFn.to_records` of `function_at(at, values)`."""
+        return jsonl.parse(self.lines(at, values))
 
 
 def level_space(spec: MeasureSpec, level: Sequence[int]) -> LevelSpace:

@@ -20,7 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadShape, BadWeights, EmptyDv, ShapeMismatch
+from . import jsonl
+from .errors import BadShape, BadWeights, EmptyDv, ShapeMismatch, TooLarge
 from .kgraph import (
     Degree,
     KGraph,
@@ -117,10 +118,11 @@ class WaveletBasis:
     j <= n: ``layers[j]`` maps level (j+1)J to the layer-j wavelets and
     level jJ, ``shifts[j]`` holds the word-kernel rows of level jJ, and
     ``order`` places each cascade node of level nJ, one per basis vector,
-    in ``space.basis``.  ``labels``, one record per basis vector, and
-    ``matrix``, the coefficients of every basis vector over ``space.basis``
-    in the unnormalized indicator basis, are built on first access only;
-    listings write each member from its own support instead.
+    in ``space.basis``.  ``heads``, the label text of each basis vector
+    (`jsonl`), ``labels``, the records of that text, and ``matrix``, the
+    coefficients of every basis vector over ``space.basis`` in the
+    unnormalized indicator basis, are built on first access only; listings
+    write each member from its own support instead.
     """
 
     family: WaveletFamily
@@ -131,17 +133,28 @@ class WaveletBasis:
     shifts: tuple[np.ndarray, ...] = field(repr=False)
 
     @cached_property
-    def labels(self) -> tuple[dict, ...]:
-        vertices = self.family.graph.vertices
-        ids = np.array(self.family.graph.word_kernel.ids, dtype=object)
-        labels = [{"kind": "scaling", "vertex": v} for v in vertices]
+    def heads(self) -> np.ndarray:
+        """The JSON text of each basis vector's label record, up to its
+        closing brace (`jsonl`), from its columns: kind, layer j, vertex, m,
+        and the word-kernel row of its shift."""
+        graph = self.family.graph
+        vertices = jsonl.strings(graph.vertices)
+        ms = jsonl.integers(max(len(g.c) for layer in self.layers for g in layer) + 1)
+        heads = [jsonl.cells('{"kind": "scaling", "vertex": ', vertices)]
         for j, (layer, words) in enumerate(zip(self.layers, self.shifts)):
-            shift_ids = ids[words].tolist()
-            for name, g in zip(vertices, layer):
-                for i in g.lams.tolist():
-                    labels.extend({"kind": "wavelet", "j": j, "vertex": name, "m": m,
-                                   "shift": list(shift_ids[i])} for m in range(1, len(g.c) + 1))
-        return tuple(labels)
+            shift = jsonl.word_lists(graph.word_kernel.id_texts, words)
+            heads.append(jsonl.cells(
+                f'{{"kind": "wavelet", "j": {j}, "vertex": ',
+                np.concatenate([np.repeat(vertices[v:v + 1], g.coeffs.stop - g.coeffs.start)
+                                for v, g in enumerate(layer)]),
+                ', "m": ', np.concatenate([np.tile(ms[1:len(g.c) + 1], len(g.lams)) for g in layer]),
+                ', "shift": [', np.concatenate([np.repeat(shift[g.lams], len(g.c)) for g in layer]), "]"))
+        return np.concatenate(heads)
+
+    @cached_property
+    def labels(self) -> tuple[dict, ...]:
+        """One record per basis vector: the records of `heads`."""
+        return tuple(jsonl.parse(jsonl.text(self.heads, "}\n")))
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -226,9 +239,19 @@ class WaveletBasis:
         weighted = self.matrix * self.space.weights[None, :]
         return weighted @ self.matrix.T
 
+    def listing(self) -> str:
+        """The JSON lines of the basis: per basis vector its label and the
+        term records of its member."""
+        return jsonl.listing(self.heads, self.space.term_heads, self._members())
+
+    def coefficient_lines(self, coeffs: np.ndarray) -> str:
+        """The JSON lines of coefficients: per basis vector its label and
+        its coefficient."""
+        return jsonl.text(self.heads, ', "coeff": ', jsonl.numbers(coeffs), "}\n")
+
     def to_records(self) -> list[dict]:
-        return [{**label, "terms": self.space.records(at, values)}
-                for label, (at, values) in zip(self.labels, self._members())]
+        """The records of `listing`."""
+        return jsonl.parse(self.listing())
 
 
 def wavelet_basis(family: WaveletFamily, depth: int,
@@ -306,6 +329,12 @@ def synthesize(basis: WaveletBasis, coeffs: Sequence[float]) -> CylinderFn:
 
 # -- Markov (Bernoulli full-shift) wavelets --------------------------------
 
+# The most members `markov_wavelets` builds.  A system of N members lists
+# N * (1 + depth * (n_letters - 1)) terms, at most N**1.5; at this limit one
+# run peaks near 160 MB.
+MARKOV_MEMBER_LIMIT = 2 ** 14
+
+
 @dataclass(frozen=True)
 class MarkovWaveletSystem:
     """Scaling functions and shifted wavelets on words over 0..N-1.
@@ -315,17 +344,23 @@ class MarkovWaveletSystem:
     held over ``space``.  Each member covers one run of consecutive
     positions: ``layers`` holds, for the scaling functions and then for each
     wavelet layer, the start of each member's run and, row by row, its
-    values there, members in label order.  ``functions`` is built on first
-    access only.
+    values there, members in label order.  ``heads`` holds the label text of
+    each member (`jsonl`); ``labels``, the records of that text, and
+    ``functions`` are built on first access only.
     """
 
     graph: KGraph
     spec: MeasureSpec
     depth: int
     level: int
-    labels: tuple[dict, ...]
+    heads: np.ndarray = field(repr=False)
     space: LevelSpace = field(repr=False)
     layers: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False)
+
+    @cached_property
+    def labels(self) -> tuple[dict, ...]:
+        """One record per member: the records of `heads`."""
+        return tuple(jsonl.parse(jsonl.text(self.heads, "}\n")))
 
     def _members(self):
         """Each member in label order, as its positions and its values there."""
@@ -343,9 +378,13 @@ class MarkovWaveletSystem:
             mat[i, at] = values
         return (mat * self.space.weights[None, :]) @ mat.T
 
+    def listing(self) -> str:
+        """The JSON lines of the system: per member its label and its term records."""
+        return jsonl.listing(self.heads, self.space.term_heads, self._members())
+
     def to_records(self) -> list[dict]:
-        return [{**label, "terms": self.space.records(at, values)}
-                for label, (at, values) in zip(self.labels, self._members())]
+        """The records of `listing`."""
+        return jsonl.parse(self.listing())
 
 
 def markov_wavelets(n_letters: int, weights: Sequence[float], depth: int) -> MarkovWaveletSystem:
@@ -354,7 +393,8 @@ def markov_wavelets(n_letters: int, weights: Sequence[float], depth: int) -> Mar
     Scaling functions are the normalized letter indicators; base wavelets
     combine two-letter cylinders through the zero-mean vectors of the
     weighted inner product; deeper layers are word shifts.  The combined
-    system has n_letters**(depth+1) members.
+    system has n_letters**(depth+1) members; above `MARKOV_MEMBER_LIMIT`
+    it raises TooLarge before it builds anything.
 
     Level positions count words in base n_letters, so the layer-m wavelet
     S_w psi_{j,a} covers the n**(depth-m) positions from (w*n + a) *
@@ -365,16 +405,22 @@ def markov_wavelets(n_letters: int, weights: Sequence[float], depth: int) -> Mar
         raise BadWeights("need at least two letters")
     if depth < 0:
         raise BadWeights("depth must be >= 0")
+    members = 1
+    for _ in range(depth + 1):  # n_letters**(depth + 1), up to the first power past the limit
+        members *= n_letters
+        if members > MARKOV_MEMBER_LIMIT:
+            raise TooLarge(f"{n_letters} letters at depth {depth} give {n_letters}^{depth + 1} "
+                           f"members, above the limit of {MARKOV_MEMBER_LIMIT}")
     graph = bouquet_graph(n_letters)
     spec = MeasureSpec.bernoulli(graph, weights)
-    letters, p = graph.edge_ids, spec.w
+    p = spec.w
     level = depth + 1
     space = level_space(spec, (level,))
     kernel = graph.word_kernel
-    ids = np.array(kernel.ids, dtype=object)
+    letter_texts, ms = kernel.id_texts, jsonl.integers(n_letters)
 
     run = n_letters ** depth
-    labels = [{"kind": "scaling", "letter": a} for a in letters]
+    heads = [jsonl.cells('{"kind": "scaling", "letter": ', letter_texts)]
     layers = [(np.arange(n_letters) * run, np.repeat((1.0 / np.sqrt(p))[:, None], run, axis=1))]
     psi = complement_basis(p)[None, :, :] / np.sqrt(p)[:, None, None]  # [a, j - 1, b]
     for m in range(depth):
@@ -383,9 +429,12 @@ def markov_wavelets(n_letters: int, weights: Sequence[float], depth: int) -> Mar
         values = spec.prefix_factors((m,), words)[:, None, None, None] * psi[None]
         layers.append((np.repeat(np.arange(len(words) * n_letters) * run, n_letters - 1),
                        np.repeat(values.reshape(-1, n_letters), run // n_letters, axis=1)))
-        labels.extend({"kind": "wavelet", "layer": m, "word": list(w), "letter": a, "m": j}
-                      for w in ids[words].tolist() for a in letters for j in range(1, n_letters))
-    return MarkovWaveletSystem(graph, spec, depth, level, tuple(labels), space, tuple(layers))
+        heads.append(jsonl.cells(
+            f'{{"kind": "wavelet", "layer": {m}, "word": [',
+            np.repeat(jsonl.word_lists(letter_texts, words), n_letters * (n_letters - 1)),
+            '], "letter": ', np.tile(np.repeat(letter_texts, n_letters - 1), len(words)),
+            ', "m": ', np.tile(ms[1:], len(words) * n_letters)))
+    return MarkovWaveletSystem(graph, spec, depth, level, np.concatenate(heads), space, tuple(layers))
 
 
 # -- subspace comparison (shape J versus shape lJ) --------------------------

@@ -451,6 +451,65 @@ def count_edge_objects(monkeypatch):
     return built
 
 
+def label_records(basis):
+    """Oracle for `WaveletBasis.labels`: one dict per basis vector, read off
+    the cascade's groups and shift rows."""
+    vertices = basis.family.graph.vertices
+    ids = np.array(basis.family.graph.word_kernel.ids, dtype=object)
+    labels = [{"kind": "scaling", "vertex": v} for v in vertices]
+    for j, (layer, words) in enumerate(zip(basis.layers, basis.shifts)):
+        shift_ids = ids[words].tolist()
+        for name, g in zip(vertices, layer):
+            for i in g.lams.tolist():
+                labels.extend({"kind": "wavelet", "j": j, "vertex": name, "m": m,
+                               "shift": list(shift_ids[i])} for m in range(1, len(g.c) + 1))
+    return labels
+
+
+def term_records(space, at, values):
+    """Oracle for `LevelSpace.records`: one dict per nonzero value, with the
+    path list of its position read off the level's rows."""
+    if not any(space.level):  # vertices: positions follow graph order, records names
+        return space.function_at(at, values).to_records()
+    keep = values != 0.0
+    paths = np.array(space.graph.word_kernel.ids, dtype=object)[space.words].tolist()
+    return [{"path": paths[i], "coeff": v} for i, v in zip(at[keep].tolist(), values[keep].tolist())]
+
+
+def basis_records(basis):
+    """Oracle for `WaveletBasis.to_records`: the label dict of each basis
+    vector with the term dicts of its member."""
+    return [{**label, "terms": term_records(basis.space, at, values)}
+            for label, (at, values) in zip(label_records(basis), basis._members())]
+
+
+def coefficient_records(basis, coeffs):
+    """Oracle for the records of ``wavelets --analyze``: each label dict with
+    its coefficient."""
+    return [{**label, "coeff": float(c)} for label, c in zip(label_records(basis), coeffs)]
+
+
+def markov_labels(system):
+    """Oracle for `MarkovWaveletSystem.labels`: the scaling letters, then per
+    layer m each word of length m, letter and index j."""
+    letters = system.graph.edge_ids
+    kernel = system.graph.word_kernel
+    ids = np.array(kernel.ids, dtype=object)
+    labels = [{"kind": "scaling", "letter": a} for a in letters]
+    for m in range(system.depth):
+        words = kernel.level((m,))[0]
+        labels.extend({"kind": "wavelet", "layer": m, "word": list(w), "letter": a, "m": j}
+                      for w in ids[words].tolist() for a in letters for j in range(1, len(letters)))
+    return labels
+
+
+def markov_records(system):
+    """Oracle for `MarkovWaveletSystem.to_records`: each label dict with the
+    term dicts of its member."""
+    return [{**label, "terms": term_records(system.space, at, values)}
+            for label, (at, values) in zip(markov_labels(system), system._members())]
+
+
 def dense_listing(basis):
     """Oracle for `WaveletBasis.to_records`: each member read off its row of
     the dense matrix, the synthesis of the identity."""

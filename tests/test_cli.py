@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 import kgraphwave
-from kgraphwave import CylinderFn, WaveletBasis, fixture_path, load_kgraph, normal_form
+from kgraphwave import (
+    CylinderFn,
+    WaveletBasis,
+    default_preferred_paths,
+    fixture_path,
+    load_kgraph,
+    normal_form,
+)
 from kgraphwave.cli import main
 from helpers import (
     count_edge_objects,
@@ -642,19 +649,24 @@ def test_integer_golden_stdout(graph, command, digest, tmp_path, capsys, monkeyp
 
 
 def test_spectral_ops_build_no_edges(tmp_path, capsys, monkeypatch):
-    """Load, validation and every spectral op read the edge and square
-    columns alone, on a 300-vertex circulant like the benchmark's."""
+    """Load, validation, every spectral op and `traffic --prefs` read the
+    edge and square columns alone, on a 300-vertex circulant like the
+    benchmark's."""
     path = tmp_path / "circulant.kg"
     path.write_text(json.dumps(twisted_circulant_document(300, (1, 2), (1, 3), 4)))
     signal = tmp_path / "signal.json"
     signal.write_text(json.dumps(np.random.default_rng(3).normal(size=300).round(6).tolist()))
+    prefs = tmp_path / "prefs.jsonl"
+    assignment = default_preferred_paths(load_kgraph(str(path)), "v0").assignment
+    prefs.write_text("".join(json.dumps({"vertex": v, "path": ",".join(p.word) or "@" + v}) + "\n"
+                             for v, p in assignment.items()))
     p = str(path)
     built = count_edge_objects(monkeypatch)
     for argv in (["validate", p], ["pf", p], ["laplacian", p], ["spectral", p, "--eig"],
                  ["spectral", p, "--gft", str(signal)],
                  ["spectral", p, "--wavelet", "--t", "0.5", "--n", "v7"],
                  ["spectral", p, "--localize", "--n", "v7", "--m", "v12", "--tlist", "1.0,0.5"],
-                 ["spectral", p, "--reconstruct", str(signal)]):
+                 ["spectral", p, "--reconstruct", str(signal)], ["traffic", p, "--prefs", str(prefs)]):
         run_cli(capsys, *argv)
         assert built == {"Edge": 0, "FactorizationSquare": 0}, argv
     assert len(load_kgraph(p).edges) == 1200

@@ -174,6 +174,19 @@ class TestNormalForm:
         with pytest.raises(CompositionError):
             normal_form(ledrappier, ["a", "b"])  # s(a)=v1 but r(b)=v3
 
+    @pytest.mark.parametrize("word,message", [
+        (["a", "zz"], "unknown edge id 'zz'"),
+        (["zz", "b"], "unknown edge id 'zz'"),
+        (["a", "b", "zz"], "unknown edge id 'zz'"),  # unknown ids are found first
+        (["a", "a", "b"], "edges a and b are not composable (source v1 != range v3)"),
+        (["p", "o"], "edges p and o are not composable (source v1 != range v4)"),
+    ])
+    def test_bad_word_messages(self, ledrappier, word, message):
+        """Read off the edge columns, with the messages of the `Edge` views."""
+        with pytest.raises(CompositionError) as exc:
+            normal_form(ledrappier, word)
+        assert str(exc.value) == message
+
 
 class TestCompose:
     def test_vertex_identity(self, lambda3):

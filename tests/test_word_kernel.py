@@ -206,3 +206,23 @@ class TestSquareTable:
                 kernel.compose(heads[0][first], (0, 1), tails[0][second], (1, 0))
             assert exc.value.reason == "missing_square"
             assert str(pair[0]) in str(exc.value) and str(pair[1]) in str(exc.value)
+
+
+class TestUnusedColors:
+    def test_tables_only_for_colors_edges_carry(self):
+        """One loop of color k = 10**5: the kernel holds no table per unused
+        color, so building it and a source-pruned search take well under a
+        second (1.3 s for the kernel alone with a table per color)."""
+        k = 10 ** 5
+        graph = load_kgraph({"k": k, "vertices": ["v"],
+                             "edges": [{"id": "e", "color": k, "source": "v", "range": "v"}],
+                             "squares": []})
+        start = time.perf_counter()
+        kernel = graph.word_kernel
+        degree = [0] * k
+        degree[-1] = 3
+        paths = enumerate_paths(graph, degree, source="v")
+        assert time.perf_counter() - start < 0.5
+        assert [p.word for p in paths] == [("e", "e", "e")]
+        assert kernel.edges_of(1).tolist() == [] and kernel.edges_of(k // 2).tolist() == []
+        assert kernel.edges_of(k).tolist() == [0]
