@@ -24,6 +24,7 @@ from .errors import (
     LevelTooSmall,
     NegativeArgument,
     NonConstantDerivative,
+    NonFiniteResult,
     NoWaveletDegree,
     NotStronglyConnected,
     NotZeroOne,

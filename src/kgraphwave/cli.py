@@ -55,7 +55,7 @@ VALIDATION_EXIT = 3
 NUMERIC_EXIT = 4
 
 _NUMERIC_ERRORS = (err.ConvergenceFailure, err.DivergentIntegral, err.GridTooCoarse,
-                   err.NonConstantDerivative, err.ResidualTooLarge)
+                   err.NonConstantDerivative, err.NonFiniteResult, err.ResidualTooLarge)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -173,6 +173,22 @@ _RECORD_FIELDS = {
 }
 
 
+_scan = json.JSONDecoder().scan_once
+
+
+def _decode_line(line: str):
+    """``json.loads(line)``, by one call of the C scanner when the line is
+    one JSON value and its newline.  A line whose value does not start at
+    its first character, or that holds more after the value, goes to
+    `json.loads`, which gives its value or its error.  An error of the scan
+    itself is that of `json.loads`, whose scan of such a line starts at 0."""
+    try:
+        value, end = _scan(line, 0)
+    except StopIteration:
+        return json.loads(line)
+    return value if line[end:] in ("", "\n") else json.loads(line)
+
+
 def _read_records(filename: str, fields: tuple[str, ...]) -> list[dict]:
     """The records of a JSON-lines transform input, one object per nonblank
     line, each holding the named `fields` in valid form: ``path`` a list of
@@ -180,7 +196,7 @@ def _read_records(filename: str, fields: tuple[str, ...]) -> list[dict]:
     checks = [(name, *_RECORD_FIELDS[name]) for name in fields]
     with open(filename) as fh:
         lines = [(number, line) for number, line in enumerate(fh, 1) if line.strip()]
-    records = [json.loads(line) for _, line in lines]
+    records = [_decode_line(line) for _, line in lines]
     for (number, line), rec in zip(lines, records):
         if type(rec) is not dict:
             raise err.ParseError(f"{filename} line {number}: expected a JSON object, got {line.strip()}")
@@ -188,6 +204,16 @@ def _read_records(filename: str, fields: tuple[str, ...]) -> list[dict]:
             if not check(rec.get(name)):
                 raise err.ParseError(f"{filename} line {number}: field {name!r} must be {what}")
     return records
+
+
+def _finite(values: np.ndarray, flag: str, what: str) -> np.ndarray:
+    """The values of a transform, if they are all finite: a finite input
+    can sum past the float range, and NaN and Infinity are no JSON.  Every
+    input value reaches some coefficient of an analysis, so a value that
+    overflows shows in the coefficients."""
+    if not np.isfinite(values).all():
+        raise err.NonFiniteResult(f"{flag}: the {what} leave the float range")
+    return values
 
 
 def _signal_from_file(path: str, n: int) -> np.ndarray:
@@ -266,21 +292,19 @@ def _cmd_wavelets(args):
         _emit(args, [subspace_compare(family, coarse).to_record()])
         return
     if args.list_family:
-        records = []
-        for v, fn in zip(graph.vertices, family.scaling):
-            records.append({"kind": "scaling", "vertex": v, "m": 0, "terms": fn.to_records()})
-        for (m, v), fn in family.wavelets:
-            records.append({"kind": "wavelet", "vertex": v, "m": m, "terms": fn.to_records()})
-        _emit(args, records)
+        _write(args, family.listing())
         return
     basis = wavelet_basis(family, args.depth)
     if args.analyze:
         fn = CylinderFn.from_records(graph, _read_records(args.analyze, ("path", "coeff")))
-        _write(args, basis.coefficient_lines(analyze(basis, fn)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs = _finite(analyze(basis, fn), "--analyze", "coefficients")
+        _write(args, basis.coefficient_lines(coeffs))
         return
     if args.synthesize:
         coeffs = [float(rec["coeff"]) for rec in _read_records(args.synthesize, ("coeff",))]
-        values = synthesize_vector(basis, coeffs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = _finite(synthesize_vector(basis, coeffs), "--synthesize", "values")
         _write(args, basis.space.lines(np.arange(len(values)), values))
         return
     _write(args, basis.listing())

@@ -4,7 +4,8 @@ Errors fall into three families, mirrored by the CLI exit codes: parse
 errors (malformed input documents), validation errors (structurally bad
 graphs, incompatible shapes or arguments), and numeric errors (iteration
 caps, divergent integrals, too-coarse grids, non-constant Radon-Nikodym
-derivatives, eigen residuals over their bound).
+derivatives, eigen residuals over their bound, transform values past the
+float range).
 """
 
 
@@ -99,6 +100,11 @@ class NegativeArgument(KGraphWaveError):
 
 class DivergentIntegral(KGraphWaveError):
     """Kernel energy integral does not converge."""
+
+
+class NonFiniteResult(KGraphWaveError):
+    """A transform's result holds a value past the float range (an
+    infinity or NaN), which no JSON number can carry."""
 
 
 class GridTooCoarse(KGraphWaveError):

@@ -133,8 +133,8 @@ class KGraph:
     ``edge_source`` and ``edge_range`` (vertex index) of each as read-only
     intp arrays.  ``square_edges`` holds one row per square, in document
     order: the edges of its left (ascending) side, then of its right side.
-    `edges`, `squares`, the swap table and the range index are views of the
-    columns, built on first read.
+    `edges`, `squares` and the swap table are views of the columns, built
+    on first read.
     """
 
     def __init__(self, k: int, vertices: Sequence[str], edges: Iterable[Edge],
@@ -366,17 +366,6 @@ class KGraph:
             swap[left], swap[right] = right, left
         return swap
 
-    @cached_property
-    def _by_range_color(self) -> dict[tuple[str, int], tuple[str, ...]]:
-        """The edge ids by (range, color), sorted by id."""
-        into: dict[tuple[str, int], list[str]] = {}
-        order, _ = self.edges_by_range
-        ids, vertices = self.edge_ids, self.vertices
-        for e, r, c in zip(order.tolist(), self.edge_range[order].tolist(),
-                           self.edge_color[order].tolist()):
-            into.setdefault((vertices[r], c), []).append(ids[e])
-        return {key: tuple(run) for key, run in into.items()}
-
     # -- lookups -----------------------------------------------------------
 
     def edge(self, eid: str) -> Edge:
@@ -386,8 +375,13 @@ class KGraph:
         return self.edges[eid].color
 
     def edges_into(self, vertex: str, color: int) -> tuple[str, ...]:
-        """Edge ids with the given range and color, sorted by id."""
-        return self._by_range_color.get((vertex, color), ())
+        """Edge ids with the given range and color, sorted by id: the run of
+        the vertex in the word kernel's edges of that color by range."""
+        if vertex not in self.vertex_index:
+            return ()
+        by_range, starts = self.word_kernel.run_lists(color)
+        v = self.vertex_index[vertex]
+        return tuple(self.edge_ids[e] for e in by_range[starts[v]:starts[v + 1]])
 
     def zero_degree(self) -> Degree:
         return (0,) * self.k
@@ -550,9 +544,9 @@ def segment(path: Path, p: Sequence[int], q: Sequence[int]) -> Path:
     return _path_from_normal_word(graph, seg)
 
 
-def _reach(graph: KGraph, colors: Sequence[int], source: str) -> list[np.ndarray | None]:
+def _reach(graph: KGraph, colors: Sequence[int], source: str) -> list[list[bool] | None]:
     """reach[pos], for pos >= 1: marks the vertices from which a path with
-    the color sequence colors[pos:] ends at the source."""
+    the color sequence colors[pos:] ends at the source, as a list."""
     kernel = graph.word_kernel
     reach: list[np.ndarray | None] = [None] * (len(colors) + 1)
     reach[-1] = np.zeros(len(graph.vertices), dtype=bool)
@@ -561,7 +555,7 @@ def _reach(graph: KGraph, colors: Sequence[int], source: str) -> list[np.ndarray
         edges = kernel.edges_of(colors[pos])
         reach[pos] = np.zeros(len(graph.vertices), dtype=bool)
         reach[pos][kernel.range[edges[reach[pos + 1][kernel.source[edges]]]]] = True
-    return reach
+    return [None] + [marks.tolist() for marks in reach[1:]]
 
 
 def enumerate_paths(graph: KGraph, degree: Sequence[int], range: str | None = None,
@@ -575,7 +569,8 @@ def enumerate_paths(graph: KGraph, degree: Sequence[int], range: str | None = No
     marks the vertices from which the colors ``colors[pos:]`` can still end
     at the source, one vectorised step per color.  An edge whose source is
     unmarked in ``reach[pos + 1]`` starts a dead branch and is skipped, so
-    the search follows the size of the output.
+    the search follows the size of the output.  It steps by edge index
+    through the word kernel's runs of edges by range, color by color.
     """
     deg = as_degree(degree, graph.k)
     if range is not None and range not in graph.vertex_index:
@@ -590,29 +585,36 @@ def enumerate_paths(graph: KGraph, degree: Sequence[int], range: str | None = No
     colors = _degree_colors(deg)
     last = len(colors) - 1
     reach = [None] * (last + 2) if source is None else _reach(graph, colors, source)
-    edges, into, index = graph.edges, graph._by_range_color, graph.vertex_index
+    kernel = graph.word_kernel
+    runs = {c: kernel.run_lists(c) for c in set(colors)}
+    _, sources, ranges = graph._edge_lists
+    ids, vertices = graph.edge_ids, graph.vertices
     out: list[Path] = []
     word: list[str] = []
 
-    def extend(pos: int, candidates: Iterable[str]):
+    def extend(pos: int, candidates: list[int], top: str | None = None):
         live = reach[pos + 1]
-        for eid in candidates:
-            tail = edges[eid].source
-            if live is not None and not live[index[tail]]:
+        for e in candidates:
+            tail = sources[e]
+            if live is not None and not live[tail]:
                 continue
-            word.append(eid)
+            word.append(ids[e])
+            at = vertices[ranges[e]] if top is None else top
             if pos == last:
-                out.append(Path(graph, tuple(word), deg, edges[word[0]].range, tail))
-            else:
-                extend(pos + 1, into.get((tail, colors[pos + 1]), ()))
+                out.append(Path(graph, tuple(word), deg, at, vertices[tail]))
+            else:  # the edges into the tail, by id
+                by_range, starts = runs[colors[pos + 1]]
+                extend(pos + 1, by_range[starts[tail]:starts[tail + 1]], at)
             word.pop()
             if len(out) == limit:
                 return
 
     if range is not None:
-        extend(0, graph.edges_into(range, colors[0]))
+        by_range, starts = runs[colors[0]]
+        r = graph.vertex_index[range]
+        extend(0, by_range[starts[r]:starts[r + 1]])
     else:
-        extend(0, sorted(eid for eid, e in edges.items() if e.color == colors[0]))
+        extend(0, np.flatnonzero(kernel.color == colors[0]).tolist())
     return out
 
 
@@ -670,6 +672,7 @@ class WordKernel:
             self._into[int(colors[lo])] = by_range, np.searchsorted(self.range[by_range], np.arange(n + 1))
         self._levels: dict[Degree, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._offsets: dict[Degree, np.ndarray] = {}
+        self._run_lists: dict[int, tuple[list[int], list[int]]] = {}
 
     @cached_property
     def id_texts(self) -> np.ndarray:
@@ -683,6 +686,13 @@ class WordKernel:
     def _runs(self, color: int) -> tuple[np.ndarray, np.ndarray]:
         """The edges of one color by range, and where each range's run starts."""
         return self._into.get(color, self._empty_runs)
+
+    def run_lists(self, color: int) -> tuple[list[int], list[int]]:
+        """`_runs` of one color as lists, for searches that take one edge at
+        a time."""
+        if color not in self._run_lists:
+            self._run_lists[color] = tuple(a.tolist() for a in self._runs(color))
+        return self._run_lists[color]
 
     def word(self, path: Path) -> np.ndarray:
         """The edge indices of a path's word."""

@@ -62,27 +62,36 @@ class LevelSpace:
     def basis(self) -> tuple[Path, ...]:
         return tuple(self.graph.word_kernel.paths((self.words, self.ranges, self.sources), self.level))
 
-    def _extension_indices(self, path: Path) -> np.ndarray:
-        """The positions of the paths path * mu, d(mu) = level - d(path),
-        in the order of the mu."""
-        if not deg_le(path.degree, self.level):
-            raise DegreeRangeError(f"term at degree {path.degree} above level {self.level}")
-        vertex = self.graph.vertex_index
-        if not any(self.level):
-            return np.array([vertex[path.range]])
-        kernel = self.graph.word_kernel
-        step = deg_sub(self.level, path.degree)
-        tails, ranges, _ = kernel.level(step)
-        tails = tails[ranges == vertex[path.source]]
-        return kernel.rank(kernel.compose(kernel.word(path), path.degree, tails, step), self.level)
-
     def vector_of(self, f: CylinderFn) -> np.ndarray:
         """Coefficients of f in the (unnormalized) indicator basis: each term
-        adds its coefficient at the paths that extend it, in term order, the
-        order in which `refine` sums them."""
+        adds its coefficient at the paths that extend it.
+
+        The terms of one degree are composed with their extensions and
+        ranked at once.  The sums run in term order, each term over its
+        extensions in order, the order in which `refine` sums them."""
+        terms = list(f.terms)
+        for p in terms:
+            if not deg_le(p.degree, self.level):
+                raise DegreeRangeError(f"term at degree {p.degree} above level {self.level}")
+        vertex, kernel = self.graph.vertex_index, self.graph.word_kernel
+        by_degree: dict[Degree, list[int]] = {}
+        for t, p in enumerate(terms):
+            by_degree.setdefault(p.degree, []).append(t)
+        at, owner = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+        for degree, group in by_degree.items():
+            step = deg_sub(self.level, degree)
+            tails, ranges, _ = kernel.level(step)
+            rows, cols = _matching(np.array([vertex[terms[t].source] for t in group]), ranges, len(vertex))
+            if any(self.level):
+                heads = np.array([[kernel.position[e] for e in terms[t].word] for t in group], dtype=np.intp)
+                at.append(kernel.rank(kernel.compose(heads[rows], degree, tails[cols], step), self.level))
+            else:  # vertices on level 0
+                at.append(cols)
+            owner.append(np.array(group)[rows])
+        owner = np.concatenate(owner)
+        by_term = np.argsort(owner, kind="stable")
         vec = np.zeros(len(self.words))
-        for p, c in f.terms.items():
-            vec[self._extension_indices(p)] += c
+        np.add.at(vec, np.concatenate(at)[by_term], np.array(list(f.terms.values()))[owner[by_term]])
         return vec
 
     def function_of(self, vec: Sequence[float]) -> CylinderFn:

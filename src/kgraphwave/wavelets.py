@@ -29,7 +29,6 @@ from .kgraph import (
     as_degree,
     bouquet_graph,
     deg_scale,
-    enumerate_paths,
     vertex_path,
 )
 from .measure import CylinderFn, MeasureSpec
@@ -40,34 +39,83 @@ from .sbfs import LevelSpace, level_space
 
 @dataclass(frozen=True)
 class VertexBlock:
-    """Per-vertex wavelet data: the ordered path list D_v^J and the
-    orthonormal coefficient vectors (row 0 constant, rows 1.. zero-mean)."""
+    """Per-vertex wavelet data: D_v^J as the ascending ``positions`` of its
+    paths in the family's level-J space, and the orthonormal coefficient
+    vectors over them (row 0 constant, rows 1.. zero-mean).  ``paths``, the
+    `Path` objects, is built on first read."""
 
     vertex: str
-    paths: tuple[Path, ...]
+    space: LevelSpace = field(repr=False)
+    positions: np.ndarray
     c_vectors: np.ndarray
+
+    @cached_property
+    def paths(self) -> tuple[Path, ...]:
+        basis = self.space.basis
+        return tuple(basis[i] for i in self.positions.tolist())
 
 
 @dataclass(frozen=True)
 class WaveletFamily:
-    """Scaling functions and level-zero wavelets for one shape J."""
+    """Scaling functions and level-zero wavelets for one shape J.
+
+    The family is held as the level-J space and one `VertexBlock` per
+    vertex.  ``scaling`` (per vertex, Theta_v / sqrt(x_v)), ``wavelets``
+    (((m, v), f^{m,v}) in vertex order, m ascending) and `wavelet` are
+    `CylinderFn` views, built on read; `listing` writes the same records
+    from the rows.
+    """
 
     graph: KGraph
     spec: MeasureSpec
     shape: Degree
+    space: LevelSpace = field(repr=False)
     blocks: dict
-    scaling: tuple[CylinderFn, ...]          # per vertex, = Theta_v / sqrt(x_v)
-    wavelets: tuple[tuple[tuple[int, str], CylinderFn], ...]  # ((m, v), f^{m,v})
+
+    @cached_property
+    def scaling(self) -> tuple[CylinderFn, ...]:
+        # the constant row rebuilds Theta_v / sqrt(M(Z(v))) after coarsening
+        return tuple(CylinderFn(self.graph, {vertex_path(self.graph, v): float(b.c_vectors[0, 0])})
+                     for v, b in self.blocks.items())
+
+    @cached_property
+    def wavelets(self) -> tuple[tuple[tuple[int, str], CylinderFn], ...]:
+        return tuple(((m, v), self.wavelet(m, v))
+                     for v, b in self.blocks.items() for m in range(1, len(b.c_vectors)))
 
     def wavelet(self, m: int, vertex: str) -> CylinderFn:
         block = self.blocks[vertex]
         return CylinderFn.combination(zip(block.paths, block.c_vectors[m]))
 
+    def listing(self) -> str:
+        """The JSON lines of the family: per vertex its scaling function,
+        then every f^{m,v}, each with the term records of its `CylinderFn`.
+
+        A scaling function is one level-0 term; f^{m,v} sits at the
+        positions of D_v^J with the values of row m.
+        """
+        vertices = jsonl.strings(self.graph.vertices)
+        blocks = list(self.blocks.values())
+        ms = jsonl.integers(max(len(b.c_vectors) for b in blocks))
+        counts = [len(b.c_vectors) - 1 for b in blocks]
+        heads = np.concatenate([
+            jsonl.cells('{"kind": "scaling", "vertex": ', vertices, ', "m": 0'),
+            jsonl.cells('{"kind": "wavelet", "vertex": ', np.repeat(vertices, counts),
+                        ', "m": ', np.concatenate([ms[1:count + 1] for count in counts]))])
+        n = len(blocks)
+        vertex_heads = level_space(self.spec, self.graph.zero_degree()).term_heads
+        members = [(np.array([v]), b.c_vectors[0, :1]) for v, b in enumerate(blocks)]
+        members += [(n + b.positions, row) for b in blocks for row in b.c_vectors[1:]]
+        return jsonl.listing(heads, np.concatenate([vertex_heads, self.space.term_heads]), members)
+
 
 def build_wavelet_family(graph: KGraph, pf: PFData | None = None,
                          shape: Sequence[int] = None,
                          spec: MeasureSpec | None = None) -> WaveletFamily:
-    """Construct the shape-J scaling functions and wavelets f^{m,v}."""
+    """Construct the shape-J scaling functions and wavelets f^{m,v}.
+
+    D_v^J is the paths of range v in the level-J space, in its order; the
+    coefficient vectors come from their masses."""
     if shape is None:
         raise BadShape("a wavelet shape is required, e.g. shape=(1, 1)")
     if spec is None:
@@ -76,22 +124,16 @@ def build_wavelet_family(graph: KGraph, pf: PFData | None = None,
     if any(j < 1 for j in shape):
         raise BadShape(f"every shape entry must be >= 1, got {shape}")
 
+    space = level_space(spec, shape)
     blocks = {}
-    scaling = []
-    wavelets = []
-    space = level_space(spec, shape)  # D_v^J is the paths of range v, in order
     for i, v in enumerate(graph.vertices):
-        paths = tuple(enumerate_paths(graph, shape, range=v))
-        if not paths:
+        positions = np.flatnonzero(space.ranges == i)
+        if not len(positions):
             raise EmptyDv(f"no paths of shape {shape} reach vertex {v}")
-        weights = space.weights[space.ranges == i]
+        weights = space.weights[positions]
         c = np.vstack([constant_unit_vector(weights)[None, :], complement_basis(weights)])
-        blocks[v] = VertexBlock(v, paths, c)
-        # the constant row rebuilds Theta_v / sqrt(M(Z(v))) after coarsening
-        scaling.append(CylinderFn(graph, {vertex_path(graph, v): float(c[0, 0])}))
-        for m in range(1, len(paths)):
-            wavelets.append(((m, v), CylinderFn.combination(zip(paths, c[m]))))
-    return WaveletFamily(graph, spec, shape, blocks, tuple(scaling), tuple(wavelets))
+        blocks[v] = VertexBlock(v, space, positions, c)
+    return WaveletFamily(graph, spec, shape, space, blocks)
 
 
 @dataclass(frozen=True)
@@ -275,7 +317,6 @@ def wavelet_basis(family: WaveletFamily, depth: int,
         raise ShapeMismatch(f"level space is at {space.level}, the basis needs {level}")
 
     kernel = graph.word_kernel
-    blocks, block_ranges, block_sources = kernel.level(shape)  # D_v^J is the rows of range v
     at = np.arange(len(graph.vertices))
     words, sources, ranks = np.empty((len(at), 0), dtype=np.intp), at, at
     layers, shifts = [], []
@@ -286,8 +327,7 @@ def wavelet_basis(family: WaveletFamily, depth: int,
         groups, heads, tails, tail_sources = [], [], [], []
         n_fine = 0
         for v, name in enumerate(graph.vertices):
-            block = np.flatnonzero(block_ranges == v)
-            c = family.blocks[name].c_vectors[1:]
+            block, c = family.blocks[name].positions, family.blocks[name].c_vectors[1:]
             lams = np.flatnonzero(sources == v)
             lams = lams[np.argsort(ranks[lams], kind="stable")]
             groups.append(_Group(lams, slice(n_fine, n_fine + len(lams) * len(block)),
@@ -296,8 +336,8 @@ def wavelet_basis(family: WaveletFamily, depth: int,
             n_fine += len(lams) * len(block)
             n_coeffs += len(lams) * len(c)
             heads.append(np.repeat(words[lams], len(block), axis=0))
-            tails.append(np.tile(blocks[block], (len(lams), 1)))
-            tail_sources.append(np.tile(block_sources[block], len(lams)))
+            tails.append(np.tile(family.space.words[block], (len(lams), 1)))
+            tail_sources.append(np.tile(family.space.sources[block], len(lams)))
         layers.append(tuple(groups))
         shifts.append(words)
         words = kernel.compose(np.concatenate(heads), lam_degree, np.concatenate(tails), shape)

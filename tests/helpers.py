@@ -2,6 +2,7 @@
 gate.  Each function returns the worst deviation it saw (0.0 for exact
 combinatorial checks) and raises AssertionError on failure."""
 
+import json
 import random
 import sys
 from fractions import Fraction
@@ -40,8 +41,9 @@ from kgraphwave import (
     vertex_path,
     wavelet_operator,
 )
+import kgraphwave.cli
 from kgraphwave.kgraph import WordKernel, deg_add, deg_sub
-from kgraphwave.orthobasis import complement_basis
+from kgraphwave.orthobasis import complement_basis, constant_unit_vector
 
 
 def words_with_pattern(graph, pattern):
@@ -341,6 +343,50 @@ def compose_cascade(family, depth):
     return labels, np.array([index[p] for p in paths]), factors
 
 
+def eager_wavelet_family(graph, shape):
+    """Oracle for `build_wavelet_family`: D_v^J listed by `enumerate_paths`
+    for each vertex, and every scaling function and wavelet built up front
+    as a `CylinderFn`.  Returns the (paths, c_vectors) of each vertex, the
+    scaling functions and the labelled wavelets."""
+    spec = MeasureSpec.perron_frobenius(graph)
+    space = level_space(spec, shape)
+    blocks, scaling, wavelets = {}, [], []
+    for i, v in enumerate(graph.vertices):
+        paths = tuple(enumerate_paths(graph, shape, range=v))
+        weights = space.weights[space.ranges == i]
+        c = np.vstack([constant_unit_vector(weights)[None, :], complement_basis(weights)])
+        blocks[v] = paths, c
+        scaling.append(CylinderFn(graph, {vertex_path(graph, v): float(c[0, 0])}))
+        for m in range(1, len(paths)):
+            wavelets.append(((m, v), CylinderFn.combination(zip(paths, c[m]))))
+    return blocks, tuple(scaling), tuple(wavelets)
+
+
+def eager_family_records(graph, scaling, wavelets):
+    """Oracle for `WaveletFamily.listing`: the records of --list-family, one
+    dict per function with the `CylinderFn.to_records` of its terms."""
+    return ([{"kind": "scaling", "vertex": v, "m": 0, "terms": fn.to_records()}
+             for v, fn in zip(graph.vertices, scaling)]
+            + [{"kind": "wavelet", "vertex": v, "m": m, "terms": fn.to_records()}
+               for (m, v), fn in wavelets])
+
+
+def per_line_records(filename, fields):
+    """Oracle for `cli._read_records`: each nonblank line decoded by its own
+    `json.loads`, then the same checks of each record."""
+    checks = [(name, *kgraphwave.cli._RECORD_FIELDS[name]) for name in fields]
+    with open(filename) as fh:
+        lines = [(number, line) for number, line in enumerate(fh, 1) if line.strip()]
+    records = [json.loads(line) for _, line in lines]
+    for (number, line), rec in zip(lines, records):
+        if type(rec) is not dict:
+            raise ParseError(f"{filename} line {number}: expected a JSON object, got {line.strip()}")
+        for name, check, what in checks:
+            if not check(rec.get(name)):
+                raise ParseError(f"{filename} line {number}: field {name!r} must be {what}")
+    return records
+
+
 def pointwise_prefix_factor(spec, path):
     """Oracle for `MeasureSpec.prefix_factor`: rho^{d/2} for PF, and for
     Bernoulli the product of the letters' w^{-1/2} taken by numpy."""
@@ -422,8 +468,9 @@ def compose_prefix_map(spec, path, level):
 
 
 def forbid_path_building(monkeypatch):
-    """Make `refine`, `s_apply`, `LevelSpace.basis` and `WordKernel.paths`
-    raise, in every kgraphwave namespace that holds them, and `enumerate_paths`
+    """Make `refine`, `s_apply`, `LevelSpace.basis`, `WordKernel.paths` and
+    `CylinderFn.combination` raise, in every kgraphwave namespace that holds
+    them, and `enumerate_paths` in `kgraphwave.sbfs` and `kgraphwave.wavelets`
     and `compose` in `kgraphwave.sbfs`."""
     def boom(*args, **kwargs):
         raise AssertionError("output built Path objects")
@@ -435,8 +482,10 @@ def forbid_path_building(monkeypatch):
                     monkeypatch.setattr(module, attr, boom)
     monkeypatch.setattr(LevelSpace, "basis", property(boom))
     monkeypatch.setattr(WordKernel, "paths", boom)
-    for attr in ("enumerate_paths", "compose"):
-        monkeypatch.setattr(kgraphwave.sbfs, attr, boom, raising=False)
+    monkeypatch.setattr(CylinderFn, "combination", boom)
+    for module, attr in ((kgraphwave.sbfs, "enumerate_paths"), (kgraphwave.sbfs, "compose"),
+                         (kgraphwave.wavelets, "enumerate_paths")):
+        monkeypatch.setattr(module, attr, boom, raising=False)
 
 
 def count_edge_objects(monkeypatch):
@@ -706,6 +755,14 @@ def generated_documents(draw):
     shifts = st.lists(st.integers(0, 7), min_size=1, max_size=3, unique=True)
     return twisted_circulant_document(draw(st.integers(1, 8)), tuple(draw(shifts)),
                                       tuple(draw(shifts)), draw(st.integers(0, 2 ** 16)))
+
+
+@st.composite
+def family_documents(draw):
+    """A `generated_documents` graph, or a rank-3 skeleton or its double cover."""
+    if draw(st.booleans()):
+        return draw(generated_documents())
+    return draw(st.sampled_from([skeleton_doc, double_cover]))(VALID_SQUARES)
 
 
 def quadrature_reconstruct(spec, kernel, signal, t_grid=None):

@@ -1,8 +1,11 @@
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import kgraphwave
 from kgraphwave import (
@@ -13,10 +16,11 @@ from kgraphwave import (
     load_kgraph,
     normal_form,
 )
-from kgraphwave.cli import main
+from kgraphwave.cli import _read_records, main
 from helpers import (
     count_edge_objects,
     forbid_path_building,
+    per_line_records,
     random_cylinder_fn,
     torus_document,
     twisted_circulant_document,
@@ -573,8 +577,19 @@ def test_markov_golden_stdout(argv, digest, capsys):
     ["wavelets", LED, "--shape", "1,2", "--depth", "2"],
     ["ck-check", LED, "--level", "2,2"],
     ["ck-check", str(fixture_path("bouquet-3")), "--weights", "0.2,0.3,0.5", "--level", "3"],
-], ids=["markov", "listing 1,1", "listing 1,2", "ck ledrappier", "ck bouquet-3 bernoulli"])
-def test_output_builds_no_paths(argv, capsys, monkeypatch):
+    ["wavelets", LED, "--shape", "1,1", "--compare", "2"],
+    ["wavelets", LED, "--shape", "1,1", "--compare", "3"],
+    ["wavelets", LED, "--shape", "1,2", "--list-family"],
+    ["wavelets", LED, "--shape", "1,1", "--depth", "3", "--analyze", "{fn}"],
+    ["wavelets", LED, "--shape", "1,1", "--depth", "3", "--synthesize", "{coeffs}"],
+], ids=["markov", "listing 1,1", "listing 1,2", "ck ledrappier", "ck bouquet-3 bernoulli",
+        "compare 2", "compare 3", "list-family", "analyze", "synthesize"])
+def test_output_builds_no_paths(argv, capsys, monkeypatch, tmp_path):
+    fn_file, coeff_file = tmp_path / "fn.jsonl", tmp_path / "coeffs.jsonl"
+    fn = random_cylinder_fn(load_kgraph(LED), (3, 3), 12, np.random.default_rng(5))
+    fn_file.write_text("".join(json.dumps(r) + "\n" for r in fn.to_records()))
+    coeff_file.write_text("".join(json.dumps({"coeff": (i % 7) - 3.5}) + "\n" for i in range(256)))
+    argv = [a.format(fn=fn_file, coeffs=coeff_file) for a in argv]
     expected, _ = run_cli(capsys, *argv)
     forbid_path_building(monkeypatch)
     out, _ = run_cli(capsys, *argv)
@@ -590,6 +605,66 @@ def test_synthesize_builds_no_paths_and_no_labels(capsys, monkeypatch, tmp_path)
     monkeypatch.setattr(WaveletBasis, "labels", property(lambda self: pytest.fail("labels built")))
     out, _ = run_cli(capsys, *argv)
     assert out == expected
+
+
+class TestNonFinite:
+    """A finite input that sums past the float range exits 4 with one JSON
+    record and no warning, from --analyze and from --synthesize."""
+
+    def run(self, capsys, tmp_path, flag, lines):
+        path = tmp_path / "input.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in lines))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, errtext = run_cli(capsys, "wavelets", LED, "--shape", "1,1", "--depth", "1",
+                                   flag, str(path), expect_exit=4)
+        assert out == ""
+        (line,) = errtext.splitlines()
+        return json.loads(line)
+
+    def test_analyze(self, capsys, tmp_path):
+        # Z(ac) lies in Z(a): the two terms sum to 2e308 there
+        rec = self.run(capsys, tmp_path, "--analyze",
+                       [{"path": ["a"], "coeff": 1e308}, {"path": ["a", "c"], "coeff": 1e308}])
+        assert rec == {"error": "numeric", "message": "--analyze: the coefficients leave the float range"}
+
+    def test_synthesize(self, capsys, tmp_path):
+        rec = self.run(capsys, tmp_path, "--synthesize", [{"coeff": 1e308}] * 16)
+        assert rec == {"error": "numeric", "message": "--synthesize: the values leave the float range"}
+
+
+# lines a transform input may hold: records valid and not, JSON that is no
+# object, whitespace, a BOM, extra data, halves of one object, NaN and
+# Infinity, integers past the float range and past int()'s digit limit,
+# duplicate keys, and missing or ill-typed fields
+READER_LINES = [
+    '{"path": ["a", "c"], "coeff": 1.5}', '{"coeff": -2}', '{"coeff": 0.0, "path": [], "x": [1, {"y": null}]}',
+    '  {"coeff": 1}', '{"coeff": 1}  ', '\t{"coeff": 1}\t', '{"coeff": 1}\r', '\r', '   ', '',
+    '\x0c{"coeff": 1}', '{"coeff": 1}\xa0', '\ufeff{"coeff": 1}',
+    '{"coeff": 1} {"coeff": 2}', '{"coeff": 1}x', '{"coeff": 1},', '{"path": ["a"],', '"coeff": 1}',
+    '{"coeff": NaN}', '{"coeff": Infinity}', '{"coeff": -Infinity}', '{"x": NaN, "coeff": 1, "path": ["a"]}',
+    '{"coeff": 1' + "0" * 400 + '}', '{"coeff": ' + "9" * 5000 + '}',
+    '{"coeff": "x", "coeff": 1, "path": ["a"]}', '{"coeff": 1, "coeff": "x"}',
+    '[1, 2]', '"text"', '3', 'null', 'true',
+    '{"path": "a", "coeff": 1}', '{"path": ["a", 1], "coeff": 1}', '{"coeff": true}', '{"coeff": "1"}',
+    '{}', '{"path": ["a"]}', '{"coeff": 1', '{coeff: 1}', '{"coeff": 01}', '{"a": "\x01"}', '{"é": "\\ud800"}',
+]
+
+
+def _outcome(read, filename, fields):
+    try:
+        return "records", repr(read(filename, fields))
+    except Exception as exc:  # the class and the message are the outcome
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.sampled_from(READER_LINES), max_size=5), st.booleans())
+def test_reader_matches_the_per_line_reader(tmp_path, lines, final_newline):
+    path = tmp_path / "input.jsonl"
+    path.write_text("\n".join(lines) + ("\n" if final_newline else ""), encoding="utf-8", newline="")
+    for fields in (("path", "coeff"), ("coeff",)):
+        assert _outcome(_read_records, str(path), fields) == _outcome(per_line_records, str(path), fields)
 
 
 # sha256 of --analyze stdout, and of --synthesize stdout fed that output,
@@ -649,9 +724,9 @@ def test_integer_golden_stdout(graph, command, digest, tmp_path, capsys, monkeyp
 
 
 def test_spectral_ops_build_no_edges(tmp_path, capsys, monkeypatch):
-    """Load, validation, every spectral op and `traffic --prefs` read the
-    edge and square columns alone, on a 300-vertex circulant like the
-    benchmark's."""
+    """Load, validation, every spectral op and `traffic`, with and without
+    --prefs, read the edge and square columns alone, on a 300-vertex
+    circulant like the benchmark's."""
     path = tmp_path / "circulant.kg"
     path.write_text(json.dumps(twisted_circulant_document(300, (1, 2), (1, 3), 4)))
     signal = tmp_path / "signal.json"
@@ -666,7 +741,8 @@ def test_spectral_ops_build_no_edges(tmp_path, capsys, monkeypatch):
                  ["spectral", p, "--gft", str(signal)],
                  ["spectral", p, "--wavelet", "--t", "0.5", "--n", "v7"],
                  ["spectral", p, "--localize", "--n", "v7", "--m", "v12", "--tlist", "1.0,0.5"],
-                 ["spectral", p, "--reconstruct", str(signal)], ["traffic", p, "--prefs", str(prefs)]):
+                 ["spectral", p, "--reconstruct", str(signal)], ["traffic", p, "--prefs", str(prefs)],
+                 ["traffic", p]):
         run_cli(capsys, *argv)
         assert built == {"Edge": 0, "FactorizationSquare": 0}, argv
     assert len(load_kgraph(p).edges) == 1200

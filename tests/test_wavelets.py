@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from kgraphwave import (
@@ -23,6 +23,7 @@ from kgraphwave import (
     fixture_path,
     inner_product,
     integral,
+    is_strongly_connected,
     level_space,
     load_kgraph,
     markov_wavelets,
@@ -37,6 +38,10 @@ from helpers import (
     cylinder_listing,
     cylinder_synthesis_records,
     dense_wavelet_basis,
+    eager_family_records,
+    eager_wavelet_family,
+    family_documents,
+    forbid_path_building,
     markov_member_records,
     path_count,
     random_cylinder_fn,
@@ -125,6 +130,54 @@ class TestFamilyConstruction:
                 fam = build_wavelet_family(graph, shape=shape)
                 for v in graph.vertices:
                     assert len(fam.blocks[v].paths) >= len(base.blocks[v].paths)
+
+
+class TestRowFamily:
+    """The family held as level rows against `eager_wavelet_family`, which
+    lists D_v^J by `enumerate_paths` and builds every `CylinderFn` up front."""
+
+    @staticmethod
+    def draw_family(data):
+        graph = load_kgraph(data.draw(family_documents()))
+        assume(is_strongly_connected(graph))  # the PF measure needs it
+        shape = tuple(data.draw(st.lists(st.integers(1, 2), min_size=graph.k, max_size=graph.k)))
+        return graph, shape, eager_wavelet_family(graph, shape)
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_blocks_and_views_match_the_eager_family(self, data):
+        graph, shape, (blocks, scaling, wavelets) = self.draw_family(data)
+        family = build_wavelet_family(graph, shape=shape)
+        assert list(family.blocks) == list(blocks)
+        for v, (paths, c) in blocks.items():
+            got = family.blocks[v].c_vectors
+            assert got.shape == c.shape and got.tobytes() == c.tobytes()
+            assert family.blocks[v].paths == paths
+        assert [fn.terms for fn in family.scaling] == [fn.terms for fn in scaling]
+        assert [(label, fn.terms) for label, fn in family.wavelets] \
+            == [(label, fn.terms) for label, fn in wavelets]
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_list_family_stdout_is_the_eager_records(self, data):
+        graph, shape, (_, scaling, wavelets) = self.draw_family(data)
+        expected = "".join(json.dumps(r) + "\n" for r in eager_family_records(graph, scaling, wavelets))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "graph.kg")
+            path.write_text(json.dumps(graph.to_document()))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["wavelets", str(path), "--shape", ",".join(map(str, shape)),
+                             "--list-family"]) == 0
+        assert out.getvalue() == expected
+
+    def test_views_are_built_on_read(self, ledrappier, monkeypatch):
+        """Building the family lists no paths and builds no function."""
+        forbid_path_building(monkeypatch)
+        family = build_wavelet_family(ledrappier, shape=(2, 2))
+        assert [len(b.positions) for b in family.blocks.values()] == [16] * 4
+        with pytest.raises(AssertionError, match="Path objects"):
+            family.wavelets
 
 
 class TestBasis:
