@@ -20,12 +20,8 @@ from functools import cache
 import numpy as np
 
 from . import errors as err
-from .kgraph import (
-    load_kgraph_file,
-    normal_form,
-    vertex_path,
-)
-from .measure import CylinderFn, MeasureSpec, cylinder_measure, embed_to_interval
+from .kgraph import load_kgraph_file, normal_form_rows, path_of
+from .measure import MeasureSpec, check_zero_one, cylinder_measures, embed_interval, record_terms
 from .perron import hausdorff_dimension, is_strongly_connected, pf_data
 from .sbfs import check_ck_relations
 from .spectral import (
@@ -103,10 +99,10 @@ def _check_scales(values, flag: str):
             _fail(USAGE_EXIT, "usage", f"{flag} scales must be finite and > 0, got {t}")
 
 
-def _parse_word(graph, text: str):
-    if text.startswith("@"):
-        return vertex_path(graph, text[1:])
-    return normal_form(graph, text.split(","))
+def _parse_words(graph, texts: list[str]) -> list:
+    """The normal forms of words like ``e,f1``, or ``@v`` for a vertex."""
+    return normal_form_rows(graph, [[t] if t.startswith("@") else t.split(",") for t in texts],
+                            vertex_marks=True)
 
 
 def _graph_path(args) -> str:
@@ -260,15 +256,16 @@ def _cmd_pf(args):
 def _cmd_measure(args):
     graph = _load_graph(args)
     spec = _load_measure(graph, args)
+    if args.embed:  # the graph is checked once the first path is read, before the others
+        _parse_words(graph, args.path[:1])
+        check_zero_one(graph)
+    forms = _parse_words(graph, args.path)
     records = []
-    for text in args.path:
-        p = _parse_word(graph, text)
-        value = cylinder_measure(spec, p)
-        rec = {"path": text, "normal_form": list(p.word) or ["@" + p.range],
+    for text, (_, row, r, _), value in zip(args.path, forms, cylinder_measures(spec, forms)):
+        rec = {"path": text, "normal_form": [graph.edge_ids[e] for e in row] or ["@" + graph.vertices[r]],
                "measure": str(value) if spec.exact else float(value)}
         if args.embed:
-            lo, hi = embed_to_interval(graph, p)
-            rec["interval"] = [str(lo), str(hi)]
+            rec["interval"] = [str(x) for x in embed_interval(graph, r, row)]
         records.append(rec)
     _emit(args, records, csv_fields=["path", "measure"])
 
@@ -296,9 +293,9 @@ def _cmd_wavelets(args):
         return
     basis = wavelet_basis(family, args.depth)
     if args.analyze:
-        fn = CylinderFn.from_records(graph, _read_records(args.analyze, ("path", "coeff")))
+        terms = record_terms(graph, _read_records(args.analyze, ("path", "coeff")))
         with np.errstate(over="ignore", invalid="ignore"):
-            coeffs = _finite(analyze(basis, fn), "--analyze", "coefficients")
+            coeffs = _finite(analyze(basis, terms), "--analyze", "coefficients")
         _write(args, basis.coefficient_lines(coeffs))
         return
     if args.synthesize:
@@ -319,17 +316,19 @@ def _cmd_traffic(args):
     graph = _load_graph(args)
     pf = pf_data(graph)
     if args.prefs:
-        with open(args.prefs) as fh:
-            assignment = {}
-            for line in fh:
-                if not line.strip():
-                    continue
-                rec = json.loads(line)
-                if not (isinstance(rec, dict) and isinstance(rec.get("vertex"), str)
-                        and isinstance(rec.get("path"), str)):
-                    raise err.ParseError(
-                        f"preferred-path records need string 'vertex' and 'path' fields, got {line.strip()}")
-                assignment[rec["vertex"]] = _parse_word(graph, rec["path"])
+        records = []
+        try:
+            with open(args.prefs) as fh:
+                for line in filter(str.strip, fh):
+                    rec = json.loads(line)
+                    if not (isinstance(rec, dict) and isinstance(rec.get("vertex"), str)
+                            and isinstance(rec.get("path"), str)):
+                        raise err.ParseError("preferred-path records need string 'vertex' and 'path' "
+                                             f"fields, got {line.strip()}")
+                    records.append(rec)
+        finally:  # the words of the lines before a bad line are read first: their fault wins
+            forms = _parse_words(graph, [rec["path"] for rec in records])
+        assignment = {rec["vertex"]: path_of(graph, form) for rec, form in zip(records, forms)}
         if not assignment:
             raise err.ValidationError("bad_preferred_path", f"{args.prefs} holds no preferred paths")
         root = args.root or next(iter(assignment.values())).range

@@ -4,8 +4,9 @@ A k-graph is stored as its colored skeleton (vertices plus edges carrying a
 color in 1..k) together with the factorization squares: for every composable
 pair of edges of distinct colors, the unique color-swapped pair representing
 the same length-two morphism.  Every path is kept in a canonical normal form,
-the edge word with all color-1 edges first, then color-2, and so on; the
-squares act as rewriting rules between equivalent words.
+the edge word with all color-1 edges first, then color-2, and so on.  One
+engine, `WordKernel.rewrite` on rows of edge indices, takes words to normal
+form and back by the squares; `Path` is the view of one row at the API.
 
 Degrees are plain tuples of non-negative ints of length k.  All structures
 are immutable after construction and all enumeration orders are
@@ -17,6 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import permutations
 from pathlib import Path as FilePath
 from typing import Iterable, Sequence
 
@@ -133,8 +135,7 @@ class KGraph:
     ``edge_source`` and ``edge_range`` (vertex index) of each as read-only
     intp arrays.  ``square_edges`` holds one row per square, in document
     order: the edges of its left (ascending) side, then of its right side.
-    `edges`, `squares` and the swap table are views of the columns, built
-    on first read.
+    `edges` and `squares` are views of the columns, built on first read.
     """
 
     def __init__(self, k: int, vertices: Sequence[str], edges: Iterable[Edge],
@@ -255,24 +256,17 @@ class KGraph:
             f"edge pair {right} appears in two squares",
         ][fault - 1])
 
-    @cached_property
-    def edges_by_range(self) -> tuple[np.ndarray, np.ndarray]:
-        """The edges ordered by range, then color, then id, and for each
-        vertex v the run ``starts[v]:starts[v + 1]`` of the edges into it."""
-        order = np.lexsort((self.edge_color, self.edge_range))
-        starts = np.searchsorted(self.edge_range[order], np.arange(len(self.vertices) + 1))
-        return order, starts
+    def _mixed_words(self, length: int) -> list[tuple[tuple[int, ...], np.ndarray]]:
+        """The composable words of `length` distinct colors, per color sequence."""
+        colors = sorted(set(self.edge_color.tolist()))
+        return [(p, self.word_kernel.words(p)) for p in permutations(colors, length)]
 
-    def _mixed_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Composable two-color words (a, b): a in document order, and b among
-        the edges into s(a) of another color, by color and then id."""
-        into, starts = self.edges_by_range
-        a = self._document_order
-        tail = self.edge_source[a]
-        count = starts[tail + 1] - starts[tail]
-        a, b = np.repeat(a, count), into[_expand_runs(starts[tail], count)]
-        mixed = self.edge_color[a] != self.edge_color[b]
-        return a[mixed], b[mixed]
+    def _first_named(self, words: np.ndarray) -> tuple[str, ...]:
+        """The word the checks name first: its first edge first in document
+        order, then each later edge least by color and then id."""
+        later = [key for e in words.T[:0:-1] for key in (e, self.edge_color[e])]
+        first = np.lexsort((*later, np.argsort(self._document_order)[words[:, 0]]))[0]
+        return tuple(self.edge_ids[e] for e in words[first].tolist())
 
     def _check_square_coverage(self):
         """Every composable two-color word lies in a square.
@@ -285,7 +279,7 @@ class KGraph:
         sum_a (indeg(s(a)) - indeg_{c(a)}(s(a))) words: a bincount of the
         edge ranges, then one per color that edges carry, each O(n + E).
         Only when the count falls short are the words listed, by
-        ``_mixed_pairs``, to name the first missing one.
+        ``_mixed_words``, to name the first missing one.
 
         This and ``_check_squares`` force the vertex matrices to commute.
         For i < j, (A_i A_j)[v, w] counts the composable words (e, f) from w
@@ -304,38 +298,22 @@ class KGraph:
         if 2 * len(self.square_edges) == words:
             return
         size = len(self.edge_ids)
-        a, b = self._mixed_pairs()
+        words = np.concatenate([words for _, words in self._mixed_words(2)])
         sides = self.square_edges[:, [0, 2]] * size + self.square_edges[:, [1, 3]]
-        i = int(np.argmax(~np.isin(a * size + b, sides)))
-        raise ValidationError(
-            "missing_square",
-            f"no square covers the composable pair ({self.edge_ids[a[i]]}, {self.edge_ids[b[i]]})")
+        a, b = self._first_named(words[~np.isin(words[:, 0] * size + words[:, 1], sides)])
+        raise ValidationError("missing_square", f"no square covers the composable pair ({a}, {b})")
 
     def _check_cube_condition(self):
-        """Every tri-colored word (x, y, z) has one normal form: its rewrites
-        by leftmost and by rightmost swaps agree.  The words come with (x, y)
-        in `_mixed_pairs` order and z among the edges into s(y) of the third
-        color, by color and then id; the rewrites run per color sequence."""
-        x, y = self._mixed_pairs()
-        into, starts = self.edges_by_range
-        tail = self.edge_source[y]
-        count = starts[tail + 1] - starts[tail]
-        words = np.column_stack([np.repeat(x, count), np.repeat(y, count),
-                                 into[_expand_runs(starts[tail], count)]])
-        colors = self.edge_color[words]
-        third = (colors[:, 2] != colors[:, 0]) & (colors[:, 2] != colors[:, 1])
-        words, colors = words[third], colors[third]
-        if not len(words):
-            return
-        kernel = self.word_kernel
-        split = np.zeros(len(words), dtype=bool)
-        patterns, group = np.unique(colors, axis=0, return_inverse=True)
-        for p, pattern in enumerate(patterns.tolist()):
-            rows = np.flatnonzero(group.ravel() == p)
-            split[rows] = (kernel.rewrite(words[rows], tuple(pattern), leftmost=True)
-                           != kernel.rewrite(words[rows], tuple(pattern), leftmost=False)).any(axis=1)
-        if split.any():
-            word = tuple(self.edge_ids[i] for i in words[np.argmax(split)].tolist())
+        """Every tri-colored word has one normal form: its rewrites by
+        leftmost and by rightmost swaps agree, for all words of one color
+        sequence at once.  The first offender (`_first_named`) is named."""
+        kernel, split = self.word_kernel, [np.empty((0, 3), dtype=np.intp)]
+        for p, words in self._mixed_words(3):
+            left, right = (kernel.rewrite(words.copy(), p, leftmost) for leftmost in (True, False))
+            split.append(words[(left != right).any(axis=1)])
+        split = np.concatenate(split)
+        if len(split):
+            word = self._first_named(split)
             raise ValidationError(
                 "cube_condition", f"tri-colored word {word} has order-dependent normal form")
 
@@ -356,15 +334,6 @@ class KGraph:
         ids, color = self.edge_ids, self.edge_color.tolist()
         return tuple(FactorizationSquare((color[a], color[b]), (ids[a], ids[b]), (ids[c], ids[d]))
                      for a, b, c, d in self.square_edges.tolist())
-
-    @cached_property
-    def _swap(self) -> dict[tuple[str, str], tuple[str, str]]:
-        """Each square side to the other side of its square."""
-        ids, swap = self.edge_ids, {}
-        for a, b, c, d in self.square_edges.tolist():
-            left, right = (ids[a], ids[b]), (ids[c], ids[d])
-            swap[left], swap[right] = right, left
-        return swap
 
     # -- lookups -----------------------------------------------------------
 
@@ -391,58 +360,10 @@ class KGraph:
         """The word-array tables of this graph, built on first use."""
         return WordKernel(self)
 
-    # -- word rewriting ----------------------------------------------------
-
     @cached_property
     def _edge_lists(self) -> tuple[list[int], list[int], list[int]]:
-        """The color, source and range columns as lists, for word checks."""
+        """The color, source and range columns as lists."""
         return self.edge_color.tolist(), self.edge_source.tolist(), self.edge_range.tolist()
-
-    def _check_word(self, word: Sequence[str]) -> tuple[tuple[int, ...], str, str]:
-        """The colors of a composable word's edges, and its range and source
-        vertex, read off the edge columns.  Raises CompositionError at the
-        first unknown edge, else at the first pair that does not compose."""
-        position = self.edge_position
-        try:
-            at = [position[eid] for eid in word]
-        except KeyError:
-            eid = next(eid for eid in word if eid not in position)
-            raise CompositionError(f"unknown edge id {eid!r}") from None
-        color, source, range_ = self._edge_lists
-        if any(source[a] != range_[b] for a, b in zip(at, at[1:])):
-            i = next(i for i in range(len(at) - 1) if source[at[i]] != range_[at[i + 1]])
-            raise CompositionError(
-                f"edges {word[i]} and {word[i + 1]} are not composable (source "
-                f"{self.vertices[source[at[i]]]} != range {self.vertices[range_[at[i + 1]]]})")
-        return tuple([color[a] for a in at]), self.vertices[range_[at[0]]], self.vertices[source[at[-1]]]
-
-    def _rewrite(self, word: Sequence[str], leftmost: bool = True,
-                 colors: tuple[int, ...] | None = None) -> tuple[str, ...]:
-        """Sort a composable word into ascending-color order via square swaps,
-        at the positions `_swap_schedule` gives for its colors (read off the
-        edges unless given)."""
-        w = list(word)
-        if colors is None:
-            colors = tuple(self.edges[eid].color for eid in w)
-        for i in _swap_schedule(colors, leftmost):
-            w[i], w[i + 1] = self._swap[(w[i], w[i + 1])]
-        return tuple(w)
-
-    def _pull_prefix(self, word: Sequence[str], p: Degree) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        """Split a composable word as prefix * suffix with the prefix of degree p.
-
-        The prefix comes out in normal form; the suffix is left as rewritten.
-        """
-        rest = list(word)
-        prefix = []
-        for color in range(1, self.k + 1):
-            for _ in range(p[color - 1]):
-                i = next(j for j, eid in enumerate(rest) if self.edges[eid].color == color)
-                while i > 0:
-                    rest[i - 1], rest[i] = self._swap[(rest[i - 1], rest[i])]
-                    i -= 1
-                prefix.append(rest.pop(0))
-        return tuple(prefix), tuple(rest)
 
     # -- serialization -----------------------------------------------------
 
@@ -489,12 +410,14 @@ class Path:
         return f"Path({body})"
 
 
-def _path_from_normal_word(graph: KGraph, word: tuple[str, ...]) -> Path:
-    census = [0] * graph.k
-    for eid in word:
-        census[graph.color(eid) - 1] += 1
-    return Path(graph, word, tuple(census),
-                graph.edge(word[0]).range, graph.edge(word[-1]).source)
+Form = tuple[Degree, tuple[int, ...], int, int]
+
+
+def path_of(graph: KGraph, form: Form) -> Path:
+    """The `Path` of a normal form (`normal_form_rows`)."""
+    degree, row, r, s = form
+    ids, vertices = graph.edge_ids, graph.vertices
+    return Path(graph, tuple([ids[e] for e in row]), degree, vertices[r], vertices[s])
 
 
 def vertex_path(graph: KGraph, vertex: str) -> Path:
@@ -503,13 +426,62 @@ def vertex_path(graph: KGraph, vertex: str) -> Path:
     return Path(graph, (), graph.zero_degree(), vertex, vertex)
 
 
+def normal_form_rows(graph: KGraph, words: Sequence[Sequence[str]],
+                     vertex_marks: bool = False) -> list[Form]:
+    """The normal form of each composable edge word: its degree, its row of
+    edge indices, and its range and source vertex index; with
+    ``vertex_marks``, a one-letter word ``@v`` is the vertex v.  The words are
+    checked as arrays, and the first bad one raises CompositionError: an
+    unknown vertex, an empty word, else its first unknown edge id, else its
+    first pair that does not compose.  The rows of each color pattern are
+    then rewritten by one `WordKernel.rewrite`."""
+    index, vertices, source, range_ = graph.vertex_index, graph.vertices, graph.edge_source, graph.edge_range
+    marks = [w[0][1:] if vertex_marks and len(w) == 1 and w[0].startswith("@") else None for w in words]
+    letters = [() if v is not None else w for v, w in zip(marks, words)]
+    counts = np.fromiter(map(len, letters), np.intp, len(letters))
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    at = _lookup(graph.edge_position, [eid for word in letters for eid in word])
+    # a fault at letter j: it is unknown (and reads the last edge), or it does
+    # not compose with letter j + 1 of its word
+    fault = at < 0
+    fault[:-1] |= source[at[:-1]] != range_[at[1:]]
+    fault[ends[counts > 0] - 1] &= at[ends[counts > 0] - 1] < 0
+    faults = np.cumsum(np.append(0, fault))
+    bad = np.array([v not in index if v is not None else not n for v, n in zip(marks, counts.tolist())],
+                   dtype=bool) | (faults[ends] > faults[starts])
+    if bad.any():
+        i = int(np.argmax(bad))
+        word, row = letters[i], at[starts[i]:ends[i]]
+        if marks[i] is not None:
+            raise CompositionError(f"unknown vertex {marks[i]!r}")
+        if not len(row):
+            raise CompositionError("empty word has no endpoints; use vertex_path")
+        if (row < 0).any():
+            raise CompositionError(f"unknown edge id {word[int(np.argmax(row < 0))]!r}")
+        j = int(np.argmax(source[row[:-1]] != range_[row[1:]]))
+        raise CompositionError(f"edges {word[j]} and {word[j + 1]} are not composable (source "
+                               f"{vertices[source[row[j]]]} != range {vertices[range_[row[j + 1]]]})")
+    zero, colors, positions = graph.zero_degree(), graph.edge_color[at].tolist(), at.tolist()
+    _, sources, ranges = graph._edge_lists
+    forms = [(zero, (), index[v], index[v]) if v is not None else None for v in marks]
+    patterns: dict[tuple[int, ...], list[list[int]]] = {}
+    for i, (lo, hi) in enumerate(zip(starts.tolist(), ends.tolist())):
+        if hi > lo:
+            patterns.setdefault(tuple(colors[lo:hi]), []).append([i, positions[lo:hi]])
+    for pattern, group in patterns.items():
+        rows = [row for _, row in group]
+        if _swap_schedule(pattern):  # else the rows are in normal form
+            rows = graph.word_kernel.rewrite(np.array(rows, dtype=np.intp), pattern).tolist()
+        degree = tuple(pattern.count(c) for c in range(1, graph.k + 1))
+        for (i, _), row in zip(group, rows):
+            forms[i] = (degree, tuple(row), ranges[row[0]], sources[row[-1]])
+    return forms
+
+
 def normal_form(graph: KGraph, word: Sequence[str]) -> Path:
     """Rewrite a composable edge word to its unique normal-form path."""
-    if not word:
-        raise CompositionError("empty word has no endpoints; use vertex_path")
-    colors, range_, source = graph._check_word(word)
-    return Path(graph, graph._rewrite(word, colors=colors),
-                tuple(colors.count(c) for c in range(1, graph.k + 1)), range_, source)
+    return path_of(graph, normal_form_rows(graph, [word])[0])
 
 
 def compose(p: Path, q: Path) -> Path:
@@ -523,25 +495,27 @@ def compose(p: Path, q: Path) -> Path:
         return q
     if q.is_vertex():
         return p
-    return Path(p.graph, p.graph._rewrite(p.word + q.word),
-                deg_add(p.degree, q.degree), p.range, q.source)
+    graph, kernel = p.graph, p.graph.word_kernel
+    row = kernel.compose(kernel.word(p)[None, :], p.degree, kernel.word(q)[None, :], q.degree)[0]
+    return path_of(graph, (deg_add(p.degree, q.degree), row.tolist(), graph.vertex_index[p.range],
+                           graph.vertex_index[q.source]))
 
 
 def segment(path: Path, p: Sequence[int], q: Sequence[int]) -> Path:
     """The unique middle factor beta with path = alpha * beta * gamma,
-    d(alpha) = p and d(beta) = q - p."""
+    d(alpha) = p and d(beta) = q - p: the word alpha beta gamma is the
+    path's word with the swaps that rewrite it undone in reverse order."""
     graph = path.graph
-    p = as_degree(p, graph.k)
-    q = as_degree(q, graph.k)
+    p, q = as_degree(p, graph.k), as_degree(q, graph.k)
     if not (deg_le(p, q) and deg_le(q, path.degree)):
         raise DegreeRangeError(
             f"need 0 <= {p} <= {q} <= {path.degree} componentwise")
-    prefix, rest = graph._pull_prefix(path.word, p)
-    seg, _ = graph._pull_prefix(rest, deg_sub(q, p))
-    if not seg:
-        vertex = graph.edge(prefix[-1]).source if prefix else path.range
-        return vertex_path(graph, vertex)
-    return _path_from_normal_word(graph, seg)
+    kernel = graph.word_kernel
+    colors = _degree_colors(p) + _degree_colors(deg_sub(q, p)) + _degree_colors(deg_sub(path.degree, q))
+    word = kernel.rewrite(kernel.word(path)[None, :], colors, undo=True)[0]
+    lo, hi = sum(p), sum(q)
+    at = [graph.vertex_index[path.range]] + graph.edge_source[word].tolist()  # the vertex after i letters
+    return path_of(graph, (deg_sub(q, p), tuple(word[lo:hi].tolist()), at[lo], at[hi]))
 
 
 def _reach(graph: KGraph, colors: Sequence[int], source: str) -> list[list[bool] | None]:
@@ -626,7 +600,8 @@ def _expand_runs(first: np.ndarray, count: np.ndarray) -> np.ndarray:
 
 
 class WordKernel:
-    """Normal-form paths of whole levels as rows of edge indices.
+    """Normal-form paths as rows of edge indices, and the one engine that
+    rewrites, composes and factors them.
 
     Edges are numbered in id order, so rows compare as their words do.  A
     level's rows, with the range and source vertex index of each, come in
@@ -634,10 +609,11 @@ class WordKernel:
     objects at the I/O boundary.
 
     - Every word of one color sequence is rewritten with swaps at the same
-      positions (`_swap_schedule`), so `compose` sorts all rows of a level
-      at once: one gather per swap through the sorted table of square pairs.
-      A pair that no square covers raises, and a lookup that misses never
-      reads a neighbouring entry.
+      positions (`_swap_schedule`), so `rewrite` sorts all rows of a color
+      sequence at once: one gather per swap through the sorted two-way table
+      of square sides.  Undone in reverse order, the swaps factor a normal
+      form by degree (`segment`).  A pair that no square covers raises, and
+      a lookup that misses never reads a neighbouring entry.
     - The position of a normal-form word in its level is a sum of one offset
       per letter (`rank`).  The offset of edge e at position pos counts the
       words that agree before pos and carry a smaller edge there: the
@@ -651,14 +627,14 @@ class WordKernel:
         self.graph = graph
         self.ids, self.position = graph.edge_ids, graph.edge_position
         self.color, self.source, self.range = graph.edge_color, graph.edge_source, graph.edge_range
-        # rewriting to normal form only ever swaps a descending pair: the
-        # right side of a square, for its left side
-        squares = graph.square_edges
-        key = squares[:, 2] * len(self.ids) + squares[:, 3]
+        # each square side (a, b) as the key a * E + b, sorted, and the other
+        # side of its square as (pair_first, pair_second)
+        sides, others = (graph.square_edges[:, cols].reshape(-1, 2) for cols in ([0, 1, 2, 3], [2, 3, 0, 1]))
+        key = sides[:, 0] * len(self.ids) + sides[:, 1]
         by_key = np.argsort(key)
-        self.pair_key, self.pair_left, self.pair_right = (
+        self.pair_key, self.pair_first, self.pair_second = (
             np.append(column[by_key], end) for column, end in (
-                (key, np.iinfo(np.intp).max), (squares[:, 0], -1), (squares[:, 1], -1)))
+                (key, np.iinfo(np.intp).max), (others[:, 0], -1), (others[:, 1], -1)))
         # per color that an edge carries: its edges by range, then id, and
         # where each range's run starts; a color no edge carries has empty runs
         n = len(graph.vertices)
@@ -698,34 +674,40 @@ class WordKernel:
         """The edge indices of a path's word."""
         return np.array([self.position[eid] for eid in path.word], dtype=np.intp)
 
-    def row(self, path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One path as a level of one row: its word, range and source."""
+    def extend(self, path: Path, degree: Degree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rows, ranges and sources of path * mu for every mu of the
+        degree with r(mu) = s(path), in `level` order of mu."""
+        tails, ranges, sources = self.level(degree)
         index = self.graph.vertex_index
-        return (self.word(path)[None, :], np.array([index[path.range]]),
-                np.array([index[path.source]]))
+        at = np.flatnonzero(ranges == index[path.source])
+        words = self.compose(self.word(path)[None, :], path.degree, tails[at], degree)
+        return words, np.full(len(at), index[path.range]), sources[at]
 
     def level(self, degree: Degree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The rows, ranges and sources of all normal-form paths of the
         degree, in `enumerate_paths` order (read-only, shared)."""
         if degree not in self._levels:
-            colors = _degree_colors(degree)
-            if not colors:
+            if not any(degree):
                 at = np.arange(len(self.graph.vertices))
-                words = np.empty((len(at), 0), dtype=np.intp)
-                out = words, at, at
+                out = np.empty((len(at), 0), dtype=np.intp), at, at
             else:
-                words = np.flatnonzero(self.color == colors[0])[:, None]
-                for c in colors[1:]:
-                    by_range, starts = self._runs(c)
-                    tail = self.source[words[:, -1]]
-                    count = starts[tail + 1] - starts[tail]
-                    words = np.column_stack([np.repeat(words, count, axis=0),
-                                             by_range[_expand_runs(starts[tail], count)]])
+                words = self.words(_degree_colors(degree))
                 out = words, self.range[words[:, 0]], self.source[words[:, -1]]
             for a in out:
                 a.flags.writeable = False
             self._levels[degree] = out
         return self._levels[degree]
+
+    def words(self, colors: tuple[int, ...]) -> np.ndarray:
+        """All composable words of a nonempty color sequence, as new rows."""
+        words = np.flatnonzero(self.color == colors[0])[:, None]
+        for c in colors[1:]:
+            by_range, starts = self._runs(c)
+            tail = self.source[words[:, -1]]
+            count = starts[tail + 1] - starts[tail]
+            words = np.column_stack([np.repeat(words, count, axis=0),
+                                     by_range[_expand_runs(starts[tail], count)]])
+        return words
 
     def compose(self, heads: np.ndarray, head_degree: Degree,
                 tails: np.ndarray, tail_degree: Degree) -> np.ndarray:
@@ -736,11 +718,15 @@ class WordKernel:
         words[:, :cut], words[:, cut:] = heads, tails
         return self.rewrite(words, _degree_colors(head_degree) + _degree_colors(tail_degree))
 
-    def rewrite(self, words: np.ndarray, colors: tuple[int, ...], leftmost: bool = True) -> np.ndarray:
+    def rewrite(self, words: np.ndarray, colors: tuple[int, ...], leftmost: bool = True,
+                undo: bool = False) -> np.ndarray:
         """Rewrite rows of the color sequence `colors` in place to normal
-        form, by the swaps `_swap_schedule` gives, and return them."""
-        keys, left, right = self.pair_key, self.pair_left, self.pair_right
-        for i in _swap_schedule(colors, leftmost):
+        form, by the swaps `_swap_schedule` gives, and return them.  With
+        ``undo``, rewrite normal-form rows in place to the words of the color
+        sequence: the same swaps in reverse order, each the other way round."""
+        keys, first, second = self.pair_key, self.pair_first, self.pair_second
+        schedule = _swap_schedule(colors, leftmost)
+        for i in reversed(schedule) if undo else schedule:
             key = words[:, i] * len(self.ids) + words[:, i + 1]
             at = keys.searchsorted(key)  # the last key is a sentinel above every pair
             hit = keys[at] == key
@@ -749,7 +735,7 @@ class WordKernel:
                 raise ValidationError(
                     "missing_square",
                     f"no square covers the composable pair ({self.ids[a]}, {self.ids[b]})")
-            words[:, i], words[:, i + 1] = left[at], right[at]
+            words[:, i], words[:, i + 1] = first[at], second[at]
         return words
 
     def rank(self, words: np.ndarray, degree: Degree) -> np.ndarray:
@@ -778,19 +764,14 @@ class WordKernel:
     def paths(self, rows: tuple[np.ndarray, np.ndarray, np.ndarray], degree: Degree) -> list[Path]:
         """`Path` objects for rows of the degree, given with their ranges and
         sources as `level` gives them."""
-        words, ranges, sources = rows
-        vertices = self.graph.vertices
-        if not any(degree):
-            return [vertex_path(self.graph, vertices[v]) for v in ranges.tolist()]
-        ids = np.array(self.ids, dtype=object)
-        return [Path(self.graph, tuple(word), degree, vertices[r], vertices[s])
-                for word, r, s in zip(ids[words].tolist(), ranges.tolist(), sources.tolist())]
+        return [path_of(self.graph, (degree, word, r, s)) for word, r, s in zip(*(a.tolist() for a in rows))]
 
 
 def extensions(path: Path, degree: Sequence[int]) -> list[Path]:
     """All paths ``path * mu`` with d(mu) = degree, in lexicographic mu order."""
-    return [compose(path, mu)
-            for mu in enumerate_paths(path.graph, degree, range=path.source)]
+    degree = as_degree(degree, path.graph.k)
+    kernel = path.graph.word_kernel
+    return kernel.paths(kernel.extend(path, degree), deg_add(path.degree, degree))
 
 
 def vertex_matrices(graph: KGraph) -> list[np.ndarray]:

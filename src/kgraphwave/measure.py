@@ -30,18 +30,17 @@ import numpy as np
 from .errors import BadWeights, DegreeRangeError, DimensionMismatch, NotStronglyConnected, NotZeroOne
 from .kgraph import (
     Degree,
+    Form,
     KGraph,
     Path,
     as_degree,
-    compose,
     deg_join,
     deg_le,
     deg_sub,
-    enumerate_paths,
-    normal_form,
-    segment,
+    extensions,
+    normal_form_rows,
+    path_of,
     vertex_matrices,
-    vertex_path,
 )
 from .perron import PFData, is_strongly_connected, pf_data, rational_pf_data
 
@@ -133,8 +132,41 @@ class MeasureSpec:
 def cylinder_measure(spec: MeasureSpec, path: Path):
     """Mass of the cylinder Z(path), one row of `MeasureSpec.level_weights`:
     a Fraction for an exact spec, a float otherwise."""
-    words, _, sources = spec.graph.word_kernel.row(path)
+    words, _, sources = spec.graph.word_kernel.extend(path, spec.graph.zero_degree())
     return spec.level_weights(path.degree, words, sources).item(0)
+
+
+def forms_by_degree(forms: Sequence[Form]) -> dict[Degree, tuple[list[int], np.ndarray, np.ndarray]]:
+    """The normal forms of each degree, degrees in order of first appearance:
+    their positions in `forms`, their rows and their sources."""
+    groups: dict[Degree, list[int]] = {}
+    for i, form in enumerate(forms):
+        groups.setdefault(form[0], []).append(i)
+    return {degree: (group, np.array([forms[i][1] for i in group], dtype=np.intp),
+                     np.array([forms[i][3] for i in group], dtype=np.intp))
+            for degree, group in groups.items()}
+
+
+def cylinder_measures(spec: MeasureSpec, forms: Sequence[Form]) -> list:
+    """`cylinder_measure` of each normal form (`normal_form_rows`), with one
+    `MeasureSpec.level_weights` call per degree."""
+    masses = {}
+    for degree, (group, words, sources) in forms_by_degree(forms).items():
+        masses.update(zip(group, spec.level_weights(degree, words, sources).tolist()))
+    return [masses[i] for i in range(len(forms))]
+
+
+def record_terms(graph: KGraph, records: Iterable[Mapping]) -> list[tuple[Form, float]]:
+    """The terms of `CylinderFn.from_records` as (normal form, coefficient)
+    pairs: one per path in order of first appearance, its coefficients
+    summed in record order, the terms that sum to zero left out."""
+    records = list(records)
+    forms = normal_form_rows(graph, [rec["path"] for rec in records], vertex_marks=True)
+    terms: dict[tuple, list] = {}
+    for form, rec in zip(forms, records):
+        term = terms.setdefault(form[1:3], [form, 0.0])  # the row and range name the path
+        term[1] += float(rec["coeff"])
+    return [(form, c) for form, c in terms.values() if c != 0.0]
 
 
 class CylinderFn:
@@ -187,15 +219,13 @@ class CylinderFn:
 
     @classmethod
     def from_records(cls, graph: KGraph, records: Iterable[Mapping]) -> "CylinderFn":
-        terms = {}
-        for rec in records:
-            word = rec["path"]
-            if len(word) == 1 and word[0].startswith("@"):
-                p = vertex_path(graph, word[0][1:])
-            else:
-                p = normal_form(graph, word)
-            terms[p] = terms.get(p, 0.0) + float(rec["coeff"])
-        return cls(graph, terms)
+        return cls(graph, {path_of(graph, form): c for form, c in record_terms(graph, records)})
+
+    def term_forms(self) -> list[tuple[Form, float]]:
+        """The terms as (normal form, coefficient) pairs, in term order."""
+        position, index = self.graph.edge_position, self.graph.vertex_index
+        return [((p.degree, tuple([position[e] for e in p.word]), index[p.range], index[p.source]), c)
+                for p, c in self.terms.items()]
 
     def __repr__(self):
         return f"CylinderFn({len(self.terms)} terms, level {self.level()})"
@@ -213,12 +243,7 @@ def refine(f: CylinderFn, level: Sequence[int]) -> CylinderFn:
     for p, c in f.terms.items():
         if not deg_le(p.degree, level):
             raise DegreeRangeError(f"term at degree {p.degree} above level {level}")
-        step = deg_sub(level, p.degree)
-        if sum(step) == 0:
-            acc[p] = acc.get(p, 0.0) + c
-            continue
-        for mu in enumerate_paths(graph, step, range=p.source):
-            q = compose(p, mu)
+        for q in extensions(p, deg_sub(level, p.degree)):
             acc[q] = acc.get(q, 0.0) + c
     return CylinderFn(graph, acc)
 
@@ -233,17 +258,22 @@ def cylinder_fns_equal(f: CylinderFn, g: CylinderFn, tol: float = 0.0) -> bool:
 
 def mce(lam: Path, mu: Path) -> list[Path]:
     """Minimal common extensions: the paths of degree d(lam) v d(mu) whose
-    initial segments reproduce both lam and mu.  Empty means the cylinders
-    are disjoint."""
+    initial segments reproduce both lam and mu, sorted.  Empty means the
+    cylinders are disjoint.  They are lam's extensions to the join that
+    share a rank there (a vertex index at degree 0) with mu's, by rank."""
     if lam.graph is not mu.graph:
         raise ValueError("paths live on different graphs")
     join = deg_join(lam.degree, mu.degree)
-    out = []
-    for tau in (compose(lam, ext) for ext in
-                enumerate_paths(lam.graph, deg_sub(join, lam.degree), range=lam.source)):
-        if segment(tau, lam.graph.zero_degree(), mu.degree) == mu:
-            out.append(tau)
-    return sorted(out)
+    kernel = lam.graph.word_kernel
+    (words, ranges, sources), (theirs, their_ranges, _) = (
+        kernel.extend(path, deg_sub(join, path.degree)) for path in (lam, mu))
+    mine, theirs = ((kernel.rank(words, join), kernel.rank(theirs, join)) if any(join)
+                    else (ranges, their_ranges))
+    marks = np.zeros(max(mine.max(initial=-1), theirs.max(initial=-1)) + 1, dtype=bool)
+    marks[theirs] = True
+    keep = np.flatnonzero(marks[mine])
+    keep = keep[np.argsort(mine[keep])]
+    return kernel.paths((words[keep], ranges[keep], sources[keep]), join)
 
 
 def inner_product(spec: MeasureSpec, f: CylinderFn, g: CylinderFn) -> float:
@@ -253,10 +283,6 @@ def inner_product(spec: MeasureSpec, f: CylinderFn, g: CylinderFn) -> float:
     total = 0.0
     for lam, cf in f.terms.items():
         for mu, cg in g.terms.items():
-            if lam.degree == mu.degree:
-                if lam == mu:
-                    total += cf * cg * float(cylinder_measure(spec, lam))
-                continue
             for tau in mce(lam, mu):
                 total += cf * cg * float(cylinder_measure(spec, tau))
     return total
@@ -271,6 +297,12 @@ def integral(spec: MeasureSpec, f: CylinderFn) -> float:
     return float(sum(c * float(cylinder_measure(spec, p)) for p, c in f.terms.items()))
 
 
+def check_zero_one(graph: KGraph):
+    """Raise NotZeroOne unless every vertex matrix is 0/1-valued."""
+    if any(int(m.max()) > 1 for m in vertex_matrices(graph)):
+        raise NotZeroOne("embedding requires all vertex matrices to be 0/1-valued")
+
+
 def embed_to_interval(graph: KGraph, path: Path) -> tuple[Fraction, Fraction]:
     """The N-adic interval of Z(path) under the vertex-itinerary embedding.
 
@@ -279,14 +311,15 @@ def embed_to_interval(graph: KGraph, path: Path) -> tuple[Fraction, Fraction]:
     graph order; N is the vertex count.  Requires 0/1 vertex matrices so
     that the itinerary determines the path.
     """
-    if any(int(m.max()) > 1 for m in vertex_matrices(graph)):
-        raise NotZeroOne("embedding requires all vertex matrices to be 0/1-valued")
-    n = len(graph.vertices)
-    digits = [graph.vertex_index[path.range]]
-    digits.extend(graph.vertex_index[graph.edge(eid).source] for eid in path.word)
-    lo = Fraction(0)
-    scale = Fraction(1)
-    for d in digits:
-        scale /= n
-        lo += d * scale
-    return lo, lo + scale
+    check_zero_one(graph)
+    return embed_interval(graph, graph.vertex_index[path.range], [graph.edge_position[e] for e in path.word])
+
+
+def embed_interval(graph: KGraph, r: int, row: Sequence[int]) -> tuple[Fraction, Fraction]:
+    """`embed_to_interval` of the path with range vertex index r and these
+    edge indices, on a graph that `check_zero_one` passes: its m + 1 digits,
+    read as one integer D by Horner's rule, give [D, D + 1] / N^(m+1)."""
+    n, (_, source, _) = len(graph.vertices), graph._edge_lists
+    for e in row:
+        r = r * n + source[e]
+    return Fraction(r, n ** (len(row) + 1)), Fraction(r + 1, n ** (len(row) + 1))

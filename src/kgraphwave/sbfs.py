@@ -36,7 +36,7 @@ from .kgraph import (
     deg_le,
     deg_sub,
 )
-from .measure import CylinderFn, MeasureSpec
+from .measure import CylinderFn, MeasureSpec, forms_by_degree
 
 
 @dataclass(frozen=True)
@@ -62,28 +62,24 @@ class LevelSpace:
     def basis(self) -> tuple[Path, ...]:
         return tuple(self.graph.word_kernel.paths((self.words, self.ranges, self.sources), self.level))
 
-    def vector_of(self, f: CylinderFn) -> np.ndarray:
+    def vector_of(self, f: CylinderFn | list) -> np.ndarray:
         """Coefficients of f in the (unnormalized) indicator basis: each term
-        adds its coefficient at the paths that extend it.
+        adds its coefficient at the paths that extend it.  f is a
+        `CylinderFn` or its terms as `CylinderFn.term_forms` gives them.
 
         The terms of one degree are composed with their extensions and
         ranked at once.  The sums run in term order, each term over its
         extensions in order, the order in which `refine` sums them."""
-        terms = list(f.terms)
-        for p in terms:
-            if not deg_le(p.degree, self.level):
-                raise DegreeRangeError(f"term at degree {p.degree} above level {self.level}")
-        vertex, kernel = self.graph.vertex_index, self.graph.word_kernel
-        by_degree: dict[Degree, list[int]] = {}
-        for t, p in enumerate(terms):
-            by_degree.setdefault(p.degree, []).append(t)
+        terms = f.term_forms() if isinstance(f, CylinderFn) else f
+        kernel = self.graph.word_kernel
         at, owner = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-        for degree, group in by_degree.items():
+        for degree, (group, heads, sources) in forms_by_degree([form for form, _ in terms]).items():
+            if not deg_le(degree, self.level):  # the first group of a bad degree holds the first bad term
+                raise DegreeRangeError(f"term at degree {degree} above level {self.level}")
             step = deg_sub(self.level, degree)
             tails, ranges, _ = kernel.level(step)
-            rows, cols = _matching(np.array([vertex[terms[t].source] for t in group]), ranges, len(vertex))
+            rows, cols = _matching(sources, ranges, len(self.graph.vertices))
             if any(self.level):
-                heads = np.array([[kernel.position[e] for e in terms[t].word] for t in group], dtype=np.intp)
                 at.append(kernel.rank(kernel.compose(heads[rows], degree, tails[cols], step), self.level))
             else:  # vertices on level 0
                 at.append(cols)
@@ -91,7 +87,7 @@ class LevelSpace:
         owner = np.concatenate(owner)
         by_term = np.argsort(owner, kind="stable")
         vec = np.zeros(len(self.words))
-        np.add.at(vec, np.concatenate(at)[by_term], np.array(list(f.terms.values()))[owner[by_term]])
+        np.add.at(vec, np.concatenate(at)[by_term], np.array([c for _, c in terms])[owner[by_term]])
         return vec
 
     def function_of(self, vec: Sequence[float]) -> CylinderFn:
@@ -202,7 +198,8 @@ def s_matrix(spec: MeasureSpec, path: Path, domain_level: Sequence[int],
     """S_path from level `domain_level` to `domain_level + d(path)`."""
     dom = level_space(spec, domain_level)
     cod = level_space(spec, deg_add(dom.level, path.degree))
-    rows, vals = _prefix_table(spec, spec.graph.word_kernel.row(path), path.degree, dom, cod, rn_tol)
+    rows, vals = _prefix_table(spec, spec.graph.word_kernel.extend(path, spec.graph.zero_degree()),
+                               path.degree, dom, cod, rn_tol)
     cols = np.flatnonzero(rows[0] >= 0)
     return OperatorMatrix(dom.level, cod.level, (len(cod.weights), len(dom.weights)),
                           rows[0, cols], cols, vals[0, cols])
@@ -221,14 +218,9 @@ def s_star_matrix(spec: MeasureSpec, path: Path, domain_level: Sequence[int]) ->
 
 def s_apply(spec: MeasureSpec, path: Path, f: CylinderFn) -> CylinderFn:
     """S_path f computed directly on the terms: Theta_mu -> factor * Theta_{path mu}."""
-    factor = spec.prefix_factor(path)
-    terms = {}
-    for mu, c in f.terms.items():
-        if mu.range != path.source:
-            continue
-        tau = compose(path, mu)
-        terms[tau] = terms.get(tau, 0.0) + factor * c
-    return CylinderFn(spec.graph, terms)
+    factor = spec.prefix_factor(path)  # distinct terms mu give distinct path * mu
+    return CylinderFn(spec.graph, {compose(path, mu): factor * c
+                                   for mu, c in f.terms.items() if mu.range == path.source})
 
 
 @dataclass(frozen=True)

@@ -58,54 +58,40 @@ def default_preferred_paths(graph: KGraph, root: str) -> PreferredPaths:
     vertex its own degree class.
 
     Any walk rewrites to a normal-form path of the same degree, so the least
-    total degree of a path from w up to the root is the any-color BFS
+    total degree of a path from w up to the root is the any-color walk
     distance of w from the root, and the degrees of a path from w are those
     of the walks back from the root to w.  One pass over the degrees, total
     by total, finds which of them reach each vertex; each vertex then takes
     its least one and one search for the first path of it.
     """
-    dist = _distances_to(graph, root)
+    least = _least_degrees(graph, root)
     for w in graph.vertices:
-        if w not in dist:
+        if w not in least:
             raise ValidationError("bad_preferred_path", f"no path from {w} to root {root}")
-    least = _least_degrees(graph, root, max(dist.values()))
     return PreferredPaths(root, {
         w: enumerate_paths(graph, least[w], range=root, source=w, limit=1)[0]
         for w in graph.vertices})
 
 
-def _distances_to(graph: KGraph, root: str) -> dict[str, int]:
-    """Edge count of a shortest path (any colors) from each vertex up to the root."""
-    into, starts = graph.edges_by_range
-    sources, starts = graph.edge_source[into].tolist(), starts.tolist()
-    dist = {graph.vertex_index[root]: 0}
-    frontier = list(dist)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in sources[starts[v]:starts[v + 1]]:
-                if u not in dist:
-                    dist[u] = dist[v] + 1
-                    nxt.append(u)
-        frontier = nxt
-    return {graph.vertices[v]: d for v, d in dist.items()}
-
-
-def _least_degrees(graph: KGraph, root: str, top: int) -> dict[str, Degree]:
-    """For each vertex w within total `top` of the root, the least degree,
-    in graded-lex order, of a path from w up to the root.
+def _least_degrees(graph: KGraph, root: str) -> dict[str, Degree]:
+    """For each vertex w that reaches the root, the least degree, in
+    graded-lex order, of a path from w up to the root.
 
     ``back[d]`` marks the vertices that walks with the color counts of d lead
     to, going back from the root; it is one step back along the color-c
-    edges from ``back[d - e_c]``, for any c with d_c > 0.
+    edges from ``back[d - e_c]``, for any c with d_c > 0.  A vertex takes the
+    first degree that marks it.  The totals stop at the first that settles
+    no vertex, as walk distances to the root leave no gap.
     """
     kernel = graph.word_kernel
     marks = np.zeros(len(graph.vertices), dtype=bool)
     marks[graph.vertex_index[root]] = True
     back = {graph.zero_degree(): marks}
     least = {root: graph.zero_degree()}
-    for total in range(1, top + 1):
-        below, back = back, {}
+    settled = marks.copy()  # the vertices in `least`
+    total = 0
+    while len(least) < len(graph.vertices):
+        below, back, count, total = back, {}, len(least), total + 1
         for d in _degrees_of_total(total, graph.k):
             c = next(i for i, x in enumerate(d) if x)
             edges = kernel.edges_of(c + 1)
@@ -113,8 +99,11 @@ def _least_degrees(graph: KGraph, root: str, top: int) -> dict[str, Degree]:
             marks = np.zeros(len(graph.vertices), dtype=bool)
             marks[kernel.source[edges[prev[kernel.range[edges]]]]] = True
             back[d] = marks
-            for w in np.flatnonzero(marks).tolist():
-                least.setdefault(graph.vertices[w], d)
+            for w in np.flatnonzero(marks & ~settled).tolist():
+                least[graph.vertices[w]] = d
+            settled |= marks
+        if len(least) == count:
+            break
     return least
 
 

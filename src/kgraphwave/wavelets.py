@@ -346,9 +346,10 @@ def wavelet_basis(family: WaveletFamily, depth: int,
     return WaveletBasis(family, depth, space, tuple(layers), ranks, tuple(shifts))
 
 
-def analyze(basis: WaveletBasis, f: CylinderFn) -> np.ndarray:
-    """Coefficients <b_i, f> of f against the basis vectors, by the cascade:
-    O(N * max |D_v^J|) time and O(N) memory for N basis vectors."""
+def analyze(basis: WaveletBasis, f: CylinderFn | list) -> np.ndarray:
+    """Coefficients <b_i, f> of f (as `LevelSpace.vector_of` takes it)
+    against the basis vectors, by the cascade: O(N * max |D_v^J|) time and
+    O(N) memory for N basis vectors."""
     space = basis.space
     return basis._analysis((space.weights * space.vector_of(f))[basis.order])
 

@@ -5,6 +5,7 @@ combinatorial checks) and raises AssertionError on failure."""
 import json
 import random
 import sys
+import weakref
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -13,13 +14,16 @@ from hypothesis import strategies as st
 
 import kgraphwave
 from kgraphwave import (
+    CompositionError,
     CylinderFn,
+    DegreeRangeError,
     Edge,
     FactorizationSquare,
     GridTooCoarse,
     LevelSpace,
     MeasureSpec,
     ParseError,
+    Path,
     ValidationError,
     bouquet_graph,
     cg_constant,
@@ -42,7 +46,7 @@ from kgraphwave import (
     wavelet_operator,
 )
 import kgraphwave.cli
-from kgraphwave.kgraph import WordKernel, deg_add, deg_sub
+from kgraphwave.kgraph import WordKernel, deg_add, deg_le, deg_sub
 from kgraphwave.orthobasis import complement_basis, constant_unit_vector
 
 
@@ -69,9 +73,22 @@ def words_with_pattern(graph, pattern):
     return out
 
 
+_SWAPS = weakref.WeakKeyDictionary()
+
+
+def square_swaps(graph):
+    """Each square side of the graph to the other side of its square, as
+    edge-id pairs read off ``graph.squares`` (cached per graph)."""
+    if graph not in _SWAPS:
+        _SWAPS[graph] = {side: other for sq in graph.squares
+                         for side, other in ((sq.left, sq.right), (sq.right, sq.left))}
+    return _SWAPS[graph]
+
+
 def all_rewrite_terminals(graph, word):
     """Explore every rewriting order of `word`; return the set of terminal
     (inversion-free) words."""
+    swap = square_swaps(graph)
     seen = {tuple(word)}
     frontier = [tuple(word)]
     terminals = set()
@@ -83,7 +100,7 @@ def all_rewrite_terminals(graph, word):
             terminals.add(w)
             continue
         for i in moves:
-            a, b = graph._swap[(w[i], w[i + 1])]
+            a, b = swap[(w[i], w[i + 1])]
             nxt = w[:i] + (a, b) + w[i + 2:]
             if nxt not in seen:
                 seen.add(nxt)
@@ -92,8 +109,10 @@ def all_rewrite_terminals(graph, word):
 
 
 def restart_rewrite(graph, word, leftmost=True):
-    """Oracle for ``KGraph._rewrite``: swap the leftmost (else the rightmost)
-    inversion, then scan again from the start, until no inversion is left."""
+    """Oracle for `WordKernel.rewrite`: swap the leftmost (else the
+    rightmost) inversion, then scan again from the start, until no inversion
+    is left."""
+    swap = square_swaps(graph)
     w = list(word)
     while True:
         positions = range(len(w) - 1)
@@ -101,10 +120,149 @@ def restart_rewrite(graph, word, leftmost=True):
             positions = reversed(positions)
         for i in positions:
             if graph.color(w[i]) > graph.color(w[i + 1]):
-                w[i], w[i + 1] = graph._swap[(w[i], w[i + 1])]
+                w[i], w[i + 1] = swap[(w[i], w[i + 1])]
                 break
         else:
             return tuple(w)
+
+
+def kernel_rewrite(graph, word, leftmost=True):
+    """One edge-id word rewritten by `WordKernel.rewrite`, as edge ids."""
+    kernel = graph.word_kernel
+    row = np.array([[kernel.position[e] for e in word]], dtype=np.intp)
+    colors = tuple(graph.color(e) for e in word)
+    return tuple(kernel.ids[e] for e in kernel.rewrite(row, colors, leftmost)[0].tolist())
+
+
+def check_word(graph, word):
+    """Oracle for the checks of `normal_form_rows` on one word: the edge-id
+    loop that raised at the first unknown edge, else at the first pair that
+    does not compose."""
+    if not word:
+        raise CompositionError("empty word has no endpoints; use vertex_path")
+    for eid in word:
+        if eid not in graph.edge_position:
+            raise CompositionError(f"unknown edge id {eid!r}")
+    for a, b in zip(word, word[1:]):
+        if graph.edge(a).source != graph.edge(b).range:
+            raise CompositionError(
+                f"edges {a} and {b} are not composable (source "
+                f"{graph.edge(a).source} != range {graph.edge(b).range})")
+
+
+def census_path(graph, word):
+    """The `Path` of a normal-form edge-id word, its degree counted letter
+    by letter."""
+    census = [0] * graph.k
+    for eid in word:
+        census[graph.color(eid) - 1] += 1
+    return Path(graph, tuple(word), tuple(census), graph.edge(word[0]).range, graph.edge(word[-1]).source)
+
+
+def per_word_normal_forms(graph, words, vertex_marks=False):
+    """Oracle for `normal_form_rows`: one word at a time, in input order,
+    checked by `check_word` and rewritten by `restart_rewrite`, as `Path`
+    objects; with ``vertex_marks`` a word ``["@v"]`` is the vertex v."""
+    out = []
+    for word in words:
+        if vertex_marks and len(word) == 1 and word[0].startswith("@"):
+            out.append(vertex_path(graph, word[0][1:]))
+            continue
+        check_word(graph, word)
+        out.append(census_path(graph, restart_rewrite(graph, word)))
+    return out
+
+
+def pull_prefix(graph, word, p):
+    """Split a composable word as prefix * suffix with the prefix of degree
+    p, by square swaps that pull each prefix letter to the front, color by
+    color.  The prefix comes out in normal form; the suffix is left as
+    rewritten."""
+    swap = square_swaps(graph)
+    rest = list(word)
+    prefix = []
+    for color in range(1, graph.k + 1):
+        for _ in range(p[color - 1]):
+            i = next(j for j, eid in enumerate(rest) if graph.color(eid) == color)
+            while i > 0:
+                rest[i - 1], rest[i] = swap[(rest[i - 1], rest[i])]
+                i -= 1
+            prefix.append(rest.pop(0))
+    return tuple(prefix), tuple(rest)
+
+
+def pulled_segment(path, p, q):
+    """Oracle for `segment`: the prefix of degree p pulled off the word, then
+    the prefix of degree q - p of what is left."""
+    graph = path.graph
+    if not (deg_le(p, q) and deg_le(q, path.degree)):
+        raise DegreeRangeError(f"need 0 <= {p} <= {q} <= {path.degree} componentwise")
+    prefix, rest = pull_prefix(graph, path.word, p)
+    seg, _ = pull_prefix(graph, rest, deg_sub(q, p))
+    if not seg:
+        return vertex_path(graph, graph.edge(prefix[-1]).source if prefix else path.range)
+    return census_path(graph, seg)
+
+
+def restart_compose(p, q):
+    """Oracle for `compose`: the joined words rewritten by `restart_rewrite`."""
+    if p.is_vertex():
+        return q
+    if q.is_vertex():
+        return p
+    return Path(p.graph, restart_rewrite(p.graph, p.word + q.word), deg_add(p.degree, q.degree),
+                p.range, q.source)
+
+
+def segment_mce(lam, mu):
+    """Oracle for `mce`: the extensions of lam to the join whose initial
+    segment of degree d(mu) is mu, sorted."""
+    graph = lam.graph
+    join = tuple(max(a, b) for a, b in zip(lam.degree, mu.degree))
+    return sorted(tau for tau in (restart_compose(lam, ext) for ext in
+                                  enumerate_paths(graph, deg_sub(join, lam.degree), range=lam.source))
+                  if pulled_segment(tau, graph.zero_degree(), mu.degree) == mu)
+
+
+def digit_interval(graph, path):
+    """Oracle for `embed_to_interval`: the itinerary digits added one
+    Fraction at a time, sources read off the `Edge` views."""
+    n = len(graph.vertices)
+    digits = [graph.vertex_index[path.range]]
+    digits.extend(graph.vertex_index[graph.edge(eid).source] for eid in path.word)
+    lo, scale = Fraction(0), Fraction(1)
+    for d in digits:
+        scale /= n
+        lo += d * scale
+    return lo, lo + scale
+
+
+def composed_refine(f, level):
+    """Oracle for `refine`: each term composed with every path of the
+    missing degree by `restart_compose`, summed in term order."""
+    acc = {}
+    for p, c in f.terms.items():
+        step = deg_sub(level, p.degree)
+        for mu in enumerate_paths(f.graph, step, range=p.source):
+            q = restart_compose(p, mu)
+            acc[q] = acc.get(q, 0.0) + c
+    return CylinderFn(f.graph, acc)
+
+
+def mce_inner_product(spec, f, g):
+    """Oracle for `inner_product`: the sum over term pairs, with the
+    cylinders of `segment_mce` and their masses one `cylinder_measure` at a
+    time."""
+    total = 0.0
+    for lam, cf in f.terms.items():
+        for mu, cg in g.terms.items():
+            if lam.degree == mu.degree:
+                if lam == mu:
+                    total += cf * cg * float(cylinder_measure(spec, lam))
+                continue
+            for tau in segment_mce(lam, mu):
+                total += cf * cg * float(cylinder_measure(spec, tau))
+    return total
 
 
 def random_word(graph, length, rng):
@@ -497,6 +655,18 @@ def count_edge_objects(monkeypatch):
             built[_name] += 1
             _init(self, *args, **kwargs)
         monkeypatch.setattr(cls, "__init__", counting)
+    return built
+
+
+def count_path_objects(monkeypatch):
+    """Count every `Path` built from here on: the returned dict maps
+    ``"Path"`` to its count so far."""
+    built = {Path.__name__: 0}
+
+    def counting(self, *args, _init=Path.__init__, **kwargs):
+        built[Path.__name__] += 1
+        _init(self, *args, **kwargs)
+    monkeypatch.setattr(Path, "__init__", counting)
     return built
 
 
@@ -989,11 +1159,12 @@ class ObjectGraph:
         }
 
     def pair_table(self):
-        """The word kernel's (key, left, right) table of descending pairs,
-        sorted by key and closed by the sentinel key."""
+        """The word kernel's two-way (key, first, second) table: every
+        square side as its key, with the other side of its square, sorted by
+        key and closed by the sentinel key."""
         pos, size = self.edge_position, len(self.edge_ids)
         pairs = sorted((pos[a] * size + pos[b], pos[c], pos[d])
-                       for (a, b), (c, d) in self._swap.items() if self.color(a) > self.color(b))
+                       for (a, b), (c, d) in self._swap.items())
         pairs.append((np.iinfo(np.intp).max, -1, -1))
         return tuple(np.array(column, dtype=np.intp) for column in zip(*pairs))
 

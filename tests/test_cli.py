@@ -19,6 +19,7 @@ from kgraphwave import (
 from kgraphwave.cli import _read_records, main
 from helpers import (
     count_edge_objects,
+    count_path_objects,
     forbid_path_building,
     per_line_records,
     random_cylinder_fn,
@@ -235,6 +236,56 @@ class TestDeterminism:
         run_cli(capsys, "measure", L3, "--path", "e", "--bogus", expect_exit=1)
         second, _ = run_cli(capsys, *argv)
         assert first == second
+
+
+class TestBadWords:
+    """Every word of an op is normalized in one batch, and the first bad one
+    in input order is named, as reading the words one at a time names it."""
+
+    BAD = {"zz": "unknown edge id 'zz'", "": "unknown edge id ''", "@zz": "unknown vertex 'zz'",
+           "a,b": "edges a and b are not composable (source v1 != range v3)"}
+
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    @pytest.mark.parametrize("bad", sorted(BAD))
+    def test_measure(self, capsys, bad, at):
+        words = ["a,c", "@v1", "c,a", "d,h,m"]
+        words.insert(at, bad)
+        _, errtext = run_cli(capsys, "measure", LED, "--exact", *[x for w in words for x in ("--path", w)],
+                             expect_exit=3)
+        assert json.loads(errtext) == {"error": "validation", "message": self.BAD[bad]}
+
+    def test_measure_embed_reads_the_first_path_before_checking_the_graph(self, capsys):
+        first_bad = ["measure", L3, "--embed", "--path", "zz", "--path", "e"]
+        _, errtext = run_cli(capsys, *first_bad, expect_exit=3)
+        assert json.loads(errtext)["message"] == "unknown edge id 'zz'"
+        later_bad = ["measure", L3, "--embed", "--path", "e", "--path", "zz"]
+        _, errtext = run_cli(capsys, *later_bad, expect_exit=3)
+        assert json.loads(errtext)["message"] == "embedding requires all vertex matrices to be 0/1-valued"
+
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    @pytest.mark.parametrize("bad,message", [
+        (["zz"], "unknown edge id 'zz'"), ([], "empty word has no endpoints; use vertex_path"),
+        (["@zz"], "unknown vertex 'zz'"), (["@v1", "a"], "unknown edge id '@v1'"),
+        (["a", "b"], "edges a and b are not composable (source v1 != range v3)")])
+    def test_analyze(self, capsys, tmp_path, bad, message, at):
+        paths = [["a", "c", "c"], ["@v1"], ["c", "a"], ["a"]]
+        paths.insert(at, bad)
+        fn = tmp_path / "fn.jsonl"
+        fn.write_text("".join(json.dumps({"path": p, "coeff": 1.5}) + "\n" for p in paths))
+        _, errtext = run_cli(capsys, "wavelets", LED, "--shape", "1,1", "--depth", "2",
+                             "--analyze", str(fn), expect_exit=3)
+        assert json.loads(errtext) == {"error": "validation", "message": message}
+
+    def test_traffic_prefs_name_the_first_fault_by_line(self, capsys, tmp_path):
+        lines = [json.dumps({"vertex": v, "path": p}) for v, p in
+                 (("v1", "@v1"), ("v2", "a"), ("v3", "d,h"), ("v4", "d"))]
+        word, junk = json.dumps({"vertex": "v2", "path": "zz"}), "{not json"
+        prefs = tmp_path / "prefs.jsonl"
+        for order, code, message in (((word, junk), 3, "unknown edge id 'zz'"),
+                                     ((junk, word), 2, "Expecting property name enclosed in double quotes")):
+            prefs.write_text("\n".join(lines[:1] + [order[0]] + lines[1:3] + [order[1]] + lines[3:]) + "\n")
+            _, errtext = run_cli(capsys, "traffic", LED, "--prefs", str(prefs), expect_exit=code)
+            assert json.loads(errtext)["message"].startswith(message)
 
 
 class TestErrorChannel:
@@ -594,6 +645,35 @@ def test_output_builds_no_paths(argv, capsys, monkeypatch, tmp_path):
     forbid_path_building(monkeypatch)
     out, _ = run_cli(capsys, *argv)
     assert out == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["measure", LED, "--exact", "--embed", "--path", "a,c,c", "--path", "@v2", "--path", "c,a",
+     "--path", "d,h,m"],
+    ["ck-check", LED, "--level", "1,1"],
+    ["wavelets", LED, "--shape", "1,1", "--depth", "3", "--analyze", "{fn}"],
+    ["wavelets", LED, "--shape", "1,1", "--depth", "3", "--synthesize", "{coeffs}"],
+    ["wavelets", LED, "--shape", "1,1", "--depth", "2"],
+    ["wavelets", LED, "--shape", "1,2", "--list-family"],
+    ["wavelets", LED, "--shape", "1,1", "--compare", "2"],
+    ["markov", "--alphabet", "3", "--weights", "0.2,0.3,0.5", "--depth", "3"],
+], ids=["measure exact embed", "ck-check", "analyze", "synthesize", "listing", "list-family",
+        "compare", "markov"])
+def test_ops_build_no_path_objects(argv, capsys, monkeypatch, tmp_path):
+    """Counted at `Path.__init__`: these ops read and write word-kernel rows
+    alone, and those that load a graph document build no `Edge` either."""
+    fn_file, coeff_file = tmp_path / "fn.jsonl", tmp_path / "coeffs.jsonl"
+    fn = random_cylinder_fn(load_kgraph(LED), (3, 3), 12, np.random.default_rng(5))
+    fn_file.write_text("".join(json.dumps(r) + "\n" for r in fn.to_records()))
+    coeff_file.write_text("".join(json.dumps({"coeff": (i % 7) - 3.5}) + "\n" for i in range(256)))
+    argv = [a.format(fn=fn_file, coeffs=coeff_file) for a in argv]
+    paths, edges = count_path_objects(monkeypatch), count_edge_objects(monkeypatch)
+    run_cli(capsys, *argv)
+    assert paths == {"Path": 0}
+    if argv[0] != "markov":  # which builds its bouquet from `Edge` records
+        assert edges == {"Edge": 0, "FactorizationSquare": 0}
+    normal_form(load_kgraph(LED), ["a"])
+    assert paths == {"Path": 1}  # the counter counts
 
 
 def test_synthesize_builds_no_paths_and_no_labels(capsys, monkeypatch, tmp_path):

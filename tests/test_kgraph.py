@@ -17,20 +17,27 @@ from kgraphwave import (
     ValidationError,
     compose,
     enumerate_paths,
+    extensions,
     load_kgraph,
     normal_form,
     segment,
     vertex_matrices,
     vertex_path,
 )
+from kgraphwave.kgraph import normal_form_rows, path_of
 from helpers import (
     VALID_SQUARES,
     check_confluence,
     double_cover,
+    family_documents,
     filtered_paths,
     generated_documents,
+    kernel_rewrite,
     path_count,
+    per_word_normal_forms,
+    pulled_segment,
     random_word,
+    restart_compose,
     restart_rewrite,
     scan_missing_square,
     skeleton_doc,
@@ -344,7 +351,7 @@ class TestCoverageCount:
     def check_every_deletion(doc):
         assert scan_missing_square(doc) is None
         if doc["k"] == 2:  # the cube check, for k >= 3, scans the words itself
-            with mock.patch.object(KGraph, "_mixed_pairs", side_effect=AssertionError("scanned")):
+            with mock.patch.object(KGraph, "_mixed_words", side_effect=AssertionError("scanned")):
                 load_kgraph(doc)
         else:
             load_kgraph(doc)
@@ -456,7 +463,7 @@ class TestPathSearch:
         for _ in range(5):
             word = random_word(graph, length, rng)
             for leftmost in (True, False):
-                assert graph._rewrite(word, leftmost) == restart_rewrite(graph, word, leftmost)
+                assert kernel_rewrite(graph, word, leftmost) == restart_rewrite(graph, word, leftmost)
 
     @settings(max_examples=60, deadline=None)
     @given(generated_documents(), st.integers(2, 9), st.data())
@@ -468,3 +475,89 @@ class TestPathSearch:
         want = normal_form(graph, word)
         assert (got.word, got.degree, got.range, got.source) == \
             (want.word, want.degree, want.range, want.source)
+
+
+def outcome(call, *args):
+    """What a call returns, or the class and text of what it raises."""
+    try:
+        return call(*args)
+    except CompositionError as exc:
+        return type(exc), str(exc)
+
+
+def random_degree(data, k, top=2):
+    return tuple(data.draw(st.integers(0, top)) for _ in range(k))
+
+
+class TestOneEngine:
+    """Normal forms, composition and factorization on word-kernel rows,
+    against the string-keyed oracles of `helpers`."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(family_documents(), st.data())
+    def test_batch_normal_form_matches_per_word_oracle(self, doc, data):
+        graph = load_kgraph(doc)
+        rng = random.Random(data.draw(st.integers(0, 2 ** 16)))
+        words = [random_word(graph, data.draw(st.integers(1, 7)), rng)
+                 for _ in range(data.draw(st.integers(1, 12)))]
+        words += [["@" + v] for v in data.draw(st.lists(st.sampled_from(graph.vertices), max_size=2))]
+        rng.shuffle(words)
+        want = per_word_normal_forms(graph, words, vertex_marks=True)
+        assert [path_of(graph, f) for f in normal_form_rows(graph, words, vertex_marks=True)] == want
+        assert [normal_form(graph, w) for w in words if not w[0].startswith("@")] == \
+            per_word_normal_forms(graph, [w for w in words if not w[0].startswith("@")])
+
+        # one bad word, planted at a random position
+        word = list(data.draw(st.sampled_from(words)))
+        if word[0].startswith("@"):
+            word = random_word(graph, 3, rng)
+        kinds = ["unknown", "empty", "vertex", "unknown after a break"]
+        tails = [e for e in graph.edge_ids if graph.edge(e).range != graph.edge(word[-1]).source]
+        if tails:
+            kinds.append("break")
+        kind = data.draw(st.sampled_from(kinds))
+        at = data.draw(st.integers(0, len(word)))
+        planted = {"unknown": word[:at] + ["zz"] + word[at:],
+                   "empty": [],
+                   "vertex": ["@zz"],
+                   "break": word + tails[:1],
+                   "unknown after a break": word + tails[:1] + ["zz"] if tails else word + ["zz"]}[kind]
+        words.insert(data.draw(st.integers(0, len(words))), planted)
+        got = outcome(normal_form_rows, graph, words, True)
+        assert got == outcome(per_word_normal_forms, graph, words, True)
+        assert got[0] is CompositionError
+
+    @settings(max_examples=60, deadline=None)
+    @given(family_documents(), st.data())
+    def test_segment_matches_pull_prefix_oracle(self, doc, data):
+        graph = load_kgraph(doc)
+        paths = enumerate_paths(graph, random_degree(data, graph.k))
+        path = data.draw(st.sampled_from(paths)) if paths else vertex_path(graph, graph.vertices[0])
+        q = tuple(data.draw(st.integers(0, d)) for d in path.degree)
+        p = tuple(data.draw(st.integers(0, d)) for d in q)
+        got, want = segment(path, p, q), pulled_segment(path, p, q)
+        assert (got, got.degree, got.range, got.source) == (want, want.degree, want.range, want.source)
+
+    def test_segment_exhaustive_on_fixtures(self, lambda3, ledrappier, sphere):
+        for graph, top in ((lambda3, (2, 2)), (ledrappier, (2, 2)), (sphere, (1, 2))):
+            degs = list(product(*(range(c + 1) for c in top)))
+            for lam in (x for d in degs for x in enumerate_paths(graph, d)):
+                for q in product(*(range(c + 1) for c in lam.degree)):
+                    for p in product(*(range(c + 1) for c in q)):
+                        assert segment(lam, p, q) == pulled_segment(lam, p, q)
+
+    @settings(max_examples=60, deadline=None)
+    @given(family_documents(), st.data())
+    def test_compose_and_extensions_match_restarting_oracle(self, doc, data):
+        graph = load_kgraph(doc)
+        paths = enumerate_paths(graph, random_degree(data, graph.k))
+        if not paths:
+            return
+        head = data.draw(st.sampled_from(paths))
+        step = random_degree(data, graph.k)
+        tails = enumerate_paths(graph, step, range=head.source)
+        want = [restart_compose(head, mu) for mu in tails]
+        assert [compose(head, mu) for mu in tails] == want
+        got = extensions(head, step)
+        assert [(p, p.degree, p.range, p.source) for p in got] == \
+            [(p, p.degree, p.range, p.source) for p in want]

@@ -57,14 +57,14 @@ def assert_same_graph(graph, oracle):
         for c in range(1, graph.k + 1):
             assert graph.edges_into(v, c) == oracle.edges_into(v, c)
     assert graph.to_document() == oracle.to_document()
+    # the two-way table of square sides: each side to the other side of its square
     kernel = graph.word_kernel
-    for mine, theirs in zip((kernel.pair_key, kernel.pair_left, kernel.pair_right),
+    for mine, theirs in zip((kernel.pair_key, kernel.pair_first, kernel.pair_second),
                             oracle.pair_table()):
         assert np.array_equal(mine, theirs)
     # the views hold the objects the oracle was built from
     assert list(graph.edges.items()) == list(oracle.edges.items())
     assert graph.squares == oracle.squares
-    assert graph._swap == oracle._swap
 
 
 @PROPERTY

@@ -30,12 +30,23 @@ from kgraphwave import (
     normal_form,
     pf_data,
     refine,
+    s_apply,
+    vertex_matrices,
     vertex_path,
 )
+from kgraphwave.kgraph import normal_form_rows
+from kgraphwave.measure import embed_interval
 from helpers import (
     check_ip_refinement_invariance,
     check_measure_additivity,
+    composed_refine,
+    digit_interval,
+    family_documents,
+    generated_documents,
+    mce_inner_product,
     per_kind_masses,
+    restart_compose,
+    segment_mce,
     torus_document,
     twisted_circulant_document,
 )
@@ -326,6 +337,131 @@ class TestEmbedding:
     def test_rejects_multiplicity(self, lambda3):
         with pytest.raises(NotZeroOne):
             embed_to_interval(lambda3, vertex_path(lambda3, "v"))
+
+
+def random_paths(graph, data, count, top=2):
+    """`count` paths drawn at random degrees up to `top` per color (vertex
+    paths included)."""
+    out = []
+    while len(out) < count:
+        paths = enumerate_paths(graph, tuple(data.draw(st.integers(0, top)) for _ in range(graph.k)))
+        if paths:
+            out.append(data.draw(st.sampled_from(paths)))
+    return out
+
+
+def random_fn(graph, data, terms):
+    coeffs = data.draw(st.lists(st.floats(-4, 4, allow_nan=False), min_size=terms, max_size=terms))
+    return CylinderFn.combination(list(zip(random_paths(graph, data, terms), coeffs)))
+
+
+def random_spec(graph, data):
+    """A (rho, x, w) spec with random positive entries: the formulas hold
+    for any triple, a measure or not."""
+    def draw(n):
+        return data.draw(st.lists(st.floats(0.1, 3.0), min_size=n, max_size=n))
+    return MeasureSpec(MeasureSpec.PF, graph, (draw(graph.k), draw(len(graph.vertices)), draw(len(graph.edge_ids))))
+
+
+def keyed(fn):
+    """The terms of a function with each path's fields, in term order."""
+    return [((p, p.degree, p.range, p.source), c) for p, c in fn.terms.items()]
+
+
+class TestRowEngine:
+    """`mce`, `refine`, `inner_product` and `s_apply` on word-kernel rows,
+    against the one-path-at-a-time oracles of `helpers`, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(family_documents(), st.data())
+    def test_mce_matches_segment_oracle(self, doc, data):
+        graph = load_kgraph(doc)
+        paths = [p for d in product(range(3), repeat=graph.k) for p in enumerate_paths(graph, d)]
+        for lam in [data.draw(st.sampled_from(paths)) for _ in range(3)]:
+            for mu in (mu for degree in product(range(2), repeat=graph.k)
+                       for mu in enumerate_paths(graph, degree, range=lam.range)):  # each mu that may meet lam
+                assert [(p, p.degree, p.source) for p in mce(lam, mu)] == \
+                    [(p, p.degree, p.source) for p in segment_mce(lam, mu)]
+
+    def test_mce_exhaustive_on_fixtures(self, lambda3, ledrappier):
+        # composing puts the extensions of a path out of level order on
+        # ledrappier and this circulant
+        circulant = load_kgraph(twisted_circulant_document(5, (1, 2), (0, 1), 0))
+        for graph in (lambda3, ledrappier, circulant):
+            paths = [p for d in product(range(3), repeat=2) if sum(d) <= 2 for p in enumerate_paths(graph, d)]
+            for lam in paths:
+                for mu in paths:
+                    assert mce(lam, mu) == segment_mce(lam, mu)
+
+    @settings(max_examples=60, deadline=None)
+    @given(generated_documents(), st.data())
+    def test_refine_and_inner_product_bit_for_bit(self, doc, data):
+        graph = load_kgraph(doc)
+        spec = random_spec(graph, data)
+        f, g = random_fn(graph, data, 4), random_fn(graph, data, 3)
+        level = tuple(max(a, b) for a, b in zip(f.level(), g.level()))
+        assert keyed(refine(f, level)) == keyed(composed_refine(f, level))
+        assert inner_product(spec, f, g) == mce_inner_product(spec, f, g)
+
+    def test_inner_product_bit_for_bit_on_fixtures(self, lambda3, ledrappier, spec3, spec3x, specL):
+        rng = np.random.default_rng(5)
+        for graph, specs in ((lambda3, (spec3, spec3x)), (ledrappier, (specL,))):
+            fns = []
+            for _ in range(4):
+                pairs = []
+                for _ in range(5):
+                    paths = enumerate_paths(graph, tuple(int(x) for x in rng.integers(0, 3, graph.k)))
+                    pairs.append((paths[int(rng.integers(len(paths)))], float(rng.standard_normal())))
+                fns.append(CylinderFn.combination(pairs))
+            for f in fns:
+                assert keyed(refine(f, (3, 3))) == keyed(composed_refine(f, (3, 3)))
+                for g in fns:
+                    for spec in specs:
+                        assert inner_product(spec, f, g) == mce_inner_product(spec, f, g)
+
+    @settings(max_examples=40, deadline=None)
+    @given(generated_documents(), st.data())
+    def test_s_apply_matches_restarting_oracle(self, doc, data):
+        graph = load_kgraph(doc)
+        spec = random_spec(graph, data)
+        (path,) = random_paths(graph, data, 1)
+        f = random_fn(graph, data, 5)
+        factor = spec.prefix_factor(path)
+        want = CylinderFn(graph, {restart_compose(path, mu): factor * c
+                                  for mu, c in f.terms.items() if mu.range == path.source})
+        assert keyed(s_apply(spec, path, f)) == keyed(want)
+
+
+class TestBatchMasses:
+    @settings(max_examples=40, deadline=None)
+    @given(generated_documents(), st.data())
+    def test_intervals_match_digit_loop(self, doc, data):
+        graph = load_kgraph(doc)
+        paths = random_paths(graph, data, 5, top=3)
+        if any(int(m.max()) > 1 for m in vertex_matrices(graph)):
+            with pytest.raises(NotZeroOne):
+                embed_to_interval(graph, paths[0])
+            return
+        want = [digit_interval(graph, p) for p in paths]
+        assert [embed_to_interval(graph, p) for p in paths] == want
+        got = [embed_interval(graph, graph.vertex_index[p.range], [graph.edge_position[e] for e in p.word])
+               for p in paths]
+        assert [(str(lo), str(hi)) for lo, hi in got] == [(str(lo), str(hi)) for lo, hi in want]
+
+    def test_ledrappier_intervals_match_digit_loop(self, ledrappier):
+        for degree in product(range(3), repeat=2):
+            for p in enumerate_paths(ledrappier, degree):
+                assert embed_to_interval(ledrappier, p) == digit_interval(ledrappier, p)
+
+    def test_per_degree_masses_are_the_one_path_masses(self, lambda3, ledrappier, spec3, spec3x, specL):
+        from kgraphwave.measure import cylinder_measures
+        for graph, specs in ((lambda3, (spec3, spec3x)), (ledrappier, (specL,))):
+            paths = [p for d in product(range(3), repeat=2) for p in enumerate_paths(graph, d)]
+            forms = normal_form_rows(graph, [list(p.word) or ["@" + p.range] for p in paths], vertex_marks=True)
+            for spec in specs:
+                got = cylinder_measures(spec, forms)
+                want = [cylinder_measure(spec, p) for p in paths]
+                assert [(type(x), x) for x in got] == [(type(x), x) for x in want]
 
 
 def test_cylinder_fn_records_round_trip(ledrappier):

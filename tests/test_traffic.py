@@ -1,3 +1,5 @@
+import hashlib
+import json
 import time
 
 import numpy as np
@@ -217,3 +219,14 @@ class TestDefaultChooserSearch:
         # 0.04 s on a 2-core host; searching every degree of the least total took 2.6 s
         assert time.perf_counter() - start < 0.2
         assert max(sum(p.degree) for p in prefs.assignment.values()) == 40
+
+    def test_three_hundred_vertex_circulant_prefs_are_pinned(self):
+        """Each vertex takes the first degree that reaches it, and only the
+        vertices not yet settled are visited: the assignment is the one
+        found by visiting every reached vertex at every degree."""
+        graph = load_kgraph(twisted_circulant_document(300, (1, 2), (1, 3), 4))
+        prefs = default_preferred_paths(graph, graph.vertices[0]).assignment
+        text = json.dumps([[w, list(p.degree), list(p.word)] for w, p in prefs.items()])
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "e1d52cc4115bf96ff829d2d10101b8be1841cae86a9c57e16285cc3c46b5df50"
+        assert max(sum(p.degree) for p in prefs.values()) == 100
