@@ -42,7 +42,6 @@ from .kgraph import (
     bouquet_graph,
     compose,
     enumerate_paths,
-    extensions,
     fixture_path,
     load_kgraph,
     load_kgraph_file,
@@ -57,6 +56,7 @@ from .measure import (
     cylinder_fns_equal,
     cylinder_measure,
     embed_to_interval,
+    extensions,
     inner_product,
     integral,
     mce,

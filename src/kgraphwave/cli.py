@@ -21,7 +21,7 @@ import numpy as np
 
 from . import errors as err
 from .kgraph import load_kgraph_file, normal_form_rows, path_of
-from .measure import MeasureSpec, check_zero_one, cylinder_measures, embed_interval, record_terms
+from .measure import CylinderFn, MeasureSpec, check_zero_one, cylinder_measures, embed_interval
 from .perron import hausdorff_dimension, is_strongly_connected, pf_data
 from .sbfs import check_ck_relations
 from .spectral import (
@@ -293,9 +293,9 @@ def _cmd_wavelets(args):
         return
     basis = wavelet_basis(family, args.depth)
     if args.analyze:
-        terms = record_terms(graph, _read_records(args.analyze, ("path", "coeff")))
+        fn = CylinderFn.from_records(graph, _read_records(args.analyze, ("path", "coeff")))
         with np.errstate(over="ignore", invalid="ignore"):
-            coeffs = _finite(analyze(basis, terms), "--analyze", "coefficients")
+            coeffs = _finite(analyze(basis, fn), "--analyze", "coefficients")
         _write(args, basis.coefficient_lines(coeffs))
         return
     if args.synthesize:

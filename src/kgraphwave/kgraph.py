@@ -420,6 +420,23 @@ def path_of(graph: KGraph, form: Form) -> Path:
     return Path(graph, tuple([ids[e] for e in row]), degree, vertices[r], vertices[s])
 
 
+def form_of(path: Path) -> Form:
+    """The normal form (`normal_form_rows`) of a path: the inverse of `path_of`."""
+    position, index = path.graph.edge_position, path.graph.vertex_index
+    return path.degree, tuple([position[e] for e in path.word]), index[path.range], index[path.source]
+
+
+def row_forms(rows: tuple[np.ndarray, np.ndarray, np.ndarray], degree: Degree) -> list[Form]:
+    """The normal forms of rows of one degree, with ranges and sources as `WordKernel.level` gives them."""
+    return [(degree, tuple(word), r, s) for word, r, s in zip(*(a.tolist() for a in rows))]
+
+
+def _same_graph(what: str, *graphs: KGraph):
+    """Raise ValueError unless the graphs are one graph."""
+    if any(graph is not graphs[0] for graph in graphs):
+        raise ValueError(f"{what} live on different graphs")
+
+
 def vertex_path(graph: KGraph, vertex: str) -> Path:
     if vertex not in graph.vertex_index:
         raise CompositionError(f"unknown vertex {vertex!r}")
@@ -495,10 +512,10 @@ def compose(p: Path, q: Path) -> Path:
         return q
     if q.is_vertex():
         return p
-    graph, kernel = p.graph, p.graph.word_kernel
-    row = kernel.compose(kernel.word(p)[None, :], p.degree, kernel.word(q)[None, :], q.degree)[0]
-    return path_of(graph, (deg_add(p.degree, q.degree), row.tolist(), graph.vertex_index[p.range],
-                           graph.vertex_index[q.source]))
+    (_, head, r, _), (_, tail, _, s) = form_of(p), form_of(q)
+    row = p.graph.word_kernel.compose(np.array([head], dtype=np.intp), p.degree,
+                                      np.array([tail], dtype=np.intp), q.degree)[0]
+    return path_of(p.graph, (deg_add(p.degree, q.degree), row.tolist(), r, s))
 
 
 def segment(path: Path, p: Sequence[int], q: Sequence[int]) -> Path:
@@ -512,7 +529,7 @@ def segment(path: Path, p: Sequence[int], q: Sequence[int]) -> Path:
             f"need 0 <= {p} <= {q} <= {path.degree} componentwise")
     kernel = graph.word_kernel
     colors = _degree_colors(p) + _degree_colors(deg_sub(q, p)) + _degree_colors(deg_sub(path.degree, q))
-    word = kernel.rewrite(kernel.word(path)[None, :], colors, undo=True)[0]
+    word = kernel.rewrite(np.array([form_of(path)[1]], dtype=np.intp), colors, undo=True)[0]
     lo, hi = sum(p), sum(q)
     at = [graph.vertex_index[path.range]] + graph.edge_source[word].tolist()  # the vertex after i letters
     return path_of(graph, (deg_sub(q, p), tuple(word[lo:hi].tolist()), at[lo], at[hi]))
@@ -599,6 +616,14 @@ def _expand_runs(first: np.ndarray, count: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1] if len(ends) else 0) + np.repeat(first - (ends - count), count)
 
 
+def _matching(sources: np.ndarray, ranges: np.ndarray, vertices: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (i, j) with sources[i] == ranges[j], i-major, j ascending."""
+    by_range = np.argsort(ranges, kind="stable")
+    starts = np.searchsorted(ranges[by_range], np.arange(vertices + 1))
+    count = starts[sources + 1] - starts[sources]
+    return np.repeat(np.arange(len(sources)), count), by_range[_expand_runs(starts[sources], count)]
+
+
 class WordKernel:
     """Normal-form paths as rows of edge indices, and the one engine that
     rewrites, composes and factors them.
@@ -669,19 +694,6 @@ class WordKernel:
         if color not in self._run_lists:
             self._run_lists[color] = tuple(a.tolist() for a in self._runs(color))
         return self._run_lists[color]
-
-    def word(self, path: Path) -> np.ndarray:
-        """The edge indices of a path's word."""
-        return np.array([self.position[eid] for eid in path.word], dtype=np.intp)
-
-    def extend(self, path: Path, degree: Degree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The rows, ranges and sources of path * mu for every mu of the
-        degree with r(mu) = s(path), in `level` order of mu."""
-        tails, ranges, sources = self.level(degree)
-        index = self.graph.vertex_index
-        at = np.flatnonzero(ranges == index[path.source])
-        words = self.compose(self.word(path)[None, :], path.degree, tails[at], degree)
-        return words, np.full(len(at), index[path.range]), sources[at]
 
     def level(self, degree: Degree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The rows, ranges and sources of all normal-form paths of the
@@ -764,14 +776,7 @@ class WordKernel:
     def paths(self, rows: tuple[np.ndarray, np.ndarray, np.ndarray], degree: Degree) -> list[Path]:
         """`Path` objects for rows of the degree, given with their ranges and
         sources as `level` gives them."""
-        return [path_of(self.graph, (degree, word, r, s)) for word, r, s in zip(*(a.tolist() for a in rows))]
-
-
-def extensions(path: Path, degree: Sequence[int]) -> list[Path]:
-    """All paths ``path * mu`` with d(mu) = degree, in lexicographic mu order."""
-    degree = as_degree(degree, path.graph.k)
-    kernel = path.graph.word_kernel
-    return kernel.paths(kernel.extend(path, degree), deg_add(path.degree, degree))
+        return [path_of(self.graph, form) for form in row_forms(rows, degree)]
 
 
 def vertex_matrices(graph: KGraph) -> list[np.ndarray]:
@@ -783,9 +788,21 @@ def vertex_matrices(graph: KGraph) -> list[np.ndarray]:
     construction force it (see ``KGraph._check_square_coverage``).
     """
     n = len(graph.vertices)
-    cells = ((graph.edge_color - 1) * n + graph.edge_range) * n + graph.edge_source
-    counts = np.bincount(cells, minlength=graph.k * n * n).astype(np.int64, copy=False)
+    counts = np.bincount(_vertex_cells(graph), minlength=graph.k * n * n).astype(np.int64, copy=False)
     return list(counts.reshape(graph.k, n, n))
+
+
+def is_zero_one(graph: KGraph) -> bool:
+    """Whether every vertex matrix is 0/1-valued: no two edges share a
+    color, a range and a source (`_vertex_cells`), and no matrix is built."""
+    cells = np.sort(_vertex_cells(graph))
+    return not (cells[1:] == cells[:-1]).any()
+
+
+def _vertex_cells(graph: KGraph) -> np.ndarray:
+    """The vertex-matrix entry of each edge: (color, range, source) as one index."""
+    n = len(graph.vertices)
+    return ((graph.edge_color - 1) * n + graph.edge_range) * n + graph.edge_source
 
 
 # -- document parsing ------------------------------------------------------

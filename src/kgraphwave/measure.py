@@ -12,16 +12,17 @@ takes rho = 1, x = 1 and the letter weights as w.  Either way prefixing by
 lambda has the constant Radon-Nikodym derivative rho^{-d(lambda)} * prod w_e,
 which is what makes every wavelet construction downstream work.
 
-A CylinderFn is a finite real combination of cylinder indicators.  Functions
-at mixed degrees are compared and integrated by refining to a common degree
-level; Z(lambda) meets Z(mu) in the disjoint union of the cylinders of their
-minimal common extensions.
+A CylinderFn is a finite real combination of cylinder indicators, held as
+the normal forms of its terms.  Functions at mixed degrees are compared by
+refining to a common level (`refine_rows`); Z(lambda) meets Z(mu) in the
+disjoint union of the cylinders of their minimal common extensions.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property, reduce
 from numbers import Rational
 from typing import Iterable, Mapping, Sequence
 
@@ -33,14 +34,18 @@ from .kgraph import (
     Form,
     KGraph,
     Path,
+    _matching,
+    _same_graph,
     as_degree,
+    deg_add,
     deg_join,
     deg_le,
     deg_sub,
-    extensions,
+    form_of,
+    is_zero_one,
     normal_form_rows,
     path_of,
-    vertex_matrices,
+    row_forms,
 )
 from .perron import PFData, is_strongly_connected, pf_data, rational_pf_data
 
@@ -109,7 +114,7 @@ class MeasureSpec:
     def prefix_factor(self, path: Path) -> float:
         """The constant value of (d(M o sigma_path)/dM)^{-1/2} on Z(s(path)):
         the isometry normalization of the prefixing operator."""
-        return float(self.prefix_factors(path.degree, self.graph.word_kernel.word(path)[None, :])[0])
+        return float(self.prefix_factors(path.degree, np.array([form_of(path)[1]], dtype=np.intp))[0])
 
     def prefix_factors(self, degree: Degree, words: np.ndarray) -> np.ndarray:
         """`prefix_factor` of each path of one degree, from word-kernel rows:
@@ -132,8 +137,8 @@ class MeasureSpec:
 def cylinder_measure(spec: MeasureSpec, path: Path):
     """Mass of the cylinder Z(path), one row of `MeasureSpec.level_weights`:
     a Fraction for an exact spec, a float otherwise."""
-    words, _, sources = spec.graph.word_kernel.extend(path, spec.graph.zero_degree())
-    return spec.level_weights(path.degree, words, sources).item(0)
+    _same_graph("measure and path", spec.graph, path.graph)
+    return cylinder_measures(spec, [form_of(path)])[0]
 
 
 def forms_by_degree(forms: Sequence[Form]) -> dict[Degree, tuple[list[int], np.ndarray, np.ndarray]]:
@@ -156,25 +161,67 @@ def cylinder_measures(spec: MeasureSpec, forms: Sequence[Form]) -> list:
     return [masses[i] for i in range(len(forms))]
 
 
-def record_terms(graph: KGraph, records: Iterable[Mapping]) -> list[tuple[Form, float]]:
-    """The terms of `CylinderFn.from_records` as (normal form, coefficient)
-    pairs: one per path in order of first appearance, its coefficients
-    summed in record order, the terms that sum to zero left out."""
-    records = list(records)
-    forms = normal_form_rows(graph, [rec["path"] for rec in records], vertex_marks=True)
-    terms: dict[tuple, list] = {}
-    for form, rec in zip(forms, records):
-        term = terms.setdefault(form[1:3], [form, 0.0])  # the row and range name the path
-        term[1] += float(rec["coeff"])
-    return [(form, c) for form, c in terms.values() if c != 0.0]
+def extension_rows(graph: KGraph, forms: Sequence[Form], level: Degree) -> tuple:
+    """The extensions to `level` of the paths of these normal forms, each
+    path's in `WordKernel.level` order, those of one degree composed at
+    once: their rows, ranges and sources, and the index of the path each extends."""
+    kernel, empty = graph.word_kernel, np.empty(0, dtype=np.intp)
+    words, sources, owner = [empty.reshape(0, sum(level))], [empty], [empty]
+    for degree, (group, heads, head_sources) in forms_by_degree(forms).items():
+        if not deg_le(degree, level):  # the first group of a bad degree holds the first bad term
+            raise DegreeRangeError(f"term at degree {degree} above level {level}")
+        step = deg_sub(level, degree)
+        tails, tail_ranges, tail_sources = kernel.level(step)
+        rows, cols = _matching(head_sources, tail_ranges, len(graph.vertices))
+        words.append(kernel.compose(heads[rows], degree, tails[cols], step))
+        sources.append(tail_sources[cols])
+        owner.append(np.array(group, dtype=np.intp)[rows])
+    words, sources, owner = (np.concatenate(parts) for parts in (words, sources, owner))
+    return (words, np.array([form[2] for form in forms], dtype=np.intp)[owner], sources), owner
+
+
+def refine_rows(f: "CylinderFn", level: Degree, size: int | None = None) -> tuple:
+    """The one refinement engine: the extensions of f's terms (`extension_rows`);
+    ``by_term``, the order that lists them term after term; and f's
+    coefficients added in that order at their positions in the level
+    (`WordKernel.rank`; vertex indices on level 0) into ``size`` entries, or
+    by default into one entry per distinct position, in increasing order, with
+    ``first``, the entry of ``by_term`` where each is first reached."""
+    rows, owner = extension_rows(f.graph, list(f.forms), level)
+    by_term = np.argsort(owner, kind="stable")
+    slots, first = (f.graph.word_kernel.rank(rows[0], level) if any(level) else rows[2])[by_term], None
+    if size is None:  # a stable sort: no np.unique, and nothing as large as the level
+        order = np.argsort(slots, kind="stable")
+        new = np.diff(slots[order], prepend=-1) != 0  # positions are >= 0
+        slots[order], first, size = np.cumsum(new) - 1, order[new], int(new.sum())
+    vec = np.zeros(size)
+    np.add.at(vec, slots, np.array(list(f.forms.values()))[owner[by_term]])
+    return rows, by_term, first, vec
 
 
 class CylinderFn:
-    """A finite real combination sum_lambda c_lambda * Theta_lambda."""
+    """A finite real combination sum_lambda c_lambda * Theta_lambda: ``forms``
+    maps the normal form (`form_of`) of each term to its nonzero coefficient,
+    in term order; ``terms``, the map keyed by `Path`, is built on first read."""
 
     def __init__(self, graph: KGraph, terms: Mapping[Path, float]):
-        self.graph = graph
-        self.terms = {p: float(c) for p, c in terms.items() if c != 0.0}
+        _same_graph("function and paths", graph, *(p.graph for p in terms))
+        self.graph, self.forms = graph, {form_of(p): float(c) for p, c in terms.items() if c != 0.0}
+
+    @classmethod
+    def from_forms(cls, graph: KGraph, pairs: Iterable[tuple[Form, float]]) -> "CylinderFn":
+        """The function of (normal form, coefficient) pairs: the coefficients
+        of a repeated form summed in order, the zero sums left out."""
+        acc: dict = {}
+        for form, c in pairs:
+            acc[form] = acc.get(form, 0.0) + float(c)
+        f = cls(graph, {})
+        f.forms = {form: c for form, c in acc.items() if c != 0.0}
+        return f
+
+    @cached_property
+    def terms(self) -> dict[Path, float]:
+        return {path_of(self.graph, form): c for form, c in self.forms.items()}
 
     @classmethod
     def indicator(cls, path: Path) -> "CylinderFn":
@@ -185,50 +232,42 @@ class CylinderFn:
         pairs = list(pairs)
         if not pairs:
             raise ValueError("empty combination has no graph")
-        graph = pairs[0][0].graph
-        acc: dict[Path, float] = {}
-        for p, c in pairs:
-            acc[p] = acc.get(p, 0.0) + float(c)
-        return cls(graph, acc)
+        _same_graph("function and paths", *(p.graph for p, _ in pairs))
+        return cls.from_forms(pairs[0][0].graph, ((form_of(p), c) for p, c in pairs))
 
     def __add__(self, other: "CylinderFn") -> "CylinderFn":
-        acc = dict(self.terms)
-        for p, c in other.terms.items():
-            acc[p] = acc.get(p, 0.0) + c
-        return CylinderFn(self.graph, acc)
+        _same_graph("functions", self.graph, other.graph)
+        return CylinderFn.from_forms(self.graph, [*self.forms.items(), *other.forms.items()])
 
     def __sub__(self, other: "CylinderFn") -> "CylinderFn":
         return self + (other * -1.0)
 
     def __mul__(self, scalar: float) -> "CylinderFn":
-        return CylinderFn(self.graph, {p: c * scalar for p, c in self.terms.items()})
+        return CylinderFn.from_forms(self.graph, ((form, c * scalar) for form, c in self.forms.items()))
 
     __rmul__ = __mul__
 
     def level(self) -> Degree:
         """Componentwise join of the degrees of all terms."""
-        level = self.graph.zero_degree()
-        for p in self.terms:
-            level = deg_join(level, p.degree)
-        return level
+        return reduce(deg_join, (form[0] for form in self.forms), self.graph.zero_degree())
 
     def to_records(self) -> list[dict]:
-        return [{"path": list(p.word) if p.word else ["@" + p.range], "coeff": c}
-                for p, c in sorted(self.terms.items(),
-                                   key=lambda item: (item[0].word, item[0].range))]
+        """One record per term, by (word, range): rows sort as their words do."""
+        ids, vertices = self.graph.edge_ids, self.graph.vertices
+        return [{"path": [ids[e] for e in row] or ["@" + vertices[r]], "coeff": c}
+                for (_, row, r, _), c in sorted(self.forms.items(),
+                                                key=lambda item: (item[0][1], vertices[item[0][2]]))]
 
     @classmethod
     def from_records(cls, graph: KGraph, records: Iterable[Mapping]) -> "CylinderFn":
-        return cls(graph, {path_of(graph, form): c for form, c in record_terms(graph, records)})
-
-    def term_forms(self) -> list[tuple[Form, float]]:
-        """The terms as (normal form, coefficient) pairs, in term order."""
-        position, index = self.graph.edge_position, self.graph.vertex_index
-        return [((p.degree, tuple([position[e] for e in p.word]), index[p.range], index[p.source]), c)
-                for p, c in self.terms.items()]
+        """The function of records ``{"path": [...], "coeff": c}`` (``["@v"]``
+        the vertex v): one term per path, its coefficients summed in order."""
+        records = list(records)
+        forms = normal_form_rows(graph, [rec["path"] for rec in records], vertex_marks=True)
+        return cls.from_forms(graph, zip(forms, (rec["coeff"] for rec in records)))
 
     def __repr__(self):
-        return f"CylinderFn({len(self.terms)} terms, level {self.level()})"
+        return f"CylinderFn({len(self.forms)} terms, level {self.level()})"
 
 
 def refine(f: CylinderFn, level: Sequence[int]) -> CylinderFn:
@@ -236,24 +275,21 @@ def refine(f: CylinderFn, level: Sequence[int]) -> CylinderFn:
 
     Each indicator expands into the indicators of all its extensions to the
     level; the represented function (and hence every integral) is unchanged.
+    The terms come in order of first appearance, term after term.
     """
-    graph = f.graph
-    level = as_degree(level, graph.k)
-    acc: dict[Path, float] = {}
-    for p, c in f.terms.items():
-        if not deg_le(p.degree, level):
-            raise DegreeRangeError(f"term at degree {p.degree} above level {level}")
-        for q in extensions(p, deg_sub(level, p.degree)):
-            acc[q] = acc.get(q, 0.0) + c
-    return CylinderFn(graph, acc)
+    level = as_degree(level, f.graph.k)
+    rows, by_term, first, vec = refine_rows(f, level)
+    new = np.argsort(first)  # the distinct positions in order of first appearance
+    return CylinderFn.from_forms(f.graph, zip(row_forms(tuple(a[by_term[first[new]]] for a in rows), level),
+                                              vec[new].tolist()))
 
 
 def cylinder_fns_equal(f: CylinderFn, g: CylinderFn, tol: float = 0.0) -> bool:
     """Equality as functions: agree after refinement to a common level."""
+    _same_graph("functions", f.graph, g.graph)
     level = deg_join(f.level(), g.level())
-    rf, rg = refine(f, level), refine(g, level)
-    paths = set(rf.terms) | set(rg.terms)
-    return all(abs(rf.terms.get(p, 0.0) - rg.terms.get(p, 0.0)) <= tol for p in paths)
+    rf, rg = (refine(fn, level).forms for fn in (f, g))
+    return all(abs(rf.get(form, 0.0) - rg.get(form, 0.0)) <= tol for form in rf.keys() | rg.keys())
 
 
 def mce(lam: Path, mu: Path) -> list[Path]:
@@ -261,25 +297,24 @@ def mce(lam: Path, mu: Path) -> list[Path]:
     initial segments reproduce both lam and mu, sorted.  Empty means the
     cylinders are disjoint.  They are lam's extensions to the join that
     share a rank there (a vertex index at degree 0) with mu's, by rank."""
-    if lam.graph is not mu.graph:
-        raise ValueError("paths live on different graphs")
-    join = deg_join(lam.degree, mu.degree)
-    kernel = lam.graph.word_kernel
-    (words, ranges, sources), (theirs, their_ranges, _) = (
-        kernel.extend(path, deg_sub(join, path.degree)) for path in (lam, mu))
-    mine, theirs = ((kernel.rank(words, join), kernel.rank(theirs, join)) if any(join)
-                    else (ranges, their_ranges))
-    marks = np.zeros(max(mine.max(initial=-1), theirs.max(initial=-1)) + 1, dtype=bool)
-    marks[theirs] = True
-    keep = np.flatnonzero(marks[mine])
-    keep = keep[np.argsort(mine[keep])]
-    return kernel.paths((words[keep], ranges[keep], sources[keep]), join)
+    _same_graph("paths", lam.graph, mu.graph)
+    graph, join = lam.graph, deg_join(lam.degree, mu.degree)
+    rows, _ = extension_rows(graph, [form_of(lam), form_of(mu)], join)  # lam's rows, then mu's
+    at = graph.word_kernel.rank(rows[0], join) if any(join) else rows[2]
+    order = np.argsort(at, kind="stable")  # a rank both reach: lam's row, then mu's
+    keep = order[:-1][at[order[:-1]] == at[order[1:]]]
+    return graph.word_kernel.paths(tuple(a[keep] for a in rows), join)
+
+
+def extensions(path: Path, degree: Sequence[int]) -> list[Path]:
+    """All paths ``path * mu`` with d(mu) = degree, in lexicographic mu order."""
+    level = deg_add(path.degree, as_degree(degree, path.graph.k))
+    return path.graph.word_kernel.paths(extension_rows(path.graph, [form_of(path)], level)[0], level)
 
 
 def inner_product(spec: MeasureSpec, f: CylinderFn, g: CylinderFn) -> float:
     """<f, g> = sum over term pairs of c_lambda c'_mu M(Z(lambda) n Z(mu))."""
-    if f.graph is not g.graph:
-        raise ValueError("functions live on different graphs")
+    _same_graph("functions", f.graph, g.graph)
     total = 0.0
     for lam, cf in f.terms.items():
         for mu, cg in g.terms.items():
@@ -294,12 +329,13 @@ def norm(spec: MeasureSpec, f: CylinderFn) -> float:
 
 def integral(spec: MeasureSpec, f: CylinderFn) -> float:
     """integral of f dM = sum of coefficients weighted by cylinder mass."""
-    return float(sum(c * float(cylinder_measure(spec, p)) for p, c in f.terms.items()))
+    _same_graph("measure and function", spec.graph, f.graph)
+    return float(sum(c * float(m) for c, m in zip(f.forms.values(), cylinder_measures(spec, list(f.forms)))))
 
 
 def check_zero_one(graph: KGraph):
     """Raise NotZeroOne unless every vertex matrix is 0/1-valued."""
-    if any(int(m.max()) > 1 for m in vertex_matrices(graph)):
+    if not is_zero_one(graph):
         raise NotZeroOne("embedding requires all vertex matrices to be 0/1-valued")
 
 

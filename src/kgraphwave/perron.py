@@ -23,7 +23,7 @@ from .errors import (
     NotStronglyConnected,
     ResidualTooLarge,
 )
-from .kgraph import KGraph, vertex_matrices
+from .kgraph import KGraph, is_zero_one, vertex_matrices
 
 
 @dataclass(frozen=True)
@@ -188,7 +188,7 @@ def hausdorff_dimension(graph: KGraph, pf: PFData | None = None) -> float:
         raise DegenerateVertexCount("dimension formula needs more than one vertex")
     if pf is None:
         pf = pf_data(graph)
-    if any(int(m.max()) > 1 for m in vertex_matrices(graph)):
+    if not is_zero_one(graph):
         warnings.warn(
             "some vertex matrix has an entry > 1; the N-adic fractal embedding "
             "assumes 0/1 matrices, the dimension value is formal", stacklevel=2)

@@ -29,14 +29,17 @@ from .kgraph import (
     Degree,
     KGraph,
     Path,
-    _expand_runs,
+    _matching,
+    _same_graph,
     as_degree,
     compose,
     deg_add,
     deg_le,
     deg_sub,
+    form_of,
+    row_forms,
 )
-from .measure import CylinderFn, MeasureSpec, forms_by_degree
+from .measure import CylinderFn, MeasureSpec, extension_rows, refine_rows
 
 
 @dataclass(frozen=True)
@@ -47,7 +50,8 @@ class LevelSpace:
 
     The paths are held as word-kernel rows (`KGraph.word_kernel`) with the
     range and source vertex index of each, in `enumerate_paths` order;
-    ``basis`` turns them into `Path` objects on first access.
+    functions on the space are built from the rows, and ``basis`` turns
+    them into `Path` objects on first access.
     """
 
     graph: KGraph
@@ -62,33 +66,12 @@ class LevelSpace:
     def basis(self) -> tuple[Path, ...]:
         return tuple(self.graph.word_kernel.paths((self.words, self.ranges, self.sources), self.level))
 
-    def vector_of(self, f: CylinderFn | list) -> np.ndarray:
+    def vector_of(self, f: CylinderFn) -> np.ndarray:
         """Coefficients of f in the (unnormalized) indicator basis: each term
-        adds its coefficient at the paths that extend it.  f is a
-        `CylinderFn` or its terms as `CylinderFn.term_forms` gives them.
-
-        The terms of one degree are composed with their extensions and
-        ranked at once.  The sums run in term order, each term over its
-        extensions in order, the order in which `refine` sums them."""
-        terms = f.term_forms() if isinstance(f, CylinderFn) else f
-        kernel = self.graph.word_kernel
-        at, owner = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-        for degree, (group, heads, sources) in forms_by_degree([form for form, _ in terms]).items():
-            if not deg_le(degree, self.level):  # the first group of a bad degree holds the first bad term
-                raise DegreeRangeError(f"term at degree {degree} above level {self.level}")
-            step = deg_sub(self.level, degree)
-            tails, ranges, _ = kernel.level(step)
-            rows, cols = _matching(sources, ranges, len(self.graph.vertices))
-            if any(self.level):
-                at.append(kernel.rank(kernel.compose(heads[rows], degree, tails[cols], step), self.level))
-            else:  # vertices on level 0
-                at.append(cols)
-            owner.append(np.array(group)[rows])
-        owner = np.concatenate(owner)
-        by_term = np.argsort(owner, kind="stable")
-        vec = np.zeros(len(self.words))
-        np.add.at(vec, np.concatenate(at)[by_term], np.array([c for _, c in terms])[owner[by_term]])
-        return vec
+        adds its coefficient at the paths that extend it, as `refine` sums
+        them (`refine_rows`)."""
+        _same_graph("function and level space", f.graph, self.graph)
+        return refine_rows(f, self.level, len(self.words))[-1]
 
     def function_of(self, vec: Sequence[float]) -> CylinderFn:
         vec = np.asarray(vec, dtype=float)
@@ -97,8 +80,8 @@ class LevelSpace:
 
     def function_at(self, at: np.ndarray, values: np.ndarray) -> CylinderFn:
         """The function with the given values at the given distinct positions."""
-        basis = self.basis
-        return CylinderFn(self.graph, {basis[i]: v for i, v in zip(at.tolist(), values.tolist())})
+        forms = row_forms((self.words[at], self.ranges[at], self.sources[at]), self.level)
+        return CylinderFn.from_forms(self.graph, zip(forms, values.tolist()))
 
     @cached_property
     def term_heads(self) -> np.ndarray:
@@ -160,14 +143,6 @@ class OperatorMatrix:
         return mat
 
 
-def _matching(sources: np.ndarray, ranges: np.ndarray, vertices: int) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs (i, j) with sources[i] == ranges[j], i-major, j ascending."""
-    by_range = np.argsort(ranges, kind="stable")
-    starts = np.searchsorted(ranges[by_range], np.arange(vertices + 1))
-    count = starts[sources + 1] - starts[sources]
-    return np.repeat(np.arange(len(sources)), count), by_range[_expand_runs(starts[sources], count)]
-
-
 def _prefix_table(spec: MeasureSpec, lams: tuple[np.ndarray, np.ndarray, np.ndarray],
                   degree: Degree, dom: LevelSpace, cod: LevelSpace,
                   rn_tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
@@ -198,7 +173,7 @@ def s_matrix(spec: MeasureSpec, path: Path, domain_level: Sequence[int],
     """S_path from level `domain_level` to `domain_level + d(path)`."""
     dom = level_space(spec, domain_level)
     cod = level_space(spec, deg_add(dom.level, path.degree))
-    rows, vals = _prefix_table(spec, spec.graph.word_kernel.extend(path, spec.graph.zero_degree()),
+    rows, vals = _prefix_table(spec, extension_rows(spec.graph, [form_of(path)], path.degree)[0],
                                path.degree, dom, cod, rn_tol)
     cols = np.flatnonzero(rows[0] >= 0)
     return OperatorMatrix(dom.level, cod.level, (len(cod.weights), len(dom.weights)),
@@ -274,8 +249,7 @@ def check_ck_relations(spec: MeasureSpec, graph: KGraph,
     of the S_lambda of one degree at one level; each relation is checked for
     all its cases of one degree at once.
     """
-    if graph is not spec.graph:
-        raise ValueError("measure and graph live on different graphs")
+    _same_graph("measure and graph", graph, spec.graph)
     test_level = as_degree(test_level, graph.k)
     if any(t < 1 for t in test_level):
         raise LevelTooSmall(f"test level {test_level} must be >= 1 in every color")

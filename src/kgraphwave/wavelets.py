@@ -25,11 +25,9 @@ from .errors import BadShape, BadWeights, EmptyDv, ShapeMismatch, TooLarge
 from .kgraph import (
     Degree,
     KGraph,
-    Path,
     as_degree,
     bouquet_graph,
     deg_scale,
-    vertex_path,
 )
 from .measure import CylinderFn, MeasureSpec
 from .orthobasis import complement_basis, constant_unit_vector
@@ -41,18 +39,11 @@ from .sbfs import LevelSpace, level_space
 class VertexBlock:
     """Per-vertex wavelet data: D_v^J as the ascending ``positions`` of its
     paths in the family's level-J space, and the orthonormal coefficient
-    vectors over them (row 0 constant, rows 1.. zero-mean).  ``paths``, the
-    `Path` objects, is built on first read."""
+    vectors over them (row 0 constant, rows 1.. zero-mean)."""
 
     vertex: str
-    space: LevelSpace = field(repr=False)
     positions: np.ndarray
     c_vectors: np.ndarray
-
-    @cached_property
-    def paths(self) -> tuple[Path, ...]:
-        basis = self.space.basis
-        return tuple(basis[i] for i in self.positions.tolist())
 
 
 @dataclass(frozen=True)
@@ -62,8 +53,8 @@ class WaveletFamily:
     The family is held as the level-J space and one `VertexBlock` per
     vertex.  ``scaling`` (per vertex, Theta_v / sqrt(x_v)), ``wavelets``
     (((m, v), f^{m,v}) in vertex order, m ascending) and `wavelet` are
-    `CylinderFn` views, built on read; `listing` writes the same records
-    from the rows.
+    `CylinderFn` views, built on read from the level rows; `listing` writes
+    the same records from the rows.
     """
 
     graph: KGraph
@@ -75,8 +66,9 @@ class WaveletFamily:
     @cached_property
     def scaling(self) -> tuple[CylinderFn, ...]:
         # the constant row rebuilds Theta_v / sqrt(M(Z(v))) after coarsening
-        return tuple(CylinderFn(self.graph, {vertex_path(self.graph, v): float(b.c_vectors[0, 0])})
-                     for v, b in self.blocks.items())
+        vertex_space = level_space(self.spec, self.graph.zero_degree())
+        return tuple(vertex_space.function_at(np.array([v]), b.c_vectors[0, :1])
+                     for v, b in enumerate(self.blocks.values()))
 
     @cached_property
     def wavelets(self) -> tuple[tuple[tuple[int, str], CylinderFn], ...]:
@@ -85,7 +77,7 @@ class WaveletFamily:
 
     def wavelet(self, m: int, vertex: str) -> CylinderFn:
         block = self.blocks[vertex]
-        return CylinderFn.combination(zip(block.paths, block.c_vectors[m]))
+        return self.space.function_at(block.positions, block.c_vectors[m])
 
     def listing(self) -> str:
         """The JSON lines of the family: per vertex its scaling function,
@@ -132,8 +124,39 @@ def build_wavelet_family(graph: KGraph, pf: PFData | None = None,
             raise EmptyDv(f"no paths of shape {shape} reach vertex {v}")
         weights = space.weights[positions]
         c = np.vstack([constant_unit_vector(weights)[None, :], complement_basis(weights)])
-        blocks[v] = VertexBlock(v, space, positions, c)
+        blocks[v] = VertexBlock(v, positions, c)
     return WaveletFamily(graph, spec, shape, space, blocks)
+
+
+class MemberSet:
+    """Functions over one level space ``space``: each member in label order
+    as the ascending positions it is nonzero on and its values there
+    (``_members``), and its label text in ``heads`` (`jsonl`).  The views
+    ``labels`` and ``functions`` are built on first access."""
+
+    @cached_property
+    def labels(self) -> tuple[dict, ...]:
+        """One record per member: the records of `heads`."""
+        return tuple(jsonl.parse(jsonl.text(self.heads, "}\n")))
+
+    @cached_property
+    def functions(self) -> tuple[CylinderFn, ...]:
+        return tuple(self.space.function_at(at, values) for at, values in self._members())
+
+    def gram(self) -> np.ndarray:
+        """The Gram matrix of the members, from dense rows built for the call."""
+        mat = np.zeros((len(self.heads), len(self.space.weights)))
+        for i, (at, values) in enumerate(self._members()):
+            mat[i, at] = values
+        return (mat * self.space.weights[None, :]) @ mat.T
+
+    def listing(self) -> str:
+        """The JSON lines of the members: per member its label and its term records."""
+        return jsonl.listing(self.heads, self.space.term_heads, self._members())
+
+    def to_records(self) -> list[dict]:
+        """The records of `listing`."""
+        return jsonl.parse(self.listing())
 
 
 @dataclass(frozen=True)
@@ -153,18 +176,15 @@ class _Group:
 
 
 @dataclass(frozen=True)
-class WaveletBasis:
-    """The depth-n orthonormal basis at cylinder level nJ.
+class WaveletBasis(MemberSet):
+    """The depth-n orthonormal basis at cylinder level nJ, a `MemberSet`.
 
     The basis is held as the weighted-Haar cascade over the levels jJ,
     j <= n: ``layers[j]`` maps level (j+1)J to the layer-j wavelets and
     level jJ, ``shifts[j]`` holds the word-kernel rows of level jJ, and
     ``order`` places each cascade node of level nJ, one per basis vector,
-    in ``space.basis``.  ``heads``, the label text of each basis vector
-    (`jsonl`), ``labels``, the records of that text, and ``matrix``, the
-    coefficients of every basis vector over ``space.basis`` in the
-    unnormalized indicator basis, are built on first access only; listings
-    write each member from its own support instead.
+    among the positions of ``space``.  ``heads``, the label text of each
+    basis vector, is built on first access.
     """
 
     family: WaveletFamily
@@ -194,18 +214,10 @@ class WaveletBasis:
         return np.concatenate(heads)
 
     @cached_property
-    def labels(self) -> tuple[dict, ...]:
-        """One record per basis vector: the records of `heads`."""
-        return tuple(jsonl.parse(jsonl.text(self.heads, "}\n")))
-
-    @cached_property
     def matrix(self) -> np.ndarray:
-        """The dense N x N view: the synthesis of the identity."""
-        return self._to_space(self._synthesis(np.eye(len(self.order))))
-
-    def _to_space(self, cascade: np.ndarray) -> np.ndarray:
-        out = np.empty(cascade.shape)
-        out[..., self.order] = cascade
+        """The dense N x N view, one row per basis vector: the synthesis of the identity."""
+        out = np.empty((len(self.order),) * 2)
+        out[:, self.order] = self._synthesis(np.eye(len(self.order)))
         return out
 
     def _scaling(self) -> np.ndarray:
@@ -214,17 +226,15 @@ class WaveletBasis:
     def _analysis(self, a: np.ndarray) -> np.ndarray:
         """Coefficients from a = f * weights over the cascade's level nJ:
         each layer reads its blocks, then sums them into the coarser level."""
-        lead = a.shape[:-1]
         out = np.empty(a.shape)
         for layer in reversed(self.layers):
-            coarse = np.empty(lead + (sum(len(g.lams) for g in layer),))
+            coarse = np.empty(sum(len(g.lams) for g in layer))
             for g in layer:
-                blocks = a[..., g.fine].reshape(lead + (len(g.lams), g.c.shape[1]))
-                detail = g.factors[:, None] * (blocks @ g.c.T)
-                out[..., g.coeffs] = detail.reshape(lead + (-1,))
-                coarse[..., g.lams] = blocks.sum(axis=-1)
+                blocks = a[g.fine].reshape(len(g.lams), g.c.shape[1])
+                out[g.coeffs] = (g.factors[:, None] * (blocks @ g.c.T)).ravel()
+                coarse[g.lams] = blocks.sum(axis=-1)
             a = coarse
-        out[..., :a.shape[-1]] = self._scaling() * a
+        out[:len(a)] = self._scaling() * a
         return out
 
     def _synthesis(self, coeffs: np.ndarray) -> np.ndarray:
@@ -274,26 +284,10 @@ class WaveletBasis:
                     for row in g.c:
                         yield self.order[by_node[run]], factor * row[block_index[run]]
 
-    def functions(self) -> list[CylinderFn]:
-        return [self.space.function_at(at, values) for at, values in self._members()]
-
-    def gram(self) -> np.ndarray:
-        weighted = self.matrix * self.space.weights[None, :]
-        return weighted @ self.matrix.T
-
-    def listing(self) -> str:
-        """The JSON lines of the basis: per basis vector its label and the
-        term records of its member."""
-        return jsonl.listing(self.heads, self.space.term_heads, self._members())
-
     def coefficient_lines(self, coeffs: np.ndarray) -> str:
         """The JSON lines of coefficients: per basis vector its label and
         its coefficient."""
         return jsonl.text(self.heads, ', "coeff": ', jsonl.numbers(coeffs), "}\n")
-
-    def to_records(self) -> list[dict]:
-        """The records of `listing`."""
-        return jsonl.parse(self.listing())
 
 
 def wavelet_basis(family: WaveletFamily, depth: int,
@@ -346,10 +340,9 @@ def wavelet_basis(family: WaveletFamily, depth: int,
     return WaveletBasis(family, depth, space, tuple(layers), ranks, tuple(shifts))
 
 
-def analyze(basis: WaveletBasis, f: CylinderFn | list) -> np.ndarray:
-    """Coefficients <b_i, f> of f (as `LevelSpace.vector_of` takes it)
-    against the basis vectors, by the cascade: O(N * max |D_v^J|) time and
-    O(N) memory for N basis vectors."""
+def analyze(basis: WaveletBasis, f: CylinderFn) -> np.ndarray:
+    """Coefficients <b_i, f> of f against the basis vectors, by the
+    cascade: O(N * max |D_v^J|) time and O(N) memory for N basis vectors."""
     space = basis.space
     return basis._analysis((space.weights * space.vector_of(f))[basis.order])
 
@@ -360,7 +353,9 @@ def synthesize_vector(basis: WaveletBasis, coeffs: Sequence[float]) -> np.ndarra
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (len(basis.order),):
         raise ShapeMismatch(f"need {len(basis.order)} coefficients")
-    return basis._to_space(basis._synthesis(coeffs))
+    out = np.empty(len(coeffs))
+    out[basis.order] = basis._synthesis(coeffs)
+    return out
 
 
 def synthesize(basis: WaveletBasis, coeffs: Sequence[float]) -> CylinderFn:
@@ -377,17 +372,16 @@ MARKOV_MEMBER_LIMIT = 2 ** 14
 
 
 @dataclass(frozen=True)
-class MarkovWaveletSystem:
-    """Scaling functions and shifted wavelets on words over 0..N-1.
+class MarkovWaveletSystem(MemberSet):
+    """Scaling functions and shifted wavelets on words over 0..N-1, a
+    `MemberSet`.
 
     ``level`` is the common word length n+1 every member refines to; the
     system is an orthonormal basis of the level-(n+1) cylinder functions,
     held over ``space``.  Each member covers one run of consecutive
     positions: ``layers`` holds, for the scaling functions and then for each
     wavelet layer, the start of each member's run and, row by row, its
-    values there, members in label order.  ``heads`` holds the label text of
-    each member (`jsonl`); ``labels``, the records of that text, and
-    ``functions`` are built on first access only.
+    values there, members in label order.
     """
 
     graph: KGraph
@@ -398,34 +392,11 @@ class MarkovWaveletSystem:
     space: LevelSpace = field(repr=False)
     layers: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False)
 
-    @cached_property
-    def labels(self) -> tuple[dict, ...]:
-        """One record per member: the records of `heads`."""
-        return tuple(jsonl.parse(jsonl.text(self.heads, "}\n")))
-
     def _members(self):
         """Each member in label order, as its positions and its values there."""
         for starts, rows in self.layers:
             for start, row in zip(starts.tolist(), rows):
                 yield np.arange(start, start + len(row)), row
-
-    @cached_property
-    def functions(self) -> tuple[CylinderFn, ...]:
-        return tuple(self.space.function_at(at, values) for at, values in self._members())
-
-    def gram(self) -> np.ndarray:
-        mat = np.zeros((len(self.labels), len(self.space.weights)))
-        for i, (at, values) in enumerate(self._members()):
-            mat[i, at] = values
-        return (mat * self.space.weights[None, :]) @ mat.T
-
-    def listing(self) -> str:
-        """The JSON lines of the system: per member its label and its term records."""
-        return jsonl.listing(self.heads, self.space.term_heads, self._members())
-
-    def to_records(self) -> list[dict]:
-        """The records of `listing`."""
-        return jsonl.parse(self.listing())
 
 
 def markov_wavelets(n_letters: int, weights: Sequence[float], depth: int) -> MarkovWaveletSystem:

@@ -46,7 +46,7 @@ from kgraphwave import (
     wavelet_operator,
 )
 import kgraphwave.cli
-from kgraphwave.kgraph import WordKernel, deg_add, deg_le, deg_sub
+from kgraphwave.kgraph import WordKernel, deg_add, deg_le, deg_sub, form_of, normal_form_rows
 from kgraphwave.orthobasis import complement_basis, constant_unit_vector
 
 
@@ -71,6 +71,11 @@ def words_with_pattern(graph, pattern):
 
     extend([])
     return out
+
+
+def path_row(path):
+    """The word-kernel row of a path: its edge indices (`form_of`)."""
+    return np.array(form_of(path)[1], dtype=np.intp)
 
 
 _SWAPS = weakref.WeakKeyDictionary()
@@ -465,11 +470,17 @@ def dense_wavelet_basis(family, depth):
             shifts = [vertex_path(graph, v)] if j == 0 else \
                 enumerate_paths(graph, tuple(j * s for s in family.shape), source=v)
             for lam in shifts:
-                for m in range(1, len(family.blocks[v].paths)):
+                for m in range(1, len(family.blocks[v].positions)):
                     labels.append({"kind": "wavelet", "j": j, "vertex": v, "m": m,
                                    "shift": list(lam.word)})
                     rows.append(space.vector_of(s_apply(spec, lam, family.wavelet(m, v))))
     return labels, np.array(rows)
+
+
+def block_paths(family, vertex):
+    """D_v^J of a family as `Path` objects, read off its level-J space."""
+    basis = family.space.basis
+    return tuple(basis[i] for i in family.blocks[vertex].positions.tolist())
 
 
 def compose_cascade(family, depth):
@@ -492,8 +503,8 @@ def compose_cascade(family, depth):
             layer.append(np.array([pointwise_prefix_factor(spec, paths[i]) for i in lams]))
             for i in lams:
                 labels.extend({"kind": "wavelet", "j": j, "vertex": v, "m": m,
-                               "shift": list(paths[i].word)} for m in range(1, len(block.paths)))
-                fine.extend(compose(paths[i], p) for p in block.paths)
+                               "shift": list(paths[i].word)} for m in range(1, len(block.positions)))
+                fine.extend(compose(paths[i], p) for p in block_paths(family, v))
         factors.append(layer)
         paths = fine
     level = tuple(depth * j for j in family.shape)
@@ -552,6 +563,20 @@ def pointwise_prefix_factor(spec, path):
         return float(np.prod(np.asarray(spec.pf.rho) ** (np.asarray(path.degree) / 2.0)))
     letter = spec.graph.edge_position
     return float(np.prod([float(spec.weights[letter[a]]) ** -0.5 for a in path.word]))
+
+
+def record_terms(graph, records):
+    """Oracle for `CylinderFn.from_records`: (normal form, coefficient)
+    pairs, one per path in order of first appearance, a path named by its
+    row and range, its coefficients summed in record order, the terms that
+    sum to zero left out."""
+    records = list(records)
+    forms = normal_form_rows(graph, [rec["path"] for rec in records], vertex_marks=True)
+    terms = {}
+    for form, rec in zip(forms, records):
+        term = terms.setdefault(form[1:3], [form, 0.0])
+        term[1] += float(rec["coeff"])
+    return [(form, c) for form, c in terms.values() if c != 0.0]
 
 
 def refine_vector_of(space, f):
@@ -740,7 +765,7 @@ def cylinder_listing(basis):
     """Oracle for `WaveletBasis.to_records`: each member as a `CylinderFn`
     over `Path` terms, written by `CylinderFn.to_records`."""
     return [{**label, "terms": fn.to_records()}
-            for label, fn in zip(basis.labels, basis.functions())]
+            for label, fn in zip(basis.labels, basis.functions)]
 
 
 def cylinder_synthesis_records(basis, coeffs):

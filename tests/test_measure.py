@@ -1,3 +1,7 @@
+import random
+import struct
+import tracemalloc
+import warnings
 from fractions import Fraction
 from itertools import product
 
@@ -10,6 +14,8 @@ import kgraphwave
 from kgraphwave import (
     BadWeights,
     CylinderFn,
+    analyze,
+    build_wavelet_family,
     DegreeRangeError,
     DimensionMismatch,
     MeasureSpec,
@@ -21,8 +27,11 @@ from kgraphwave import (
     cylinder_measure,
     embed_to_interval,
     enumerate_paths,
+    extensions,
     fixture_path,
+    hausdorff_dimension,
     inner_product,
+    integral,
     level_space,
     load_kgraph,
     load_kgraph_file,
@@ -33,9 +42,10 @@ from kgraphwave import (
     s_apply,
     vertex_matrices,
     vertex_path,
+    wavelet_basis,
 )
-from kgraphwave.kgraph import normal_form_rows
-from kgraphwave.measure import embed_interval
+from kgraphwave.kgraph import form_of, is_zero_one, normal_form_rows
+from kgraphwave.measure import check_zero_one, embed_interval
 from helpers import (
     check_ip_refinement_invariance,
     check_measure_additivity,
@@ -45,6 +55,9 @@ from helpers import (
     generated_documents,
     mce_inner_product,
     per_kind_masses,
+    random_word,
+    record_terms,
+    refine_vector_of,
     restart_compose,
     segment_mce,
     torus_document,
@@ -339,6 +352,48 @@ class TestEmbedding:
             embed_to_interval(lambda3, vertex_path(lambda3, "v"))
 
 
+# two color-1 edges from v to w: the vertex matrix holds a 2
+REPEATED_EDGES = {"k": 1, "vertices": ["v", "w"],
+                  "edges": [{"id": "a", "color": 1, "source": "v", "range": "w"},
+                            {"id": "b", "color": 1, "source": "v", "range": "w"},
+                            {"id": "c", "color": 1, "source": "w", "range": "v"}],
+                  "squares": []}
+
+
+class TestZeroOne:
+    """`is_zero_one` reads repeated (color, range, source) triples off the
+    edge columns; the embedding raises and the dimension warns on them."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(generated_documents())
+    def test_matches_the_vertex_matrices(self, doc):
+        graph = load_kgraph(doc)
+        assert is_zero_one(graph) == all(int(m.max()) <= 1 for m in vertex_matrices(graph))
+
+    def test_fixtures_and_repeated_edges(self, lambda3, ledrappier):
+        assert is_zero_one(ledrappier) and not is_zero_one(lambda3)
+        assert not is_zero_one(load_kgraph(REPEATED_EDGES))
+
+    def test_raise_and_warning_build_no_matrix(self, monkeypatch, ledrappier):
+        graph = load_kgraph(REPEATED_EDGES)
+        pf, pf_led = pf_data(graph), pf_data(ledrappier)
+
+        def boom(*args):
+            raise AssertionError("a vertex matrix was built")
+        for module in (kgraphwave.kgraph, kgraphwave.measure, kgraphwave.perron):
+            monkeypatch.setattr(module, "vertex_matrices", boom, raising=False)
+        with pytest.raises(NotZeroOne):
+            check_zero_one(graph)
+        with pytest.raises(NotZeroOne):
+            embed_to_interval(graph, normal_form(graph, ["a"]))
+        with pytest.warns(UserWarning, match="entry > 1"):
+            assert hausdorff_dimension(graph, pf) == pytest.approx(np.log(pf.rho[0]) / np.log(2))
+        check_zero_one(ledrappier)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hausdorff_dimension(ledrappier, pf_led)
+
+
 def random_paths(graph, data, count, top=2):
     """`count` paths drawn at random degrees up to `top` per color (vertex
     paths included)."""
@@ -471,3 +526,124 @@ def test_cylinder_fn_records_round_trip(ledrappier):
         (vertex_path(ledrappier, "v2"), 0.5)])
     back = CylinderFn.from_records(ledrappier, fn.to_records())
     assert back.terms == fn.terms
+
+
+def bits(pairs):
+    """(key, coefficient) pairs with each coefficient as its 8 bytes."""
+    return [(key, struct.pack("<d", c)) for key, c in pairs]
+
+
+class TestOneRepresentation:
+    """`CylinderFn` holds normal forms; its record reader and the one
+    refinement engine against the oracles of `helpers`, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(generated_documents(), st.data())
+    def test_from_records_matches_the_record_oracle(self, doc, data):
+        graph = load_kgraph(doc)
+        rng = random.Random(data.draw(st.integers(0, 2 ** 16)))
+        # words in any color order, vertex marks and normal forms, drawn with repeats
+        words = [random_word(graph, data.draw(st.integers(1, 4)), rng) for _ in range(3)]
+        words += [["@" + data.draw(st.sampled_from(graph.vertices))]]
+        words += [list(p.word) or ["@" + p.range] for p in random_paths(graph, data, 2)]
+        records = []
+        for _ in range(data.draw(st.integers(0, 12))):
+            word = data.draw(st.sampled_from(words))
+            c = data.draw(st.floats(-4, 4, allow_nan=False))
+            records.append({"path": word, "coeff": c})
+            if data.draw(st.booleans()):  # a record that cancels the last one
+                records.append({"path": word, "coeff": -c})
+        fn = CylinderFn.from_records(graph, records)
+        assert bits(fn.forms.items()) == bits(record_terms(graph, records))
+
+    @settings(max_examples=60, deadline=None)
+    @given(generated_documents(), st.data())
+    def test_vector_of_is_the_dense_refinement(self, doc, data):
+        graph = load_kgraph(doc)
+        f = random_fn(graph, data, 6)
+        space = level_space(random_spec(graph, data), f.level())
+        assert space.vector_of(f).tobytes() == refine_vector_of(space, f).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(generated_documents(), st.data())
+    def test_equality_matches_the_refined_terms(self, doc, data):
+        graph = load_kgraph(doc)
+        f = random_fn(graph, data, 4)
+        g = data.draw(st.sampled_from([
+            random_fn(graph, data, 3),
+            refine(f, tuple(d + 1 for d in f.level())),
+            f + random_fn(graph, data, 1) * data.draw(st.sampled_from([0.0, 1e-14, 1.0]))]))
+        level = tuple(max(a, b) for a, b in zip(f.level(), g.level()))
+        rf, rg = composed_refine(f, level).terms, composed_refine(g, level).terms
+        for tol in (0.0, 1e-12):
+            want = all(abs(rf.get(p, 0.0) - rg.get(p, 0.0)) <= tol for p in set(rf) | set(rg))
+            assert cylinder_fns_equal(f, g, tol) == want
+
+
+def deep_path(graph, colors):
+    """A path of these colors from the last vertex, each step the last edge
+    into the last source: near the end of its level's order."""
+    word, v = [], graph.vertices[-1]
+    for c in colors:
+        word.append(graph.edges_into(v, c)[-1])
+        v = graph.edge(word[-1]).source
+    return normal_form(graph, word)
+
+
+class TestDeepTerms:
+    """A term at degree (15, 15) on ledrappier, whose level holds 4 * 4^15
+    paths: refining, comparing and extending it cost its extensions, not
+    its level (numpy's allocations are traced)."""
+
+    def test_refine_extensions_and_mce_stay_small(self, ledrappier):
+        p = deep_path(ledrappier, (1, 2) * 15)
+        f = CylinderFn.indicator(p)
+        assert ledrappier.word_kernel.rank(np.array([form_of(p)[1]]), p.degree)[0] > 4 ** 15
+        tracemalloc.start()
+        try:
+            refined = refine(f, p.degree)
+            ext = extensions(p, (1, 1))
+            wider = refine(f, (16, 16))
+            same = cylinder_fns_equal(f, wider), cylinder_fns_equal(f, wider - CylinderFn.indicator(ext[0]))
+            meets = [mce(p, q) for q in ext[:2]], mce(ext[0], ext[1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+        assert list(refined.forms.items()) == list(f.forms.items())
+        assert ext == list(wider.terms)
+        assert len(ext) == len(enumerate_paths(ledrappier, (1, 1), range=p.source)) > 1
+        assert same == (True, False)
+        assert meets == ([[ext[0]], [ext[1]]], [])
+
+
+@pytest.fixture(params=["twin", "lambda3"])
+def elsewhere(request, lambda3):
+    """A graph that is not the session's ledrappier: a second load of it, or lambda3."""
+    return load_kgraph_file(fixture_path("ledrappier")) if request.param == "twin" else lambda3
+
+
+MIXES = {
+    "add": lambda f, g, spec, basis: f + g,
+    "subtract": lambda f, g, spec, basis: g - f,
+    "combination": lambda f, g, spec, basis: CylinderFn.combination([*f.terms.items(), *g.terms.items()]),
+    "equal": lambda f, g, spec, basis: cylinder_fns_equal(f, g),
+    "vector_of": lambda f, g, spec, basis: basis.space.vector_of(g),
+    "analyze": lambda f, g, spec, basis: analyze(basis, g),
+    "integral": lambda f, g, spec, basis: integral(spec, g),
+    "cylinder_measure": lambda f, g, spec, basis: cylinder_measure(spec, next(iter(g.terms))),
+    "inner_product": lambda f, g, spec, basis: inner_product(spec, f, g),
+}
+
+
+@pytest.mark.parametrize("mix", sorted(MIXES))
+def test_graphs_do_not_mix(mix, ledrappier, elsewhere):
+    """A function or path of one graph with a spec, level space, basis or
+    function of another raises, on a twin load and on another graph."""
+    spec = MeasureSpec.perron_frobenius(ledrappier)
+    basis = wavelet_basis(build_wavelet_family(ledrappier, shape=(1, 1)), 1)
+    f = CylinderFn.indicator(vertex_path(ledrappier, "v1"))
+    g = CylinderFn.combination([(vertex_path(elsewhere, elsewhere.vertices[0]), 1.0),
+                                (enumerate_paths(elsewhere, (1, 0))[0], 2.0)])
+    with pytest.raises(ValueError, match="live on different graphs"):
+        MIXES[mix](f, g, spec, basis)

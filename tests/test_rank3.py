@@ -26,6 +26,7 @@ from kgraphwave import (
 from helpers import (
     CUBE_VIOLATING_SQUARES,
     VALID_SQUARES,
+    block_paths,
     check_confluence,
     double_cover,
     exhaustive_least_path,
@@ -123,7 +124,7 @@ def test_rank3_wavelets_complete(rank3):
     family = build_wavelet_family(rank3, shape=(1, 1, 1))
     # D_v = four paths e f_i g_j, so three zero-mean wavelets
     assert len(family.wavelets) == 3
-    words = ["".join(p.word) for p in family.blocks["v"].paths]
+    words = ["".join(p.word) for p in block_paths(family, "v")]
     assert words == ["ef1g1", "ef1g2", "ef2g1", "ef2g2"]
     (_, psi), = [w for w in family.wavelets if w[0] == (1, "v")]
     # leaf masses are 1/4, so the paired difference normalizes to sqrt(2)

@@ -37,6 +37,7 @@ from helpers import (
     check_isometry_columns,
     dense_ck_deviations,
     generated_documents,
+    path_row,
     pointwise_s_matrix,
     torus_document,
     twisted_circulant_document,
@@ -96,7 +97,7 @@ class TestSMatrix:
         for j, w in enumerate(dom.basis):
             col = op.matrix[:, j]
             assert np.linalg.norm(col) == pytest.approx(1.0, abs=1e-14)
-            target = g.word_kernel.rank(g.word_kernel.word(normal_form(g, ["0", *w.word]))[None, :], cod.level)[0]
+            target = g.word_kernel.rank(path_row(normal_form(g, ["0", *w.word]))[None, :], cod.level)[0]
             assert col[target] == pytest.approx(1.0, abs=1e-14)
 
     def test_vertex_projection(self, specL):
@@ -316,7 +317,7 @@ class TestCKAsIndexMaps:
 
         kernel = lambda3.word_kernel
         right_rows = kernel.compose
-        f1_row, f2f2_row = kernel.word(f1), kernel.word(f2f2)
+        f1_row, f2f2_row = path_row(f1), path_row(f2f2)
 
         def wrong_rows(heads, head_degree, tails, tail_degree):
             words = right_rows(heads, head_degree, tails, tail_degree)
@@ -347,7 +348,7 @@ class TestCKAsIndexMaps:
         # the prefix maps compose whole levels of rows in the word kernel
         kernel = lambda3.word_kernel
         right_rows = kernel.compose
-        e_row, (q1_row, q2_row, q3_row) = kernel.word(e), (kernel.word(q) for q in (q1, q2, q3))
+        e_row, (q1_row, q2_row, q3_row) = path_row(e), (path_row(q) for q in (q1, q2, q3))
 
         def merging_rows(heads, head_degree, tails, tail_degree):
             if head_degree == e.degree and tail_degree == q1.degree:

@@ -35,6 +35,8 @@ from kgraphwave import (
 )
 from kgraphwave.cli import main
 from helpers import (
+    block_paths,
+    count_path_objects,
     cylinder_listing,
     cylinder_synthesis_records,
     dense_wavelet_basis,
@@ -75,7 +77,7 @@ class TestFamilyConstruction:
     def test_ledrappier_reference_vectors(self, ledrappier, famL):
         assert len(famL.wavelets) == 28
         block = famL.blocks["v1"]
-        assert ["".join(p.word) for p in block.paths] == [
+        assert ["".join(p.word) for p in block_paths(famL, "v1")] == [
             "acc", "ace", "aeh", "aej", "dhm", "dho", "djb", "dji"]
         expected = np.array([
             [2, 2, 2, 2, 2, 2, 2, 2],
@@ -129,7 +131,7 @@ class TestFamilyConstruction:
             for shape in ((1, 2), (2, 1), (2, 2)):
                 fam = build_wavelet_family(graph, shape=shape)
                 for v in graph.vertices:
-                    assert len(fam.blocks[v].paths) >= len(base.blocks[v].paths)
+                    assert len(fam.blocks[v].positions) >= len(base.blocks[v].positions)
 
 
 class TestRowFamily:
@@ -152,7 +154,7 @@ class TestRowFamily:
         for v, (paths, c) in blocks.items():
             got = family.blocks[v].c_vectors
             assert got.shape == c.shape and got.tobytes() == c.tobytes()
-            assert family.blocks[v].paths == paths
+            assert block_paths(family, v) == paths
         assert [fn.terms for fn in family.scaling] == [fn.terms for fn in scaling]
         assert [(label, fn.terms) for label, fn in family.wavelets] \
             == [(label, fn.terms) for label, fn in wavelets]
@@ -172,12 +174,15 @@ class TestRowFamily:
         assert out.getvalue() == expected
 
     def test_views_are_built_on_read(self, ledrappier, monkeypatch):
-        """Building the family lists no paths and builds no function."""
+        """Building the family lists no paths and builds no function; the
+        function views, read later, are built from the level rows."""
         forbid_path_building(monkeypatch)
+        built = count_path_objects(monkeypatch)
         family = build_wavelet_family(ledrappier, shape=(2, 2))
         assert [len(b.positions) for b in family.blocks.values()] == [16] * 4
-        with pytest.raises(AssertionError, match="Path objects"):
-            family.wavelets
+        assert "wavelets" not in family.__dict__ and "scaling" not in family.__dict__
+        assert len(family.scaling) == 4 and len(family.wavelets) == 4 * 15
+        assert built == {"Path": 0}
 
 
 class TestBasis:
@@ -189,7 +194,7 @@ class TestBasis:
 
     def test_lambda3_depth1_members(self, lambda3, fam3):
         basis = wavelet_basis(fam3, 1)
-        fns = basis.functions()
+        fns = basis.functions
         assert cylinder_fns_equal(
             fns[0], CylinderFn.indicator(vertex_path(lambda3, "v")), tol=1e-14)
         expected = CylinderFn.combination([

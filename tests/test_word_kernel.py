@@ -35,6 +35,7 @@ from helpers import (
     compose_prefix_map,
     dense_listing,
     double_cover,
+    path_row,
     per_kind_masses,
     random_cylinder_fn,
     refine_vector_of,
@@ -115,7 +116,7 @@ class TestLevels:
             heads = enumerate_paths(graph, d)
             head = heads[int(rng.integers(len(heads)))]
             tails = enumerate_paths(graph, e, range=head.source)
-            words = kernel.compose(kernel.word(head), d, kernel.level(e)[0][
+            words = kernel.compose(path_row(head), d, kernel.level(e)[0][
                 kernel.level(e)[1] == graph.vertex_index[head.source]], e)
             assert [tuple(kernel.ids[i] for i in row) for row in words] == \
                 [compose(head, mu).word for mu in tails]
