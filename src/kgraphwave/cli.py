@@ -314,6 +314,8 @@ def _cmd_markov(args):
 
 def _cmd_traffic(args):
     graph = _load_graph(args)
+    if args.root is not None:
+        _vertex_index(graph, args.root, "--root")
     pf = pf_data(graph)
     if args.prefs:
         records = []
@@ -331,10 +333,10 @@ def _cmd_traffic(args):
         assignment = {rec["vertex"]: path_of(graph, form) for rec, form in zip(records, forms)}
         if not assignment:
             raise err.ValidationError("bad_preferred_path", f"{args.prefs} holds no preferred paths")
-        root = args.root or next(iter(assignment.values())).range
+        root = next(iter(assignment.values())).range if args.root is None else args.root
         prefs = PreferredPaths(root, assignment)
     else:
-        prefs = default_preferred_paths(graph, args.root or graph.vertices[0])
+        prefs = default_preferred_paths(graph, graph.vertices[0] if args.root is None else args.root)
     family = traffic_wavelet_family(graph, pf, prefs)
     records = [{"kind": "measure",
                 "values": {v: float(x) for v, x in zip(graph.vertices, family.measure)}}]

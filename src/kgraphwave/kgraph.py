@@ -348,9 +348,9 @@ class KGraph:
         the vertex in the word kernel's edges of that color by range."""
         if vertex not in self.vertex_index:
             return ()
-        by_range, starts = self.word_kernel.run_lists(color)
+        by_range, starts = self.word_kernel._runs(color)
         v = self.vertex_index[vertex]
-        return tuple(self.edge_ids[e] for e in by_range[starts[v]:starts[v + 1]])
+        return tuple(self.edge_ids[e] for e in by_range[starts[v]:starts[v + 1]].tolist())
 
     def zero_degree(self) -> Degree:
         return (0,) * self.k
@@ -535,78 +535,22 @@ def segment(path: Path, p: Sequence[int], q: Sequence[int]) -> Path:
     return path_of(graph, (deg_sub(q, p), tuple(word[lo:hi].tolist()), at[lo], at[hi]))
 
 
-def _reach(graph: KGraph, colors: Sequence[int], source: str) -> list[list[bool] | None]:
-    """reach[pos], for pos >= 1: marks the vertices from which a path with
-    the color sequence colors[pos:] ends at the source, as a list."""
-    kernel = graph.word_kernel
-    reach: list[np.ndarray | None] = [None] * (len(colors) + 1)
-    reach[-1] = np.zeros(len(graph.vertices), dtype=bool)
-    reach[-1][graph.vertex_index[source]] = True
-    for pos in range(len(colors) - 1, 0, -1):
-        edges = kernel.edges_of(colors[pos])
-        reach[pos] = np.zeros(len(graph.vertices), dtype=bool)
-        reach[pos][kernel.range[edges[reach[pos + 1][kernel.source[edges]]]]] = True
-    return [None] + [marks.tolist() for marks in reach[1:]]
-
-
 def enumerate_paths(graph: KGraph, degree: Sequence[int], range: str | None = None,
-                    source: str | None = None, limit: int | None = None) -> list[Path]:
-    """All normal-form paths of the given degree, lexicographic by edge word.
-
-    Degree-0 paths are the vertex paths, listed in graph vertex order.  With
-    ``limit`` (>= 1), only the first ``limit`` paths of that list.
-
-    With a source, the search first goes backward from it: ``reach[pos]``
-    marks the vertices from which the colors ``colors[pos:]`` can still end
-    at the source, one vectorised step per color.  An edge whose source is
-    unmarked in ``reach[pos + 1]`` starts a dead branch and is skipped, so
-    the search follows the size of the output.  It steps by edge index
-    through the word kernel's runs of edges by range, color by color.
-    """
+                    source: str | None = None) -> list[Path]:
+    """All normal-form paths of the given degree, in `WordKernel.level`
+    order, with the given range and source where named: a mask over the
+    level's rows.  Degree-0 paths are the vertex paths, in graph vertex
+    order."""
     deg = as_degree(degree, graph.k)
-    if range is not None and range not in graph.vertex_index:
-        raise CompositionError(f"unknown vertex {range!r}")
-    if source is not None and source not in graph.vertex_index:
-        raise CompositionError(f"unknown vertex {source!r}")
-    if sum(deg) == 0:
-        verts = [v for v in graph.vertices
-                 if (range is None or v == range) and (source is None or v == source)]
-        return [vertex_path(graph, v) for v in verts[:limit]]
-
-    colors = _degree_colors(deg)
-    last = len(colors) - 1
-    reach = [None] * (last + 2) if source is None else _reach(graph, colors, source)
     kernel = graph.word_kernel
-    runs = {c: kernel.run_lists(c) for c in set(colors)}
-    _, sources, ranges = graph._edge_lists
-    ids, vertices = graph.edge_ids, graph.vertices
-    out: list[Path] = []
-    word: list[str] = []
-
-    def extend(pos: int, candidates: list[int], top: str | None = None):
-        live = reach[pos + 1]
-        for e in candidates:
-            tail = sources[e]
-            if live is not None and not live[tail]:
-                continue
-            word.append(ids[e])
-            at = vertices[ranges[e]] if top is None else top
-            if pos == last:
-                out.append(Path(graph, tuple(word), deg, at, vertices[tail]))
-            else:  # the edges into the tail, by id
-                by_range, starts = runs[colors[pos + 1]]
-                extend(pos + 1, by_range[starts[tail]:starts[tail + 1]], at)
-            word.pop()
-            if len(out) == limit:
-                return
-
-    if range is not None:
-        by_range, starts = runs[colors[0]]
-        r = graph.vertex_index[range]
-        extend(0, by_range[starts[r]:starts[r + 1]])
-    else:
-        extend(0, np.flatnonzero(kernel.color == colors[0]).tolist())
-    return out
+    rows = kernel.level(deg)
+    keep = np.ones(len(rows[1]), dtype=bool)
+    for name, column in ((range, rows[1]), (source, rows[2])):
+        if name is not None:
+            if name not in graph.vertex_index:
+                raise CompositionError(f"unknown vertex {name!r}")
+            keep &= column == graph.vertex_index[name]
+    return kernel.paths(tuple(a[keep] for a in rows), deg)
 
 
 def _expand_runs(first: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -628,10 +572,10 @@ class WordKernel:
     """Normal-form paths as rows of edge indices, and the one engine that
     rewrites, composes and factors them.
 
-    Edges are numbered in id order, so rows compare as their words do.  A
-    level's rows, with the range and source vertex index of each, come in
-    `enumerate_paths` order, and ``paths`` turns rows back into `Path`
-    objects at the I/O boundary.
+    Edges are numbered in id order, so rows compare as their words do.
+    `level` lists a level's rows with the range and source vertex index of
+    each, and ``paths`` turns rows back into `Path` objects at the I/O
+    boundary.
 
     - Every word of one color sequence is rewritten with swaps at the same
       positions (`_swap_schedule`), so `rewrite` sorts all rows of a color
@@ -673,7 +617,6 @@ class WordKernel:
             self._into[int(colors[lo])] = by_range, np.searchsorted(self.range[by_range], np.arange(n + 1))
         self._levels: dict[Degree, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._offsets: dict[Degree, np.ndarray] = {}
-        self._run_lists: dict[int, tuple[list[int], list[int]]] = {}
 
     @cached_property
     def id_texts(self) -> np.ndarray:
@@ -688,16 +631,12 @@ class WordKernel:
         """The edges of one color by range, and where each range's run starts."""
         return self._into.get(color, self._empty_runs)
 
-    def run_lists(self, color: int) -> tuple[list[int], list[int]]:
-        """`_runs` of one color as lists, for searches that take one edge at
-        a time."""
-        if color not in self._run_lists:
-            self._run_lists[color] = tuple(a.tolist() for a in self._runs(color))
-        return self._run_lists[color]
-
     def level(self, degree: Degree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The rows, ranges and sources of all normal-form paths of the
-        degree, in `enumerate_paths` order (read-only, shared)."""
+        degree (read-only, shared).  The rows ascend, that is, they are
+        lexicographic by edge word; degree 0 lists the vertices in graph
+        vertex order.  Every path listing of the library comes in this
+        order."""
         if degree not in self._levels:
             if not any(degree):
                 at = np.arange(len(self.graph.vertices))

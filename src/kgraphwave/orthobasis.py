@@ -27,7 +27,10 @@ def complement_basis(weights) -> np.ndarray:
     """Orthonormal basis of the complement of the constant vector.
 
     Returns an (m-1, m) array whose rows are zero-mean and orthonormal under
-    the weight inner product; m = len(weights).
+    the weight inner product; m = len(weights).  The split runs on the
+    weights scaled by an even power of two 2^s that brings the largest near
+    1, and the rows are scaled back by the exact 2^(-s/2): the same bits as
+    unscaled, without the underflow of w_left * total on tiny weights.
     """
     w = np.asarray(weights, dtype=float)
     if w.size == 0 or np.any(w <= 0):
@@ -45,6 +48,8 @@ def complement_basis(weights) -> np.ndarray:
 
     descend(0, w.size, 0)
     nodes.sort(key=lambda item: (-item[0], item[1]))
+    scale = np.frexp(w.max())[1] // 2 * 2
+    w = np.ldexp(w, -scale)
 
     rows = np.zeros((len(nodes), w.size))
     for row, (_, lo, mid, hi) in zip(rows, nodes):
@@ -53,5 +58,5 @@ def complement_basis(weights) -> np.ndarray:
         total = w_left + w_right
         row[lo:mid] = np.sqrt(w_right / (w_left * total))
         row[mid:hi] = -np.sqrt(w_left / (w_right * total))
-    return rows
+    return np.ldexp(rows, -(scale // 2))
 

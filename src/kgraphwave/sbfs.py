@@ -49,7 +49,7 @@ class LevelSpace:
     basis.
 
     The paths are held as word-kernel rows (`KGraph.word_kernel`) with the
-    range and source vertex index of each, in `enumerate_paths` order;
+    range and source vertex index of each, in `WordKernel.level` order;
     functions on the space are built from the rows, and ``basis`` turns
     them into `Path` objects on first access.
     """
@@ -266,7 +266,7 @@ def check_ck_relations(spec: MeasureSpec, graph: KGraph,
 
     @cache
     def table(degree: Degree, level: Degree) -> tuple[np.ndarray, np.ndarray]:
-        """S_lambda at `level` for every lambda of `degree`, in `enumerate_paths` order."""
+        """S_lambda at `level` for every lambda of `degree`, in `WordKernel.level` order."""
         return _prefix_table(spec, kernel.level(degree), degree, space(level), space(deg_add(level, degree)))
 
     def word(degree: Degree, i: int) -> str:

@@ -16,8 +16,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import NoWaveletDegree, ValidationError
-from .kgraph import Degree, KGraph, Path, enumerate_paths
+from .errors import CompositionError, NoWaveletDegree, NonFiniteResult, ValidationError
+from .kgraph import Degree, KGraph, Path, _degree_colors, path_of
 from .orthobasis import complement_basis
 from .perron import PFData
 
@@ -57,20 +57,58 @@ def default_preferred_paths(graph: KGraph, root: str) -> PreferredPaths:
     graded-lex order from the root.  Deterministic; may well give every
     vertex its own degree class.
 
-    Any walk rewrites to a normal-form path of the same degree, so the least
-    total degree of a path from w up to the root is the any-color walk
-    distance of w from the root, and the degrees of a path from w are those
-    of the walks back from the root to w.  One pass over the degrees, total
-    by total, finds which of them reach each vertex; each vertex then takes
-    its least one and one search for the first path of it.
+    `_least_degrees` finds each vertex's degree.  The paths then come from
+    one depth-first walk over the trie of normal-order color sequences that
+    are prefixes of those degrees' sequences, in lexicographic order.  Words
+    of one length compare by prefix first, so the least word to a vertex
+    extends the least word of its prefix colors to the edge's range: each
+    trie node ranks the least words to the vertices it reaches, and one
+    step over the live edges of the next color keys each edge by
+    ``rank[range] * E + edge`` and keeps the least key per source.  The walk
+    holds the ranks and the chosen parent edges only along its current
+    trie path; each vertex reads its row back through the parents at the
+    node of its degree.
     """
+    if root not in graph.vertex_index:
+        raise CompositionError(f"unknown vertex {root!r}")
     least = _least_degrees(graph, root)
     for w in graph.vertices:
         if w not in least:
             raise ValidationError("bad_preferred_path", f"no path from {w} to root {root}")
-    return PreferredPaths(root, {
-        w: enumerate_paths(graph, least[w], range=root, source=w, limit=1)[0]
-        for w in graph.vertices})
+    kernel, n, size = graph.word_kernel, len(graph.vertices), len(graph.edge_ids)
+    by_degree: dict[Degree, list[int]] = {}
+    for i, w in enumerate(graph.vertices):
+        by_degree.setdefault(least[w], []).append(i)
+    top, r = np.iinfo(np.intp).max, graph.vertex_index[root]
+    rank = np.full(n, -1, dtype=np.intp)  # -1 where no word of the prefix colors reaches
+    rank[r] = 0
+    ranks, parents, walked = [rank], [None], ()  # per trie level along the current path
+    forms = [None] * n
+    for degree in sorted(by_degree, key=_degree_colors):
+        colors = _degree_colors(degree)
+        keep = next((i for i, (a, b) in enumerate(zip(colors, walked)) if a != b),
+                    min(len(colors), len(walked)))
+        del ranks[keep + 1:], parents[keep + 1:]
+        for c in colors[keep:]:
+            edges = kernel.edges_of(c)
+            prefix = ranks[-1][kernel.range[edges]]
+            live = prefix >= 0
+            best = np.full(n, top)
+            np.minimum.at(best, kernel.source[edges[live]], prefix[live] * size + edges[live])
+            reached = np.flatnonzero(best < top)
+            rank = np.full(n, -1, dtype=np.intp)
+            rank[reached[np.argsort(best[reached])]] = np.arange(len(reached))
+            ranks.append(rank)
+            parents.append(best % size)  # read only where reached
+        walked = colors
+        ends = np.array(by_degree[degree], dtype=np.intp)
+        rows, at = np.empty((len(ends), len(colors)), dtype=np.intp), ends
+        for pos in range(len(colors), 0, -1):
+            rows[:, pos - 1] = parents[pos][at]
+            at = kernel.range[rows[:, pos - 1]]
+        for w, row in zip(ends.tolist(), rows.tolist()):
+            forms[w] = (degree, tuple(row), r, w)
+    return PreferredPaths(root, {w: path_of(graph, form) for w, form in zip(graph.vertices, forms)})
 
 
 def _least_degrees(graph: KGraph, root: str) -> dict[str, Degree]:
@@ -122,12 +160,19 @@ def _graded_lex_key(degree: Degree):
 
 
 def traffic_measure(graph: KGraph, pf: PFData, prefs: PreferredPaths) -> np.ndarray:
-    """Vertex weights rho^{-d(lambda_w)} x_w, in graph vertex order."""
+    """Vertex weights rho^{-d(lambda_w)} x_w, in graph vertex order.  Raises
+    NonFiniteResult where a weight underflows to 0 or is not finite: no
+    wavelet can be normalized against it."""
     validate_prefs(graph, prefs)
     out = np.empty(len(graph.vertices))
-    for i, w in enumerate(graph.vertices):
-        d = prefs.degree_of(w)
-        out[i] = pf.rho_pow(tuple(-x for x in d)) * pf.x_lambda[i]
+    with np.errstate(over="ignore"):  # a weight past the float range raises below
+        for i, w in enumerate(graph.vertices):
+            d = prefs.degree_of(w)
+            out[i] = pf.rho_pow(tuple(-x for x in d)) * pf.x_lambda[i]
+    ok = np.isfinite(out) & (out > 0)
+    if not ok.all():
+        w = graph.vertices[int(np.argmin(ok))]
+        raise NonFiniteResult(f"the traffic weight of vertex {w} leaves the float range")
     return out
 
 

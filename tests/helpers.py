@@ -2,6 +2,7 @@
 gate.  Each function returns the worst deviation it saw (0.0 for exact
 combinatorial checks) and raises AssertionError on failure."""
 
+import builtins
 import json
 import random
 import sys
@@ -46,7 +47,8 @@ from kgraphwave import (
     wavelet_operator,
 )
 import kgraphwave.cli
-from kgraphwave.kgraph import WordKernel, deg_add, deg_le, deg_sub, form_of, normal_form_rows
+from kgraphwave.kgraph import (
+    WordKernel, _degree_colors, as_degree, deg_add, deg_le, deg_sub, form_of, normal_form_rows)
 from kgraphwave.orthobasis import complement_basis, constant_unit_vector
 
 
@@ -282,10 +284,69 @@ def random_word(graph, length, rng):
     return word
 
 
+def pruned_paths(graph, degree, range=None, source=None, limit=None):
+    """Oracle for `enumerate_paths`: a recursive search that extends words
+    one edge at a time, in edge-id order, through the edges into the tail of
+    the word.  With a source, ``reach[pos]`` first marks the vertices from
+    which the colors after pos can still end at the source, and an edge from
+    an unmarked vertex starts a dead branch; with ``limit``, the search
+    stops after that many paths."""
+    deg = as_degree(degree, graph.k)
+    for name in (range, source):
+        if name is not None and name not in graph.vertex_index:
+            raise CompositionError(f"unknown vertex {name!r}")
+    if sum(deg) == 0:
+        verts = [v for v in graph.vertices if range in (None, v) and source in (None, v)]
+        return [vertex_path(graph, v) for v in verts[:limit]]
+    colors = _degree_colors(deg)
+    last = len(colors) - 1
+    kernel, n = graph.word_kernel, len(graph.vertices)
+    reach = [None] * (last + 2)
+    if source is not None:
+        marks = np.zeros(n, dtype=bool)
+        marks[graph.vertex_index[source]] = True
+        reach[-1] = marks.tolist()
+        for pos in builtins.range(last, 0, -1):
+            edges = kernel.edges_of(colors[pos])
+            marks, prev = np.zeros(n, dtype=bool), marks
+            marks[kernel.range[edges[prev[kernel.source[edges]]]]] = True
+            reach[pos] = marks.tolist()
+    into = {}
+    for c in set(colors):
+        by_range, starts = (a.tolist() for a in kernel._runs(c))
+        into[c] = [by_range[starts[v]:starts[v + 1]] for v in builtins.range(n)]
+    sources, ranges = graph.edge_source.tolist(), graph.edge_range.tolist()
+    ids, vertices = graph.edge_ids, graph.vertices
+    out, word = [], []
+
+    def extend(pos, candidates, top=None):
+        live = reach[pos + 1]
+        for e in candidates:
+            tail = sources[e]
+            if live is not None and not live[tail]:
+                continue
+            word.append(ids[e])
+            at = vertices[ranges[e]] if top is None else top
+            if pos == last:
+                out.append(Path(graph, tuple(word), deg, at, vertices[tail]))
+            else:
+                extend(pos + 1, into[colors[pos + 1]][tail], at)
+            word.pop()
+            if len(out) == limit:
+                return
+
+    if range is not None:
+        extend(0, into[colors[0]][graph.vertex_index[range]])
+    else:
+        extend(0, sorted(e for run in into[colors[0]] for e in run))
+    return out
+
+
 def filtered_paths(graph, degree, target, source):
-    """Oracle for the source-pruned search: every path of the degree into
-    `target`, then those that start at `source`."""
-    return [p for p in enumerate_paths(graph, degree, range=target) if p.source == source]
+    """Oracle for the source and range masks of `enumerate_paths`: every
+    path of the degree into `target` by `pruned_paths`, then those that
+    start at `source`."""
+    return [p for p in pruned_paths(graph, degree, range=target) if p.source == source]
 
 
 def exhaustive_least_path(graph, root, w):
@@ -323,11 +384,33 @@ def least_total_chooser(graph, root):
     for w in graph.vertices:
         for degree in sorted(d for d in product(range(dist[w] + 1), repeat=graph.k)
                              if sum(d) == dist[w]):
-            found = enumerate_paths(graph, degree, range=root, source=w, limit=1)
+            found = pruned_paths(graph, degree, range=root, source=w, limit=1)
             if found:
                 out[w] = found[0]
                 break
     return out
+
+
+def unscaled_complement_basis(weights):
+    """Oracle for `complement_basis`: the same balanced split, deepest first
+    and left to right, on the weights as given."""
+    w = np.asarray(weights, dtype=float)
+    nodes = []
+
+    def descend(lo, hi, depth):
+        if hi - lo >= 2:
+            mid = lo + (hi - lo + 1) // 2
+            nodes.append((-depth, lo, mid, hi))
+            descend(lo, mid, depth + 1)
+            descend(mid, hi, depth + 1)
+
+    descend(0, w.size, 0)
+    rows = np.zeros((len(nodes), w.size))
+    for row, (_, lo, mid, hi) in zip(rows, sorted(nodes)):
+        left, right = w[lo:mid].sum(), w[mid:hi].sum()
+        row[lo:mid] = np.sqrt(right / (left * (left + right)))
+        row[mid:hi] = -np.sqrt(left / (right * (left + right)))
+    return rows
 
 
 def check_confluence(graph, max_census=(2, 2)):
@@ -651,10 +734,10 @@ def compose_prefix_map(spec, path, level):
 
 
 def forbid_path_building(monkeypatch):
-    """Make `refine`, `s_apply`, `LevelSpace.basis`, `WordKernel.paths` and
-    `CylinderFn.combination` raise, in every kgraphwave namespace that holds
-    them, and `enumerate_paths` in `kgraphwave.sbfs` and `kgraphwave.wavelets`
-    and `compose` in `kgraphwave.sbfs`."""
+    """Make `refine` and `s_apply` raise in every kgraphwave namespace that
+    holds them, and `LevelSpace.basis`, `WordKernel.paths` (through which
+    `enumerate_paths` builds its paths), `CylinderFn.combination` and
+    `compose` in `kgraphwave.sbfs` raise too."""
     def boom(*args, **kwargs):
         raise AssertionError("output built Path objects")
 
@@ -666,9 +749,7 @@ def forbid_path_building(monkeypatch):
     monkeypatch.setattr(LevelSpace, "basis", property(boom))
     monkeypatch.setattr(WordKernel, "paths", boom)
     monkeypatch.setattr(CylinderFn, "combination", boom)
-    for module, attr in ((kgraphwave.sbfs, "enumerate_paths"), (kgraphwave.sbfs, "compose"),
-                         (kgraphwave.wavelets, "enumerate_paths")):
-        monkeypatch.setattr(module, attr, boom, raising=False)
+    monkeypatch.setattr(kgraphwave.sbfs, "compose", boom)
 
 
 def count_edge_objects(monkeypatch):

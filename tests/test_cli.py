@@ -133,6 +133,14 @@ class TestCommands:
             [4.0, -4.0, 0.0, 0.0], [0.0, 0.0, 4.0, -4.0]]
         assert recs[-1] == {"kind": "summary", "complete": True}
 
+    def test_traffic_unknown_root(self, capsys, tmp_path):
+        prefs = tmp_path / "prefs.jsonl"
+        prefs.write_text(json.dumps({"vertex": "v1", "path": "@v1"}) + "\n")
+        for extra in ([], ["--prefs", str(prefs)]):
+            out, errtext = run_cli(capsys, "traffic", LED, "--root", "zz", *extra, expect_exit=1)
+            assert out == ""
+            assert json.loads(errtext) == {"error": "usage", "message": "--root names unknown vertex 'zz'"}
+
     def test_laplacian(self, capsys):
         out, _ = run_cli(capsys, "laplacian", LED)
         recs = records(out)

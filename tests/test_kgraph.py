@@ -35,6 +35,7 @@ from helpers import (
     kernel_rewrite,
     path_count,
     per_word_normal_forms,
+    pruned_paths,
     pulled_segment,
     random_word,
     restart_compose,
@@ -422,8 +423,8 @@ def test_rewriting_confluence_exhaustive(lambda3, ledrappier, sphere):
 
 
 class TestPathSearch:
-    """The source-pruned search, the resuming rewrite and compose against the
-    code they replace (the oracles in helpers)."""
+    """The level-row filter of `enumerate_paths`, the resuming rewrite and
+    compose against the code they replace (the oracles in helpers)."""
 
     @settings(max_examples=60, deadline=None)
     @given(generated_documents(), st.data())
@@ -432,28 +433,32 @@ class TestPathSearch:
         degree = data.draw(st.tuples(st.integers(0, 3), st.integers(0, 3)))
         target = data.draw(st.sampled_from(graph.vertices))
         source = data.draw(st.sampled_from(graph.vertices))
-        expected = filtered_paths(graph, degree, target, source)
+        expected = pruned_paths(graph, degree, range=target, source=source)
+        assert expected == filtered_paths(graph, degree, target, source)
         assert enumerate_paths(graph, degree, range=target, source=source) == expected
-        assert enumerate_paths(graph, degree, range=target, source=source, limit=1) == expected[:1]
+        assert pruned_paths(graph, degree, range=target, source=source, limit=1) == expected[:1]
         everything = enumerate_paths(graph, degree)
-        assert enumerate_paths(graph, degree, source=source) == \
-            [p for p in everything if p.source == source]
+        assert everything == pruned_paths(graph, degree)
+        assert enumerate_paths(graph, degree, range=target) == pruned_paths(graph, degree, range=target)
+        assert enumerate_paths(graph, degree, source=source) == pruned_paths(graph, degree, source=source)
         assert len(everything) == path_count(graph, degree)
         if sum(degree):
-            # degree, range and source set by the search, not by a census
+            # degree, range and source set by the level rows, not by a census
             assert all(p == normal_form(graph, p.word) for p in everything)
 
     def test_pruned_search_on_fixtures(self, lambda3, ledrappier, sphere):
         for graph in (lambda3, ledrappier, sphere):
             for degree in product(range(3), repeat=2):
                 for target, source in product(graph.vertices, repeat=2):
-                    expected = filtered_paths(graph, degree, target, source)
+                    expected = pruned_paths(graph, degree, range=target, source=source)
+                    assert expected == filtered_paths(graph, degree, target, source)
                     assert enumerate_paths(graph, degree, range=target, source=source) == expected
 
-    def test_limit(self, ledrappier):
-        every = enumerate_paths(ledrappier, (1, 2))
-        assert enumerate_paths(ledrappier, (1, 2), limit=5) == every[:5]
-        assert enumerate_paths(ledrappier, (0, 0), limit=2) == enumerate_paths(ledrappier, (0, 0))[:2]
+    def test_unknown_vertices_raise(self, ledrappier):
+        for degree in ((0, 0), (1, 2)):
+            for where in ({"range": "zz"}, {"source": "zz"}, {"range": "zz", "source": "v1"}):
+                with pytest.raises(CompositionError, match="unknown vertex 'zz'"):
+                    enumerate_paths(ledrappier, degree, **where)
 
     @settings(max_examples=60, deadline=None)
     @given(generated_documents(), st.integers(2, 9), st.integers(0, 2 ** 16))

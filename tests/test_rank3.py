@@ -33,6 +33,7 @@ from helpers import (
     filtered_paths,
     kernel_rewrite,
     path_count,
+    pruned_paths,
     restart_rewrite,
     skeleton_doc,
     words_with_pattern,
@@ -77,8 +78,9 @@ def test_path_search_on_a_two_vertex_cover():
     graph = load_kgraph(double_cover(VALID_SQUARES))
     for degree in product(range(2), range(3), range(3)):
         for target, source in product(graph.vertices, repeat=2):
-            assert enumerate_paths(graph, degree, range=target, source=source) \
-                == filtered_paths(graph, degree, target, source)
+            expected = pruned_paths(graph, degree, range=target, source=source)
+            assert expected == filtered_paths(graph, degree, target, source)
+            assert enumerate_paths(graph, degree, range=target, source=source) == expected
     for root in graph.vertices:
         assert default_preferred_paths(graph, root).assignment == \
             {w: exhaustive_least_path(graph, root, w) for w in graph.vertices}

@@ -8,6 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgraphwave import (
+    CompositionError,
+    NonFiniteResult,
+    PFData,
     NoWaveletDegree,
     PreferredPaths,
     ValidationError,
@@ -54,6 +57,15 @@ class TestMeasure:
             assignment[v] = enumerate_paths(ledrappier, (1, 2), range="v1", source=v)[0]
         nu = traffic_measure(ledrappier, led_pf, PreferredPaths("v1", assignment))
         assert nu[0] == pytest.approx(led_pf.x_lambda[0], abs=1e-14)
+
+    @pytest.mark.parametrize("rho", [1e300, 1e-300], ids=["underflow", "overflow"])
+    def test_weights_past_the_float_range_raise(self, ledrappier, led_pf, led_prefs, rho):
+        """rho^{-(1,2)} x_w is 0 or infinite: no class can be normalized."""
+        pf = PFData(np.array([rho, rho]), led_pf.x_lambda)
+        with pytest.raises(NonFiniteResult, match="vertex v1"):
+            traffic_measure(ledrappier, pf, led_prefs)
+        with pytest.raises(NonFiniteResult):
+            traffic_wavelet_family(ledrappier, pf, led_prefs)
 
     def test_lambda3_trivial(self, lambda3):
         pf = pf_data(lambda3)
@@ -176,6 +188,10 @@ class TestValidationAndDefaults:
         least = enumerate_paths(ledrappier, d2, range="v1", source="v2")[0]
         assert prefs.assignment["v2"] == least
 
+    def test_default_chooser_unknown_root(self, ledrappier):
+        with pytest.raises(CompositionError, match="unknown vertex 'zz'"):
+            default_preferred_paths(ledrappier, "zz")
+
     def test_default_chooser_unreachable_root(self, sphere):
         with pytest.raises(ValidationError):
             default_preferred_paths(sphere, "u")
@@ -230,3 +246,13 @@ class TestDefaultChooserSearch:
         assert hashlib.sha256(text.encode()).hexdigest() == \
             "e1d52cc4115bf96ff829d2d10101b8be1841cae86a9c57e16285cc3c46b5df50"
         assert max(sum(p.degree) for p in prefs.values()) == 100
+
+    def test_thousand_vertex_circulant_prefs_are_pinned(self):
+        """Captured while each vertex ran its own source-pruned search (7.9 s
+        on a 2-core host; the graded walk takes under 2 s there)."""
+        graph = load_kgraph(twisted_circulant_document(1000, (1, 2), (1, 3), 0))
+        prefs = default_preferred_paths(graph, "v0").assignment
+        text = json.dumps([[w, list(p.degree), list(p.word)] for w, p in prefs.items()])
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "289e22d97dbb8ae9c28a1d4018ee85a1760410fbf2060966e165eb5956e6997c"
+        assert max(sum(p.degree) for p in prefs.values()) == 333

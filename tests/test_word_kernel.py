@@ -212,8 +212,8 @@ class TestSquareTable:
 class TestUnusedColors:
     def test_tables_only_for_colors_edges_carry(self):
         """One loop of color k = 10**5: the kernel holds no table per unused
-        color, so building it and a source-pruned search take well under a
-        second (1.3 s for the kernel alone with a table per color)."""
+        color, so building it and listing the paths from a source take well
+        under a second (1.3 s for the kernel alone with a table per color)."""
         k = 10 ** 5
         graph = load_kgraph({"k": k, "vertices": ["v"],
                              "edges": [{"id": "e", "color": k, "source": "v", "range": "v"}],
