@@ -46,6 +46,7 @@ from .kgraph import (
     load_kgraph,
     load_kgraph_file,
     normal_form,
+    path_counts,
     segment,
     vertex_matrices,
     vertex_path,
@@ -71,10 +72,12 @@ from .perron import (
     rational_pf_data,
 )
 from .sbfs import (
+    CK_ENTRY_LIMIT,
     CKReport,
     LevelSpace,
     OperatorMatrix,
     check_ck_relations,
+    ck_table_entries,
     level_space,
     s_apply,
     s_matrix,

@@ -99,6 +99,15 @@ def _check_scales(values, flag: str):
             _fail(USAGE_EXIT, "usage", f"{flag} scales must be finite and > 0, got {t}")
 
 
+def _scaled(flag: str, op, *args):
+    """op(*args), where a scale times an eigenvalue past the float range
+    names the flag the scale came from."""
+    try:
+        return op(*args)
+    except err.NonFiniteResult as exc:
+        raise err.NonFiniteResult(f"{flag}: {exc}") from None
+
+
 def _parse_words(graph, texts: list[str]) -> list:
     """The normal forms of words like ``e,f1``, or ``@v`` for a vertex."""
     return normal_form_rows(graph, [[t] if t.startswith("@") else t.split(",") for t in texts],
@@ -375,7 +384,7 @@ def _cmd_spectral(args):
     if args.wavelet:
         n = _vertex_index(graph, args.n, "--n")
         _check_scales([args.t], "--t")
-        psi = spectral_wavelet(eigendata(), default_kernel(), args.t, n)
+        psi = _scaled("--t", spectral_wavelet, eigendata(), default_kernel(), args.t, n)
         _emit(args, [{"t": args.t, "n": args.n, "m": v, "value": float(x)}
                      for v, x in zip(graph.vertices, psi)],
               csv_fields=["t", "n", "m", "value"])
@@ -384,7 +393,8 @@ def _cmd_spectral(args):
         grid = _parse_tgrid(args.tgrid) if args.tgrid else None
         sig = _signal_from_file(args.reconstruct, len(graph.vertices))
         spec = eigendata()
-        rec = reconstruct(spec, default_kernel(), sig, default_tgrid(spec) if grid is None else grid)
+        rec = _scaled("--tgrid", reconstruct, spec, default_kernel(), sig,
+                      default_tgrid(spec) if grid is None else grid)
         _emit(args, [{"vertex": v, "value": float(x)} for v, x in zip(graph.vertices, rec)],
               csv_fields=["vertex", "value"])
         return
@@ -394,7 +404,7 @@ def _cmd_spectral(args):
             _fail(USAGE_EXIT, "usage", "--localize needs --tlist")
         ts = _parse_list(args.tlist, float, "--tlist", "0.5,0.25")
         _check_scales(ts, "--tlist")
-        probe = localization_probe(eigendata(), default_kernel(), n, m, ts)
+        probe = _scaled("--tlist", localization_probe, eigendata(), default_kernel(), n, m, ts)
         recs = probe.to_records()
         recs.append({"slope": probe.slope})
         _emit(args, recs, csv_fields=["t", "ratio"])

@@ -50,7 +50,8 @@ class ResidualTooLarge(KGraphWaveError):
 
 
 class DegenerateVertexCount(KGraphWaveError):
-    """Dimension formula needs more than one vertex."""
+    """The graph has too few vertices: PF data and the eigendecomposition
+    need at least one, the dimension formula more than one."""
 
 
 class NotZeroOne(KGraphWaveError):

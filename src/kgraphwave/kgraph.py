@@ -560,14 +560,6 @@ def _expand_runs(first: np.ndarray, count: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1] if len(ends) else 0) + np.repeat(first - (ends - count), count)
 
 
-def _matching(sources: np.ndarray, ranges: np.ndarray, vertices: int) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs (i, j) with sources[i] == ranges[j], i-major, j ascending."""
-    by_range = np.argsort(ranges, kind="stable")
-    starts = np.searchsorted(ranges[by_range], np.arange(vertices + 1))
-    count = starts[sources + 1] - starts[sources]
-    return np.repeat(np.arange(len(sources)), count), by_range[_expand_runs(starts[sources], count)]
-
-
 class WordKernel:
     """Normal-form paths as rows of edge indices, and the one engine that
     rewrites, composes and factors them.
@@ -588,8 +580,13 @@ class WordKernel:
       words that agree before pos and carry a smaller edge there: the
       completions, from the sources of the smaller edges with e's range (any
       range at pos 0), of the colors after pos.
+    - Each level has one range index: its positions by range, and where each
+      range's run starts.  `matching` pairs paths with the level's paths by
+      reading it, so every composition against a level (the prefix tables of
+      the CK check, `measure.extension_rows`) sorts the level once.
 
-    Built on first use of `KGraph.word_kernel`; tables are cached per degree.
+    Built on first use of `KGraph.word_kernel`; levels, their range indexes
+    and the rank tables are cached per degree.
     """
 
     def __init__(self, graph: KGraph):
@@ -616,6 +613,7 @@ class WordKernel:
             by_range = order[lo:hi]
             self._into[int(colors[lo])] = by_range, np.searchsorted(self.range[by_range], np.arange(n + 1))
         self._levels: dict[Degree, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._by_range: dict[Degree, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._offsets: dict[Degree, np.ndarray] = {}
 
     @cached_property
@@ -648,6 +646,18 @@ class WordKernel:
                 a.flags.writeable = False
             self._levels[degree] = out
         return self._levels[degree]
+
+    def matching(self, sources: np.ndarray, degree: Degree) -> tuple[np.ndarray, np.ndarray]:
+        """The pairs (i, j) with sources[i] the range of the j-th path of the
+        level of `degree`, i-major, j ascending, read off the level's range
+        index."""
+        if degree not in self._by_range:
+            ranges = self.level(degree)[1]
+            runs = np.bincount(ranges, minlength=len(self.graph.vertices))
+            self._by_range[degree] = np.argsort(ranges, kind="stable"), np.cumsum(runs) - runs, runs
+        by_range, starts, runs = self._by_range[degree]
+        count = runs[sources]
+        return np.repeat(np.arange(len(sources)), count), by_range[_expand_runs(starts[sources], count)]
 
     def words(self, colors: tuple[int, ...]) -> np.ndarray:
         """All composable words of a nonempty color sequence, as new rows."""
@@ -729,6 +739,22 @@ def vertex_matrices(graph: KGraph) -> list[np.ndarray]:
     n = len(graph.vertices)
     counts = np.bincount(_vertex_cells(graph), minlength=graph.k * n * n).astype(np.int64, copy=False)
     return list(counts.reshape(graph.k, n, n))
+
+
+def path_counts(graph: KGraph, upto: Degree) -> np.ndarray:
+    """|Lambda^a| at index a, for every degree a <= upto: the entries of
+    1^T A_1^{a_1} ... A_k^{a_k} 1 (`vertex_matrices`) as exact Python
+    integers in an object array, counted one edge color at a time with no
+    path listed."""
+    ends = np.zeros((*(t + 1 for t in upto), len(graph.vertices)), dtype=object)  # by degree and source
+    ends[graph.zero_degree()] = 1
+    for a in np.ndindex(*ends.shape[:-1]):  # a less its last color comes before a
+        if any(a):
+            c = max(i for i, ai in enumerate(a) if ai)
+            edges = graph.edge_color == c + 1
+            np.add.at(ends[a], graph.edge_source[edges],
+                      ends[a[:c] + (a[c] - 1,) + a[c + 1:]][graph.edge_range[edges]])
+    return ends.sum(axis=-1)
 
 
 def is_zero_one(graph: KGraph) -> bool:

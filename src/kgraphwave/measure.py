@@ -34,7 +34,6 @@ from .kgraph import (
     Form,
     KGraph,
     Path,
-    _matching,
     _same_graph,
     as_degree,
     deg_add,
@@ -171,8 +170,8 @@ def extension_rows(graph: KGraph, forms: Sequence[Form], level: Degree) -> tuple
         if not deg_le(degree, level):  # the first group of a bad degree holds the first bad term
             raise DegreeRangeError(f"term at degree {degree} above level {level}")
         step = deg_sub(level, degree)
-        tails, tail_ranges, tail_sources = kernel.level(step)
-        rows, cols = _matching(head_sources, tail_ranges, len(graph.vertices))
+        tails, _, tail_sources = kernel.level(step)
+        rows, cols = kernel.matching(head_sources, step)
         words.append(kernel.compose(heads[rows], degree, tails[cols], step))
         sources.append(tail_sources[cols])
         owner.append(np.array(group, dtype=np.intp)[rows])

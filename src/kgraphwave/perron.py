@@ -77,10 +77,13 @@ def pf_data(graph: KGraph, tol: float = 1e-13, max_iter: int = 10 ** 6,
             resid_tol: float = 1e-10) -> PFData:
     """Power-iterate the product matrix and return the common PF data.
 
-    Raises NotStronglyConnected / HasSources when the preconditions fail,
+    Raises DegenerateVertexCount on a graph with no vertex,
+    NotStronglyConnected / HasSources when the preconditions fail,
     ConvergenceFailure when the iteration cap is reached and
     ResidualTooLarge when the limit is not a common eigenvector.
     """
+    if not graph.vertices:
+        raise DegenerateVertexCount("PF data needs at least one vertex; the graph has none")
     if not is_strongly_connected(graph):
         raise NotStronglyConnected("graph is not strongly connected")
     if has_sources(graph):

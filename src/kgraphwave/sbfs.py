@@ -9,9 +9,15 @@ Radon-Nikodym derivative of prefixing is constant on cylinders.  With at most
 one entry per column, the S_lambda of every lambda of one degree, at one
 level, form one column-form table: rows[i, mu] and vals[i, mu] are the row and
 entry of column mu of the i-th S_lambda, -1 and 0 where the column is empty.
-`check_ck_relations` verifies the four Cuntz-Krieger relations on the tables,
-each for all its cases of one degree at once; `s_matrix` reads one row of a
-table as an `OperatorMatrix`, whose `.matrix` is the dense view.
+The pairs (lambda, mu) come from the level's range index (`WordKernel.matching`).
+
+`check_ck_relations` counts the entries of every table up to its test level
+(`ck_table_entries`, against `CK_ENTRY_LIMIT`), builds each once, and checks
+the four Cuntz-Krieger relations on them, each for all its cases of one
+degree at once: (CK1) in one pass over the entries of the vertex
+projections, (CK2) with its cases and composites read off the tables.
+`s_matrix` reads one row of a table as an `OperatorMatrix`, whose `.matrix`
+is the dense view.
 """
 
 from __future__ import annotations
@@ -24,12 +30,11 @@ from typing import Sequence
 import numpy as np
 
 from . import jsonl
-from .errors import DegreeRangeError, LevelTooSmall, NonConstantDerivative
+from .errors import DegreeRangeError, LevelTooSmall, NonConstantDerivative, TooLarge
 from .kgraph import (
     Degree,
     KGraph,
     Path,
-    _matching,
     _same_graph,
     as_degree,
     compose,
@@ -37,6 +42,7 @@ from .kgraph import (
     deg_le,
     deg_sub,
     form_of,
+    path_counts,
     row_forms,
 )
 from .measure import CylinderFn, MeasureSpec, extension_rows, refine_rows
@@ -144,25 +150,28 @@ class OperatorMatrix:
 
 
 def _prefix_table(spec: MeasureSpec, lams: tuple[np.ndarray, np.ndarray, np.ndarray],
-                  degree: Degree, dom: LevelSpace, cod: LevelSpace,
+                  factors: np.ndarray, degree: Degree, dom: LevelSpace, cod: LevelSpace,
                   rn_tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
     """The table of S_lambda from `dom` to `cod` for the paths `lams` of one
-    degree, given as word-kernel rows, ranges and sources: column mu, for
-    r(mu) = s(lambda), goes to the row of lambda*mu with entry factor *
-    sqrt(M(Z(lambda mu)) / M(Z(mu))).  All products are composed at once."""
+    degree, given as word-kernel rows, ranges and sources, with their
+    `MeasureSpec.prefix_factors`: column mu, for r(mu) = s(lambda), goes to
+    the row of lambda*mu with entry factor * sqrt(M(Z(lambda mu)) / M(Z(mu))).
+    Its nonempty entries, i-major and mu ascending, are the pairs of
+    `WordKernel.matching`.  All products are composed at once."""
     kernel = spec.graph.word_kernel
     words, _, sources = lams
-    owner, cols = _matching(sources, dom.ranges, len(spec.graph.vertices))
-    if any(cod.level):
+    owner, cols = kernel.matching(sources, dom.level)
+    if any(degree):
         rows = kernel.rank(kernel.compose(words[owner], degree, dom.words[cols], dom.level), cod.level)
-    else:  # vertices on level 0
+    else:  # a vertex times mu is mu
         rows = cols
-    vals = spec.prefix_factors(degree, words)[owner] * np.sqrt(cod.weights[rows] / dom.weights[cols])
-    bad = np.flatnonzero(~(np.abs(vals - 1.0) < rn_tol))
-    if len(bad):
-        lam = kernel.paths(tuple(a[owner[bad[:1]]] for a in lams), degree)[0]
+    vals = factors[owner] * np.sqrt(cod.weights[rows] / dom.weights[cols])
+    good = np.abs(vals - 1.0) < rn_tol
+    if not good.all():
+        bad = int(np.argmin(good))
+        lam = kernel.paths(tuple(a[owner[bad:bad + 1]] for a in lams), degree)[0]
         raise NonConstantDerivative(f"Radon-Nikodym derivative not constant: entry "
-                                    f"{vals[bad[0]]} for {lam}, {dom.basis[cols[bad[0]]]}")
+                                    f"{vals[bad]} for {lam}, {dom.basis[cols[bad]]}")
     table = np.full((len(words), len(dom.weights)), -1), np.zeros((len(words), len(dom.weights)))
     table[0][owner, cols], table[1][owner, cols] = rows, vals
     return table
@@ -173,7 +182,8 @@ def s_matrix(spec: MeasureSpec, path: Path, domain_level: Sequence[int],
     """S_path from level `domain_level` to `domain_level + d(path)`."""
     dom = level_space(spec, domain_level)
     cod = level_space(spec, deg_add(dom.level, path.degree))
-    rows, vals = _prefix_table(spec, extension_rows(spec.graph, [form_of(path)], path.degree)[0],
+    lams = extension_rows(spec.graph, [form_of(path)], path.degree)[0]
+    rows, vals = _prefix_table(spec, lams, spec.prefix_factors(path.degree, lams[0]),
                                path.degree, dom, cod, rn_tol)
     cols = np.flatnonzero(rows[0] >= 0)
     return OperatorMatrix(dom.level, cod.level, (len(cod.weights), len(dom.weights)),
@@ -218,9 +228,61 @@ class CKReport:
         return [asdict(c) for c in self.checks]
 
 
+# The CK check holds every prefix table it builds until it returns: at most
+# this many entries in all, 16 bytes each (a row index and a value).
+CK_ENTRY_LIMIT = 2 ** 24
+
+
+def ck_table_entries(graph: KGraph, test_level: Sequence[int]) -> int:
+    """The entries of the prefix tables `check_ck_relations` holds at
+    `test_level` T, counted, not built: it builds the table of every degree x
+    at every level L with x + L <= T, |Lambda^x| * |Lambda^L| entries
+    (`path_counts`).  An exact integer.  No other array of the check has more
+    entries than its largest table, save the word rows: |L| edge indices
+    per path of a level L."""
+    counts = path_counts(graph, as_degree(test_level, graph.k))
+    below = counts  # below[y]: the paths of all degrees <= y
+    for axis in range(graph.k):
+        below = np.cumsum(below, axis=axis)
+    return int((counts * np.flip(below)).sum())
+
+
 def _steps(upto: Degree) -> list[Degree]:
     """The nonzero degrees up to `upto`, in product order."""
     return [d for d in product(*(range(t + 1) for t in upto)) if any(d)]
+
+
+def _prefix_tables(spec: MeasureSpec, test_level: Degree) -> dict[tuple[Degree, Degree], tuple]:
+    """The table of the S_lambda of every degree x at every level L with
+    x + L <= `test_level`, keyed (x, L), with one `MeasureSpec.prefix_factors`
+    call per degree.  Above `CK_ENTRY_LIMIT` entries (`ck_table_entries`) it
+    raises TooLarge before it builds a level.
+
+    The order is fixed: the vertex projections at the test level; then per
+    nonzero degree d, for each degree dl, the tables of S_mu (d(mu) = d),
+    S_lambda (d(lambda) = dl) and S_{mu lambda} that (CK2) multiplies, then
+    those of S_mu and S_{s(mu)} that (CK3) reads.  A derivative that is not
+    constant raises at the first table in this order that shows it."""
+    graph, kernel, zero = spec.graph, spec.graph.word_kernel, spec.graph.zero_degree()
+    entries = ck_table_entries(graph, test_level)
+    if entries > CK_ENTRY_LIMIT:
+        raise TooLarge(f"the CK check at level {test_level} holds {entries} prefix-table entries, "
+                       f"above the limit of {CK_ENTRY_LIMIT}")
+    space, tables = cache(partial(level_space, spec)), {}
+    factors = cache(lambda degree: spec.prefix_factors(degree, kernel.level(degree)[0]))
+
+    def build(degree: Degree, level: Degree):
+        if (degree, level) not in tables:
+            tables[degree, level] = _prefix_table(spec, kernel.level(degree), factors(degree), degree,
+                                                  space(level), space(deg_add(level, degree)))
+
+    build(zero, test_level)
+    for d in _steps(test_level):
+        rest = deg_sub(test_level, d)
+        for dl in _steps(rest):
+            build(d, rest), build(dl, deg_sub(rest, dl)), build(deg_add(d, dl), deg_sub(rest, dl))
+        build(d, rest), build(zero, rest)
+    return tables
 
 
 def _product(outer: tuple, i: np.ndarray, inner: tuple, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -231,12 +293,16 @@ def _product(outer: tuple, i: np.ndarray, inner: tuple, j: np.ndarray) -> tuple[
     return np.where(ri >= 0, ro[at], -1), np.where(ri >= 0, vo[at] * vi, 0.0)
 
 
-def _deviation(a: tuple, b: tuple) -> np.ndarray:
-    """max |A - B| per case, over the last axis of column forms: per column
-    |a - b| where the entries share a row, else the larger |entry|."""
+def _gaps(a: tuple, b: tuple) -> np.ndarray:
+    """|A - B| entry by entry, on column forms: |a - b| where the entries
+    share a row, else the larger |entry|."""
     (ra, va), (rb, vb) = a, b
-    dev = np.where(ra == rb, np.abs(va - vb), np.maximum(np.abs(va), np.abs(vb)))
-    return np.max(dev, axis=-1, initial=0.0)
+    return np.where(ra == rb, np.abs(va - vb), np.maximum(np.abs(va), np.abs(vb)))
+
+
+def _deviation(a: tuple, b: tuple) -> np.ndarray:
+    """max |A - B| per case, over the last axis of column forms."""
+    return np.max(_gaps(a, b), axis=-1, initial=0.0)
 
 
 def check_ck_relations(spec: MeasureSpec, graph: KGraph,
@@ -245,14 +311,14 @@ def check_ck_relations(spec: MeasureSpec, graph: KGraph,
 
     All compositions are arranged to land at degree `test_level`; the report
     carries the worst absolute deviation per relation and the first case
-    where it occurred.  Each level space is built once, and so is the table
-    of the S_lambda of one degree at one level; each relation is checked for
-    all its cases of one degree at once.
+    where it occurred.  The relations read the prefix tables
+    (`_prefix_tables`), each for all its cases of one degree at once.
     """
     _same_graph("measure and graph", graph, spec.graph)
     test_level = as_degree(test_level, graph.k)
     if any(t < 1 for t in test_level):
         raise LevelTooSmall(f"test level {test_level} must be >= 1 in every color")
+    tables, kernel, vertices = _prefix_tables(spec, test_level), graph.word_kernel, graph.vertices
     worst = {relation: (0.0, {}) for relation in ("CK1", "CK2", "CK3", "CK4")}
 
     def record(relation: str, devs: np.ndarray, witness):
@@ -262,47 +328,41 @@ def check_ck_relations(spec: MeasureSpec, graph: KGraph,
         if devs[p] > worst[relation][0]:
             worst[relation] = (float(devs[p]), witness(p))
 
-    space, kernel, vertices = cache(partial(level_space, spec)), graph.word_kernel, graph.vertices
-
-    @cache
-    def table(degree: Degree, level: Degree) -> tuple[np.ndarray, np.ndarray]:
-        """S_lambda at `level` for every lambda of `degree`, in `WordKernel.level` order."""
-        return _prefix_table(spec, kernel.level(degree), degree, space(level), space(deg_add(level, degree)))
-
     def word(degree: Degree, i: int) -> str:
         return "".join(kernel.ids[e] for e in kernel.level(degree)[0][i])
 
-    projs = table(graph.zero_degree(), test_level)
-    at = np.arange(projs[0].shape[1])
-
-    # (CK1) vertex projections are orthogonal and sum to the identity
-    for v in range(len(vertices)):
-        target = projs[0][v], np.where(np.arange(len(vertices))[:, None] == v, projs[1][v], 0.0)
-        lhs = _product(projs, np.full(len(vertices), v), projs, np.arange(len(vertices)))
-        record("CK1", _deviation(lhs, target), lambda w: {"vertices": [vertices[v], vertices[w]]})
-    # S_v fills only the columns mu with r(mu) = v: the sum has one term per entry
-    total = projs[0].max(axis=0, keepdims=True), projs[1].sum(axis=0, keepdims=True)
-    record("CK1", _deviation(total, (at, np.ones(len(at)))), lambda _: {"vertices": "sum"})
+    # (CK1) S_v S_w = [v = w] S_v, and the S_v sum to 1.  Column mu of the
+    # projections holds one entry, (row, val)[mu] of S_{r(mu)}, so S_v S_w
+    # differs from [v = w] S_v at mu only for w = r(mu): there it holds
+    # (row, val)[row[mu]] times val[mu] for v = r(row[mu]), and nothing else.
+    zero, n, ranges = graph.zero_degree(), len(vertices), kernel.level(test_level)[1]
+    projs, at = tables[zero, test_level], np.arange(len(ranges))
+    row, val = projs[0][ranges, at], projs[1][ranges, at]
+    outer, same = ranges[row], ranges[row] == ranges
+    dev = np.zeros(n * n)
+    np.maximum.at(dev, outer * n + ranges, _gaps((row[row], val[row] * val),
+                                                 (np.where(same, row, -1), np.where(same, val, 0.0))))
+    np.maximum.at(dev, (ranges * (n + 1))[~same], np.abs(val[~same]))  # (w, w) misses (row, val)[mu]
+    record("CK1", dev, lambda p: {"vertices": [vertices[p // n], vertices[p % n]]})
+    record("CK1", _deviation((row[None], val[None]), (at, np.ones(len(at)))), lambda _: {"vertices": "sum"})
 
     for d in _steps(test_level):
-        mus = kernel.level(d)
+        mus, rest = kernel.level(d), deg_sub(test_level, d)
         # (CK2) S_mu S_lambda = S_{mu lambda} for d(mu) = d and each lambda with
-        # r(lambda) = s(mu); the composites are found by rank
-        for dl in _steps(deg_sub(test_level, d)):
-            base, both = deg_sub(test_level, deg_add(d, dl)), deg_add(d, dl)
-            lams = kernel.level(dl)
-            i, j = _matching(mus[2], lams[1], len(vertices))
-            lhs = _product(table(d, deg_add(base, dl)), i, table(dl, base), j)
-            at_both = kernel.rank(kernel.compose(mus[0][i], d, lams[0][j], dl), both)
-            rows, vals = table(both, base)
+        # r(lambda) = s(mu).  The table of S_mu at level d(lambda) holds the
+        # cases, mu-major and lambda ascending, at the rows of the composites.
+        for dl in _steps(rest):
+            base, composites = deg_sub(rest, dl), tables[d, dl][0]
+            i, j = np.nonzero(composites >= 0)
+            lhs = _product(tables[d, rest], i, tables[dl, base], j)
+            rows, vals = tables[deg_add(d, dl), base]
+            at_both = composites[i, j]
             record("CK2", _deviation(lhs, (rows[at_both], vals[at_both])),
                    lambda p: {"mu": word(d, i[p]), "lambda": word(dl, j[p])})
         # (CK3) S_mu* S_mu = S_{s(mu)}.  S* S holds the squared entries on its
         # diagonal and, where two columns share a row, their product: the
         # largest such product in a row is that of its two largest entries.
-        base = deg_sub(test_level, d)
-        rows, vals = table(d, base)
-        targets = table(graph.zero_degree(), base)
+        (rows, vals), targets = tables[d, rest], tables[zero, rest]
         dev = _deviation((np.arange(rows.shape[1]), vals ** 2), (targets[0][mus[2]], targets[1][mus[2]]))
         lam, col = np.nonzero(rows >= 0)
         row, val = rows[lam, col], vals[lam, col]

@@ -23,10 +23,12 @@ import numpy as np
 
 from .errors import (
     AsymmetricInput,
+    DegenerateVertexCount,
     DimensionMismatch,
     DivergentIntegral,
     GridTooCoarse,
     NegativeArgument,
+    NonFiniteResult,
     ResidualTooLarge,
 )
 from .kgraph import KGraph
@@ -94,11 +96,14 @@ def eig_sym(delta: np.ndarray, sym_tol: float = 1e-12,
             resid_tol: float = 1e-10) -> SpectralData:
     """Full symmetric eigendecomposition with deterministic signs.
 
-    Raises ResidualTooLarge when the eigenpairs or their orthonormality
-    miss ``resid_tol``."""
+    Raises DegenerateVertexCount on the empty (0 x 0) matrix of a graph
+    with no vertex, and ResidualTooLarge when the eigenpairs or their
+    orthonormality miss ``resid_tol``."""
     delta = np.asarray(delta, dtype=float)
     if delta.ndim != 2 or delta.shape[0] != delta.shape[1]:
         raise AsymmetricInput(f"need a square matrix, got shape {delta.shape}")
+    if not delta.size:
+        raise DegenerateVertexCount("no eigendata for the empty (0 x 0) matrix: a graph with no vertex has none")
     if np.max(np.abs(delta - delta.T)) > sym_tol:
         raise AsymmetricInput("matrix is not symmetric within tolerance")
     eigenvalues, vectors = np.linalg.eigh(delta)
@@ -281,15 +286,26 @@ def cg_constant_numeric(spec: KernelSpec, points: int = 64,
     return total
 
 
+def _check_scale(spec: SpectralData, t: float):
+    """Raise NonFiniteResult, with no numpy warning, when the scale t times
+    an eigenvalue is past the float range: the kernel has no argument there."""
+    lam = float(np.max(np.abs(spec.eigenvalues)))
+    with np.errstate(over="ignore"):
+        if not np.isfinite(t * lam):
+            raise NonFiniteResult(f"scale {t:g} times eigenvalue {lam:g} is past the float range")
+
+
 def spectral_wavelet(spec: SpectralData, kernel: KernelSpec,
                      t: float, n: int) -> np.ndarray:
     """psi_{g,t,n}(m) = sum_l g(t lambda_l) v_l(n) v_l(m)."""
+    _check_scale(spec, t)
     gains = kernel_eval(kernel, t * spec.eigenvalues)
     return spec.eigenvectors @ (gains * spec.eigenvectors[n, :])
 
 
 def wavelet_operator(spec: SpectralData, kernel: KernelSpec, t: float) -> np.ndarray:
     """The matrix T_g^t whose n-th column is psi_{g,t,n}."""
+    _check_scale(spec, t)
     gains = kernel_eval(kernel, t * spec.eigenvalues)
     return (spec.eigenvectors * gains[None, :]) @ spec.eigenvectors.T
 
@@ -315,8 +331,10 @@ def reconstruct(spec: SpectralData, kernel: KernelSpec, signal: Sequence[float],
     Recovers the component of f orthogonal to the Laplacian kernel:
     eigenvalues <= 1e-12 get gain 0 because g(0) = 0, and never reach the
     kernel.  The energies of the others are taken in blocks of _ENERGY_ROWS
-    eigenvalues.  Raises GridTooCoarse at the first eigenvalue, in order, whose
-    grid energy misses C_g by more than grid_tol (relative).
+    eigenvalues.  Raises NonFiniteResult when the largest scale times an
+    eigenvalue is past the float range, and GridTooCoarse at the first
+    eigenvalue, in order, whose grid energy misses C_g by more than grid_tol
+    (relative).
     """
     f = np.asarray(signal, dtype=float)
     if f.shape != (spec.n,):
@@ -328,6 +346,7 @@ def reconstruct(spec: SpectralData, kernel: KernelSpec, signal: Sequence[float],
     t = np.sort(np.asarray(t_grid, dtype=float))
     if t[0] <= 0:
         raise GridTooCoarse("scale grid must be strictly positive")
+    _check_scale(spec, t[-1])
     u = np.log(t)
     du = np.diff(u)
     w = np.zeros_like(u)

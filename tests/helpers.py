@@ -23,6 +23,7 @@ from kgraphwave import (
     GridTooCoarse,
     LevelSpace,
     MeasureSpec,
+    NonConstantDerivative,
     ParseError,
     Path,
     ValidationError,
@@ -50,6 +51,7 @@ import kgraphwave.cli
 from kgraphwave.kgraph import (
     WordKernel, _degree_colors, as_degree, deg_add, deg_le, deg_sub, form_of, normal_form_rows)
 from kgraphwave.orthobasis import complement_basis, constant_unit_vector
+from kgraphwave.sbfs import CKReport, RelationCheck
 
 
 def words_with_pattern(graph, pattern):
@@ -536,6 +538,115 @@ def dense_ck_deviations(spec, level, matrix_of=pointwise_s_matrix):
                 acc += fwd @ fwd.T
             ck4 = max(ck4, np.max(np.abs(acc - proj(v))))
     return [float(ck1), float(ck2), float(ck3), float(ck4)]
+
+
+def dense_matching(sources, ranges):
+    """The pairs (i, j) with sources[i] == ranges[j], i-major, j ascending,
+    from the dense table of comparisons: the oracle of `WordKernel.matching`."""
+    return np.nonzero(np.asarray(sources)[:, None] == np.asarray(ranges)[None, :])
+
+
+def case_prefix_table(spec, lams, degree, dom, cod, rn_tol=1e-12):
+    """`sbfs._prefix_table` with its pairs from `dense_matching` and its
+    prefix factors computed for the call: the table of S_lambda from `dom`
+    to `cod` for the paths `lams` of one degree."""
+    kernel = spec.graph.word_kernel
+    words, _, sources = lams
+    owner, cols = dense_matching(sources, dom.ranges)
+    if any(cod.level):
+        rows = kernel.rank(kernel.compose(words[owner], degree, dom.words[cols], dom.level), cod.level)
+    else:
+        rows = cols
+    vals = spec.prefix_factors(degree, words)[owner] * np.sqrt(cod.weights[rows] / dom.weights[cols])
+    bad = np.flatnonzero(~(np.abs(vals - 1.0) < rn_tol))
+    if len(bad):
+        lam = kernel.paths(tuple(a[owner[bad[:1]]] for a in lams), degree)[0]
+        raise NonConstantDerivative(f"Radon-Nikodym derivative not constant: entry "
+                                    f"{vals[bad[0]]} for {lam}, {dom.basis[cols[bad[0]]]}")
+    table = np.full((len(words), len(dom.weights)), -1), np.zeros((len(words), len(dom.weights)))
+    table[0][owner, cols], table[1][owner, cols] = rows, vals
+    return table
+
+
+def _case_product(outer, i, inner, j):
+    (ro, vo), (ri, vi) = outer, (inner[0][j], inner[1][j])
+    at = i[:, None], ri
+    return np.where(ri >= 0, ro[at], -1), np.where(ri >= 0, vo[at] * vi, 0.0)
+
+
+def _case_deviation(a, b):
+    (ra, va), (rb, vb) = a, b
+    dev = np.where(ra == rb, np.abs(va - vb), np.maximum(np.abs(va), np.abs(vb)))
+    return np.max(dev, axis=-1, initial=0.0)
+
+
+def case_ck_report(spec, graph, test_level):
+    """`check_ck_relations` case by case: each table built when first read;
+    CK1 per vertex v, all S_v S_w at once; CK2 pairs every mu with every
+    lambda by `dense_matching`, composes them and ranks the composites.  The
+    oracle of the table-read CK2 and the one-pass CK1: the same report, the
+    same first NonConstantDerivative."""
+    test_level = as_degree(test_level, graph.k)
+    worst = {relation: (0.0, {}) for relation in ("CK1", "CK2", "CK3", "CK4")}
+
+    def record(relation, devs, witness):
+        p = int(np.argmax(devs))
+        if devs[p] > worst[relation][0]:
+            worst[relation] = (float(devs[p]), witness(p))
+
+    kernel, vertices = graph.word_kernel, graph.vertices
+    spaces, tables = {}, {}
+
+    def space(level):
+        if level not in spaces:
+            spaces[level] = level_space(spec, level)
+        return spaces[level]
+
+    def table(degree, level):
+        if (degree, level) not in tables:
+            tables[degree, level] = case_prefix_table(spec, kernel.level(degree), degree, space(level),
+                                                      space(deg_add(level, degree)))
+        return tables[degree, level]
+
+    def word(degree, i):
+        return "".join(kernel.ids[e] for e in kernel.level(degree)[0][i])
+
+    steps = [d for d in product(*(range(t + 1) for t in test_level)) if any(d)]
+    projs = table(graph.zero_degree(), test_level)
+    at = np.arange(projs[0].shape[1])
+    for v in range(len(vertices)):
+        target = projs[0][v], np.where(np.arange(len(vertices))[:, None] == v, projs[1][v], 0.0)
+        lhs = _case_product(projs, np.full(len(vertices), v), projs, np.arange(len(vertices)))
+        record("CK1", _case_deviation(lhs, target), lambda w: {"vertices": [vertices[v], vertices[w]]})
+    total = projs[0].max(axis=0, keepdims=True), projs[1].sum(axis=0, keepdims=True)
+    record("CK1", _case_deviation(total, (at, np.ones(len(at)))), lambda _: {"vertices": "sum"})
+    for d in steps:
+        mus = kernel.level(d)
+        for dl in (e for e in steps if deg_le(e, deg_sub(test_level, d))):
+            base, both = deg_sub(test_level, deg_add(d, dl)), deg_add(d, dl)
+            lams = kernel.level(dl)
+            i, j = dense_matching(mus[2], lams[1])
+            lhs = _case_product(table(d, deg_add(base, dl)), i, table(dl, base), j)
+            at_both = kernel.rank(kernel.compose(mus[0][i], d, lams[0][j], dl), both)
+            rows, vals = table(both, base)
+            record("CK2", _case_deviation(lhs, (rows[at_both], vals[at_both])),
+                   lambda p: {"mu": word(d, i[p]), "lambda": word(dl, j[p])})
+        base = deg_sub(test_level, d)
+        rows, vals = table(d, base)
+        targets = table(graph.zero_degree(), base)
+        dev = _case_deviation((np.arange(rows.shape[1]), vals ** 2), (targets[0][mus[2]], targets[1][mus[2]]))
+        lam, col = np.nonzero(rows >= 0)
+        row, val = rows[lam, col], vals[lam, col]
+        key, size = lam * len(at) + row, np.abs(val)
+        order = np.lexsort((-size, key))
+        key, size, mu = key[order], size[order], lam[order]
+        shared = np.flatnonzero(key[1:] == key[:-1])
+        np.maximum.at(dev, mu[shared], size[shared] * size[shared + 1])
+        record("CK3", dev, lambda p: {"mu": word(d, p)})
+        acc = np.zeros(projs[1].shape)
+        np.add.at(acc, (mus[1][lam], row), val ** 2)
+        record("CK4", _case_deviation((at, acc), projs), lambda v: {"n": list(d), "vertex": vertices[v]})
+    return CKReport(test_level, tuple(RelationCheck(r, *worst[r]) for r in worst))
 
 
 def dense_wavelet_basis(family, depth):

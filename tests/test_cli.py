@@ -721,6 +721,81 @@ class TestNonFinite:
         assert rec == {"error": "numeric", "message": "--synthesize: the values leave the float range"}
 
 
+EMPTY = {"k": 2, "vertices": [], "edges": [], "squares": []}
+
+
+class TestEmptyGraph:
+    """The document with no vertex loads and validates.  Each subcommand on
+    it writes a valid empty output or one JSON error record, with no
+    traceback: ops that need PF data or eigendata exit 3."""
+
+    @pytest.mark.parametrize("argv", [
+        ["pf"], ["pf", "--hausdorff"], ["measure", "--path", "@v"], ["ck-check", "--level", "1,1"],
+        ["wavelets", "--shape", "1,1"], ["wavelets", "--shape", "1,1", "--list-family"],
+        ["wavelets", "--shape", "1,1", "--compare", "2"], ["traffic"],
+        ["spectral", "--eig"], ["spectral", "--gft", "SIGNAL"], ["spectral", "--reconstruct", "SIGNAL"],
+    ], ids=" ".join)
+    def test_validation_error(self, capsys, tmp_path, argv):
+        graph, signal = tmp_path / "empty.kg", tmp_path / "signal.json"
+        graph.write_text(json.dumps(EMPTY))
+        signal.write_text("[]")
+        argv = [str(signal) if a == "SIGNAL" else a for a in argv]
+        out, err = run_cli(capsys, argv[0], str(graph), *argv[1:], expect_exit=3)
+        assert out == ""
+        (line,) = err.splitlines()
+        rec = json.loads(line)
+        assert rec["error"] == "validation"
+        assert rec["message"] in ("PF data needs at least one vertex; the graph has none",
+                                  "no eigendata for the empty (0 x 0) matrix: a graph with no vertex has none")
+
+    @pytest.mark.parametrize("argv", [
+        ["traffic", "--root", "v"], ["spectral", "--wavelet", "--n", "v"],
+        ["spectral", "--localize", "--n", "v", "--m", "v", "--tlist", "1"],
+    ], ids=" ".join)
+    def test_no_vertex_to_name(self, capsys, tmp_path, argv):
+        graph = tmp_path / "empty.kg"
+        graph.write_text(json.dumps(EMPTY))
+        out, err = run_cli(capsys, argv[0], str(graph), *argv[1:], expect_exit=1)
+        (line,) = err.splitlines()
+        assert out == "" and "names unknown vertex 'v'" in json.loads(line)["message"]
+
+    def test_empty_outputs(self, capsys, tmp_path):
+        graph = tmp_path / "empty.kg"
+        graph.write_text(json.dumps(EMPTY))
+        out, err = run_cli(capsys, "validate", str(graph))
+        assert records(out) == [{"ok": True, "k": 2, "vertices": 0, "edges_per_color": {"1": 0, "2": 0},
+                                 "squares": 0, "cube_condition": "n/a (k<3)", "strongly_connected": True}]
+        out, err = run_cli(capsys, "laplacian", str(graph))
+        assert records(out) == [{"kind": "incidence", "color": 1, "edges": [], "matrix": []},
+                                {"kind": "incidence", "color": 2, "edges": [], "matrix": []},
+                                {"kind": "laplacian", "matrix": []}]
+        assert err == ""
+
+
+class TestOverflowingScales:
+    """A finite scale whose product with an eigenvalue passes the float range
+    exits 4 naming its flag, with no numpy warning."""
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["--wavelet", "--t", "1e308", "--n", "v1"], "--t"),
+        (["--localize", "--n", "v1", "--m", "v3", "--tlist", "0.5,1e308"], "--tlist"),
+        (["--reconstruct", "SIGNAL", "--tgrid", "1e-5,1e308,100"], "--tgrid"),
+    ], ids=lambda v: v if isinstance(v, str) else v[0])
+    def test_numeric_error_names_the_flag(self, capsys, tmp_path, argv, flag):
+        signal = tmp_path / "signal.json"
+        signal.write_text("[1, 2, 3, 4]")
+        argv = [str(signal) if a == "SIGNAL" else a for a in argv]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, err = run_cli(capsys, "spectral", LED, *argv, expect_exit=4)
+        assert out == ""
+        (line,) = err.splitlines()
+        rec = json.loads(line)
+        assert rec["error"] == "numeric"
+        assert rec["message"].startswith(f"{flag}: scale 1e+308 times eigenvalue ")
+        assert rec["message"].endswith(" is past the float range")
+
+
 # lines a transform input may hold: records valid and not, JSON that is no
 # object, whitespace, a BOM, extra data, halves of one object, NaN and
 # Infinity, integers past the float range and past int()'s digit limit,

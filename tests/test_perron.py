@@ -72,6 +72,11 @@ class TestStrongConnectivity:
     def test_no_vertices(self):
         assert is_strongly_connected(load_kgraph({"k": 1, "vertices": [], "edges": [], "squares": []}))
 
+    def test_pf_data_needs_a_vertex(self):
+        graph = load_kgraph({"k": 2, "vertices": [], "edges": [], "squares": []})
+        with pytest.raises(DegenerateVertexCount, match="at least one vertex"):
+            pf_data(graph)
+
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
         st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12))))

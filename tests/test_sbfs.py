@@ -9,16 +9,20 @@ from hypothesis import strategies as st
 from kgraphwave import (
     CylinderFn,
     DegreeRangeError,
+    CK_ENTRY_LIMIT,
     LevelTooSmall,
     MeasureSpec,
     NonConstantDerivative,
     bouquet_graph,
+    TooLarge,
     check_ck_relations,
+    ck_table_entries,
     cylinder_fns_equal,
     cylinder_measure,
     enumerate_paths,
     fixture_path,
     is_strongly_connected,
+    load_kgraph_file,
     level_space,
     load_kgraph,
     normal_form,
@@ -30,12 +34,15 @@ from kgraphwave import (
     segment,
     vertex_path,
 )
+import kgraphwave.sbfs
 from kgraphwave.cli import main
 from kgraphwave.kgraph import deg_add, deg_le
 import helpers
 from helpers import (
+    case_ck_report,
     check_isometry_columns,
     dense_ck_deviations,
+    family_documents,
     generated_documents,
     path_row,
     pointwise_s_matrix,
@@ -388,3 +395,155 @@ class TestCKAsIndexMaps:
         spec = MeasureSpec.bernoulli(graph, [a / sum(parts) for a in parts])
         assert [c.max_deviation for c in check_ck_relations(spec, graph, (level,)).checks] == \
             dense_ck_deviations(spec, (level,), _as_dense)
+
+
+class TestTableReadCheck:
+    """The check reads CK2's cases and composites off its prefix tables and
+    runs CK1 in one pass; `case_ck_report` composes and ranks every CK2 case
+    and loops CK1 over the vertices.  Reports must agree bit for bit, witnesses
+    included."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(family_documents(), st.data())
+    def test_generated_graphs_match_the_case_by_case_report(self, doc, data):
+        graph = load_kgraph(doc)
+        assume(is_strongly_connected(graph))
+        level = data.draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)] if graph.k == 2 else [(1, 1, 1)]))
+        spec = MeasureSpec.perron_frobenius(graph)
+        assert check_ck_relations(spec, graph, level).to_records() == \
+            case_ck_report(spec, graph, level).to_records()
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 3), st.integers(1, 4), st.data())
+    def test_bernoulli_bouquets_match_the_case_by_case_report(self, letters, level, data):
+        graph = bouquet_graph(letters)
+        parts = data.draw(st.lists(st.integers(1, 9), min_size=letters, max_size=letters))
+        spec = MeasureSpec.bernoulli(graph, [a / sum(parts) for a in parts])
+        assert check_ck_relations(spec, graph, (level,)).to_records() == \
+            case_ck_report(spec, graph, (level,)).to_records()
+
+    @pytest.mark.parametrize("name,level,skewed", [
+        (name, level, skewed) for name, level in [("lambda3", (2, 2)), ("ledrappier", (2, 2)), ("ledrappier", (1, 2))]
+        for skewed in [(1, 0), (0, 1), (1, 1), (0, 2), (2, 1)] if deg_le(skewed, level)])
+    def test_skew_at_one_degree_raises_the_case_by_case_error(self, name, level, skewed):
+        class Skewed(MeasureSpec):
+            def prefix_factors(self, degree, words):
+                factors = super().prefix_factors(degree, words)
+                return factors * (1 + 1e-6) if degree == skewed else factors
+
+        graph = load_kgraph_file(fixture_path(name))
+        spec = Skewed.perron_frobenius(graph, pf=pf_data(graph))
+        with pytest.raises(NonConstantDerivative) as expected:
+            case_ck_report(spec, graph, level)
+        with pytest.raises(NonConstantDerivative) as got:
+            check_ck_relations(spec, graph, level)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("doc,level", [
+        pytest.param(load_kgraph_file(fixture_path("lambda3")).to_document(), (2, 2), id="lambda3"),
+        pytest.param(load_kgraph_file(fixture_path("ledrappier")).to_document(), (1, 2), id="ledrappier"),
+        pytest.param(twisted_circulant_document(5, (1, 2), (1, 2), 7), (1, 1), id="circulant-5"),
+        pytest.param(torus_document(3, 2), (1, 1), id="torus-3x2"),
+    ])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_perturbed_projections_match_the_case_by_case_report(self, monkeypatch, doc, level, seed):
+        # the vertex projections get wrong rows and entries, in the same
+        # columns: CK1, CK3 and CK4 then deviate, in both reports alike
+        def perturbed(table, degree, cod):
+            if any(degree):
+                return table
+            rows, vals = (a.copy() for a in table)
+            rng = np.random.default_rng([seed, *cod.level])
+            hit = (rows >= 0) & (rng.random(rows.shape) < 0.4)
+            rows[hit] = rng.integers(0, rows.shape[1], int(hit.sum()))
+            vals[rows >= 0] *= rng.choice([1.0, 1 + 1e-3, 1 - 2e-3, -1.0], int((rows >= 0).sum()))
+            return rows, vals
+
+        table, case_table = kgraphwave.sbfs._prefix_table, helpers.case_prefix_table
+        monkeypatch.setattr(kgraphwave.sbfs, "_prefix_table", lambda spec, lams, factors, degree, dom, cod:
+                            perturbed(table(spec, lams, factors, degree, dom, cod), degree, cod))
+        monkeypatch.setattr(helpers, "case_prefix_table", lambda spec, lams, degree, dom, cod:
+                            perturbed(case_table(spec, lams, degree, dom, cod), degree, cod))
+        graph = load_kgraph(doc)
+        spec = MeasureSpec.perron_frobenius(graph)
+        report = check_ck_relations(spec, graph, level)
+        assert report.checks[0].max_deviation > 0
+        assert report.to_records() == case_ck_report(spec, graph, level).to_records()
+
+
+def _ledrappier_entries(level):
+    """The table entries of the CK check on ledrappier, in closed form: it has
+    4 * 2^|x| paths of degree x, and a table of every x at every L with x + L <= T."""
+    below = [[4 * (2 ** (a + 1) - 1) * (2 ** (b + 1) - 1) for b in range(level[1] + 1)] for a in range(level[0] + 1)]
+    return sum(4 * 2 ** (a + b) * below[level[0] - a][level[1] - b]
+               for a in range(level[0] + 1) for b in range(level[1] + 1))
+
+
+class TestSizeLimit:
+    @pytest.mark.parametrize("level", [(1, 1), (2, 3), (30, 30), (31, 31)])
+    def test_ledrappier_entries_are_counted_exactly(self, level):
+        graph = load_kgraph_file(fixture_path("ledrappier"))
+        assert ck_table_entries(graph, level) == _ledrappier_entries(level)
+        assert graph.word_kernel._levels == {}  # counted, no level listed
+
+    def test_entries_past_int64(self):
+        graph = load_kgraph_file(fixture_path("ledrappier"))
+        assert ck_table_entries(graph, (30, 30)) > CK_ENTRY_LIMIT
+        assert ck_table_entries(graph, (31, 31)) > 2 ** 63
+
+    @pytest.mark.parametrize("level", [(30, 30), (31, 31)])
+    def test_large_levels_raise_before_any_level_is_built(self, monkeypatch, specL, ledrappier, level):
+        def no_levels(self, degree):
+            raise AssertionError(f"level {degree} built")
+
+        monkeypatch.setattr(type(ledrappier.word_kernel), "level", no_levels)
+        with pytest.raises(TooLarge, match="above the limit"):
+            check_ck_relations(specL, ledrappier, level)
+
+    def test_counts_match_the_tables_built(self, monkeypatch, spec3, lambda3):
+        built = {}
+        table = kgraphwave.sbfs._prefix_table
+
+        def counted(spec, lams, factors, degree, dom, cod):
+            built[degree, dom.level] = table(spec, lams, factors, degree, dom, cod)[0].size
+            return table(spec, lams, factors, degree, dom, cod)
+
+        monkeypatch.setattr(kgraphwave.sbfs, "_prefix_table", counted)
+        check_ck_relations(spec3, lambda3, (3, 2))
+        assert sum(built.values()) == ck_table_entries(lambda3, (3, 2))
+
+    def test_a_table_can_outgrow_vertices_times_the_level(self, monkeypatch):
+        # one edge w -> u and three u -> w: the table of degree 1 at level 1
+        # is 4 x 4, where vertices x |Lambda^2| is 2 x 6 (README)
+        graph = load_kgraph({"k": 1, "vertices": ["u", "w"], "squares": [], "edges": [
+            {"id": "a", "color": 1, "source": "w", "range": "u"},
+            *({"id": f"b{i}", "color": 1, "source": "u", "range": "w"} for i in range(3))]})
+        shapes = {}
+        table = kgraphwave.sbfs._prefix_table
+
+        def recorded(spec, lams, factors, degree, dom, cod):
+            shapes[degree, dom.level] = table(spec, lams, factors, degree, dom, cod)[0].shape
+            return table(spec, lams, factors, degree, dom, cod)
+
+        monkeypatch.setattr(kgraphwave.sbfs, "_prefix_table", recorded)
+        check_ck_relations(MeasureSpec.perron_frobenius(graph), graph, (2,))
+        assert shapes[(1,), (1,)] == (4, 4) and shapes[(0,), (2,)] == (2, 6)
+        assert sum(a * b for a, b in shapes.values()) == ck_table_entries(graph, (2,))
+
+    def test_limit_is_far_above_the_levels_in_use(self):
+        # the largest levels the tests and the benchmark check
+        cases = [("ledrappier", (3, 3)), ("lambda3", (3, 3)), ("bouquet-3", (4,))]
+        for name, level in cases:
+            assert ck_table_entries(load_kgraph_file(fixture_path(name)), level) * 100 < CK_ENTRY_LIMIT
+        circulant = load_kgraph(twisted_circulant_document(64, (1, 2), (1, 3), 0))
+        assert ck_table_entries(circulant, (1, 1)) * 100 < CK_ENTRY_LIMIT
+
+    def test_cli_size_limit(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["ck-check", str(fixture_path("ledrappier")), "--level", "30,30"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 1 and captured.out == ""
+        (line,) = captured.err.splitlines()
+        rec = json.loads(line)
+        assert rec["error"] == "usage" and rec["reason"] == "size_limit"
+        assert str(CK_ENTRY_LIMIT) in rec["message"]

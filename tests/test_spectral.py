@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 import kgraphwave.spectral
 from kgraphwave import (
     AsymmetricInput,
+    DegenerateVertexCount,
     DimensionMismatch,
     DivergentIntegral,
     GridTooCoarse,
     KernelPiece,
     KernelSpec,
     NegativeArgument,
+    NonFiniteResult,
     ResidualTooLarge,
     SpectralData,
     cg_constant,
@@ -172,6 +174,13 @@ class TestEigSym:
             lead = next(x for x in col if abs(x) > 1e-12)
             assert lead > 0
 
+    def test_empty_matrix_is_named(self):
+        with pytest.raises(DegenerateVertexCount, match=r"empty \(0 x 0\) matrix"):
+            eig_sym(np.zeros((0, 0)))
+        graph = load_kgraph({"k": 2, "vertices": [], "edges": [], "squares": []})
+        with pytest.raises(DegenerateVertexCount):
+            eig_sym(kgraph_laplacian(graph))
+
     def test_asymmetric_rejected(self):
         with pytest.raises(AsymmetricInput):
             eig_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -321,6 +330,27 @@ class TestSpectralWavelets:
             gains = kernel_eval(k, t * sd.eigenvalues) ** 2
             rhs = (sd.eigenvectors * gains[None, :]) @ sd.eigenvectors.T
             assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+class TestOverflowingScales:
+    """A scale whose product with an eigenvalue passes the float range is a
+    NonFiniteResult before any kernel evaluation, with no numpy warning."""
+
+    @pytest.mark.filterwarnings("error")
+    def test_each_entry_point(self, led_spectral):
+        kernel = default_kernel()
+        with pytest.raises(NonFiniteResult, match="scale 1e\\+308 times eigenvalue"):
+            spectral_wavelet(led_spectral, kernel, 1e308, 0)
+        with pytest.raises(NonFiniteResult):
+            wavelet_operator(led_spectral, kernel, 1e308)
+        with pytest.raises(NonFiniteResult):
+            localization_probe(led_spectral, kernel, 0, 1, [0.5, 1e308])
+        with pytest.raises(NonFiniteResult):
+            reconstruct(led_spectral, kernel, np.arange(4.0), np.geomspace(1e-5, 1e308, 50))
+
+    def test_finite_products_pass_the_check(self, led_spectral):
+        psi = spectral_wavelet(led_spectral, default_kernel(), 0.5, 0)
+        assert np.all(np.isfinite(psi))
 
 
 class TestReconstruction:

@@ -25,6 +25,7 @@ from kgraphwave import (
     level_space,
     load_kgraph,
     load_kgraph_file,
+    path_counts,
     s_matrix,
     synthesize,
     wavelet_basis,
@@ -34,8 +35,10 @@ from helpers import (
     compose_cascade,
     compose_prefix_map,
     dense_listing,
+    dense_matching,
     double_cover,
     path_row,
+    path_count,
     per_kind_masses,
     random_cylinder_fn,
     refine_vector_of,
@@ -135,6 +138,59 @@ class TestLevels:
             rows, cols, vals = compose_prefix_map(spec, path, level)
             assert np.array_equal(op.rows, rows) and np.array_equal(op.cols, cols)
             assert np.array_equal(op.vals, vals)
+
+
+FIXTURES = ["ledrappier", "lambda3", "lambda1-sphere", "bouquet-2", "bouquet-3"]
+
+
+class TestRangeIndex:
+    """`WordKernel.matching` reads each level's range index; the dense table
+    of comparisons gives the same pairs in the same order."""
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_every_level_of_the_fixtures(self, name):
+        graph = load_kgraph_file(fixture_path(name))
+        kernel = graph.word_kernel
+        for degree in product(range(4 if graph.k == 1 else 3), repeat=graph.k):
+            ranges = kernel.level(degree)[1]
+            for other in product(range(3 if graph.k == 1 else 2), repeat=graph.k):
+                sources = kernel.level(other)[2]
+                got, expected = kernel.matching(sources, degree), dense_matching(sources, ranges)
+                assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+    @PROPERTY
+    @given(measured_graphs(), st.integers(0, 2), st.integers(0, 2 ** 32 - 1))
+    def test_generated_graphs(self, case, top, seed):
+        spec, _ = case
+        graph, kernel = spec.graph, spec.graph.word_kernel
+        rng = np.random.default_rng(seed)
+        for degree in product(range(top + 1), repeat=graph.k):
+            sources = rng.integers(0, len(graph.vertices), int(rng.integers(0, 9)))
+            got = kernel.matching(sources, degree)
+            assert all(np.array_equal(a, b) for a, b in zip(got, dense_matching(sources, kernel.level(degree)[1])))
+
+
+class TestPathCounts:
+    @PROPERTY
+    @given(measured_graphs(), st.integers(0, 3))
+    def test_counts_are_level_sizes(self, case, top):
+        graph = case[0].graph
+        counts = path_counts(graph, (top,) * graph.k)
+        assert counts.shape == (top + 1,) * graph.k
+        for degree in product(range(top + 1), repeat=graph.k):
+            assert counts[degree] == len(graph.word_kernel.level(degree)[0]) == path_count(graph, degree)
+            assert type(counts[degree]) is int
+
+    def test_exact_past_int64(self):
+        # ledrappier has 4 * 2^|a| paths of degree a: 2^64 at (31, 31)
+        graph = load_kgraph_file(fixture_path("ledrappier"))
+        counts = path_counts(graph, (31, 31))
+        assert counts[31, 31] == 2 ** 64 and counts[31, 0] == 2 ** 33
+        assert graph.word_kernel._levels == {}  # counted, not listed
+
+    def test_no_vertices(self):
+        graph = load_kgraph({"k": 2, "vertices": [], "edges": [], "squares": []})
+        assert path_counts(graph, (1, 2)).tolist() == [[0, 0, 0], [0, 0, 0]]
 
 
 class TestCascade:
