@@ -84,17 +84,20 @@ from .sbfs import (
     s_star_matrix,
 )
 from .spectral import (
+    LAPLACIAN_ENTRY_LIMIT,
     IncidenceSet,
     KernelPiece,
     KernelSpec,
     SpectralData,
     cg_constant,
     cg_constant_numeric,
+    check_laplacian_listing,
     default_kernel,
     default_tgrid,
     eig_sym,
     gft,
     igft,
+    incidence_entries,
     incidence_matrices,
     kernel_eval,
     kgraph_laplacian,

@@ -20,16 +20,18 @@ from functools import cache
 import numpy as np
 
 from . import errors as err
+from . import jsonl
 from .kgraph import load_kgraph_file, normal_form_rows, path_of
 from .measure import CylinderFn, MeasureSpec, check_zero_one, cylinder_measures, embed_interval
 from .perron import hausdorff_dimension, is_strongly_connected, pf_data
 from .sbfs import check_ck_relations
 from .spectral import (
+    check_laplacian_listing,
     default_kernel,
     default_tgrid,
     eig_sym,
     gft,
-    incidence_matrices,
+    incidence_entries,
     kgraph_laplacian,
     localization_probe,
     reconstruct,
@@ -156,14 +158,15 @@ def _emit(args, records: list[dict], csv_fields: list[str] | None = None):
         _write(args, "".join(json.dumps(rec) + "\n" for rec in records))
 
 
-def _write(args, text: str):
-    """Write output text to --out, or else to stdout: records from `_emit`
-    and the path-space listings, which `jsonl` renders as text."""
+def _write(args, *texts: str):
+    """Write the output texts in order to --out, or else to stdout: records
+    from `_emit`, and the listings `jsonl` renders as text.  Each text is
+    written (and encoded) alone, so several need no joined copy."""
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
-            fh.write(text)
+            fh.writelines(texts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
 
 
 def _is_number(value) -> bool:
@@ -355,15 +358,22 @@ def _cmd_traffic(args):
 
 
 def _cmd_laplacian(args):
+    """The incidence records of each color, then the Laplacian's, as text
+    rendered from the nonzeros: no dense incidence matrix is built."""
     graph = _load_graph(args)
-    inc = incidence_matrices(graph)
-    records = []
-    for color, (mat, order) in enumerate(zip(inc.matrices, inc.edge_orders), start=1):
-        records.append({"kind": "incidence", "color": color,
-                        "edges": list(order), "matrix": mat.tolist()})
-    records.append({"kind": "laplacian",
-                    "matrix": kgraph_laplacian(graph).tolist()})
-    _emit(args, records)
+    check_laplacian_listing(graph)
+    n = len(graph.vertices)
+    lines = []
+    for color in range(1, graph.k + 1):
+        edges, rows, cols, values = incidence_entries(graph, color)
+        matrix = jsonl.int_matrix((n, len(edges)), rows, cols, values)
+        order = json.dumps([graph.edge_ids[i] for i in edges.tolist()])
+        lines.append(f'{{"kind": "incidence", "color": {color}, "edges": {order}, "matrix": {matrix}}}\n')
+    delta = kgraph_laplacian(graph)
+    rows, cols = np.nonzero(delta)
+    matrix = jsonl.int_matrix((n, n), rows, cols, delta[rows, cols])
+    lines.append(f'{{"kind": "laplacian", "matrix": {matrix}}}\n')
+    _write(args, *lines)
 
 
 def _cmd_spectral(args):

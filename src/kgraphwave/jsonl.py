@@ -8,7 +8,8 @@ text is made once and the records are joined from columns of texts:
 - `numbers` makes the text of each float, once per distinct bit pattern, so
   -0.0, NaN and Infinity read exactly as `json.dumps` writes them;
 - `word_lists` makes the inside of the JSON list of each word row;
-- `cells` and `text` lay columns of texts side by side, row by row.
+- `cells` and `text` lay columns of texts side by side, row by row;
+- `int_matrix` makes the text of an integer matrix from its nonzeros.
 
 The output equals ``"".join(json.dumps(r) + "\\n" for r in records)`` for the
 records the same columns describe; `parse` reads such text back as dicts.
@@ -84,6 +85,37 @@ def cells(*columns) -> np.ndarray:
     """The columns joined within each row: one string per row, as an object
     array.  No cell may hold a newline (JSON text never does)."""
     return _column(text(*columns, "\n").split("\n")[:-1])
+
+
+def int_matrix(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray,
+               values: np.ndarray) -> str:
+    """``json.dumps(m.tolist())`` for the int matrix ``m`` of this shape whose
+    nonzeros are ``values`` at ``(rows, cols)``, given in row-major order.
+
+    The text is one join of a table with a row per nonzero and per row end:
+    the zeros before it, each run a slice of one ``"0, " * columns`` string,
+    then the nonzero's text and its comma, or at a row end what closes it.
+    """
+    n, columns = shape
+    if not n * columns:
+        return json.dumps([[]] * n)
+    ends = np.searchsorted(rows, np.arange(n), side="right") + np.arange(n)  # after row r's nonzeros
+    nonzero = np.ones(len(rows) + n, dtype=bool)
+    nonzero[ends] = False
+    col = np.full(len(nonzero), columns, dtype=np.intp)
+    col[nonzero] = cols
+    previous = np.concatenate([[-1], col[:-1]])  # the column before each piece in its row
+    previous[ends[:-1] + 1] = -1
+    gaps = 3 * (col - previous - 1)  # the length of the zeros' text before each piece
+    gaps[ends] = np.maximum(gaps[ends] - 2, 0)  # a row's last zero has no comma
+    zeros = "0, " * columns
+    table = np.empty((len(col), 3), dtype=object)
+    table[:, 0] = [zeros[:g] for g in gaps.tolist()]
+    table[nonzero, 1] = [str(v) for v in values.tolist()]
+    table[nonzero, 2] = np.where(col[nonzero] < columns - 1, ", ", "")
+    table[ends, 1:] = "", "], ["
+    table[0, 0], table[ends[-1], 2] = "[[" + table[0, 0], "]]"
+    return "".join(table.ravel().tolist())
 
 
 def listing(heads: np.ndarray, term_heads: np.ndarray, members) -> str:

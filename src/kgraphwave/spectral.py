@@ -30,6 +30,7 @@ from .errors import (
     NegativeArgument,
     NonFiniteResult,
     ResidualTooLarge,
+    TooLarge,
 )
 from .kgraph import KGraph
 
@@ -42,19 +43,51 @@ class IncidenceSet:
     edge_orders: tuple[tuple[str, ...], ...]
 
 
+def incidence_entries(graph: KGraph, color: int):
+    """The nonzeros of M_s for color s, in row-major order, from the edge
+    columns: +1 at (r(e), e) and -1 at (s(e), e) for each non-loop edge e of
+    the color, its columns ordered alphabetically by edge id.  Returns the
+    edges of the color (its columns), and the rows, columns and values of
+    the nonzeros."""
+    edges = np.flatnonzero(graph.edge_color == color)
+    moving = np.flatnonzero(graph.edge_source[edges] != graph.edge_range[edges])
+    rows = np.concatenate([graph.edge_range[edges[moving]], graph.edge_source[edges[moving]]])
+    cols = np.concatenate([moving, moving])
+    values = np.repeat(np.array([1, -1], dtype=np.int64), len(moving))
+    order = np.argsort(rows * len(edges) + cols)
+    return edges, rows[order], cols[order], values[order]
+
+
 def incidence_matrices(graph: KGraph) -> IncidenceSet:
     """M_s[v, e] = +1 at the range, -1 at the source of each non-loop edge of
-    color s; columns ordered alphabetically by edge id."""
+    color s; columns ordered alphabetically by edge id.  The dense view of
+    `incidence_entries`."""
     mats, orders = [], []
     for color in range(1, graph.k + 1):
-        edges = np.flatnonzero(graph.edge_color == color)
+        edges, rows, cols, values = incidence_entries(graph, color)
         m = np.zeros((len(graph.vertices), len(edges)), dtype=np.int64)
-        moving = np.flatnonzero(graph.edge_source[edges] != graph.edge_range[edges])
-        m[graph.edge_range[edges[moving]], moving] = 1
-        m[graph.edge_source[edges[moving]], moving] = -1
+        m[rows, cols] = values
         mats.append(m)
         orders.append(tuple(graph.edge_ids[i] for i in edges.tolist()))
     return IncidenceSet(tuple(mats), tuple(orders))
+
+
+# The `laplacian` listing writes n x |E| incidence entries and n x n Laplacian
+# entries, about three bytes of text each ("0, "): 2^26 entries is about
+# 200 MB of text, and admits a 68 x 68 torus (3 x 68^4 = 64.1M entries).
+LAPLACIAN_ENTRY_LIMIT = 2 ** 26
+
+
+def check_laplacian_listing(graph: KGraph) -> int:
+    """The number of entries n * |E| + n^2 of the incidence matrices and the
+    Laplacian of a graph with n vertices and |E| edges; above
+    `LAPLACIAN_ENTRY_LIMIT` it raises TooLarge."""
+    n = len(graph.vertices)
+    entries = n * (len(graph.edge_ids) + n)
+    if entries > LAPLACIAN_ENTRY_LIMIT:
+        raise TooLarge(f"the incidence matrices and Laplacian of {n} vertices and {len(graph.edge_ids)} "
+                       f"edges hold {entries} entries, above the limit of {LAPLACIAN_ENTRY_LIMIT}")
+    return entries
 
 
 def kgraph_laplacian(graph: KGraph) -> np.ndarray:
@@ -295,18 +328,26 @@ def _check_scale(spec: SpectralData, t: float):
             raise NonFiniteResult(f"scale {t:g} times eigenvalue {lam:g} is past the float range")
 
 
+def _rounded_eigenvalues(spec: SpectralData) -> np.ndarray:
+    """The eigenvalues with those within round-off below zero (>= -1e-9,
+    as `kernel_eval` clamps its arguments) set to 0, so a large scale t does
+    not carry the round-off of the zero eigenvalue past that clamp."""
+    lam = spec.eigenvalues
+    return np.where((lam < 0) & (lam >= -1e-9), 0.0, lam)
+
+
 def spectral_wavelet(spec: SpectralData, kernel: KernelSpec,
                      t: float, n: int) -> np.ndarray:
     """psi_{g,t,n}(m) = sum_l g(t lambda_l) v_l(n) v_l(m)."""
     _check_scale(spec, t)
-    gains = kernel_eval(kernel, t * spec.eigenvalues)
+    gains = kernel_eval(kernel, t * _rounded_eigenvalues(spec))
     return spec.eigenvectors @ (gains * spec.eigenvectors[n, :])
 
 
 def wavelet_operator(spec: SpectralData, kernel: KernelSpec, t: float) -> np.ndarray:
     """The matrix T_g^t whose n-th column is psi_{g,t,n}."""
     _check_scale(spec, t)
-    gains = kernel_eval(kernel, t * spec.eigenvalues)
+    gains = kernel_eval(kernel, t * _rounded_eigenvalues(spec))
     return (spec.eigenvectors * gains[None, :]) @ spec.eigenvectors.T
 
 

@@ -34,8 +34,10 @@ from kgraphwave import (
     default_tgrid,
     enumerate_paths,
     extensions,
+    incidence_matrices,
     inner_product,
     kernel_eval,
+    kgraph_laplacian,
     level_space,
     normal_form,
     rational_pf_data,
@@ -1194,6 +1196,17 @@ def loop_incidence_matrices(graph):
         mats.append(m)
         orders.append(ids)
     return mats, orders
+
+
+def laplacian_listing(graph):
+    """Oracle for the `laplacian` listing: its records built from the dense
+    `incidence_matrices` and Laplacian, turned into lists and written one by
+    one by `json.dumps`."""
+    inc = incidence_matrices(graph)
+    records = [{"kind": "incidence", "color": color, "edges": list(order), "matrix": mat.tolist()}
+               for color, (mat, order) in enumerate(zip(inc.matrices, inc.edge_orders), start=1)]
+    records.append({"kind": "laplacian", "matrix": kgraph_laplacian(graph).tolist()})
+    return "".join(json.dumps(rec) + "\n" for rec in records)
 
 
 def gram_laplacian(graph):

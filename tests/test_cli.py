@@ -1,6 +1,9 @@
 import hashlib
 import json
+import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +24,8 @@ from helpers import (
     count_edge_objects,
     count_path_objects,
     forbid_path_building,
+    generated_documents,
+    laplacian_listing,
     per_line_records,
     random_cylinder_fn,
     torus_document,
@@ -795,6 +800,22 @@ class TestOverflowingScales:
         assert rec["message"].startswith(f"{flag}: scale 1e+308 times eigenvalue ")
         assert rec["message"].endswith(" is past the float range")
 
+    @pytest.mark.parametrize("argv", [
+        ["--wavelet", "--t", "1e300", "--n", "v1"],
+        ["--localize", "--n", "v1", "--m", "v3", "--tlist", "0.5,1.6e307"],
+    ], ids=lambda v: v[0])
+    def test_large_finite_scales(self, capsys, argv):
+        """A large scale whose products stay in the float range is no error:
+        the zero eigenvalue's round-off below zero is not scaled past the
+        kernel's clamp."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, err = run_cli(capsys, "spectral", LED, *argv)
+        assert err == ""
+        recs = records(out)
+        values = [rec[key] for rec in recs for key in ("value", "ratio") if key in rec]
+        assert len(values) in (2, 4) and all(math.isfinite(v) for v in values)
+
 
 # lines a transform input may hold: records valid and not, JSON that is no
 # object, whitespace, a BOM, extra data, halves of one object, NaN and
@@ -924,3 +945,78 @@ class TestRoundTrips:
         graph = load_kgraph(open(LED).read())
         assert load_kgraph(json.dumps(graph.to_document())).to_document() \
             == graph.to_document()
+
+
+class TestLaplacianListing:
+    """The `laplacian` stdout, rendered from the edge columns, against the
+    records of the dense matrices (`helpers.laplacian_listing`)."""
+
+    @staticmethod
+    def listed(capsys, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "graph.kg")
+            path.write_text(json.dumps(doc))
+            out, err = run_cli(capsys, "laplacian", str(path))
+        assert err == ""
+        assert out == laplacian_listing(load_kgraph(doc))
+        return out
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(generated_documents())
+    def test_generated_graphs(self, capsys, doc):
+        self.listed(capsys, doc)
+
+    @pytest.mark.parametrize("name", ["ledrappier", "lambda3", "lambda1-sphere", "bouquet-2", "bouquet-3"])
+    def test_fixtures(self, capsys, name):
+        # the bouquets have only loops: every incidence entry is zero
+        self.listed(capsys, json.loads(fixture_path(name).read_text()))
+
+    def test_a_color_with_no_edges_and_the_empty_graph(self, capsys):
+        doc = {"k": 3, "vertices": ["u", "v", "w"], "squares": [], "edges": [
+            {"id": "e", "color": 1, "source": "u", "range": "v"},
+            {"id": "f", "color": 1, "source": "w", "range": "w"}]}
+        out = self.listed(capsys, doc)
+        assert '"color": 2, "edges": [], "matrix": [[], [], []]}' in out
+        self.listed(capsys, EMPTY)
+
+    def test_out_file_holds_the_listing(self, capsys, tmp_path):
+        out_file = tmp_path / "out.jsonl"
+        out, _ = run_cli(capsys, "laplacian", LED, "--out", str(out_file))
+        assert out == "" and out_file.read_text() == laplacian_listing(load_kgraph(open(LED).read()))
+
+    def test_size_limit(self, capsys, tmp_path, monkeypatch):
+        """A 100 x 100 torus holds 10^4 x (2 x 10^4 + 10^4) = 3 x 10^8 entries,
+        past the limit: refused before any matrix is built."""
+        def built(*args):
+            raise AssertionError("a matrix was built")
+
+        path = tmp_path / "torus.kg"
+        path.write_text(json.dumps(torus_document(100, 100)))
+        monkeypatch.setattr(kgraphwave.cli, "incidence_entries", built)
+        monkeypatch.setattr(kgraphwave.cli, "kgraph_laplacian", built)
+        out, err = run_cli(capsys, "laplacian", str(path), expect_exit=1)
+        assert out == ""
+        (line,) = err.splitlines()
+        rec = json.loads(line)
+        assert rec["error"] == "usage" and rec["reason"] == "size_limit"
+        assert "300000000 entries" in rec["message"] and str(kgraphwave.LAPLACIAN_ENTRY_LIMIT) in rec["message"]
+
+    def test_patched_limit(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "torus.kg"
+        path.write_text(json.dumps(torus_document(4, 6)))
+        entries = 24 * (48 + 24)
+        assert kgraphwave.check_laplacian_listing(load_kgraph(str(path))) == entries
+        monkeypatch.setattr(kgraphwave.spectral, "LAPLACIAN_ENTRY_LIMIT", entries)
+        out, _ = run_cli(capsys, "laplacian", str(path))
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_INTEGER_OUTPUT[1][2]
+        monkeypatch.setattr(kgraphwave.spectral, "LAPLACIAN_ENTRY_LIMIT", entries - 1)
+        out, err = run_cli(capsys, "laplacian", str(path), expect_exit=1)
+        assert out == "" and json.loads(err)["reason"] == "size_limit"
+        with pytest.raises(kgraphwave.TooLarge, match=f"{entries} entries, above the limit of {entries - 1}"):
+            kgraphwave.check_laplacian_listing(load_kgraph(str(path)))
+
+    def test_limit_admits_the_benchmark_graphs(self):
+        # the benchmark lists a 16 x 16 torus and a 300-vertex circulant
+        # (1200 edges); 3 x 68^4 entries fit, 3 x 69^4 do not
+        assert 300 * (1200 + 300) * 100 < kgraphwave.LAPLACIAN_ENTRY_LIMIT
+        assert 3 * 68 ** 4 <= kgraphwave.LAPLACIAN_ENTRY_LIMIT < 3 * 69 ** 4

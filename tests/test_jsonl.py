@@ -252,3 +252,52 @@ class TestMarkovLimit:
         record = json.loads(line)
         assert record["error"] == "usage" and record["reason"] == "size_limit"
         assert str(MARKOV_MEMBER_LIMIT) in record["message"]
+
+
+@st.composite
+def int_matrices(draw):
+    """An int64 matrix of up to 6 x 8, rows all zero, dense or sparse, with
+    entries of either sign up to past int32 and to the int64 bounds."""
+    rows, columns = draw(st.integers(0, 6)), draw(st.integers(0, 8))
+    big = st.integers(-2 ** 63, 2 ** 63 - 1)
+    entry = st.one_of(st.integers(-3, 3), st.sampled_from([2 ** 31, -2 ** 31 - 1, 2 ** 40]), big)
+    m = np.zeros((rows, columns), dtype=np.int64)
+    for r in range(rows):
+        density = draw(st.sampled_from([0.0, 0.2, 1.0]))
+        for c in range(columns):
+            if draw(st.floats(0, 1)) < density:
+                m[r, c] = draw(entry)
+    return m
+
+
+class TestIntMatrix:
+    """`jsonl.int_matrix` against `json.dumps` of the dense matrix as lists."""
+
+    @staticmethod
+    def rendered(m):
+        rows, cols = np.nonzero(m)
+        return jsonl.int_matrix(m.shape, rows, cols, m[rows, cols])
+
+    @PROPERTY
+    @given(int_matrices())
+    def test_matches_json_dumps(self, m):
+        assert self.rendered(m) == json.dumps(m.tolist())
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (1, 0), (1, 1), (2, 5)])
+    def test_all_zero_shapes(self, shape):
+        m = np.zeros(shape, dtype=np.int64)
+        assert self.rendered(m) == json.dumps(m.tolist())
+
+    def test_single_entries(self):
+        for value in (1, -1, 7, -2 ** 31 - 1, 2 ** 63 - 1, -2 ** 63):
+            m = np.array([[value]], dtype=np.int64)
+            assert self.rendered(m) == json.dumps(m.tolist()) == f"[[{value}]]"
+
+    def test_every_cell_of_a_small_matrix(self):
+        # one nonzero at each position of a 3 x 4 matrix: first, last and
+        # inner columns of first, middle and last rows
+        for r in range(3):
+            for c in range(4):
+                m = np.zeros((3, 4), dtype=np.int64)
+                m[r, c] = -5
+                assert self.rendered(m) == json.dumps(m.tolist())

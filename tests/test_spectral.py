@@ -353,6 +353,42 @@ class TestOverflowingScales:
         assert np.all(np.isfinite(psi))
 
 
+class TestLargeFiniteScales:
+    """The zero eigenvalue's round-off below zero (-1.1e-15 on ledrappier
+    here) is set to 0 before it is scaled, so a large scale whose products
+    stay in the float range is no NegativeArgument."""
+
+    @pytest.mark.filterwarnings("error")
+    def test_each_entry_point(self, led_spectral):
+        assert -1e-9 <= led_spectral.eigenvalues[0] < 0  # the case at hand
+        kernel = default_kernel()
+        for t in (1e300, 1.6e307):
+            assert np.all(np.isfinite(spectral_wavelet(led_spectral, kernel, t, 0)))
+            assert np.all(np.isfinite(wavelet_operator(led_spectral, kernel, t)))
+        probe = localization_probe(led_spectral, kernel, 0, 2, [0.5, 1.6e307])
+        assert all(math.isfinite(r) for _, r in probe.rows)
+
+    @pytest.mark.parametrize("t", [1e-3, 0.5, 2.0, 1e5, 9e5])
+    def test_scales_that_worked_are_unchanged(self, led_spectral, t):
+        # t * lambda_0 stays within the kernel's clamp: the gains of the
+        # eigenvalues as they are
+        kernel = default_kernel()
+        spec = led_spectral
+        gains = kernel_eval(kernel, t * spec.eigenvalues)
+        want = (spec.eigenvectors * gains[None, :]) @ spec.eigenvectors.T
+        assert np.array_equal(wavelet_operator(spec, kernel, t), want)
+        for n in range(spec.n):
+            assert np.array_equal(spectral_wavelet(spec, kernel, t, n),
+                                  spec.eigenvectors @ (gains * spec.eigenvectors[n, :]))
+
+    def test_negative_eigenvalues_past_round_off_still_raise(self, led_spectral):
+        values = led_spectral.eigenvalues.copy()
+        values[0] = -1e-6
+        spec = SpectralData(led_spectral.laplacian, values, led_spectral.eigenvectors)
+        with pytest.raises(NegativeArgument):
+            spectral_wavelet(spec, default_kernel(), 1.0, 0)
+
+
 class TestReconstruction:
     def test_mean_zero_signals(self, led_spectral):
         k = default_kernel()
