@@ -33,6 +33,7 @@ from .spectral import (
     gft,
     incidence_entries,
     kgraph_laplacian,
+    laplacian_entries,
     localization_probe,
     reconstruct,
     spectral_wavelet,
@@ -359,7 +360,7 @@ def _cmd_traffic(args):
 
 def _cmd_laplacian(args):
     """The incidence records of each color, then the Laplacian's, as text
-    rendered from the nonzeros: no dense incidence matrix is built."""
+    rendered from the nonzeros: no dense matrix is built."""
     graph = _load_graph(args)
     check_laplacian_listing(graph)
     n = len(graph.vertices)
@@ -369,9 +370,7 @@ def _cmd_laplacian(args):
         matrix = jsonl.int_matrix((n, len(edges)), rows, cols, values)
         order = json.dumps([graph.edge_ids[i] for i in edges.tolist()])
         lines.append(f'{{"kind": "incidence", "color": {color}, "edges": {order}, "matrix": {matrix}}}\n')
-    delta = kgraph_laplacian(graph)
-    rows, cols = np.nonzero(delta)
-    matrix = jsonl.int_matrix((n, n), rows, cols, delta[rows, cols])
+    matrix = jsonl.int_matrix((n, n), *laplacian_entries(graph))
     lines.append(f'{{"kind": "laplacian", "matrix": {matrix}}}\n')
     _write(args, *lines)
 

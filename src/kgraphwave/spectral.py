@@ -90,20 +90,31 @@ def check_laplacian_listing(graph: KGraph) -> int:
     return entries
 
 
-def kgraph_laplacian(graph: KGraph) -> np.ndarray:
-    """Delta = sum over colors of M_s M_s^T, counted from the edges in exact
-    int64 without forming M_s.  Column e of M_s is 1_{r(e)} - 1_{s(e)} (zero
-    for a loop), so each non-loop edge adds 1 at (r, r) and (s, s) and -1 at
-    (r, s) and (s, r): Delta is the diagonal of end counts minus the
-    symmetrized edge counts, whatever the colors.  One n x n array is built
-    and filled in place."""
+def laplacian_entries(graph: KGraph):
+    """The nonzeros of Delta = sum over colors of M_s M_s^T, in row-major
+    order, from the edge columns, whatever the colors.  Column e of M_s is
+    1_{r(e)} - 1_{s(e)} (zero for a loop), so each non-loop edge adds 1 at
+    (r, r) and (s, s) and -1 at (r, s) and (s, r): off the diagonal the
+    entries are the negated pair counts, on it the end counts.  Returns the
+    rows, columns and int64 values."""
     n = len(graph.vertices)
     moving = graph.edge_source != graph.edge_range
     s, r = graph.edge_source[moving], graph.edge_range[moving]
-    delta = np.bincount(np.concatenate([s * n + r, r * n + s]), minlength=n * n).reshape(n, n)
-    np.negative(delta, out=delta)
-    delta.flat[::n + 1] = np.bincount(np.concatenate([s, r]), minlength=n)  # no loop reaches it
-    return delta.astype(np.int64, copy=False)
+    cells = np.sort(np.concatenate([s * n + r, r * n + s, s * (n + 1), r * (n + 1)]))
+    first = np.ones(len(cells), dtype=bool)
+    first[1:] = cells[1:] != cells[:-1]
+    starts = np.flatnonzero(first)
+    counts = np.diff(np.append(starts, len(cells))).astype(np.int64)
+    rows, cols = np.divmod(cells[starts], n)
+    return rows, cols, np.where(rows == cols, counts, -counts)
+
+
+def kgraph_laplacian(graph: KGraph) -> np.ndarray:
+    """Delta in exact int64: the dense view of `laplacian_entries`."""
+    rows, cols, values = laplacian_entries(graph)
+    delta = np.zeros((len(graph.vertices),) * 2, dtype=np.int64)
+    delta[rows, cols] = values
+    return delta
 
 
 @dataclass(frozen=True)

@@ -115,44 +115,30 @@ def _least_degrees(graph: KGraph, root: str) -> dict[str, Degree]:
     """For each vertex w that reaches the root, the least degree, in
     graded-lex order, of a path from w up to the root.
 
-    ``back[d]`` marks the vertices that walks with the color counts of d lead
-    to, going back from the root; it is one step back along the color-c
-    edges from ``back[d - e_c]``, for any c with d_c > 0.  A vertex takes the
-    first degree that marks it.  The totals stop at the first that settles
-    no vertex, as walk distances to the root leave no gap.
+    Every walk up the skeleton is a path of its color counts, so w's least
+    total is its distance to the root, and a shortest walk from w starts
+    with an edge e up to a vertex one step nearer.  One breadth-first pass
+    over the edge columns settles a layer at a time: a vertex first reached
+    at distance t takes the least ``least[r(e)] + e_{c(e)}`` over its edges e
+    up to distance t - 1, by one lexsort keyed by source, then by degree.
     """
-    kernel = graph.word_kernel
-    marks = np.zeros(len(graph.vertices), dtype=bool)
-    marks[graph.vertex_index[root]] = True
-    back = {graph.zero_degree(): marks}
-    least = {root: graph.zero_degree()}
-    settled = marks.copy()  # the vertices in `least`
-    total = 0
-    while len(least) < len(graph.vertices):
-        below, back, count, total = back, {}, len(least), total + 1
-        for d in _degrees_of_total(total, graph.k):
-            c = next(i for i, x in enumerate(d) if x)
-            edges = kernel.edges_of(c + 1)
-            prev = below[d[:c] + (d[c] - 1,) + d[c + 1:]]
-            marks = np.zeros(len(graph.vertices), dtype=bool)
-            marks[kernel.source[edges[prev[kernel.range[edges]]]]] = True
-            back[d] = marks
-            for w in np.flatnonzero(marks & ~settled).tolist():
-                least[graph.vertices[w]] = d
-            settled |= marks
-        if len(least) == count:
+    source, range_ = graph.edge_source, graph.edge_range
+    dist = np.full(len(graph.vertices), -1, dtype=np.intp)
+    dist[graph.vertex_index[root]] = 0
+    least = np.zeros((len(graph.vertices), graph.k), dtype=np.int64)
+    for t in range(1, len(graph.vertices)):
+        edges = np.flatnonzero((dist[range_] == t - 1) & (dist[source] < 0))
+        if not len(edges):
             break
-    return least
-
-
-def _degrees_of_total(total: int, k: int):
-    """All degrees with the given entry sum, in ascending lexicographic order."""
-    if k == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _degrees_of_total(total - head, k - 1):
-            yield (head,) + tail
+        steps = least[range_[edges]]
+        steps[np.arange(len(edges)), graph.edge_color[edges] - 1] += 1
+        sources = source[edges]
+        order = np.lexsort((*steps.T[::-1], sources))
+        firsts = order[np.concatenate([[True], sources[order][1:] != sources[order][:-1]])]
+        least[sources[firsts]] = steps[firsts]
+        dist[sources[firsts]] = t
+    reached = np.flatnonzero(dist >= 0)
+    return {graph.vertices[i]: tuple(d) for i, d in zip(reached.tolist(), least[reached].tolist())}
 
 
 def _graded_lex_key(degree: Degree):

@@ -14,6 +14,7 @@ word-shift wavelet system for the full shift.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -33,6 +34,49 @@ from .measure import CylinderFn, MeasureSpec
 from .orthobasis import complement_basis, constant_unit_vector
 from .perron import PFData, pf_data
 from .sbfs import LevelSpace, level_space
+
+
+# The most word entries (paths times the edges of each) of a level that
+# `build_wavelet_family` or `wavelet_basis` builds, and the most entries of
+# each dense basis `subspace_compare` forms.  2^24 admits ledrappier (1,1)
+# at depth 8 (262,144 paths of 16 edges: 4.2M entries, a listing of about
+# 7 s and 1.4 GB) and refuses depth 9 (18.9M entries) and --compare 6
+# (two dense 16,384^2 bases).
+WAVELET_ENTRY_LIMIT = 2 ** 24
+
+
+def _path_count(graph: KGraph, level: Degree, cap: int) -> int:
+    """|Lambda^level| (`path_counts` at one degree) where it is below
+    ``cap``, else some count >= cap, with no path built: a count per source
+    vertex, stepped back one edge at a time as `path_counts` steps, each
+    entry saturated at cap.  The colors whose edges reach every vertex come
+    last, as a step of such a color loses no path: the count stops once it
+    reaches cap with only such steps left."""
+    n, steps = len(graph.vertices), []
+    for c, d in enumerate(level, start=1):
+        if d:
+            edges = graph.edge_color == c
+            source, range_ = graph.edge_source[edges], graph.edge_range[edges]
+            steps.append((bool(np.bincount(range_, minlength=n).all()), d, source, range_))
+    steps.sort(key=lambda step: step[0])
+    counts = np.ones(n)  # exact integers: every sum stays far below 2^53
+    for keeps, d, source, range_ in steps:
+        for _ in range(d):
+            if keeps and counts.sum() >= cap:
+                break
+            counts = np.minimum(np.bincount(source, weights=counts[range_], minlength=n), cap)
+    return int(counts.sum())
+
+
+def check_wavelet_level(graph: KGraph, level: Sequence[int]) -> int:
+    """The word entries |Lambda^level| * |level| of a level's rows, counted
+    before any is built; above `WAVELET_ENTRY_LIMIT` it raises TooLarge."""
+    total = sum(level)
+    paths = _path_count(graph, level, WAVELET_ENTRY_LIMIT // max(total, 1) + 1)
+    if paths * total > WAVELET_ENTRY_LIMIT:
+        raise TooLarge(f"the paths of level {tuple(level)} and their {total} edges each hold more than "
+                       f"{WAVELET_ENTRY_LIMIT} word entries, the limit")
+    return paths * total
 
 
 @dataclass(frozen=True)
@@ -115,6 +159,7 @@ def build_wavelet_family(graph: KGraph, pf: PFData | None = None,
     shape = as_degree(shape, graph.k)
     if any(j < 1 for j in shape):
         raise BadShape(f"every shape entry must be >= 1, got {shape}")
+    check_wavelet_level(graph, shape)
 
     space = level_space(spec, shape)
     blocks = {}
@@ -299,13 +344,16 @@ def wavelet_basis(family: WaveletFamily, depth: int,
     lambdas of level jJ, grouped by source vertex v and by word, and p in
     D_v^J.  The levels are word-kernel rows (`KGraph.word_kernel`): each is
     composed as a whole, and sorting by word is sorting by rank.  ``space``
-    reuses a level space already built for level nJ.
+    reuses a level space already built for level nJ; without one, above
+    `WAVELET_ENTRY_LIMIT` word entries at level nJ it raises TooLarge
+    before it builds a level.
     """
     if depth < 1:
         raise BadShape(f"depth must be >= 1, got {depth}")
     graph, spec, shape = family.graph, family.spec, family.shape
     level = deg_scale(depth, shape)
     if space is None:
+        check_wavelet_level(graph, level)
         space = level_space(spec, level)
     elif space.level != level:
         raise ShapeMismatch(f"level space is at {space.level}, the basis needs {level}")
@@ -488,6 +536,8 @@ def subspace_compare(family: WaveletFamily, coarse_family: WaveletFamily,
     of the first l layers of the shape-J decomposition, via principal angles.
 
     Both spans are refined to level lJ; equality is reported, never assumed.
+    Each is a dense N x N basis over the N paths of level lJ: above
+    `WAVELET_ENTRY_LIMIT` entries it raises TooLarge before it builds one.
     """
     if family.graph is not coarse_family.graph:
         raise ShapeMismatch("families live on different graphs")
@@ -498,6 +548,10 @@ def subspace_compare(family: WaveletFamily, coarse_family: WaveletFamily,
         raise ShapeMismatch(
             f"{coarse_family.shape} is not an integer multiple of {family.shape}")
     ell = ratios.pop()
+    paths = _path_count(family.graph, coarse_family.shape, math.isqrt(WAVELET_ENTRY_LIMIT) + 1)
+    if paths ** 2 > WAVELET_ENTRY_LIMIT:
+        raise TooLarge(f"the dense bases over the paths of level {coarse_family.shape} hold more than "
+                       f"{WAVELET_ENTRY_LIMIT} entries each, the limit")
 
     def wavelet_rows(basis: WaveletBasis) -> np.ndarray:
         # the members after the leading scaling functions, in the orthonormal bases

@@ -395,6 +395,44 @@ def least_total_chooser(graph, root):
     return out
 
 
+def enumerated_least_degrees(graph, root):
+    """Oracle for `traffic._least_degrees`: every degree of every total in
+    lexicographic order, each marking the vertices its walks lead to going
+    back from the root, one step back along the color-c edges from the
+    marks of d - e_c.  A vertex takes the first degree that marks it; the
+    totals stop at the first that settles no vertex."""
+    def degrees_of_total(total, k):
+        if k == 1:
+            yield (total,)
+            return
+        for head in range(total + 1):
+            for tail in degrees_of_total(total - head, k - 1):
+                yield (head,) + tail
+
+    kernel = graph.word_kernel
+    marks = np.zeros(len(graph.vertices), dtype=bool)
+    marks[graph.vertex_index[root]] = True
+    back = {graph.zero_degree(): marks}
+    least = {root: graph.zero_degree()}
+    settled = marks.copy()  # the vertices in `least`
+    total = 0
+    while len(least) < len(graph.vertices):
+        below, back, count, total = back, {}, len(least), total + 1
+        for d in degrees_of_total(total, graph.k):
+            c = next(i for i, x in enumerate(d) if x)
+            edges = kernel.edges_of(c + 1)
+            prev = below[d[:c] + (d[c] - 1,) + d[c + 1:]]
+            marks = np.zeros(len(graph.vertices), dtype=bool)
+            marks[kernel.source[edges[prev[kernel.range[edges]]]]] = True
+            back[d] = marks
+            for w in np.flatnonzero(marks & ~settled).tolist():
+                least[graph.vertices[w]] = d
+            settled |= marks
+        if len(least) == count:
+            break
+    return least
+
+
 def unscaled_complement_basis(weights):
     """Oracle for `complement_basis`: the same balanced split, deepest first
     and left to right, on the weights as given."""

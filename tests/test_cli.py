@@ -979,6 +979,13 @@ class TestLaplacianListing:
         assert '"color": 2, "edges": [], "matrix": [[], [], []]}' in out
         self.listed(capsys, EMPTY)
 
+    def test_no_dense_laplacian_is_built(self, capsys, monkeypatch):
+        def built(*args):
+            raise AssertionError("the dense Laplacian was built")
+
+        monkeypatch.setattr(kgraphwave.cli, "kgraph_laplacian", built)
+        self.listed(capsys, torus_document(4, 6))
+
     def test_out_file_holds_the_listing(self, capsys, tmp_path):
         out_file = tmp_path / "out.jsonl"
         out, _ = run_cli(capsys, "laplacian", LED, "--out", str(out_file))

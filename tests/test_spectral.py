@@ -30,6 +30,7 @@ from kgraphwave import (
     incidence_matrices,
     kernel_eval,
     kgraph_laplacian,
+    laplacian_entries,
     load_kgraph,
     localization_probe,
     probe_kernel,
@@ -519,6 +520,27 @@ class TestEdgeArraysAgainstLoops:
         assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(inc.matrices, mats))
         assert all(a.dtype == b.dtype and np.array_equal(a, b)
                    for a, b in zip(vertex_matrices(graph), loop_vertex_matrices(graph)))
+
+    @staticmethod
+    def check_entries(graph):
+        """The nonzeros of the float Gram sum, in row-major order."""
+        rows, cols, values = laplacian_entries(graph)
+        dense = gram_laplacian(graph)
+        want_rows, want_cols = np.nonzero(dense)
+        assert values.dtype == np.int64
+        assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+        assert np.array_equal(values, dense[want_rows, want_cols])
+
+    @settings(max_examples=60, deadline=None)
+    @given(generated_documents())
+    def test_laplacian_entries(self, doc):
+        self.check_entries(load_kgraph(doc))
+
+    def test_laplacian_entries_of_bouquets_and_the_empty_graph(self, bouquet2, bouquet3):
+        empty = load_kgraph({"k": 2, "vertices": [], "edges": [], "squares": []})
+        for graph in (bouquet2, bouquet3, empty):  # loops only, and no vertex
+            self.check_entries(graph)
+            assert not len(laplacian_entries(graph)[0])
 
     @settings(max_examples=60, deadline=None)
     @given(generated_documents())

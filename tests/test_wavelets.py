@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import tempfile
 import tracemalloc
 from fractions import Fraction
@@ -11,14 +12,18 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import kgraphwave.wavelets
 from kgraphwave import (
+    WAVELET_ENTRY_LIMIT,
     BadShape,
     BadWeights,
     CylinderFn,
+    TooLarge,
     analyze,
     build_wavelet_family,
     bouquet_graph,
     ShapeMismatch,
+    check_wavelet_level,
     cylinder_fns_equal,
     fixture_path,
     inner_product,
@@ -28,12 +33,14 @@ from kgraphwave import (
     load_kgraph,
     markov_wavelets,
     normal_form,
+    path_counts,
     subspace_compare,
     synthesize,
     vertex_path,
     wavelet_basis,
 )
 from kgraphwave.cli import main
+from kgraphwave.wavelets import _path_count
 from helpers import (
     block_paths,
     count_path_objects,
@@ -539,3 +546,97 @@ class TestSubspaceCompare:
         angles = _principal_angles(u, v)
         assert angles == pytest.approx([np.pi / 2], abs=1e-12)
         assert _principal_angles(u, u) == pytest.approx([0.0], abs=1e-12)
+
+
+class TestWaveletLimit:
+    """Levels are counted before they are built: the sizes are computed here,
+    and no admitted size near the limit is run."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(family_documents(), st.data())
+    def test_count_agrees_with_path_counts(self, doc, data):
+        graph = load_kgraph(doc)
+        level = tuple(data.draw(st.integers(0, 4)) for _ in range(graph.k))
+        cap = data.draw(st.integers(1, 2 ** 20))
+        exact = int(path_counts(graph, level)[level])
+        got = _path_count(graph, level, cap)
+        assert got == exact if exact < cap else got >= cap
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.data())
+    def test_count_on_graphs_with_sources(self, n, data):
+        """On 1-graphs whose edges miss some vertices, paths can die out
+        after the count passes the cap."""
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=6))
+        graph = load_kgraph({"k": 1, "vertices": [f"v{i}" for i in range(n)], "squares": [], "edges": [
+            {"id": f"e{i}", "color": 1, "source": f"v{s}", "range": f"v{r}"} for i, (s, r) in enumerate(pairs)]})
+        level, cap = (data.draw(st.integers(0, 6)),), data.draw(st.integers(1, 8))
+        exact = int(path_counts(graph, level)[level])
+        got = _path_count(graph, level, cap)
+        assert got == exact if exact < cap else got >= cap
+
+    def test_a_color_that_loses_paths_is_counted_first(self):
+        # two color-1 loops at u and at w; one color-2 edge w -> u: no path of
+        # degree (0, 2), and four of degree (2, 1) from two of degree (2, 0)
+        graph = load_kgraph({"k": 2, "vertices": ["u", "w"], "edges": [
+            *({"id": f"l{v}{i}", "color": 1, "source": v, "range": v} for v in "uw" for i in (1, 2)),
+            {"id": "f", "color": 2, "source": "w", "range": "u"}],
+            "squares": [{"left": [f"lu{i}", "f"], "right": ["f", f"lw{i}"]} for i in (1, 2)]})
+        counts = path_counts(graph, (2, 2))
+        assert counts[2, 2] == 0 == _path_count(graph, (2, 2), 1)
+        assert counts[2, 1] == 4 and _path_count(graph, (2, 1), 2) >= 2
+
+    def test_ledrappier_sizes(self, ledrappier):
+        """Depth 8 of shape (1,1) is admitted: 262,144 paths of 16 edges;
+        depth 9 holds 1,048,576 paths of 18 edges."""
+        assert check_wavelet_level(ledrappier, (8, 8)) == 4 ** 9 * 16 <= WAVELET_ENTRY_LIMIT
+        assert 4 ** 10 * 18 > WAVELET_ENTRY_LIMIT
+        for level in [(9, 9), (12, 12), (30, 30), (40, 40), (10 ** 9, 10 ** 9)]:
+            with pytest.raises(TooLarge, match=re.escape(f"level {level} ")):
+                check_wavelet_level(ledrappier, level)
+        # --compare l forms two dense N x N bases over the N paths of level (l, l)
+        assert _path_count(ledrappier, (5, 5), 2 ** 30) ** 2 == WAVELET_ENTRY_LIMIT
+        assert _path_count(ledrappier, (6, 6), 2 ** 30) ** 2 > WAVELET_ENTRY_LIMIT
+
+    def test_refusals_build_no_level(self, ledrappier, monkeypatch):
+        fam = build_wavelet_family(ledrappier, shape=(1, 1))
+        coarse = build_wavelet_family(ledrappier, shape=(6, 6))
+
+        def no_levels(*args):
+            raise AssertionError("a level space was built")
+
+        monkeypatch.setattr(kgraphwave.wavelets, "level_space", no_levels)
+        for build in (lambda: build_wavelet_family(ledrappier, shape=(30, 30)),
+                      lambda: wavelet_basis(fam, 9), lambda: wavelet_basis(fam, 40),
+                      lambda: subspace_compare(fam, coarse)):
+            with pytest.raises(TooLarge):
+                build()
+
+    def test_patched_limit(self, ledrappier, monkeypatch):
+        """At the limit a level is built, one entry below it is refused:
+        shape (1,1) has 16 paths of 2 edges, depth 2 has 64 of 4, and
+        --compare 2 forms two 64 x 64 bases."""
+        fam = build_wavelet_family(ledrappier, shape=(1, 1))
+        coarse = build_wavelet_family(ledrappier, shape=(2, 2))
+        cases = [(32, lambda: build_wavelet_family(ledrappier, shape=(1, 1))),
+                 (256, lambda: wavelet_basis(fam, 2)),
+                 (64 ** 2, lambda: subspace_compare(fam, coarse))]
+        for limit, build in cases:
+            monkeypatch.setattr(kgraphwave.wavelets, "WAVELET_ENTRY_LIMIT", limit)
+            build()
+            monkeypatch.setattr(kgraphwave.wavelets, "WAVELET_ENTRY_LIMIT", limit - 1)
+            with pytest.raises(TooLarge, match=f"more than {limit - 1} "):
+                build()
+
+    @pytest.mark.parametrize("args", [["--depth", "40"], ["--list-family"], ["--compare", "40"],
+                                      ["--depth", "12"], ["--compare", "6"]])
+    def test_cli_size_limit(self, capsys, args):
+        shape = "30,30" if "--list-family" in args else "1,1"
+        with pytest.raises(SystemExit) as exc:
+            main(["wavelets", str(fixture_path("ledrappier")), "--shape", shape, *args])
+        captured = capsys.readouterr()
+        assert exc.value.code == 1 and captured.out == ""
+        (line,) = captured.err.splitlines()
+        rec = json.loads(line)
+        assert rec["error"] == "usage" and rec["reason"] == "size_limit"
+        assert str(WAVELET_ENTRY_LIMIT) in rec["message"]
