@@ -26,6 +26,7 @@ from .measure import CylinderFn, MeasureSpec, check_zero_one, cylinder_measures,
 from .perron import hausdorff_dimension, is_strongly_connected, pf_data
 from .sbfs import check_ck_relations
 from .spectral import (
+    check_eigendata,
     check_laplacian_listing,
     default_kernel,
     default_tgrid,
@@ -379,6 +380,7 @@ def _cmd_spectral(args):
     graph = _load_graph(args)
 
     def eigendata():  # each mode checks its own arguments first
+        check_eigendata(graph)
         return eig_sym(kgraph_laplacian(graph))
 
     if args.eig:

@@ -757,6 +757,29 @@ def path_counts(graph: KGraph, upto: Degree) -> np.ndarray:
     return ends.sum(axis=-1)
 
 
+def _path_count(graph: KGraph, level: Degree, cap: int) -> int:
+    """|Lambda^level| (`path_counts` at one degree) where it is below
+    ``cap``, else some count >= cap, with no path built: a count per source
+    vertex, stepped back one edge at a time as `path_counts` steps, each
+    entry saturated at cap.  The colors whose edges reach every vertex come
+    last, as a step of such a color loses no path: the count stops once it
+    reaches cap with only such steps left."""
+    n, steps = len(graph.vertices), []
+    for c, d in enumerate(level, start=1):
+        if d:
+            edges = graph.edge_color == c
+            source, range_ = graph.edge_source[edges], graph.edge_range[edges]
+            steps.append((bool(np.bincount(range_, minlength=n).all()), d, source, range_))
+    steps.sort(key=lambda step: step[0])
+    counts = np.ones(n)  # exact integers: every sum stays far below 2^53
+    for keeps, d, source, range_ in steps:
+        for _ in range(d):
+            if keeps and counts.sum() >= cap:
+                break
+            counts = np.minimum(np.bincount(source, weights=counts[range_], minlength=n), cap)
+    return int(counts.sum())
+
+
 def is_zero_one(graph: KGraph) -> bool:
     """Whether every vertex matrix is 0/1-valued: no two edges share a
     color, a range and a source (`_vertex_cells`), and no matrix is built."""

@@ -22,6 +22,7 @@ is the dense view.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from functools import cache, cached_property, partial
 from itertools import product
@@ -35,6 +36,7 @@ from .kgraph import (
     Degree,
     KGraph,
     Path,
+    _path_count,
     _same_graph,
     as_degree,
     compose,
@@ -247,6 +249,19 @@ def ck_table_entries(graph: KGraph, test_level: Sequence[int]) -> int:
     return int((counts * np.flip(below)).sum())
 
 
+def _least_table_entries(graph: KGraph, test_level: Degree) -> int:
+    """At most `ck_table_entries` on a graph with no sources, with no lattice
+    of `path_counts` filled.  Each degree x <= T has a table of |Lambda^x| *
+    |Lambda^{T-x}| entries: at least n^2, as every vertex receives a path of
+    every degree, and at least |Lambda^T|, as a path of degree T factors
+    uniquely through degree x.  |Lambda^T| is counted by `_path_count`,
+    saturated past the limit."""
+    degrees, n = math.prod(t + 1 for t in test_level), len(graph.vertices)
+    if degrees * n * n > CK_ENTRY_LIMIT:
+        return degrees * n * n
+    return degrees * max(n * n, _path_count(graph, test_level, CK_ENTRY_LIMIT // degrees + 1))
+
+
 def _steps(upto: Degree) -> list[Degree]:
     """The nonzero degrees up to `upto`, in product order."""
     return [d for d in product(*(range(t + 1) for t in upto)) if any(d)]
@@ -255,8 +270,10 @@ def _steps(upto: Degree) -> list[Degree]:
 def _prefix_tables(spec: MeasureSpec, test_level: Degree) -> dict[tuple[Degree, Degree], tuple]:
     """The table of the S_lambda of every degree x at every level L with
     x + L <= `test_level`, keyed (x, L), with one `MeasureSpec.prefix_factors`
-    call per degree.  Above `CK_ENTRY_LIMIT` entries (`ck_table_entries`) it
-    raises TooLarge before it builds a level.
+    call per degree.  Above `CK_ENTRY_LIMIT` entries it raises TooLarge
+    before it builds a level: first on a bound (`_least_table_entries`),
+    before `ck_table_entries` fills its lattice of exact counts, then on
+    that count.
 
     The order is fixed: the vertex projections at the test level; then per
     nonzero degree d, for each degree dl, the tables of S_mu (d(mu) = d),
@@ -264,6 +281,10 @@ def _prefix_tables(spec: MeasureSpec, test_level: Degree) -> dict[tuple[Degree, 
     those of S_mu and S_{s(mu)} that (CK3) reads.  A derivative that is not
     constant raises at the first table in this order that shows it."""
     graph, kernel, zero = spec.graph, spec.graph.word_kernel, spec.graph.zero_degree()
+    least = _least_table_entries(graph, test_level)
+    if least > CK_ENTRY_LIMIT:
+        raise TooLarge(f"the CK check at level {test_level} holds at least {least} prefix-table entries, "
+                       f"above the limit of {CK_ENTRY_LIMIT}")
     entries = ck_table_entries(graph, test_level)
     if entries > CK_ENTRY_LIMIT:
         raise TooLarge(f"the CK check at level {test_level} holds {entries} prefix-table entries, "

@@ -90,6 +90,24 @@ def check_laplacian_listing(graph: KGraph) -> int:
     return entries
 
 
+# Eigendata holds n^2 floats several times over: the Laplacian, the
+# eigenvectors and the residual checks' products, and `spectral --eig` lists
+# every eigenvector.  13 million entries admits a 60 x 60 torus (3600^2 =
+# 12.96M: `--eig` takes 25 s and peaks at 1.1 GB on one core of a 2-core
+# host); a 64 x 64 one runs out of a 1.5 GB address space writing its listing.
+EIGEN_ENTRY_LIMIT = 13_000_000
+
+
+def check_eigendata(graph: KGraph) -> int:
+    """The n^2 entries of the Laplacian and of the eigenvectors of a graph
+    with n vertices; above `EIGEN_ENTRY_LIMIT` it raises TooLarge."""
+    n = len(graph.vertices)
+    if n * n > EIGEN_ENTRY_LIMIT:
+        raise TooLarge(f"the eigendata of {n} vertices hold {n * n} entries, "
+                       f"above the limit of {EIGEN_ENTRY_LIMIT}")
+    return n * n
+
+
 def laplacian_entries(graph: KGraph):
     """The nonzeros of Delta = sum over colors of M_s M_s^T, in row-major
     order, from the edge columns, whatever the colors.  Column e of M_s is

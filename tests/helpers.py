@@ -1057,6 +1057,43 @@ def path_count(graph, degree):
     return int(np.ones(n) @ acc @ np.ones(n))
 
 
+def dense_pf_data(graph, tol=1e-13, max_iter=10 ** 6):
+    """Oracle for `pf_data`: power iteration on the dense float product
+    A_1 ... A_k + I of the vertex matrices, and the mean Rayleigh quotient
+    of each dense A_i.  No precondition or residual check."""
+    from kgraphwave import PFData, vertex_matrices
+
+    mats = [m.astype(float) for m in vertex_matrices(graph)]
+    product = mats[0].copy()
+    for m in mats[1:]:
+        product = product @ m
+    shifted = product + np.eye(len(graph.vertices))
+    x = np.full(len(graph.vertices), 1.0 / len(graph.vertices))
+    for _ in range(max_iter):
+        nxt = shifted @ x
+        nxt /= nxt.sum()
+        if np.max(np.abs(nxt - x)) < tol:
+            x = nxt
+            break
+        x = nxt
+    else:
+        raise AssertionError(f"dense power iteration did not converge in {max_iter} steps")
+    return PFData(rho=np.array([((m @ x) / x).mean() for m in mats]), x_lambda=x)
+
+
+def patch_noncommuting_pair(monkeypatch, graph):
+    """Replace the edge columns of a 4-vertex graph by two colors with no
+    common eigenvector: color 1 the 16 edges of the all-ones matrix, color 2
+    i loops at the i-th vertex, so A_2 = diag(1, 2, 3, 4)."""
+    ranges, sources = np.divmod(np.arange(16), 4)
+    loops = np.repeat(np.arange(4), [1, 2, 3, 4])
+    columns = {"edge_color": np.repeat([1, 2], [16, 10]),
+               "edge_source": np.concatenate([sources, loops]),
+               "edge_range": np.concatenate([ranges, loops])}
+    for name, column in columns.items():
+        monkeypatch.setattr(graph, name, column.astype(np.intp))
+
+
 def torus_document(n, m):
     """The product of an n-cycle (color 1) and an m-cycle (color 2): a
     2-graph on Z_n x Z_m whose squares are all forced."""

@@ -17,6 +17,7 @@ from kgraphwave import (
     default_preferred_paths,
     fixture_path,
     load_kgraph,
+    load_kgraph_file,
     normal_form,
 )
 from kgraphwave.cli import _read_records, main
@@ -26,6 +27,7 @@ from helpers import (
     forbid_path_building,
     generated_documents,
     laplacian_listing,
+    patch_noncommuting_pair,
     per_line_records,
     random_cylinder_fn,
     torus_document,
@@ -365,8 +367,9 @@ class TestErrorChannel:
     def test_pf_residual_is_numeric(self, capsys, monkeypatch):
         # colours without a common eigenvector: A_1 A_2 has the PF vector 1,
         # on which A_2 = diag(1, 2, 3, 4) has Rayleigh quotients 1..4
-        mats = [np.ones((4, 4), dtype=int), np.diag([1, 2, 3, 4])]
-        monkeypatch.setattr(kgraphwave.perron, "vertex_matrices", lambda graph: mats)
+        graph = load_kgraph_file(LED)
+        patch_noncommuting_pair(monkeypatch, graph)
+        monkeypatch.setattr(kgraphwave.cli, "load_kgraph_file", lambda path: graph)
         _, errtext = run_cli(capsys, "pf", LED, expect_exit=4)
         (line,) = errtext.splitlines()
         assert json.loads(line)["error"] == "numeric"
@@ -907,6 +910,36 @@ def test_integer_golden_stdout(graph, command, digest, tmp_path, capsys, monkeyp
     assert built == {"Edge": 0, "FactorizationSquare": 0}
 
 
+# sha256 of `pf` stdout captured while the PF vector was power-iterated on
+# the dense product of the vertex matrices
+GOLDEN_PF = [
+    ("torus 60x60", torus_document(60, 60),
+     "6e5591575be5554b0ce4b40f7c62d3aca4e1705cb27d9c0409e4312cc5036248"),
+    ("circulant 300", twisted_circulant_document(300, (1, 2), (1, 3), 0),
+     "889bb672f904236cf5ce1ae725476292fd814b4e73ae7f2f7bbbdebfeefa33f3"),
+]
+
+
+@pytest.mark.parametrize("name,doc,digest", GOLDEN_PF, ids=[name for name, _, _ in GOLDEN_PF])
+def test_pf_golden_stdout(name, doc, digest, tmp_path, capsys):
+    path = tmp_path / "graph.kg"
+    path.write_text(json.dumps(doc))
+    out, _ = run_cli(capsys, "pf", str(path))
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [("pf",), ("traffic",), ("wavelets", "--shape", "1,1", "--list-family"),
+                                  ("ck-check", "--level", "1,1")], ids=lambda argv: argv[0])
+def test_path_space_ops_build_no_vertex_matrix(argv, capsys, monkeypatch):
+    """The PF data of every op that reads it comes from the edge columns."""
+    def boom(*args):
+        raise AssertionError("a vertex matrix was built")
+    for module in (kgraphwave.kgraph, kgraphwave.perron, kgraphwave.measure, kgraphwave.sbfs,
+                   kgraphwave.wavelets, kgraphwave.traffic):
+        monkeypatch.setattr(module, "vertex_matrices", boom, raising=False)
+    run_cli(capsys, argv[0], LED, *argv[1:])
+
+
 def test_spectral_ops_build_no_edges(tmp_path, capsys, monkeypatch):
     """Load, validation, every spectral op and `traffic`, with and without
     --prefs, read the edge and square columns alone, on a 300-vertex
@@ -1027,3 +1060,61 @@ class TestLaplacianListing:
         # (1200 edges); 3 x 68^4 entries fit, 3 x 69^4 do not
         assert 300 * (1200 + 300) * 100 < kgraphwave.LAPLACIAN_ENTRY_LIMIT
         assert 3 * 68 ** 4 <= kgraphwave.LAPLACIAN_ENTRY_LIMIT < 3 * 69 ** 4
+
+
+def refused(err):
+    (line,) = err.splitlines()
+    rec = json.loads(line)
+    return rec["error"] == "usage" and rec["reason"] == "size_limit"
+
+
+class TestEigendataSizeLimit:
+    """`spectral` counts the n^2 entries of its eigendata before it builds
+    the Laplacian."""
+
+    @pytest.mark.parametrize("mode", [("--eig",), ("--gft", "SIG")])
+    def test_patched_limit(self, mode, capsys, tmp_path, monkeypatch):
+        sig = tmp_path / "sig.json"
+        sig.write_text("[1.0, 0.0, 0.0, -1.0]")
+        argv = ["spectral", LED, *(str(sig) if a == "SIG" else a for a in mode)]
+        assert kgraphwave.check_eigendata(load_kgraph_file(LED)) == 16
+        monkeypatch.setattr(kgraphwave.spectral, "EIGEN_ENTRY_LIMIT", 16)
+        admitted, _ = run_cli(capsys, *argv)
+        monkeypatch.setattr(kgraphwave.spectral, "EIGEN_ENTRY_LIMIT", 15)
+
+        def built(*args):
+            raise AssertionError("the dense Laplacian was built")
+        monkeypatch.setattr(kgraphwave.cli, "kgraph_laplacian", built)
+        out, err = run_cli(capsys, *argv, expect_exit=1)
+        assert admitted and out == "" and refused(err)
+        with pytest.raises(kgraphwave.TooLarge, match="16 entries, above the limit of 15"):
+            kgraphwave.check_eigendata(load_kgraph_file(LED))
+
+    def test_limit(self):
+        # the benchmark graphs have at most 300 vertices; a 60 x 60 torus is
+        # admitted, a 100 x 100 one refused
+        assert 300 ** 2 <= 3600 ** 2 <= kgraphwave.EIGEN_ENTRY_LIMIT < 100 ** 4
+
+
+class TestRationalPFSizeLimit:
+    """`measure --exact` counts the k n^2 cells of its exact solve before it
+    builds a vertex matrix."""
+
+    def test_patched_limit(self, capsys, monkeypatch):
+        argv = ["measure", LED, "--exact", "--path", "@v1"]
+        monkeypatch.setattr(kgraphwave.perron, "RATIONAL_PF_CELL_LIMIT", 32)
+        admitted, _ = run_cli(capsys, *argv)
+        monkeypatch.setattr(kgraphwave.perron, "RATIONAL_PF_CELL_LIMIT", 31)
+
+        def built(*args):
+            raise AssertionError("a vertex matrix was built")
+        monkeypatch.setattr(kgraphwave.perron, "vertex_matrices", built)
+        out, err = run_cli(capsys, *argv, expect_exit=1)
+        assert json.loads(admitted)["measure"] == "1/4" and out == "" and refused(err)
+        with pytest.raises(kgraphwave.TooLarge, match="over 32 cells, above the limit of 31"):
+            kgraphwave.rational_pf_data(load_kgraph_file(LED))
+
+    def test_limit(self):
+        # the 300-vertex benchmark circulant and a 16 x 16 torus are 2-graphs;
+        # a 100 x 100 torus is refused
+        assert 2 * 256 ** 2 <= 2 * 300 ** 2 <= kgraphwave.RATIONAL_PF_CELL_LIMIT < 2 * 100 ** 4

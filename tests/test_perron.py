@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import kgraphwave
@@ -17,6 +17,15 @@ from kgraphwave import (
     pf_data,
     rational_pf_data,
     vertex_matrices,
+)
+from kgraphwave.perron import has_sources
+from helpers import (
+    dense_pf_data,
+    family_documents,
+    generated_documents,
+    patch_noncommuting_pair,
+    torus_document,
+    twisted_circulant_document,
 )
 
 
@@ -121,8 +130,7 @@ class TestPFData:
     def test_no_common_eigenvector_raises(self, monkeypatch, ledrappier):
         # A_1 A_2 + I power-iterates to the vector 1, on which
         # A_2 = diag(1, 2, 3, 4) has Rayleigh quotients 1..4
-        mats = [np.ones((4, 4), dtype=int), np.diag([1, 2, 3, 4])]
-        monkeypatch.setattr(kgraphwave.perron, "vertex_matrices", lambda graph: mats)
+        patch_noncommuting_pair(monkeypatch, ledrappier)
         with pytest.raises(ResidualTooLarge, match="color 2: Rayleigh spread"):
             pf_data(ledrappier)
 
@@ -181,6 +189,65 @@ class TestPFData:
     def test_rational_mode_rejects_irrational(self):
         with pytest.raises(ValueError):
             rational_pf_data(fibonacci_graph())
+
+
+def same_bits(a, b):
+    return a.rho.tobytes() == b.rho.tobytes() and a.x_lambda.tobytes() == b.x_lambda.tobytes()
+
+
+@st.composite
+def one_graphs(draw):
+    """A 1-graph on 2 to 6 vertices: a cycle through all of them, so it is
+    strongly connected with no sources, and up to 12 more edges."""
+    n = draw(st.integers(2, 6))
+    arcs = [(i, (i + 1) % n) for i in range(n)]
+    arcs += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12))
+    return {"k": 1, "vertices": [f"v{i}" for i in range(n)],
+            "edges": [{"id": f"e{j}", "color": 1, "source": f"v{s}", "range": f"v{r}"}
+                      for j, (s, r) in enumerate(arcs)],
+            "squares": []}
+
+
+class TestAgainstDenseProduct:
+    """`pf_data` against `dense_pf_data`, the iteration on the dense product
+    matrix that it replaced.  The bits agree where every sum of the
+    iteration is exact either way: on the fixtures, the tori and the
+    benchmark circulants.  Elsewhere the bincount sums run in edge order and
+    the dense products in BLAS order, and the last bit may move."""
+
+    @pytest.mark.parametrize("name", ["ledrappier", "lambda3", "bouquet-2", "bouquet-3"])
+    def test_fixtures_bit_for_bit(self, name):
+        graph = load_kgraph(kgraphwave.fixture_path(name))
+        assert same_bits(pf_data(graph), dense_pf_data(graph))
+
+    @pytest.mark.parametrize("make,args", [
+        (torus_document, (16, 16)), (torus_document, (3, 7)),
+        *((twisted_circulant_document, (n, (1, 2), (1, 3), seed)) for n in (16, 40, 300) for seed in (0, 5))],
+        ids=lambda value: "-".join(map(str, value)) if isinstance(value, tuple) else value.__name__)
+    def test_tori_and_benchmark_circulants_bit_for_bit(self, make, args):
+        graph = load_kgraph(make(*args))
+        assert same_bits(pf_data(graph), dense_pf_data(graph))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(generated_documents(), family_documents()))
+    def test_generated_graphs_within_the_last_bit(self, doc):
+        graph = load_kgraph(doc)
+        if not is_strongly_connected(graph) or has_sources(graph):
+            with pytest.raises((NotStronglyConnected, HasSources)):
+                pf_data(graph)
+            return
+        pf, want = pf_data(graph), dense_pf_data(graph)
+        assert np.max(np.abs(pf.x_lambda - want.x_lambda)) <= 1e-15
+        assert np.max(np.abs(pf.rho - want.rho) / want.rho) <= 1e-15
+
+    @settings(max_examples=100, deadline=None)
+    @given(one_graphs())
+    def test_nonuniform_one_graphs_within_the_last_bit(self, doc):
+        graph = load_kgraph(doc)
+        pf, want = pf_data(graph), dense_pf_data(graph)
+        assume(np.ptp(want.x_lambda) > 0)
+        assert np.max(np.abs(pf.x_lambda - want.x_lambda)) <= 1e-15
+        assert np.max(np.abs(pf.rho - want.rho) / want.rho) <= 1e-15
 
 
 class TestHausdorffDimension:

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -499,6 +500,28 @@ class TestSizeLimit:
         monkeypatch.setattr(type(ledrappier.word_kernel), "level", no_levels)
         with pytest.raises(TooLarge, match="above the limit"):
             check_ck_relations(specL, ledrappier, level)
+
+    @pytest.mark.parametrize("level", [(300, 300), (2000, 2000), (100000, 100000)])
+    def test_large_levels_raise_before_any_count(self, monkeypatch, specL, ledrappier, level):
+        def no_counts(*args):
+            raise AssertionError("the path-count lattice was filled")
+
+        monkeypatch.setattr(kgraphwave.sbfs, "path_counts", no_counts)
+        with pytest.raises(TooLarge, match="holds at least .* above the limit"):
+            check_ck_relations(specL, ledrappier, level)
+
+    @settings(max_examples=60, deadline=None)
+    @given(family_documents(), st.lists(st.integers(0, 3), min_size=3, max_size=3),
+           st.sampled_from([CK_ENTRY_LIMIT, 64, 5]))
+    def test_the_bound_is_below_the_count(self, doc, upto, limit):
+        # so the bound refuses no level the exact count admits, also where
+        # the path count saturates at a smaller limit
+        graph = load_kgraph(doc)
+        assume(is_strongly_connected(graph) and not kgraphwave.perron.has_sources(graph))
+        level = tuple(upto[:graph.k])
+        with patch.object(kgraphwave.sbfs, "CK_ENTRY_LIMIT", limit):
+            least = kgraphwave.sbfs._least_table_entries(graph, level)
+        assert least <= ck_table_entries(graph, level)
 
     def test_counts_match_the_tables_built(self, monkeypatch, spec3, lambda3):
         built = {}
