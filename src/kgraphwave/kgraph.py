@@ -18,9 +18,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import permutations
+from itertools import chain, permutations
 from pathlib import Path as FilePath
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -92,6 +92,33 @@ def _swap_schedule(colors: tuple[int, ...], leftmost: bool = True) -> tuple[int,
 def _degree_colors(degree: Degree) -> tuple[int, ...]:
     """The color sequence of a normal-form word of this degree."""
     return tuple(c for c, count in enumerate(degree, start=1) for _ in range(count))
+
+
+class RowSchedules(NamedTuple):
+    """A swap schedule per row, for rows of several color sequences: row r
+    swaps at swaps[start[r]], ..., swaps[start[r] + length[r] - 1], in order."""
+
+    swaps: np.ndarray
+    start: np.ndarray
+    length: np.ndarray
+
+
+def _merge_schedules(heads: np.ndarray, tails: np.ndarray) -> RowSchedules:
+    """The `_swap_schedule` of a normal-form word of degree heads[q] followed
+    by one of degree tails[q], for each row q of the two degree arrays, in
+    closed form.  The scan inserts each tail letter in turn: a letter of
+    color c moves left past the head letters of larger colors, one swap per
+    letter, from just before its own position down."""
+    k = heads.shape[1]
+    larger = (np.cumsum(heads[:, ::-1], axis=1)[:, ::-1] - heads).ravel()  # per (q, tail color)
+    before = (np.cumsum(tails, axis=1) - tails).ravel()  # tail letters ahead of the color's first
+    count = tails.ravel() * larger  # the swaps of each (q, color) block of tail letters
+    length = count.reshape(-1, k).sum(axis=1)
+    block = np.repeat(np.arange(len(count)), count)
+    u = _expand_runs(np.zeros(len(count), dtype=np.intp), count)  # swap u of its block
+    g = larger[block]
+    swaps = np.repeat(heads.sum(axis=1), k)[block] + before[block] + u // g - 1 - u % g
+    return RowSchedules(swaps, np.cumsum(length) - length, length)
 
 
 @dataclass(frozen=True)
@@ -450,8 +477,8 @@ def normal_form_rows(graph: KGraph, words: Sequence[Sequence[str]],
     ``vertex_marks``, a one-letter word ``@v`` is the vertex v.  The words are
     checked as arrays, and the first bad one raises CompositionError: an
     unknown vertex, an empty word, else its first unknown edge id, else its
-    first pair that does not compose.  The rows of each color pattern are
-    then rewritten by one `WordKernel.rewrite`."""
+    first pair that does not compose.  The rows are then rewritten together
+    by one `WordKernel.rewrite`, each by the schedule of its color pattern."""
     index, vertices, source, range_ = graph.vertex_index, graph.vertices, graph.edge_source, graph.edge_range
     marks = [w[0][1:] if vertex_marks and len(w) == 1 and w[0].startswith("@") else None for w in words]
     letters = [() if v is not None else w for v, w in zip(marks, words)]
@@ -479,20 +506,28 @@ def normal_form_rows(graph: KGraph, words: Sequence[Sequence[str]],
         j = int(np.argmax(source[row[:-1]] != range_[row[1:]]))
         raise CompositionError(f"edges {word[j]} and {word[j + 1]} are not composable (source "
                                f"{vertices[source[row[j]]]} != range {vertices[range_[row[j + 1]]]})")
-    zero, colors, positions = graph.zero_degree(), graph.edge_color[at].tolist(), at.tolist()
+    # the edge words, padded with edge 0 to one width, each rewritten by the
+    # schedule of its color pattern in one `WordKernel.rewrite`
+    zero, edge_words = graph.zero_degree(), np.flatnonzero(counts)
+    word_of = np.repeat(np.arange(len(edge_words)), counts[edge_words])  # of each letter
+    colors = graph.edge_color[at]
+    spans = list(zip(starts[edge_words].tolist(), ends[edge_words].tolist()))
+    pattern = colors.tolist()
+    schedules = [_swap_schedule(tuple(pattern[lo:hi])) for lo, hi in spans]
+    length = np.fromiter(map(len, schedules), np.intp, len(schedules))
+    if length.any():
+        rows = np.zeros((len(edge_words), int(counts.max())), dtype=np.intp)
+        letter = np.arange(len(at)) - starts[edge_words][word_of]
+        rows[word_of, letter] = at
+        graph.word_kernel.rewrite(rows, RowSchedules(np.fromiter(chain.from_iterable(schedules), np.intp),
+                                                     np.cumsum(length) - length, length))
+        at = rows[word_of, letter]
+    census = np.bincount(word_of * graph.k + colors - 1, minlength=len(edge_words) * graph.k)
     _, sources, ranges = graph._edge_lists
     forms = [(zero, (), index[v], index[v]) if v is not None else None for v in marks]
-    patterns: dict[tuple[int, ...], list[list[int]]] = {}
-    for i, (lo, hi) in enumerate(zip(starts.tolist(), ends.tolist())):
-        if hi > lo:
-            patterns.setdefault(tuple(colors[lo:hi]), []).append([i, positions[lo:hi]])
-    for pattern, group in patterns.items():
-        rows = [row for _, row in group]
-        if _swap_schedule(pattern):  # else the rows are in normal form
-            rows = graph.word_kernel.rewrite(np.array(rows, dtype=np.intp), pattern).tolist()
-        degree = tuple(pattern.count(c) for c in range(1, graph.k + 1))
-        for (i, _), row in zip(group, rows):
-            forms[i] = (degree, tuple(row), ranges[row[0]], sources[row[-1]])
+    letters = at.tolist()
+    for i, degree, (lo, hi) in zip(edge_words.tolist(), map(tuple, census.reshape(-1, graph.k).tolist()), spans):
+        forms[i] = (degree, tuple(letters[lo:hi]), ranges[letters[lo]], sources[letters[hi - 1]])
     return forms
 
 
@@ -574,7 +609,10 @@ class WordKernel:
       sequence at once: one gather per swap through the sorted two-way table
       of square sides.  Undone in reverse order, the swaps factor a normal
       form by degree (`segment`).  A pair that no square covers raises, and
-      a lookup that misses never reads a neighbouring entry.
+      a lookup that misses never reads a neighbouring entry.  Rows of
+      several color sequences are rewritten together, each by its own
+      schedule (`RowSchedules`); `compose` of pairs of normal forms of many
+      degrees reads their schedules off in closed form (`_merge_schedules`).
     - The position of a normal-form word in its level is a sum of one offset
       per letter (`rank`).  The offset of edge e at position pos counts the
       words that agree before pos and carry a smaller edge there: the
@@ -584,9 +622,12 @@ class WordKernel:
       range's run starts.  `matching` pairs paths with the level's paths by
       reading it, so every composition against a level (the prefix tables of
       the CK check, `measure.extension_rows`) sorts the level once.
+    - `matching` and `rank` also take one degree per row, through the range
+      indexes and rank tables of several levels laid end to end.
 
     Built on first use of `KGraph.word_kernel`; levels, their range indexes
-    and the rank tables are cached per degree.
+    and the rank tables are cached per degree, and the last of each laid end
+    to end.
     """
 
     def __init__(self, graph: KGraph):
@@ -615,6 +656,7 @@ class WordKernel:
         self._levels: dict[Degree, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._by_range: dict[Degree, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._offsets: dict[Degree, np.ndarray] = {}
+        self._stacked: dict[str, tuple] = {}  # the last range indexes and rank tables laid end to end
 
     @cached_property
     def id_texts(self) -> np.ndarray:
@@ -647,17 +689,35 @@ class WordKernel:
             self._levels[degree] = out
         return self._levels[degree]
 
-    def matching(self, sources: np.ndarray, degree: Degree) -> tuple[np.ndarray, np.ndarray]:
+    def matching(self, sources: np.ndarray, degree: Degree | Sequence[Degree],
+                 of: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """The pairs (i, j) with sources[i] the range of the j-th path of the
         level of `degree`, i-major, j ascending, read off the level's range
-        index."""
+        index.  With ``of``, `degree` lists several degrees and source i is
+        matched in the level of degree[of[i]], all at once through their range
+        indexes laid end to end."""
+        if of is None:
+            by_range, starts, runs = self._range_index(degree)
+            count = runs[sources]
+            return np.repeat(np.arange(len(sources)), count), by_range[_expand_runs(starts[sources], count)]
+        degrees = tuple(degree)
+        if self._stacked.get("matching", (None,))[0] != degrees:
+            by_range, starts, runs = zip(*map(self._range_index, degrees))
+            sizes = np.array([len(a) for a in by_range])
+            self._stacked["matching"] = degrees, (np.concatenate(by_range), np.concatenate(starts) + np.repeat(
+                np.cumsum(sizes) - sizes, len(self.graph.vertices)), np.concatenate(runs))
+        by_range, starts, runs = self._stacked["matching"][1]
+        at = of * len(self.graph.vertices) + sources
+        count = runs[at]
+        return np.repeat(np.arange(len(sources)), count), by_range[_expand_runs(starts[at], count)]
+
+    def _range_index(self, degree: Degree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The level's positions by range, where each range's run starts, and its length."""
         if degree not in self._by_range:
             ranges = self.level(degree)[1]
             runs = np.bincount(ranges, minlength=len(self.graph.vertices))
             self._by_range[degree] = np.argsort(ranges, kind="stable"), np.cumsum(runs) - runs, runs
-        by_range, starts, runs = self._by_range[degree]
-        count = runs[sources]
-        return np.repeat(np.arange(len(sources)), count), by_range[_expand_runs(starts[sources], count)]
+        return self._by_range[degree]
 
     def words(self, colors: tuple[int, ...]) -> np.ndarray:
         """All composable words of a nonempty color sequence, as new rows."""
@@ -670,42 +730,92 @@ class WordKernel:
                                      by_range[_expand_runs(starts[tail], count)]])
         return words
 
-    def compose(self, heads: np.ndarray, head_degree: Degree,
-                tails: np.ndarray, tail_degree: Degree) -> np.ndarray:
+    def compose(self, heads: np.ndarray, head_degree: Degree | np.ndarray,
+                tails: np.ndarray, tail_degree: Degree | np.ndarray,
+                of: np.ndarray | None = None) -> np.ndarray:
         """The normal-form rows of heads[i] * tails[i]; a single head row is
-        broadcast.  Each source of a head must be the range of its tail."""
+        broadcast.  Each source of a head must be the range of its tail.
+
+        With ``of``, the degrees are arrays, one degree per row, and row i is
+        the product of a word of degree head_degree[of[i]] and one of
+        tail_degree[of[i]]: heads, tails and products are padded past their
+        words to one width, and all products are rewritten by one `rewrite`,
+        each by the schedule of its pair of degrees (`_merge_schedules`).
+        The tails are laid after the heads one block of rows at a time, a
+        block for each run of rows whose heads have one length."""
+        if of is not None:
+            width, cut = heads.shape[1], head_degree.sum(axis=1)[of]
+            words = np.array(heads)
+            runs = np.flatnonzero(np.diff(cut, prepend=-1, append=-1)).tolist()
+            for lo, hi in zip(runs, runs[1:]):
+                words[lo:hi, cut[lo]:] = tails[lo:hi, :width - cut[lo]]
+            swaps, start, length = _merge_schedules(head_degree, tail_degree)
+            return self.rewrite(words, RowSchedules(swaps, start[of], length[of]))
         cut = heads.shape[-1]
         words = np.empty((len(tails), cut + tails.shape[1]), dtype=np.intp)
         words[:, :cut], words[:, cut:] = heads, tails
         return self.rewrite(words, _degree_colors(head_degree) + _degree_colors(tail_degree))
 
-    def rewrite(self, words: np.ndarray, colors: tuple[int, ...], leftmost: bool = True,
+    def rewrite(self, words: np.ndarray, colors: tuple[int, ...] | RowSchedules, leftmost: bool = True,
                 undo: bool = False) -> np.ndarray:
         """Rewrite rows of the color sequence `colors` in place to normal
         form, by the swaps `_swap_schedule` gives, and return them.  With
         ``undo``, rewrite normal-form rows in place to the words of the color
-        sequence: the same swaps in reverse order, each the other way round."""
-        keys, first, second = self.pair_key, self.pair_first, self.pair_second
+        sequence: the same swaps in reverse order, each the other way round.
+
+        With `RowSchedules` for `colors`, the rows are of several color
+        sequences, each rewritten by its own schedule, all at once: one step
+        per swap of the longest, in which the rows whose schedule has ended
+        sit out.  Letters past a row's word are never read."""
+        if isinstance(colors, RowSchedules):
+            flat = words.reshape(-1)  # a view: words is C-contiguous
+            swaps, start, length = colors
+            order = np.argsort(-length, kind="stable")  # the live rows of a step lead
+            rows, start = order * words.shape[1], start[order]
+            live = len(length) - np.cumsum(np.bincount(length))[:-1]  # rows swapping at each step
+            for step, n in enumerate(live.tolist()):
+                at = rows[:n] + swaps[start[:n] + step]
+                flat[at], flat[at + 1] = self._other_sides(flat[at], flat[at + 1])
+            return words
         schedule = _swap_schedule(colors, leftmost)
         for i in reversed(schedule) if undo else schedule:
-            key = words[:, i] * len(self.ids) + words[:, i + 1]
-            at = keys.searchsorted(key)  # the last key is a sentinel above every pair
-            hit = keys[at] == key
-            if not hit.all():
-                a, b = words[np.argmin(hit), i:i + 2]
-                raise ValidationError(
-                    "missing_square",
-                    f"no square covers the composable pair ({self.ids[a]}, {self.ids[b]})")
-            words[:, i], words[:, i + 1] = first[at], second[at]
+            words[:, i], words[:, i + 1] = self._other_sides(words[:, i], words[:, i + 1])
         return words
 
-    def rank(self, words: np.ndarray, degree: Degree) -> np.ndarray:
+    def _other_sides(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The other side of the square of each pair (a[i], b[i]): one gather
+        through the sorted table of square sides."""
+        key = a * len(self.ids) + b
+        at = self.pair_key.searchsorted(key)  # the last key is a sentinel above every pair
+        hit = self.pair_key[at] == key
+        if not hit.all():
+            miss = np.argmin(hit)
+            raise ValidationError(
+                "missing_square",
+                f"no square covers the composable pair ({self.ids[a[miss]]}, {self.ids[b[miss]]})")
+        return self.pair_first[at], self.pair_second[at]
+
+    def rank(self, words: np.ndarray, degree: Degree | Sequence[Degree],
+             of: np.ndarray | None = None) -> np.ndarray:
         """The position of each normal-form row in the level of `degree`
-        (nonzero: a degree-0 path is ranked by its vertex index)."""
+        (nonzero: a degree-0 path is ranked by its vertex index).  With
+        ``of``, `degree` lists several degrees and row r is of degree[of[r]],
+        its letters past its word ignored; a zero degree ranks every row 0."""
+        if of is None:
+            offsets = self._rank_table(degree)
+            return offsets[np.arange(len(offsets)), words].sum(axis=1)
+        degrees, width = tuple(degree), words.shape[1]
+        if self._stacked.get("rank", (None,))[0] != (degrees, width):
+            stacked = np.zeros((len(degrees), width, len(self.ids)), dtype=np.intp)
+            for g, d in enumerate(degrees):
+                stacked[g, :sum(d)] = self._rank_table(d) if any(d) else 0
+            self._stacked["rank"] = (degrees, width), stacked
+        return self._stacked["rank"][1][of[:, None], np.arange(width), words].sum(axis=1)
+
+    def _rank_table(self, degree: Degree) -> np.ndarray:
         if degree not in self._offsets:
             self._offsets[degree] = self._rank_offsets(_degree_colors(degree))
-        offsets = self._offsets[degree]
-        return offsets[np.arange(len(offsets)), words].sum(axis=1)
+        return self._offsets[degree]
 
     def _rank_offsets(self, colors: tuple[int, ...]) -> np.ndarray:
         """offsets[pos, e]: the rank added by edge e at position pos."""

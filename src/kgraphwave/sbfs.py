@@ -6,27 +6,40 @@ bases of measure-normalized indicators it is the index map mu -> lambda*mu on
 the paths with r(mu) = s(lambda), with entries rho^{d(lambda)/2} *
 sqrt(M(Z(lambda mu)) / M(Z(mu))).  These are 1, and checked to be, because the
 Radon-Nikodym derivative of prefixing is constant on cylinders.  With at most
-one entry per column, the S_lambda of every lambda of one degree, at one
-level, form one column-form table: rows[i, mu] and vals[i, mu] are the row and
+one entry per column, the S_lambda of every lambda of one degree x, at one
+level L, form one column-form table: rows[i, mu] and vals[i, mu] are the row and
 entry of column mu of the i-th S_lambda, -1 and 0 where the column is empty.
-The pairs (lambda, mu) come from the level's range index (`WordKernel.matching`).
+A table has its entries exactly at the pairs (lambda, mu) with r(mu) =
+s(lambda), which the level's range index gives (`WordKernel.matching`).
 
-`check_ck_relations` counts the entries of every table up to its test level
-(`ck_table_entries`, against `CK_ENTRY_LIMIT`), builds each once, and checks
-the four Cuntz-Krieger relations on them, each for all its cases of one
-degree at once: (CK1) in one pass over the entries of the vertex
-projections, (CK2) with its cases and composites read off the tables.
-`s_matrix` reads one row of a table as an `OperatorMatrix`, whose `.matrix`
-is the dense view.
+All the tables a computation needs are built together (`_prefix_tables`)
+into one flat store, an array of 32-bit rows and one of values, with an
+offset and a shape per key (x, L); each table is a reshaped view of it.  The
+levels the keys read are built once and laid end to end (`_lattice`).  In
+chunks of bounded size, one `WordKernel.matching` through the range indexes
+of those levels pairs every lambda with its mu, one `WordKernel.compose`
+writes every product lambda*mu (one `WordKernel.rewrite`, each row by the
+swap schedule of its key), and one `WordKernel.rank` finds its row: the
+number of these calls follows the entries, not the number of tables.
+
+`check_ck_relations` first refuses a test level past its budgets, before it
+builds a level: the number of tables (`ck_table_count`, against
+`CK_TABLE_LIMIT`) and their entries (`ck_table_entries`, against
+`CK_ENTRY_LIMIT`).  It then checks the four Cuntz-Krieger relations on the
+store, each in batched passes over all its cases: (CK1) over the entries of
+the vertex projections, and (CK2), (CK3) and (CK4) over the entries of the
+tables of every degree together, found through the same range indexes.
+`s_matrix` reads one row of the table of one key as an `OperatorMatrix`,
+whose `.matrix` is the dense view.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from functools import cache, cached_property, partial
+from functools import cached_property
 from itertools import product
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,6 +49,7 @@ from .kgraph import (
     Degree,
     KGraph,
     Path,
+    _expand_runs,
     _path_count,
     _same_graph,
     as_degree,
@@ -47,7 +61,7 @@ from .kgraph import (
     path_counts,
     row_forms,
 )
-from .measure import CylinderFn, MeasureSpec, extension_rows, refine_rows
+from .measure import CylinderFn, MeasureSpec, refine_rows
 
 
 @dataclass(frozen=True)
@@ -151,45 +165,160 @@ class OperatorMatrix:
         return mat
 
 
-def _prefix_table(spec: MeasureSpec, lams: tuple[np.ndarray, np.ndarray, np.ndarray],
-                  factors: np.ndarray, degree: Degree, dom: LevelSpace, cod: LevelSpace,
-                  rn_tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
-    """The table of S_lambda from `dom` to `cod` for the paths `lams` of one
-    degree, given as word-kernel rows, ranges and sources, with their
-    `MeasureSpec.prefix_factors`: column mu, for r(mu) = s(lambda), goes to
-    the row of lambda*mu with entry factor * sqrt(M(Z(lambda mu)) / M(Z(mu))).
-    Its nonempty entries, i-major and mu ascending, are the pairs of
-    `WordKernel.matching`.  All products are composed at once."""
-    kernel = spec.graph.word_kernel
-    words, _, sources = lams
-    owner, cols = kernel.matching(sources, dom.level)
-    if any(degree):
-        rows = kernel.rank(kernel.compose(words[owner], degree, dom.words[cols], dom.level), cod.level)
-    else:  # a vertex times mu is mu
-        rows = cols
-    vals = factors[owner] * np.sqrt(cod.weights[rows] / dom.weights[cols])
-    good = np.abs(vals - 1.0) < rn_tol
-    if not good.all():
-        bad = int(np.argmin(good))
-        lam = kernel.paths(tuple(a[owner[bad:bad + 1]] for a in lams), degree)[0]
-        raise NonConstantDerivative(f"Radon-Nikodym derivative not constant: entry "
-                                    f"{vals[bad]} for {lam}, {dom.basis[cols[bad]]}")
-    table = np.full((len(words), len(dom.weights)), -1), np.zeros((len(words), len(dom.weights)))
-    table[0][owner, cols], table[1][owner, cols] = rows, vals
-    return table
+class _Lattice(NamedTuple):
+    """The levels of some degrees laid end to end, each built once: the paths
+    of degrees[g] are positions base[g], ..., base[g] + counts[g] - 1, with
+    their word-kernel rows (padded with edge 0 to one width), ranges,
+    sources, `level_space` weights and `MeasureSpec.prefix_factors`."""
+
+    degrees: tuple[Degree, ...]
+    index: dict[Degree, int]
+    base: np.ndarray
+    counts: np.ndarray
+    words: np.ndarray
+    ranges: np.ndarray
+    sources: np.ndarray
+    weights: np.ndarray
+    factors: np.ndarray
+
+
+def _lattice(spec: MeasureSpec, degrees: Sequence[Degree]) -> _Lattice:
+    degrees = tuple(degrees)
+    spaces = [level_space(spec, degree) for degree in degrees]
+    counts = np.array([len(space.weights) for space in spaces], dtype=np.intp)
+    words = np.zeros((int(counts.sum()), max(map(sum, degrees))), dtype=np.intp)
+    for space, lo, n in zip(spaces, (np.cumsum(counts) - counts).tolist(), counts.tolist()):
+        words[lo:lo + n, :sum(space.level)] = space.words
+    return _Lattice(degrees, {degree: g for g, degree in enumerate(degrees)}, np.cumsum(counts) - counts, counts,
+                    words, *(np.concatenate([getattr(space, name) for space in spaces])
+                             for name in ("ranges", "sources", "weights")),
+                    np.concatenate([spec.prefix_factors(space.level, space.words) for space in spaces]))
+
+
+class _Tables:
+    """Prefix tables in one flat column-form store.  Key q is the row
+    keys[q] = (x, L, x + L) of lattice ids; its table is rows and vals
+    [offset[q], offset[q] + height[q] * width[q]) read as a height x width
+    matrix: entry (i, mu) is the row and the value of column mu of the i-th
+    S_lambda, -1 and 0 where the column is empty.  entries[q] counts its
+    nonempty cells."""
+
+    def __init__(self, lattice: _Lattice, keys: np.ndarray, offset: np.ndarray, height: np.ndarray,
+                 width: np.ndarray, entries: np.ndarray, rows: np.ndarray, vals: np.ndarray):
+        self.lattice, self.keys, self.offset, self.height, self.width = lattice, keys, offset, height, width
+        self.entries, self.rows, self.vals = entries, rows, vals
+
+    def table(self, q: int) -> tuple[np.ndarray, np.ndarray]:
+        """The table of key q: views of the store."""
+        lo, shape = int(self.offset[q]), (int(self.height[q]), int(self.width[q]))
+        return tuple(part[lo:lo + shape[0] * shape[1]].reshape(shape) for part in (self.rows, self.vals))
+
+    @cached_property
+    def index(self) -> dict[tuple[Degree, Degree], int]:
+        """Each key (x, L) as degrees, to its number."""
+        degrees = self.lattice.degrees
+        return {(degrees[x], degrees[level]): q for q, (x, level, _) in enumerate(self.keys.tolist())}
+
+    def __getitem__(self, key: tuple[Degree, Degree]) -> tuple[np.ndarray, np.ndarray]:
+        return self.table(self.index[key])
+
+
+# The batched passes of the CK check take tables in chunks of at most about
+# this much work, or of one table where it has more: entries times letters
+# per word in the builder, terms in the relations.  No temporary array of a
+# pass is much larger, and the calls a pass makes per chunk stay few.
+_CHUNK = 2 ** 16
+
+
+def _chunks(work: list[int], limit: int = _CHUNK):
+    """Consecutive runs [a, b) of the items whose work sums to at most
+    `limit`, or of one item."""
+    a, total = 0, 0
+    for b, size in enumerate(work):
+        if total and total + size > limit:
+            yield a, b
+            a, total = b, 0
+        total += size
+    if a < len(work):
+        yield a, len(work)
+
+
+def _prefix_tables(spec: MeasureSpec, degrees: Sequence[Degree], keys: np.ndarray, first: int | None = None,
+                   rn_tol: float = 1e-12) -> _Tables:
+    """The tables of the keys, in this order, in one store.  A key is a row
+    (x, L, x + L) of ids of `degrees`, which list every degree the keys
+    read.  The table of key (x, L)
+    holds S_lambda from level L to level L + x for every path lambda of
+    degree x (with `first`, one key's table holds only the path at that
+    position of its level).  Column mu, for r(mu) = s(lambda), goes to
+    the row of lambda*mu with entry `MeasureSpec.prefix_factors` *
+    sqrt(M(Z(lambda mu)) / M(Z(mu))).
+
+    Each level the keys read is built once (`_lattice`).  The tables are
+    built together, in chunks of consecutive keys (`_chunks`), each by one
+    `WordKernel.matching` through the range indexes of the levels L, one
+    `WordKernel.compose` of every product lambda*mu (one `WordKernel.rewrite`,
+    each row by the swap schedule of its key), and one `WordKernel.rank` into
+    the levels x + L.  A derivative that is not constant raises at the first
+    entry, in key order, that shows it."""
+    kernel, lattice, (kx, kl, km) = spec.graph.word_kernel, _lattice(spec, degrees), keys.T
+    xs, ls = (np.array(degrees, dtype=np.intp).reshape(len(degrees), spec.graph.k)[k] for k in (kx, kl))
+    zero = lattice.index.get(spec.graph.zero_degree(), -1)
+    height = lattice.counts[kx] if first is None else np.ones(len(keys), dtype=np.intp)
+    start = lattice.base[kx] + (first or 0)  # the store's first lambda of each key
+    width = lattice.counts[kl]
+    size = height * width
+    offset, entries = np.cumsum(size) - size, np.zeros(len(keys), dtype=np.intp)
+    # a row index fits 32 bits: no level of a table holds more paths than the table has cells
+    rows, vals = np.full(int(size.sum()), -1, dtype=np.int32), np.zeros(int(size.sum()))
+    # a key's chunk work: its entries times the letters of a product, each
+    # lambda meeting the paths of level L with its source as range
+    n, letters = len(spec.graph.vertices), lattice.words.shape[1] + 1
+    by_vertex = [np.bincount(np.repeat(np.arange(len(lattice.degrees)), lattice.counts) * n + column,
+                             minlength=len(lattice.degrees) * n).reshape(-1, n)
+                 for column in (lattice.sources, lattice.ranges)]
+    for a, b in _chunks(((by_vertex[0][kx] * by_vertex[1][kl]).sum(axis=1) * letters).tolist()):
+        q = a + np.argsort(xs[a:b].sum(axis=1), kind="stable")  # by the length of lambda, for `compose`
+        owner = np.repeat(q, height[q])
+        lam = _expand_runs(start[q], height[q])
+        pair, cols = kernel.matching(lattice.sources[lam], lattice.degrees, of=kl[owner])
+        key, lam = owner[pair], lam[pair]
+        mu = lattice.base[kl[key]] + cols
+        words = kernel.compose(lattice.words[lam], xs[a:b], lattice.words[mu], ls[a:b], of=key - a)
+        # a vertex times mu is mu
+        at = np.where(kx[key] == zero, cols, kernel.rank(words, lattice.degrees, of=km[key]))
+        val = lattice.factors[lam] * np.sqrt(lattice.weights[lattice.base[km[key]] + at] / lattice.weights[mu])
+        cell = offset[key] + (lam - start[key]) * width[key] + cols
+        good = np.abs(val - 1.0) < rn_tol
+        if not good.all():
+            bad = np.flatnonzero(~good)
+            bad = int(bad[np.argmin(cell[bad])])  # the first in the store, so in key order
+            x, level = lattice.degrees[kx[key[bad]]], lattice.degrees[kl[key[bad]]]
+            lam_path, mu_path = (kernel.paths((lattice.words[p:p + 1, :sum(d)], lattice.ranges[p:p + 1],
+                                               lattice.sources[p:p + 1]), d)[0]
+                                 for p, d in ((lam[bad], x), (mu[bad], level)))
+            raise NonConstantDerivative(f"Radon-Nikodym derivative not constant: entry "
+                                        f"{val[bad]} for {lam_path}, {mu_path}")
+        rows[cell], vals[cell] = at, val
+        entries[a:b] = np.bincount(key - a, minlength=b - a)
+    return _Tables(lattice, keys, offset, height, width, entries, rows, vals)
 
 
 def s_matrix(spec: MeasureSpec, path: Path, domain_level: Sequence[int],
              rn_tol: float = 1e-12) -> OperatorMatrix:
-    """S_path from level `domain_level` to `domain_level + d(path)`."""
-    dom = level_space(spec, domain_level)
-    cod = level_space(spec, deg_add(dom.level, path.degree))
-    lams = extension_rows(spec.graph, [form_of(path)], path.degree)[0]
-    rows, vals = _prefix_table(spec, lams, spec.prefix_factors(path.degree, lams[0]),
-                               path.degree, dom, cod, rn_tol)
-    cols = np.flatnonzero(rows[0] >= 0)
-    return OperatorMatrix(dom.level, cod.level, (len(cod.weights), len(dom.weights)),
-                          rows[0, cols], cols, vals[0, cols])
+    """S_path from level `domain_level` to `domain_level + d(path)`: the row
+    of the path in the table of its degree (`_prefix_tables`, one key)."""
+    domain_level = as_degree(domain_level, spec.graph.k)
+    _, word, r, _ = form_of(path)
+    kernel, degree = spec.graph.word_kernel, path.degree
+    at = int(kernel.rank(np.array([word], dtype=np.intp), degree)[0]) if any(degree) else r
+    codomain = deg_add(domain_level, degree)
+    levels = sorted({degree, domain_level, codomain})
+    tables = _prefix_tables(spec, levels, np.array([[levels.index(d) for d in (degree, domain_level, codomain)]]),
+                            at, rn_tol)
+    (rows,), (vals,) = tables.table(0)
+    cols, size = np.flatnonzero(rows >= 0), int(tables.lattice.counts[tables.keys[0, 2]])
+    return OperatorMatrix(domain_level, codomain, (size, len(rows)), rows[cols].astype(np.intp), cols, vals[cols])
 
 
 def s_star_matrix(spec: MeasureSpec, path: Path, domain_level: Sequence[int]) -> OperatorMatrix:
@@ -231,8 +360,23 @@ class CKReport:
 
 
 # The CK check holds every prefix table it builds until it returns: at most
-# this many entries in all, 16 bytes each (a row index and a value).
+# this many entries in all, 12 bytes each (a 32-bit row index and a value).
 CK_ENTRY_LIMIT = 2 ** 24
+
+# ... and at most this many tables, which cost time however few their
+# entries.  On lambda3, whose tables hold 1-2 entries each, the check takes
+# 35-60 us per table at (80, 1) (9,963 tables), (160, 1) (39,123) and
+# (200, 1) (60,903 tables, 3.0-3.6 s), in process on one core of a shared
+# 2-core x86-64 host.  Most of it is building the levels up to T, each
+# letter by letter, and their rank tables: work that grows with T_1 as the
+# table count does.
+CK_TABLE_LIMIT = 2 ** 16
+
+
+def ck_table_count(test_level: Sequence[int]) -> int:
+    """The number of prefix tables of the CK check at `test_level` T, one per
+    key (x, L) with x + L <= T: the product over the colors of (T_i + 1)(T_i + 2) / 2."""
+    return math.prod((t + 1) * (t + 2) // 2 for t in test_level)
 
 
 def ck_table_entries(graph: KGraph, test_level: Sequence[int]) -> int:
@@ -262,25 +406,62 @@ def _least_table_entries(graph: KGraph, test_level: Degree) -> int:
     return degrees * max(n * n, _path_count(graph, test_level, CK_ENTRY_LIMIT // degrees + 1))
 
 
-def _steps(upto: Degree) -> list[Degree]:
-    """The nonzero degrees up to `upto`, in product order."""
-    return [d for d in product(*(range(t + 1) for t in upto)) if any(d)]
+class _Plan(NamedTuple):
+    """What the CK check at one test level T reads, worked out from T alone.
+    Lattice ids number the degrees up to T in product order (``degrees``),
+    a mixed-radix numbering, so below T they add and subtract as the degrees
+    do.  ``keys`` holds the ids (x, L, x + L) of the check's tables in
+    build order (`_ck_tables`).  ``ck2`` holds, for each pair of nonzero
+    degrees d, dl with d + dl <= T, d-major and dl ascending, the key
+    numbers of the tables (d, dl), (d, T - d), (dl, base) and (d + dl, base),
+    base = T - d - dl, and the ids of d, dl and base; ``ck34``, for each
+    nonzero d, those of (d, T - d) and (0, T - d), and the ids of d and
+    T - d."""
+
+    degrees: tuple[Degree, ...]
+    keys: np.ndarray
+    ck2: np.ndarray
+    ck34: np.ndarray
 
 
-def _prefix_tables(spec: MeasureSpec, test_level: Degree) -> dict[tuple[Degree, Degree], tuple]:
-    """The table of the S_lambda of every degree x at every level L with
-    x + L <= `test_level`, keyed (x, L), with one `MeasureSpec.prefix_factors`
-    call per degree.  Above `CK_ENTRY_LIMIT` entries it raises TooLarge
-    before it builds a level: first on a bound (`_least_table_entries`),
-    before `ck_table_entries` fills its lattice of exact counts, then on
-    that count.
+def _ck_plan(test_level: Degree) -> _Plan:
+    degrees = list(product(*(range(t + 1) for t in test_level)))
+    size, top, digits = len(degrees), len(degrees) - 1, np.array(degrees, dtype=np.intp)
+    fits = (digits[:, None, :] + digits[None, :, :] <= np.array(test_level)).all(axis=2)
+    fits[0, :] = fits[:, 0] = False
+    d, dl = np.nonzero(fits)  # d-major, dl ascending
+    rest, base, steps = top - d, top - d - dl, np.arange(1, size)
+    # each key as x * size + L, as the check first meets it: (0, T); then per
+    # d, for each dl, (d, T - d), (dl, base) and (d + dl, base), then
+    # (d, T - d) and (0, T - d)
+    pairs = np.bincount(d, minlength=size)[1:]
+    block = 3 * pairs + 2
+    start = 1 + np.cumsum(block) - block
+    at = start[d - 1] + 3 * (np.arange(len(d)) - (np.cumsum(pairs) - pairs)[d - 1])
+    met = np.empty(1 + int(block.sum()), dtype=np.intp)
+    met[0], met[at], met[at + 1], met[at + 2] = top, d * size + rest, dl * size + base, (d + dl) * size + base
+    met[start + 3 * pairs], met[start + 3 * pairs + 1] = steps * size + top - steps, top - steps
+    order = np.argsort(met, kind="stable")
+    codes = met[np.sort(order[np.diff(met[order], prepend=-1) != 0])]  # each where first met
+    key = np.zeros(size * size, dtype=np.intp)
+    key[codes] = np.arange(len(codes))
+    x, level = np.divmod(codes, size)
+    return _Plan(tuple(degrees), np.column_stack([x, level, x + level]),
+                 np.stack([key[d * size + dl], key[d * size + rest], key[dl * size + base],
+                           key[(d + dl) * size + base], d, dl, base]),
+                 np.stack([key[steps * size + top - steps], key[top - steps], steps, top - steps]))
 
-    The order is fixed: the vertex projections at the test level; then per
-    nonzero degree d, for each degree dl, the tables of S_mu (d(mu) = d),
-    S_lambda (d(lambda) = dl) and S_{mu lambda} that (CK2) multiplies, then
-    those of S_mu and S_{s(mu)} that (CK3) reads.  A derivative that is not
-    constant raises at the first table in this order that shows it."""
-    graph, kernel, zero = spec.graph, spec.graph.word_kernel, spec.graph.zero_degree()
+
+def _ck_budget(graph: KGraph, test_level: Degree) -> None:
+    """Raise TooLarge, before any level is built, where the CK check at
+    `test_level` would build more than `CK_TABLE_LIMIT` tables or hold more
+    than `CK_ENTRY_LIMIT` entries: first on the table count, then on a bound
+    (`_least_table_entries`), before `ck_table_entries` fills its lattice of
+    exact counts, then on that count."""
+    tables = ck_table_count(test_level)
+    if tables > CK_TABLE_LIMIT:
+        raise TooLarge(f"the CK check at level {test_level} builds {tables} prefix tables, "
+                       f"above the limit of {CK_TABLE_LIMIT}")
     least = _least_table_entries(graph, test_level)
     if least > CK_ENTRY_LIMIT:
         raise TooLarge(f"the CK check at level {test_level} holds at least {least} prefix-table entries, "
@@ -289,29 +470,19 @@ def _prefix_tables(spec: MeasureSpec, test_level: Degree) -> dict[tuple[Degree, 
     if entries > CK_ENTRY_LIMIT:
         raise TooLarge(f"the CK check at level {test_level} holds {entries} prefix-table entries, "
                        f"above the limit of {CK_ENTRY_LIMIT}")
-    space, tables = cache(partial(level_space, spec)), {}
-    factors = cache(lambda degree: spec.prefix_factors(degree, kernel.level(degree)[0]))
-
-    def build(degree: Degree, level: Degree):
-        if (degree, level) not in tables:
-            tables[degree, level] = _prefix_table(spec, kernel.level(degree), factors(degree), degree,
-                                                  space(level), space(deg_add(level, degree)))
-
-    build(zero, test_level)
-    for d in _steps(test_level):
-        rest = deg_sub(test_level, d)
-        for dl in _steps(rest):
-            build(d, rest), build(dl, deg_sub(rest, dl)), build(deg_add(d, dl), deg_sub(rest, dl))
-        build(d, rest), build(zero, rest)
-    return tables
 
 
-def _product(outer: tuple, i: np.ndarray, inner: tuple, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """outer[i[p]] @ inner[j[p]] per case p, on column-form tables: each entry
-    of inner goes on through the column of outer at its row, a single product."""
-    (ro, vo), (ri, vi) = outer, (inner[0][j], inner[1][j])
-    at = i[:, None], ri
-    return np.where(ri >= 0, ro[at], -1), np.where(ri >= 0, vo[at] * vi, 0.0)
+def _ck_tables(spec: MeasureSpec, plan: _Plan) -> _Tables:
+    """The table of the S_lambda of every degree x at every level L with
+    x + L <= the test level of the plan (`_prefix_tables`).
+
+    The key order is fixed: the vertex projections at the test level; then
+    per nonzero degree d, for each degree dl, the tables of S_mu (d(mu) = d),
+    S_lambda (d(lambda) = dl) and S_{mu lambda} that (CK2) multiplies, then
+    those of S_mu and S_{s(mu)} that (CK3) reads; each key where it first
+    appears.  A derivative that is not constant raises at the first table in
+    this order that shows it."""
+    return _prefix_tables(spec, plan.degrees, plan.keys)
 
 
 def _gaps(a: tuple, b: tuple) -> np.ndarray:
@@ -326,20 +497,32 @@ def _deviation(a: tuple, b: tuple) -> np.ndarray:
     return np.max(_gaps(a, b), axis=-1, initial=0.0)
 
 
+def _case_max(terms: np.ndarray, case: np.ndarray, cases: int) -> np.ndarray:
+    """The largest of the terms of each case, 0 for a case with none: the
+    terms come case after case."""
+    out, first = np.zeros(cases), np.flatnonzero(np.diff(case, prepend=-1))
+    out[case[first]] = np.maximum.reduceat(terms, first) if len(first) else 0.0
+    return out
+
+
 def check_ck_relations(spec: MeasureSpec, graph: KGraph,
                        test_level: Sequence[int]) -> CKReport:
     """Verify (CK1)-(CK4) as matrix identities on cylinder level spaces.
 
     All compositions are arranged to land at degree `test_level`; the report
     carries the worst absolute deviation per relation and the first case
-    where it occurred.  The relations read the prefix tables
-    (`_prefix_tables`), each for all its cases of one degree at once.
+    where it occurred.  The relations read the prefix tables (`_ck_tables`)
+    from their flat store, each in batched passes over all its cases, in
+    chunks of bounded size (`_chunks`).
     """
     _same_graph("measure and graph", graph, spec.graph)
     test_level = as_degree(test_level, graph.k)
     if any(t < 1 for t in test_level):
         raise LevelTooSmall(f"test level {test_level} must be >= 1 in every color")
-    tables, kernel, vertices = _prefix_tables(spec, test_level), graph.word_kernel, graph.vertices
+    _ck_budget(graph, test_level)
+    plan = _ck_plan(test_level)
+    tables, kernel, vertices = _ck_tables(spec, plan), graph.word_kernel, graph.vertices
+    lattice = tables.lattice
     worst = {relation: (0.0, {}) for relation in ("CK1", "CK2", "CK3", "CK4")}
 
     def record(relation: str, devs: np.ndarray, witness):
@@ -352,12 +535,19 @@ def check_ck_relations(spec: MeasureSpec, graph: KGraph,
     def word(degree: Degree, i: int) -> str:
         return "".join(kernel.ids[e] for e in kernel.level(degree)[0][i])
 
+    def matched(heads: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The nonempty cells of the rows of the paths at these lattice
+        positions in tables at these levels, row after row, columns
+        ascending: a table has an entry exactly where the range of the column
+        is the source of the row's path (`WordKernel.matching`)."""
+        return kernel.matching(lattice.sources[heads], lattice.degrees, of=levels)
+
     # (CK1) S_v S_w = [v = w] S_v, and the S_v sum to 1.  Column mu of the
     # projections holds one entry, (row, val)[mu] of S_{r(mu)}, so S_v S_w
     # differs from [v = w] S_v at mu only for w = r(mu): there it holds
     # (row, val)[row[mu]] times val[mu] for v = r(row[mu]), and nothing else.
-    zero, n, ranges = graph.zero_degree(), len(vertices), kernel.level(test_level)[1]
-    projs, at = tables[zero, test_level], np.arange(len(ranges))
+    n, ranges = len(vertices), kernel.level(test_level)[1]
+    projs, at = tables.table(0), np.arange(len(ranges))  # the first key is (0, T)
     row, val = projs[0][ranges, at], projs[1][ranges, at]
     outer, same = ranges[row], ranges[row] == ranges
     dev = np.zeros(n * n)
@@ -367,36 +557,56 @@ def check_ck_relations(spec: MeasureSpec, graph: KGraph,
     record("CK1", dev, lambda p: {"vertices": [vertices[p // n], vertices[p % n]]})
     record("CK1", _deviation((row[None], val[None]), (at, np.ones(len(at)))), lambda _: {"vertices": "sum"})
 
-    for d in _steps(test_level):
-        mus, rest = kernel.level(d), deg_sub(test_level, d)
-        # (CK2) S_mu S_lambda = S_{mu lambda} for d(mu) = d and each lambda with
-        # r(lambda) = s(mu).  The table of S_mu at level d(lambda) holds the
-        # cases, mu-major and lambda ascending, at the rows of the composites.
-        for dl in _steps(rest):
-            base, composites = deg_sub(rest, dl), tables[d, dl][0]
-            i, j = np.nonzero(composites >= 0)
-            lhs = _product(tables[d, rest], i, tables[dl, base], j)
-            rows, vals = tables[deg_add(d, dl), base]
-            at_both = composites[i, j]
-            record("CK2", _deviation(lhs, (rows[at_both], vals[at_both])),
-                   lambda p: {"mu": word(d, i[p]), "lambda": word(dl, j[p])})
-        # (CK3) S_mu* S_mu = S_{s(mu)}.  S* S holds the squared entries on its
-        # diagonal and, where two columns share a row, their product: the
-        # largest such product in a row is that of its two largest entries.
-        (rows, vals), targets = tables[d, rest], tables[zero, rest]
-        dev = _deviation((np.arange(rows.shape[1]), vals ** 2), (targets[0][mus[2]], targets[1][mus[2]]))
-        lam, col = np.nonzero(rows >= 0)
-        row, val = rows[lam, col], vals[lam, col]
-        key, size = lam * len(at) + row, np.abs(val)
+    # (CK2) S_mu S_lambda = S_{mu lambda} for each pair of nonzero degrees
+    # d = d(mu), dl = d(lambda) and each lambda with r(lambda) = s(mu).  The
+    # table of S_mu at level dl holds the cases, mu-major and lambda
+    # ascending, at the rows of the composites: each case is one row of the
+    # table of S_lambda taken on through the table of S_mu at level d(lambda)
+    # + base, against one row of the table of S_{mu lambda}, term by term.
+    # Both rows have their entries at the columns that `matched` gives; every
+    # other term is 0 on both sides.
+    base, counts = lattice.base, lattice.counts
+    store, offset, width = (tables.rows, tables.vals), tables.offset, tables.width
+    comp, outer, inner, target, d, dl, low = plan.ck2
+    for a, b in _chunks((tables.entries[comp] * (tables.entries[inner] // tables.height[inner] + 1)).tolist()):
+        owner = np.repeat(np.arange(a, b), counts[d[a:b]])
+        case, j = matched(_expand_runs(base[d[a:b]], counts[d[a:b]]), dl[owner])
+        pair = owner[case]
+        i = case - (np.cumsum(counts[d[a:b]]) - counts[d[a:b]])[pair - a]
+        at_both = store[0][offset[comp[pair]] + i * width[comp[pair]] + j]
+        term, col = matched(base[dl[pair]] + j, low[pair])
+        ri, vi = (part[(offset[inner[pair]] + j * width[inner[pair]])[term] + col] for part in store)
+        via = (offset[outer[pair]] + i * width[outer[pair]])[term] + ri
+        lhs = np.where(ri >= 0, store[0][via], -1), np.where(ri >= 0, store[1][via] * vi, 0.0)
+        goal = (offset[target[pair]] + at_both * width[inner[pair]])[term] + col
+        record("CK2", _case_max(_gaps(lhs, (store[0][goal], store[1][goal])), term, len(pair)),
+               lambda p: {"mu": word(plan.degrees[d[pair[p]]], i[p]), "lambda": word(plan.degrees[dl[pair[p]]], j[p])})
+
+    # (CK3) S_mu* S_mu = S_{s(mu)}.  S* S holds the squared entries on its
+    # diagonal and, where two columns share a row, their product: the
+    # largest such product in a row is that of its two largest entries.
+    # (CK4) S_v = sum over v Lambda^d of S_lambda S_lambda*.  With one entry
+    # per column S S* is diagonal: the squared entries summed at their rows.
+    # Both read the entries of the table of each degree d at level T - d.
+    own, projections, d, rest = plan.ck34
+    for a, b in _chunks((tables.entries[own] + n * len(at)).tolist()):
+        owner = np.repeat(np.arange(a, b), counts[d[a:b]])
+        mus = _expand_runs(base[d[a:b]], counts[d[a:b]])  # in the lattice
+        case, col = matched(mus, rest[owner])
+        across = width[own[owner]]
+        cell = (offset[own[owner]] + (mus - base[d[owner]]) * across)[case] + col
+        target = (offset[projections[owner]] + lattice.sources[mus] * across)[case] + col
+        row, val = store[0][cell], store[1][cell]
+        dev = _case_max(_gaps((col, val ** 2), (store[0][target], store[1][target])), case, len(mus))
+        key, size = case * len(at) + row, np.abs(val)
         order = np.lexsort((-size, key))  # by case and row, the largest entry first
-        key, size, mu = key[order], size[order], lam[order]
+        key, size, by = key[order], size[order], case[order]
         shared = np.flatnonzero(key[1:] == key[:-1])
-        np.maximum.at(dev, mu[shared], size[shared] * size[shared + 1])
-        record("CK3", dev, lambda p: {"mu": word(d, p)})
-        # (CK4) S_v = sum over v Lambda^d of S_lambda S_lambda*.  With one entry
-        # per column S S* is diagonal: the squared entries summed at their rows.
-        acc = np.zeros(projs[1].shape)
-        np.add.at(acc, (mus[1][lam], row), val ** 2)
-        record("CK4", _deviation((at, acc), projs), lambda v: {"n": list(d), "vertex": vertices[v]})
+        np.maximum.at(dev, by[shared], size[shared] * size[shared + 1])
+        record("CK3", dev, lambda p: {"mu": word(plan.degrees[d[owner[p]]], mus[p] - base[d[owner[p]]])})
+        acc = np.zeros((b - a, n, len(at)))
+        np.add.at(acc.reshape(-1), ((owner[case] - a) * n + lattice.ranges[mus[case]]) * len(at) + row, val ** 2)
+        record("CK4", _deviation((at, acc), projs).reshape(-1),
+               lambda p: {"n": list(plan.degrees[d[a + p // n]]), "vertex": vertices[p % n]})
 
     return CKReport(test_level, tuple(RelationCheck(r, *worst[r]) for r in worst))

@@ -587,9 +587,10 @@ def dense_matching(sources, ranges):
 
 
 def case_prefix_table(spec, lams, degree, dom, cod, rn_tol=1e-12):
-    """`sbfs._prefix_table` with its pairs from `dense_matching` and its
-    prefix factors computed for the call: the table of S_lambda from `dom`
-    to `cod` for the paths `lams` of one degree."""
+    """The table of one key of `sbfs._prefix_tables`, built on its own, with
+    its pairs from `dense_matching` and its prefix factors computed for the
+    call: the table of S_lambda from `dom` to `cod` for the paths `lams` of
+    one degree."""
     kernel = spec.graph.word_kernel
     words, _, sources = lams
     owner, cols = dense_matching(sources, dom.ranges)

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from itertools import product
 from unittest.mock import patch
 
 import numpy as np
@@ -11,12 +12,14 @@ from kgraphwave import (
     CylinderFn,
     DegreeRangeError,
     CK_ENTRY_LIMIT,
+    CK_TABLE_LIMIT,
     LevelTooSmall,
     MeasureSpec,
     NonConstantDerivative,
     bouquet_graph,
     TooLarge,
     check_ck_relations,
+    ck_table_count,
     ck_table_entries,
     cylinder_fns_equal,
     cylinder_measure,
@@ -327,9 +330,13 @@ class TestCKAsIndexMaps:
         right_rows = kernel.compose
         f1_row, f2f2_row = path_row(f1), path_row(f2f2)
 
-        def wrong_rows(heads, head_degree, tails, tail_degree):
-            words = right_rows(heads, head_degree, tails, tail_degree)
-            if head_degree == tail_degree == f1.degree:
+        def wrong_rows(heads, head_degree, tails, tail_degree, of=None):
+            words = right_rows(heads, head_degree, tails, tail_degree, of)
+            if of is not None and words.shape[1] >= 2:  # one degree per row, the rows padded
+                wrong = (np.all(head_degree[of] == f1.degree, axis=1) & np.all(tail_degree[of] == f1.degree, axis=1)
+                         & np.all(heads[:, :1] == f1_row, axis=1) & np.all(tails[:, :1] == f1_row, axis=1))
+                words[wrong, :2] = f2f2_row
+            elif of is None and head_degree == tail_degree == f1.degree:
                 heads = np.broadcast_to(heads, (len(tails), heads.shape[-1]))
                 words[np.all(heads == f1_row, axis=1) & np.all(tails == f1_row, axis=1)] = f2f2_row
             return words
@@ -358,13 +365,19 @@ class TestCKAsIndexMaps:
         right_rows = kernel.compose
         e_row, (q1_row, q2_row, q3_row) = path_row(e), (path_row(q) for q in (q1, q2, q3))
 
-        def merging_rows(heads, head_degree, tails, tail_degree):
-            if head_degree == e.degree and tail_degree == q1.degree:
+        def merging_rows(heads, head_degree, tails, tail_degree, of=None):
+            if of is not None and tails.shape[1] >= 3:  # one degree per row, the rows padded
+                merge = (np.all(head_degree[of] == e.degree, axis=1) & np.all(tail_degree[of] == q1.degree, axis=1)
+                         & np.all(heads[:, :1] == e_row, axis=1)
+                         & (np.all(tails[:, :3] == q2_row, axis=1) | np.all(tails[:, :3] == q3_row, axis=1)))
+                tails = tails.copy()
+                tails[merge, :3] = q1_row
+            elif of is None and head_degree == e.degree and tail_degree == q1.degree:
                 heads = np.broadcast_to(heads, (len(tails), heads.shape[-1]))
                 merge = np.all(heads == e_row, axis=1) & (
                     np.all(tails == q2_row, axis=1) | np.all(tails == q3_row, axis=1))
                 tails = np.where(merge[:, None], q1_row, tails)
-            return right_rows(heads, head_degree, tails, tail_degree)
+            return right_rows(heads, head_degree, tails, tail_degree, of)
 
         monkeypatch.setattr(helpers, "compose", merging)
         monkeypatch.setattr(kernel, "compose", merging_rows)
@@ -460,9 +473,18 @@ class TestTableReadCheck:
             vals[rows >= 0] *= rng.choice([1.0, 1 + 1e-3, 1 - 2e-3, -1.0], int((rows >= 0).sum()))
             return rows, vals
 
-        table, case_table = kgraphwave.sbfs._prefix_table, helpers.case_prefix_table
-        monkeypatch.setattr(kgraphwave.sbfs, "_prefix_table", lambda spec, lams, factors, degree, dom, cod:
-                            perturbed(table(spec, lams, factors, degree, dom, cod), degree, cod))
+        build, case_table = kgraphwave.sbfs._prefix_tables, helpers.case_prefix_table
+
+        def perturbed_store(spec, *args):
+            # each table of the store, through its per-key view, as the
+            # oracle's tables are perturbed one at a time
+            tables = build(spec, *args)
+            for (degree, level), q in tables.index.items():
+                rows, vals = tables.table(q)
+                rows[...], vals[...] = perturbed((rows, vals), degree, level_space(spec, deg_add(degree, level)))
+            return tables
+
+        monkeypatch.setattr(kgraphwave.sbfs, "_prefix_tables", perturbed_store)
         monkeypatch.setattr(helpers, "case_prefix_table", lambda spec, lams, degree, dom, cod:
                             perturbed(case_table(spec, lams, degree, dom, cod), degree, cod))
         graph = load_kgraph(doc)
@@ -507,6 +529,7 @@ class TestSizeLimit:
             raise AssertionError("the path-count lattice was filled")
 
         monkeypatch.setattr(kgraphwave.sbfs, "path_counts", no_counts)
+        monkeypatch.setattr(kgraphwave.sbfs, "CK_TABLE_LIMIT", ck_table_count(level))  # the entry bound refuses
         with pytest.raises(TooLarge, match="holds at least .* above the limit"):
             check_ck_relations(specL, ledrappier, level)
 
@@ -525,15 +548,18 @@ class TestSizeLimit:
 
     def test_counts_match_the_tables_built(self, monkeypatch, spec3, lambda3):
         built = {}
-        table = kgraphwave.sbfs._prefix_table
+        build = kgraphwave.sbfs._prefix_tables
 
-        def counted(spec, lams, factors, degree, dom, cod):
-            built[degree, dom.level] = table(spec, lams, factors, degree, dom, cod)[0].size
-            return table(spec, lams, factors, degree, dom, cod)
+        def counted(spec, *args):
+            tables = build(spec, *args)
+            built.update({key: tables[key][0].size for key in tables.index})
+            assert tables.rows.size == tables.vals.size == sum(built.values())  # one flat store
+            return tables
 
-        monkeypatch.setattr(kgraphwave.sbfs, "_prefix_table", counted)
+        monkeypatch.setattr(kgraphwave.sbfs, "_prefix_tables", counted)
         check_ck_relations(spec3, lambda3, (3, 2))
         assert sum(built.values()) == ck_table_entries(lambda3, (3, 2))
+        assert len(built) == ck_table_count((3, 2))
 
     def test_a_table_can_outgrow_vertices_times_the_level(self, monkeypatch):
         # one edge w -> u and three u -> w: the table of degree 1 at level 1
@@ -542,13 +568,14 @@ class TestSizeLimit:
             {"id": "a", "color": 1, "source": "w", "range": "u"},
             *({"id": f"b{i}", "color": 1, "source": "u", "range": "w"} for i in range(3))]})
         shapes = {}
-        table = kgraphwave.sbfs._prefix_table
+        build = kgraphwave.sbfs._prefix_tables
 
-        def recorded(spec, lams, factors, degree, dom, cod):
-            shapes[degree, dom.level] = table(spec, lams, factors, degree, dom, cod)[0].shape
-            return table(spec, lams, factors, degree, dom, cod)
+        def recorded(spec, *args):
+            tables = build(spec, *args)
+            shapes.update({key: tables[key][0].shape for key in tables.index})
+            return tables
 
-        monkeypatch.setattr(kgraphwave.sbfs, "_prefix_table", recorded)
+        monkeypatch.setattr(kgraphwave.sbfs, "_prefix_tables", recorded)
         check_ck_relations(MeasureSpec.perron_frobenius(graph), graph, (2,))
         assert shapes[(1,), (1,)] == (4, 4) and shapes[(0,), (2,)] == (2, 6)
         assert sum(a * b for a, b in shapes.values()) == ck_table_entries(graph, (2,))
@@ -561,7 +588,8 @@ class TestSizeLimit:
         circulant = load_kgraph(twisted_circulant_document(64, (1, 2), (1, 3), 0))
         assert ck_table_entries(circulant, (1, 1)) * 100 < CK_ENTRY_LIMIT
 
-    def test_cli_size_limit(self, capsys):
+    def test_cli_size_limit(self, monkeypatch, capsys):
+        monkeypatch.setattr(kgraphwave.sbfs, "CK_TABLE_LIMIT", ck_table_count((30, 30)))  # the entry count refuses
         with pytest.raises(SystemExit) as exc:
             main(["ck-check", str(fixture_path("ledrappier")), "--level", "30,30"])
         captured = capsys.readouterr()
@@ -570,3 +598,135 @@ class TestSizeLimit:
         rec = json.loads(line)
         assert rec["error"] == "usage" and rec["reason"] == "size_limit"
         assert str(CK_ENTRY_LIMIT) in rec["message"]
+
+
+class TestBatchedTables:
+    """Every prefix table of a check is built in one batched pass into one
+    flat store, and the relations read the store in batched passes: the
+    reports must still agree bit for bit with the case-by-case oracle,
+    witnesses included, and the engine calls must not follow the number of
+    tables."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(family_documents(), st.data())
+    def test_reports_match_the_case_by_case_report(self, doc, data):
+        graph = load_kgraph(doc)
+        assume(is_strongly_connected(graph))
+        level = data.draw(st.sampled_from([(a, b) for a in range(1, 4) for b in range(1, 4)]
+                                          if graph.k == 2 else [(1, 1, 1)]))
+        spec = MeasureSpec.perron_frobenius(graph)
+        assert check_ck_relations(spec, graph, level).to_records() == \
+            case_ck_report(spec, graph, level).to_records()
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 3), st.integers(1, 5), st.data())
+    def test_bernoulli_bouquets_match_the_case_by_case_report(self, letters, level, data):
+        graph = bouquet_graph(letters)
+        parts = data.draw(st.lists(st.integers(1, 9), min_size=letters, max_size=letters))
+        spec = MeasureSpec.bernoulli(graph, [a / sum(parts) for a in parts])
+        assert check_ck_relations(spec, graph, (level,)).to_records() == \
+            case_ck_report(spec, graph, (level,)).to_records()
+
+    @pytest.mark.parametrize("level", [(3, 3), (6, 1)])
+    def test_engine_calls_do_not_follow_the_tables(self, monkeypatch, spec3, lambda3, level):
+        # (3, 3) has 100 tables and (6, 1) 84: each is one chunk, built by
+        # one compose (one rewrite) and one rank, whatever its tables
+        kernel, calls = lambda3.word_kernel, {}
+        for name in ("rewrite", "rank", "matching", "compose"):
+            def counted(*args, _name=name, _call=getattr(kernel, name), **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _call(*args, **kwargs)
+            monkeypatch.setattr(kernel, name, counted)
+        check_ck_relations(spec3, lambda3, level)
+        assert calls == {"compose": 1, "rewrite": 1, "rank": 1, "matching": 4}
+
+    def test_chunks_bound_the_calls_of_a_large_level(self, monkeypatch, specL, ledrappier):
+        # with small chunks the builder makes one compose per chunk, and the
+        # report does not change
+        chunks, build = [], kgraphwave.sbfs._chunks
+        monkeypatch.setattr(kgraphwave.sbfs, "_chunks", lambda work: chunks.append(list(build(work, 2 ** 10)))
+                            or chunks[-1])
+        calls, compose = [], ledrappier.word_kernel.compose
+        monkeypatch.setattr(ledrappier.word_kernel, "compose", lambda *a, **k: calls.append(1) or compose(*a, **k))
+        report = check_ck_relations(specL, ledrappier, (2, 2)).to_records()
+        assert 1 < len(calls) == len(chunks[0]) < ck_table_count((2, 2))
+        assert report == case_ck_report(specL, ledrappier, (2, 2)).to_records()
+
+    def test_tables_are_views_of_one_store(self, spec3, lambda3):
+        tables = kgraphwave.sbfs._ck_tables(spec3, kgraphwave.sbfs._ck_plan((2, 1)))
+        assert len(tables.keys) == len(tables.index) == ck_table_count((2, 1))
+        assert tables.rows.size == ck_table_entries(lambda3, (2, 1))
+        for key in tables.index:
+            rows, vals = tables[key]
+            assert rows.base is tables.rows and vals.base is tables.vals
+            assert np.count_nonzero(rows >= 0) == tables.entries[tables.index[key]]
+
+    @pytest.mark.parametrize("level", [(1,), (4,), (1, 1), (3, 3), (6, 1), (1, 5), (2, 1, 3), (1, 1, 1)])
+    def test_plan_is_the_loop_of_the_check(self, level):
+        # the order in which the case-by-case check first reads each table,
+        # and its (CK2) pairs and (CK3) degrees, against the plan's arrays
+        steps = [d for d in product(*(range(t + 1) for t in level)) if any(d)]
+        zero, order, pairs = tuple(0 for _ in level), {}, []
+        order[zero, level] = None
+        for d in steps:
+            rest = tuple(t - a for t, a in zip(level, d))
+            for dl in (e for e in steps if deg_le(e, rest)):
+                base = tuple(r - b for r, b in zip(rest, dl))
+                order.update(dict.fromkeys([(d, rest), (dl, base), (deg_add(d, dl), base)]))
+                pairs.append((d, dl, rest, base))
+            order.update(dict.fromkeys([(d, rest), (zero, rest)]))
+        plan = kgraphwave.sbfs._ck_plan(level)
+        keys = [(plan.degrees[x], plan.degrees[y]) for x, y, _ in plan.keys.tolist()]
+        assert keys == list(order) and len(keys) == ck_table_count(level)
+        assert [plan.degrees[x + y] for x, y, _ in plan.keys.tolist()] == [plan.degrees[m] for m in plan.keys[:, 2]]
+        number = {key: q for q, key in enumerate(keys)}
+        assert plan.ck2.T.tolist() == [
+            [number[d, dl], number[d, rest], number[dl, base], number[deg_add(d, dl), base],
+             plan.degrees.index(d), plan.degrees.index(dl), plan.degrees.index(base)] for d, dl, rest, base in pairs]
+        assert plan.ck34.T.tolist() == [
+            [number[d, rest], number[zero, rest], plan.degrees.index(d), plan.degrees.index(rest)]
+            for d, rest in ((d, tuple(t - a for t, a in zip(level, d))) for d in steps)]
+
+    def test_table_count_in_closed_form(self):
+        graph = load_kgraph_file(fixture_path("lambda3"))
+        for level in [(1, 1), (3, 3), (6, 1), (2, 1, 3)]:
+            assert ck_table_count(level) == len(kgraphwave.sbfs._ck_plan(level).keys) == sum(
+                1 for x in product(*(range(t + 1) for t in level)) for y in product(*(range(t + 1) for t in level))
+                if deg_le(deg_add(x, y), level))
+        assert ck_table_count((1000, 1)) == 1_504_503  # counted, never built
+        assert ck_table_count((80, 1)) <= CK_TABLE_LIMIT
+        assert ck_table_entries(graph, (1000, 1)) <= CK_ENTRY_LIMIT  # so only the table budget refuses it
+
+    @pytest.mark.parametrize("level", [(1000, 1), (1, 1)])
+    def test_table_budget_refuses_before_any_level_is_built(self, monkeypatch, spec3, lambda3, level):
+        def no_levels(self, degree):
+            raise AssertionError(f"level {degree} built")
+
+        # the limit just below the count: (1, 1) refuses, (1000, 1) never runs
+        monkeypatch.setattr(kgraphwave.sbfs, "CK_TABLE_LIMIT", min(CK_TABLE_LIMIT, ck_table_count(level) - 1))
+        monkeypatch.setattr(type(lambda3.word_kernel), "level", no_levels)
+        with pytest.raises(TooLarge, match=f"builds {ck_table_count(level)} prefix tables, above the limit"):
+            check_ck_relations(spec3, lambda3, level)
+
+    def test_cli_refuses_a_level_of_too_many_tables(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["ck-check", str(fixture_path("lambda3")), "--level", "1000,1"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 1 and captured.out == ""
+        (line,) = captured.err.splitlines()
+        rec = json.loads(line)
+        assert rec["error"] == "usage" and rec["reason"] == "size_limit"
+        assert "1504503 prefix tables" in rec["message"] and str(CK_TABLE_LIMIT) in rec["message"]
+
+    @pytest.mark.parametrize("name,level", [("lambda3", (3, 3)), ("ledrappier", (2, 2))])
+    def test_s_matrix_is_its_row_of_the_check_table(self, name, level):
+        graph = load_kgraph_file(fixture_path(name))
+        spec = MeasureSpec.perron_frobenius(graph)
+        tables = kgraphwave.sbfs._ck_tables(spec, kgraphwave.sbfs._ck_plan(level))
+        for x, base in [((1, 0), (0, 1)), ((0, 1), (1, 1)), ((1, 1), (0, 0))]:
+            rows, vals = tables[x, base]
+            for i, lam in enumerate(enumerate_paths(graph, x)):
+                op = s_matrix(spec, lam, base)
+                assert op.rows.dtype == np.intp
+                assert np.array_equal(op.cols, np.flatnonzero(rows[i] >= 0))
+                assert np.array_equal(op.rows, rows[i][op.cols]) and np.array_equal(op.vals, vals[i][op.cols])

@@ -30,6 +30,7 @@ from kgraphwave import (
     synthesize,
     wavelet_basis,
 )
+from kgraphwave.kgraph import _degree_colors, _merge_schedules, _swap_schedule, deg_add, normal_form_rows
 from helpers import (
     VALID_SQUARES,
     compose_cascade,
@@ -283,3 +284,80 @@ class TestUnusedColors:
         assert [p.word for p in paths] == [("e", "e", "e")]
         assert kernel.edges_of(1).tolist() == [] and kernel.edges_of(k // 2).tolist() == []
         assert kernel.edges_of(k).tolist() == [0]
+
+
+class TestRowsOfManyDegrees:
+    """The batched modes of the kernel (`RowSchedules`, and ``of`` in
+    `compose`, `matching` and `rank`) against the calls of one degree or one
+    color sequence at a time."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda k: st.lists(
+        st.tuples(*[st.tuples(st.integers(0, 3), st.integers(0, 3))] * k), min_size=1, max_size=8)))
+    def test_merge_schedules_are_the_swap_schedules(self, pairs):
+        heads = np.array([[a for a, _ in pair] for pair in pairs], dtype=np.intp)
+        tails = np.array([[b for _, b in pair] for pair in pairs], dtype=np.intp)
+        swaps, start, length = _merge_schedules(heads, tails)
+        for q, (head, tail) in enumerate(zip(heads.tolist(), tails.tolist())):
+            want = _swap_schedule(_degree_colors(tuple(head)) + _degree_colors(tuple(tail)))
+            assert tuple(swaps[start[q]:start[q] + length[q]].tolist()) == want
+
+    @PROPERTY
+    @given(measured_graphs(), st.integers(0, 2 ** 32 - 1))
+    def test_compose_matching_and_rank_of_many_degrees(self, case, seed):
+        spec, _ = case
+        graph, kernel, k = spec.graph, spec.graph.word_kernel, spec.graph.k
+        rng = np.random.default_rng(seed)
+        degrees = [tuple(int(a) for a in rng.integers(0, 3, k)) for _ in range(4)]
+        pairs = [(degrees[i], degrees[j]) for i, j in rng.integers(0, 4, (5, 2))]
+        width = max(sum(x) + sum(y) for x, y in pairs)
+        heads, tails, of, want, targets, levels, ranks = [], [], [], [], [], [], []
+        for q, (x, y) in enumerate(pairs):
+            xs, ys = kernel.level(x), kernel.level(y)
+            i, j = kernel.matching(xs[2], y)
+            got = kernel.matching(xs[2], degrees, of=np.full(len(xs[2]), degrees.index(y)))
+            assert np.array_equal(got[0], i) and np.array_equal(got[1], j)
+            pad = np.zeros((len(i), width), dtype=np.intp)
+            heads.append(pad.copy()), tails.append(pad.copy())
+            heads[-1][:, :sum(x)], tails[-1][:, :sum(y)] = xs[0][i], ys[0][j]
+            of.append(np.full(len(i), q))
+            if any(x) and any(y):
+                product_rows = kernel.compose(xs[0][i], x, ys[0][j], y)
+            else:
+                product_rows = np.concatenate([xs[0][i], ys[0][j]], axis=1)
+            want.append(product_rows)
+            if any(deg_add(x, y)):
+                ranks.append(kernel.rank(product_rows, deg_add(x, y)))
+                levels.append(np.full(len(i), len(targets)))
+                targets.append(deg_add(x, y))
+        of = np.concatenate(of)
+        got = kernel.compose(np.concatenate(heads), np.array([x for x, _ in pairs]).reshape(-1, k),
+                             np.concatenate(tails), np.array([y for _, y in pairs]).reshape(-1, k), of=of)
+        lengths = np.array([sum(x) + sum(y) for x, y in pairs])[of]
+        for row, size, expected in zip(got, lengths, (r for rows in want for r in rows)):
+            assert np.array_equal(row[:size], expected)
+        rows = got[np.array([any(deg_add(x, y)) for x, y in pairs])[of]]
+        if targets:
+            assert np.array_equal(kernel.rank(rows, targets, of=np.concatenate(levels)), np.concatenate(ranks))
+
+    def test_a_missing_square_raises_in_a_batch(self):
+        doc = twisted_circulant_document(5, (1, 2), (1, 2), 3)
+        graph = load_kgraph(doc)
+        graph.square_edges = graph.square_edges[1:]
+        kernel = graph.word_kernel
+        heads, tails = (kernel.level(d) for d in ((0, 1), (1, 0)))
+        first, second = kernel.matching(heads[2], (1, 0))
+        with pytest.raises(ValidationError) as exc:
+            kernel.compose(np.column_stack([heads[0][first], heads[0][first]]), np.array([[0, 1]]),
+                           np.column_stack([tails[0][second], tails[0][second]]), np.array([[1, 0]]),
+                           of=np.zeros(len(first), dtype=np.intp))
+        assert exc.value.reason == "missing_square"
+
+    def test_normal_forms_take_one_rewrite(self, monkeypatch):
+        graph = load_kgraph_file(fixture_path("lambda3"))
+        calls, rewrite = [], graph.word_kernel.rewrite
+        monkeypatch.setattr(graph.word_kernel, "rewrite", lambda *a, **k: calls.append(1) or rewrite(*a, **k))
+        words = [["f1", "e"], ["e"], ["f2", "f1", "e", "e"], ["e", "f1"], ["f2", "e", "f2"]]
+        forms = normal_form_rows(graph, words)
+        assert len(calls) == 1
+        assert forms == [normal_form_rows(graph, [word])[0] for word in words]
