@@ -1,16 +1,19 @@
 """Command-line front door.
 
 Every subcommand loads a graph document, runs one pipeline, and writes
-line-delimited JSON records (or CSV with --csv) to stdout or --out.  Output
-is byte-deterministic for a fixed invocation.  Errors print one JSON record
-to stderr and exit with 1 (usage), 2 (parse), 3 (validation), or 4 (numeric).
+line-delimited JSON records (or CSV with --csv) to stdout or --out, through
+one writer that writes each record as it is made.  Every check of an op
+runs before its first record, so a failing op writes nothing.  Output is
+byte-deterministic for a fixed invocation.  Errors print one JSON record to
+stderr and exit with 1 (usage), 2 (parse, or a closed stdout), 3
+(validation), or 4 (numeric).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
+import itertools
 import json
 import math
 import sys
@@ -148,27 +151,31 @@ def _load_measure(graph, args) -> MeasureSpec:
     return MeasureSpec.perron_frobenius(graph, exact=exact)
 
 
-def _emit(args, records: list[dict], csv_fields: list[str] | None = None):
+class _Rows:  # the file of a CSV writer: its write returns the row, and so does writerow
+    write = str
+
+
+def _emit(args, records, csv_fields: list[str] | None = None):
+    """Write each record of the iterable `records` as it comes: a JSON line,
+    or with --csv, where the op names `csv_fields`, a header and then a row
+    per record, its missing fields empty and its other fields left out."""
     if getattr(args, "csv", False) and csv_fields:
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=csv_fields, lineterminator="\n")
-        writer.writeheader()
-        for rec in records:
-            writer.writerow({k: rec.get(k, "") for k in csv_fields})
-        _write(args, buf.getvalue())
+        writer = csv.DictWriter(_Rows, csv_fields, restval="", extrasaction="ignore", lineterminator="\n")
+        _write(args, itertools.chain([writer.writeheader()], map(writer.writerow, records)))
     else:
-        _write(args, "".join(json.dumps(rec) + "\n" for rec in records))
+        _write(args, (json.dumps(rec) + "\n" for rec in records))
 
 
-def _write(args, *texts: str):
-    """Write the output texts in order to --out, or else to stdout: records
-    from `_emit`, and the listings `jsonl` renders as text.  Each text is
-    written (and encoded) alone, so several need no joined copy."""
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.writelines(texts)
-    else:
-        sys.stdout.writelines(texts)
+def _write(args, texts):
+    """Write each text of the iterable `texts` as it comes to --out, or else
+    to stdout, never holding the whole output: the records of `_emit`, or the
+    listings `jsonl` renders.  A handler calls it once every check has passed."""
+    fh = open(args.out, "w") if getattr(args, "out", None) else sys.stdout
+    try:
+        fh.writelines(texts)
+    finally:
+        if fh is not sys.stdout:
+            fh.close()
 
 
 def _is_number(value) -> bool:
@@ -274,22 +281,19 @@ def _cmd_measure(args):
         _parse_words(graph, args.path[:1])
         check_zero_one(graph)
     forms = _parse_words(graph, args.path)
-    records = []
-    for text, (_, row, r, _), value in zip(args.path, forms, cylinder_measures(spec, forms)):
-        rec = {"path": text, "normal_form": [graph.edge_ids[e] for e in row] or ["@" + graph.vertices[r]],
-               "measure": str(value) if spec.exact else float(value)}
-        if args.embed:
-            rec["interval"] = [str(x) for x in embed_interval(graph, r, row)]
-        records.append(rec)
-    _emit(args, records, csv_fields=["path", "measure"])
+    measures = cylinder_measures(spec, forms)
+    _emit(args, ({"path": text, "normal_form": [graph.edge_ids[e] for e in row] or ["@" + graph.vertices[r]],
+                  "measure": str(value) if spec.exact else float(value),
+                  **({"interval": [str(x) for x in embed_interval(graph, r, row)]} if args.embed else {})}
+                 for text, (_, row, r, _), value in zip(args.path, forms, measures)),
+          csv_fields=["path", "measure"])
 
 
 def _cmd_ck_check(args):
     graph = _load_graph(args)
     spec = _load_measure(graph, args)
     report = check_ck_relations(spec, graph, _parse_list(args.level, int, "degree/shape", "1,2"))
-    _emit(args, report.to_records(),
-          csv_fields=["relation", "max_deviation"])
+    _emit(args, report.to_records(), csv_fields=["relation", "max_deviation"])
 
 
 def _cmd_wavelets(args):
@@ -303,27 +307,27 @@ def _cmd_wavelets(args):
         _emit(args, [subspace_compare(family, coarse).to_record()])
         return
     if args.list_family:
-        _write(args, family.listing())
+        _write(args, [family.listing()])
         return
     basis = wavelet_basis(family, args.depth)
     if args.analyze:
         fn = CylinderFn.from_records(graph, _read_records(args.analyze, ("path", "coeff")))
         with np.errstate(over="ignore", invalid="ignore"):
             coeffs = _finite(analyze(basis, fn), "--analyze", "coefficients")
-        _write(args, basis.coefficient_lines(coeffs))
+        _write(args, [basis.coefficient_lines(coeffs)])
         return
     if args.synthesize:
         coeffs = [float(rec["coeff"]) for rec in _read_records(args.synthesize, ("coeff",))]
         with np.errstate(over="ignore", invalid="ignore"):
             values = _finite(synthesize_vector(basis, coeffs), "--synthesize", "values")
-        _write(args, basis.space.lines(np.arange(len(values)), values))
+        _write(args, [basis.space.lines(np.arange(len(values)), values)])
         return
-    _write(args, basis.listing())
+    _write(args, [basis.listing()])
 
 
 def _cmd_markov(args):
     system = markov_wavelets(args.alphabet, _parse_weights(args.weights), args.depth)
-    _write(args, system.listing())
+    _write(args, [system.listing()])
 
 
 def _cmd_traffic(args):
@@ -352,11 +356,9 @@ def _cmd_traffic(args):
     else:
         prefs = default_preferred_paths(graph, graph.vertices[0] if args.root is None else args.root)
     family = traffic_wavelet_family(graph, pf, prefs)
-    records = [{"kind": "measure",
-                "values": {v: float(x) for v, x in zip(graph.vertices, family.measure)}}]
-    records.extend(family.to_records())
-    records.append({"kind": "summary", "complete": family.complete})
-    _emit(args, records)
+    _emit(args, itertools.chain(
+        [{"kind": "measure", "values": {v: float(x) for v, x in zip(graph.vertices, family.measure)}}],
+        family.to_records(), [{"kind": "summary", "complete": family.complete}]))
 
 
 def _cmd_laplacian(args):
@@ -365,15 +367,15 @@ def _cmd_laplacian(args):
     graph = _load_graph(args)
     check_laplacian_listing(graph)
     n = len(graph.vertices)
-    lines = []
-    for color in range(1, graph.k + 1):
-        edges, rows, cols, values = incidence_entries(graph, color)
-        matrix = jsonl.int_matrix((n, len(edges)), rows, cols, values)
-        order = json.dumps([graph.edge_ids[i] for i in edges.tolist()])
-        lines.append(f'{{"kind": "incidence", "color": {color}, "edges": {order}, "matrix": {matrix}}}\n')
-    matrix = jsonl.int_matrix((n, n), *laplacian_entries(graph))
-    lines.append(f'{{"kind": "laplacian", "matrix": {matrix}}}\n')
-    _write(args, *lines)
+
+    def lines():
+        for color in range(1, graph.k + 1):
+            edges, rows, cols, values = incidence_entries(graph, color)
+            matrix = jsonl.int_matrix((n, len(edges)), rows, cols, values)
+            order = json.dumps([graph.edge_ids[i] for i in edges.tolist()])
+            yield f'{{"kind": "incidence", "color": {color}, "edges": {order}, "matrix": {matrix}}}\n'
+        yield f'{{"kind": "laplacian", "matrix": {jsonl.int_matrix((n, n), *laplacian_entries(graph))}}}\n'
+    _write(args, lines())
 
 
 def _cmd_spectral(args):
@@ -389,15 +391,15 @@ def _cmd_spectral(args):
     if args.gft:
         sig = _signal_from_file(args.gft, len(graph.vertices))
         coeffs = gft(eigendata(), sig)
-        _emit(args, [{"index": i, "coefficient": float(c)} for i, c in enumerate(coeffs, 1)],
+        _emit(args, ({"index": i, "coefficient": float(c)} for i, c in enumerate(coeffs, 1)),
               csv_fields=["index", "coefficient"])
         return
     if args.wavelet:
         n = _vertex_index(graph, args.n, "--n")
         _check_scales([args.t], "--t")
         psi = _scaled("--t", spectral_wavelet, eigendata(), default_kernel(), args.t, n)
-        _emit(args, [{"t": args.t, "n": args.n, "m": v, "value": float(x)}
-                     for v, x in zip(graph.vertices, psi)],
+        _emit(args, ({"t": args.t, "n": args.n, "m": v, "value": float(x)}
+                     for v, x in zip(graph.vertices, psi)),
               csv_fields=["t", "n", "m", "value"])
         return
     if args.reconstruct:
@@ -406,7 +408,7 @@ def _cmd_spectral(args):
         spec = eigendata()
         rec = _scaled("--tgrid", reconstruct, spec, default_kernel(), sig,
                       default_tgrid(spec) if grid is None else grid)
-        _emit(args, [{"vertex": v, "value": float(x)} for v, x in zip(graph.vertices, rec)],
+        _emit(args, ({"vertex": v, "value": float(x)} for v, x in zip(graph.vertices, rec)),
               csv_fields=["vertex", "value"])
         return
     if args.localize:
@@ -416,9 +418,7 @@ def _cmd_spectral(args):
         ts = _parse_list(args.tlist, float, "--tlist", "0.5,0.25")
         _check_scales(ts, "--tlist")
         probe = _scaled("--tlist", localization_probe, eigendata(), default_kernel(), n, m, ts)
-        recs = probe.to_records()
-        recs.append({"slope": probe.slope})
-        _emit(args, recs, csv_fields=["t", "ratio"])
+        _emit(args, itertools.chain(probe.to_records(), [{"slope": probe.slope}]), csv_fields=["t", "ratio"])
         return
     _fail(USAGE_EXIT, "usage", "spectral needs one of --eig/--gft/--wavelet/--reconstruct/--localize")
 

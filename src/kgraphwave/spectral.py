@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -91,11 +91,11 @@ def check_laplacian_listing(graph: KGraph) -> int:
 
 
 # Eigendata holds n^2 floats several times over: the Laplacian, the
-# eigenvectors and the residual checks' products, and `spectral --eig` lists
-# every eigenvector.  13 million entries admits a 60 x 60 torus (3600^2 =
-# 12.96M: `--eig` takes 25 s and peaks at 1.1 GB on one core of a 2-core
-# host); a 64 x 64 one runs out of a 1.5 GB address space writing its listing.
-EIGEN_ENTRY_LIMIT = 13_000_000
+# eigenvectors and the residual checks' products; listings are written an
+# eigenvector at a time.  2^24 entries admits a 64 x 64 torus (4096^2) in a
+# 1.5 GB address space, where on one core of a 2-core host `--eig` takes 32 s
+# and `--reconstruct` 18 s, each peaking at 683 MB; a 65 x 65 one is refused.
+EIGEN_ENTRY_LIMIT = 2 ** 24
 
 
 def check_eigendata(graph: KGraph) -> int:
@@ -149,9 +149,9 @@ class SpectralData:
     def n(self) -> int:
         return len(self.eigenvalues)
 
-    def to_records(self) -> list[dict]:
-        return [{"eigenvalue": lam, "eigenvector": vec}
-                for lam, vec in zip(self.eigenvalues.tolist(), self.eigenvectors.T.tolist())]
+    def to_records(self) -> Iterator[dict]:
+        return ({"eigenvalue": lam, "eigenvector": vec.tolist()}
+                for lam, vec in zip(self.eigenvalues.tolist(), self.eigenvectors.T))
 
 
 def eig_sym(delta: np.ndarray, sym_tol: float = 1e-12,
@@ -449,8 +449,8 @@ class LocalizationProbe:
     rows: tuple[tuple[float, float], ...]  # (t, |psi(m)| / ||psi||)
     slope: float | None
 
-    def to_records(self) -> list[dict]:
-        return [{"t": t, "ratio": r} for t, r in self.rows]
+    def to_records(self) -> Iterator[dict]:
+        return ({"t": t, "ratio": r} for t, r in self.rows)
 
 
 def localization_probe(spec: SpectralData, kernel: KernelSpec,

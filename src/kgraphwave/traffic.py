@@ -12,7 +12,7 @@ signal is a complete orthonormal basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -180,12 +180,11 @@ class TrafficWaveletFamily:
         mat = np.array(signals)
         return (mat * self.measure[None, :]) @ mat.T
 
-    def to_records(self) -> list[dict]:
-        recs = [{"kind": "wavelet", "m": m, "shape": list(J), "values": sig.tolist()}
-                for (m, J), sig in self.wavelets]
+    def to_records(self) -> Iterator[dict]:
+        for (m, J), sig in self.wavelets:
+            yield {"kind": "wavelet", "m": m, "shape": list(J), "values": sig.tolist()}
         if self.constant is not None:
-            recs.append({"kind": "constant", "values": self.constant.tolist()})
-        return recs
+            yield {"kind": "constant", "values": self.constant.tolist()}
 
 
 def traffic_wavelet_family(graph: KGraph, pf: PFData,

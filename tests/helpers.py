@@ -3,6 +3,8 @@ gate.  Each function returns the worst deviation it saw (0.0 for exact
 combinatorial checks) and raises AssertionError on failure."""
 
 import builtins
+import csv
+import io
 import json
 import random
 import sys
@@ -789,6 +791,19 @@ def per_line_records(filename, fields):
             if not check(rec.get(name)):
                 raise ParseError(f"{filename} line {number}: field {name!r} must be {what}")
     return records
+
+
+def joined_emit(args, records, csv_fields=None):
+    """Oracle for `cli._emit`: the whole output it writes for `records`, built
+    as one string before anything is written, CSV rows in a StringIO."""
+    if getattr(args, "csv", False) and csv_fields:
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=csv_fields, lineterminator="\n")
+        writer.writeheader()
+        for rec in records:
+            writer.writerow({k: rec.get(k, "") for k in csv_fields})
+        return buf.getvalue()
+    return "".join(json.dumps(rec) + "\n" for rec in records)
 
 
 def pointwise_prefix_factor(spec, path):
