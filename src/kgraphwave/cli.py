@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import itertools
 import json
 import math
@@ -170,12 +171,15 @@ def _write(args, texts):
     """Write each text of the iterable `texts` as it comes to --out, or else
     to stdout, never holding the whole output: the records of `_emit`, or the
     listings `jsonl` renders.  A handler calls it once every check has passed."""
-    fh = open(args.out, "w") if getattr(args, "out", None) else sys.stdout
-    try:
-        fh.writelines(texts)
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
+    if getattr(args, "out", None):
+        with open(args.out, "w") as fh:
+            fh.writelines(texts)
+    elif isinstance(getattr(sys.stdout, "buffer", None), io.RawIOBase):  # unbuffered: a cut raw write is silent
+        out = io.BufferedWriter(sys.stdout.buffer)
+        out.writelines(text.encode(sys.stdout.encoding, sys.stdout.errors) for text in texts)
+        out.detach()  # flushes, retrying a cut write, which then raises; the raw file stays open
+    else:
+        sys.stdout.writelines(texts)
 
 
 def _is_number(value) -> bool:
@@ -444,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pf", help="Perron-Frobenius spectral data")
     common(p)
     p.add_argument("--hausdorff", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-13, help="power-iteration tolerance, > 0")
+    p.add_argument("--tol", type=float, default=1e-13, help="power-iteration relative step tolerance, > 0")
     p.set_defaults(handler=_cmd_pf)
 
     p = sub.add_parser("measure", help="cylinder measures of paths")

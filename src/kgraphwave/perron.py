@@ -45,6 +45,7 @@ class PFData:
 
     rho: np.ndarray
     x_lambda: np.ndarray
+    iterations: int = 0  # the power-iteration steps of `pf_data`; 0 for data given otherwise
 
     def rho_pow(self, degree) -> float:
         """prod_i rho_i**degree_i, the measure scaling for one degree step."""
@@ -85,7 +86,8 @@ def has_sources(graph: KGraph) -> bool:
 def pf_data(graph: KGraph, tol: float = 1e-13, max_iter: int = 10 ** 6,
             resid_tol: float = 1e-10) -> PFData:
     """Power-iterate A_1 ... A_k + I on the edge columns and return the
-    common PF data.
+    common PF data.  It stops at the first relative step max |x' - x| / x'
+    below tol, so a vertex of small weight converges as far as a large one.
 
     Raises DegenerateVertexCount on a graph with no vertex,
     NotStronglyConnected / HasSources when the preconditions fail,
@@ -108,16 +110,15 @@ def pf_data(graph: KGraph, tol: float = 1e-13, max_iter: int = 10 ** 6,
         return np.bincount(ranges, weights=y[sources], minlength=n)
 
     x = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
+    for step in range(1, max_iter + 1):
         nxt = x
         for c in reversed(range(graph.k)):  # A_1 ... A_k x, the last color first
             nxt = apply(c, nxt)
         nxt = nxt + x  # the +I shift keeps the iteration convergent on periodic skeletons
         nxt /= nxt.sum()
-        if np.max(np.abs(nxt - x)) < tol:
-            x = nxt
+        x, moved = nxt, np.max(np.abs(nxt - x) / nxt)
+        if moved < tol:
             break
-        x = nxt
     else:
         raise ConvergenceFailure(f"power iteration did not converge in {max_iter} steps")
 
@@ -129,7 +130,7 @@ def pf_data(graph: KGraph, tol: float = 1e-13, max_iter: int = 10 ** 6,
         if not spread < resid_tol:
             raise ResidualTooLarge(f"color {c + 1}: Rayleigh spread {spread:.2e}")
         rho[c] = ratios.mean()
-    return PFData(rho=rho, x_lambda=x)
+    return PFData(rho=rho, x_lambda=x, iterations=step)
 
 
 # The exact solve eliminates over k * n^2 Fraction cells, the k vertex

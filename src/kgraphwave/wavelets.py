@@ -8,12 +8,15 @@ the prefixing isometries S_lambda over paths of degree jJ produces mutually
 orthogonal layers whose union with the normalized vertex indicators is an
 orthonormal basis of the level-nJ cylinder functions, for every depth n.
 
-The same recipe on the one-vertex bouquet with a Bernoulli measure gives the
-word-shift wavelet system for the full shift.
+The same cascade on the one-vertex bouquet with a Bernoulli measure and
+J = (1,) gives the word-shift wavelet system for the full shift: `markov`
+lists its members, with the letter indicators in place of the vertex
+scaling function and the layer-0 wavelets.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -188,13 +191,15 @@ class _Group:
 
     ``lams`` indexes those lambdas in cascade level jJ; their blocks
     lambda * D_v^J fill ``fine`` of level (j+1)J one after another, and
-    their coefficients fill ``coeffs`` of the label order, m fastest.
+    their coefficients fill ``coeffs`` of the label order, m fastest.  On
+    lambda * D_v^J, S_lambda f^{m,v} is ``factors * (c[m - 1] / roots)``.
     """
 
     lams: np.ndarray
     fine: slice
     coeffs: slice
-    factors: np.ndarray  # prefix_factor(lambda)
+    factors: np.ndarray  # prefix_factor of lambda less its last edge
+    roots: np.ndarray    # sqrt(w) of lambda's last edge; 1 at layer 0
     c: np.ndarray        # C_v[1:], the zero-mean rows
 
 
@@ -254,7 +259,7 @@ class WaveletBasis(MemberSet):
             coarse = np.empty(sum(len(g.lams) for g in layer))
             for g in layer:
                 blocks = a[g.fine].reshape(len(g.lams), g.c.shape[1])
-                out[g.coeffs] = (g.factors[:, None] * (blocks @ g.c.T)).ravel()
+                out[g.coeffs] = (g.factors[:, None] * ((blocks @ g.c.T) / g.roots[:, None])).ravel()
                 coarse[g.lams] = blocks.sum(axis=-1)
             a = coarse
         out[:len(a)] = self._scaling() * a
@@ -268,7 +273,7 @@ class WaveletBasis(MemberSet):
             fine = np.empty(lead + (layer[-1].fine.stop,))
             for g in layer:
                 d = coeffs[..., g.coeffs].reshape(lead + (len(g.lams), g.c.shape[0]))
-                block = s[..., g.lams, None] + g.factors[:, None] * (d @ g.c)
+                block = s[..., g.lams, None] + g.factors[:, None] * ((d @ g.c) / g.roots[:, None])
                 fine[..., g.fine] = block.reshape(lead + (-1,))
             s = fine
         return s
@@ -279,9 +284,9 @@ class WaveletBasis(MemberSet):
 
         A member lives on the level-nJ descendants of its cascade node: the
         scaling function of v on the paths from v, S_lambda f^{m,v} on those
-        of lambda * p with the value factor(lambda) * C_v[m, p].  Every
-        other step of the one-hot synthesis adds a zero, so the values are
-        its row of ``matrix`` to the last bit.
+        of lambda * p with the value factor * (C_v[m, p] / root) of lambda.
+        Every other step of the one-hot synthesis adds a zero, so the values
+        are its row of ``matrix`` to the last bit.
         """
         # ancestors[j][i]: the level-jJ node above level-nJ node i; child[j][i]:
         # the index p of level-jJ node i in the block of its parent
@@ -301,11 +306,12 @@ class WaveletBasis(MemberSet):
             width = sum(len(g.lams) for g in layer)
             bounds = np.searchsorted(ancestors[j][by_node], np.arange(width + 1))
             block_index = child[j][ancestors[j + 1][by_node]]
-            for g in layer:
-                for lam, factor in zip(g.lams, g.factors):
-                    run = slice(bounds[lam], bounds[lam + 1])
-                    for row in g.c:
-                        yield self.order[by_node[run]], factor * row[block_index[run]]
+            for g in (g for g in layer if len(g.lams)):
+                # every lambda of v has as many level-nJ descendants: one run per lambda, as rows
+                runs = bounds[g.lams, None] + np.arange(bounds[g.lams[0] + 1] - bounds[g.lams[0]])
+                values = g.factors[:, None] * (g.c[:, block_index[runs]] / g.roots[:, None])  # [m, lambda, p]
+                yield from zip(np.repeat(self.order[by_node[runs]], len(g.c), axis=0),
+                               values.transpose(1, 0, 2).reshape(-1, runs.shape[1]))
 
     def coefficient_lines(self, coeffs: np.ndarray) -> str:
         """The JSON lines of coefficients: per basis vector its label and
@@ -343,7 +349,8 @@ def wavelet_basis(family: WaveletFamily, depth: int,
     n_coeffs = len(at)
     for j in range(depth):
         lam_degree = deg_scale(j, shape)
-        factors = spec.prefix_factors(lam_degree, words)
+        factors = spec.prefix_factors(lam_degree, words[:, :-1])
+        roots = np.sqrt(spec.w[words[:, -1]]) if j else np.ones(len(words))
         groups, heads, tails, tail_sources = [], [], [], []
         n_fine = 0
         for v, name in enumerate(graph.vertices):
@@ -352,7 +359,7 @@ def wavelet_basis(family: WaveletFamily, depth: int,
             lams = lams[np.argsort(ranks[lams], kind="stable")]
             groups.append(_Group(lams, slice(n_fine, n_fine + len(lams) * len(block)),
                                  slice(n_coeffs, n_coeffs + len(lams) * len(c)),
-                                 factors[lams], c))
+                                 factors[lams], roots[lams], c))
             n_fine += len(lams) * len(block)
             n_coeffs += len(lams) * len(c)
             heads.append(np.repeat(words[lams], len(block), axis=0))
@@ -404,10 +411,10 @@ class MarkovWaveletSystem(MemberSet):
 
     ``level`` is the common word length n+1 every member refines to; the
     system is an orthonormal basis of the level-(n+1) cylinder functions,
-    held over ``space``.  Each member covers one run of consecutive
-    positions: ``layers`` holds, for the scaling functions and then for each
-    wavelet layer, the start of each member's run and, row by row, its
-    values there, members in label order.
+    held over ``space``.  The scaling functions are the letter indicators;
+    every wavelet is a member of ``basis``, the depth-(n+1) cascade on the
+    bouquet with J = (1,), after its vertex scaling function and its N - 1
+    layer-0 wavelets, which span the same space as the letters.
     """
 
     graph: KGraph
@@ -416,28 +423,25 @@ class MarkovWaveletSystem(MemberSet):
     level: int
     heads: np.ndarray = field(repr=False)
     space: LevelSpace = field(repr=False)
-    layers: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False)
+    basis: WaveletBasis = field(repr=False)
 
     def _members(self):
         """Each member in label order, as its positions and its values there."""
-        for starts, rows in self.layers:
-            for start, row in zip(starts.tolist(), rows):
-                yield np.arange(start, start + len(row)), row
+        for a, value in enumerate(1.0 / np.sqrt(self.spec.w)):  # on the words from letter a
+            at = np.flatnonzero(self.space.words[:, 0] == a)
+            yield at, np.full(len(at), value)
+        yield from itertools.islice(self.basis._members(), len(self.spec.w), None)
 
 
 def markov_wavelets(n_letters: int, weights: Sequence[float], depth: int) -> MarkovWaveletSystem:
     """The word-shift wavelet system for the full shift on n_letters symbols.
 
-    Scaling functions are the normalized letter indicators; base wavelets
-    combine two-letter cylinders through the zero-mean vectors of the
-    weighted inner product; deeper layers are word shifts.  The combined
+    Scaling functions are the normalized letter indicators 1/sqrt(p_a) on
+    Z(a); the wavelet S_w psi_{j,a} of layer m is the cascade member
+    S_{wa} f^{j,v} of layer m + 1, with the value prefix_factor(w) *
+    (C[j-1, b] / sqrt(p_a)) on the extensions of each w*a*b.  The combined
     system has n_letters**(depth+1) members; above `MARKOV_MEMBER_LIMIT`
     it raises TooLarge before it builds anything.
-
-    Level positions count words in base n_letters, so the layer-m wavelet
-    S_w psi_{j,a} covers the n**(depth-m) positions from (w*n + a) *
-    n**(depth-m) on, with the value prefix_factor(w) * C[j-1, b] / sqrt(p_a)
-    repeated over the extensions of each w*a*b.
     """
     if n_letters < 2:
         raise BadWeights("need at least two letters")
@@ -451,28 +455,17 @@ def markov_wavelets(n_letters: int, weights: Sequence[float], depth: int) -> Mar
                            f"members, above the limit of {MARKOV_MEMBER_LIMIT}")
     graph = bouquet_graph(n_letters)
     spec = MeasureSpec.bernoulli(graph, weights)
-    p = spec.w
-    level = depth + 1
-    space = level_space(spec, (level,))
-    kernel = graph.word_kernel
-    letter_texts, ms = kernel.id_texts, jsonl.integers(n_letters)
+    basis = wavelet_basis(build_wavelet_family(graph, shape=(1,), spec=spec), depth + 1)
+    letter_texts, ms = graph.word_kernel.id_texts, jsonl.integers(n_letters)
 
-    run = n_letters ** depth
     heads = [jsonl.cells('{"kind": "scaling", "letter": ', letter_texts)]
-    layers = [(np.arange(n_letters) * run, np.repeat((1.0 / np.sqrt(p))[:, None], run, axis=1))]
-    psi = complement_basis(p)[None, :, :] / np.sqrt(p)[:, None, None]  # [a, j - 1, b]
-    for m in range(depth):
-        words = kernel.level((m,))[0]
-        run = n_letters ** (depth - m)
-        values = spec.prefix_factors((m,), words)[:, None, None, None] * psi[None]
-        layers.append((np.repeat(np.arange(len(words) * n_letters) * run, n_letters - 1),
-                       np.repeat(values.reshape(-1, n_letters), run // n_letters, axis=1)))
+    for m, words in enumerate(basis.shifts[:-1]):  # the words of length m, in rank order
         heads.append(jsonl.cells(
             f'{{"kind": "wavelet", "layer": {m}, "word": [',
             np.repeat(jsonl.word_lists(letter_texts, words), n_letters * (n_letters - 1)),
             '], "letter": ', np.tile(np.repeat(letter_texts, n_letters - 1), len(words)),
             ', "m": ', np.tile(ms[1:], len(words) * n_letters)))
-    return MarkovWaveletSystem(graph, spec, depth, level, np.concatenate(heads), space, tuple(layers))
+    return MarkovWaveletSystem(graph, spec, depth, depth + 1, np.concatenate(heads), basis.space, basis)
 
 
 # -- subspace comparison (shape J versus shape lJ) --------------------------

@@ -11,6 +11,7 @@ import sys
 import weakref
 from fractions import Fraction
 from itertools import permutations, product
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import strategies as st
@@ -38,6 +39,7 @@ from kgraphwave import (
     extensions,
     incidence_matrices,
     inner_product,
+    jsonl,
     kernel_eval,
     kgraph_laplacian,
     level_space,
@@ -723,8 +725,9 @@ def block_paths(family, vertex):
 def compose_cascade(family, depth):
     """Oracle for `wavelet_basis`: the cascade built path by path, each node
     of level (j+1)J composed by `compose` and placed in the level space by a
-    dict keyed by `Path`.  Returns the labels, ``order`` and the per-layer
-    prefix factors, groups in vertex order."""
+    dict keyed by `Path`.  Returns the labels, ``order`` and per layer, groups
+    in vertex order, the split prefix factor of each lambda: the factor of
+    lambda less its last edge e, and sqrt(w_e) (1 on level 0)."""
     graph, spec = family.graph, family.spec
     labels = [{"kind": "scaling", "vertex": v} for v in graph.vertices]
     paths = [vertex_path(graph, v) for v in graph.vertices]
@@ -737,7 +740,8 @@ def compose_cascade(family, depth):
         for v in graph.vertices:
             block = family.blocks[v]
             lams = sorted(by_source[v], key=lambda i: paths[i].word)
-            layer.append(np.array([pointwise_prefix_factor(spec, paths[i]) for i in lams]))
+            split = np.array([split_prefix_factor(spec, paths[i]) for i in lams]).reshape(-1, 2)
+            layer.append((split[:, 0], split[:, 1]))
             for i in lams:
                 labels.extend({"kind": "wavelet", "j": j, "vertex": v, "m": m,
                                "shift": list(paths[i].word)} for m in range(1, len(block.positions)))
@@ -813,6 +817,18 @@ def pointwise_prefix_factor(spec, path):
         return float(np.prod(np.asarray(spec.pf.rho) ** (np.asarray(path.degree) / 2.0)))
     letter = spec.graph.edge_position
     return float(np.prod([float(spec.weights[letter[a]]) ** -0.5 for a in path.word]))
+
+
+def split_prefix_factor(spec, path):
+    """Oracle for a cascade group's ``factors`` and ``roots``: the prefix
+    factor of the path less its last edge e, by `pointwise_prefix_factor`
+    with the degree of the whole path, and sqrt(w_e), by numpy; (rho^{d/2},
+    1.0) for a vertex."""
+    if not path.word:
+        return pointwise_prefix_factor(spec, path), 1.0
+    w = float(spec.weights[spec.graph.edge_position[path.word[-1]]]) if spec.kind == spec.BERNOULLI else 1.0
+    head = SimpleNamespace(degree=path.degree, word=path.word[:-1])
+    return pointwise_prefix_factor(spec, head), float(np.sqrt(w))
 
 
 def record_terms(graph, records):
@@ -1051,6 +1067,40 @@ def markov_member_records(n_letters, weights, depth):
             for label, fn in zip(labels, functions)]
 
 
+def markov_run_listing(n_letters, weights, depth):
+    """Oracle for `markov_wavelets(...).listing()`: the listing built by the
+    run engine `markov` used before it listed cascade members.  Level
+    positions count words in base n_letters, so the layer-m wavelet
+    S_w psi_{j,a} covers the n**(depth-m) positions from (w*n + a) *
+    n**(depth-m) on, with the value prefix_factor(w) * psi[a, j - 1, b],
+    psi = C / sqrt(p_a) from one table, repeated over the extensions of
+    each w*a*b."""
+    graph = bouquet_graph(n_letters)
+    spec = MeasureSpec.bernoulli(graph, weights)
+    p = spec.w
+    space = level_space(spec, (depth + 1,))
+    kernel = graph.word_kernel
+    letter_texts, ms = kernel.id_texts, jsonl.integers(n_letters)
+    run = n_letters ** depth
+    heads = [jsonl.cells('{"kind": "scaling", "letter": ', letter_texts)]
+    layers = [(np.arange(n_letters) * run, np.repeat((1.0 / np.sqrt(p))[:, None], run, axis=1))]
+    psi = complement_basis(p)[None, :, :] / np.sqrt(p)[:, None, None]  # [a, j - 1, b]
+    for m in range(depth):
+        words = kernel.level((m,))[0]
+        run = n_letters ** (depth - m)
+        values = spec.prefix_factors((m,), words)[:, None, None, None] * psi[None]
+        layers.append((np.repeat(np.arange(len(words) * n_letters) * run, n_letters - 1),
+                       np.repeat(values.reshape(-1, n_letters), run // n_letters, axis=1)))
+        heads.append(jsonl.cells(
+            f'{{"kind": "wavelet", "layer": {m}, "word": [',
+            np.repeat(jsonl.word_lists(letter_texts, words), n_letters * (n_letters - 1)),
+            '], "letter": ', np.tile(np.repeat(letter_texts, n_letters - 1), len(words)),
+            ', "m": ', np.tile(ms[1:], len(words) * n_letters)))
+    members = [(np.arange(start, start + len(row)), row)
+               for starts, rows in layers for start, row in zip(starts.tolist(), rows)]
+    return jsonl.listing(np.concatenate(heads), space.term_heads, members)
+
+
 def random_cylinder_fn(graph, level, terms, rng):
     """A function of `terms` random terms at random degrees up to `level`."""
     pairs = []
@@ -1073,10 +1123,12 @@ def path_count(graph, degree):
     return int(np.ones(n) @ acc @ np.ones(n))
 
 
-def dense_pf_data(graph, tol=1e-13, max_iter=10 ** 6):
+def dense_pf_data(graph, tol=1e-13, max_iter=10 ** 6, steps=None):
     """Oracle for `pf_data`: power iteration on the dense float product
-    A_1 ... A_k + I of the vertex matrices, and the mean Rayleigh quotient
-    of each dense A_i.  No precondition or residual check."""
+    A_1 ... A_k + I of the vertex matrices, stopped at the first relative
+    step max |x' - x| / x' below ``tol``, or after exactly ``steps`` steps,
+    and the mean Rayleigh quotient of each dense A_i.  No precondition or
+    residual check."""
     from kgraphwave import PFData, vertex_matrices
 
     mats = [m.astype(float) for m in vertex_matrices(graph)]
@@ -1085,16 +1137,16 @@ def dense_pf_data(graph, tol=1e-13, max_iter=10 ** 6):
         product = product @ m
     shifted = product + np.eye(len(graph.vertices))
     x = np.full(len(graph.vertices), 1.0 / len(graph.vertices))
-    for _ in range(max_iter):
+    for step in range(1, (steps or max_iter) + 1):
         nxt = shifted @ x
         nxt /= nxt.sum()
-        if np.max(np.abs(nxt - x)) < tol:
-            x = nxt
-            break
+        done = step == steps if steps else np.max(np.abs(nxt - x) / nxt) < tol
         x = nxt
+        if done:
+            break
     else:
         raise AssertionError(f"dense power iteration did not converge in {max_iter} steps")
-    return PFData(rho=np.array([((m @ x) / x).mean() for m in mats]), x_lambda=x)
+    return PFData(rho=np.array([((m @ x) / x).mean() for m in mats]), x_lambda=x, iterations=step)
 
 
 def patch_noncommuting_pair(monkeypatch, graph):

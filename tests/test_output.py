@@ -118,15 +118,20 @@ def test_a_failing_op_writes_nothing(argv, code, signal, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("op", [["traffic"], ["spectral", "--eig"]], ids=["traffic", "eig"])
+@pytest.mark.parametrize("op", [
+    ["traffic", "CIRC"], ["spectral", "CIRC", "--eig"], ["wavelets", LED, "--shape", "1,1", "--depth", "4"],
+    ["markov", "--alphabet", "3", "--weights", "0.2,0.3,0.5", "--depth", "6"],
+], ids=["traffic", "eig", "wavelets", "markov"])
 def test_a_closed_stdout_ends_with_one_record(op, buffered, tmp_path):
     """A reader that closes the pipe after one line: the op exits 2 with one
-    JSON record on stderr, whatever stdout's buffering."""
+    JSON record on stderr, whatever stdout's buffering.  The `wavelets` and
+    `markov` listings are one text each: unbuffered, its write is cut short."""
     graph = tmp_path / "circ.kg"
     graph.write_text(json.dumps(twisted_circulant_document(200, (1, 2), (1, 3), 0)))
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env.update(PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1", **({} if buffered else {"PYTHONUNBUFFERED": "1"}))
-    child = subprocess.Popen([sys.executable, "-m", "kgraphwave.cli", op[0], str(graph), *op[1:]],
+    argv = [str(graph) if a == "CIRC" else a for a in op]
+    child = subprocess.Popen([sys.executable, "-m", "kgraphwave.cli", *argv],
                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     try:
         assert json.loads(child.stdout.readline())

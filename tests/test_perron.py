@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ from kgraphwave import (
     rational_pf_data,
     vertex_matrices,
 )
+from kgraphwave.cli import main
 from kgraphwave.perron import has_sources
 from helpers import (
     dense_pf_data,
@@ -195,17 +197,23 @@ def same_bits(a, b):
     return a.rho.tobytes() == b.rho.tobytes() and a.x_lambda.tobytes() == b.x_lambda.tobytes()
 
 
+def one_cycle_document(n, extra):
+    """The 1-graph of the cycle v0 -> v1 -> ... -> v{n-1} -> v0 and the
+    ``extra`` arcs (source, range) by vertex index."""
+    arcs = [(i, (i + 1) % n) for i in range(n)] + list(extra)
+    return {"k": 1, "vertices": [f"v{i}" for i in range(n)],
+            "edges": [{"id": f"e{j}", "color": 1, "source": f"v{s}", "range": f"v{r}"}
+                      for j, (s, r) in enumerate(arcs)],
+            "squares": []}
+
+
 @st.composite
 def one_graphs(draw):
     """A 1-graph on 2 to 6 vertices: a cycle through all of them, so it is
     strongly connected with no sources, and up to 12 more edges."""
     n = draw(st.integers(2, 6))
-    arcs = [(i, (i + 1) % n) for i in range(n)]
-    arcs += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12))
-    return {"k": 1, "vertices": [f"v{i}" for i in range(n)],
-            "edges": [{"id": f"e{j}", "color": 1, "source": f"v{s}", "range": f"v{r}"}
-                      for j, (s, r) in enumerate(arcs)],
-            "squares": []}
+    return one_cycle_document(n, draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                               max_size=12)))
 
 
 class TestAgainstDenseProduct:
@@ -236,18 +244,42 @@ class TestAgainstDenseProduct:
             with pytest.raises((NotStronglyConnected, HasSources)):
                 pf_data(graph)
             return
-        pf, want = pf_data(graph), dense_pf_data(graph)
+        pf = pf_data(graph)
+        want = dense_pf_data(graph, steps=pf.iterations)
         assert np.max(np.abs(pf.x_lambda - want.x_lambda)) <= 1e-15
         assert np.max(np.abs(pf.rho - want.rho) / want.rho) <= 1e-15
 
     @settings(max_examples=100, deadline=None)
     @given(one_graphs())
     def test_nonuniform_one_graphs_within_the_last_bit(self, doc):
+        # the two iterations run the same number of steps: stopped each on
+        # its own test, they may stop one step apart
         graph = load_kgraph(doc)
-        pf, want = pf_data(graph), dense_pf_data(graph)
+        pf = pf_data(graph)
+        want = dense_pf_data(graph, steps=pf.iterations)
         assume(np.ptp(want.x_lambda) > 0)
         assert np.max(np.abs(pf.x_lambda - want.x_lambda)) <= 1e-15
         assert np.max(np.abs(pf.rho - want.rho) / want.rho) <= 1e-15
+
+
+class TestRelativeStop:
+    def test_cycle_with_loops_converges_at_its_small_weights(self, tmp_path):
+        # the 6-cycle with four more loops at v0: x runs from 0.75 down to
+        # 7.3e-4, and an absolute step of 1e-13 stopped the iteration while
+        # the small entries still moved, at a Rayleigh spread of 1.12e-10
+        doc = one_cycle_document(6, [(0, 0)] * 4)
+        graph = load_kgraph(doc)
+        pf = pf_data(graph)
+        assert pf.x_lambda.max() > 1000 * pf.x_lambda.min()
+        a = vertex_matrices(graph)[0].astype(float)
+        assert pf.rho[0] == pytest.approx(max(abs(np.linalg.eigvals(a))), rel=1e-12)
+        assert np.max(np.abs(a @ pf.x_lambda - pf.rho[0] * pf.x_lambda)) < 1e-12
+        path = tmp_path / "loops.kg"
+        path.write_text(json.dumps(doc))
+        assert main(["pf", str(path)]) == 0
+
+    def test_uniform_vectors_stop_at_the_first_step(self, ledrappier, lambda3):
+        assert pf_data(ledrappier).iterations == pf_data(lambda3).iterations == 1
 
 
 class TestHausdorffDimension:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import kgraphwave.wavelets
@@ -52,6 +52,7 @@ from helpers import (
     family_documents,
     forbid_path_building,
     markov_member_records,
+    markov_run_listing,
     path_count,
     random_cylinder_fn,
     torus_document,
@@ -438,7 +439,30 @@ def letter_weights(draw):
     return len(counts), tuple(c / total for c in counts)
 
 
+@st.composite
+def markov_cases(draw):
+    """An alphabet of 2-8 letters, positive weights as Fractions or floats,
+    and a depth whose system holds at most `MARKOV_MEMBER_LIMIT` members."""
+    counts = draw(st.lists(st.integers(1, 20), min_size=2, max_size=8))
+    total, n_letters = sum(counts), len(counts)
+    exact = draw(st.booleans())
+    weights = tuple(Fraction(c, total) if exact else c / total for c in counts)
+    top = 0
+    while n_letters ** (top + 2) <= kgraphwave.wavelets.MARKOV_MEMBER_LIMIT:
+        top += 1
+    return n_letters, weights, draw(st.integers(0, top))
+
+
 class TestMarkov:
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(markov_cases())
+    @example((2, (0.3, 0.7), 13))  # at the member limit
+    @example((8, tuple(Fraction(c, 36) for c in range(1, 9)), 3))
+    def test_listing_bit_for_bit_against_run_engine(self, case):
+        # the cascade members equal the per-layer runs of C / sqrt(p_a) times
+        # the prefix factor of the word, to the last bit
+        assert markov_wavelets(*case).listing() == markov_run_listing(*case)
+
     @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(letter_weights(), st.integers(0, 4))
     def test_records_against_member_oracle(self, letters, depth):

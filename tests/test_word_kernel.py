@@ -203,8 +203,9 @@ class TestCascade:
         assert list(basis.labels) == labels
         assert np.array_equal(basis.order, order)
         for layer, expected in zip(basis.layers, factors):
-            for group, want in zip(layer, expected):
-                assert np.array_equal(group.factors, want)
+            for group, (want_factors, want_roots) in zip(layer, expected):
+                assert np.array_equal(group.factors, want_factors)
+                assert np.array_equal(group.roots, want_roots)
 
     @PROPERTY
     @given(measured_graphs(), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
