@@ -5,8 +5,8 @@ line-delimited JSON records (or CSV with --csv) to stdout or --out, through
 one writer that writes each record as it is made.  Every check of an op
 runs before its first record, so a failing op writes nothing.  Output is
 byte-deterministic for a fixed invocation.  Errors print one JSON record to
-stderr and exit with 1 (usage), 2 (parse, or a closed stdout), 3
-(validation), or 4 (numeric).
+stderr and exit with 1 (usage, a size limit, or memory run out), 2 (parse,
+or a closed stdout), 3 (validation), or 4 (numeric).
 """
 
 from __future__ import annotations
@@ -523,6 +523,8 @@ def main(argv: list[str] | None = None) -> int:
         args.handler(args)
     except err.TooLarge as exc:
         _fail(USAGE_EXIT, "usage", exc, reason="size_limit")
+    except MemoryError as exc:  # an allocation past the address space, raised as it is tried
+        _fail(USAGE_EXIT, "usage", str(exc) or "out of memory", reason="out_of_memory")
     except err.ParseError as exc:
         _fail(PARSE_EXIT, "parse", exc)
     except OSError as exc:  # a missing or unreadable file, or a directory in its place

@@ -141,48 +141,60 @@ def _least_degrees(graph: KGraph, root: str) -> dict[str, Degree]:
     return {graph.vertices[i]: tuple(d) for i, d in zip(reached.tolist(), least[reached].tolist())}
 
 
-def _graded_lex_key(degree: Degree):
-    return (sum(degree), degree)
-
-
 def traffic_measure(graph: KGraph, pf: PFData, prefs: PreferredPaths) -> np.ndarray:
     """Vertex weights rho^{-d(lambda_w)} x_w, in graph vertex order.  Raises
     NonFiniteResult where a weight underflows to 0 or is not finite: no
     wavelet can be normalized against it."""
+    return _weighted_degrees(graph, pf, prefs)[1]
+
+
+def _weighted_degrees(graph: KGraph, pf: PFData, prefs: PreferredPaths) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, k) preferred-path degrees in graph vertex order, and the weights."""
     validate_prefs(graph, prefs)
-    out = np.empty(len(graph.vertices))
+    degrees = np.array([prefs.degree_of(w) for w in graph.vertices], dtype=np.int64).reshape(-1, graph.k)
     with np.errstate(over="ignore"):  # a weight past the float range raises below
-        for i, w in enumerate(graph.vertices):
-            d = prefs.degree_of(w)
-            out[i] = pf.rho_pow(tuple(-x for x in d)) * pf.x_lambda[i]
-    ok = np.isfinite(out) & (out > 0)
-    if not ok.all():
-        w = graph.vertices[int(np.argmin(ok))]
-        raise NonFiniteResult(f"the traffic weight of vertex {w} leaves the float range")
-    return out
+        out = np.prod(pf.rho ** -degrees, axis=1) * pf.x_lambda  # each row's product in color order
+    bad = np.flatnonzero(~(np.isfinite(out) & (out > 0)))
+    if len(bad):
+        raise NonFiniteResult(f"the traffic weight of vertex {graph.vertices[bad[0]]} leaves the float range")
+    return degrees, out
 
 
 @dataclass(frozen=True)
 class TrafficWaveletFamily:
-    """The lifted wavelet signals, grouped by degree class."""
+    """The lifted wavelet signals, held per degree class: a class J of m >= 2
+    vertices gives g^{1,J}, ..., g^{m-1,J}, the rows of `complement_basis`
+    on its members and zero elsewhere.  No signal is held as an n-vector."""
 
     graph: KGraph
     prefs: PreferredPaths
     measure: np.ndarray
-    wavelets: tuple[tuple[tuple[int, Degree], np.ndarray], ...]  # ((m, J), signal)
+    classes: tuple[tuple[Degree, np.ndarray, np.ndarray], ...]  # (J, member indices, rows)
     constant: np.ndarray | None
     complete: bool
 
+    def signals(self) -> Iterator[tuple[tuple[int, Degree], np.ndarray]]:
+        """Each ((m, J), g^{m,J}) as an n-vector, built as it is read."""
+        for J, members, rows in self.classes:
+            for m, row in enumerate(rows, start=1):
+                signal = np.zeros(len(self.measure))
+                signal[members] = row
+                yield (m, J), signal
+
     def gram(self) -> np.ndarray:
-        signals = [sig for _, sig in self.wavelets]
-        if self.constant is not None:
-            signals = signals + [self.constant]
-        mat = np.array(signals)
-        return (mat * self.measure[None, :]) @ mat.T
+        """The Gram matrix in the measure, the wavelets in listing order, then
+        the constant: block diagonal, since the classes are disjoint and the
+        constant comes only with one class that holds every vertex."""
+        out, at = np.zeros((sum(len(rows) for _, _, rows in self.classes) + self.complete,) * 2), 0
+        for _, members, rows in self.classes:
+            rows = rows if self.constant is None else np.vstack([rows, self.constant])
+            out[at:at + len(rows), at:at + len(rows)] = (rows * self.measure[members]) @ rows.T
+            at += len(rows)
+        return out
 
     def to_records(self) -> Iterator[dict]:
-        for (m, J), sig in self.wavelets:
-            yield {"kind": "wavelet", "m": m, "shape": list(J), "values": sig.tolist()}
+        for (m, J), signal in self.signals():
+            yield {"kind": "wavelet", "m": m, "shape": list(J), "values": signal.tolist()}
         if self.constant is not None:
             yield {"kind": "constant", "values": self.constant.tolist()}
 
@@ -190,30 +202,15 @@ class TrafficWaveletFamily:
 def traffic_wavelet_family(graph: KGraph, pf: PFData,
                            prefs: PreferredPaths) -> TrafficWaveletFamily:
     """Build the g^{m,J} family; degree classes in graded-lex order, vertices
-    within a class in graph order.  Raises NoWaveletDegree when every class
-    is a singleton."""
-    nu = traffic_measure(graph, pf, prefs)  # validates prefs
-
-    classes: dict[Degree, list[int]] = {}
-    for i, w in enumerate(graph.vertices):
-        classes.setdefault(prefs.degree_of(w), []).append(i)
-
-    wavelets = []
-    for J in sorted(classes, key=_graded_lex_key):
-        members = classes[J]
-        if len(members) < 2:
-            continue
-        rows = complement_basis(nu[members])
-        for m, row in enumerate(rows, start=1):
-            signal = np.zeros(len(graph.vertices))
-            signal[members] = row
-            wavelets.append(((m, J), signal))
-    if not wavelets:
+    within a class in graph order (one stable lexsort by total, then by
+    degree).  Raises NoWaveletDegree when every class is a singleton."""
+    degrees, nu = _weighted_degrees(graph, pf, prefs)
+    order = np.lexsort((*degrees.T[::-1], degrees.sum(axis=1)))
+    starts = np.flatnonzero(np.any(np.diff(degrees[order], axis=0), axis=1)) + 1
+    classes = tuple((tuple(degrees[members[0]].tolist()), members, complement_basis(nu[members]))
+                    for members in np.split(order, starts) if len(members) >= 2)
+    if not classes:
         raise NoWaveletDegree("every preferred-path degree class is a singleton")
-
-    complete = len(classes) == 1
-    constant = None
-    if complete:
-        (J,) = classes
-        constant = np.full(len(graph.vertices), np.sqrt(pf.rho_pow(J)))
-    return TrafficWaveletFamily(graph, prefs, nu, tuple(wavelets), constant, complete)
+    complete = not len(starts)  # one class holds every vertex
+    constant = np.full(len(graph.vertices), np.sqrt(pf.rho_pow(classes[0][0]))) if complete else None
+    return TrafficWaveletFamily(graph, prefs, nu, classes, constant, complete)

@@ -27,6 +27,8 @@ from kgraphwave import (
     LevelSpace,
     MeasureSpec,
     NonConstantDerivative,
+    NonFiniteResult,
+    NoWaveletDegree,
     ParseError,
     Path,
     ValidationError,
@@ -58,6 +60,7 @@ from kgraphwave.kgraph import (
     WordKernel, _degree_colors, as_degree, deg_add, deg_le, deg_sub, form_of, normal_form_rows)
 from kgraphwave.orthobasis import complement_basis, constant_unit_vector
 from kgraphwave.sbfs import CKReport, RelationCheck
+from kgraphwave.traffic import validate_prefs
 
 
 def words_with_pattern(graph, pattern):
@@ -435,6 +438,39 @@ def enumerated_least_degrees(graph, root):
         if len(least) == count:
             break
     return least
+
+
+def dense_traffic_family(graph, pf, prefs):
+    """Oracle for `traffic_wavelet_family`: the measure by one `rho_pow` per
+    vertex, the classes by a dict in graded-lex order, and every wavelet
+    lifted to a dense n-vector.  Returns (measure, wavelets, constant,
+    complete) with wavelets ((m, J), signal) in listing order."""
+    validate_prefs(graph, prefs)
+    nu = np.empty(len(graph.vertices))
+    with np.errstate(over="ignore"):
+        for i, w in enumerate(graph.vertices):
+            nu[i] = pf.rho_pow(tuple(-x for x in prefs.degree_of(w))) * pf.x_lambda[i]
+    ok = np.isfinite(nu) & (nu > 0)
+    if not ok.all():
+        raise NonFiniteResult(f"the traffic weight of vertex {graph.vertices[int(np.argmin(ok))]} "
+                              "leaves the float range")
+    classes = {}
+    for i, w in enumerate(graph.vertices):
+        classes.setdefault(prefs.degree_of(w), []).append(i)
+    wavelets = []
+    for J in sorted(classes, key=lambda degree: (sum(degree), degree)):
+        members = classes[J]
+        if len(members) < 2:
+            continue
+        for m, row in enumerate(complement_basis(nu[members]), start=1):
+            signal = np.zeros(len(graph.vertices))
+            signal[members] = row
+            wavelets.append(((m, J), signal))
+    if not wavelets:
+        raise NoWaveletDegree("every preferred-path degree class is a singleton")
+    complete = len(classes) == 1
+    constant = np.full(len(graph.vertices), np.sqrt(pf.rho_pow(next(iter(classes))))) if complete else None
+    return nu, wavelets, constant, complete
 
 
 def unscaled_complement_basis(weights):

@@ -166,7 +166,7 @@ def test_criterion_9_traffic(ledrappier):
         v: enumerate_paths(ledrappier, (1, 2), range="v1", source=v)[0]
         for v in ledrappier.vertices})
     family = traffic_wavelet_family(ledrappier, pf, prefs)
-    signals = np.array([sig for _, sig in family.wavelets])
+    signals = np.array([sig for _, sig in family.signals()])
     reference = np.array([
         [4.0, -4.0, 0.0, 0.0],
         [0.0, 0.0, 4.0, -4.0],

@@ -638,6 +638,45 @@ def test_markov_golden_stdout(argv, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of `traffic` stdout, captured while every wavelet was held as a dense
+# n-vector: default prefs on two circulants (with 99 and 379 degree classes
+# of two or more vertices), and a --prefs file on ledrappier
+GOLDEN_TRAFFIC = [
+    ((300, (1, 2), (1, 3)), "2a520375035db94442e5bfe625d92b5965b8eb7ca835034c084f4b1b72d9fb8d"),
+    ((3000, (1, 37), (1, 101)), "9aef329c03fcfff76e426f05638080af0434744879d2f981c79db8abf82ce9ca"),
+    ("ledrappier", "ea78bb281d4cc3c914764bd7ccd070a8832480f137457dee004d44dc45dffb4f"),
+]
+
+
+@pytest.mark.parametrize("graph,digest", GOLDEN_TRAFFIC, ids=["circulant 300", "circulant 3000", "ledrappier prefs"])
+def test_traffic_golden_stdout(graph, digest, tmp_path, capsys):
+    if graph == "ledrappier":
+        prefs = tmp_path / "prefs.jsonl"
+        prefs.write_text("\n".join(json.dumps({"vertex": v, "path": p}) for v, p in [
+            ("v1", "a,c,c"), ("v2", "a,c,e"), ("v3", "a,e,j"), ("v4", "a,e,h")]))
+        argv = [LED, "--prefs", str(prefs)]
+    else:
+        path = tmp_path / "circulant.kg"
+        path.write_text(json.dumps(twisted_circulant_document(*graph, 0)))
+        argv = [str(path)]
+    out, _ = run_cli(capsys, "traffic", *argv)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("message,shown", [
+    ("Unable to allocate 745. MiB for an array with shape (9766, 10000)",
+     "Unable to allocate 745. MiB for an array with shape (9766, 10000)"),
+    ("", "out of memory")], ids=["numpy", "bare"])
+def test_memory_error_is_one_record(message, shown, capsys, monkeypatch):
+    """An allocation that fails mid-op exits 1 with one record, no traceback."""
+    def exhausted(*args):
+        raise MemoryError(message)
+    monkeypatch.setattr(kgraphwave.cli, "traffic_wavelet_family", exhausted)
+    _, errtext = run_cli(capsys, "traffic", LED, expect_exit=1)
+    assert errtext.count("\n") == 1
+    assert json.loads(errtext) == {"error": "usage", "message": shown, "reason": "out_of_memory"}
+
+
 @pytest.mark.parametrize("argv", [
     ["markov", "--alphabet", "3", "--weights", "0.2,0.3,0.5", "--depth", "3"],
     ["wavelets", LED, "--shape", "1,1", "--depth", "3"],

@@ -1,15 +1,17 @@
 import hashlib
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kgraphwave import (
     CompositionError,
     NonFiniteResult,
+    NotStronglyConnected,
     PFData,
     NoWaveletDegree,
     PreferredPaths,
@@ -25,6 +27,7 @@ from kgraphwave import (
 )
 from kgraphwave.traffic import _least_degrees
 from helpers import (
+    dense_traffic_family,
     enumerated_least_degrees,
     exhaustive_least_path,
     family_documents,
@@ -80,8 +83,8 @@ class TestMeasure:
 class TestFamily:
     def test_ledrappier_reference_values(self, ledrappier, led_pf, led_prefs):
         fam = traffic_wavelet_family(ledrappier, led_pf, led_prefs)
-        assert [m for (m, _), _ in fam.wavelets] == [1, 2, 3]
-        signals = np.array([sig for _, sig in fam.wavelets])
+        assert [m for (m, _), _ in fam.signals()] == [1, 2, 3]
+        signals = np.array([sig for _, sig in fam.signals()])
         expected = np.array([
             [4.0, -4.0, 0.0, 0.0],
             [0.0, 0.0, 4.0, -4.0],
@@ -98,11 +101,11 @@ class TestFamily:
                       for v in ledrappier.vertices}
         fam = traffic_wavelet_family(ledrappier, led_pf,
                                      PreferredPaths("v1", assignment))
-        assert np.max(np.abs(fam.wavelets[0][1] - np.array([4, -4, 0, 0]))) < 1e-12
+        assert np.max(np.abs(next(fam.signals())[1] - np.array([4, -4, 0, 0]))) < 1e-12
 
     def test_zero_integral(self, ledrappier, led_pf, led_prefs):
         fam = traffic_wavelet_family(ledrappier, led_pf, led_prefs)
-        for _, sig in fam.wavelets:
+        for _, sig in fam.signals():
             assert abs(np.dot(sig, fam.measure)) < 1e-12
 
     def test_distinct_degrees_rejected(self, ledrappier, led_pf):
@@ -136,8 +139,7 @@ class TestFamily:
             "w": normal_form(graph, ["b"]),
         })
         fam = traffic_wavelet_family(graph, pf, prefs)
-        assert len(fam.wavelets) == 1
-        (label, sig), = fam.wavelets
+        (label, sig), = fam.signals()
         # hand solution: alpha x_v = beta x_w, weighted norm 1, with
         # x = (phi, 1)/(phi + 1) and nu = x / phi
         x = np.array([phi, 1.0]) / (phi + 1)
@@ -158,9 +160,9 @@ class TestFamily:
         }
         fam = traffic_wavelet_family(ledrappier, led_pf, PreferredPaths("v1", assignment))
         assert not fam.complete and fam.constant is None
-        shapes = [J for (_, J), _ in fam.wavelets]
+        shapes = [J for (_, J), _ in fam.signals()]
         assert shapes == [(1, 2), (2, 2)]  # graded-lex class order
-        supports = [set(np.nonzero(sig)[0]) for _, sig in fam.wavelets]
+        supports = [set(np.nonzero(sig)[0]) for _, sig in fam.signals()]
         assert supports[0].isdisjoint(supports[1])
         gram = fam.gram()
         assert np.max(np.abs(gram - np.eye(len(gram)))) < 1e-12
@@ -316,3 +318,75 @@ class TestLeastDegrees:
         text = json.dumps([[w, list(p.degree), list(p.word)] for w, p in prefs.items()])
         assert hashlib.sha256(text.encode()).hexdigest() == \
             "2a6192ccd4353c4823fae8ad376970eda0442e4359ddb9d7fef77a67f5c6fca0"
+
+
+@pytest.fixture(scope="module")
+def circulant_3000():
+    return load_kgraph(twisted_circulant_document(3000, (1, 37), (1, 101), 0))
+
+
+class TestPerClassFamily:
+    """The family held per degree class against the dense construction it
+    replaces (`helpers.dense_traffic_family`), bit for bit."""
+
+    @staticmethod
+    def check_against_oracle(graph, pf, prefs):
+        try:
+            nu, wavelets, constant, complete = dense_traffic_family(graph, pf, prefs)
+        except (NoWaveletDegree, NonFiniteResult) as exc:
+            with pytest.raises(type(exc), match=str(exc)):
+                traffic_wavelet_family(graph, pf, prefs)
+            return
+        fam = traffic_wavelet_family(graph, pf, prefs)
+        assert fam.measure.tobytes() == nu.tobytes()
+        assert traffic_measure(graph, pf, prefs).tobytes() == nu.tobytes()
+        signals = list(fam.signals())
+        assert [label for label, _ in signals] == [label for label, _ in wavelets]
+        assert all(a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(signals, wavelets))
+        assert fam.complete == complete
+        assert (fam.constant is None) == (constant is None)
+        if constant is not None:
+            assert fam.constant.tobytes() == constant.tobytes()
+        records = [{"kind": "wavelet", "m": m, "shape": list(J), "values": sig.tolist()}
+                   for (m, J), sig in wavelets]
+        if constant is not None:
+            records.append({"kind": "constant", "values": constant.tolist()})
+        assert json.dumps(list(fam.to_records())) == json.dumps(records)
+        gram = fam.gram()
+        assert np.max(np.abs(gram - np.eye(len(gram)))) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(family_documents(), st.data())
+    def test_generated_and_rank3_graphs_default_prefs(self, doc, data):
+        """Tori, twisted circulants and rank-3 skeletons, default preferred
+        paths from a random root."""
+        graph = load_kgraph(doc)
+        root = data.draw(st.sampled_from(graph.vertices))
+        try:
+            pf = pf_data(graph)
+            prefs = default_preferred_paths(graph, root)
+        except (NotStronglyConnected, ValidationError):  # no PF data, or a vertex that cannot reach the root
+            assume(False)
+        self.check_against_oracle(graph, pf, prefs)
+
+    def test_fixtures(self, lambda3, ledrappier, led_pf, led_prefs, bouquet2, bouquet3):
+        """Default paths from every root, and ledrappier's one complete class."""
+        for graph in (lambda3, ledrappier, bouquet2, bouquet3):
+            pf = pf_data(graph)
+            for root in graph.vertices:
+                self.check_against_oracle(graph, pf, default_preferred_paths(graph, root))
+        self.check_against_oracle(ledrappier, led_pf, led_prefs)
+
+    def test_three_thousand_vertex_family_allocates_no_dense_signal(self, circulant_3000):
+        """The dense family held 2599 signals of 3000 floats (60 MB traced);
+        the blocks hold the (m - 1) x m rows of each class."""
+        pf = pf_data(circulant_3000)
+        prefs = default_preferred_paths(circulant_3000, "v0")
+        tracemalloc.start()
+        try:
+            fam = traffic_wavelet_family(circulant_3000, pf, prefs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(len(rows) for _, _, rows in fam.classes) > 2000
+        assert peak < 5 * 2 ** 20
