@@ -45,7 +45,8 @@ from .sbfs import LevelSpace, level_space
 # each dense basis `subspace_compare` forms.  2^24 admits ledrappier (1,1)
 # at depth 8 (262,144 paths of 16 edges: 4.2M entries, a listing of about
 # 7 s and 1.4 GB) and refuses depth 9 (18.9M entries) and --compare 6
-# (two dense 16,384^2 bases).
+# (two dense 16,384^2 bases).  --compare 5 takes 30-37 s and 592 MB on one core of a
+# 2-core host (63-75 s and 726 MB with bases synthesized from the identity and two SVDs).
 WAVELET_ENTRY_LIMIT = 2 ** 24
 
 
@@ -155,10 +156,10 @@ def build_wavelet_family(graph: KGraph, pf: PFData | None = None,
 
 
 class MemberSet:
-    """Functions over one level space ``space``: each member in label order
-    as the ascending positions it is nonzero on and its values there
-    (``_members``), and its label text in ``heads`` (`jsonl`).  The views
-    ``labels`` and ``functions`` are built on first access."""
+    """An orthonormal basis of one level space ``space``, a member per position:
+    each in label order as the ascending positions it is nonzero on and its
+    values there (``_members``), its label text in ``heads`` (`jsonl`).  The
+    views ``labels`` and ``functions`` are built on first access."""
 
     @cached_property
     def labels(self) -> tuple[dict, ...]:
@@ -171,10 +172,15 @@ class MemberSet:
 
     def gram(self) -> np.ndarray:
         """The Gram matrix of the members, from dense rows built for the call."""
-        mat = np.zeros((len(self.heads), len(self.space.weights)))
-        for i, (at, values) in enumerate(self._members()):
-            mat[i, at] = values
-        return (mat * self.space.weights[None, :]) @ mat.T
+        rows = self._dense_rows()
+        return (rows * self.space.weights[None, :]) @ rows.T
+
+    def _dense_rows(self) -> np.ndarray:
+        """The members in label order, each scattered into a zero row over ``space``."""
+        rows = np.zeros((len(self.space.weights),) * 2)
+        for row, (at, values) in zip(rows, self._members()):
+            row[at] = values
+        return rows
 
     def listing(self) -> str:
         """The JSON lines of the members: per member its label and its term records."""
@@ -243,10 +249,8 @@ class WaveletBasis(MemberSet):
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """The dense N x N view, one row per basis vector: the synthesis of the identity."""
-        out = np.empty((len(self.order),) * 2)
-        out[:, self.order] = self._synthesis(np.eye(len(self.order)))
-        return out
+        """The dense N x N view, one row per basis vector (`MemberSet._dense_rows`)."""
+        return self._dense_rows()
 
     def _scaling(self) -> np.ndarray:
         return np.array([self.family.blocks[v].c_vectors[0, 0] for v in self.family.graph.vertices])
@@ -267,14 +271,12 @@ class WaveletBasis(MemberSet):
 
     def _synthesis(self, coeffs: np.ndarray) -> np.ndarray:
         """The transpose of `_analysis`: values over the cascade's level nJ."""
-        lead = coeffs.shape[:-1]
-        s = coeffs[..., :len(self.family.graph.vertices)] * self._scaling()
+        s = coeffs[:len(self.family.graph.vertices)] * self._scaling()
         for layer in self.layers:
-            fine = np.empty(lead + (layer[-1].fine.stop,))
+            fine = np.empty(layer[-1].fine.stop)
             for g in layer:
-                d = coeffs[..., g.coeffs].reshape(lead + (len(g.lams), g.c.shape[0]))
-                block = s[..., g.lams, None] + g.factors[:, None] * ((d @ g.c) / g.roots[:, None])
-                fine[..., g.fine] = block.reshape(lead + (-1,))
+                d = coeffs[g.coeffs].reshape(len(g.lams), g.c.shape[0])
+                fine[g.fine] = (s[g.lams, None] + g.factors[:, None] * ((d @ g.c) / g.roots[:, None])).ravel()
             s = fine
         return s
 
@@ -286,7 +288,7 @@ class WaveletBasis(MemberSet):
         scaling function of v on the paths from v, S_lambda f^{m,v} on those
         of lambda * p with the value factor * (C_v[m, p] / root) of lambda.
         Every other step of the one-hot synthesis adds a zero, so the values
-        are its row of ``matrix`` to the last bit.
+        are the synthesis of a unit coefficient vector to the last bit.
         """
         # ancestors[j][i]: the level-jJ node above level-nJ node i; child[j][i]:
         # the index p of level-jJ node i in the block of its parent
@@ -473,20 +475,18 @@ def markov_wavelets(n_letters: int, weights: Sequence[float], depth: int) -> Mar
 def _principal_angles(u_rows: np.ndarray, v_rows: np.ndarray) -> np.ndarray:
     """Principal angles between the row spans of two orthonormal row sets.
 
-    Small angles come from the singular values of the projection residual
-    (their sines), which stays accurate where arccos of a cosine near 1
-    cannot resolve below ~1e-8.
+    Each angle is arcsin of a singular value of the projection residual (a
+    sine), accurate where arccos of a cosine near 1 cannot resolve below
+    ~1e-8, unless its cosine squared is at most 0.5: only when some sine
+    reaches 0.7 are the cosines taken, and those angles are their arccos.
     """
-    cosines = np.sort(np.linalg.svd(u_rows @ v_rows.T, compute_uv=False))[::-1]
-    resid = v_rows - (v_rows @ u_rows.T) @ u_rows
-    sines = np.sort(np.linalg.svd(resid, compute_uv=False))
-    count = min(u_rows.shape[0], v_rows.shape[0])
-    angles = np.empty(count)
-    for i in range(count):
-        c = min(cosines[i], 1.0) if i < len(cosines) else 0.0
-        s = min(sines[i], 1.0) if i < len(sines) else 1.0
-        angles[i] = np.arcsin(s) if c * c > 0.5 else np.arccos(c)
-    return np.sort(angles)
+    resid = (v_rows @ u_rows.T) @ u_rows
+    np.subtract(v_rows, resid, out=resid)
+    sines = np.minimum(np.sort(np.linalg.svd(resid, compute_uv=False)), 1.0)[:min(len(u_rows), len(v_rows))]
+    if not np.any(sines >= 0.7):
+        return np.sort(np.arcsin(sines))
+    cosines = np.minimum(np.sort(np.linalg.svd(u_rows @ v_rows.T, compute_uv=False))[::-1], 1.0)
+    return np.sort(np.where(cosines * cosines > 0.5, np.arcsin(sines), np.arccos(cosines)))
 
 
 @dataclass(frozen=True)
@@ -507,8 +507,9 @@ def subspace_compare(family: WaveletFamily, coarse_family: WaveletFamily,
     of the first l layers of the shape-J decomposition, via principal angles.
 
     Both spans are refined to level lJ; equality is reported, never assumed.
-    Each is a dense N x N basis over the N paths of level lJ: above
-    `WAVELET_ENTRY_LIMIT` entries it raises TooLarge before it builds one.
+    Each is the dense N x N rows of a basis built for the call over the N
+    paths of level lJ: above `WAVELET_ENTRY_LIMIT` entries it raises
+    TooLarge before it builds one.
     """
     if family.graph is not coarse_family.graph:
         raise ShapeMismatch("families live on different graphs")
@@ -526,8 +527,8 @@ def subspace_compare(family: WaveletFamily, coarse_family: WaveletFamily,
 
     def wavelet_rows(basis: WaveletBasis) -> np.ndarray:
         # the members after the leading scaling functions, in the orthonormal bases
-        rows = basis.matrix[len(family.graph.vertices):]
-        return rows * np.sqrt(basis.space.weights)[None, :]
+        rows = basis._dense_rows()[len(family.graph.vertices):]
+        return np.multiply(rows, np.sqrt(basis.space.weights)[None, :], out=rows)
 
     fine = wavelet_basis(family, ell)
     # both bases sit at level lJ, in the same column order
@@ -535,7 +536,6 @@ def subspace_compare(family: WaveletFamily, coarse_family: WaveletFamily,
     u_coarse = wavelet_rows(wavelet_basis(coarse_family, 1, space=fine.space))
 
     angles = _principal_angles(u_fine, u_coarse)
-    equal = (u_fine.shape[0] == u_coarse.shape[0]
-             and bool(np.all(angles < angle_tol)))
+    equal = len(u_fine) == len(u_coarse) and bool(np.all(angles < angle_tol))
     return SubspaceComparison(equal, tuple(float(a) for a in angles),
                               u_fine.shape[0], u_coarse.shape[0])

@@ -52,6 +52,7 @@ from kgraphwave import (
     s_matrix,
     segment,
     synthesize,
+    synthesize_vector,
     vertex_path,
     wavelet_operator,
 )
@@ -1054,9 +1055,42 @@ def markov_records(system):
             for label, (at, values) in zip(markov_labels(system), system._members())]
 
 
+def identity_synthesis(basis):
+    """Oracle for `WaveletBasis.matrix`: the cascade's synthesis of the N x N
+    identity, one unit coefficient vector at a time, one row per basis vector."""
+    return np.array([synthesize_vector(basis, unit) for unit in np.eye(len(basis.order))])
+
+
+def row_loop_gram(members):
+    """Oracle for `MemberSet.gram`: one zero row per label, each member's
+    values written into its row, weighted and multiplied out."""
+    mat = np.zeros((len(members.heads), len(members.space.weights)))
+    for i, (at, values) in enumerate(members._members()):
+        mat[i, at] = values
+    return (mat * members.space.weights[None, :]) @ mat.T
+
+
+def two_svd_principal_angles(u_rows, v_rows):
+    """Oracle for `wavelets._principal_angles`: the cosines and the sines of
+    the projection residual from one SVD each, and per angle arcsin of the
+    sine where the cosine squared passes 0.5, arccos of the cosine elsewhere."""
+    cosines = np.sort(np.linalg.svd(u_rows @ v_rows.T, compute_uv=False))[::-1]
+    resid = v_rows - (v_rows @ u_rows.T) @ u_rows
+    sines = np.sort(np.linalg.svd(resid, compute_uv=False))
+    count = min(u_rows.shape[0], v_rows.shape[0])
+    angles = np.empty(count)
+    for i in range(count):
+        c = min(cosines[i], 1.0) if i < len(cosines) else 0.0
+        s = min(sines[i], 1.0) if i < len(sines) else 1.0
+        angles[i] = np.arcsin(s) if c * c > 0.5 else np.arccos(c)
+    return np.sort(angles)
+
+
 def dense_listing(basis):
     """Oracle for `WaveletBasis.to_records`: each member read off its row of
-    the dense matrix, the synthesis of the identity."""
+    the dense matrix, which must be the synthesis of the identity to the
+    last bit."""
+    assert basis.matrix.tobytes() == identity_synthesis(basis).tobytes()
     return [{**label, "terms": basis.space.function_of(row).to_records()}
             for label, row in zip(basis.labels, basis.matrix)]
 

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -604,6 +607,10 @@ GOLDEN_WAVELETS = [
     # captured while listings were written from Path-keyed CylinderFn terms
     (["ledrappier", "--shape", "1,1", "--depth", "4"],
      "f691fed562654a57727fc6685e0e2fe0b24c74e255534bdc99f6c641db0b7035"),
+    # captured while the dense bases were the synthesis of the identity and
+    # the angles took two SVDs
+    (["ledrappier", "--shape", "1,1", "--compare", "4"],
+     "53379f6ce0b679a4a1c487bdeaf390837b18af5c76f73f01c431cc667767edf3"),
 ]
 
 
@@ -615,7 +622,14 @@ def test_wavelets_golden_stdout(argv, digest, tmp_path, capsys):
         graph.write_text(json.dumps(twisted_circulant_document(5, (1, 2), (1, 2), 7)))
     else:
         graph = fixture_path(argv[0])
-    out, _ = run_cli(capsys, "wavelets", str(graph), *argv[1:])
+    if "--compare" in argv:
+        # the angles are of rounding size, and their bits depend on how the
+        # BLAS splits its sums across threads: one thread, as captured
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"), OPENBLAS_NUM_THREADS="1")
+        out = subprocess.run([sys.executable, "-m", "kgraphwave.cli", "wavelets", str(graph), *argv[1:]],
+                             capture_output=True, text=True, env=env, check=True).stdout
+    else:
+        out, _ = run_cli(capsys, "wavelets", str(graph), *argv[1:])
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

@@ -40,7 +40,7 @@ from kgraphwave import (
     wavelet_basis,
 )
 from kgraphwave.cli import main
-from kgraphwave.wavelets import _path_count
+from kgraphwave.wavelets import _path_count, _principal_angles
 from helpers import (
     block_paths,
     count_path_objects,
@@ -51,12 +51,15 @@ from helpers import (
     eager_wavelet_family,
     family_documents,
     forbid_path_building,
+    identity_synthesis,
     markov_member_records,
     markov_run_listing,
     path_count,
     random_cylinder_fn,
+    row_loop_gram,
     torus_document,
     twisted_circulant_document,
+    two_svd_principal_angles,
 )
 
 SQRT2 = np.sqrt(2.0)
@@ -309,6 +312,13 @@ def check_cascade(basis, fn, tol=1e-12):
     return dense
 
 
+def check_dense_rows(basis):
+    """``matrix``, the members scattered into zero rows, against the synthesis
+    of the identity, and ``gram`` against its row loop, both to the last bit."""
+    assert basis.matrix.tobytes() == identity_synthesis(basis).tobytes()
+    assert basis.gram().tobytes() == row_loop_gram(basis).tobytes()
+
+
 FIXTURE_CASES = [("lambda3", (1, 1), 4), ("ledrappier", (1, 1), 3), ("ledrappier", (1, 2), 2),
                  ("ledrappier", (2, 1), 1), ("bouquet-3", (2,), 2)]
 
@@ -339,9 +349,10 @@ class TestCascade:
         assert basis.space.basis == level_space(basis.family.spec, level).basis
         fn = random_cylinder_fn(graph, level, 12, np.random.default_rng(depth))
         dense = check_cascade(basis, fn)
-        # the synthesis of the identity is the oracle to the last bit, so
-        # listings print the same bytes
+        # the scattered members are the oracle to the last bit, so listings
+        # print the same bytes
         assert np.array_equal(basis.matrix, dense)
+        check_dense_rows(basis)
 
     @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(generated_cases())
@@ -352,6 +363,15 @@ class TestCascade:
         fn = random_cylinder_fn(graph, tuple(depth * j for j in shape), 8,
                                 np.random.default_rng(seed))
         check_cascade(basis, fn)
+        check_dense_rows(basis)
+
+    @pytest.mark.parametrize("shape,depth,coarse", [((1, 1), 3, (3, 3)), ((1, 2), 2, (2, 4))])
+    def test_compare_bases_dense_rows(self, ledrappier, shape, depth, coarse):
+        # the two bases --compare forms: the depth-l basis of J and the
+        # depth-1 basis of lJ over the same level space
+        fine = wavelet_basis(build_wavelet_family(ledrappier, shape=shape), depth)
+        check_dense_rows(fine)
+        check_dense_rows(wavelet_basis(build_wavelet_family(ledrappier, shape=coarse), 1, space=fine.space))
 
     def test_depth6_round_trip_without_dense_basis(self, ledrappier):
         family = build_wavelet_family(ledrappier, shape=(1, 1))
@@ -501,6 +521,12 @@ class TestMarkov:
             (normal_form(g, ["0", "1"]), -b / np.sqrt(0.25))])
         assert cylinder_fns_equal(psi, expected, tol=1e-12)
 
+    @pytest.mark.parametrize("n_letters,weights,depth", [(2, (0.25, 0.75), 3), (3, (0.2, 0.5, 0.3), 2),
+                                                         (4, (0.1, 0.2, 0.3, 0.4), 0)])
+    def test_gram_against_row_loop(self, n_letters, weights, depth):
+        system = markov_wavelets(n_letters, weights, depth)
+        assert system.gram().tobytes() == row_loop_gram(system).tobytes()
+
     def test_depth_zero_scaling_only(self):
         system = markov_wavelets(3, (0.2, 0.5, 0.3), 0)
         assert len(system.functions) == 3
@@ -533,7 +559,51 @@ class TestMarkov:
             markov_wavelets(1, (1.0,), 1)
 
 
+@st.composite
+def orthonormal_row_pairs(draw):
+    """Two row sets orthonormalised by QR, of ru and rv rows, whose spans
+    coincide (or nest, when ru != rv), lie a small perturbation apart, or
+    are tilted by drawn angles, about half of them at or past pi/4."""
+    ru, rv = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    n = max(1, ru + rv + draw(st.integers(0, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = np.linalg.qr(rng.standard_normal((n, n)))[0].T
+    kind = draw(st.sampled_from(["coincide", "perturbed", "tilted"]))
+    if kind == "coincide":
+        v = rows[:rv]
+    elif kind == "perturbed":
+        v = rows[:rv] + 10.0 ** -draw(st.integers(2, 12)) * rng.standard_normal((rv, n))
+    else:
+        theta = np.array(draw(st.lists(st.floats(0, np.pi / 2), min_size=rv, max_size=rv)))
+        k = min(ru, rv)
+        v = rows[ru:ru + rv].copy()
+        v[:k] = np.cos(theta[:k, None]) * rows[:k] + np.sin(theta[:k, None]) * v[:k]
+    # each set rotated within its span, through QR
+    u = np.linalg.qr(rows[:ru].T @ rng.standard_normal((ru, ru)))[0].T
+    return u, np.linalg.qr(v.T @ rng.standard_normal((rv, rv)))[0].T
+
+
 class TestSubspaceCompare:
+    @settings(max_examples=300, deadline=None)
+    @given(orthonormal_row_pairs())
+    @example((np.eye(3)[:2], np.eye(3)[:0]))
+    @example((np.eye(2)[:1], np.array([[np.sqrt(0.5), np.sqrt(0.5)]])))
+    def test_principal_angles_against_two_svd_oracle(self, pair):
+        # bit for bit, so arcsin over the whole array gives the per-element bits
+        u, v = pair
+        got, want = _principal_angles(u, v), two_svd_principal_angles(u, v)
+        assert got.shape == want.shape == (min(len(u), len(v)),)
+        assert got.tobytes() == want.tobytes()
+
+    def test_compare_takes_one_svd(self, ledrappier, monkeypatch):
+        # coinciding spans have sines near 1e-16: no cosine SVD
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a[0].shape) or svd(*a, **k))
+        fam = build_wavelet_family(ledrappier, shape=(1, 1))
+        assert subspace_compare(fam, build_wavelet_family(ledrappier, shape=(3, 3))).equal
+        assert calls == [(252, 256)]  # the residual of the 252 wavelets
+
     def test_family_against_itself(self, fam3):
         cmp = subspace_compare(fam3, fam3)
         assert cmp.equal
@@ -563,8 +633,6 @@ class TestSubspaceCompare:
 
     def test_orthogonal_spans_give_right_angle(self):
         # direct check of the angle computation on 1-dim orthonormal spans
-        from kgraphwave.wavelets import _principal_angles
-
         u = np.array([[1.0, 0.0]])
         v = np.array([[0.0, 1.0]])
         angles = _principal_angles(u, v)
