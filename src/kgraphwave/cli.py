@@ -529,7 +529,7 @@ def main(argv: list[str] | None = None) -> int:
         _fail(PARSE_EXIT, "parse", exc)
     except OSError as exc:  # a missing or unreadable file, or a directory in its place
         _fail(PARSE_EXIT, "parse", exc)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # input that is not JSON, or not UTF-8 text
         _fail(PARSE_EXIT, "parse", exc)
     except err.ValidationError as exc:
         _fail(VALIDATION_EXIT, "validation", exc, reason=exc.reason)

@@ -867,19 +867,21 @@ def path_counts(graph: KGraph, upto: Degree) -> np.ndarray:
     return ends.sum(axis=-1)
 
 
-def _path_count(graph: KGraph, level: Degree, cap: int) -> int:
+def _path_count(graph: KGraph, level: Degree, cap: int, by_range: bool = False):
     """|Lambda^level| (`path_counts` at one degree) where it is below
     ``cap``, else some count >= cap, with no path built: a count per source
     vertex, stepped back one edge at a time as `path_counts` steps, each
     entry saturated at cap.  The colors whose edges reach every vertex come
     last, as a step of such a color loses no path: the count stops once it
-    reaches cap with only such steps left."""
+    reaches cap with only such steps left.  With ``by_range``, the count of
+    the paths into each vertex, each entry exact below cap: every step runs."""
     n, steps = len(graph.vertices), []
     for c, d in enumerate(level, start=1):
         if d:
             edges = graph.edge_color == c
-            source, range_ = graph.edge_source[edges], graph.edge_range[edges]
-            steps.append((bool(np.bincount(range_, minlength=n).all()), d, source, range_))
+            ends = graph.edge_source[edges], graph.edge_range[edges]
+            source, range_ = ends[::-1] if by_range else ends
+            steps.append((not by_range and bool(np.bincount(range_, minlength=n).all()), d, source, range_))
     steps.sort(key=lambda step: step[0])
     counts = np.ones(n)  # exact integers: every sum stays far below 2^53
     for keeps, d, source, range_ in steps:
@@ -887,7 +889,7 @@ def _path_count(graph: KGraph, level: Degree, cap: int) -> int:
             if keeps and counts.sum() >= cap:
                 break
             counts = np.minimum(np.bincount(source, weights=counts[range_], minlength=n), cap)
-    return int(counts.sum())
+    return counts if by_range else int(counts.sum())
 
 
 def is_zero_one(graph: KGraph) -> bool:
@@ -929,16 +931,19 @@ def load_kgraph(document) -> KGraph:
     which runs every construction check on them as array operations;
     no `Edge` or `FactorizationSquare` is built.
     """
-    if isinstance(document, str) and not document.lstrip().startswith("{"):
-        try:
-            document = FilePath(document).read_text()
-        except OSError as missing:
+    try:
+        if isinstance(document, str) and not document.lstrip().startswith("{"):
             try:
-                json.loads(document)  # no such file, but a JSON document
-            except json.JSONDecodeError:
-                raise missing from None
-    elif isinstance(document, FilePath):
-        document = document.read_text()
+                document = FilePath(document).read_text()
+            except OSError as missing:
+                try:
+                    json.loads(document)  # no such file, but a JSON document
+                except json.JSONDecodeError:
+                    raise missing from None
+        elif isinstance(document, FilePath):
+            document = document.read_text()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"the document is not UTF-8 text: {exc}") from exc
     if isinstance(document, str):
         try:
             document = json.loads(document)

@@ -12,6 +12,9 @@ classical Haar ordering.
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
+
 import numpy as np
 
 
@@ -23,6 +26,27 @@ def constant_unit_vector(weights) -> np.ndarray:
     return np.full(w.size, 1.0 / np.sqrt(w.sum()))
 
 
+@lru_cache(maxsize=64)
+def _split(size: int):
+    """The balanced split of ``size`` coordinates as index arrays: the node
+    count n; the blocks of each length (node i's left block as i, its right
+    one as n + i) with their coordinates as rows; and each nonzero entry of
+    the rows as its flat position and its block."""
+    lo, hi, depths = np.array([0]), np.array([size]), [(np.zeros(0, int),) * 3]  # size 1 has no split
+    while (keep := hi - lo > 1).any():  # the splits [lo, mid) | [mid, hi) of one depth, left to right
+        lo, hi = lo[keep], hi[keep]
+        mid = (lo + hi + 1) // 2
+        depths.append((lo, mid, hi))
+        lo, hi = np.stack([lo, mid], 1).ravel(), np.stack([mid, hi], 1).ravel()
+    lo, mid, hi = (np.concatenate(parts[::-1]) for parts in zip(*depths))  # deepest first
+    starts, lengths = np.concatenate([lo, mid]), np.concatenate([mid - lo, hi - mid])
+    blocks = [(at, starts[at, None] + np.arange(length)) for length in set(lengths.tolist())
+              for at in [np.flatnonzero(lengths == length)]]
+    node = np.repeat(np.arange(len(lo)), hi - lo)
+    col = np.arange(len(node)) - np.repeat(np.cumsum(hi - lo) - hi, hi - lo)
+    return len(lo), blocks, node * size + col, node + len(lo) * (col >= mid[node])
+
+
 def complement_basis(weights) -> np.ndarray:
     """Orthonormal basis of the complement of the constant vector.
 
@@ -31,32 +55,17 @@ def complement_basis(weights) -> np.ndarray:
     weights scaled by an even power of two 2^s that brings the largest near
     1, and the rows are scaled back by the exact 2^(-s/2): the same bits as
     unscaled, without the underflow of w_left * total on tiny weights.
-    """
+    Summed as the rows of one gather, the blocks of one length have the
+    bits of their slice sums."""
     w = np.asarray(weights, dtype=float)
-    if w.size == 0 or np.any(w <= 0):
+    if w.size == 0 or (w <= 0).any():
         raise ValueError("weights must be positive and nonempty")
-    nodes: list[tuple[int, int, int]] = []  # (depth, lo, mid) with split [lo,mid)|[mid,hi)
-
-    def descend(lo: int, hi: int, depth: int):
-        size = hi - lo
-        if size < 2:
-            return
-        mid = lo + (size + 1) // 2
-        nodes.append((depth, lo, mid, hi))
-        descend(lo, mid, depth + 1)
-        descend(mid, hi, depth + 1)
-
-    descend(0, w.size, 0)
-    nodes.sort(key=lambda item: (-item[0], item[1]))
-    scale = np.frexp(w.max())[1] // 2 * 2
+    n, blocks, cells, block_of = _split(w.size)
+    scale = math.frexp(w.max())[1] // 2 * 2
     w = np.ldexp(w, -scale)
-
-    rows = np.zeros((len(nodes), w.size))
-    for row, (_, lo, mid, hi) in zip(rows, nodes):
-        w_left = w[lo:mid].sum()
-        w_right = w[mid:hi].sum()
-        total = w_left + w_right
-        row[lo:mid] = np.sqrt(w_right / (w_left * total))
-        row[mid:hi] = -np.sqrt(w_left / (w_right * total))
-    return np.ldexp(rows, -(scale // 2))
-
+    sums = np.empty((2, n))  # the rows w_left and w_right
+    for at, index in blocks:
+        sums.ravel()[at] = w[index].sum(axis=1)
+    values = np.sqrt(sums[::-1] / (sums * (sums[0] + sums[1])))  # positive on the left, negated on the right
+    values[1] *= -1
+    return np.bincount(cells, np.ldexp(values.ravel(), -(scale // 2))[block_of], n * w.size).reshape(n, w.size)

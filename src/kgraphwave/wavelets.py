@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import jsonl
-from .errors import BadShape, BadWeights, EmptyDv, ShapeMismatch, TooLarge
+from .errors import BadShape, BadWeights, EmptyDv, ResidualTooLarge, ShapeMismatch, TooLarge
 from .kgraph import (
     Degree,
     KGraph,
@@ -41,12 +41,11 @@ from .sbfs import LevelSpace, level_space
 
 
 # The most word entries (paths times the edges of each) of a level that
-# `build_wavelet_family` or `wavelet_basis` builds, and the most entries of
-# each dense basis `subspace_compare` forms.  2^24 admits ledrappier (1,1)
-# at depth 8 (262,144 paths of 16 edges: 4.2M entries, a listing of about
-# 7 s and 1.4 GB) and refuses depth 9 (18.9M entries) and --compare 6
-# (two dense 16,384^2 bases).  --compare 5 takes 30-37 s and 592 MB on one core of a
-# 2-core host (63-75 s and 726 MB with bases synthesized from the identity and two SVDs).
+# `build_wavelet_family` or `wavelet_basis` builds, and the most entries
+# sum_v |D_v^J|^2 of a family's coefficient blocks.  2^24 admits ledrappier
+# (1,1) at depth 8 (262,144 paths of 16 edges: 4.2M entries, a listing of
+# about 7 s and 1.4 GB), refuses depth 9 (18.9M), and admits the blocks of
+# shape (5,5) (4 * 1024^2, so --compare 5) but not (6,6) (4 * 4096^2).
 WAVELET_ENTRY_LIMIT = 2 ** 24
 
 
@@ -133,7 +132,8 @@ def build_wavelet_family(graph: KGraph, pf: PFData | None = None,
     """Construct the shape-J scaling functions and wavelets f^{m,v}.
 
     D_v^J is the paths of range v in the level-J space, in its order; the
-    coefficient vectors come from their masses."""
+    coefficient vectors come from their masses.  Above `WAVELET_ENTRY_LIMIT`
+    word entries, or sum_v |D_v^J|^2 entries of the C_v, it raises TooLarge."""
     if shape is None:
         raise BadShape("a wavelet shape is required, e.g. shape=(1, 1)")
     if spec is None:
@@ -142,6 +142,10 @@ def build_wavelet_family(graph: KGraph, pf: PFData | None = None,
     if any(j < 1 for j in shape):
         raise BadShape(f"every shape entry must be >= 1, got {shape}")
     check_wavelet_level(graph, shape)
+    sizes = _path_count(graph, shape, math.isqrt(WAVELET_ENTRY_LIMIT) + 1, by_range=True)
+    if np.sum(sizes * sizes) > WAVELET_ENTRY_LIMIT:
+        raise TooLarge(f"the coefficient blocks of shape {shape}, |D_v^J|^2 entries for each vertex v, "
+                       f"hold more than {WAVELET_ENTRY_LIMIT} entries, the limit")
 
     space = level_space(spec, shape)
     blocks = {}
@@ -472,23 +476,6 @@ def markov_wavelets(n_letters: int, weights: Sequence[float], depth: int) -> Mar
 
 # -- subspace comparison (shape J versus shape lJ) --------------------------
 
-def _principal_angles(u_rows: np.ndarray, v_rows: np.ndarray) -> np.ndarray:
-    """Principal angles between the row spans of two orthonormal row sets.
-
-    Each angle is arcsin of a singular value of the projection residual (a
-    sine), accurate where arccos of a cosine near 1 cannot resolve below
-    ~1e-8, unless its cosine squared is at most 0.5: only when some sine
-    reaches 0.7 are the cosines taken, and those angles are their arccos.
-    """
-    resid = (v_rows @ u_rows.T) @ u_rows
-    np.subtract(v_rows, resid, out=resid)
-    sines = np.minimum(np.sort(np.linalg.svd(resid, compute_uv=False)), 1.0)[:min(len(u_rows), len(v_rows))]
-    if not np.any(sines >= 0.7):
-        return np.sort(np.arcsin(sines))
-    cosines = np.minimum(np.sort(np.linalg.svd(u_rows @ v_rows.T, compute_uv=False))[::-1], 1.0)
-    return np.sort(np.where(cosines * cosines > 0.5, np.arcsin(sines), np.arccos(cosines)))
-
-
 @dataclass(frozen=True)
 class SubspaceComparison:
     equal: bool
@@ -506,36 +493,35 @@ def subspace_compare(family: WaveletFamily, coarse_family: WaveletFamily,
     """Compare the single-scale wavelet space of shape lJ with the direct sum
     of the first l layers of the shape-J decomposition, via principal angles.
 
-    Both spans are refined to level lJ; equality is reported, never assumed.
-    Each is the dense N x N rows of a basis built for the call over the N
-    paths of level lJ: above `WAVELET_ENTRY_LIMIT` entries it raises
-    TooLarge before it builds one.
+    With orthonormal C_v (reported, never assumed: a weighted Gram more than
+    1e-10 off the identity raises ResidualTooLarge), the depth-l basis of J
+    and the depth-1 basis of lJ are orthonormal bases of one space that lead
+    with the same scaling functions phi_v.  The residual of the coarse
+    wavelets f^{m,v} against the fine wavelet span is then their projection
+    onto phi_v: the sines are s_v = ||(<f^{m,v}, phi_v>)_m||, one per vertex
+    with a wavelet, by numpy sums whose bits do not depend on the BLAS, and
+    every other angle is 0.  No level-lJ basis is built.
     """
     if family.graph is not coarse_family.graph:
         raise ShapeMismatch("families live on different graphs")
-    ratios = {cj // j for cj, j in zip(coarse_family.shape, family.shape)
-              if cj % j == 0}
-    rem = [cj % j for cj, j in zip(coarse_family.shape, family.shape)]
-    if any(rem) or len(ratios) != 1:
-        raise ShapeMismatch(
-            f"{coarse_family.shape} is not an integer multiple of {family.shape}")
-    ell = ratios.pop()
-    paths = _path_count(family.graph, coarse_family.shape, math.isqrt(WAVELET_ENTRY_LIMIT) + 1)
-    if paths ** 2 > WAVELET_ENTRY_LIMIT:
-        raise TooLarge(f"the dense bases over the paths of level {coarse_family.shape} hold more than "
-                       f"{WAVELET_ENTRY_LIMIT} entries each, the limit")
-
-    def wavelet_rows(basis: WaveletBasis) -> np.ndarray:
-        # the members after the leading scaling functions, in the orthonormal bases
-        rows = basis._dense_rows()[len(family.graph.vertices):]
-        return np.multiply(rows, np.sqrt(basis.space.weights)[None, :], out=rows)
-
-    fine = wavelet_basis(family, ell)
-    # both bases sit at level lJ, in the same column order
-    u_fine = wavelet_rows(fine)
-    u_coarse = wavelet_rows(wavelet_basis(coarse_family, 1, space=fine.space))
-
-    angles = _principal_angles(u_fine, u_coarse)
-    equal = len(u_fine) == len(u_coarse) and bool(np.all(angles < angle_tol))
-    return SubspaceComparison(equal, tuple(float(a) for a in angles),
-                              u_fine.shape[0], u_coarse.shape[0])
+    ell = coarse_family.shape[0] // family.shape[0]
+    if coarse_family.shape != tuple(ell * j for j in family.shape):
+        raise ShapeMismatch(f"{coarse_family.shape} is not an integer multiple of {family.shape}")
+    sines = []
+    for coarse, fam in enumerate((family, coarse_family)):
+        for v, block in fam.blocks.items():
+            c = block.c_vectors
+            weighted = c * fam.space.weights[block.positions]
+            off = float(np.max(np.abs(weighted @ c.T - np.eye(len(c)))))
+            if not off <= 1e-10:
+                raise ResidualTooLarge(f"the coefficient rows of vertex {v} at shape {fam.shape} are off "
+                                       f"orthonormal by {off:.2e}, above 1e-10")
+            if coarse and len(c) > 1:
+                products = np.sum(c[1:] * weighted[0], axis=1)
+                sines.append(np.sqrt(np.sum(products * products)))
+    # either basis has a member per path of level lJ, |V| of them scaling functions
+    dim = len(coarse_family.space.weights) - len(family.graph.vertices)
+    angles = np.zeros(dim)
+    angles[:len(sines)] = np.arcsin(np.minimum(sines, 1.0))
+    angles.sort()
+    return SubspaceComparison(bool(np.all(angles < angle_tol)), tuple(angles.tolist()), dim, dim)

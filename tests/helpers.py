@@ -54,6 +54,7 @@ from kgraphwave import (
     synthesize,
     synthesize_vector,
     vertex_path,
+    wavelet_basis,
     wavelet_operator,
 )
 import kgraphwave.cli
@@ -1070,8 +1071,38 @@ def row_loop_gram(members):
     return (mat * members.space.weights[None, :]) @ mat.T
 
 
+def principal_angles(u_rows, v_rows):
+    """Principal angles between the row spans of two orthonormal row sets.
+
+    Each angle is arcsin of a singular value of the projection residual (a
+    sine), accurate where arccos of a cosine near 1 cannot resolve below
+    ~1e-8, unless its cosine squared is at most 0.5: only when some sine
+    reaches 0.7 are the cosines taken, and those angles are their arccos.
+    """
+    resid = (v_rows @ u_rows.T) @ u_rows
+    np.subtract(v_rows, resid, out=resid)
+    sines = np.minimum(np.sort(np.linalg.svd(resid, compute_uv=False)), 1.0)[:min(len(u_rows), len(v_rows))]
+    if not np.any(sines >= 0.7):
+        return np.sort(np.arcsin(sines))
+    cosines = np.minimum(np.sort(np.linalg.svd(u_rows @ v_rows.T, compute_uv=False))[::-1], 1.0)
+    return np.sort(np.where(cosines * cosines > 0.5, np.arcsin(sines), np.arccos(cosines)))
+
+
+def dense_subspace_compare(family, coarse_family, angle_tol=1e-8):
+    """Oracle for `subspace_compare`: the wavelet rows of the depth-l basis
+    of J and of the depth-1 basis of lJ, dense over the level-lJ paths and
+    scaled by the square roots of their masses, and the principal angles of
+    their spans.  Returns (equal, angles, dim_fine, dim_coarse)."""
+    fine = wavelet_basis(family, coarse_family.shape[0] // family.shape[0])
+    n = len(family.graph.vertices)
+    u, v = (basis.matrix[n:] * np.sqrt(fine.space.weights)
+            for basis in (fine, wavelet_basis(coarse_family, 1, space=fine.space)))
+    angles = principal_angles(u, v)
+    return len(u) == len(v) and bool(np.all(angles < angle_tol)), angles, len(u), len(v)
+
+
 def two_svd_principal_angles(u_rows, v_rows):
-    """Oracle for `wavelets._principal_angles`: the cosines and the sines of
+    """Oracle for `principal_angles`: the cosines and the sines of
     the projection residual from one SVD each, and per angle arcsin of the
     sine where the cosine squared passes 0.5, arccos of the cosine elsewhere."""
     cosines = np.sort(np.linalg.svd(u_rows @ v_rows.T, compute_uv=False))[::-1]

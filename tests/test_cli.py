@@ -321,6 +321,24 @@ class TestErrorChannel:
         _, errtext = run_cli(capsys, "validate", str(bad), expect_exit=2)
         assert json.loads(errtext)["error"] == "parse"
 
+    @pytest.mark.parametrize("argv,text", [
+        (("validate", "{bad}"), Path(LED).read_text()),
+        (("wavelets", LED, "--shape", "1,1", "--depth", "1", "--analyze", "{bad}"), '{"path": ["a"], "coeff": 1}\n'),
+        (("wavelets", LED, "--shape", "1,1", "--depth", "1", "--synthesize", "{bad}"), '{"coeff": 1}\n' * 16),
+        (("traffic", LED, "--prefs", "{bad}"), '{"vertex": "v1", "path": "@v1"}\n'),
+        (("spectral", LED, "--gft", "{bad}"), "[1.0, 0.0, 0.0, -1.0]"),
+        (("spectral", LED, "--reconstruct", "{bad}"), "[1.0, 0.0, 0.0, -1.0]"),
+    ], ids=["graph", "analyze", "synthesize", "prefs", "gft", "reconstruct"])
+    def test_non_utf8_input_is_a_parse_error(self, capsys, tmp_path, argv, text):
+        # one 0xff byte in the middle of an input that parses without it
+        bad = tmp_path / "bad"
+        data = text.encode()
+        bad.write_bytes(data[:len(data) // 2] + b"\xff" + data[len(data) // 2:])
+        _, errtext = run_cli(capsys, *(str(bad) if a == "{bad}" else a for a in argv), expect_exit=2)
+        (line,) = errtext.splitlines()
+        rec = json.loads(line)
+        assert rec["error"] == "parse" and "0xff" in rec["message"]
+
     def test_missing_file(self, capsys):
         _, errtext = run_cli(capsys, "validate", "/nope/missing.kg", expect_exit=2)
         assert json.loads(errtext)["error"] == "parse"
@@ -583,8 +601,8 @@ class TestErrorChannel:
         assert json.loads(errtext)["error"] == "numeric"
 
 
-# sha256 of `wavelets` listing and --compare stdout, captured while the basis
-# was still built member by member as a dense matrix; it must not change
+# sha256 of `wavelets` listing stdout, captured while the basis was still
+# built member by member as a dense matrix; it must not change
 GOLDEN_WAVELETS = [
     (["lambda3", "--shape", "1,1", "--depth", "3"],
      "3fbbe472f396aa0d71d38737aca400979d7ea90caaf9a5a15aea750a74dbe627"),
@@ -596,21 +614,21 @@ GOLDEN_WAVELETS = [
      "76d2ce7cb23213000b0af8cbb23efeca9b1bcdc289010f25eaa93410911d3ae6"),
     (["circulant", "--shape", "1,1", "--depth", "2"],
      "d5d8b02c1be662f82e1e694d4e8cbcbadf2f2d20be23147c1852676c227dcd92"),
-    (["ledrappier", "--shape", "1,1", "--compare", "2"],
-     "6e71b26b5727753a5a3a445396b6d650ec4cfa34a597e99592d50bbcde7804a2"),
-    (["ledrappier", "--shape", "1,1", "--compare", "3"],
-     "62d58e561061ff9f7513c06a383b2c4c68d2b98f30cf7cb112d0d93e08326e3c"),
-    (["circulant", "--shape", "1,1", "--compare", "2"],
-     "b57f44f12314025953d2db1fb8eba059f8138cd269573632ea34dc243020262c"),
-    (["lambda3", "--shape", "1,1", "--compare", "2"],
-     "b51c7e744beb39af118a69334e675a9347914f7d39506c0a9e0bcbfa71d5a7da"),
     # captured while listings were written from Path-keyed CylinderFn terms
     (["ledrappier", "--shape", "1,1", "--depth", "4"],
      "f691fed562654a57727fc6685e0e2fe0b24c74e255534bdc99f6c641db0b7035"),
-    # captured while the dense bases were the synthesis of the identity and
-    # the angles took two SVDs
+    # --compare stdout, captured once the sines were read off the coefficient
+    # blocks by numpy sums: the same bytes under any BLAS thread count
+    (["ledrappier", "--shape", "1,1", "--compare", "2"],
+     "aecf75230e2acfe5692013135ce557bbf7cabdaba571ca072e9bd54c3f50a94d"),
+    (["ledrappier", "--shape", "1,1", "--compare", "3"],
+     "ff989942d750010a4053d94fe921df160bfe3d882d272eaba7ac74ad5e7a880a"),
+    (["circulant", "--shape", "1,1", "--compare", "2"],
+     "44d62a1af83668d6fc23a51fdf10b44929314ff5d308b92cbd3ab9b7ae22dbcd"),
+    (["lambda3", "--shape", "1,1", "--compare", "2"],
+     "6f9459eb4456e787bd1b40b09fa61dfa032a817564b9dc72c18e4471efa4117c"),
     (["ledrappier", "--shape", "1,1", "--compare", "4"],
-     "53379f6ce0b679a4a1c487bdeaf390837b18af5c76f73f01c431cc667767edf3"),
+     "b6de5cc461084cdc14901b85b0257cbd8e95f53c6ac48f4259ce67fb1ed77900"),
 ]
 
 
@@ -622,15 +640,19 @@ def test_wavelets_golden_stdout(argv, digest, tmp_path, capsys):
         graph.write_text(json.dumps(twisted_circulant_document(5, (1, 2), (1, 2), 7)))
     else:
         graph = fixture_path(argv[0])
-    if "--compare" in argv:
-        # the angles are of rounding size, and their bits depend on how the
-        # BLAS splits its sums across threads: one thread, as captured
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"), OPENBLAS_NUM_THREADS="1")
-        out = subprocess.run([sys.executable, "-m", "kgraphwave.cli", "wavelets", str(graph), *argv[1:]],
-                             capture_output=True, text=True, env=env, check=True).stdout
-    else:
-        out, _ = run_cli(capsys, "wavelets", str(graph), *argv[1:])
+    out, _ = run_cli(capsys, "wavelets", str(graph), *argv[1:])
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_compare_bytes_do_not_depend_on_blas_threads():
+    # the sines are numpy sums in a fixed order; only the orthonormality
+    # check, which decides pass or fail, runs on the BLAS
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    outs = {subprocess.run([sys.executable, "-m", "kgraphwave.cli", "wavelets", LED, "--shape", "1,1",
+                            "--compare", "4"], capture_output=True, env={**env, "OPENBLAS_NUM_THREADS": threads},
+                           check=True).stdout for threads in ("1", "2")}
+    golden = {" ".join(argv): digest for argv, digest in GOLDEN_WAVELETS}
+    assert [hashlib.sha256(out).hexdigest() for out in outs] == [golden["ledrappier --shape 1,1 --compare 4"]]
 
 
 # sha256 of `markov` stdout, captured while every member was built by s_apply

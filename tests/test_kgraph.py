@@ -18,6 +18,7 @@ from kgraphwave import (
     compose,
     enumerate_paths,
     extensions,
+    fixture_path,
     load_kgraph,
     normal_form,
     segment,
@@ -97,6 +98,14 @@ class TestLoading:
     def test_malformed_json_rejected(self):
         with pytest.raises(ParseError):
             load_kgraph("{not json")
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        text = fixture_path("lambda3").read_bytes()
+        bad = tmp_path / "bad.kg"
+        bad.write_bytes(text[:len(text) // 2] + b"\xff" + text[len(text) // 2:])
+        for document in (bad, str(bad)):
+            with pytest.raises(ParseError, match="not UTF-8"):
+                load_kgraph(document)
 
     def test_dangling_reference_rejected(self, lambda3):
         doc = doc_of(lambda3)

@@ -27,6 +27,16 @@ def test_same_bits_as_the_unscaled_split():
         assert complement_basis(weights).tobytes() == unscaled_complement_basis(weights).tobytes()
 
 
+def test_same_bits_as_the_slice_sums_on_long_splits():
+    """Every length up to 300 and some past powers of two: the blocks of one
+    length, summed as the rows of one gather, give the bits of the slice
+    sums the oracle takes one split at a time."""
+    rng = np.random.default_rng(13)
+    for size in [*range(1, 301), 511, 512, 513, 1025, 2049]:
+        weights = rng.uniform(0.1, 1.0, size) * 10.0 ** rng.uniform(-8, 8)
+        assert complement_basis(weights).tobytes() == unscaled_complement_basis(weights).tobytes()
+
+
 @pytest.mark.parametrize("exponent", [-1060, -600, 1000], ids=["subnormal", "tiny", "huge"])
 def test_extreme_weights_give_finite_orthonormal_rows(exponent):
     """The unscaled split underflows (or overflows) in w_left * total here:

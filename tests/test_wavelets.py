@@ -18,6 +18,7 @@ from kgraphwave import (
     BadShape,
     BadWeights,
     CylinderFn,
+    ResidualTooLarge,
     TooLarge,
     analyze,
     build_wavelet_family,
@@ -36,16 +37,18 @@ from kgraphwave import (
     path_counts,
     subspace_compare,
     synthesize,
+    vertex_matrices,
     vertex_path,
     wavelet_basis,
 )
 from kgraphwave.cli import main
-from kgraphwave.wavelets import _path_count, _principal_angles
+from kgraphwave.wavelets import MemberSet, _path_count
 from helpers import (
     block_paths,
     count_path_objects,
     cylinder_listing,
     cylinder_synthesis_records,
+    dense_subspace_compare,
     dense_wavelet_basis,
     eager_family_records,
     eager_wavelet_family,
@@ -55,6 +58,7 @@ from helpers import (
     markov_member_records,
     markov_run_listing,
     path_count,
+    principal_angles,
     random_cylinder_fn,
     row_loop_gram,
     torus_document,
@@ -591,18 +595,46 @@ class TestSubspaceCompare:
     def test_principal_angles_against_two_svd_oracle(self, pair):
         # bit for bit, so arcsin over the whole array gives the per-element bits
         u, v = pair
-        got, want = _principal_angles(u, v), two_svd_principal_angles(u, v)
+        got, want = principal_angles(u, v), two_svd_principal_angles(u, v)
         assert got.shape == want.shape == (min(len(u), len(v)),)
         assert got.tobytes() == want.tobytes()
 
-    def test_compare_takes_one_svd(self, ledrappier, monkeypatch):
-        # coinciding spans have sines near 1e-16: no cosine SVD
-        calls = []
-        svd = np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a[0].shape) or svd(*a, **k))
+    def test_compare_takes_no_svd_and_no_dense_rows(self, ledrappier, monkeypatch):
+        # the sines are read off the coefficient blocks: no basis of level lJ
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an SVD or a dense basis was formed")
+
+        monkeypatch.setattr(np.linalg, "svd", forbidden)
+        monkeypatch.setattr(MemberSet, "_dense_rows", forbidden)
         fam = build_wavelet_family(ledrappier, shape=(1, 1))
-        assert subspace_compare(fam, build_wavelet_family(ledrappier, shape=(3, 3))).equal
-        assert calls == [(252, 256)]  # the residual of the 252 wavelets
+        cmp = subspace_compare(fam, build_wavelet_family(ledrappier, shape=(3, 3)))
+        assert cmp.equal and cmp.dim_fine == cmp.dim_coarse == len(cmp.principal_angles) == 252
+
+    @pytest.mark.parametrize("name,shape,ell", FIXTURE_CASES)
+    def test_fixtures_against_dense_bases(self, name, shape, ell):
+        graph = load_kgraph(fixture_path(name))
+        check_compare_against_dense(build_wavelet_family(graph, shape=shape),
+                                    build_wavelet_family(graph, shape=tuple(ell * j for j in shape)))
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(generated_cases())
+    def test_generated_against_dense_bases(self, case):
+        doc, shape, ell, _ = case
+        graph = load_kgraph(doc)
+        check_compare_against_dense(build_wavelet_family(graph, shape=shape),
+                                    build_wavelet_family(graph, shape=tuple(ell * j for j in shape)))
+
+    @pytest.mark.parametrize("which", ["fine", "coarse"])
+    def test_perturbed_block_raises(self, ledrappier, which):
+        # a C_v entry off by 1e-6 breaks the orthonormality the sines rest on;
+        # in the fine family it would not even move them
+        fam = build_wavelet_family(ledrappier, shape=(1, 1))
+        coarse = build_wavelet_family(ledrappier, shape=(2, 2))
+        assert subspace_compare(fam, coarse).equal
+        block = (fam if which == "fine" else coarse).blocks["v1"]
+        block.c_vectors[1, 0] += 1e-6
+        with pytest.raises(ResidualTooLarge, match="vertex v1 "):
+            subspace_compare(fam, coarse)
 
     def test_family_against_itself(self, fam3):
         cmp = subspace_compare(fam3, fam3)
@@ -635,9 +667,19 @@ class TestSubspaceCompare:
         # direct check of the angle computation on 1-dim orthonormal spans
         u = np.array([[1.0, 0.0]])
         v = np.array([[0.0, 1.0]])
-        angles = _principal_angles(u, v)
+        angles = principal_angles(u, v)
         assert angles == pytest.approx([np.pi / 2], abs=1e-12)
-        assert _principal_angles(u, u) == pytest.approx([0.0], abs=1e-12)
+        assert principal_angles(u, u) == pytest.approx([0.0], abs=1e-12)
+
+
+def check_compare_against_dense(family, coarse):
+    """`subspace_compare` against the principal angles of the two dense
+    bases: within 1e-15 each, with the same ``equal`` and dimensions."""
+    cmp = subspace_compare(family, coarse)
+    equal, angles, dim_fine, dim_coarse = dense_subspace_compare(family, coarse)
+    assert (cmp.equal, cmp.dim_fine, cmp.dim_coarse) == (equal, dim_fine, dim_coarse)
+    assert len(cmp.principal_angles) == len(angles)
+    assert np.max(np.abs(np.array(cmp.principal_angles) - angles), initial=0.0) <= 1e-15
 
 
 class TestWaveletLimit:
@@ -667,6 +709,18 @@ class TestWaveletLimit:
         got = _path_count(graph, level, cap)
         assert got == exact if exact < cap else got >= cap
 
+    @settings(max_examples=60, deadline=None)
+    @given(family_documents(), st.data())
+    def test_counts_by_range_against_vertex_matrices(self, doc, data):
+        """The paths into each vertex: A_1^{d_1} ... A_k^{d_k} 1, saturated."""
+        graph = load_kgraph(doc)
+        level = tuple(data.draw(st.integers(0, 4)) for _ in range(graph.k))
+        cap = data.draw(st.integers(1, 2 ** 12))
+        exact = np.ones(len(graph.vertices), dtype=np.int64)
+        for matrix, d in zip(vertex_matrices(graph), level):
+            exact = np.linalg.matrix_power(matrix, d) @ exact
+        assert np.array_equal(_path_count(graph, level, cap, by_range=True), np.minimum(exact, cap))
+
     def test_a_color_that_loses_paths_is_counted_first(self):
         # two color-1 loops at u and at w; one color-2 edge w -> u: no path of
         # degree (0, 2), and four of degree (2, 1) from two of degree (2, 0)
@@ -677,6 +731,8 @@ class TestWaveletLimit:
         counts = path_counts(graph, (2, 2))
         assert counts[2, 2] == 0 == _path_count(graph, (2, 2), 1)
         assert counts[2, 1] == 4 and _path_count(graph, (2, 1), 2) >= 2
+        # all four run from w into u
+        assert _path_count(graph, (2, 1), 8, by_range=True).tolist() == [4, 0]
 
     def test_ledrappier_sizes(self, ledrappier):
         """Depth 8 of shape (1,1) is admitted: 262,144 paths of 16 edges;
@@ -686,39 +742,57 @@ class TestWaveletLimit:
         for level in [(9, 9), (12, 12), (30, 30), (40, 40), (10 ** 9, 10 ** 9)]:
             with pytest.raises(TooLarge, match=re.escape(f"level {level} ")):
                 check_wavelet_level(ledrappier, level)
-        # --compare l forms two dense N x N bases over the N paths of level (l, l)
-        assert _path_count(ledrappier, (5, 5), 2 ** 30) ** 2 == WAVELET_ENTRY_LIMIT
-        assert _path_count(ledrappier, (6, 6), 2 ** 30) ** 2 > WAVELET_ENTRY_LIMIT
+        # a family holds a dense |D_v^J|^2 block per vertex: 4 * 1024^2 at
+        # shape (5, 5), so --compare 5, and 4 * 4096^2 at (6, 6)
+        blocks = {ell: np.sum(_path_count(ledrappier, (ell, ell), 2 ** 30, by_range=True) ** 2) for ell in (5, 6)}
+        assert blocks[5] == 4 * 1024 ** 2 <= WAVELET_ENTRY_LIMIT < blocks[6] == 4 * 4096 ** 2
 
     def test_refusals_build_no_level(self, ledrappier, monkeypatch):
         fam = build_wavelet_family(ledrappier, shape=(1, 1))
-        coarse = build_wavelet_family(ledrappier, shape=(6, 6))
 
         def no_levels(*args):
             raise AssertionError("a level space was built")
 
         monkeypatch.setattr(kgraphwave.wavelets, "level_space", no_levels)
+        # (6, 6) and (7, 7) pass the word-entry count; their blocks, the
+        # coarse family of --compare 6 and 7, do not
         for build in (lambda: build_wavelet_family(ledrappier, shape=(30, 30)),
-                      lambda: wavelet_basis(fam, 9), lambda: wavelet_basis(fam, 40),
-                      lambda: subspace_compare(fam, coarse)):
+                      lambda: build_wavelet_family(ledrappier, shape=(6, 6)),
+                      lambda: build_wavelet_family(ledrappier, shape=(7, 7)),
+                      lambda: wavelet_basis(fam, 9), lambda: wavelet_basis(fam, 40)):
             with pytest.raises(TooLarge):
                 build()
 
     def test_patched_limit(self, ledrappier, monkeypatch):
         """At the limit a level is built, one entry below it is refused:
-        shape (1,1) has 16 paths of 2 edges, depth 2 has 64 of 4, and
-        --compare 2 forms two 64 x 64 bases."""
+        shape (1,1) has 16 paths of 2 edges in blocks of 4 x 4 per vertex,
+        depth 2 has 64 paths of 4, and the coarse family of --compare 2 has
+        blocks of 16 x 16."""
         fam = build_wavelet_family(ledrappier, shape=(1, 1))
-        coarse = build_wavelet_family(ledrappier, shape=(2, 2))
-        cases = [(32, lambda: build_wavelet_family(ledrappier, shape=(1, 1))),
+        cases = [(4 * 4 ** 2, lambda: build_wavelet_family(ledrappier, shape=(1, 1))),
                  (256, lambda: wavelet_basis(fam, 2)),
-                 (64 ** 2, lambda: subspace_compare(fam, coarse))]
+                 (4 * 16 ** 2, lambda: subspace_compare(fam, build_wavelet_family(ledrappier, shape=(2, 2))))]
         for limit, build in cases:
             monkeypatch.setattr(kgraphwave.wavelets, "WAVELET_ENTRY_LIMIT", limit)
             build()
             monkeypatch.setattr(kgraphwave.wavelets, "WAVELET_ENTRY_LIMIT", limit - 1)
             with pytest.raises(TooLarge, match=f"more than {limit - 1} "):
                 build()
+
+    @pytest.mark.parametrize("shape", ["6,6", "7,7"])
+    def test_cli_family_blocks_size_limit(self, capsys, shape):
+        # within the word-entry count, past the blocks' entries
+        with pytest.raises(SystemExit) as exc:
+            main(["wavelets", str(fixture_path("ledrappier")), "--shape", shape, "--list-family"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 1 and captured.out == ""
+        rec = json.loads(captured.err)
+        assert rec["reason"] == "size_limit" and f"more than {WAVELET_ENTRY_LIMIT} entries" in rec["message"]
+
+    def test_cli_family_blocks_admit_shape_5(self, capsys):
+        main(["wavelets", str(fixture_path("ledrappier")), "--shape", "5,5", "--list-family"])
+        out = capsys.readouterr().out
+        assert out.count("\n") == 4096  # 4 scaling functions and 4 * 1023 wavelets
 
     @pytest.mark.parametrize("args", [["--depth", "40"], ["--list-family"], ["--compare", "40"],
                                       ["--depth", "12"], ["--compare", "6"]])
