@@ -470,11 +470,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--shape", required=True, help="wavelet shape, e.g. 1,2")
     p.add_argument("--depth", type=int, default=1)
-    p.add_argument("--list-family", action="store_true")
-    p.add_argument("--analyze", help="cylinder-function records file to analyze")
-    p.add_argument("--synthesize", help="coefficient records file to synthesize")
-    p.add_argument("--compare", type=int,
-                   help="compare against the family of shape L*J for this integer L >= 1")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--list-family", action="store_true")
+    mode.add_argument("--analyze", help="cylinder-function records file to analyze")
+    mode.add_argument("--synthesize", help="coefficient records file to synthesize")
+    mode.add_argument("--compare", type=int,
+                      help="compare against the family of shape L*J for this integer L >= 1")
     p.set_defaults(handler=_cmd_wavelets)
 
     p = sub.add_parser("markov", help="full-shift wavelets for a Bernoulli measure")
@@ -496,16 +497,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectral", help="eigendata, GFT, spectral wavelets")
     common(p)
-    p.add_argument("--eig", action="store_true")
-    p.add_argument("--gft", help="signal file (JSON list in vertex order)")
-    p.add_argument("--wavelet", action="store_true")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--eig", action="store_true")
+    mode.add_argument("--gft", help="signal file (JSON list in vertex order)")
+    mode.add_argument("--wavelet", action="store_true")
+    mode.add_argument("--reconstruct", help="signal file to reconstruct")
+    mode.add_argument("--localize", action="store_true")
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--n", help="wavelet center vertex")
     p.add_argument("--m", help="probe target vertex")
-    p.add_argument("--reconstruct", help="signal file to reconstruct")
     p.add_argument("--tgrid", help="lo,hi,count for the scale grid")
     p.add_argument("--tlist", help="comma-separated scales for --localize")
-    p.add_argument("--localize", action="store_true")
     p.set_defaults(handler=_cmd_spectral)
 
     return parser

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import chain, permutations
+from itertools import chain, combinations, permutations
 from pathlib import Path as FilePath
 from typing import Iterable, NamedTuple, Sequence
 
@@ -65,26 +65,24 @@ def deg_scale(n: int, p: Degree) -> Degree:
 
 
 @cache
-def _swap_schedule(colors: tuple[int, ...], leftmost: bool = True) -> tuple[int, ...]:
+def _swap_schedule(colors: tuple[int, ...]) -> tuple[int, ...]:
     """The positions i at which rewriting a word of these colors swaps
     (w[i], w[i+1]), in order.  The swaps depend on the colors alone.
 
-    Each step swaps the leftmost inversion (the rightmost one with
-    ``leftmost=False``).  A swap at i changes only the pairs next to it, and
-    the pairs already passed hold no inversion, so the scan resumes one step
-    back instead of starting over.
+    Each step swaps the leftmost inversion.  A swap at i changes only the
+    pairs next to it, and the pairs already passed hold no inversion, so the
+    scan resumes one step back instead of starting over.
     """
     colors = list(colors)
     steps: list[int] = []
-    last = len(colors) - 2
-    i, step = (0, 1) if leftmost else (last, -1)
-    while 0 <= i <= last:
+    i = 0
+    while i < len(colors) - 1:
         if colors[i] > colors[i + 1]:
             steps.append(i)
             colors[i], colors[i + 1] = colors[i + 1], colors[i]
-            i = min(max(i - step, 0), last)
+            i = max(i - 1, 0)
         else:
-            i += step
+            i += 1
     return tuple(steps)
 
 
@@ -283,10 +281,10 @@ class KGraph:
             f"edge pair {right} appears in two squares",
         ][fault - 1])
 
-    def _mixed_words(self, length: int) -> list[tuple[tuple[int, ...], np.ndarray]]:
-        """The composable words of `length` distinct colors, per color sequence."""
+    def _mixed_words(self) -> list[tuple[tuple[int, ...], np.ndarray]]:
+        """The composable words of two distinct colors, per color sequence."""
         colors = sorted(set(self.edge_color.tolist()))
-        return [(p, self.word_kernel.words(p)) for p in permutations(colors, length)]
+        return [(p, self.word_kernel.words(p)) for p in permutations(colors, 2)]
 
     def _first_named(self, words: np.ndarray) -> tuple[str, ...]:
         """The word the checks name first: its first edge first in document
@@ -325,18 +323,20 @@ class KGraph:
         if 2 * len(self.square_edges) == words:
             return
         size = len(self.edge_ids)
-        words = np.concatenate([words for _, words in self._mixed_words(2)])
+        words = np.concatenate([words for _, words in self._mixed_words()])
         sides = self.square_edges[:, [0, 2]] * size + self.square_edges[:, [1, 3]]
         a, b = self._first_named(words[~np.isin(words[:, 0] * size + words[:, 1], sides)])
         raise ValidationError("missing_square", f"no square covers the composable pair ({a}, {b})")
 
     def _check_cube_condition(self):
-        """Every tri-colored word has one normal form: its rewrites by
-        leftmost and by rightmost swaps agree, for all words of one color
-        sequence at once.  The first offender (`_first_named`) is named."""
+        """Every tri-colored word has one normal form.  Only descending colors
+        give a word two swap orders, (0, 1, 0) and (1, 0, 1), so those words
+        are rewritten both ways, all of one color sequence at once, and the
+        first whose rewrites disagree (`_first_named`) is named."""
         kernel, split = self.word_kernel, [np.empty((0, 3), dtype=np.intp)]
-        for p, words in self._mixed_words(3):
-            left, right = (kernel.rewrite(words.copy(), p, leftmost) for leftmost in (True, False))
+        for p in combinations(sorted(set(self.edge_color.tolist()), reverse=True), 3):
+            words = kernel.words(p)
+            left, right = (kernel.rewrite(words.copy(), swaps) for swaps in ((0, 1, 0), (1, 0, 1)))
             split.append(words[(left != right).any(axis=1)])
         split = np.concatenate(split)
         if len(split):
@@ -564,7 +564,7 @@ def segment(path: Path, p: Sequence[int], q: Sequence[int]) -> Path:
             f"need 0 <= {p} <= {q} <= {path.degree} componentwise")
     kernel = graph.word_kernel
     colors = _degree_colors(p) + _degree_colors(deg_sub(q, p)) + _degree_colors(deg_sub(path.degree, q))
-    word = kernel.rewrite(np.array([form_of(path)[1]], dtype=np.intp), colors, undo=True)[0]
+    word = kernel.rewrite(np.array([form_of(path)[1]], dtype=np.intp), _swap_schedule(colors)[::-1])[0]
     lo, hi = sum(p), sum(q)
     at = [graph.vertex_index[path.range]] + graph.edge_source[word].tolist()  # the vertex after i letters
     return path_of(graph, (deg_sub(q, p), tuple(word[lo:hi].tolist()), at[lo], at[hi]))
@@ -754,22 +754,21 @@ class WordKernel:
         cut = heads.shape[-1]
         words = np.empty((len(tails), cut + tails.shape[1]), dtype=np.intp)
         words[:, :cut], words[:, cut:] = heads, tails
-        return self.rewrite(words, _degree_colors(head_degree) + _degree_colors(tail_degree))
+        return self.rewrite(words, _swap_schedule(_degree_colors(head_degree) + _degree_colors(tail_degree)))
 
-    def rewrite(self, words: np.ndarray, colors: tuple[int, ...] | RowSchedules, leftmost: bool = True,
-                undo: bool = False) -> np.ndarray:
-        """Rewrite rows of the color sequence `colors` in place to normal
-        form, by the swaps `_swap_schedule` gives, and return them.  With
-        ``undo``, rewrite normal-form rows in place to the words of the color
-        sequence: the same swaps in reverse order, each the other way round.
+    def rewrite(self, words: np.ndarray, swaps: tuple[int, ...] | RowSchedules) -> np.ndarray:
+        """Apply the swaps to the rows in place, in order, and return them:
+        a swap at i turns each pair (w[i], w[i+1]) into the other side of its
+        square.  The `_swap_schedule` of the rows' colors takes them to normal
+        form, and the same swaps reversed take them back.
 
-        With `RowSchedules` for `colors`, the rows are of several color
+        With `RowSchedules` for `swaps`, the rows are of several color
         sequences, each rewritten by its own schedule, all at once: one step
         per swap of the longest, in which the rows whose schedule has ended
         sit out.  Letters past a row's word are never read."""
-        if isinstance(colors, RowSchedules):
+        if isinstance(swaps, RowSchedules):
             flat = words.reshape(-1)  # a view: words is C-contiguous
-            swaps, start, length = colors
+            swaps, start, length = swaps
             order = np.argsort(-length, kind="stable")  # the live rows of a step lead
             rows, start = order * words.shape[1], start[order]
             live = len(length) - np.cumsum(np.bincount(length))[:-1]  # rows swapping at each step
@@ -777,8 +776,7 @@ class WordKernel:
                 at = rows[:n] + swaps[start[:n] + step]
                 flat[at], flat[at + 1] = self._other_sides(flat[at], flat[at + 1])
             return words
-        schedule = _swap_schedule(colors, leftmost)
-        for i in reversed(schedule) if undo else schedule:
+        for i in swaps:
             words[:, i], words[:, i + 1] = self._other_sides(words[:, i], words[:, i + 1])
         return words
 

@@ -30,8 +30,9 @@ def constant_unit_vector(weights) -> np.ndarray:
 def _split(size: int):
     """The balanced split of ``size`` coordinates as index arrays: the node
     count n; the blocks of each length (node i's left block as i, its right
-    one as n + i) with their coordinates as rows; and each nonzero entry of
-    the rows as its flat position and its block."""
+    one as n + i) with their coordinates as rows; each nonzero entry of the
+    rows as its flat position and its block; and the run (lo, hi) of the
+    coordinates of each node."""
     lo, hi, depths = np.array([0]), np.array([size]), [(np.zeros(0, int),) * 3]  # size 1 has no split
     while (keep := hi - lo > 1).any():  # the splits [lo, mid) | [mid, hi) of one depth, left to right
         lo, hi = lo[keep], hi[keep]
@@ -44,7 +45,8 @@ def _split(size: int):
               for at in [np.flatnonzero(lengths == length)]]
     node = np.repeat(np.arange(len(lo)), hi - lo)
     col = np.arange(len(node)) - np.repeat(np.cumsum(hi - lo) - hi, hi - lo)
-    return len(lo), blocks, node * size + col, node + len(lo) * (col >= mid[node])
+    runs = list(zip(lo.tolist(), hi.tolist()))
+    return len(lo), blocks, node * size + col, node + len(lo) * (col >= mid[node]), runs
 
 
 def complement_basis(weights) -> np.ndarray:
@@ -60,7 +62,7 @@ def complement_basis(weights) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.size == 0 or (w <= 0).any():
         raise ValueError("weights must be positive and nonempty")
-    n, blocks, cells, block_of = _split(w.size)
+    n, blocks, cells, block_of, _ = _split(w.size)
     scale = math.frexp(w.max())[1] // 2 * 2
     w = np.ldexp(w, -scale)
     sums = np.empty((2, n))  # the rows w_left and w_right
@@ -69,3 +71,8 @@ def complement_basis(weights) -> np.ndarray:
     values = np.sqrt(sums[::-1] / (sums * (sums[0] + sums[1])))  # positive on the left, negated on the right
     values[1] *= -1
     return np.bincount(cells, np.ldexp(values.ravel(), -(scale // 2))[block_of], n * w.size).reshape(n, w.size)
+
+
+def _complement_runs(size: int) -> list[tuple[int, int]]:
+    """The run [lo, hi) off which each row of a `complement_basis` of ``size`` is zero."""
+    return _split(size)[4]

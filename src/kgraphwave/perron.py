@@ -83,15 +83,17 @@ def has_sources(graph: KGraph) -> bool:
     return len(cells) < len(graph.vertices) * graph.k
 
 
-def pf_data(graph: KGraph, tol: float = 1e-13, max_iter: int = 10 ** 6,
-            resid_tol: float = 1e-10) -> PFData:
+PF_MAX_STEPS = 10 ** 6
+
+
+def pf_data(graph: KGraph, tol: float = 1e-13) -> PFData:
     """Power-iterate A_1 ... A_k + I on the edge columns and return the
     common PF data.  It stops at the first relative step max |x' - x| / x'
     below tol, so a vertex of small weight converges as far as a large one.
 
     Raises DegenerateVertexCount on a graph with no vertex,
     NotStronglyConnected / HasSources when the preconditions fail,
-    ConvergenceFailure when the iteration cap is reached and
+    ConvergenceFailure after `PF_MAX_STEPS` steps and
     ResidualTooLarge when the limit is not a common eigenvector.
     """
     if not graph.vertices:
@@ -110,7 +112,7 @@ def pf_data(graph: KGraph, tol: float = 1e-13, max_iter: int = 10 ** 6,
         return np.bincount(ranges, weights=y[sources], minlength=n)
 
     x = np.full(n, 1.0 / n)
-    for step in range(1, max_iter + 1):
+    for step in range(1, PF_MAX_STEPS + 1):
         nxt = x
         for c in reversed(range(graph.k)):  # A_1 ... A_k x, the last color first
             nxt = apply(c, nxt)
@@ -120,14 +122,14 @@ def pf_data(graph: KGraph, tol: float = 1e-13, max_iter: int = 10 ** 6,
         if moved < tol:
             break
     else:
-        raise ConvergenceFailure(f"power iteration did not converge in {max_iter} steps")
+        raise ConvergenceFailure(f"power iteration did not converge in {PF_MAX_STEPS} steps")
 
     rho = np.empty(graph.k)
     for c in range(graph.k):
         ratios = apply(c, x) / x
         spread = ratios.max() - ratios.min()
         # bounds the eigen residual too: |A x - rho x| = |ratios - rho| x <= spread, as x <= 1
-        if not spread < resid_tol:
+        if not spread < 1e-10:
             raise ResidualTooLarge(f"color {c + 1}: Rayleigh spread {spread:.2e}")
         rho[c] = ratios.mean()
     return PFData(rho=rho, x_lambda=x, iterations=step)
@@ -141,14 +143,13 @@ def pf_data(graph: KGraph, tol: float = 1e-13, max_iter: int = 10 ** 6,
 RATIONAL_PF_CELL_LIMIT = 2 ** 18
 
 
-def rational_pf_data(graph: KGraph, pf: PFData | None = None,
-                     tol: float = 1e-9) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
+def rational_pf_data(graph: KGraph, pf: PFData | None = None) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
     """Exact PF data when every spectral radius is an integer.
 
     Rounds the numeric radii, solves the common eigenvector exactly over the
     rationals, and verifies positivity.  Raises TooLarge above
     `RATIONAL_PF_CELL_LIMIT` cells, before it builds a matrix, and
-    ValueError when the radii are not within ``tol`` of integers or no
+    ValueError when the radii are not within 1e-9 of integers or no
     rational eigenvector exists.
     """
     cells = graph.k * len(graph.vertices) ** 2
@@ -160,7 +161,7 @@ def rational_pf_data(graph: KGraph, pf: PFData | None = None,
     rho_int = []
     for r in pf.rho:
         near = round(float(r))
-        if abs(r - near) > tol:
+        if abs(r - near) > 1e-9:
             raise ValueError(f"spectral radius {r} is not an integer; no exact mode")
         rho_int.append(int(near))
 

@@ -243,8 +243,8 @@ def _chunks(work: list[int], limit: int = _CHUNK):
         yield a, len(work)
 
 
-def _prefix_tables(spec: MeasureSpec, degrees: Sequence[Degree], keys: np.ndarray, first: int | None = None,
-                   rn_tol: float = 1e-12) -> _Tables:
+def _prefix_tables(spec: MeasureSpec, degrees: Sequence[Degree], keys: np.ndarray,
+                   first: int | None = None) -> _Tables:
     """The tables of the keys, in this order, in one store.  A key is a row
     (x, L, x + L) of ids of `degrees`, which list every degree the keys
     read.  The table of key (x, L)
@@ -259,8 +259,9 @@ def _prefix_tables(spec: MeasureSpec, degrees: Sequence[Degree], keys: np.ndarra
     `WordKernel.matching` through the range indexes of the levels L, one
     `WordKernel.compose` of every product lambda*mu (one `WordKernel.rewrite`,
     each row by the swap schedule of its key), and one `WordKernel.rank` into
-    the levels x + L.  A derivative that is not constant raises at the first
-    entry, in key order, that shows it."""
+    the levels x + L.  A derivative that is not constant (an entry off 1
+    by 1e-12 or more) raises at the first entry, in key order, that shows
+    it."""
     kernel, lattice, (kx, kl, km) = spec.graph.word_kernel, _lattice(spec, degrees), keys.T
     xs, ls = (np.array(degrees, dtype=np.intp).reshape(len(degrees), spec.graph.k)[k] for k in (kx, kl))
     zero = lattice.index.get(spec.graph.zero_degree(), -1)
@@ -289,7 +290,7 @@ def _prefix_tables(spec: MeasureSpec, degrees: Sequence[Degree], keys: np.ndarra
         at = np.where(kx[key] == zero, cols, kernel.rank(words, lattice.degrees, of=km[key]))
         val = lattice.factors[lam] * np.sqrt(lattice.weights[lattice.base[km[key]] + at] / lattice.weights[mu])
         cell = offset[key] + (lam - start[key]) * width[key] + cols
-        good = np.abs(val - 1.0) < rn_tol
+        good = np.abs(val - 1.0) < 1e-12
         if not good.all():
             bad = np.flatnonzero(~good)
             bad = int(bad[np.argmin(cell[bad])])  # the first in the store, so in key order
@@ -304,8 +305,7 @@ def _prefix_tables(spec: MeasureSpec, degrees: Sequence[Degree], keys: np.ndarra
     return _Tables(lattice, keys, offset, height, width, entries, rows, vals)
 
 
-def s_matrix(spec: MeasureSpec, path: Path, domain_level: Sequence[int],
-             rn_tol: float = 1e-12) -> OperatorMatrix:
+def s_matrix(spec: MeasureSpec, path: Path, domain_level: Sequence[int]) -> OperatorMatrix:
     """S_path from level `domain_level` to `domain_level + d(path)`: the row
     of the path in the table of its degree (`_prefix_tables`, one key)."""
     domain_level = as_degree(domain_level, spec.graph.k)
@@ -314,8 +314,7 @@ def s_matrix(spec: MeasureSpec, path: Path, domain_level: Sequence[int],
     at = int(kernel.rank(np.array([word], dtype=np.intp), degree)[0]) if any(degree) else r
     codomain = deg_add(domain_level, degree)
     levels = sorted({degree, domain_level, codomain})
-    tables = _prefix_tables(spec, levels, np.array([[levels.index(d) for d in (degree, domain_level, codomain)]]),
-                            at, rn_tol)
+    tables = _prefix_tables(spec, levels, np.array([[levels.index(d) for d in (degree, domain_level, codomain)]]), at)
     (rows,), (vals,) = tables.table(0)
     cols, size = np.flatnonzero(rows >= 0), int(tables.lattice.counts[tables.keys[0, 2]])
     return OperatorMatrix(domain_level, codomain, (size, len(rows)), rows[cols].astype(np.intp), cols, vals[cols])

@@ -154,19 +154,18 @@ class SpectralData:
                 for lam, vec in zip(self.eigenvalues.tolist(), self.eigenvectors.T))
 
 
-def eig_sym(delta: np.ndarray, sym_tol: float = 1e-12,
-            resid_tol: float = 1e-10) -> SpectralData:
+def eig_sym(delta: np.ndarray) -> SpectralData:
     """Full symmetric eigendecomposition with deterministic signs.
 
     Raises DegenerateVertexCount on the empty (0 x 0) matrix of a graph
     with no vertex, and ResidualTooLarge when the eigenpairs or their
-    orthonormality miss ``resid_tol``."""
+    orthonormality miss 1e-10."""
     delta = np.asarray(delta, dtype=float)
     if delta.ndim != 2 or delta.shape[0] != delta.shape[1]:
         raise AsymmetricInput(f"need a square matrix, got shape {delta.shape}")
     if not delta.size:
         raise DegenerateVertexCount("no eigendata for the empty (0 x 0) matrix: a graph with no vertex has none")
-    if np.max(np.abs(delta - delta.T)) > sym_tol:
+    if np.max(np.abs(delta - delta.T)) > 1e-12:
         raise AsymmetricInput("matrix is not symmetric within tolerance")
     eigenvalues, vectors = np.linalg.eigh(delta)
     visible = np.abs(vectors) > 1e-12
@@ -174,10 +173,10 @@ def eig_sym(delta: np.ndarray, sym_tol: float = 1e-12,
     flip = visible.any(axis=0) & (lead < 0)
     vectors[:, flip] = -vectors[:, flip]
     resid = np.max(np.abs(delta @ vectors - vectors * eigenvalues))
-    if not resid < resid_tol:
+    if not resid < 1e-10:
         raise ResidualTooLarge(f"eigen residual {resid:.2e}")
     resid = np.max(np.abs(vectors.T @ vectors - np.eye(len(eigenvalues))))
-    if not resid < resid_tol:
+    if not resid < 1e-10:
         raise ResidualTooLarge(f"eigenvectors off orthonormal by {resid:.2e}")
     return SpectralData(delta, eigenvalues, vectors)
 
@@ -329,11 +328,11 @@ def cg_constant(spec: KernelSpec) -> float:
     return float(total)
 
 
-def cg_constant_numeric(spec: KernelSpec, points: int = 64,
-                        lo_cut: float = 1e-8, hi_cut: float = 1e6) -> float:
-    """C_g by composite Gauss-Legendre in log space, one panel per decade
-    within each kernel piece.  Independent of the closed forms."""
-    nodes, weights = np.polynomial.legendre.leggauss(points)
+def cg_constant_numeric(spec: KernelSpec) -> float:
+    """C_g by 64-point Gauss-Legendre in log space over [1e-8, 1e6], one
+    panel per decade within each kernel piece.  Independent of the closed forms."""
+    lo_cut, hi_cut = 1e-8, 1e6
+    nodes, weights = np.polynomial.legendre.leggauss(64)
     total = 0.0
     breaks = sorted({lo_cut, hi_cut,
                      *(p.lo for p in spec.pieces if lo_cut < p.lo < hi_cut),
@@ -380,20 +379,19 @@ def wavelet_operator(spec: SpectralData, kernel: KernelSpec, t: float) -> np.nda
     return (spec.eigenvectors * gains[None, :]) @ spec.eigenvectors.T
 
 
-def default_tgrid(spec: SpectralData, count: int = 2000) -> np.ndarray:
-    """Log-spaced scales covering [1e-4/lambda_max, 1e4/lambda_min+]."""
+def default_tgrid(spec: SpectralData) -> np.ndarray:
+    """2000 log-spaced scales covering [1e-4/lambda_max, 1e4/lambda_min+]."""
     positive = spec.eigenvalues[spec.eigenvalues > 1e-12]
     if positive.size == 0:
         raise DivergentIntegral("no positive eigenvalues; nothing to scale against")
-    return np.geomspace(1e-4 / positive.max(), 1e4 / positive.min(), count)
+    return np.geomspace(1e-4 / positive.max(), 1e4 / positive.min(), 2000)
 
 
 _ENERGY_ROWS = 32  # eigenvalues per block of grid energies: 32 x T floats at a time
 
 
 def reconstruct(spec: SpectralData, kernel: KernelSpec, signal: Sequence[float],
-                t_grid: Sequence[float] | None = None,
-                grid_tol: float = 1e-3) -> np.ndarray:
+                t_grid: Sequence[float] | None = None) -> np.ndarray:
     """Quadrature of (1/C_g) sum_n int <psi_{g,t,n}, f> psi_{g,t,n} dt/t.
 
     The frame is diagonal in the eigenbasis, so this scales the l-th
@@ -403,7 +401,7 @@ def reconstruct(spec: SpectralData, kernel: KernelSpec, signal: Sequence[float],
     kernel.  The energies of the others are taken in blocks of _ENERGY_ROWS
     eigenvalues.  Raises NonFiniteResult when the largest scale times an
     eigenvalue is past the float range, and GridTooCoarse at the first
-    eigenvalue, in order, whose grid energy misses C_g by more than grid_tol
+    eigenvalue, in order, whose grid energy misses C_g by more than 1e-3
     (relative).
     """
     f = np.asarray(signal, dtype=float)
@@ -430,7 +428,7 @@ def reconstruct(spec: SpectralData, kernel: KernelSpec, signal: Sequence[float],
         rows = positive[start:start + _ENERGY_ROWS]
         lam = spec.eigenvalues[rows]
         energy[rows] = np.sum(w * kernel_eval(kernel, lam[:, None] * t) ** 2, axis=1)
-        bad = np.abs(energy[rows] - cg) > grid_tol * cg
+        bad = np.abs(energy[rows] - cg) > 1e-3 * cg
         if bad.any():
             i = rows[bad.argmax()]
             raise GridTooCoarse(f"grid energy {energy[i]:.6g} misses C_g {cg:.6g} "

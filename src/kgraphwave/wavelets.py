@@ -35,8 +35,7 @@ from .kgraph import (
     deg_scale,
 )
 from .measure import CylinderFn, MeasureSpec
-from .orthobasis import complement_basis, constant_unit_vector
-from .perron import PFData, pf_data
+from .orthobasis import _complement_runs, complement_basis, constant_unit_vector
 from .sbfs import LevelSpace, level_space
 
 
@@ -109,7 +108,8 @@ class WaveletFamily:
         then every f^{m,v}, each with the term records of its `CylinderFn`.
 
         A scaling function is one level-0 term; f^{m,v} sits at the
-        positions of D_v^J with the values of row m.
+        positions of D_v^J with the values of row m, passed as the run of
+        D_v^J that the row is zero off (`complement_basis`).
         """
         vertices = jsonl.strings(self.graph.vertices)
         blocks = list(self.blocks.values())
@@ -122,22 +122,21 @@ class WaveletFamily:
         n = len(blocks)
         vertex_heads = level_space(self.spec, self.graph.zero_degree()).term_heads
         members = [(np.array([v]), b.c_vectors[0, :1]) for v, b in enumerate(blocks)]
-        members += [(n + b.positions, row) for b in blocks for row in b.c_vectors[1:]]
+        members += [(n + b.positions[lo:hi], row[lo:hi]) for b in blocks
+                    for row, (lo, hi) in zip(b.c_vectors[1:], _complement_runs(len(b.positions)))]
         return jsonl.listing(heads, np.concatenate([vertex_heads, self.space.term_heads]), members)
 
 
-def build_wavelet_family(graph: KGraph, pf: PFData | None = None,
-                         shape: Sequence[int] = None,
+def build_wavelet_family(graph: KGraph, shape: Sequence[int],
                          spec: MeasureSpec | None = None) -> WaveletFamily:
-    """Construct the shape-J scaling functions and wavelets f^{m,v}.
+    """Construct the shape-J scaling functions and wavelets f^{m,v}, under
+    ``spec`` or else the Perron-Frobenius measure of the graph.
 
     D_v^J is the paths of range v in the level-J space, in its order; the
     coefficient vectors come from their masses.  Above `WAVELET_ENTRY_LIMIT`
     word entries, or sum_v |D_v^J|^2 entries of the C_v, it raises TooLarge."""
-    if shape is None:
-        raise BadShape("a wavelet shape is required, e.g. shape=(1, 1)")
     if spec is None:
-        spec = MeasureSpec.perron_frobenius(graph, pf if pf is not None else pf_data(graph))
+        spec = MeasureSpec.perron_frobenius(graph)
     shape = as_degree(shape, graph.k)
     if any(j < 1 for j in shape):
         raise BadShape(f"every shape entry must be >= 1, got {shape}")
@@ -325,16 +324,14 @@ class WaveletBasis(MemberSet):
         return jsonl.text(self.heads, ', "coeff": ', jsonl.numbers(coeffs), "}\n")
 
 
-def wavelet_basis(family: WaveletFamily, depth: int,
-                  space: LevelSpace | None = None) -> WaveletBasis:
+def wavelet_basis(family: WaveletFamily, depth: int) -> WaveletBasis:
     """Orthonormal basis of level-nJ cylinder functions: the normalized
     vertex indicators plus all S_lambda f^{m,v} with d(lambda) = jJ, j < n.
 
     Cascade level 0 is the vertices; level (j+1)J lists lambda * p for the
     lambdas of level jJ, grouped by source vertex v and by word, and p in
     D_v^J.  The levels are word-kernel rows (`KGraph.word_kernel`): each is
-    composed as a whole, and sorting by word is sorting by rank.  ``space``
-    reuses a level space already built for level nJ; without one, above
+    composed as a whole, and sorting by word is sorting by rank.  Above
     `WAVELET_ENTRY_LIMIT` word entries at level nJ it raises TooLarge
     before it builds a level.
     """
@@ -342,11 +339,8 @@ def wavelet_basis(family: WaveletFamily, depth: int,
         raise BadShape(f"depth must be >= 1, got {depth}")
     graph, spec, shape = family.graph, family.spec, family.shape
     level = deg_scale(depth, shape)
-    if space is None:
-        check_wavelet_level(graph, level)
-        space = level_space(spec, level)
-    elif space.level != level:
-        raise ShapeMismatch(f"level space is at {space.level}, the basis needs {level}")
+    check_wavelet_level(graph, level)
+    space = level_space(spec, level)
 
     kernel = graph.word_kernel
     at = np.arange(len(graph.vertices))
@@ -488,8 +482,7 @@ class SubspaceComparison:
                 "dim_multiscale": self.dim_fine, "dim_single_scale": self.dim_coarse}
 
 
-def subspace_compare(family: WaveletFamily, coarse_family: WaveletFamily,
-                     angle_tol: float = 1e-8) -> SubspaceComparison:
+def subspace_compare(family: WaveletFamily, coarse_family: WaveletFamily) -> SubspaceComparison:
     """Compare the single-scale wavelet space of shape lJ with the direct sum
     of the first l layers of the shape-J decomposition, via principal angles.
 
@@ -500,7 +493,8 @@ def subspace_compare(family: WaveletFamily, coarse_family: WaveletFamily,
     wavelets f^{m,v} against the fine wavelet span is then their projection
     onto phi_v: the sines are s_v = ||(<f^{m,v}, phi_v>)_m||, one per vertex
     with a wavelet, by numpy sums whose bits do not depend on the BLAS, and
-    every other angle is 0.  No level-lJ basis is built.
+    every other angle is 0.  The spaces count as equal when every angle is
+    below 1e-8.  No level-lJ basis is built.
     """
     if family.graph is not coarse_family.graph:
         raise ShapeMismatch("families live on different graphs")
@@ -524,4 +518,4 @@ def subspace_compare(family: WaveletFamily, coarse_family: WaveletFamily,
     angles = np.zeros(dim)
     angles[:len(sines)] = np.arcsin(np.minimum(sines, 1.0))
     angles.sort()
-    return SubspaceComparison(bool(np.all(angles < angle_tol)), tuple(angles.tolist()), dim, dim)
+    return SubspaceComparison(bool(np.all(angles < 1e-8)), tuple(angles.tolist()), dim, dim)

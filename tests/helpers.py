@@ -59,7 +59,7 @@ from kgraphwave import (
 )
 import kgraphwave.cli
 from kgraphwave.kgraph import (
-    WordKernel, _degree_colors, as_degree, deg_add, deg_le, deg_sub, form_of, normal_form_rows)
+    WordKernel, _degree_colors, _swap_schedule, as_degree, deg_add, deg_le, deg_sub, form_of, normal_form_rows)
 from kgraphwave.orthobasis import complement_basis, constant_unit_vector
 from kgraphwave.sbfs import CKReport, RelationCheck
 from kgraphwave.traffic import validate_prefs
@@ -146,12 +146,14 @@ def restart_rewrite(graph, word, leftmost=True):
             return tuple(w)
 
 
-def kernel_rewrite(graph, word, leftmost=True):
-    """One edge-id word rewritten by `WordKernel.rewrite`, as edge ids."""
+def kernel_rewrite(graph, word, swaps=None):
+    """One edge-id word rewritten by `WordKernel.rewrite`, as edge ids: by
+    the swaps given, else by the `_swap_schedule` of its colors."""
     kernel = graph.word_kernel
     row = np.array([[kernel.position[e] for e in word]], dtype=np.intp)
-    colors = tuple(graph.color(e) for e in word)
-    return tuple(kernel.ids[e] for e in kernel.rewrite(row, colors, leftmost)[0].tolist())
+    if swaps is None:
+        swaps = _swap_schedule(tuple(graph.color(e) for e in word))
+    return tuple(kernel.ids[e] for e in kernel.rewrite(row, swaps)[0].tolist())
 
 
 def check_word(graph, word):
@@ -1096,7 +1098,7 @@ def dense_subspace_compare(family, coarse_family, angle_tol=1e-8):
     fine = wavelet_basis(family, coarse_family.shape[0] // family.shape[0])
     n = len(family.graph.vertices)
     u, v = (basis.matrix[n:] * np.sqrt(fine.space.weights)
-            for basis in (fine, wavelet_basis(coarse_family, 1, space=fine.space)))
+            for basis in (fine, wavelet_basis(coarse_family, 1)))
     angles = principal_angles(u, v)
     return len(u) == len(v) and bool(np.all(angles < angle_tol)), angles, len(u), len(v)
 
@@ -1388,6 +1390,20 @@ def generated_documents(draw):
     shifts = st.lists(st.integers(0, 7), min_size=1, max_size=3, unique=True)
     return twisted_circulant_document(draw(st.integers(1, 8)), tuple(draw(shifts)),
                                       tuple(draw(shifts)), draw(st.integers(0, 2 ** 16)))
+
+
+@st.composite
+def rank3_documents(draw):
+    """``skeleton_doc`` or its ``double_cover`` with squares drawn at random:
+    for each color pair, a bijection from its ascending words onto its
+    descending ones.  Half of the 96 choices break the cube condition."""
+    edges = {1: ["e"], 2: ["f1", "f2"], 3: ["g1", "g2"]}
+    squares = []
+    for low, high in ((1, 2), (1, 3), (2, 3)):
+        ascending = [[a, b] for a in edges[low] for b in edges[high]]
+        descending = draw(st.permutations([[b, a] for b in edges[high] for a in edges[low]]))
+        squares += [{"left": left, "right": right} for left, right in zip(ascending, descending)]
+    return draw(st.sampled_from([skeleton_doc, double_cover]))(squares)
 
 
 @st.composite

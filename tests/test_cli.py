@@ -315,6 +315,16 @@ class TestErrorChannel:
         _, errtext = run_cli(capsys, "spectral", LED, expect_exit=1)
         assert json.loads(errtext.splitlines()[-1])["error"] == "usage"
 
+    @pytest.mark.parametrize("argv", [
+        ("spectral", L3, "--eig", "--wavelet", "--n", "v"),
+        ("wavelets", LED, "--shape", "1,1", "--list-family", "--compare", "2", "--analyze", "/nonexistent"),
+    ], ids=["spectral", "wavelets"])
+    def test_conflicting_modes_are_a_usage_error(self, capsys, argv):
+        # two modes of one op exit before either runs or opens its file
+        out, errtext = run_cli(capsys, *argv, expect_exit=1)
+        (rec,) = [json.loads(line) for line in errtext.splitlines() if line.startswith("{")]
+        assert out == "" and rec["error"] == "usage" and "not allowed with argument" in rec["message"]
+
     def test_parse_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.kg"
         bad.write_text("{broken")

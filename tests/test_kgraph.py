@@ -476,8 +476,7 @@ class TestPathSearch:
         rng = random.Random(seed)
         for _ in range(5):
             word = random_word(graph, length, rng)
-            for leftmost in (True, False):
-                assert kernel_rewrite(graph, word, leftmost) == restart_rewrite(graph, word, leftmost)
+            assert kernel_rewrite(graph, word) == restart_rewrite(graph, word)
 
     @settings(max_examples=60, deadline=None)
     @given(generated_documents(), st.integers(2, 9), st.data())

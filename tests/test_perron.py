@@ -278,6 +278,21 @@ class TestRelativeStop:
         path.write_text(json.dumps(doc))
         assert main(["pf", str(path)]) == 0
 
+    def test_step_cap_is_a_numeric_error(self, tmp_path, monkeypatch, capsys):
+        # the cycle above takes more than one step: with the cap at one the
+        # iteration gives up, and `pf` exits 4 with one record
+        doc = one_cycle_document(6, [(0, 0)] * 4)
+        assert pf_data(load_kgraph(doc)).iterations > 1
+        path = tmp_path / "loops.kg"
+        path.write_text(json.dumps(doc))
+        monkeypatch.setattr(kgraphwave.perron, "PF_MAX_STEPS", 1)
+        with pytest.raises(SystemExit) as exc:
+            main(["pf", str(path)])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 4 and out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line) == {"error": "numeric", "message": "power iteration did not converge in 1 steps"}
+
     def test_uniform_vectors_stop_at_the_first_step(self, ledrappier, lambda3):
         assert pf_data(ledrappier).iterations == pf_data(lambda3).iterations == 1
 

@@ -23,6 +23,7 @@ from kgraphwave import (
     segment,
     wavelet_basis,
 )
+from kgraphwave.kgraph import WordKernel
 from helpers import (
     CUBE_VIOLATING_SQUARES,
     VALID_SQUARES,
@@ -59,19 +60,33 @@ def test_cube_condition_on_a_two_vertex_cover():
 
 
 def test_rewrite_orders_without_the_cube_condition(monkeypatch):
-    """Where the cube condition fails the two swap orders disagree, and each
-    order must still give what restarting its scan after every swap gives."""
+    """Where the cube condition fails, the two swap orders of a descending
+    triple, (0, 1, 0) and (1, 0, 1), disagree, and each gives what
+    restarting the leftmost (rightmost) scan after every swap gives.  Every
+    word, rewritten by its schedule, still gives the leftmost scan's word."""
     monkeypatch.setattr(KGraph, "_check_cube_condition", lambda self: None)
     for doc in (skeleton_doc(CUBE_VIOLATING_SQUARES), double_cover(CUBE_VIOLATING_SQUARES)):
         graph = load_kgraph(doc)
-        disagree = 0
         for length in (3, 4):
             for pattern in product((1, 2, 3), repeat=length):
                 for word in words_with_pattern(graph, pattern):
-                    for leftmost in (True, False):
-                        assert kernel_rewrite(graph, word, leftmost) == restart_rewrite(graph, word, leftmost)
-                    disagree += kernel_rewrite(graph, word, True) != kernel_rewrite(graph, word, False)
+                    assert kernel_rewrite(graph, word) == restart_rewrite(graph, word)
+        disagree = 0
+        for word in words_with_pattern(graph, (3, 2, 1)):
+            left, right = kernel_rewrite(graph, word, (0, 1, 0)), kernel_rewrite(graph, word, (1, 0, 1))
+            assert (left, right) == (restart_rewrite(graph, word, True), restart_rewrite(graph, word, False))
+            disagree += left != right
         assert disagree > 0
+
+
+def test_cube_check_lists_only_descending_words(monkeypatch):
+    """Every other color sequence has one swap order, so the check lists and
+    rewrites the words of (3, 2, 1) alone."""
+    listed, words = [], WordKernel.words
+    monkeypatch.setattr(WordKernel, "words", lambda self, colors: listed.append(colors) or words(self, colors))
+    for doc in (skeleton_doc(VALID_SQUARES), double_cover(VALID_SQUARES)):
+        load_kgraph(doc)
+    assert listed == [(3, 2, 1)] * 2
 
 
 def test_path_search_on_a_two_vertex_cover():

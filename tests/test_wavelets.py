@@ -371,11 +371,10 @@ class TestCascade:
 
     @pytest.mark.parametrize("shape,depth,coarse", [((1, 1), 3, (3, 3)), ((1, 2), 2, (2, 4))])
     def test_compare_bases_dense_rows(self, ledrappier, shape, depth, coarse):
-        # the two bases --compare forms: the depth-l basis of J and the
-        # depth-1 basis of lJ over the same level space
-        fine = wavelet_basis(build_wavelet_family(ledrappier, shape=shape), depth)
-        check_dense_rows(fine)
-        check_dense_rows(wavelet_basis(build_wavelet_family(ledrappier, shape=coarse), 1, space=fine.space))
+        # the two bases the dense --compare oracle forms: the depth-l basis
+        # of J and the depth-1 basis of lJ, at the same level
+        check_dense_rows(wavelet_basis(build_wavelet_family(ledrappier, shape=shape), depth))
+        check_dense_rows(wavelet_basis(build_wavelet_family(ledrappier, shape=coarse), 1))
 
     def test_depth6_round_trip_without_dense_basis(self, ledrappier):
         family = build_wavelet_family(ledrappier, shape=(1, 1))
@@ -398,14 +397,6 @@ class TestCascade:
         assert np.max(np.abs(space.vector_of(back) - vec)) < 1e-12 * max(1.0, np.max(np.abs(vec)))
         energy = float(np.sum(space.weights * vec ** 2))
         assert abs(float(np.sum(coeffs ** 2)) - energy) < 1e-12 * max(1.0, energy)
-
-    def test_shared_level_space(self, famL):
-        basis = wavelet_basis(famL, 2)
-        shared = wavelet_basis(famL, 2, space=basis.space)
-        assert shared.space is basis.space and shared.labels == basis.labels
-        assert np.array_equal(shared.order, basis.order)
-        with pytest.raises(ShapeMismatch):
-            wavelet_basis(famL, 1, space=basis.space)
 
     def test_synthesize_rejects_wrong_length(self, fam3):
         basis = wavelet_basis(fam3, 2)
