@@ -43,7 +43,7 @@ from .spectral import (
     reconstruct,
     spectral_wavelet,
 )
-from .traffic import PreferredPaths, default_preferred_paths, traffic_wavelet_family
+from .traffic import PreferredPaths, least_degrees, traffic_wavelet_family
 from .wavelets import (
     analyze,
     build_wavelet_family,
@@ -64,7 +64,6 @@ _NUMERIC_ERRORS = (err.ConvergenceFailure, err.DivergentIntegral, err.GridTooCoa
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
         _fail(USAGE_EXIT, "usage", message)
 
 
@@ -356,10 +355,10 @@ def _cmd_traffic(args):
         if not assignment:
             raise err.ValidationError("bad_preferred_path", f"{args.prefs} holds no preferred paths")
         root = next(iter(assignment.values())).range if args.root is None else args.root
-        prefs = PreferredPaths(root, assignment)
+        degrees = PreferredPaths(root, assignment).degrees
     else:
-        prefs = default_preferred_paths(graph, graph.vertices[0] if args.root is None else args.root)
-    family = traffic_wavelet_family(graph, pf, prefs)
+        degrees = least_degrees(graph, graph.vertices[0] if args.root is None else args.root)
+    family = traffic_wavelet_family(graph, pf, degrees)
     _emit(args, itertools.chain(
         [{"kind": "measure", "values": {v: float(x) for v, x in zip(graph.vertices, family.measure)}}],
         family.to_records(), [{"kind": "summary", "complete": family.complete}]))

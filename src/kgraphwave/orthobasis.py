@@ -18,14 +18,6 @@ from functools import lru_cache
 import numpy as np
 
 
-def constant_unit_vector(weights) -> np.ndarray:
-    """The positive constant vector of weighted norm one."""
-    w = np.asarray(weights, dtype=float)
-    if w.size == 0 or np.any(w <= 0):
-        raise ValueError("weights must be positive and nonempty")
-    return np.full(w.size, 1.0 / np.sqrt(w.sum()))
-
-
 @lru_cache(maxsize=64)
 def _split(size: int):
     """The balanced split of ``size`` coordinates as index arrays: the node

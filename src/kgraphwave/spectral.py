@@ -317,6 +317,8 @@ def cg_constant(spec: KernelSpec) -> float:
         else:
             c, p = piece.params
             q = 2 * p  # integrand is c^2 x^(2p-1)
+            if lo == 0.0 and q <= 0:
+                raise DivergentIntegral(f"power {p} makes the energy integral diverge at 0")
             if math.isinf(hi):
                 if q >= 0:
                     raise DivergentIntegral(f"tail power {p} does not decay")

@@ -6,7 +6,8 @@ class of vertices whose preferred paths share a degree J, the zero-mean
 orthonormal vectors of the weighted inner product lift to vertex signals
 supported on that class: finitely supported, zero integral, orthonormal.
 When every preferred path shares one degree the family plus the constant
-signal is a complete orthonormal basis.
+signal is a complete orthonormal basis.  A path enters only by its degree,
+so the family is built from each vertex's preferred-path degree.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .errors import CompositionError, NoWaveletDegree, NonFiniteResult, ValidationError
-from .kgraph import Degree, KGraph, Path, _degree_colors, path_of
+from .kgraph import Degree, KGraph, Path, as_degree
 from .orthobasis import complement_basis
 from .perron import PFData
 
@@ -38,82 +39,16 @@ class PreferredPaths:
                 raise ValidationError(
                     "bad_preferred_path", f"path for {w} has source {path.source}, not {w}")
 
-    def degree_of(self, w: str) -> Degree:
-        return self.assignment[w].degree
+    @property
+    def degrees(self) -> dict[str, Degree]:
+        """Each vertex's preferred-path degree: all the wavelets read of a path."""
+        return {w: path.degree for w, path in self.assignment.items()}
 
 
-def validate_prefs(graph: KGraph, prefs: PreferredPaths):
-    missing = set(graph.vertices) - set(prefs.assignment)
-    extra = set(prefs.assignment) - set(graph.vertices)
-    if missing or extra:
-        raise ValidationError(
-            "bad_preferred_path",
-            f"assignment must cover every vertex exactly once (missing {sorted(missing)},"
-            f" extra {sorted(extra)})")
-
-
-def default_preferred_paths(graph: KGraph, root: str) -> PreferredPaths:
-    """Per vertex, the lexicographically least path of the least degree under
-    graded-lex order from the root.  Deterministic; may well give every
-    vertex its own degree class.
-
-    `_least_degrees` finds each vertex's degree.  The paths then come from
-    one depth-first walk over the trie of normal-order color sequences that
-    are prefixes of those degrees' sequences, in lexicographic order.  Words
-    of one length compare by prefix first, so the least word to a vertex
-    extends the least word of its prefix colors to the edge's range: each
-    trie node ranks the least words to the vertices it reaches, and one
-    step over the live edges of the next color keys each edge by
-    ``rank[range] * E + edge`` and keeps the least key per source.  The walk
-    holds the ranks and the chosen parent edges only along its current
-    trie path; each vertex reads its row back through the parents at the
-    node of its degree.
-    """
-    if root not in graph.vertex_index:
-        raise CompositionError(f"unknown vertex {root!r}")
-    least = _least_degrees(graph, root)
-    for w in graph.vertices:
-        if w not in least:
-            raise ValidationError("bad_preferred_path", f"no path from {w} to root {root}")
-    kernel, n, size = graph.word_kernel, len(graph.vertices), len(graph.edge_ids)
-    by_degree: dict[Degree, list[int]] = {}
-    for i, w in enumerate(graph.vertices):
-        by_degree.setdefault(least[w], []).append(i)
-    top, r = np.iinfo(np.intp).max, graph.vertex_index[root]
-    rank = np.full(n, -1, dtype=np.intp)  # -1 where no word of the prefix colors reaches
-    rank[r] = 0
-    ranks, parents, walked = [rank], [None], ()  # per trie level along the current path
-    forms = [None] * n
-    for degree in sorted(by_degree, key=_degree_colors):
-        colors = _degree_colors(degree)
-        keep = next((i for i, (a, b) in enumerate(zip(colors, walked)) if a != b),
-                    min(len(colors), len(walked)))
-        del ranks[keep + 1:], parents[keep + 1:]
-        for c in colors[keep:]:
-            edges = kernel.edges_of(c)
-            prefix = ranks[-1][kernel.range[edges]]
-            live = prefix >= 0
-            best = np.full(n, top)
-            np.minimum.at(best, kernel.source[edges[live]], prefix[live] * size + edges[live])
-            reached = np.flatnonzero(best < top)
-            rank = np.full(n, -1, dtype=np.intp)
-            rank[reached[np.argsort(best[reached])]] = np.arange(len(reached))
-            ranks.append(rank)
-            parents.append(best % size)  # read only where reached
-        walked = colors
-        ends = np.array(by_degree[degree], dtype=np.intp)
-        rows, at = np.empty((len(ends), len(colors)), dtype=np.intp), ends
-        for pos in range(len(colors), 0, -1):
-            rows[:, pos - 1] = parents[pos][at]
-            at = kernel.range[rows[:, pos - 1]]
-        for w, row in zip(ends.tolist(), rows.tolist()):
-            forms[w] = (degree, tuple(row), r, w)
-    return PreferredPaths(root, {w: path_of(graph, form) for w, form in zip(graph.vertices, forms)})
-
-
-def _least_degrees(graph: KGraph, root: str) -> dict[str, Degree]:
-    """For each vertex w that reaches the root, the least degree, in
-    graded-lex order, of a path from w up to the root.
+def least_degrees(graph: KGraph, root: str) -> dict[str, Degree]:
+    """For each vertex w, the least degree, in graded-lex order, of a path
+    from w up to the root: the default preferred-path degrees.  No path is
+    built, since the wavelets read a preferred path only by its degree.
 
     Every walk up the skeleton is a path of its color counts, so w's least
     total is its distance to the root, and a shortest walk from w starts
@@ -122,6 +57,8 @@ def _least_degrees(graph: KGraph, root: str) -> dict[str, Degree]:
     at distance t takes the least ``least[r(e)] + e_{c(e)}`` over its edges e
     up to distance t - 1, by one lexsort keyed by source, then by degree.
     """
+    if root not in graph.vertex_index:
+        raise CompositionError(f"unknown vertex {root!r}")
     source, range_ = graph.edge_source, graph.edge_range
     dist = np.full(len(graph.vertices), -1, dtype=np.intp)
     dist[graph.vertex_index[root]] = 0
@@ -137,27 +74,35 @@ def _least_degrees(graph: KGraph, root: str) -> dict[str, Degree]:
         firsts = order[np.concatenate([[True], sources[order][1:] != sources[order][:-1]])]
         least[sources[firsts]] = steps[firsts]
         dist[sources[firsts]] = t
-    reached = np.flatnonzero(dist >= 0)
-    return {graph.vertices[i]: tuple(d) for i, d in zip(reached.tolist(), least[reached].tolist())}
+    unreached = np.flatnonzero(dist < 0)
+    if len(unreached):
+        raise ValidationError("bad_preferred_path", f"no path from {graph.vertices[unreached[0]]} to root {root}")
+    return dict(zip(graph.vertices, map(tuple, least.tolist())))
 
 
-def traffic_measure(graph: KGraph, pf: PFData, prefs: PreferredPaths) -> np.ndarray:
-    """Vertex weights rho^{-d(lambda_w)} x_w, in graph vertex order.  Raises
-    NonFiniteResult where a weight underflows to 0 or is not finite: no
-    wavelet can be normalized against it."""
-    return _weighted_degrees(graph, pf, prefs)[1]
+def traffic_measure(graph: KGraph, pf: PFData, degrees: Mapping[str, Degree]) -> np.ndarray:
+    """Vertex weights rho^{-d(lambda_w)} x_w, in graph vertex order, from each
+    vertex's preferred-path degree.  Raises NonFiniteResult where a weight
+    underflows to 0 or is not finite: no wavelet can be normalized against it."""
+    return _weighted_degrees(graph, pf, degrees)[1]
 
 
-def _weighted_degrees(graph: KGraph, pf: PFData, prefs: PreferredPaths) -> tuple[np.ndarray, np.ndarray]:
+def _weighted_degrees(graph: KGraph, pf: PFData, degrees: Mapping[str, Degree]) -> tuple[np.ndarray, np.ndarray]:
     """The (n, k) preferred-path degrees in graph vertex order, and the weights."""
-    validate_prefs(graph, prefs)
-    degrees = np.array([prefs.degree_of(w) for w in graph.vertices], dtype=np.int64).reshape(-1, graph.k)
+    missing = set(graph.vertices) - set(degrees)
+    extra = set(degrees) - set(graph.vertices)
+    if missing or extra:
+        raise ValidationError(
+            "bad_preferred_path",
+            f"assignment must cover every vertex exactly once (missing {sorted(missing)},"
+            f" extra {sorted(extra)})")
+    rows = np.array([as_degree(degrees[w], graph.k) for w in graph.vertices], dtype=np.int64)
     with np.errstate(over="ignore"):  # a weight past the float range raises below
-        out = np.prod(pf.rho ** -degrees, axis=1) * pf.x_lambda  # each row's product in color order
+        out = np.prod(pf.rho ** -rows, axis=1) * pf.x_lambda  # each row's product in color order
     bad = np.flatnonzero(~(np.isfinite(out) & (out > 0)))
     if len(bad):
         raise NonFiniteResult(f"the traffic weight of vertex {graph.vertices[bad[0]]} leaves the float range")
-    return degrees, out
+    return rows, out
 
 
 @dataclass(frozen=True)
@@ -167,7 +112,6 @@ class TrafficWaveletFamily:
     on its members and zero elsewhere.  No signal is held as an n-vector."""
 
     graph: KGraph
-    prefs: PreferredPaths
     measure: np.ndarray
     classes: tuple[tuple[Degree, np.ndarray, np.ndarray], ...]  # (J, member indices, rows)
     constant: np.ndarray | None
@@ -200,17 +144,18 @@ class TrafficWaveletFamily:
 
 
 def traffic_wavelet_family(graph: KGraph, pf: PFData,
-                           prefs: PreferredPaths) -> TrafficWaveletFamily:
-    """Build the g^{m,J} family; degree classes in graded-lex order, vertices
-    within a class in graph order (one stable lexsort by total, then by
-    degree).  Raises NoWaveletDegree when every class is a singleton."""
-    degrees, nu = _weighted_degrees(graph, pf, prefs)
-    order = np.lexsort((*degrees.T[::-1], degrees.sum(axis=1)))
-    starts = np.flatnonzero(np.any(np.diff(degrees[order], axis=0), axis=1)) + 1
-    classes = tuple((tuple(degrees[members[0]].tolist()), members, complement_basis(nu[members]))
+                           degrees: Mapping[str, Degree]) -> TrafficWaveletFamily:
+    """Build the g^{m,J} family from each vertex's preferred-path degree;
+    degree classes in graded-lex order, vertices within a class in graph
+    order (one stable lexsort by total, then by degree).  Raises
+    NoWaveletDegree when every class is a singleton."""
+    rows, nu = _weighted_degrees(graph, pf, degrees)
+    order = np.lexsort((*rows.T[::-1], rows.sum(axis=1)))
+    starts = np.flatnonzero(np.any(np.diff(rows[order], axis=0), axis=1)) + 1
+    classes = tuple((tuple(rows[members[0]].tolist()), members, complement_basis(nu[members]))
                     for members in np.split(order, starts) if len(members) >= 2)
     if not classes:
         raise NoWaveletDegree("every preferred-path degree class is a singleton")
     complete = not len(starts)  # one class holds every vertex
     constant = np.full(len(graph.vertices), np.sqrt(pf.rho_pow(classes[0][0]))) if complete else None
-    return TrafficWaveletFamily(graph, prefs, nu, classes, constant, complete)
+    return TrafficWaveletFamily(graph, nu, classes, constant, complete)

@@ -35,7 +35,7 @@ from .kgraph import (
     deg_scale,
 )
 from .measure import CylinderFn, MeasureSpec
-from .orthobasis import _complement_runs, complement_basis, constant_unit_vector
+from .orthobasis import _complement_runs, complement_basis
 from .sbfs import LevelSpace, level_space
 
 
@@ -153,7 +153,8 @@ def build_wavelet_family(graph: KGraph, shape: Sequence[int],
         if not len(positions):
             raise EmptyDv(f"no paths of shape {shape} reach vertex {v}")
         weights = space.weights[positions]
-        c = np.vstack([constant_unit_vector(weights)[None, :], complement_basis(weights)])
+        rest = complement_basis(weights)  # checks the weights are positive
+        c = np.vstack([np.full(len(weights), 1.0 / np.sqrt(weights.sum())), rest])
         blocks[v] = VertexBlock(v, positions, c)
     return WaveletFamily(graph, spec, shape, space, blocks)
 

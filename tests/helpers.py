@@ -60,9 +60,8 @@ from kgraphwave import (
 import kgraphwave.cli
 from kgraphwave.kgraph import (
     WordKernel, _degree_colors, _swap_schedule, as_degree, deg_add, deg_le, deg_sub, form_of, normal_form_rows)
-from kgraphwave.orthobasis import complement_basis, constant_unit_vector
+from kgraphwave.orthobasis import complement_basis
 from kgraphwave.sbfs import CKReport, RelationCheck
-from kgraphwave.traffic import validate_prefs
 
 
 def words_with_pattern(graph, pattern):
@@ -364,25 +363,11 @@ def filtered_paths(graph, degree, target, source):
     return [p for p in pruned_paths(graph, degree, range=target) if p.source == source]
 
 
-def exhaustive_least_path(graph, root, w):
-    """Oracle for the default preferred path of w: every total degree from 0
-    up, every degree of that total in lexicographic order, and the first
-    path of the filtered list.  None when no path joins w to the root (a
-    shortest one repeats no vertex, so its total is below the vertex count)."""
-    for total in range(len(graph.vertices)):
-        for degree in sorted(d for d in product(range(total + 1), repeat=graph.k)
-                             if sum(d) == total):
-            found = filtered_paths(graph, degree, root, w)
-            if found:
-                return found[0]
-    return None
-
-
 def least_total_chooser(graph, root):
-    """Oracle for the default preferred paths on graphs too large for
-    `exhaustive_least_path`: for each vertex, a first-path search of every
-    degree of its BFS distance, in lexicographic order.  Every vertex must
-    reach the root."""
+    """A preferred path of each vertex's least degree, as a `--prefs` file
+    holds them, and so an oracle for `least_degrees`: for each vertex, a
+    first-path search of every degree of its BFS distance, in lexicographic
+    order.  Every vertex must reach the root."""
     dist = {root: 0}
     frontier = [root]
     while frontier:
@@ -407,7 +392,7 @@ def least_total_chooser(graph, root):
 
 
 def enumerated_least_degrees(graph, root):
-    """Oracle for `traffic._least_degrees`: every degree of every total in
+    """Oracle for `traffic.least_degrees`: every degree of every total in
     lexicographic order, each marking the vertices its walks lead to going
     back from the root, one step back along the color-c edges from the
     marks of d - e_c.  A vertex takes the first degree that marks it; the
@@ -444,23 +429,23 @@ def enumerated_least_degrees(graph, root):
     return least
 
 
-def dense_traffic_family(graph, pf, prefs):
-    """Oracle for `traffic_wavelet_family`: the measure by one `rho_pow` per
-    vertex, the classes by a dict in graded-lex order, and every wavelet
-    lifted to a dense n-vector.  Returns (measure, wavelets, constant,
-    complete) with wavelets ((m, J), signal) in listing order."""
-    validate_prefs(graph, prefs)
+def dense_traffic_family(graph, pf, degrees):
+    """Oracle for `traffic_wavelet_family` on the preferred-path degree of
+    each vertex: the measure by one `rho_pow` per vertex, the classes by a
+    dict in graded-lex order, and every wavelet lifted to a dense n-vector.
+    Returns (measure, wavelets, constant, complete) with wavelets
+    ((m, J), signal) in listing order."""
     nu = np.empty(len(graph.vertices))
     with np.errstate(over="ignore"):
         for i, w in enumerate(graph.vertices):
-            nu[i] = pf.rho_pow(tuple(-x for x in prefs.degree_of(w))) * pf.x_lambda[i]
+            nu[i] = pf.rho_pow(tuple(-x for x in degrees[w])) * pf.x_lambda[i]
     ok = np.isfinite(nu) & (nu > 0)
     if not ok.all():
         raise NonFiniteResult(f"the traffic weight of vertex {graph.vertices[int(np.argmin(ok))]} "
                               "leaves the float range")
     classes = {}
     for i, w in enumerate(graph.vertices):
-        classes.setdefault(prefs.degree_of(w), []).append(i)
+        classes.setdefault(tuple(degrees[w]), []).append(i)
     wavelets = []
     for J in sorted(classes, key=lambda degree: (sum(degree), degree)):
         members = classes[J]
@@ -804,7 +789,7 @@ def eager_wavelet_family(graph, shape):
     for i, v in enumerate(graph.vertices):
         paths = tuple(enumerate_paths(graph, shape, range=v))
         weights = space.weights[space.ranges == i]
-        c = np.vstack([constant_unit_vector(weights)[None, :], complement_basis(weights)])
+        c = np.vstack([np.full(len(weights), 1.0 / np.sqrt(weights.sum())), complement_basis(weights)])
         blocks[v] = paths, c
         scaling.append(CylinderFn(graph, {vertex_path(graph, v): float(c[0, 0])}))
         for m in range(1, len(paths)):

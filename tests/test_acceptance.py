@@ -165,7 +165,7 @@ def test_criterion_9_traffic(ledrappier):
     prefs = PreferredPaths("v1", {
         v: enumerate_paths(ledrappier, (1, 2), range="v1", source=v)[0]
         for v in ledrappier.vertices})
-    family = traffic_wavelet_family(ledrappier, pf, prefs)
+    family = traffic_wavelet_family(ledrappier, pf, prefs.degrees)
     signals = np.array([sig for _, sig in family.signals()])
     reference = np.array([
         [4.0, -4.0, 0.0, 0.0],
@@ -175,7 +175,7 @@ def test_criterion_9_traffic(ledrappier):
     assert np.max(np.abs(signals - reference)) < 1e-12
     assert np.max(np.abs(family.constant - 2 * SQRT2)) < 1e-12
     assert np.max(np.abs(family.gram() - np.eye(4))) < 1e-12
-    nu = traffic_measure(ledrappier, pf, prefs)
+    nu = traffic_measure(ledrappier, pf, prefs.degrees)
     for sig in signals:
         assert abs(np.dot(sig, nu)) < 1e-12
 

@@ -17,7 +17,6 @@ import kgraphwave
 from kgraphwave import (
     CylinderFn,
     WaveletBasis,
-    default_preferred_paths,
     fixture_path,
     load_kgraph,
     load_kgraph_file,
@@ -30,6 +29,7 @@ from helpers import (
     forbid_path_building,
     generated_documents,
     laplacian_listing,
+    least_total_chooser,
     patch_noncommuting_pair,
     per_line_records,
     random_cylinder_fn,
@@ -307,13 +307,26 @@ class TestBadWords:
 
 
 class TestErrorChannel:
+    @pytest.mark.parametrize("argv", [
+        ["pf", LED, "--no-such-flag"],
+        ["wavelets", LED],
+        ["wavelets", LED, "--shape", "1,1", "--depth", "two"],
+        ["spectral", LED, "--eig", "--wavelet"],
+        [],
+    ], ids=["unknown-flag", "missing-shape", "non-integer-depth", "two-modes", "no-subcommand"])
+    def test_usage_error_is_one_json_line(self, capsys, argv):
+        """argparse's own errors write the one record and no usage text."""
+        out, errtext = run_cli(capsys, *argv, expect_exit=1)
+        (line,) = errtext.splitlines()
+        assert out == "" and json.loads(line)["error"] == "usage"
+
     def test_usage_error(self, capsys):
         _, errtext = run_cli(capsys, "pf", expect_exit=1)
-        assert json.loads(errtext.splitlines()[-1])["error"] == "usage"
+        assert json.loads(errtext)["error"] == "usage"
 
     def test_spectral_without_mode(self, capsys):
         _, errtext = run_cli(capsys, "spectral", LED, expect_exit=1)
-        assert json.loads(errtext.splitlines()[-1])["error"] == "usage"
+        assert json.loads(errtext)["error"] == "usage"
 
     @pytest.mark.parametrize("argv", [
         ("spectral", L3, "--eig", "--wavelet", "--n", "v"),
@@ -322,7 +335,8 @@ class TestErrorChannel:
     def test_conflicting_modes_are_a_usage_error(self, capsys, argv):
         # two modes of one op exit before either runs or opens its file
         out, errtext = run_cli(capsys, *argv, expect_exit=1)
-        (rec,) = [json.loads(line) for line in errtext.splitlines() if line.startswith("{")]
+        (line,) = errtext.splitlines()
+        rec = json.loads(line)
         assert out == "" and rec["error"] == "usage" and "not allowed with argument" in rec["message"]
 
     def test_parse_error(self, capsys, tmp_path):
@@ -467,7 +481,7 @@ class TestErrorChannel:
     @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "x"])
     def test_pf_tol_must_be_positive(self, capsys, tol):
         _, errtext = run_cli(capsys, "pf", LED, "--tol", tol, expect_exit=1)
-        assert json.loads(errtext.splitlines()[-1])["error"] == "usage"
+        assert json.loads(errtext)["error"] == "usage"
 
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_compare_below_one_is_a_usage_error(self, capsys, value):
@@ -492,7 +506,7 @@ class TestErrorChannel:
         assert records(out)[0]["rho"] == pytest.approx([2.0, 2.0])
         for command in ("validate", "laplacian", "spectral"):
             _, errtext = run_cli(capsys, command, LED, "--tol", "1e-12", expect_exit=1)
-            assert json.loads(errtext.splitlines()[-1])["error"] == "usage"
+            assert json.loads(errtext)["error"] == "usage"
 
     def test_pf_hausdorff_solves_once(self, capsys, monkeypatch):
         calls = []
@@ -1025,6 +1039,21 @@ def test_path_space_ops_build_no_vertex_matrix(argv, capsys, monkeypatch):
     run_cli(capsys, argv[0], LED, *argv[1:])
 
 
+def test_default_traffic_builds_no_path(capsys, monkeypatch):
+    """Default `traffic` reads each vertex's least degree alone: it exits 0
+    with `path_of` raising and builds no `Path`."""
+    def boom(*args, **kwargs):
+        raise AssertionError("default traffic built a Path")
+
+    monkeypatch.setattr(kgraphwave.kgraph, "path_of", boom)
+    monkeypatch.setattr(kgraphwave.cli, "path_of", boom)
+    built = count_path_objects(monkeypatch)
+    for argv in (["traffic", LED], ["traffic", LED, "--root", "v2"]):
+        out, err = run_cli(capsys, *argv)
+        assert records(out)[-1]["kind"] == "summary" and err == ""
+    assert built == {"Path": 0}
+
+
 def test_spectral_ops_build_no_edges(tmp_path, capsys, monkeypatch):
     """Load, validation, every spectral op and `traffic`, with and without
     --prefs, read the edge and square columns alone, on a 300-vertex
@@ -1034,7 +1063,7 @@ def test_spectral_ops_build_no_edges(tmp_path, capsys, monkeypatch):
     signal = tmp_path / "signal.json"
     signal.write_text(json.dumps(np.random.default_rng(3).normal(size=300).round(6).tolist()))
     prefs = tmp_path / "prefs.jsonl"
-    assignment = default_preferred_paths(load_kgraph(str(path)), "v0").assignment
+    assignment = least_total_chooser(load_kgraph(str(path)), "v0")
     prefs.write_text("".join(json.dumps({"vertex": v, "path": ",".join(p.word) or "@" + v}) + "\n"
                              for v, p in assignment.items()))
     p = str(path)

@@ -15,8 +15,8 @@ from kgraphwave import (
     check_ck_relations,
     cylinder_fns_equal,
     cylinder_measure,
-    default_preferred_paths,
     enumerate_paths,
+    least_degrees,
     load_kgraph,
     normal_form,
     pf_data,
@@ -30,7 +30,7 @@ from helpers import (
     block_paths,
     check_confluence,
     double_cover,
-    exhaustive_least_path,
+    enumerated_least_degrees,
     filtered_paths,
     kernel_rewrite,
     path_count,
@@ -97,8 +97,7 @@ def test_path_search_on_a_two_vertex_cover():
             assert expected == filtered_paths(graph, degree, target, source)
             assert enumerate_paths(graph, degree, range=target, source=source) == expected
     for root in graph.vertices:
-        assert default_preferred_paths(graph, root).assignment == \
-            {w: exhaustive_least_path(graph, root, w) for w in graph.vertices}
+        assert least_degrees(graph, root) == enumerated_least_degrees(graph, root)
 
 
 def test_valid_rank3_loads_and_is_confluent(rank3):

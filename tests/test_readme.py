@@ -14,3 +14,4 @@ def test_quick_tour_runs():
     exec(compile(code, str(README), "exec"), namespace)
     assert namespace["spectral"].n == len(namespace["graph"].vertices)
     assert namespace["psi"].shape == (namespace["spectral"].n,)
+    assert len(namespace["traffic"].measure) == len(namespace["graph"].vertices)

@@ -302,6 +302,12 @@ class TestCg:
         bad_head = KernelSpec((KernelPiece(0.0, 1.0, "poly", (1.0,)),), 0, "")
         with pytest.raises(DivergentIntegral):
             cg_constant(bad_head)
+        # a power p <= 0 from 0: the integrand x^(2p-1) diverges there
+        for piece in (KernelPiece(0.0, math.inf, "power", (1.0, -1.0)),
+                      KernelPiece(0.0, 1.0, "power", (1.0, -1.0)),
+                      KernelPiece(0.0, 1.0, "power", (1.0, 0.0))):
+            with pytest.raises(DivergentIntegral):
+                cg_constant(KernelSpec((piece,), 0, ""))
 
 
 class TestSpectralWavelets:

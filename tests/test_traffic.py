@@ -10,14 +10,15 @@ from hypothesis import strategies as st
 
 from kgraphwave import (
     CompositionError,
+    DegreeRangeError,
     NonFiniteResult,
     NotStronglyConnected,
     PFData,
     NoWaveletDegree,
     PreferredPaths,
     ValidationError,
-    default_preferred_paths,
     enumerate_paths,
+    least_degrees,
     load_kgraph,
     normal_form,
     pf_data,
@@ -25,11 +26,9 @@ from kgraphwave import (
     traffic_wavelet_family,
     vertex_path,
 )
-from kgraphwave.traffic import _least_degrees
 from helpers import (
     dense_traffic_family,
     enumerated_least_degrees,
-    exhaustive_least_path,
     family_documents,
     generated_documents,
     least_total_chooser,
@@ -54,14 +53,14 @@ def led_prefs(ledrappier):
 
 class TestMeasure:
     def test_ledrappier_uniform(self, ledrappier, led_pf, led_prefs):
-        nu = traffic_measure(ledrappier, led_pf, led_prefs)
+        nu = traffic_measure(ledrappier, led_pf, led_prefs.degrees)
         assert np.allclose(nu, 1 / 32, atol=1e-14)
 
     def test_root_vertex_path(self, ledrappier, led_pf):
         assignment = {"v1": vertex_path(ledrappier, "v1")}
         for v in ("v2", "v3", "v4"):
             assignment[v] = enumerate_paths(ledrappier, (1, 2), range="v1", source=v)[0]
-        nu = traffic_measure(ledrappier, led_pf, PreferredPaths("v1", assignment))
+        nu = traffic_measure(ledrappier, led_pf, PreferredPaths("v1", assignment).degrees)
         assert nu[0] == pytest.approx(led_pf.x_lambda[0], abs=1e-14)
 
     @pytest.mark.parametrize("rho", [1e300, 1e-300], ids=["underflow", "overflow"])
@@ -69,20 +68,20 @@ class TestMeasure:
         """rho^{-(1,2)} x_w is 0 or infinite: no class can be normalized."""
         pf = PFData(np.array([rho, rho]), led_pf.x_lambda)
         with pytest.raises(NonFiniteResult, match="vertex v1"):
-            traffic_measure(ledrappier, pf, led_prefs)
+            traffic_measure(ledrappier, pf, led_prefs.degrees)
         with pytest.raises(NonFiniteResult):
-            traffic_wavelet_family(ledrappier, pf, led_prefs)
+            traffic_wavelet_family(ledrappier, pf, led_prefs.degrees)
 
     def test_lambda3_trivial(self, lambda3):
         pf = pf_data(lambda3)
         prefs = PreferredPaths("v", {"v": vertex_path(lambda3, "v")})
-        nu = traffic_measure(lambda3, pf, prefs)
+        nu = traffic_measure(lambda3, pf, prefs.degrees)
         assert nu == pytest.approx([1.0], abs=1e-14)
 
 
 class TestFamily:
     def test_ledrappier_reference_values(self, ledrappier, led_pf, led_prefs):
-        fam = traffic_wavelet_family(ledrappier, led_pf, led_prefs)
+        fam = traffic_wavelet_family(ledrappier, led_pf, led_prefs.degrees)
         assert [m for (m, _), _ in fam.signals()] == [1, 2, 3]
         signals = np.array([sig for _, sig in fam.signals()])
         expected = np.array([
@@ -99,12 +98,11 @@ class TestFamily:
         # both degree-(1,2) paths per vertex give the same vertex wavelets
         assignment = {v: enumerate_paths(ledrappier, (1, 2), range="v1", source=v)[1]
                       for v in ledrappier.vertices}
-        fam = traffic_wavelet_family(ledrappier, led_pf,
-                                     PreferredPaths("v1", assignment))
+        fam = traffic_wavelet_family(ledrappier, led_pf, PreferredPaths("v1", assignment).degrees)
         assert np.max(np.abs(next(fam.signals())[1] - np.array([4, -4, 0, 0]))) < 1e-12
 
     def test_zero_integral(self, ledrappier, led_pf, led_prefs):
-        fam = traffic_wavelet_family(ledrappier, led_pf, led_prefs)
+        fam = traffic_wavelet_family(ledrappier, led_pf, led_prefs.degrees)
         for _, sig in fam.signals():
             assert abs(np.dot(sig, fam.measure)) < 1e-12
 
@@ -116,13 +114,13 @@ class TestFamily:
             "v4": enumerate_paths(ledrappier, (1, 2), range="v1", source="v4")[0],
         }
         with pytest.raises(NoWaveletDegree):
-            traffic_wavelet_family(ledrappier, led_pf, PreferredPaths("v1", assignment))
+            traffic_wavelet_family(ledrappier, led_pf, PreferredPaths("v1", assignment).degrees)
 
     def test_single_vertex_rejected(self, lambda3):
         pf = pf_data(lambda3)
         prefs = PreferredPaths("v", {"v": vertex_path(lambda3, "v")})
         with pytest.raises(NoWaveletDegree):
-            traffic_wavelet_family(lambda3, pf, prefs)
+            traffic_wavelet_family(lambda3, pf, prefs.degrees)
 
     def test_two_vertex_single_wavelet_golden_ratio(self):
         graph = load_kgraph({
@@ -138,7 +136,7 @@ class TestFamily:
             "v": normal_form(graph, ["lv"]),
             "w": normal_form(graph, ["b"]),
         })
-        fam = traffic_wavelet_family(graph, pf, prefs)
+        fam = traffic_wavelet_family(graph, pf, prefs.degrees)
         (label, sig), = fam.signals()
         # hand solution: alpha x_v = beta x_w, weighted norm 1, with
         # x = (phi, 1)/(phi + 1) and nu = x / phi
@@ -158,7 +156,7 @@ class TestFamily:
             "v3": enumerate_paths(ledrappier, (2, 2), range="v1", source="v3")[0],
             "v4": enumerate_paths(ledrappier, (2, 2), range="v1", source="v4")[0],
         }
-        fam = traffic_wavelet_family(ledrappier, led_pf, PreferredPaths("v1", assignment))
+        fam = traffic_wavelet_family(ledrappier, led_pf, PreferredPaths("v1", assignment).degrees)
         assert not fam.complete and fam.constant is None
         shapes = [J for (_, J), _ in fam.signals()]
         assert shapes == [(1, 2), (2, 2)]  # graded-lex class order
@@ -178,89 +176,99 @@ class TestValidationAndDefaults:
         prefs = PreferredPaths(
             "v1", {"v1": vertex_path(ledrappier, "v1")})
         with pytest.raises(ValidationError):
-            traffic_measure(ledrappier, led_pf, prefs)
+            traffic_measure(ledrappier, led_pf, prefs.degrees)
+
+    @pytest.mark.parametrize("change, shown", [
+        (lambda d: d.pop("v3"), r"missing \['v3'\], extra \[\]"),
+        (lambda d: d.update(zz=(1, 2)), r"missing \[\], extra \['zz'\]"),
+    ], ids=["missing", "extra"])
+    def test_degrees_must_cover_every_vertex_once(self, ledrappier, led_pf, led_prefs, change, shown):
+        degrees = led_prefs.degrees
+        change(degrees)
+        for build in (traffic_measure, traffic_wavelet_family):
+            with pytest.raises(ValidationError, match=shown) as exc:
+                build(ledrappier, led_pf, degrees)
+            assert exc.value.reason == "bad_preferred_path"
+
+    @pytest.mark.parametrize("degree", [(1, 2, 0), (1,), (1, -2)], ids=["long", "short", "negative"])
+    def test_malformed_degree_rejected(self, ledrappier, led_pf, led_prefs, degree):
+        degrees = {**led_prefs.degrees, "v2": degree}
+        for build in (traffic_measure, traffic_wavelet_family):
+            with pytest.raises(DegreeRangeError):
+                build(ledrappier, led_pf, degrees)
+
+    def test_preferred_paths_degrees(self, ledrappier, led_prefs):
+        assert led_prefs.degrees == {w: p.degree for w, p in led_prefs.assignment.items()}
+        assert list(led_prefs.degrees) == list(ledrappier.vertices)
+        mixed = {"v1": vertex_path(ledrappier, "v1"),
+                 "v2": enumerate_paths(ledrappier, (1, 0), range="v1", source="v2")[0]}
+        assert PreferredPaths("v1", mixed).degrees == {"v1": (0, 0), "v2": (1, 0)}
 
     def test_default_chooser_least_graded_lex(self, ledrappier):
-        prefs = default_preferred_paths(ledrappier, "v1")
-        assert prefs.assignment["v1"] == vertex_path(ledrappier, "v1")
+        least = least_degrees(ledrappier, "v1")
+        assert least["v1"] == (0, 0)
         # v2 is one step away; among the total-1 degrees with a path, the
-        # lexicographically least degree wins, then the least word
-        d2 = prefs.assignment["v2"].degree
-        assert sum(d2) == 1
+        # lexicographically least degree wins
         candidates = [d for d in ((0, 1), (1, 0))
                       if enumerate_paths(ledrappier, d, range="v1", source="v2")]
-        assert d2 == sorted(candidates)[0]
-        least = enumerate_paths(ledrappier, d2, range="v1", source="v2")[0]
-        assert prefs.assignment["v2"] == least
+        assert least["v2"] == sorted(candidates)[0]
 
     def test_default_chooser_unknown_root(self, ledrappier):
         with pytest.raises(CompositionError, match="unknown vertex 'zz'"):
-            default_preferred_paths(ledrappier, "zz")
+            least_degrees(ledrappier, "zz")
 
     def test_default_chooser_unreachable_root(self, sphere):
-        with pytest.raises(ValidationError):
-            default_preferred_paths(sphere, "u")
+        with pytest.raises(ValidationError) as exc:
+            least_degrees(sphere, "u")
+        assert exc.value.reason == "bad_preferred_path"
+
+
+def degree_digest(degrees):
+    """sha256 of the degrees as [[vertex, degree], ...] in mapping order."""
+    text = json.dumps([[w, list(d)] for w, d in degrees.items()])
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 class TestDefaultChooserSearch:
-    """The least-total search against the exhaustive chooser it replaces."""
-
-    def check_against_oracle(self, graph, root):
-        expected = {w: exhaustive_least_path(graph, root, w) for w in graph.vertices}
-        if None in expected.values():
-            with pytest.raises(ValidationError) as exc:
-                default_preferred_paths(graph, root)
-            assert exc.value.reason == "bad_preferred_path"
-        else:
-            assert default_preferred_paths(graph, root).assignment == expected
-
-    def test_fixtures(self, lambda3, ledrappier, sphere):
-        for graph in (lambda3, ledrappier, sphere):
-            for root in graph.vertices:
-                self.check_against_oracle(graph, root)
+    """The breadth-first least degrees against the least-total chooser, and
+    against the degrees of the least-word walk they replace (pinned)."""
 
     @settings(max_examples=40, deadline=None)
     @given(generated_documents(), st.data())
     def test_generated_graphs(self, doc, data):
         graph = load_kgraph(doc)
-        self.check_against_oracle(graph, data.draw(st.sampled_from(graph.vertices)))
+        TestLeastDegrees.check_against_oracle(graph, data.draw(st.sampled_from(graph.vertices)))
 
     def test_sixty_vertex_circulant_is_fast(self):
         graph = load_kgraph(twisted_circulant_document(60, (1, 2, 5), (1, 3, 4), 7))
         start = time.perf_counter()
-        prefs = default_preferred_paths(graph, graph.vertices[0])
+        least = least_degrees(graph, graph.vertices[0])
         assert time.perf_counter() - start < 0.5  # the exhaustive chooser took 45 s on a 2-core host
-        assert max(sum(p.degree) for p in prefs.assignment.values()) >= 10
-        assert prefs.assignment == least_total_chooser(graph, graph.vertices[0])
+        assert max(map(sum, least.values())) >= 10
+        assert least == {w: p.degree for w, p in least_total_chooser(graph, graph.vertices[0]).items()}
 
     def test_two_hundred_vertex_circulant_is_fast(self):
         graph = load_kgraph(twisted_circulant_document(200, (1, 2, 5), (1, 3, 4), 7))
         start = time.perf_counter()
-        prefs = default_preferred_paths(graph, graph.vertices[0])
+        least = least_degrees(graph, graph.vertices[0])
         # 0.04 s on a 2-core host; searching every degree of the least total took 2.6 s
         assert time.perf_counter() - start < 0.2
-        assert max(sum(p.degree) for p in prefs.assignment.values()) == 40
+        assert max(map(sum, least.values())) == 40
 
     def test_three_hundred_vertex_circulant_prefs_are_pinned(self):
-        """Each vertex takes the first degree that reaches it, and only the
-        vertices not yet settled are visited: the assignment is the one
-        found by visiting every reached vertex at every degree."""
+        """The digest of the degrees of the least-word walk's paths."""
         graph = load_kgraph(twisted_circulant_document(300, (1, 2), (1, 3), 4))
-        prefs = default_preferred_paths(graph, graph.vertices[0]).assignment
-        text = json.dumps([[w, list(p.degree), list(p.word)] for w, p in prefs.items()])
-        assert hashlib.sha256(text.encode()).hexdigest() == \
-            "e1d52cc4115bf96ff829d2d10101b8be1841cae86a9c57e16285cc3c46b5df50"
-        assert max(sum(p.degree) for p in prefs.values()) == 100
+        least = least_degrees(graph, graph.vertices[0])
+        assert least == enumerated_least_degrees(graph, graph.vertices[0])
+        assert degree_digest(least) == "1b10c6bd52da4fe5ef4213889e1f7f9ce70522fbc90eea5c278bcb0e4e90c0b5"
+        assert max(map(sum, least.values())) == 100
 
     def test_thousand_vertex_circulant_prefs_are_pinned(self):
-        """Captured while each vertex ran its own source-pruned search (7.9 s
-        on a 2-core host; the graded walk takes under 2 s there)."""
+        """The digest of the degrees of the least-word walk's paths."""
         graph = load_kgraph(twisted_circulant_document(1000, (1, 2), (1, 3), 0))
-        prefs = default_preferred_paths(graph, "v0").assignment
-        text = json.dumps([[w, list(p.degree), list(p.word)] for w, p in prefs.items()])
-        assert hashlib.sha256(text.encode()).hexdigest() == \
-            "289e22d97dbb8ae9c28a1d4018ee85a1760410fbf2060966e165eb5956e6997c"
-        assert max(sum(p.degree) for p in prefs.values()) == 333
+        least = least_degrees(graph, "v0")
+        assert degree_digest(least) == "0f850b6fb2cd4cf5b0a2dd0bb6546829ef92272410aa7de359162e5c576887d0"
+        assert max(map(sum, least.values())) == 333
 
 
 @pytest.fixture(scope="module")
@@ -272,13 +280,15 @@ class TestLeastDegrees:
     """The breadth-first least degrees against the per-degree enumeration
     they replace."""
 
-    def check_against_oracle(self, graph, root):
+    @staticmethod
+    def check_against_oracle(graph, root):
         expected = enumerated_least_degrees(graph, root)
-        assert _least_degrees(graph, root) == expected
         unreached = [w for w in graph.vertices if w not in expected]
         if unreached:
             with pytest.raises(ValidationError, match=f"no path from {unreached[0]} to root {root}$"):
-                default_preferred_paths(graph, root)
+                least_degrees(graph, root)
+        else:
+            assert least_degrees(graph, root) == expected
 
     def test_fixtures_every_root(self, lambda3, ledrappier, sphere, bouquet2, bouquet3):
         for graph in (lambda3, ledrappier, sphere, bouquet2, bouquet3):
@@ -301,23 +311,22 @@ class TestLeastDegrees:
                       {"id": "f", "color": 1, "source": "r", "range": "w2"},
                       {"id": "g", "color": 1, "source": "r", "range": "w1"}],
             "squares": []})
-        assert _least_degrees(graph, "r") == {"r": (0,), "a": (1,)}
+        assert enumerated_least_degrees(graph, "r") == {"r": (0,), "a": (1,)}
         with pytest.raises(ValidationError, match="no path from w2 to root r$"):
-            default_preferred_paths(graph, "r")
+            least_degrees(graph, "r")
 
     def test_two_thousand_vertex_circulant_is_fast(self, circulant_2000):
         start = time.perf_counter()
-        least = _least_degrees(circulant_2000, "v0")
+        least = least_degrees(circulant_2000, "v0")
         # 0.04 s on a 2-core host; one numpy step per degree of each total took 7 s
         assert time.perf_counter() - start < 0.5
         assert max(map(sum, least.values())) == 667
 
     def test_two_thousand_vertex_circulant_prefs_are_pinned(self, circulant_2000):
-        """Captured from the per-degree enumeration of least degrees."""
-        prefs = default_preferred_paths(circulant_2000, "v0").assignment
-        text = json.dumps([[w, list(p.degree), list(p.word)] for w, p in prefs.items()])
-        assert hashlib.sha256(text.encode()).hexdigest() == \
-            "2a6192ccd4353c4823fae8ad376970eda0442e4359ddb9d7fef77a67f5c6fca0"
+        """The digest of the degrees of the least-word walk's paths, which
+        were captured from the per-degree enumeration of least degrees."""
+        least = least_degrees(circulant_2000, "v0")
+        assert degree_digest(least) == "5947632e3afb04ca4607c84a8808d244c74c6cd1807df9d271ab3ca774d2ddcc"
 
 
 @pytest.fixture(scope="module")
@@ -330,16 +339,16 @@ class TestPerClassFamily:
     replaces (`helpers.dense_traffic_family`), bit for bit."""
 
     @staticmethod
-    def check_against_oracle(graph, pf, prefs):
+    def check_against_oracle(graph, pf, degrees):
         try:
-            nu, wavelets, constant, complete = dense_traffic_family(graph, pf, prefs)
+            nu, wavelets, constant, complete = dense_traffic_family(graph, pf, degrees)
         except (NoWaveletDegree, NonFiniteResult) as exc:
             with pytest.raises(type(exc), match=str(exc)):
-                traffic_wavelet_family(graph, pf, prefs)
+                traffic_wavelet_family(graph, pf, degrees)
             return
-        fam = traffic_wavelet_family(graph, pf, prefs)
+        fam = traffic_wavelet_family(graph, pf, degrees)
         assert fam.measure.tobytes() == nu.tobytes()
-        assert traffic_measure(graph, pf, prefs).tobytes() == nu.tobytes()
+        assert traffic_measure(graph, pf, degrees).tobytes() == nu.tobytes()
         signals = list(fam.signals())
         assert [label for label, _ in signals] == [label for label, _ in wavelets]
         assert all(a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(signals, wavelets))
@@ -359,32 +368,32 @@ class TestPerClassFamily:
     @given(family_documents(), st.data())
     def test_generated_and_rank3_graphs_default_prefs(self, doc, data):
         """Tori, twisted circulants and rank-3 skeletons, default preferred
-        paths from a random root."""
+        degrees from a random root."""
         graph = load_kgraph(doc)
         root = data.draw(st.sampled_from(graph.vertices))
         try:
             pf = pf_data(graph)
-            prefs = default_preferred_paths(graph, root)
+            degrees = least_degrees(graph, root)
         except (NotStronglyConnected, ValidationError):  # no PF data, or a vertex that cannot reach the root
             assume(False)
-        self.check_against_oracle(graph, pf, prefs)
+        self.check_against_oracle(graph, pf, degrees)
 
     def test_fixtures(self, lambda3, ledrappier, led_pf, led_prefs, bouquet2, bouquet3):
-        """Default paths from every root, and ledrappier's one complete class."""
+        """Default degrees from every root, and ledrappier's one complete class."""
         for graph in (lambda3, ledrappier, bouquet2, bouquet3):
             pf = pf_data(graph)
             for root in graph.vertices:
-                self.check_against_oracle(graph, pf, default_preferred_paths(graph, root))
-        self.check_against_oracle(ledrappier, led_pf, led_prefs)
+                self.check_against_oracle(graph, pf, least_degrees(graph, root))
+        self.check_against_oracle(ledrappier, led_pf, led_prefs.degrees)
 
     def test_three_thousand_vertex_family_allocates_no_dense_signal(self, circulant_3000):
         """The dense family held 2599 signals of 3000 floats (60 MB traced);
         the blocks hold the (m - 1) x m rows of each class."""
         pf = pf_data(circulant_3000)
-        prefs = default_preferred_paths(circulant_3000, "v0")
+        degrees = least_degrees(circulant_3000, "v0")
         tracemalloc.start()
         try:
-            fam = traffic_wavelet_family(circulant_3000, pf, prefs)
+            fam = traffic_wavelet_family(circulant_3000, pf, degrees)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
