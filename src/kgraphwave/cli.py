@@ -381,7 +381,16 @@ def _cmd_laplacian(args):
     _write(args, lines())
 
 
+# each flag of `spectral` that one mode reads, and the modes that read it
+_SPECTRAL_FLAG_MODES = {"t": ("wavelet",), "n": ("wavelet", "localize"), "m": ("localize",),
+                        "tlist": ("localize",), "tgrid": ("reconstruct",)}
+
+
 def _cmd_spectral(args):
+    mode = next((m for m in ("eig", "gft", "wavelet", "reconstruct", "localize") if getattr(args, m)), None)
+    for flag, modes in _SPECTRAL_FLAG_MODES.items():
+        if getattr(args, flag) is not None and mode not in modes:
+            _fail(USAGE_EXIT, "usage", f"--{flag} applies only to --{' or --'.join(modes)}")
     graph = _load_graph(args)
 
     def eigendata():  # each mode checks its own arguments first
@@ -399,9 +408,10 @@ def _cmd_spectral(args):
         return
     if args.wavelet:
         n = _vertex_index(graph, args.n, "--n")
-        _check_scales([args.t], "--t")
-        psi = _scaled("--t", spectral_wavelet, eigendata(), default_kernel(), args.t, n)
-        _emit(args, ({"t": args.t, "n": args.n, "m": v, "value": float(x)}
+        t = 1.0 if args.t is None else args.t
+        _check_scales([t], "--t")
+        psi = _scaled("--t", spectral_wavelet, eigendata(), default_kernel(), t, n)
+        _emit(args, ({"t": t, "n": args.n, "m": v, "value": float(x)}
                      for v, x in zip(graph.vertices, psi)),
               csv_fields=["t", "n", "m", "value"])
         return
@@ -502,10 +512,10 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--wavelet", action="store_true")
     mode.add_argument("--reconstruct", help="signal file to reconstruct")
     mode.add_argument("--localize", action="store_true")
-    p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--n", help="wavelet center vertex")
-    p.add_argument("--m", help="probe target vertex")
-    p.add_argument("--tgrid", help="lo,hi,count for the scale grid")
+    p.add_argument("--t", type=float, help="wavelet scale for --wavelet (default 1.0)")
+    p.add_argument("--n", help="wavelet center vertex (--wavelet, --localize)")
+    p.add_argument("--m", help="probe target vertex (--localize)")
+    p.add_argument("--tgrid", help="lo,hi,count for the scale grid (--reconstruct)")
     p.add_argument("--tlist", help="comma-separated scales for --localize")
     p.set_defaults(handler=_cmd_spectral)
 

@@ -439,6 +439,18 @@ class TestErrorChannel:
         ("--localize", "--n", "v", "--m", "v", "--tlist", "0.5,nan"),
         ("--localize", "--n", "v", "--m", "v", "--tlist=-1,0.5"),
         ("--localize", "--n", "v", "--m", "v", "--tlist", "0.5,inf"),
+        # a flag that the chosen mode does not read
+        ("--eig", "--tgrid", "1,2,3"),
+        ("--localize", "--n", "v", "--m", "v", "--tlist", "1", "--tgrid", "1e-3,10,100"),
+        ("--gft", "SIG", "--tlist", "0.5"),
+        ("--wavelet", "--n", "v", "--tlist", "0.5"),
+        ("--wavelet", "--n", "v", "--m", "v"),
+        ("--reconstruct", "SIG", "--m", "v"),
+        ("--localize", "--n", "v", "--m", "v", "--tlist", "1", "--t", "1"),
+        ("--eig", "--t", "1"),
+        ("--eig", "--n", "v"),
+        ("--reconstruct", "SIG", "--n", "v"),
+        ("--tgrid", "1,2,3"),
     ])
     def test_spectral_usage_errors_come_before_eigendata(self, capsys, monkeypatch, tmp_path, argv):
         def eig_sym(_):
@@ -450,6 +462,22 @@ class TestErrorChannel:
         _, errtext = run_cli(capsys, "spectral", L3, *argv, expect_exit=1)
         (line,) = errtext.splitlines()
         assert json.loads(line)["error"] == "usage"
+
+    @pytest.mark.parametrize("argv,message", [
+        (("--eig", "--tgrid", "1,2,3"), "--tgrid applies only to --reconstruct"),
+        (("--wavelet", "--n", "v1", "--m", "v2"), "--m applies only to --localize"),
+        (("--gft", "SIG", "--n", "v1"), "--n applies only to --wavelet or --localize"),
+        (("--reconstruct", "SIG", "--t", "0.5"), "--t applies only to --wavelet"),
+    ], ids=["tgrid", "m", "n", "t"])
+    def test_stray_spectral_flag_is_refused_before_any_file_is_read(self, capsys, argv, message):
+        argv = ["/nonexistent/sig.json" if a == "SIG" else a for a in argv]
+        out, errtext = run_cli(capsys, "spectral", "/nonexistent/graph.kg", *argv, expect_exit=1)
+        (line,) = errtext.splitlines()
+        assert out == "" and json.loads(line) == {"error": "usage", "message": message}
+
+    def test_spectral_wavelet_scale_defaults_to_one(self, capsys):
+        assert run_cli(capsys, "spectral", LED, "--wavelet", "--n", "v2") == \
+            run_cli(capsys, "spectral", LED, "--wavelet", "--n", "v2", "--t", "1.0")
 
     @pytest.mark.parametrize("mode", ["--gft", "--reconstruct"])
     @pytest.mark.parametrize("text", [
