@@ -209,20 +209,32 @@ def _decode_line(line: str):
     return value if line[end:] in ("", "\n") else json.loads(line)
 
 
+def _json_lines(filename: str):
+    """Each nonblank line of a JSON-lines file with its line number and its
+    value (`_decode_line`); a line that is no JSON raises ParseError naming
+    the file and the line."""
+    with open(filename) as fh:
+        lines = [(number, line) for number, line in enumerate(fh, 1) if line.strip()]
+    for number, line in lines:
+        try:
+            yield number, line, _decode_line(line)
+        except json.JSONDecodeError as exc:
+            raise err.ParseError(f"{filename} line {number}: invalid JSON: {exc.msg} at column {exc.colno}") from exc
+
+
 def _read_records(filename: str, fields: tuple[str, ...]) -> list[dict]:
     """The records of a JSON-lines transform input, one object per nonblank
     line, each holding the named `fields` in valid form: ``path`` a list of
-    strings, ``coeff`` a number."""
+    strings, ``coeff`` a number.  The first line with a fault names it."""
     checks = [(name, *_RECORD_FIELDS[name]) for name in fields]
-    with open(filename) as fh:
-        lines = [(number, line) for number, line in enumerate(fh, 1) if line.strip()]
-    records = [_decode_line(line) for _, line in lines]
-    for (number, line), rec in zip(lines, records):
+    records = []
+    for number, line, rec in _json_lines(filename):
         if type(rec) is not dict:
             raise err.ParseError(f"{filename} line {number}: expected a JSON object, got {line.strip()}")
         for name, check, what in checks:
             if not check(rec.get(name)):
                 raise err.ParseError(f"{filename} line {number}: field {name!r} must be {what}")
+        records.append(rec)
     return records
 
 
@@ -239,7 +251,10 @@ def _finite(values: np.ndarray, flag: str, what: str) -> np.ndarray:
 def _signal_from_file(path: str, n: int) -> np.ndarray:
     """A vertex signal: a JSON list of n numbers, each finite and not a bool."""
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise err.ParseError(f"{path} line {exc.lineno}: invalid JSON: {exc.msg} at column {exc.colno}") from exc
     if type(data) is not list or not all(_is_number(x) for x in data):
         raise err.ParseError(f"signal in {path} must be a JSON list of finite numbers")
     sig = np.asarray(data, dtype=float)
@@ -302,6 +317,8 @@ def _cmd_ck_check(args):
 def _cmd_wavelets(args):
     if args.compare is not None and args.compare < 1:
         _fail(USAGE_EXIT, "usage", f"--compare must be an integer >= 1, got {args.compare}")
+    if args.depth is not None and (args.list_family or args.compare is not None):
+        _fail(USAGE_EXIT, "usage", "--depth applies only to the basis, --analyze and --synthesize")
     graph = _load_graph(args)
     family = build_wavelet_family(graph, shape=_parse_list(args.shape, int, "degree/shape", "1,2"))
     if args.compare is not None:
@@ -312,7 +329,7 @@ def _cmd_wavelets(args):
     if args.list_family:
         _write(args, [family.listing()])
         return
-    basis = wavelet_basis(family, args.depth)
+    basis = wavelet_basis(family, 1 if args.depth is None else args.depth)
     if args.analyze:
         fn = CylinderFn.from_records(graph, _read_records(args.analyze, ("path", "coeff")))
         with np.errstate(over="ignore", invalid="ignore"):
@@ -339,16 +356,19 @@ def _cmd_traffic(args):
         _vertex_index(graph, args.root, "--root")
     pf = pf_data(graph)
     if args.prefs:
-        records = []
+        records, seen = [], {}  # seen: the line that names each vertex
         try:
-            with open(args.prefs) as fh:
-                for line in filter(str.strip, fh):
-                    rec = json.loads(line)
-                    if not (isinstance(rec, dict) and isinstance(rec.get("vertex"), str)
-                            and isinstance(rec.get("path"), str)):
-                        raise err.ParseError("preferred-path records need string 'vertex' and 'path' "
-                                             f"fields, got {line.strip()}")
-                    records.append(rec)
+            for number, line, rec in _json_lines(args.prefs):
+                if not (isinstance(rec, dict) and isinstance(rec.get("vertex"), str)
+                        and isinstance(rec.get("path"), str)):
+                    raise err.ParseError(f"{args.prefs} line {number}: preferred-path records need string "
+                                         f"'vertex' and 'path' fields, got {line.strip()}")
+                vertex = rec["vertex"]
+                if vertex in seen:
+                    raise err.ValidationError("bad_preferred_path", f"{args.prefs} line {number}: vertex {vertex!r} "
+                                              f"is named again, first on line {seen[vertex]}")
+                seen[vertex] = number
+                records.append(rec)
         finally:  # the words of the lines before a bad line are read first: their fault wins
             forms = _parse_words(graph, [rec["path"] for rec in records])
         assignment = {rec["vertex"]: path_of(graph, form) for rec, form in zip(records, forms)}
@@ -448,7 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--graph", dest="graph_flag", default=None,
                            help="alternative to the positional graph argument")
         p.add_argument("--out", help="write output to this file instead of stdout")
-        p.add_argument("--csv", action="store_true", help="emit CSV where supported")
 
     p = sub.add_parser("validate", help="load a graph document and report its shape")
     common(p)
@@ -478,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("wavelets", help="path-space wavelet family and transforms")
     common(p)
     p.add_argument("--shape", required=True, help="wavelet shape, e.g. 1,2")
-    p.add_argument("--depth", type=int, default=1)
+    p.add_argument("--depth", type=int, help="cascade depth of the basis, --analyze and --synthesize (default 1)")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--list-family", action="store_true")
     mode.add_argument("--analyze", help="cylinder-function records file to analyze")
@@ -519,6 +538,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tlist", help="comma-separated scales for --localize")
     p.set_defaults(handler=_cmd_spectral)
 
+    for name in ("measure", "ck-check", "spectral"):  # the ops whose records are the rows of a table
+        sub.choices[name].add_argument("--csv", action="store_true", help="emit CSV instead of JSON lines")
     return parser
 
 

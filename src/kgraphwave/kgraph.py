@@ -595,6 +595,34 @@ def _expand_runs(first: np.ndarray, count: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1] if len(ends) else 0) + np.repeat(first - (ends - count), count)
 
 
+def _range_index(cells: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The positions of the cells by cell, each cell's run kept in position
+    order; where the run of each cell 0, ..., size - 1 starts, and its length."""
+    runs = np.bincount(cells, minlength=size)
+    return np.argsort(cells, kind="stable"), np.cumsum(runs) - runs, runs
+
+
+class LevelStack(NamedTuple):
+    """The levels of some degrees laid end to end (`WordKernel.stack`): the
+    paths of degrees[g] (``index`` numbers them) are positions base[g], ...,
+    base[g] + counts[g] - 1, with their rows (padded with edge 0 to one
+    width), ranges and sources.  Cell g * n + v of the range index lists the
+    positions in level g of the paths into vertex v; ranks[g] is the rank
+    table of degrees[g], 0 past its length."""
+
+    degrees: tuple[Degree, ...]
+    index: dict[Degree, int]
+    base: np.ndarray
+    counts: np.ndarray
+    words: np.ndarray
+    ranges: np.ndarray
+    sources: np.ndarray
+    by_range: np.ndarray
+    starts: np.ndarray
+    runs: np.ndarray
+    ranks: np.ndarray
+
+
 class WordKernel:
     """Normal-form paths as rows of edge indices, and the one engine that
     rewrites, composes and factors them.
@@ -618,16 +646,17 @@ class WordKernel:
       words that agree before pos and carry a smaller edge there: the
       completions, from the sources of the smaller edges with e's range (any
       range at pos 0), of the colors after pos.
-    - Each level has one range index: its positions by range, and where each
+    - A level's range index lists its positions by range, with where each
       range's run starts.  `matching` pairs paths with the level's paths by
-      reading it, so every composition against a level (the prefix tables of
-      the CK check, `measure.extension_rows`) sorts the level once.
-    - `matching` and `rank` also take one degree per row, through the range
-      indexes and rank tables of several levels laid end to end.
+      reading it: one sort of the level per call, so each composition against
+      a level (`measure.extension_rows`, a cascade level of
+      `wavelets.wavelet_basis`) pairs all its paths in one call.
+    - `stack` lays the levels of several degrees end to end, with their range
+      indexes and rank tables (`LevelStack`): `matching` and `rank` read it
+      for one degree per row, as the prefix tables of the CK check do.
 
-    Built on first use of `KGraph.word_kernel`; levels, their range indexes
-    and the rank tables are cached per degree, and the last of each laid end
-    to end.
+    Built on first use of `KGraph.word_kernel`; its one memo is the levels,
+    per degree.  A range index or a rank table is built where it is read.
     """
 
     def __init__(self, graph: KGraph):
@@ -654,9 +683,6 @@ class WordKernel:
             by_range = order[lo:hi]
             self._into[int(colors[lo])] = by_range, np.searchsorted(self.range[by_range], np.arange(n + 1))
         self._levels: dict[Degree, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._by_range: dict[Degree, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._offsets: dict[Degree, np.ndarray] = {}
-        self._stacked: dict[str, tuple] = {}  # the last range indexes and rank tables laid end to end
 
     @cached_property
     def id_texts(self) -> np.ndarray:
@@ -689,35 +715,38 @@ class WordKernel:
             self._levels[degree] = out
         return self._levels[degree]
 
-    def matching(self, sources: np.ndarray, degree: Degree | Sequence[Degree],
+    def stack(self, degrees: Sequence[Degree]) -> LevelStack:
+        """The levels of these degrees laid end to end, each read once, with
+        their range indexes and their rank tables (`LevelStack`)."""
+        degrees, n = tuple(degrees), len(self.graph.vertices)
+        rows, ranges, sources = zip(*map(self.level, degrees))
+        counts = np.array(list(map(len, ranges)), dtype=np.intp)
+        base, width = np.cumsum(counts) - counts, max(map(sum, degrees))
+        words = np.zeros((int(counts.sum()), width), dtype=np.intp)
+        ranks = np.zeros((len(degrees), width, len(self.ids)), dtype=np.intp)
+        for g, (degree, level, lo) in enumerate(zip(degrees, rows, base.tolist())):
+            words[lo:lo + len(level), :sum(degree)] = level
+            ranks[g, :sum(degree)] = self._rank_offsets(_degree_colors(degree))
+        ranges, sources = np.concatenate(ranges), np.concatenate(sources)
+        # sorted by cell g * n + range, the positions of level g stay in its block: less base[g], they index it
+        by_range, starts, runs = _range_index(np.repeat(np.arange(len(degrees)) * n, counts) + ranges, len(degrees) * n)
+        return LevelStack(degrees, {degree: g for g, degree in enumerate(degrees)}, base, counts, words, ranges,
+                          sources, by_range - np.repeat(base, counts), starts, runs, ranks)
+
+    def matching(self, sources: np.ndarray, degree: Degree | LevelStack,
                  of: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """The pairs (i, j) with sources[i] the range of the j-th path of the
         level of `degree`, i-major, j ascending, read off the level's range
-        index.  With ``of``, `degree` lists several degrees and source i is
-        matched in the level of degree[of[i]], all at once through their range
-        indexes laid end to end."""
+        index.  With ``of``, `degree` is a `LevelStack` and source i is
+        matched in its level of degree degrees[of[i]], j a position in that
+        level, all at once through the stack's range index."""
+        n = len(self.graph.vertices)
         if of is None:
-            by_range, starts, runs = self._range_index(degree)
-            count = runs[sources]
-            return np.repeat(np.arange(len(sources)), count), by_range[_expand_runs(starts[sources], count)]
-        degrees = tuple(degree)
-        if self._stacked.get("matching", (None,))[0] != degrees:
-            by_range, starts, runs = zip(*map(self._range_index, degrees))
-            sizes = np.array([len(a) for a in by_range])
-            self._stacked["matching"] = degrees, (np.concatenate(by_range), np.concatenate(starts) + np.repeat(
-                np.cumsum(sizes) - sizes, len(self.graph.vertices)), np.concatenate(runs))
-        by_range, starts, runs = self._stacked["matching"][1]
-        at = of * len(self.graph.vertices) + sources
+            (by_range, starts, runs), at = _range_index(self.level(degree)[1], n), sources
+        else:
+            (by_range, starts, runs), at = (degree.by_range, degree.starts, degree.runs), of * n + sources
         count = runs[at]
         return np.repeat(np.arange(len(sources)), count), by_range[_expand_runs(starts[at], count)]
-
-    def _range_index(self, degree: Degree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The level's positions by range, where each range's run starts, and its length."""
-        if degree not in self._by_range:
-            ranges = self.level(degree)[1]
-            runs = np.bincount(ranges, minlength=len(self.graph.vertices))
-            self._by_range[degree] = np.argsort(ranges, kind="stable"), np.cumsum(runs) - runs, runs
-        return self._by_range[degree]
 
     def words(self, colors: tuple[int, ...]) -> np.ndarray:
         """All composable words of a nonempty color sequence, as new rows."""
@@ -793,27 +822,17 @@ class WordKernel:
                 f"no square covers the composable pair ({self.ids[a[miss]]}, {self.ids[b[miss]]})")
         return self.pair_first[at], self.pair_second[at]
 
-    def rank(self, words: np.ndarray, degree: Degree | Sequence[Degree],
+    def rank(self, words: np.ndarray, degree: Degree | LevelStack,
              of: np.ndarray | None = None) -> np.ndarray:
         """The position of each normal-form row in the level of `degree`
         (nonzero: a degree-0 path is ranked by its vertex index).  With
-        ``of``, `degree` lists several degrees and row r is of degree[of[r]],
-        its letters past its word ignored; a zero degree ranks every row 0."""
+        ``of``, `degree` is a `LevelStack` at least as wide as the rows, and
+        row r is of its degree degrees[of[r]], its letters past its word
+        ignored; a zero degree ranks every row 0."""
         if of is None:
-            offsets = self._rank_table(degree)
+            offsets = self._rank_offsets(_degree_colors(degree))
             return offsets[np.arange(len(offsets)), words].sum(axis=1)
-        degrees, width = tuple(degree), words.shape[1]
-        if self._stacked.get("rank", (None,))[0] != (degrees, width):
-            stacked = np.zeros((len(degrees), width, len(self.ids)), dtype=np.intp)
-            for g, d in enumerate(degrees):
-                stacked[g, :sum(d)] = self._rank_table(d) if any(d) else 0
-            self._stacked["rank"] = (degrees, width), stacked
-        return self._stacked["rank"][1][of[:, None], np.arange(width), words].sum(axis=1)
-
-    def _rank_table(self, degree: Degree) -> np.ndarray:
-        if degree not in self._offsets:
-            self._offsets[degree] = self._rank_offsets(_degree_colors(degree))
-        return self._offsets[degree]
+        return degree.ranks[of[:, None], np.arange(words.shape[1]), words].sum(axis=1)
 
     def _rank_offsets(self, colors: tuple[int, ...]) -> np.ndarray:
         """offsets[pos, e]: the rank added by edge e at position pos."""

@@ -70,7 +70,6 @@ class MeasureSpec:
         self._masses = (self.rho, self.x, self.w) if exact_triple is None else \
             tuple(np.array(a, dtype=object) for a in exact_triple)
         self._w_root = np.array([v ** -0.5 for v in self.w.tolist()])
-        self._scales: dict[Degree, object] = {}  # rho^{-L} of the mass triple, per level
 
     @classmethod
     def perron_frobenius(cls, graph: KGraph, pf: PFData | None = None,
@@ -128,9 +127,8 @@ class MeasureSpec:
 
         Each product runs left to right, as a reduction by np.multiply does."""
         rho, x, w = self._masses
-        if level not in self._scales:  # math.prod: np.prod's order, without its object-array cost
-            self._scales[level] = math.prod(rho ** -np.array(level, dtype=rho.dtype))
-        return self._scales[level] * x[sources] * np.multiply.reduce(w[words], axis=1)
+        # math.prod: np.prod's order, without its object-array cost
+        return math.prod(rho ** -np.array(level, dtype=rho.dtype)) * x[sources] * np.multiply.reduce(w[words], axis=1)
 
 
 def cylinder_measure(spec: MeasureSpec, path: Path):

@@ -15,12 +15,12 @@ s(lambda), which the level's range index gives (`WordKernel.matching`).
 All the tables a computation needs are built together (`_prefix_tables`)
 into one flat store, an array of 32-bit rows and one of values, with an
 offset and a shape per key (x, L); each table is a reshaped view of it.  The
-levels the keys read are built once and laid end to end (`_lattice`).  In
-chunks of bounded size, one `WordKernel.matching` through the range indexes
-of those levels pairs every lambda with its mu, one `WordKernel.compose`
-writes every product lambda*mu (one `WordKernel.rewrite`, each row by the
-swap schedule of its key), and one `WordKernel.rank` finds its row: the
-number of these calls follows the entries, not the number of tables.
+levels the keys read are laid end to end once (`WordKernel.stack`).  In
+chunks of bounded size, one `WordKernel.matching` through that stack pairs
+every lambda with its mu, one `WordKernel.compose` writes every product
+lambda*mu (one `WordKernel.rewrite`, each row by the swap schedule of its
+key), and one `WordKernel.rank` finds its row: the number of these calls
+follows the entries, not the number of tables.
 
 `check_ck_relations` first refuses a test level past its budgets, before it
 builds a level: the number of tables (`ck_table_count`, against
@@ -28,7 +28,7 @@ builds a level: the number of tables (`ck_table_count`, against
 `CK_ENTRY_LIMIT`).  It then checks the four Cuntz-Krieger relations on the
 store, each in batched passes over all its cases: (CK1) over the entries of
 the vertex projections, and (CK2), (CK3) and (CK4) over the entries of the
-tables of every degree together, found through the same range indexes.
+tables of every degree together, found through the same stack.
 `s_matrix` reads one row of the table of one key as an `OperatorMatrix`,
 whose `.matrix` is the dense view.
 """
@@ -48,6 +48,7 @@ from .errors import DegreeRangeError, LevelTooSmall, NonConstantDerivative, TooL
 from .kgraph import (
     Degree,
     KGraph,
+    LevelStack,
     Path,
     _expand_runs,
     _path_count,
@@ -165,47 +166,17 @@ class OperatorMatrix:
         return mat
 
 
-class _Lattice(NamedTuple):
-    """The levels of some degrees laid end to end, each built once: the paths
-    of degrees[g] are positions base[g], ..., base[g] + counts[g] - 1, with
-    their word-kernel rows (padded with edge 0 to one width), ranges,
-    sources, `level_space` weights and `MeasureSpec.prefix_factors`."""
-
-    degrees: tuple[Degree, ...]
-    index: dict[Degree, int]
-    base: np.ndarray
-    counts: np.ndarray
-    words: np.ndarray
-    ranges: np.ndarray
-    sources: np.ndarray
-    weights: np.ndarray
-    factors: np.ndarray
-
-
-def _lattice(spec: MeasureSpec, degrees: Sequence[Degree]) -> _Lattice:
-    degrees = tuple(degrees)
-    spaces = [level_space(spec, degree) for degree in degrees]
-    counts = np.array([len(space.weights) for space in spaces], dtype=np.intp)
-    words = np.zeros((int(counts.sum()), max(map(sum, degrees))), dtype=np.intp)
-    for space, lo, n in zip(spaces, (np.cumsum(counts) - counts).tolist(), counts.tolist()):
-        words[lo:lo + n, :sum(space.level)] = space.words
-    return _Lattice(degrees, {degree: g for g, degree in enumerate(degrees)}, np.cumsum(counts) - counts, counts,
-                    words, *(np.concatenate([getattr(space, name) for space in spaces])
-                             for name in ("ranges", "sources", "weights")),
-                    np.concatenate([spec.prefix_factors(space.level, space.words) for space in spaces]))
-
-
 class _Tables:
     """Prefix tables in one flat column-form store.  Key q is the row
-    keys[q] = (x, L, x + L) of lattice ids; its table is rows and vals
-    [offset[q], offset[q] + height[q] * width[q]) read as a height x width
-    matrix: entry (i, mu) is the row and the value of column mu of the i-th
-    S_lambda, -1 and 0 where the column is empty.  entries[q] counts its
-    nonempty cells."""
+    keys[q] = (x, L, x + L) of ids of ``stack.degrees``; its table is rows
+    and vals [offset[q], offset[q] + height[q] * width[q]) read as a height
+    x width matrix: entry (i, mu) is the row and the value of column mu of
+    the i-th S_lambda, -1 and 0 where the column is empty.  entries[q]
+    counts its nonempty cells."""
 
-    def __init__(self, lattice: _Lattice, keys: np.ndarray, offset: np.ndarray, height: np.ndarray,
+    def __init__(self, stack: LevelStack, keys: np.ndarray, offset: np.ndarray, height: np.ndarray,
                  width: np.ndarray, entries: np.ndarray, rows: np.ndarray, vals: np.ndarray):
-        self.lattice, self.keys, self.offset, self.height, self.width = lattice, keys, offset, height, width
+        self.stack, self.keys, self.offset, self.height, self.width = stack, keys, offset, height, width
         self.entries, self.rows, self.vals = entries, rows, vals
 
     def table(self, q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -216,7 +187,7 @@ class _Tables:
     @cached_property
     def index(self) -> dict[tuple[Degree, Degree], int]:
         """Each key (x, L) as degrees, to its number."""
-        degrees = self.lattice.degrees
+        degrees = self.stack.degrees
         return {(degrees[x], degrees[level]): q for q, (x, level, _) in enumerate(self.keys.tolist())}
 
     def __getitem__(self, key: tuple[Degree, Degree]) -> tuple[np.ndarray, np.ndarray]:
@@ -254,55 +225,60 @@ def _prefix_tables(spec: MeasureSpec, degrees: Sequence[Degree], keys: np.ndarra
     the row of lambda*mu with entry `MeasureSpec.prefix_factors` *
     sqrt(M(Z(lambda mu)) / M(Z(mu))).
 
-    Each level the keys read is built once (`_lattice`).  The tables are
+    The levels the keys read are laid end to end once, with their range
+    indexes and rank tables (`WordKernel.stack`), and their `level_space`
+    weights and `MeasureSpec.prefix_factors` beside them.  The tables are
     built together, in chunks of consecutive keys (`_chunks`), each by one
-    `WordKernel.matching` through the range indexes of the levels L, one
+    `WordKernel.matching` through the stack into the levels L, one
     `WordKernel.compose` of every product lambda*mu (one `WordKernel.rewrite`,
     each row by the swap schedule of its key), and one `WordKernel.rank` into
     the levels x + L.  A derivative that is not constant (an entry off 1
     by 1e-12 or more) raises at the first entry, in key order, that shows
     it."""
-    kernel, lattice, (kx, kl, km) = spec.graph.word_kernel, _lattice(spec, degrees), keys.T
+    kernel, (kx, kl, km) = spec.graph.word_kernel, keys.T
+    stack = kernel.stack(degrees)
+    spaces = [level_space(spec, degree) for degree in stack.degrees]
+    weights = np.concatenate([space.weights for space in spaces])
+    factors = np.concatenate([spec.prefix_factors(space.level, space.words) for space in spaces])
     xs, ls = (np.array(degrees, dtype=np.intp).reshape(len(degrees), spec.graph.k)[k] for k in (kx, kl))
-    zero = lattice.index.get(spec.graph.zero_degree(), -1)
-    height = lattice.counts[kx] if first is None else np.ones(len(keys), dtype=np.intp)
-    start = lattice.base[kx] + (first or 0)  # the store's first lambda of each key
-    width = lattice.counts[kl]
+    zero = stack.index.get(spec.graph.zero_degree(), -1)
+    height = stack.counts[kx] if first is None else np.ones(len(keys), dtype=np.intp)
+    start = stack.base[kx] + (first or 0)  # the store's first lambda of each key
+    width = stack.counts[kl]
     size = height * width
     offset, entries = np.cumsum(size) - size, np.zeros(len(keys), dtype=np.intp)
     # a row index fits 32 bits: no level of a table holds more paths than the table has cells
     rows, vals = np.full(int(size.sum()), -1, dtype=np.int32), np.zeros(int(size.sum()))
     # a key's chunk work: its entries times the letters of a product, each
     # lambda meeting the paths of level L with its source as range
-    n, letters = len(spec.graph.vertices), lattice.words.shape[1] + 1
-    by_vertex = [np.bincount(np.repeat(np.arange(len(lattice.degrees)), lattice.counts) * n + column,
-                             minlength=len(lattice.degrees) * n).reshape(-1, n)
-                 for column in (lattice.sources, lattice.ranges)]
-    for a, b in _chunks(((by_vertex[0][kx] * by_vertex[1][kl]).sum(axis=1) * letters).tolist()):
+    n, letters = len(spec.graph.vertices), stack.words.shape[1] + 1
+    by_source = np.bincount(np.repeat(np.arange(len(stack.degrees)) * n, stack.counts) + stack.sources,
+                            minlength=len(stack.runs)).reshape(-1, n)
+    for a, b in _chunks(((by_source[kx] * stack.runs.reshape(-1, n)[kl]).sum(axis=1) * letters).tolist()):
         q = a + np.argsort(xs[a:b].sum(axis=1), kind="stable")  # by the length of lambda, for `compose`
         owner = np.repeat(q, height[q])
         lam = _expand_runs(start[q], height[q])
-        pair, cols = kernel.matching(lattice.sources[lam], lattice.degrees, of=kl[owner])
+        pair, cols = kernel.matching(stack.sources[lam], stack, of=kl[owner])
         key, lam = owner[pair], lam[pair]
-        mu = lattice.base[kl[key]] + cols
-        words = kernel.compose(lattice.words[lam], xs[a:b], lattice.words[mu], ls[a:b], of=key - a)
+        mu = stack.base[kl[key]] + cols
+        words = kernel.compose(stack.words[lam], xs[a:b], stack.words[mu], ls[a:b], of=key - a)
         # a vertex times mu is mu
-        at = np.where(kx[key] == zero, cols, kernel.rank(words, lattice.degrees, of=km[key]))
-        val = lattice.factors[lam] * np.sqrt(lattice.weights[lattice.base[km[key]] + at] / lattice.weights[mu])
+        at = np.where(kx[key] == zero, cols, kernel.rank(words, stack, of=km[key]))
+        val = factors[lam] * np.sqrt(weights[stack.base[km[key]] + at] / weights[mu])
         cell = offset[key] + (lam - start[key]) * width[key] + cols
         good = np.abs(val - 1.0) < 1e-12
         if not good.all():
             bad = np.flatnonzero(~good)
             bad = int(bad[np.argmin(cell[bad])])  # the first in the store, so in key order
-            x, level = lattice.degrees[kx[key[bad]]], lattice.degrees[kl[key[bad]]]
-            lam_path, mu_path = (kernel.paths((lattice.words[p:p + 1, :sum(d)], lattice.ranges[p:p + 1],
-                                               lattice.sources[p:p + 1]), d)[0]
+            x, level = stack.degrees[kx[key[bad]]], stack.degrees[kl[key[bad]]]
+            lam_path, mu_path = (kernel.paths((stack.words[p:p + 1, :sum(d)], stack.ranges[p:p + 1],
+                                               stack.sources[p:p + 1]), d)[0]
                                  for p, d in ((lam[bad], x), (mu[bad], level)))
             raise NonConstantDerivative(f"Radon-Nikodym derivative not constant: entry "
                                         f"{val[bad]} for {lam_path}, {mu_path}")
         rows[cell], vals[cell] = at, val
         entries[a:b] = np.bincount(key - a, minlength=b - a)
-    return _Tables(lattice, keys, offset, height, width, entries, rows, vals)
+    return _Tables(stack, keys, offset, height, width, entries, rows, vals)
 
 
 def s_matrix(spec: MeasureSpec, path: Path, domain_level: Sequence[int]) -> OperatorMatrix:
@@ -316,7 +292,7 @@ def s_matrix(spec: MeasureSpec, path: Path, domain_level: Sequence[int]) -> Oper
     levels = sorted({degree, domain_level, codomain})
     tables = _prefix_tables(spec, levels, np.array([[levels.index(d) for d in (degree, domain_level, codomain)]]), at)
     (rows,), (vals,) = tables.table(0)
-    cols, size = np.flatnonzero(rows >= 0), int(tables.lattice.counts[tables.keys[0, 2]])
+    cols, size = np.flatnonzero(rows >= 0), int(tables.stack.counts[tables.keys[0, 2]])
     return OperatorMatrix(domain_level, codomain, (size, len(rows)), rows[cols].astype(np.intp), cols, vals[cols])
 
 
@@ -407,7 +383,7 @@ def _least_table_entries(graph: KGraph, test_level: Degree) -> int:
 
 class _Plan(NamedTuple):
     """What the CK check at one test level T reads, worked out from T alone.
-    Lattice ids number the degrees up to T in product order (``degrees``),
+    Degree ids number the degrees up to T in product order (``degrees``),
     a mixed-radix numbering, so below T they add and subtract as the degrees
     do.  ``keys`` holds the ids (x, L, x + L) of the check's tables in
     build order (`_ck_tables`).  ``ck2`` holds, for each pair of nonzero
@@ -521,7 +497,7 @@ def check_ck_relations(spec: MeasureSpec, graph: KGraph,
     _ck_budget(graph, test_level)
     plan = _ck_plan(test_level)
     tables, kernel, vertices = _ck_tables(spec, plan), graph.word_kernel, graph.vertices
-    lattice = tables.lattice
+    stack = tables.stack
     worst = {relation: (0.0, {}) for relation in ("CK1", "CK2", "CK3", "CK4")}
 
     def record(relation: str, devs: np.ndarray, witness):
@@ -535,11 +511,11 @@ def check_ck_relations(spec: MeasureSpec, graph: KGraph,
         return "".join(kernel.ids[e] for e in kernel.level(degree)[0][i])
 
     def matched(heads: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The nonempty cells of the rows of the paths at these lattice
+        """The nonempty cells of the rows of the paths at these stack
         positions in tables at these levels, row after row, columns
         ascending: a table has an entry exactly where the range of the column
         is the source of the row's path (`WordKernel.matching`)."""
-        return kernel.matching(lattice.sources[heads], lattice.degrees, of=levels)
+        return kernel.matching(stack.sources[heads], stack, of=levels)
 
     # (CK1) S_v S_w = [v = w] S_v, and the S_v sum to 1.  Column mu of the
     # projections holds one entry, (row, val)[mu] of S_{r(mu)}, so S_v S_w
@@ -564,7 +540,7 @@ def check_ck_relations(spec: MeasureSpec, graph: KGraph,
     # + base, against one row of the table of S_{mu lambda}, term by term.
     # Both rows have their entries at the columns that `matched` gives; every
     # other term is 0 on both sides.
-    base, counts = lattice.base, lattice.counts
+    base, counts = stack.base, stack.counts
     store, offset, width = (tables.rows, tables.vals), tables.offset, tables.width
     comp, outer, inner, target, d, dl, low = plan.ck2
     for a, b in _chunks((tables.entries[comp] * (tables.entries[inner] // tables.height[inner] + 1)).tolist()):
@@ -590,11 +566,11 @@ def check_ck_relations(spec: MeasureSpec, graph: KGraph,
     own, projections, d, rest = plan.ck34
     for a, b in _chunks((tables.entries[own] + n * len(at)).tolist()):
         owner = np.repeat(np.arange(a, b), counts[d[a:b]])
-        mus = _expand_runs(base[d[a:b]], counts[d[a:b]])  # in the lattice
+        mus = _expand_runs(base[d[a:b]], counts[d[a:b]])  # in the stack
         case, col = matched(mus, rest[owner])
         across = width[own[owner]]
         cell = (offset[own[owner]] + (mus - base[d[owner]]) * across)[case] + col
-        target = (offset[projections[owner]] + lattice.sources[mus] * across)[case] + col
+        target = (offset[projections[owner]] + stack.sources[mus] * across)[case] + col
         row, val = store[0][cell], store[1][cell]
         dev = _case_max(_gaps((col, val ** 2), (store[0][target], store[1][target])), case, len(mus))
         key, size = case * len(at) + row, np.abs(val)
@@ -604,7 +580,7 @@ def check_ck_relations(spec: MeasureSpec, graph: KGraph,
         np.maximum.at(dev, by[shared], size[shared] * size[shared + 1])
         record("CK3", dev, lambda p: {"mu": word(plan.degrees[d[owner[p]]], mus[p] - base[d[owner[p]]])})
         acc = np.zeros((b - a, n, len(at)))
-        np.add.at(acc.reshape(-1), ((owner[case] - a) * n + lattice.ranges[mus[case]]) * len(at) + row, val ** 2)
+        np.add.at(acc.reshape(-1), ((owner[case] - a) * n + stack.ranges[mus[case]]) * len(at) + row, val ** 2)
         record("CK4", _deviation((at, acc), projs).reshape(-1),
                lambda p: {"n": list(plan.degrees[d[a + p // n]]), "vertex": vertices[p % n]})
 

@@ -352,24 +352,23 @@ def wavelet_basis(family: WaveletFamily, depth: int) -> WaveletBasis:
         lam_degree = deg_scale(j, shape)
         factors = spec.prefix_factors(lam_degree, words[:, :-1])
         roots = np.sqrt(spec.w[words[:, -1]]) if j else np.ones(len(words))
-        groups, heads, tails, tail_sources = [], [], [], []
-        n_fine = 0
+        order = np.lexsort((ranks, sources))  # the lambdas by source, then by word
+        bounds = np.searchsorted(sources[order], np.arange(len(graph.vertices) + 1)).tolist()
+        groups, n_fine = [], 0
         for v, name in enumerate(graph.vertices):
             block, c = family.blocks[name].positions, family.blocks[name].c_vectors[1:]
-            lams = np.flatnonzero(sources == v)
-            lams = lams[np.argsort(ranks[lams], kind="stable")]
+            lams = order[bounds[v]:bounds[v + 1]]
             groups.append(_Group(lams, slice(n_fine, n_fine + len(lams) * len(block)),
                                  slice(n_coeffs, n_coeffs + len(lams) * len(c)),
                                  factors[lams], roots[lams], c))
             n_fine += len(lams) * len(block)
             n_coeffs += len(lams) * len(c)
-            heads.append(np.repeat(words[lams], len(block), axis=0))
-            tails.append(np.tile(family.space.words[block], (len(lams), 1)))
-            tail_sources.append(np.tile(family.space.sources[block], len(lams)))
         layers.append(tuple(groups))
         shifts.append(words)
-        words = kernel.compose(np.concatenate(heads), lam_degree, np.concatenate(tails), shape)
-        sources = np.concatenate(tail_sources)
+        # each lambda times the paths p of D_v^J, v = s(lambda), in position order
+        lam, p = kernel.matching(sources[order], shape)
+        words = kernel.compose(words[order[lam]], lam_degree, family.space.words[p], shape)
+        sources = family.space.sources[p]
         ranks = kernel.rank(words, deg_scale(j + 1, shape))
     return WaveletBasis(family, depth, space, tuple(layers), ranks, tuple(shifts))
 

@@ -808,17 +808,23 @@ def eager_family_records(graph, scaling, wavelets):
 
 def per_line_records(filename, fields):
     """Oracle for `cli._read_records`: each nonblank line decoded by its own
-    `json.loads`, then the same checks of each record."""
+    `json.loads` and checked, line after line, so the first faulty line
+    names its fault."""
     checks = [(name, *kgraphwave.cli._RECORD_FIELDS[name]) for name in fields]
     with open(filename) as fh:
         lines = [(number, line) for number, line in enumerate(fh, 1) if line.strip()]
-    records = [json.loads(line) for _, line in lines]
-    for (number, line), rec in zip(lines, records):
+    records = []
+    for number, line in lines:
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{filename} line {number}: invalid JSON: {exc.msg} at column {exc.colno}") from exc
         if type(rec) is not dict:
             raise ParseError(f"{filename} line {number}: expected a JSON object, got {line.strip()}")
         for name, check, what in checks:
             if not check(rec.get(name)):
                 raise ParseError(f"{filename} line {number}: field {name!r} must be {what}")
+        records.append(rec)
     return records
 
 

@@ -299,11 +299,30 @@ class TestBadWords:
                  (("v1", "@v1"), ("v2", "a"), ("v3", "d,h"), ("v4", "d"))]
         word, junk = json.dumps({"vertex": "v2", "path": "zz"}), "{not json"
         prefs = tmp_path / "prefs.jsonl"
-        for order, code, message in (((word, junk), 3, "unknown edge id 'zz'"),
-                                     ((junk, word), 2, "Expecting property name enclosed in double quotes")):
+        for order, code, message in (
+                ((word, junk), 3, "unknown edge id 'zz'"),
+                ((junk, word), 2, f"{prefs} line 2: invalid JSON: Expecting property name enclosed in double quotes")):
             prefs.write_text("\n".join(lines[:1] + [order[0]] + lines[1:3] + [order[1]] + lines[3:]) + "\n")
             _, errtext = run_cli(capsys, "traffic", LED, "--prefs", str(prefs), expect_exit=code)
             assert json.loads(errtext)["message"].startswith(message)
+
+    @pytest.mark.parametrize("again", ["a", "a,c,e"], ids=["same path", "other path"])
+    def test_traffic_prefs_name_each_vertex_once(self, capsys, tmp_path, again):
+        # a second line for v2 is refused, whether or not its path is the first's
+        lines = [json.dumps({"vertex": v, "path": p}) for v, p in
+                 (("v1", "@v1"), ("v2", "a"), ("v3", "d,h"), ("v4", "d"), ("v2", again))]
+        prefs = tmp_path / "prefs.jsonl"
+        prefs.write_text("\n".join(lines) + "\n")
+        _, errtext = run_cli(capsys, "traffic", LED, "--prefs", str(prefs), expect_exit=3)
+        assert json.loads(errtext) == {"error": "validation", "reason": "bad_preferred_path",
+                                       "message": f"{prefs} line 5: vertex 'v2' is named again, first on line 2"}
+        # a fault on an earlier line wins over the repeat, and the repeat over a later fault
+        bad_word = json.dumps({"vertex": "v3", "path": "zz"})  # v3 repeats on line 4
+        for text, message in (([*lines[:1], bad_word, *lines[1:]], "unknown edge id 'zz'"),
+                              ([*lines, "{"], "line 5: vertex 'v2' is named again")):
+            prefs.write_text("\n".join(text) + "\n")
+            _, errtext = run_cli(capsys, "traffic", LED, "--prefs", str(prefs), expect_exit=3)
+            assert message in json.loads(errtext)["message"]
 
 
 class TestErrorChannel:
@@ -362,6 +381,47 @@ class TestErrorChannel:
         (line,) = errtext.splitlines()
         rec = json.loads(line)
         assert rec["error"] == "parse" and "0xff" in rec["message"]
+
+    @pytest.mark.parametrize("argv,text,message", [
+        (("wavelets", LED, "--shape", "1,1", "--analyze", "{bad}"),
+         '{"path": ["a"], "coeff": 1}\n{"path": ["a"] "coeff": 1}\n{"path": ["c"], "coeff": 2}\n',
+         "Expecting ',' delimiter at column 16"),
+        (("wavelets", LED, "--shape", "1,1", "--synthesize", "{bad}"),
+         '{"coeff": 1}\n\n{"coeff": }\n' + '{"coeff": 1}\n' * 14, "Expecting value at column 11"),
+        (("traffic", LED, "--prefs", "{bad}"),
+         '{"vertex": "v1", "path": "@v1"}\n{"vertex": "v2", "path": "a",}\n{"vertex": "v3", "path": "d,h"}\n',
+         "Expecting property name enclosed in double quotes at column 30"),
+        (("spectral", LED, "--gft", "{bad}"), "[1.0,\n0.0 0.0,\n-1.0]", "Expecting ',' delimiter at column 5"),
+        (("spectral", LED, "--reconstruct", "{bad}"), "[1.0,\n0.0,,\n0.0,\n-1.0]", "Expecting value at column 5"),
+    ], ids=["analyze", "synthesize", "prefs", "gft", "reconstruct"])
+    def test_json_syntax_error_names_the_file_and_line(self, capsys, tmp_path, argv, text, message):
+        # a bad line amid good ones: the decoder's message, at that line of that file
+        bad = tmp_path / "bad"
+        bad.write_text(text)
+        line = 3 if "--synthesize" in argv else 2
+        out, errtext = run_cli(capsys, *(str(bad) if a == "{bad}" else a for a in argv), expect_exit=2)
+        assert out == "" and json.loads(errtext) == {"error": "parse",
+                                                     "message": f"{bad} line {line}: invalid JSON: {message}"}
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", LED], ["pf", LED], ["wavelets", LED, "--shape", "1,1"],
+        ["markov", "--alphabet", "2", "--weights", "1/2,1/2"], ["traffic", LED], ["laplacian", LED],
+    ], ids=["validate", "pf", "wavelets", "markov", "traffic", "laplacian"])
+    def test_csv_is_a_flag_of_the_tabular_ops_alone(self, capsys, argv):
+        out, errtext = run_cli(capsys, *argv, "--csv", expect_exit=1)
+        rec = json.loads(errtext)
+        assert out == "" and rec["error"] == "usage" and "--csv" in rec["message"]
+
+    @pytest.mark.parametrize("mode", [["--list-family"], ["--compare", "2"]], ids=["list-family", "compare"])
+    @pytest.mark.parametrize("depth", ["-1", "1", "2"])
+    def test_depth_is_refused_where_no_basis_is_built(self, capsys, mode, depth):
+        out, errtext = run_cli(capsys, "wavelets", LED, "--shape", "1,1", *mode, "--depth", depth, expect_exit=1)
+        assert out == "" and json.loads(errtext) == {
+            "error": "usage", "message": "--depth applies only to the basis, --analyze and --synthesize"}
+
+    def test_depth_defaults_to_one(self, capsys):
+        assert run_cli(capsys, "wavelets", LED, "--shape", "1,1") == \
+            run_cli(capsys, "wavelets", LED, "--shape", "1,1", "--depth", "1")
 
     def test_missing_file(self, capsys):
         _, errtext = run_cli(capsys, "validate", "/nope/missing.kg", expect_exit=2)

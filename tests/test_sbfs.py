@@ -630,26 +630,30 @@ class TestBatchedTables:
     @pytest.mark.parametrize("level", [(3, 3), (6, 1)])
     def test_engine_calls_do_not_follow_the_tables(self, monkeypatch, spec3, lambda3, level):
         # (3, 3) has 100 tables and (6, 1) 84: each is one chunk, built by
-        # one compose (one rewrite) and one rank, whatever its tables
+        # one compose (one rewrite) and one rank, whatever its tables, from
+        # one stack of the levels
         kernel, calls = lambda3.word_kernel, {}
-        for name in ("rewrite", "rank", "matching", "compose"):
+        for name in ("stack", "rewrite", "rank", "matching", "compose"):
             def counted(*args, _name=name, _call=getattr(kernel, name), **kwargs):
                 calls[_name] = calls.get(_name, 0) + 1
                 return _call(*args, **kwargs)
             monkeypatch.setattr(kernel, name, counted)
         check_ck_relations(spec3, lambda3, level)
-        assert calls == {"compose": 1, "rewrite": 1, "rank": 1, "matching": 4}
+        assert calls == {"stack": 1, "compose": 1, "rewrite": 1, "rank": 1, "matching": 4}
 
     def test_chunks_bound_the_calls_of_a_large_level(self, monkeypatch, specL, ledrappier):
-        # with small chunks the builder makes one compose per chunk, and the
-        # report does not change
+        # with small chunks the builder makes one compose per chunk, all
+        # chunks read one stack of the levels, and the report does not change
         chunks, build = [], kgraphwave.sbfs._chunks
         monkeypatch.setattr(kgraphwave.sbfs, "_chunks", lambda work: chunks.append(list(build(work, 2 ** 10)))
                             or chunks[-1])
-        calls, compose = [], ledrappier.word_kernel.compose
-        monkeypatch.setattr(ledrappier.word_kernel, "compose", lambda *a, **k: calls.append(1) or compose(*a, **k))
+        kernel, calls, stacks = ledrappier.word_kernel, [], []
+        compose, stack = kernel.compose, kernel.stack
+        monkeypatch.setattr(kernel, "compose", lambda *a, **k: calls.append(1) or compose(*a, **k))
+        monkeypatch.setattr(kernel, "stack", lambda *a, **k: stacks.append(stack(*a, **k)) or stacks[-1])
         report = check_ck_relations(specL, ledrappier, (2, 2)).to_records()
         assert 1 < len(calls) == len(chunks[0]) < ck_table_count((2, 2))
+        assert len(stacks) == 1 and stacks[0].degrees == kgraphwave.sbfs._ck_plan((2, 2)).degrees
         assert report == case_ck_report(specL, ledrappier, (2, 2)).to_records()
 
     def test_tables_are_views_of_one_store(self, spec3, lambda3):

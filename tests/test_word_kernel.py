@@ -288,9 +288,9 @@ class TestUnusedColors:
 
 
 class TestRowsOfManyDegrees:
-    """The batched modes of the kernel (`RowSchedules`, and ``of`` in
-    `compose`, `matching` and `rank`) against the calls of one degree or one
-    color sequence at a time."""
+    """The batched modes of the kernel (`RowSchedules`, `stack`, and ``of``
+    in `compose`, `matching` and `rank`) against the calls of one degree or
+    one color sequence at a time."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 3).flatmap(lambda k: st.lists(
@@ -310,13 +310,14 @@ class TestRowsOfManyDegrees:
         graph, kernel, k = spec.graph, spec.graph.word_kernel, spec.graph.k
         rng = np.random.default_rng(seed)
         degrees = [tuple(int(a) for a in rng.integers(0, 3, k)) for _ in range(4)]
+        stack = kernel.stack(degrees)
         pairs = [(degrees[i], degrees[j]) for i, j in rng.integers(0, 4, (5, 2))]
         width = max(sum(x) + sum(y) for x, y in pairs)
         heads, tails, of, want, targets, levels, ranks = [], [], [], [], [], [], []
         for q, (x, y) in enumerate(pairs):
             xs, ys = kernel.level(x), kernel.level(y)
             i, j = kernel.matching(xs[2], y)
-            got = kernel.matching(xs[2], degrees, of=np.full(len(xs[2]), degrees.index(y)))
+            got = kernel.matching(xs[2], stack, of=np.full(len(xs[2]), degrees.index(y)))
             assert np.array_equal(got[0], i) and np.array_equal(got[1], j)
             pad = np.zeros((len(i), width), dtype=np.intp)
             heads.append(pad.copy()), tails.append(pad.copy())
@@ -339,7 +340,31 @@ class TestRowsOfManyDegrees:
             assert np.array_equal(row[:size], expected)
         rows = got[np.array([any(deg_add(x, y)) for x, y in pairs])[of]]
         if targets:
-            assert np.array_equal(kernel.rank(rows, targets, of=np.concatenate(levels)), np.concatenate(ranks))
+            assert np.array_equal(kernel.rank(rows, kernel.stack(targets), of=np.concatenate(levels)),
+                                  np.concatenate(ranks))
+
+    @PROPERTY
+    @given(measured_graphs(), st.integers(0, 2 ** 32 - 1))
+    def test_stack_lays_the_levels_end_to_end(self, case, seed):
+        graph = case[0].graph
+        kernel, n = graph.word_kernel, len(graph.vertices)
+        rng = np.random.default_rng(seed)
+        degrees = [tuple(int(a) for a in rng.integers(0, 3, graph.k)) for _ in range(int(rng.integers(1, 5)))]
+        stack, levels = kernel.stack(degrees), [kernel.level(d) for d in degrees]
+        counts = [len(ranges) for _, ranges, _ in levels]
+        assert stack.degrees == tuple(degrees) and stack.index == {d: g for g, d in enumerate(degrees)}
+        assert stack.counts.tolist() == counts and stack.base.tolist() == (np.cumsum(counts) - counts).tolist()
+        assert stack.words.shape == (sum(counts), max(map(sum, degrees)))
+        for g, (d, (rows, ranges, sources)) in enumerate(zip(degrees, levels)):
+            at = slice(int(stack.base[g]), int(stack.base[g]) + counts[g])
+            assert np.array_equal(stack.words[at, :sum(d)], rows) and not stack.words[at, sum(d):].any()
+            assert np.array_equal(stack.ranges[at], ranges) and np.array_equal(stack.sources[at], sources)
+            # the level's range index and rank table, read through the stack
+            vertices = np.arange(n)
+            got, want = kernel.matching(vertices, stack, of=np.full(n, g)), kernel.matching(vertices, d)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            ranked = kernel.rank(stack.words[at], stack, of=np.full(counts[g], g))
+            assert np.array_equal(ranked, np.arange(counts[g]) if any(d) else np.zeros(counts[g]))
 
     def test_a_missing_square_raises_in_a_batch(self):
         doc = twisted_circulant_document(5, (1, 2), (1, 2), 3)
