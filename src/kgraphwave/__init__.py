@@ -29,8 +29,8 @@ _EXPORTS = {
         "vertex_matrices", "vertex_path",
     ),
     "measure": (
-        "CylinderFn", "MeasureSpec", "cylinder_fns_equal", "cylinder_measure", "embed_to_interval",
-        "extensions", "inner_product", "integral", "mce", "norm", "refine",
+        "CylinderFn", "MeasureSpec", "cylinder_measure", "embed_to_interval", "extensions", "inner_product",
+        "integral", "mce", "norm", "refine",
     ),
     "perron": (
         "RATIONAL_PF_CELL_LIMIT", "PFData", "hausdorff_dimension", "is_strongly_connected", "pf_data",
@@ -41,14 +41,13 @@ _EXPORTS = {
         "ck_table_count", "ck_table_entries", "level_space", "s_apply", "s_matrix", "s_star_matrix",
     ),
     "spectral": (
-        "EIGEN_ENTRY_LIMIT", "LAPLACIAN_ENTRY_LIMIT", "IncidenceSet", "KernelPiece", "KernelSpec",
-        "SpectralData", "cg_constant", "cg_constant_numeric", "check_eigendata", "check_laplacian_listing",
-        "default_kernel", "default_tgrid", "eig_sym", "gft", "igft", "incidence_entries", "incidence_matrices",
-        "kernel_eval", "kgraph_laplacian", "laplacian_entries", "localization_probe", "probe_kernel",
-        "reconstruct", "spectral_wavelet", "wavelet_operator",
+        "EIGEN_ENTRY_LIMIT", "LAPLACIAN_ENTRY_LIMIT", "KernelPiece", "KernelSpec", "SpectralData", "cg_constant",
+        "check_eigendata", "check_laplacian_listing", "default_kernel", "default_tgrid", "eig_sym", "gft",
+        "incidence_entries", "kernel_eval", "kgraph_laplacian", "laplacian_entries", "localization_probe",
+        "reconstruct", "spectral_wavelet",
     ),
     "traffic": (
-        "PreferredPaths", "TrafficWaveletFamily", "least_degrees", "traffic_measure", "traffic_wavelet_family",
+        "PreferredPaths", "TrafficWaveletFamily", "least_degrees", "traffic_wavelet_family",
     ),
     "wavelets": (
         "MARKOV_MEMBER_LIMIT", "WAVELET_ENTRY_LIMIT", "MarkovWaveletSystem", "SubspaceComparison",

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import errors as err
 from . import jsonl
-from .kgraph import load_kgraph_file, normal_form_rows, path_of
+from .kgraph import load_kgraph_file, normal_form_rows
 from .measure import CylinderFn, MeasureSpec, check_zero_one, cylinder_measures, embed_interval
 from .perron import hausdorff_dimension, is_strongly_connected, pf_data
 from .sbfs import check_ck_relations
@@ -43,7 +43,7 @@ from .spectral import (
     reconstruct,
     spectral_wavelet,
 )
-from .traffic import PreferredPaths, least_degrees, traffic_wavelet_family
+from .traffic import least_degrees, traffic_wavelet_family
 from .wavelets import (
     analyze,
     build_wavelet_family,
@@ -371,11 +371,18 @@ def _cmd_traffic(args):
                 records.append(rec)
         finally:  # the words of the lines before a bad line are read first: their fault wins
             forms = _parse_words(graph, [rec["path"] for rec in records])
-        assignment = {rec["vertex"]: path_of(graph, form) for rec, form in zip(records, forms)}
-        if not assignment:
+        if not records:
             raise err.ValidationError("bad_preferred_path", f"{args.prefs} holds no preferred paths")
-        root = next(iter(assignment.values())).range if args.root is None else args.root
-        degrees = PreferredPaths(root, assignment).degrees
+        root = forms[0][2] if args.root is None else graph.vertex_index[args.root]
+        for rec, (_, _, r, s) in zip(records, forms):
+            w = rec["vertex"]
+            if r != root:
+                raise err.ValidationError("bad_preferred_path", f"path for {w} has range {graph.vertices[r]}, "
+                                          "not the root")
+            if s != graph.vertex_index.get(w):
+                raise err.ValidationError("bad_preferred_path", f"path for {w} has source {graph.vertices[s]}, "
+                                          f"not {w}")
+        degrees = {rec["vertex"]: form[0] for rec, form in zip(records, forms)}
     else:
         degrees = least_degrees(graph, graph.vertices[0] if args.root is None else args.root)
     family = traffic_wavelet_family(graph, pf, degrees)
@@ -451,7 +458,8 @@ def _cmd_spectral(args):
         ts = _parse_list(args.tlist, float, "--tlist", "0.5,0.25")
         _check_scales(ts, "--tlist")
         probe = _scaled("--tlist", localization_probe, eigendata(), default_kernel(), n, m, ts)
-        _emit(args, itertools.chain(probe.to_records(), [{"slope": probe.slope}]), csv_fields=["t", "ratio"])
+        _emit(args, itertools.chain(probe.to_records(), [{"slope": probe.slope}]),
+              csv_fields=["t", "ratio", "slope"])
         return
     _fail(USAGE_EXIT, "usage", "spectral needs one of --eig/--gft/--wavelet/--reconstruct/--localize")
 

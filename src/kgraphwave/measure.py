@@ -281,14 +281,6 @@ def refine(f: CylinderFn, level: Sequence[int]) -> CylinderFn:
                                               vec[new].tolist()))
 
 
-def cylinder_fns_equal(f: CylinderFn, g: CylinderFn, tol: float = 0.0) -> bool:
-    """Equality as functions: agree after refinement to a common level."""
-    _same_graph("functions", f.graph, g.graph)
-    level = deg_join(f.level(), g.level())
-    rf, rg = (refine(fn, level).forms for fn in (f, g))
-    return all(abs(rf.get(form, 0.0) - rg.get(form, 0.0)) <= tol for form in rf.keys() | rg.keys())
-
-
 def mce(lam: Path, mu: Path) -> list[Path]:
     """Minimal common extensions: the paths of degree d(lam) v d(mu) whose
     initial segments reproduce both lam and mu, sorted.  Empty means the

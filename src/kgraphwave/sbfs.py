@@ -133,10 +133,6 @@ class LevelSpace:
             at, values = at[order], values[order]
         return jsonl.text(self.term_heads[at], jsonl.numbers(values), "}\n")
 
-    def records(self, at: np.ndarray, values: np.ndarray) -> list[dict]:
-        """The records of `lines`: `CylinderFn.to_records` of `function_at(at, values)`."""
-        return jsonl.parse(self.lines(at, values))
-
 
 def level_space(spec: MeasureSpec, level: Sequence[int]) -> LevelSpace:
     level = as_degree(level, spec.graph.k)
@@ -183,15 +179,6 @@ class _Tables:
         """The table of key q: views of the store."""
         lo, shape = int(self.offset[q]), (int(self.height[q]), int(self.width[q]))
         return tuple(part[lo:lo + shape[0] * shape[1]].reshape(shape) for part in (self.rows, self.vals))
-
-    @cached_property
-    def index(self) -> dict[tuple[Degree, Degree], int]:
-        """Each key (x, L) as degrees, to its number."""
-        degrees = self.stack.degrees
-        return {(degrees[x], degrees[level]): q for q, (x, level, _) in enumerate(self.keys.tolist())}
-
-    def __getitem__(self, key: tuple[Degree, Degree]) -> tuple[np.ndarray, np.ndarray]:
-        return self.table(self.index[key])
 
 
 # The batched passes of the CK check take tables in chunks of at most about

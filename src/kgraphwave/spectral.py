@@ -35,14 +35,6 @@ from .errors import (
 from .kgraph import KGraph
 
 
-@dataclass(frozen=True)
-class IncidenceSet:
-    """Per-color signed incidence matrices with their edge column orders."""
-
-    matrices: tuple[np.ndarray, ...]
-    edge_orders: tuple[tuple[str, ...], ...]
-
-
 def incidence_entries(graph: KGraph, color: int):
     """The nonzeros of M_s for color s, in row-major order, from the edge
     columns: +1 at (r(e), e) and -1 at (s(e), e) for each non-loop edge e of
@@ -56,20 +48,6 @@ def incidence_entries(graph: KGraph, color: int):
     values = np.repeat(np.array([1, -1], dtype=np.int64), len(moving))
     order = np.argsort(rows * len(edges) + cols)
     return edges, rows[order], cols[order], values[order]
-
-
-def incidence_matrices(graph: KGraph) -> IncidenceSet:
-    """M_s[v, e] = +1 at the range, -1 at the source of each non-loop edge of
-    color s; columns ordered alphabetically by edge id.  The dense view of
-    `incidence_entries`."""
-    mats, orders = [], []
-    for color in range(1, graph.k + 1):
-        edges, rows, cols, values = incidence_entries(graph, color)
-        m = np.zeros((len(graph.vertices), len(edges)), dtype=np.int64)
-        m[rows, cols] = values
-        mats.append(m)
-        orders.append(tuple(graph.edge_ids[i] for i in edges.tolist()))
-    return IncidenceSet(tuple(mats), tuple(orders))
 
 
 # The `laplacian` listing writes n x |E| incidence entries and n x n Laplacian
@@ -189,13 +167,6 @@ def gft(spec: SpectralData, signal: Sequence[float]) -> np.ndarray:
     return spec.eigenvectors.T @ f
 
 
-def igft(spec: SpectralData, coeffs: Sequence[float]) -> np.ndarray:
-    c = np.asarray(coeffs, dtype=float)
-    if c.shape != (spec.n,):
-        raise DimensionMismatch(f"coefficient length {c.shape} != {spec.n}")
-    return spec.eigenvectors @ c
-
-
 # -- wavelet kernels --------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -225,12 +196,11 @@ class KernelSpec:
     """A piecewise band-pass kernel on [0, inf).
 
     ``vanishing_order`` is the order M of the zero at the origin (the leading
-    behavior is c x^M); ``decay`` documents the tail.
+    behavior is c x^M).
     """
 
     pieces: tuple[KernelPiece, ...]
     vanishing_order: int
-    decay: str
 
 
 def default_kernel() -> KernelSpec:
@@ -242,43 +212,7 @@ def default_kernel() -> KernelSpec:
             KernelPiece(2.0, math.inf, "power", (4.0, -2.0)),
         ),
         vanishing_order=2,
-        decay="O(x^-2)",
     )
-
-
-def probe_kernel() -> KernelSpec:
-    """Vanishing-order-2 kernel whose head x^2 - x^4/2 carries a quartic term.
-
-    The default kernel is *exactly* x^2 below 1, so for small t its wavelets
-    vanish identically beyond distance 2 and no decay rate is observable.
-    The quartic term (with no cubic) makes the leading contribution at
-    distance 3 scale like t^4 against a t^2 norm: a visible O(t^2) ratio.
-    """
-    lo, hi = 0.5, 2.0
-    head = (0.0, 0.0, 1.0, 0.0, -0.5)
-    head_val = lo ** 2 - lo ** 4 / 2
-    head_slope = 2 * lo - 2 * lo ** 3
-    a, b, c, d = _hermite_cubic(lo, head_val, head_slope, hi, 1.0, -1.0)
-    return KernelSpec(
-        pieces=(
-            KernelPiece(0.0, lo, "poly", head),
-            KernelPiece(lo, hi, "poly", (a, b, c, d)),
-            KernelPiece(hi, math.inf, "power", (4.0, -2.0)),
-        ),
-        vanishing_order=2,
-        decay="O(x^-2)",
-    )
-
-
-def _hermite_cubic(x0, y0, s0, x1, y1, s1):
-    """Coefficients (ascending) of the cubic with given values/slopes."""
-    mat = np.array([
-        [1, x0, x0 ** 2, x0 ** 3],
-        [0, 1, 2 * x0, 3 * x0 ** 2],
-        [1, x1, x1 ** 2, x1 ** 3],
-        [0, 1, 2 * x1, 3 * x1 ** 2],
-    ], dtype=float)
-    return tuple(np.linalg.solve(mat, np.array([y0, s0, y1, s1], dtype=float)))
 
 
 def kernel_eval(spec: KernelSpec, x, deriv: int = 0):
@@ -330,25 +264,6 @@ def cg_constant(spec: KernelSpec) -> float:
     return float(total)
 
 
-def cg_constant_numeric(spec: KernelSpec) -> float:
-    """C_g by 64-point Gauss-Legendre in log space over [1e-8, 1e6], one
-    panel per decade within each kernel piece.  Independent of the closed forms."""
-    lo_cut, hi_cut = 1e-8, 1e6
-    nodes, weights = np.polynomial.legendre.leggauss(64)
-    total = 0.0
-    breaks = sorted({lo_cut, hi_cut,
-                     *(p.lo for p in spec.pieces if lo_cut < p.lo < hi_cut),
-                     *(p.hi for p in spec.pieces if lo_cut < p.hi < hi_cut)})
-    for a, b in zip(breaks, breaks[1:]):
-        ua, ub = math.log(a), math.log(b)
-        for lo in np.arange(ua, ub, math.log(10.0)):
-            hi = min(lo + math.log(10.0), ub)
-            mid, half = (lo + hi) / 2, (hi - lo) / 2
-            x = np.exp(mid + half * nodes)
-            total += half * float(np.sum(weights * kernel_eval(spec, x) ** 2))
-    return total
-
-
 def _check_scale(spec: SpectralData, t: float):
     """Raise NonFiniteResult, with no numpy warning, when the scale t times
     an eigenvalue is past the float range: the kernel has no argument there."""
@@ -372,13 +287,6 @@ def spectral_wavelet(spec: SpectralData, kernel: KernelSpec,
     _check_scale(spec, t)
     gains = kernel_eval(kernel, t * _rounded_eigenvalues(spec))
     return spec.eigenvectors @ (gains * spec.eigenvectors[n, :])
-
-
-def wavelet_operator(spec: SpectralData, kernel: KernelSpec, t: float) -> np.ndarray:
-    """The matrix T_g^t whose n-th column is psi_{g,t,n}."""
-    _check_scale(spec, t)
-    gains = kernel_eval(kernel, t * _rounded_eigenvalues(spec))
-    return (spec.eigenvectors * gains[None, :]) @ spec.eigenvectors.T
 
 
 def default_tgrid(spec: SpectralData) -> np.ndarray:

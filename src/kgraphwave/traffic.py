@@ -80,31 +80,6 @@ def least_degrees(graph: KGraph, root: str) -> dict[str, Degree]:
     return dict(zip(graph.vertices, map(tuple, least.tolist())))
 
 
-def traffic_measure(graph: KGraph, pf: PFData, degrees: Mapping[str, Degree]) -> np.ndarray:
-    """Vertex weights rho^{-d(lambda_w)} x_w, in graph vertex order, from each
-    vertex's preferred-path degree.  Raises NonFiniteResult where a weight
-    underflows to 0 or is not finite: no wavelet can be normalized against it."""
-    return _weighted_degrees(graph, pf, degrees)[1]
-
-
-def _weighted_degrees(graph: KGraph, pf: PFData, degrees: Mapping[str, Degree]) -> tuple[np.ndarray, np.ndarray]:
-    """The (n, k) preferred-path degrees in graph vertex order, and the weights."""
-    missing = set(graph.vertices) - set(degrees)
-    extra = set(degrees) - set(graph.vertices)
-    if missing or extra:
-        raise ValidationError(
-            "bad_preferred_path",
-            f"assignment must cover every vertex exactly once (missing {sorted(missing)},"
-            f" extra {sorted(extra)})")
-    rows = np.array([as_degree(degrees[w], graph.k) for w in graph.vertices], dtype=np.int64)
-    with np.errstate(over="ignore"):  # a weight past the float range raises below
-        out = np.prod(pf.rho ** -rows, axis=1) * pf.x_lambda  # each row's product in color order
-    bad = np.flatnonzero(~(np.isfinite(out) & (out > 0)))
-    if len(bad):
-        raise NonFiniteResult(f"the traffic weight of vertex {graph.vertices[bad[0]]} leaves the float range")
-    return rows, out
-
-
 @dataclass(frozen=True)
 class TrafficWaveletFamily:
     """The lifted wavelet signals, held per degree class: a class J of m >= 2
@@ -125,17 +100,6 @@ class TrafficWaveletFamily:
                 signal[members] = row
                 yield (m, J), signal
 
-    def gram(self) -> np.ndarray:
-        """The Gram matrix in the measure, the wavelets in listing order, then
-        the constant: block diagonal, since the classes are disjoint and the
-        constant comes only with one class that holds every vertex."""
-        out, at = np.zeros((sum(len(rows) for _, _, rows in self.classes) + self.complete,) * 2), 0
-        for _, members, rows in self.classes:
-            rows = rows if self.constant is None else np.vstack([rows, self.constant])
-            out[at:at + len(rows), at:at + len(rows)] = (rows * self.measure[members]) @ rows.T
-            at += len(rows)
-        return out
-
     def to_records(self) -> Iterator[dict]:
         for (m, J), signal in self.signals():
             yield {"kind": "wavelet", "m": m, "shape": list(J), "values": signal.tolist()}
@@ -145,11 +109,25 @@ class TrafficWaveletFamily:
 
 def traffic_wavelet_family(graph: KGraph, pf: PFData,
                            degrees: Mapping[str, Degree]) -> TrafficWaveletFamily:
-    """Build the g^{m,J} family from each vertex's preferred-path degree;
-    degree classes in graded-lex order, vertices within a class in graph
-    order (one stable lexsort by total, then by degree).  Raises
-    NoWaveletDegree when every class is a singleton."""
-    rows, nu = _weighted_degrees(graph, pf, degrees)
+    """Build the g^{m,J} family from each vertex's preferred-path degree, in
+    the vertex weights rho^{-d(lambda_w)} x_w (``measure``); degree classes
+    in graded-lex order, vertices within a class in graph order (one stable
+    lexsort by total, then by degree).  Raises NonFiniteResult where a
+    weight underflows to 0 or is not finite (no wavelet can be normalized
+    against it), and NoWaveletDegree when every class is a singleton."""
+    missing = set(graph.vertices) - set(degrees)
+    extra = set(degrees) - set(graph.vertices)
+    if missing or extra:
+        raise ValidationError(
+            "bad_preferred_path",
+            f"assignment must cover every vertex exactly once (missing {sorted(missing)},"
+            f" extra {sorted(extra)})")
+    rows = np.array([as_degree(degrees[w], graph.k) for w in graph.vertices], dtype=np.int64)
+    with np.errstate(over="ignore"):  # a weight past the float range raises below
+        nu = np.prod(pf.rho ** -rows, axis=1) * pf.x_lambda  # each row's product in color order
+    bad = np.flatnonzero(~(np.isfinite(nu) & (nu > 0)))
+    if len(bad):
+        raise NonFiniteResult(f"the traffic weight of vertex {graph.vertices[bad[0]]} leaves the float range")
     order = np.lexsort((*rows.T[::-1], rows.sum(axis=1)))
     starts = np.flatnonzero(np.any(np.diff(rows[order], axis=0), axis=1)) + 1
     classes = tuple((tuple(rows[members[0]].tolist()), members, complement_basis(nu[members]))

@@ -174,11 +174,6 @@ class MemberSet:
     def functions(self) -> tuple[CylinderFn, ...]:
         return tuple(self.space.function_at(at, values) for at, values in self._members())
 
-    def gram(self) -> np.ndarray:
-        """The Gram matrix of the members, from dense rows built for the call."""
-        rows = self._dense_rows()
-        return (rows * self.space.weights[None, :]) @ rows.T
-
     def _dense_rows(self) -> np.ndarray:
         """The members in label order, each scattered into a zero row over ``space``."""
         rows = np.zeros((len(self.space.weights),) * 2)
@@ -189,10 +184,6 @@ class MemberSet:
     def listing(self) -> str:
         """The JSON lines of the members: per member its label and its term records."""
         return jsonl.listing(self.heads, self.space.term_heads, self._members())
-
-    def to_records(self) -> list[dict]:
-        """The records of `listing`."""
-        return jsonl.parse(self.listing())
 
 
 @dataclass(frozen=True)

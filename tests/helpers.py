@@ -6,6 +6,7 @@ import builtins
 import csv
 import io
 import json
+import math
 import random
 import sys
 import weakref
@@ -24,6 +25,8 @@ from kgraphwave import (
     Edge,
     FactorizationSquare,
     GridTooCoarse,
+    KernelPiece,
+    KernelSpec,
     LevelSpace,
     MeasureSpec,
     NonConstantDerivative,
@@ -39,11 +42,10 @@ from kgraphwave import (
     default_tgrid,
     enumerate_paths,
     extensions,
-    incidence_matrices,
+    incidence_entries,
     inner_product,
     jsonl,
     kernel_eval,
-    kgraph_laplacian,
     level_space,
     normal_form,
     rational_pf_data,
@@ -51,15 +53,16 @@ from kgraphwave import (
     s_apply,
     s_matrix,
     segment,
+    spectral_wavelet,
     synthesize,
     synthesize_vector,
     vertex_path,
     wavelet_basis,
-    wavelet_operator,
 )
 import kgraphwave.cli
 from kgraphwave.kgraph import (
-    WordKernel, _degree_colors, _swap_schedule, as_degree, deg_add, deg_le, deg_sub, form_of, normal_form_rows)
+    WordKernel, _degree_colors, _same_graph, _swap_schedule, as_degree, deg_add, deg_join, deg_le, deg_sub, form_of,
+    normal_form_rows)
 from kgraphwave.orthobasis import complement_basis
 from kgraphwave.sbfs import CKReport, RelationCheck
 
@@ -270,6 +273,16 @@ def composed_refine(f, level):
     return CylinderFn(f.graph, acc)
 
 
+def cylinder_fns_equal(f, g, tol=0.0):
+    """Equality as functions: f and g agree, coefficient by coefficient
+    within ``tol``, once both are refined to the join of their levels.
+    Functions of two graphs raise, as adding them does."""
+    _same_graph("functions", f.graph, g.graph)
+    level = deg_join(f.level(), g.level())
+    rf, rg = (refine(fn, level).forms for fn in (f, g))
+    return all(abs(rf.get(form, 0.0) - rg.get(form, 0.0)) <= tol for form in rf.keys() | rg.keys())
+
+
 def mce_inner_product(spec, f, g):
     """Oracle for `inner_product`: the sum over term pairs, with the
     cylinders of `segment_mce` and their masses one `cylinder_measure` at a
@@ -462,6 +475,14 @@ def dense_traffic_family(graph, pf, degrees):
     return nu, wavelets, constant, complete
 
 
+def traffic_gram(measure, wavelets, constant):
+    """The Gram matrix in ``measure`` of the wavelets ((m, J), signal), then
+    of the constant if there is one: of the parts `dense_traffic_family`
+    returns, or of a family's ``measure``, ``signals()`` and ``constant``."""
+    rows = np.array([signal for _, signal in wavelets] + ([] if constant is None else [constant]))
+    return (rows * measure) @ rows.T
+
+
 def unscaled_complement_basis(weights):
     """Oracle for `complement_basis`: the same balanced split, deepest first
     and left to right, on the weights as given."""
@@ -613,6 +634,13 @@ def dense_matching(sources, ranges):
     """The pairs (i, j) with sources[i] == ranges[j], i-major, j ascending,
     from the dense table of comparisons: the oracle of `WordKernel.matching`."""
     return np.nonzero(np.asarray(sources)[:, None] == np.asarray(ranges)[None, :])
+
+
+def table_index(tables):
+    """Each key (x, L) of `sbfs._Tables`, as degrees, to its number q: its
+    table is ``tables.table(q)``."""
+    degrees = tables.stack.degrees
+    return {(degrees[x], degrees[level]): q for q, (x, level, _) in enumerate(tables.keys.tolist())}
 
 
 def case_prefix_table(spec, lams, degree, dom, cod, rn_tol=1e-12):
@@ -1006,8 +1034,8 @@ def label_records(basis):
 
 
 def term_records(space, at, values):
-    """Oracle for `LevelSpace.records`: one dict per nonzero value, with the
-    path list of its position read off the level's rows."""
+    """Oracle for the records of `LevelSpace.lines`: one dict per nonzero
+    value, with the path list of its position read off the level's rows."""
     if not any(space.level):  # vertices: positions follow graph order, records names
         return space.function_at(at, values).to_records()
     keep = values != 0.0
@@ -1016,8 +1044,8 @@ def term_records(space, at, values):
 
 
 def basis_records(basis):
-    """Oracle for `WaveletBasis.to_records`: the label dict of each basis
-    vector with the term dicts of its member."""
+    """Oracle for the records of `WaveletBasis.listing`: the label dict of
+    each basis vector with the term dicts of its member."""
     return [{**label, "terms": term_records(basis.space, at, values)}
             for label, (at, values) in zip(label_records(basis), basis._members())]
 
@@ -1043,8 +1071,8 @@ def markov_labels(system):
 
 
 def markov_records(system):
-    """Oracle for `MarkovWaveletSystem.to_records`: each label dict with the
-    term dicts of its member."""
+    """Oracle for the records of `MarkovWaveletSystem.listing`: each label
+    dict with the term dicts of its member."""
     return [{**label, "terms": term_records(system.space, at, values)}
             for label, (at, values) in zip(markov_labels(system), system._members())]
 
@@ -1056,8 +1084,9 @@ def identity_synthesis(basis):
 
 
 def row_loop_gram(members):
-    """Oracle for `MemberSet.gram`: one zero row per label, each member's
-    values written into its row, weighted and multiplied out."""
+    """The Gram matrix of a `MemberSet` in its level's weights: one zero row
+    per label, each member's values written into its row, weighted and
+    multiplied out."""
     mat = np.zeros((len(members.heads), len(members.space.weights)))
     for i, (at, values) in enumerate(members._members()):
         mat[i, at] = values
@@ -1111,17 +1140,17 @@ def two_svd_principal_angles(u_rows, v_rows):
 
 
 def dense_listing(basis):
-    """Oracle for `WaveletBasis.to_records`: each member read off its row of
-    the dense matrix, which must be the synthesis of the identity to the
-    last bit."""
+    """Oracle for the records of `WaveletBasis.listing`: each member read
+    off its row of the dense matrix, which must be the synthesis of the
+    identity to the last bit."""
     assert basis.matrix.tobytes() == identity_synthesis(basis).tobytes()
     return [{**label, "terms": basis.space.function_of(row).to_records()}
             for label, row in zip(basis.labels, basis.matrix)]
 
 
 def cylinder_listing(basis):
-    """Oracle for `WaveletBasis.to_records`: each member as a `CylinderFn`
-    over `Path` terms, written by `CylinderFn.to_records`."""
+    """Oracle for the records of `WaveletBasis.listing`: each member as a
+    `CylinderFn` over `Path` terms, written by `CylinderFn.to_records`."""
     return [{**label, "terms": fn.to_records()}
             for label, fn in zip(basis.labels, basis.functions)]
 
@@ -1133,9 +1162,10 @@ def cylinder_synthesis_records(basis, coeffs):
 
 
 def markov_member_records(n_letters, weights, depth):
-    """Oracle for `markov_wavelets(...).to_records()`: every member built on
-    its own terms, the wavelets of layer m by `s_apply` of the word shift to
-    the two-letter base wavelet, then `refine`d to the common level."""
+    """Oracle for the records of `markov_wavelets(...).listing()`: every
+    member built on its own terms, the wavelets of layer m by `s_apply` of
+    the word shift to the two-letter base wavelet, then `refine`d to the
+    common level."""
     graph = bouquet_graph(n_letters)
     spec = MeasureSpec.bernoulli(graph, weights)
     letters = graph.edge_ids
@@ -1422,6 +1452,54 @@ def quadrature_reconstruct(spec, kernel, signal, t_grid=None):
     return acc / cg_constant(kernel)
 
 
+def wavelet_operator(spec, kernel, t):
+    """The dense T_g^t: its n-th column is `spectral_wavelet` psi_{g,t,n}."""
+    return np.column_stack([spectral_wavelet(spec, kernel, t, n) for n in range(spec.n)])
+
+
+def probe_kernel():
+    """Vanishing-order-2 kernel whose head x^2 - x^4/2 carries a quartic term.
+
+    The default kernel is *exactly* x^2 below 1, so for small t its wavelets
+    vanish identically beyond distance 2 and no decay rate is observable.
+    The quartic term (with no cubic) makes the leading contribution at
+    distance 3 scale like t^4 against a t^2 norm: a visible O(t^2) ratio.
+    The bridge on (1/2, 2) is the cubic with the head's value and slope at
+    1/2 and value 1, slope -1 at 2, where the 4/x^2 tail starts.
+    """
+    lo, hi = 0.5, 2.0
+    mat = np.array([row for x in (lo, hi) for row in ([1, x, x ** 2, x ** 3], [0, 1, 2 * x, 3 * x ** 2])],
+                   dtype=float)
+    bridge = np.linalg.solve(mat, np.array([lo ** 2 - lo ** 4 / 2, 2 * lo - 2 * lo ** 3, 1.0, -1.0]))
+    return KernelSpec(
+        pieces=(
+            KernelPiece(0.0, lo, "poly", (0.0, 0.0, 1.0, 0.0, -0.5)),
+            KernelPiece(lo, hi, "poly", tuple(bridge)),
+            KernelPiece(hi, math.inf, "power", (4.0, -2.0)),
+        ),
+        vanishing_order=2,
+    )
+
+
+def cg_constant_numeric(spec):
+    """Oracle for `cg_constant`: C_g by 64-point Gauss-Legendre in log space
+    over [1e-8, 1e6], one panel per decade within each kernel piece."""
+    lo_cut, hi_cut = 1e-8, 1e6
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    total = 0.0
+    breaks = sorted({lo_cut, hi_cut,
+                     *(p.lo for p in spec.pieces if lo_cut < p.lo < hi_cut),
+                     *(p.hi for p in spec.pieces if lo_cut < p.hi < hi_cut)})
+    for a, b in zip(breaks, breaks[1:]):
+        ua, ub = math.log(a), math.log(b)
+        for lo in np.arange(ua, ub, math.log(10.0)):
+            hi = min(lo + math.log(10.0), ub)
+            mid, half = (lo + hi) / 2, (hi - lo) / 2
+            x = np.exp(mid + half * nodes)
+            total += half * float(np.sum(weights * kernel_eval(spec, x) ** 2))
+    return total
+
+
 def loop_vertex_matrices(graph):
     """Oracle for `vertex_matrices`: one += per edge."""
     n = len(graph.vertices)
@@ -1431,9 +1509,23 @@ def loop_vertex_matrices(graph):
     return mats
 
 
+def entry_incidence_matrices(graph):
+    """The dense incidence matrix M_s of each color, its nonzeros written
+    from `incidence_entries`, and their column orders by edge id."""
+    mats, orders = [], []
+    for color in range(1, graph.k + 1):
+        edges, rows, cols, values = incidence_entries(graph, color)
+        m = np.zeros((len(graph.vertices), len(edges)), dtype=np.int64)
+        m[rows, cols] = values
+        mats.append(m)
+        orders.append(tuple(graph.edge_ids[i] for i in edges.tolist()))
+    return mats, orders
+
+
 def loop_incidence_matrices(graph):
-    """Oracle for `incidence_matrices`: the columns of each color filled edge
-    by edge, in id order.  Returns the matrices and the column orders."""
+    """Oracle for `entry_incidence_matrices`: the columns of each color
+    filled edge by edge, in id order.  Returns the matrices and the column
+    orders."""
     n = len(graph.vertices)
     mats, orders = [], []
     for color in range(1, graph.k + 1):
@@ -1451,12 +1543,11 @@ def loop_incidence_matrices(graph):
 
 def laplacian_listing(graph):
     """Oracle for the `laplacian` listing: its records built from the dense
-    `incidence_matrices` and Laplacian, turned into lists and written one by
-    one by `json.dumps`."""
-    inc = incidence_matrices(graph)
+    `loop_incidence_matrices` and `gram_laplacian`, turned into lists and
+    written one by one by `json.dumps`."""
     records = [{"kind": "incidence", "color": color, "edges": list(order), "matrix": mat.tolist()}
-               for color, (mat, order) in enumerate(zip(inc.matrices, inc.edge_orders), start=1)]
-    records.append({"kind": "laplacian", "matrix": kgraph_laplacian(graph).tolist()})
+               for color, (mat, order) in enumerate(zip(*loop_incidence_matrices(graph)), start=1)]
+    records.append({"kind": "laplacian", "matrix": gram_laplacian(graph).tolist()})
     return "".join(json.dumps(rec) + "\n" for rec in records)
 
 

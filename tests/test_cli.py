@@ -26,6 +26,7 @@ from kgraphwave.cli import _read_records, main
 from helpers import (
     count_edge_objects,
     count_path_objects,
+    cylinder_fns_equal,
     forbid_path_building,
     generated_documents,
     laplacian_listing,
@@ -118,8 +119,6 @@ class TestCommands:
         out, _ = run_cli(capsys, "wavelets", L3, "--shape", "1,1",
                          "--depth", "1", "--synthesize", str(coeff_file))
         back = CylinderFn.from_records(graph, records(out))
-        from kgraphwave import cylinder_fns_equal
-
         assert cylinder_fns_equal(back, fn, tol=1e-12)
 
     def test_markov(self, capsys):
@@ -194,6 +193,10 @@ class TestCommands:
                          "--n", "v1", "--m", "v3", "--tlist", "0.5,0.25,0.125")
         recs = records(out)
         assert len(recs) == 4 and "slope" in recs[-1]
+        out, _ = run_cli(capsys, "spectral", LED, "--localize",
+                         "--n", "v1", "--m", "v3", "--tlist", "0.5,0.25,0.125", "--csv")
+        lines = out.splitlines()
+        assert lines[0] == "t,ratio,slope" and lines[-1] == f",,{recs[-1]['slope']!r}"
 
     def test_wavelets_basis_and_compare(self, capsys):
         out, _ = run_cli(capsys, "wavelets", L3, "--shape", "1,1", "--depth", "2")
@@ -323,6 +326,21 @@ class TestBadWords:
             prefs.write_text("\n".join(text) + "\n")
             _, errtext = run_cli(capsys, "traffic", LED, "--prefs", str(prefs), expect_exit=3)
             assert message in json.loads(errtext)["message"]
+
+    @pytest.mark.parametrize("pairs,root,message", [
+        ((("v1", "a,c,c"), ("v2", "@v2"), ("v3", "a,c,c")), [], "path for v2 has range v2, not the root"),
+        ((("v1", "a,c,c"), ("v2", "a,c,c")), [], "path for v2 has source v1, not v2"),
+        ((("v1", "a,c,c"), ("zz", "a,c,e")), ["--root", "v1"], "path for zz has source v2, not zz"),
+        ((("v1", "a,c,c"), ("v2", "a,c,e")), ["--root", "v2"], "path for v1 has range v1, not the root"),
+        ((("v2", "@v2"), ("v1", "a,c,c"), ("v3", "@v2")), [], "path for v1 has range v1, not the root"),
+    ], ids=["range", "source", "unknown vertex", "root flag", "first range is the root"])
+    def test_traffic_prefs_paths_run_from_each_vertex_up_to_the_root(self, capsys, tmp_path, pairs, root, message):
+        # the first record whose range is not the root (--root, or else the
+        # range of the first path), or whose source is not its vertex
+        prefs = tmp_path / "prefs.jsonl"
+        prefs.write_text("".join(json.dumps({"vertex": v, "path": p}) + "\n" for v, p in pairs))
+        _, errtext = run_cli(capsys, "traffic", LED, "--prefs", str(prefs), *root, expect_exit=3)
+        assert json.loads(errtext) == {"error": "validation", "reason": "bad_preferred_path", "message": message}
 
 
 class TestErrorChannel:
@@ -1127,16 +1145,20 @@ def test_path_space_ops_build_no_vertex_matrix(argv, capsys, monkeypatch):
     run_cli(capsys, argv[0], LED, *argv[1:])
 
 
-def test_default_traffic_builds_no_path(capsys, monkeypatch):
-    """Default `traffic` reads each vertex's least degree alone: it exits 0
+def test_traffic_builds_no_path(tmp_path, capsys, monkeypatch):
+    """`traffic` reads each vertex's least degree alone, and with `--prefs`
+    each record's degree, range and source off its normal form: it exits 0
     with `path_of` raising and builds no `Path`."""
     def boom(*args, **kwargs):
-        raise AssertionError("default traffic built a Path")
+        raise AssertionError("traffic built a Path")
 
+    prefs = tmp_path / "prefs.jsonl"
+    prefs.write_text("".join(json.dumps({"vertex": v, "path": p}) + "\n"
+                             for v, p in (("v1", "a,c,c"), ("v2", "a,c,e"), ("v3", "a,e,j"), ("v4", "a,e,h"))))
     monkeypatch.setattr(kgraphwave.kgraph, "path_of", boom)
-    monkeypatch.setattr(kgraphwave.cli, "path_of", boom)
     built = count_path_objects(monkeypatch)
-    for argv in (["traffic", LED], ["traffic", LED, "--root", "v2"]):
+    for argv in (["traffic", LED], ["traffic", LED, "--root", "v2"], ["traffic", LED, "--prefs", str(prefs)],
+                 ["traffic", LED, "--prefs", str(prefs), "--root", "v1"]):
         out, err = run_cli(capsys, *argv)
         assert records(out)[-1]["kind"] == "summary" and err == ""
     assert built == {"Path": 0}

@@ -23,7 +23,6 @@ from kgraphwave import (
     NotZeroOne,
     PFData,
     bouquet_graph,
-    cylinder_fns_equal,
     cylinder_measure,
     embed_to_interval,
     enumerate_paths,
@@ -50,6 +49,7 @@ from helpers import (
     check_ip_refinement_invariance,
     check_measure_additivity,
     composed_refine,
+    cylinder_fns_equal,
     digit_interval,
     family_documents,
     generated_documents,

@@ -89,7 +89,8 @@ def signal(tmp_path):
     (["spectral", LED, "--gft", "SIG"], ["index", "coefficient"]),
     (["spectral", LED, "--wavelet", "--n", "v2", "--t", "0.5"], ["t", "n", "m", "value"]),
     (["spectral", LED, "--reconstruct", "SIG"], ["vertex", "value"]),
-    (["spectral", LED, "--localize", "--n", "v1", "--m", "v3", "--tlist", "0.5,0.25,0.125"], ["t", "ratio"]),
+    (["spectral", LED, "--localize", "--n", "v1", "--m", "v3", "--tlist", "0.5,0.25,0.125"],
+     ["t", "ratio", "slope"]),
 ], ids=["measure", "measure exact embed", "ck-check", "eig", "gft", "wavelet", "reconstruct", "localize"])
 def test_csv_output_equals_the_joined_output_of_the_records(argv, fields, signal, capsys):
     argv = [signal if a == "SIG" else a for a in argv]

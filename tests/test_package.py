@@ -2,9 +2,11 @@
 served from its defining module on first use, and the modules a fresh
 interpreter loads for a graph load and for the CLI."""
 
+import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,22 +26,25 @@ EXPORTS = {
         NotZeroOne ParseError ResidualTooLarge ShapeMismatch TooLarge ValidationError""",
     "kgraph": """Edge FactorizationSquare KGraph Path bouquet_graph compose enumerate_paths fixture_path load_kgraph
         load_kgraph_file normal_form path_counts segment vertex_matrices vertex_path""",
-    "measure": """CylinderFn MeasureSpec cylinder_fns_equal cylinder_measure embed_to_interval extensions
-        inner_product integral mce norm refine""",
+    "measure": """CylinderFn MeasureSpec cylinder_measure embed_to_interval extensions inner_product integral mce
+        norm refine""",
     "perron": "RATIONAL_PF_CELL_LIMIT PFData hausdorff_dimension is_strongly_connected pf_data rational_pf_data",
     "sbfs": """CK_ENTRY_LIMIT CK_TABLE_LIMIT CKReport LevelSpace OperatorMatrix check_ck_relations ck_table_count
         ck_table_entries level_space s_apply s_matrix s_star_matrix""",
-    "spectral": """EIGEN_ENTRY_LIMIT LAPLACIAN_ENTRY_LIMIT IncidenceSet KernelPiece KernelSpec SpectralData
-        cg_constant cg_constant_numeric check_eigendata check_laplacian_listing default_kernel default_tgrid
-        eig_sym gft igft incidence_entries incidence_matrices kernel_eval kgraph_laplacian laplacian_entries
-        localization_probe probe_kernel reconstruct spectral_wavelet wavelet_operator""",
-    "traffic": "PreferredPaths TrafficWaveletFamily least_degrees traffic_measure traffic_wavelet_family",
+    "spectral": """EIGEN_ENTRY_LIMIT LAPLACIAN_ENTRY_LIMIT KernelPiece KernelSpec SpectralData cg_constant
+        check_eigendata check_laplacian_listing default_kernel default_tgrid eig_sym gft incidence_entries
+        kernel_eval kgraph_laplacian laplacian_entries localization_probe reconstruct spectral_wavelet""",
+    "traffic": "PreferredPaths TrafficWaveletFamily least_degrees traffic_wavelet_family",
     "wavelets": """MARKOV_MEMBER_LIMIT WAVELET_ENTRY_LIMIT MarkovWaveletSystem SubspaceComparison WaveletBasis
         WaveletFamily analyze build_wavelet_family check_wavelet_level markov_wavelets subspace_compare
         synthesize synthesize_vector wavelet_basis""",
 }
 SUBMODULES = {*EXPORTS, "jsonl", "orthobasis"}
 STAR = {name for names in EXPORTS.values() for name in names.split()} | SUBMODULES
+# the exported names that no module of src/ reads: objects of the paper that
+# the CLI does not print, each documented in README.md
+PAPER_OBJECTS = ("enumerate_paths", "fixture_path", "normal_form", "segment", "vertex_path", "embed_to_interval",
+                 "extensions", "integral", "refine", "s_apply", "s_star_matrix", "PreferredPaths")
 # the layers the benchmark's tracer wraps, which it finds in sys.modules
 TRACED_LAYERS = {"kgraph", "perron", "measure", "sbfs", "wavelets", "orthobasis", "traffic", "spectral"}
 
@@ -55,8 +60,41 @@ def fresh(code: str):
 def test_star_import_binds_the_public_names():
     namespace = {}
     exec("from kgraphwave import *", namespace)
-    assert len(STAR) == 123
+    assert len(STAR) == 115
     assert set(namespace) - {"__builtins__"} == STAR == set(kgraphwave.__all__)
+
+
+def readers(path: Path):
+    """Each top-level statement of a module as (module, the name it defines
+    or None, the names it reads: those it imports, and every name and
+    attribute of its code)."""
+    for top in ast.parse(path.read_text()).body:
+        defined = getattr(top, "name", None)
+        if isinstance(top, ast.Assign) and len(top.targets) == 1 and isinstance(top.targets[0], ast.Name):
+            defined = top.targets[0].id
+        read = set()
+        for node in ast.walk(top):
+            if isinstance(node, ast.ImportFrom):
+                read |= {alias.name for alias in node.names}
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                read.add(node.id if isinstance(node, ast.Name) else node.attr)
+        yield path.stem, defined, read
+
+
+def test_every_export_has_a_reader_or_is_a_documented_paper_object():
+    """No name is exported for the tests alone: each is read by a module of
+    src/ outside its own definition, or is one of the documented
+    `PAPER_OBJECTS`. Dense views and numeric cross-checks live in
+    tests/helpers.py."""
+    statements = [s for path in (SRC / "kgraphwave").glob("*.py") if path.name != "__init__.py"
+                  for s in readers(path)]
+    home = {name: module for module, names in kgraphwave._EXPORTS.items() for name in names}
+    unread = sorted(name for name, module in home.items()
+                    if not any(name in read and (where, defined) != (module, name)
+                               for where, defined, read in statements))
+    assert unread == sorted(PAPER_OBJECTS)
+    readme = (SRC.parent / "README.md").read_text()
+    assert [name for name in PAPER_OBJECTS if not re.search(rf"\b{name}\b", readme)] == []
 
 
 @pytest.mark.parametrize("module", sorted(EXPORTS))

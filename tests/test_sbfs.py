@@ -21,7 +21,6 @@ from kgraphwave import (
     check_ck_relations,
     ck_table_count,
     ck_table_entries,
-    cylinder_fns_equal,
     cylinder_measure,
     enumerate_paths,
     fixture_path,
@@ -45,11 +44,13 @@ import helpers
 from helpers import (
     case_ck_report,
     check_isometry_columns,
+    cylinder_fns_equal,
     dense_ck_deviations,
     family_documents,
     generated_documents,
     path_row,
     pointwise_s_matrix,
+    table_index,
     torus_document,
     twisted_circulant_document,
 )
@@ -479,7 +480,7 @@ class TestTableReadCheck:
             # each table of the store, through its per-key view, as the
             # oracle's tables are perturbed one at a time
             tables = build(spec, *args)
-            for (degree, level), q in tables.index.items():
+            for (degree, level), q in table_index(tables).items():
                 rows, vals = tables.table(q)
                 rows[...], vals[...] = perturbed((rows, vals), degree, level_space(spec, deg_add(degree, level)))
             return tables
@@ -552,7 +553,7 @@ class TestSizeLimit:
 
         def counted(spec, *args):
             tables = build(spec, *args)
-            built.update({key: tables[key][0].size for key in tables.index})
+            built.update({key: tables.table(q)[0].size for key, q in table_index(tables).items()})
             assert tables.rows.size == tables.vals.size == sum(built.values())  # one flat store
             return tables
 
@@ -572,7 +573,7 @@ class TestSizeLimit:
 
         def recorded(spec, *args):
             tables = build(spec, *args)
-            shapes.update({key: tables[key][0].shape for key in tables.index})
+            shapes.update({key: tables.table(q)[0].shape for key, q in table_index(tables).items()})
             return tables
 
         monkeypatch.setattr(kgraphwave.sbfs, "_prefix_tables", recorded)
@@ -658,12 +659,13 @@ class TestBatchedTables:
 
     def test_tables_are_views_of_one_store(self, spec3, lambda3):
         tables = kgraphwave.sbfs._ck_tables(spec3, kgraphwave.sbfs._ck_plan((2, 1)))
-        assert len(tables.keys) == len(tables.index) == ck_table_count((2, 1))
+        index = table_index(tables)
+        assert len(tables.keys) == len(index) == ck_table_count((2, 1))
         assert tables.rows.size == ck_table_entries(lambda3, (2, 1))
-        for key in tables.index:
-            rows, vals = tables[key]
+        for q in index.values():
+            rows, vals = tables.table(q)
             assert rows.base is tables.rows and vals.base is tables.vals
-            assert np.count_nonzero(rows >= 0) == tables.entries[tables.index[key]]
+            assert np.count_nonzero(rows >= 0) == tables.entries[q]
 
     @pytest.mark.parametrize("level", [(1,), (4,), (1, 1), (3, 3), (6, 1), (1, 5), (2, 1, 3), (1, 1, 1)])
     def test_plan_is_the_loop_of_the_check(self, level):
@@ -727,8 +729,9 @@ class TestBatchedTables:
         graph = load_kgraph_file(fixture_path(name))
         spec = MeasureSpec.perron_frobenius(graph)
         tables = kgraphwave.sbfs._ck_tables(spec, kgraphwave.sbfs._ck_plan(level))
+        index = table_index(tables)
         for x, base in [((1, 0), (0, 1)), ((0, 1), (1, 1)), ((1, 1), (0, 0))]:
-            rows, vals = tables[x, base]
+            rows, vals = tables.table(index[x, base])
             for i, lam in enumerate(enumerate_paths(graph, x)):
                 op = s_matrix(spec, lam, base)
                 assert op.rows.dtype == np.intp

@@ -22,7 +22,6 @@ from kgraphwave import (
     load_kgraph,
     normal_form,
     pf_data,
-    traffic_measure,
     traffic_wavelet_family,
     vertex_path,
 )
@@ -32,6 +31,7 @@ from helpers import (
     family_documents,
     generated_documents,
     least_total_chooser,
+    traffic_gram,
     twisted_circulant_document,
 )
 
@@ -53,14 +53,14 @@ def led_prefs(ledrappier):
 
 class TestMeasure:
     def test_ledrappier_uniform(self, ledrappier, led_pf, led_prefs):
-        nu = traffic_measure(ledrappier, led_pf, led_prefs.degrees)
+        nu = traffic_wavelet_family(ledrappier, led_pf, led_prefs.degrees).measure
         assert np.allclose(nu, 1 / 32, atol=1e-14)
 
     def test_root_vertex_path(self, ledrappier, led_pf):
         assignment = {"v1": vertex_path(ledrappier, "v1")}
         for v in ("v2", "v3", "v4"):
             assignment[v] = enumerate_paths(ledrappier, (1, 2), range="v1", source=v)[0]
-        nu = traffic_measure(ledrappier, led_pf, PreferredPaths("v1", assignment).degrees)
+        nu = traffic_wavelet_family(ledrappier, led_pf, PreferredPaths("v1", assignment).degrees).measure
         assert nu[0] == pytest.approx(led_pf.x_lambda[0], abs=1e-14)
 
     @pytest.mark.parametrize("rho", [1e300, 1e-300], ids=["underflow", "overflow"])
@@ -68,15 +68,16 @@ class TestMeasure:
         """rho^{-(1,2)} x_w is 0 or infinite: no class can be normalized."""
         pf = PFData(np.array([rho, rho]), led_pf.x_lambda)
         with pytest.raises(NonFiniteResult, match="vertex v1"):
-            traffic_measure(ledrappier, pf, led_prefs.degrees)
-        with pytest.raises(NonFiniteResult):
             traffic_wavelet_family(ledrappier, pf, led_prefs.degrees)
 
     def test_lambda3_trivial(self, lambda3):
+        """One vertex: its vertex path weighs rho^0 x_v = 1, and its one
+        degree class is a singleton, so the family has no wavelet."""
         pf = pf_data(lambda3)
         prefs = PreferredPaths("v", {"v": vertex_path(lambda3, "v")})
-        nu = traffic_measure(lambda3, pf, prefs.degrees)
-        assert nu == pytest.approx([1.0], abs=1e-14)
+        assert pf.rho_pow(prefs.degrees["v"]) * pf.x_lambda == pytest.approx([1.0], abs=1e-14)
+        with pytest.raises(NoWaveletDegree):
+            traffic_wavelet_family(lambda3, pf, prefs.degrees)
 
 
 class TestFamily:
@@ -92,7 +93,7 @@ class TestFamily:
         assert np.max(np.abs(signals - expected)) < 1e-12
         assert fam.complete
         assert np.allclose(fam.constant, 2 * SQRT2, atol=1e-12)
-        assert np.max(np.abs(fam.gram() - np.eye(4))) < 1e-12
+        assert np.max(np.abs(traffic_gram(fam.measure, fam.signals(), fam.constant) - np.eye(4))) < 1e-12
 
     def test_choice_of_preferred_path_is_immaterial(self, ledrappier, led_pf):
         # both degree-(1,2) paths per vertex give the same vertex wavelets
@@ -147,7 +148,7 @@ class TestFamily:
         assert sig == pytest.approx([alpha, -beta], abs=1e-10)
         assert np.all(sig != 0.0)
         assert fam.complete
-        assert np.max(np.abs(fam.gram() - np.eye(2))) < 1e-12
+        assert np.max(np.abs(traffic_gram(fam.measure, fam.signals(), fam.constant) - np.eye(2))) < 1e-12
 
     def test_multiple_degree_classes_disjoint_supports(self, ledrappier, led_pf):
         assignment = {
@@ -162,7 +163,7 @@ class TestFamily:
         assert shapes == [(1, 2), (2, 2)]  # graded-lex class order
         supports = [set(np.nonzero(sig)[0]) for _, sig in fam.signals()]
         assert supports[0].isdisjoint(supports[1])
-        gram = fam.gram()
+        gram = traffic_gram(fam.measure, fam.signals(), fam.constant)
         assert np.max(np.abs(gram - np.eye(len(gram)))) < 1e-12
 
 
@@ -176,7 +177,7 @@ class TestValidationAndDefaults:
         prefs = PreferredPaths(
             "v1", {"v1": vertex_path(ledrappier, "v1")})
         with pytest.raises(ValidationError):
-            traffic_measure(ledrappier, led_pf, prefs.degrees)
+            traffic_wavelet_family(ledrappier, led_pf, prefs.degrees)
 
     @pytest.mark.parametrize("change, shown", [
         (lambda d: d.pop("v3"), r"missing \['v3'\], extra \[\]"),
@@ -185,17 +186,15 @@ class TestValidationAndDefaults:
     def test_degrees_must_cover_every_vertex_once(self, ledrappier, led_pf, led_prefs, change, shown):
         degrees = led_prefs.degrees
         change(degrees)
-        for build in (traffic_measure, traffic_wavelet_family):
-            with pytest.raises(ValidationError, match=shown) as exc:
-                build(ledrappier, led_pf, degrees)
-            assert exc.value.reason == "bad_preferred_path"
+        with pytest.raises(ValidationError, match=shown) as exc:
+            traffic_wavelet_family(ledrappier, led_pf, degrees)
+        assert exc.value.reason == "bad_preferred_path"
 
     @pytest.mark.parametrize("degree", [(1, 2, 0), (1,), (1, -2)], ids=["long", "short", "negative"])
     def test_malformed_degree_rejected(self, ledrappier, led_pf, led_prefs, degree):
         degrees = {**led_prefs.degrees, "v2": degree}
-        for build in (traffic_measure, traffic_wavelet_family):
-            with pytest.raises(DegreeRangeError):
-                build(ledrappier, led_pf, degrees)
+        with pytest.raises(DegreeRangeError):
+            traffic_wavelet_family(ledrappier, led_pf, degrees)
 
     def test_preferred_paths_degrees(self, ledrappier, led_prefs):
         assert led_prefs.degrees == {w: p.degree for w, p in led_prefs.assignment.items()}
@@ -348,7 +347,6 @@ class TestPerClassFamily:
             return
         fam = traffic_wavelet_family(graph, pf, degrees)
         assert fam.measure.tobytes() == nu.tobytes()
-        assert traffic_measure(graph, pf, degrees).tobytes() == nu.tobytes()
         signals = list(fam.signals())
         assert [label for label, _ in signals] == [label for label, _ in wavelets]
         assert all(a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(signals, wavelets))
@@ -361,7 +359,7 @@ class TestPerClassFamily:
         if constant is not None:
             records.append({"kind": "constant", "values": constant.tolist()})
         assert json.dumps(list(fam.to_records())) == json.dumps(records)
-        gram = fam.gram()
+        gram = traffic_gram(nu, wavelets, constant)
         assert np.max(np.abs(gram - np.eye(len(gram)))) < 1e-12
 
     @settings(max_examples=60, deadline=None)

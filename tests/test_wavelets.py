@@ -25,11 +25,11 @@ from kgraphwave import (
     bouquet_graph,
     ShapeMismatch,
     check_wavelet_level,
-    cylinder_fns_equal,
     fixture_path,
     inner_product,
     integral,
     is_strongly_connected,
+    jsonl,
     level_space,
     load_kgraph,
     markov_wavelets,
@@ -46,6 +46,7 @@ from kgraphwave.wavelets import MemberSet, _path_count
 from helpers import (
     block_paths,
     count_path_objects,
+    cylinder_fns_equal,
     cylinder_listing,
     cylinder_synthesis_records,
     dense_subspace_compare,
@@ -205,7 +206,7 @@ class TestBasis:
         for depth in (1, 2, 3):
             basis = wavelet_basis(fam3, depth)
             assert len(basis.labels) == 2 ** depth
-            assert np.max(np.abs(basis.gram() - np.eye(2 ** depth))) < 1e-12
+            assert np.max(np.abs(row_loop_gram(basis) - np.eye(2 ** depth))) < 1e-12
 
     def test_lambda3_depth1_members(self, lambda3, fam3):
         basis = wavelet_basis(fam3, 1)
@@ -220,11 +221,11 @@ class TestBasis:
     def test_ledrappier_depth1_cardinality(self, famL):
         basis = wavelet_basis(famL, 1)
         assert len(basis.labels) == 4 + 4 * 7 == 32
-        assert np.max(np.abs(basis.gram() - np.eye(32))) < 1e-12
+        assert np.max(np.abs(row_loop_gram(basis) - np.eye(32))) < 1e-12
 
     def test_layer_orthogonality_blocks(self, fam3):
         basis = wavelet_basis(fam3, 4)
-        gram = basis.gram()
+        gram = row_loop_gram(basis)
         assert np.max(np.abs(gram - np.eye(len(basis.labels)))) < 1e-12
         layers = {}
         for i, lab in enumerate(basis.labels):
@@ -239,7 +240,7 @@ class TestBasis:
 
     def test_scaling_orthogonal_to_wavelets(self, famL):
         basis = wavelet_basis(famL, 1)
-        gram = basis.gram()
+        gram = row_loop_gram(basis)
         scaling = [i for i, lab in enumerate(basis.labels) if lab["kind"] == "scaling"]
         wav = [i for i, lab in enumerate(basis.labels) if lab["kind"] == "wavelet"]
         assert np.max(np.abs(gram[np.ix_(scaling, wav)])) < 1e-12
@@ -257,7 +258,7 @@ class TestBasis:
         fam = build_wavelet_family(ledrappier, shape=(1, 1))
         basis = wavelet_basis(fam, 3)
         assert len(basis.labels) == path_count(ledrappier, (3, 3)) == 256
-        assert np.max(np.abs(basis.gram() - np.eye(256))) < 1e-12
+        assert np.max(np.abs(row_loop_gram(basis) - np.eye(256))) < 1e-12
 
 
 class TestTransforms:
@@ -318,9 +319,8 @@ def check_cascade(basis, fn, tol=1e-12):
 
 def check_dense_rows(basis):
     """``matrix``, the members scattered into zero rows, against the synthesis
-    of the identity, and ``gram`` against its row loop, both to the last bit."""
+    of the identity, to the last bit."""
     assert basis.matrix.tobytes() == identity_synthesis(basis).tobytes()
-    assert basis.gram().tobytes() == row_loop_gram(basis).tobytes()
 
 
 FIXTURE_CASES = [("lambda3", (1, 1), 4), ("ledrappier", (1, 1), 3), ("ledrappier", (1, 2), 2),
@@ -427,7 +427,7 @@ class TestRecords:
     def test_listing_and_synthesis_against_cylinder_oracle(self, case):
         doc, shape, depth, seed = case
         basis = wavelet_basis(build_wavelet_family(load_kgraph(doc), shape=shape), depth)
-        assert basis.to_records() == cylinder_listing(basis)
+        assert jsonl.parse(basis.listing()) == cylinder_listing(basis)
         rng = np.random.default_rng(seed)
         # sparse coefficients leave whole subtrees at exactly zero
         coeffs = rng.standard_normal(len(basis.labels)) * (rng.random(len(basis.labels)) < rng.random())
@@ -482,7 +482,7 @@ class TestMarkov:
     @given(letter_weights(), st.integers(0, 4))
     def test_records_against_member_oracle(self, letters, depth):
         n_letters, weights = letters
-        assert markov_wavelets(n_letters, weights, depth).to_records() \
+        assert jsonl.parse(markov_wavelets(n_letters, weights, depth).listing()) \
             == markov_member_records(n_letters, weights, depth)
 
     def test_haar_system(self):
@@ -499,14 +499,14 @@ class TestMarkov:
             (normal_form(g, ["0", "0"]), SQRT2),
             (normal_form(g, ["0", "1"]), -SQRT2)])
         assert cylinder_fns_equal(psi0, expected, tol=1e-12)
-        assert np.max(np.abs(system.gram() - np.eye(4))) < 1e-12
+        assert np.max(np.abs(row_loop_gram(system) - np.eye(4))) < 1e-12
 
     def test_skewed_weights_hand_vector(self):
         # complement of the constant vector under <x,y> = sum x y p for
         # p = (1/4, 3/4): a(1/4) = b(3/4), a^2/4 + b^2 3/4 = 1
         system = markov_wavelets(2, (Fraction(1, 4), Fraction(3, 4)), 2)
         assert len(system.functions) == 8
-        assert np.max(np.abs(system.gram() - np.eye(8))) < 1e-12
+        assert np.max(np.abs(row_loop_gram(system) - np.eye(8))) < 1e-12
         a, b = np.sqrt(3.0), 1 / np.sqrt(3.0)
         g, spec = system.graph, system.spec
         psi = next(fn for lab, fn in zip(system.labels, system.functions)
@@ -516,17 +516,11 @@ class TestMarkov:
             (normal_form(g, ["0", "1"]), -b / np.sqrt(0.25))])
         assert cylinder_fns_equal(psi, expected, tol=1e-12)
 
-    @pytest.mark.parametrize("n_letters,weights,depth", [(2, (0.25, 0.75), 3), (3, (0.2, 0.5, 0.3), 2),
-                                                         (4, (0.1, 0.2, 0.3, 0.4), 0)])
-    def test_gram_against_row_loop(self, n_letters, weights, depth):
-        system = markov_wavelets(n_letters, weights, depth)
-        assert system.gram().tobytes() == row_loop_gram(system).tobytes()
-
     def test_depth_zero_scaling_only(self):
         system = markov_wavelets(3, (0.2, 0.5, 0.3), 0)
         assert len(system.functions) == 3
         assert all(lab["kind"] == "scaling" for lab in system.labels)
-        assert np.max(np.abs(system.gram() - np.eye(3))) < 1e-12
+        assert np.max(np.abs(row_loop_gram(system) - np.eye(3))) < 1e-12
 
     def test_vanishing_integral_chain(self):
         # the displayed orthogonality integrals: wavelets have zero mean,

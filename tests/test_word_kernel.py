@@ -22,6 +22,7 @@ from kgraphwave import (
     compose,
     enumerate_paths,
     fixture_path,
+    jsonl,
     level_space,
     load_kgraph,
     load_kgraph_file,
@@ -219,12 +220,12 @@ class TestCascade:
     @given(measured_graphs(), st.integers(1, 3))
     def test_listing_from_supports(self, case, depth):
         basis = _basis(*case, depth)
-        assert basis.to_records() == dense_listing(basis)
+        assert jsonl.parse(basis.listing()) == dense_listing(basis)
         assert "matrix" in basis.__dict__  # the oracle built it, not the listing
 
     def test_listing_builds_no_dense_matrix(self, ledrappier):
         basis = wavelet_basis(build_wavelet_family(ledrappier, shape=(1, 1)), 3)
-        records = basis.to_records()
+        records = jsonl.parse(basis.listing())
         assert "matrix" not in basis.__dict__
         assert records == dense_listing(basis)
 
