@@ -43,7 +43,7 @@ from .spectral import (
     reconstruct,
     spectral_wavelet,
 )
-from .traffic import least_degrees, traffic_wavelet_family
+from .traffic import check_preferred_paths, least_degrees, traffic_wavelet_family
 from .wavelets import (
     analyze,
     build_wavelet_family,
@@ -322,8 +322,7 @@ def _cmd_wavelets(args):
     graph = _load_graph(args)
     family = build_wavelet_family(graph, shape=_parse_list(args.shape, int, "degree/shape", "1,2"))
     if args.compare is not None:
-        coarse = build_wavelet_family(
-            graph, shape=tuple(args.compare * j for j in family.shape))
+        coarse = build_wavelet_family(graph, shape=tuple(args.compare * j for j in family.shape), spec=family.spec)
         _emit(args, [subspace_compare(family, coarse).to_record()])
         return
     if args.list_family:
@@ -373,15 +372,9 @@ def _cmd_traffic(args):
             forms = _parse_words(graph, [rec["path"] for rec in records])
         if not records:
             raise err.ValidationError("bad_preferred_path", f"{args.prefs} holds no preferred paths")
-        root = forms[0][2] if args.root is None else graph.vertex_index[args.root]
-        for rec, (_, _, r, s) in zip(records, forms):
-            w = rec["vertex"]
-            if r != root:
-                raise err.ValidationError("bad_preferred_path", f"path for {w} has range {graph.vertices[r]}, "
-                                          "not the root")
-            if s != graph.vertex_index.get(w):
-                raise err.ValidationError("bad_preferred_path", f"path for {w} has source {graph.vertices[s]}, "
-                                          f"not {w}")
+        root = graph.vertices[forms[0][2]] if args.root is None else args.root
+        check_preferred_paths(root, ((rec["vertex"], graph.vertices[r], graph.vertices[s])
+                                     for rec, (_, _, r, s) in zip(records, forms)))
         degrees = {rec["vertex"]: form[0] for rec, form in zip(records, forms)}
     else:
         degrees = least_degrees(graph, graph.vertices[0] if args.root is None else args.root)

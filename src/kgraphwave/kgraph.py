@@ -370,15 +370,6 @@ class KGraph:
     def color(self, eid: str) -> int:
         return self.edges[eid].color
 
-    def edges_into(self, vertex: str, color: int) -> tuple[str, ...]:
-        """Edge ids with the given range and color, sorted by id: the run of
-        the vertex in the word kernel's edges of that color by range."""
-        if vertex not in self.vertex_index:
-            return ()
-        by_range, starts = self.word_kernel._runs(color)
-        v = self.vertex_index[vertex]
-        return tuple(self.edge_ids[e] for e in by_range[starts[v]:starts[v + 1]].tolist())
-
     def zero_degree(self) -> Degree:
         return (0,) * self.k
 
@@ -391,24 +382,6 @@ class KGraph:
     def _edge_lists(self) -> tuple[list[int], list[int], list[int]]:
         """The color, source and range columns as lists."""
         return self.edge_color.tolist(), self.edge_source.tolist(), self.edge_range.tolist()
-
-    # -- serialization -----------------------------------------------------
-
-    def to_document(self) -> dict:
-        ids = self.edge_ids
-        return {
-            "k": self.k,
-            "vertices": list(self.vertices),
-            "edges": [
-                {"id": eid, "color": c, "source": self.vertices[s], "range": self.vertices[r]}
-                for eid, c, s, r in zip(ids, self.edge_color.tolist(),
-                                        self.edge_source.tolist(), self.edge_range.tolist())
-            ],
-            "squares": [
-                {"left": [ids[a], ids[b]], "right": [ids[c], ids[d]]}
-                for a, b, c, d in self.square_edges.tolist()
-            ],
-        }
 
 
 @dataclass(frozen=True)
@@ -689,10 +662,6 @@ class WordKernel:
         """The JSON text of each edge id (`jsonl.strings`), made once."""
         return jsonl.strings(self.ids)
 
-    def edges_of(self, color: int) -> np.ndarray:
-        """The edges of one color, by range."""
-        return self._runs(color)[0]
-
     def _runs(self, color: int) -> tuple[np.ndarray, np.ndarray]:
         """The edges of one color by range, and where each range's run starts."""
         return self._into.get(color, self._empty_runs)
@@ -749,14 +718,20 @@ class WordKernel:
         return np.repeat(np.arange(len(sources)), count), by_range[_expand_runs(starts[at], count)]
 
     def words(self, colors: tuple[int, ...]) -> np.ndarray:
-        """All composable words of a nonempty color sequence, as new rows."""
-        words = np.flatnonzero(self.color == colors[0])[:, None]
+        """All composable words of a nonempty color sequence, as new rows: each
+        letter's edges and the words they extend, gathered once at the end."""
+        edges, parents = [np.flatnonzero(self.color == colors[0])], []
         for c in colors[1:]:
             by_range, starts = self._runs(c)
-            tail = self.source[words[:, -1]]
+            tail = self.source[edges[-1]]
             count = starts[tail + 1] - starts[tail]
-            words = np.column_stack([np.repeat(words, count, axis=0),
-                                     by_range[_expand_runs(starts[tail], count)]])
+            parents.append(np.repeat(np.arange(len(tail)), count))
+            edges.append(by_range[_expand_runs(starts[tail], count)])
+        words, at = np.empty((len(edges[-1]), len(colors)), dtype=np.intp), np.arange(len(edges[-1]))
+        for i in range(len(colors) - 1, 0, -1):
+            words[:, i] = edges[i][at]
+            at = parents[i - 1][at]
+        words[:, 0] = edges[0][at]
         return words
 
     def compose(self, heads: np.ndarray, head_degree: Degree | np.ndarray,
@@ -884,21 +859,19 @@ def path_counts(graph: KGraph, upto: Degree) -> np.ndarray:
     return ends.sum(axis=-1)
 
 
-def _path_count(graph: KGraph, level: Degree, cap: int, by_range: bool = False):
+def _path_count(graph: KGraph, level: Degree, cap: int) -> int:
     """|Lambda^level| (`path_counts` at one degree) where it is below
     ``cap``, else some count >= cap, with no path built: a count per source
     vertex, stepped back one edge at a time as `path_counts` steps, each
     entry saturated at cap.  The colors whose edges reach every vertex come
     last, as a step of such a color loses no path: the count stops once it
-    reaches cap with only such steps left.  With ``by_range``, the count of
-    the paths into each vertex, each entry exact below cap: every step runs."""
+    reaches cap with only such steps left."""
     n, steps = len(graph.vertices), []
     for c, d in enumerate(level, start=1):
         if d:
             edges = graph.edge_color == c
-            ends = graph.edge_source[edges], graph.edge_range[edges]
-            source, range_ = ends[::-1] if by_range else ends
-            steps.append((not by_range and bool(np.bincount(range_, minlength=n).all()), d, source, range_))
+            source, range_ = graph.edge_source[edges], graph.edge_range[edges]
+            steps.append((bool(np.bincount(range_, minlength=n).all()), d, source, range_))
     steps.sort(key=lambda step: step[0])
     counts = np.ones(n)  # exact integers: every sum stays far below 2^53
     for keeps, d, source, range_ in steps:
@@ -906,7 +879,7 @@ def _path_count(graph: KGraph, level: Degree, cap: int, by_range: bool = False):
             if keeps and counts.sum() >= cap:
                 break
             counts = np.minimum(np.bincount(source, weights=counts[range_], minlength=n), cap)
-    return counts if by_range else int(counts.sum())
+    return int(counts.sum())
 
 
 def is_zero_one(graph: KGraph) -> bool:

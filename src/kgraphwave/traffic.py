@@ -13,13 +13,13 @@ so the family is built from each vertex's preferred-path degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .errors import CompositionError, NoWaveletDegree, NonFiniteResult, ValidationError
 from .kgraph import Degree, KGraph, Path, as_degree
-from .orthobasis import complement_basis
+from .orthobasis import HaarNodes, complement_basis
 from .perron import PFData
 
 
@@ -31,18 +31,21 @@ class PreferredPaths:
     assignment: Mapping[str, Path]
 
     def __post_init__(self):
-        for w, path in self.assignment.items():
-            if path.range != self.root:
-                raise ValidationError(
-                    "bad_preferred_path", f"path for {w} has range {path.range}, not the root")
-            if path.source != w:
-                raise ValidationError(
-                    "bad_preferred_path", f"path for {w} has source {path.source}, not {w}")
+        check_preferred_paths(self.root, ((w, p.range, p.source) for w, p in self.assignment.items()))
 
     @property
     def degrees(self) -> dict[str, Degree]:
         """Each vertex's preferred-path degree: all the wavelets read of a path."""
         return {w: path.degree for w, path in self.assignment.items()}
+
+
+def check_preferred_paths(root: str, ends: Iterable[tuple[str, str, str]]) -> None:
+    """Each (w, range, source) of a path for w, by vertex names, must run from w up to the root."""
+    for w, range_, source in ends:
+        if range_ != root:
+            raise ValidationError("bad_preferred_path", f"path for {w} has range {range_}, not the root")
+        if source != w:
+            raise ValidationError("bad_preferred_path", f"path for {w} has source {source}, not {w}")
 
 
 def least_degrees(graph: KGraph, root: str) -> dict[str, Degree]:
@@ -84,20 +87,20 @@ def least_degrees(graph: KGraph, root: str) -> dict[str, Degree]:
 class TrafficWaveletFamily:
     """The lifted wavelet signals, held per degree class: a class J of m >= 2
     vertices gives g^{1,J}, ..., g^{m-1,J}, the rows of `complement_basis`
-    on its members and zero elsewhere.  No signal is held as an n-vector."""
+    (split nodes) on its members and zero elsewhere, never as n-vectors."""
 
     graph: KGraph
     measure: np.ndarray
-    classes: tuple[tuple[Degree, np.ndarray, np.ndarray], ...]  # (J, member indices, rows)
+    classes: tuple[tuple[Degree, np.ndarray, HaarNodes], ...]  # (J, member indices, nodes)
     constant: np.ndarray | None
     complete: bool
 
     def signals(self) -> Iterator[tuple[tuple[int, Degree], np.ndarray]]:
         """Each ((m, J), g^{m,J}) as an n-vector, built as it is read."""
-        for J, members, rows in self.classes:
-            for m, row in enumerate(rows, start=1):
+        for J, members, nodes in self.classes:
+            for m, (lo, hi, values) in enumerate(nodes.runs(), start=1):
                 signal = np.zeros(len(self.measure))
-                signal[members] = row
+                signal[members[lo:hi]] = values
                 yield (m, J), signal
 
     def to_records(self) -> Iterator[dict]:

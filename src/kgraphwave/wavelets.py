@@ -17,7 +17,6 @@ scaling function and the layer-0 wavelets.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -26,26 +25,21 @@ import numpy as np
 
 from . import jsonl
 from .errors import BadShape, BadWeights, EmptyDv, ResidualTooLarge, ShapeMismatch, TooLarge
-from .kgraph import (
-    Degree,
-    KGraph,
-    _path_count,
-    as_degree,
-    bouquet_graph,
-    deg_scale,
-)
+from .kgraph import Degree, KGraph, _path_count, as_degree, bouquet_graph, deg_scale
 from .measure import CylinderFn, MeasureSpec
-from .orthobasis import _complement_runs, complement_basis
+from .orthobasis import HaarNodes, complement_basis
 from .sbfs import LevelSpace, level_space
 
 
 # The most word entries (paths times the edges of each) of a level that
 # `build_wavelet_family` or `wavelet_basis` builds, and the most entries
-# sum_v |D_v^J|^2 of a family's coefficient blocks.  2^24 admits ledrappier
-# (1,1) at depth 8 (262,144 paths of 16 edges: 4.2M entries, a listing of
-# about 7 s and 1.4 GB), refuses depth 9 (18.9M), and admits the blocks of
-# shape (5,5) (4 * 1024^2, so --compare 5) but not (6,6) (4 * 4096^2).
+# sum_v |D_v^J|^2 of the dense coefficient blocks of a basis's cascade.
+# 2^24 admits ledrappier (1,1) at depth 8 (262,144 paths of 16 edges: 4.2M
+# entries, a listing of about 7 s and 1.4 GB), refuses depth 9 (18.9M), and
+# admits the bases of shape (5,5) (blocks of 4 * 1024^2) but not (6,6)
+# (4 * 4096^2).  A family holds O(|D_v^J|) numbers per vertex.
 WAVELET_ENTRY_LIMIT = 2 ** 24
+_CHUNK_ENTRIES = 2 ** 20  # the most entries of one chunk of dense rows in `subspace_compare`
 
 
 def check_wavelet_level(graph: KGraph, level: Sequence[int]) -> int:
@@ -63,11 +57,13 @@ def check_wavelet_level(graph: KGraph, level: Sequence[int]) -> int:
 class VertexBlock:
     """Per-vertex wavelet data: D_v^J as the ascending ``positions`` of its
     paths in the family's level-J space, and the orthonormal coefficient
-    vectors over them (row 0 constant, rows 1.. zero-mean)."""
+    vectors over them: the constant ``scale`` = 1 / sqrt(sum of the weights)
+    and the zero-mean rows C_v[1:] as split ``nodes``."""
 
     vertex: str
     positions: np.ndarray
-    c_vectors: np.ndarray
+    scale: float
+    nodes: HaarNodes
 
 
 @dataclass(frozen=True)
@@ -91,17 +87,16 @@ class WaveletFamily:
     def scaling(self) -> tuple[CylinderFn, ...]:
         # the constant row rebuilds Theta_v / sqrt(M(Z(v))) after coarsening
         vertex_space = level_space(self.spec, self.graph.zero_degree())
-        return tuple(vertex_space.function_at(np.array([v]), b.c_vectors[0, :1])
+        return tuple(vertex_space.function_at(np.array([v]), np.array([b.scale]))
                      for v, b in enumerate(self.blocks.values()))
 
     @cached_property
     def wavelets(self) -> tuple[tuple[tuple[int, str], CylinderFn], ...]:
-        return tuple(((m, v), self.wavelet(m, v))
-                     for v, b in self.blocks.items() for m in range(1, len(b.c_vectors)))
+        return tuple(((m, v), self.space.function_at(b.positions[lo:hi], values))
+                     for v, b in self.blocks.items() for m, (lo, hi, values) in enumerate(b.nodes.runs(), start=1))
 
     def wavelet(self, m: int, vertex: str) -> CylinderFn:
-        block = self.blocks[vertex]
-        return self.space.function_at(block.positions, block.c_vectors[m])
+        return dict(self.wavelets)[m, vertex]
 
     def listing(self) -> str:
         """The JSON lines of the family: per vertex its scaling function,
@@ -109,21 +104,20 @@ class WaveletFamily:
 
         A scaling function is one level-0 term; f^{m,v} sits at the
         positions of D_v^J with the values of row m, passed as the run of
-        D_v^J that the row is zero off (`complement_basis`).
+        D_v^J that the row is zero off (`HaarNodes.runs`).
         """
         vertices = jsonl.strings(self.graph.vertices)
         blocks = list(self.blocks.values())
-        ms = jsonl.integers(max(len(b.c_vectors) for b in blocks))
-        counts = [len(b.c_vectors) - 1 for b in blocks]
+        counts = [len(b.positions) - 1 for b in blocks]
+        ms = jsonl.integers(max(counts) + 1)
         heads = np.concatenate([
             jsonl.cells('{"kind": "scaling", "vertex": ', vertices, ', "m": 0'),
             jsonl.cells('{"kind": "wavelet", "vertex": ', np.repeat(vertices, counts),
                         ', "m": ', np.concatenate([ms[1:count + 1] for count in counts]))])
         n = len(blocks)
         vertex_heads = level_space(self.spec, self.graph.zero_degree()).term_heads
-        members = [(np.array([v]), b.c_vectors[0, :1]) for v, b in enumerate(blocks)]
-        members += [(n + b.positions[lo:hi], row[lo:hi]) for b in blocks
-                    for row, (lo, hi) in zip(b.c_vectors[1:], _complement_runs(len(b.positions)))]
+        members = [(np.array([v]), np.array([b.scale])) for v, b in enumerate(blocks)]
+        members += [(n + b.positions[lo:hi], values) for b in blocks for lo, hi, values in b.nodes.runs()]
         return jsonl.listing(heads, np.concatenate([vertex_heads, self.space.term_heads]), members)
 
 
@@ -134,18 +128,13 @@ def build_wavelet_family(graph: KGraph, shape: Sequence[int],
 
     D_v^J is the paths of range v in the level-J space, in its order; the
     coefficient vectors come from their masses.  Above `WAVELET_ENTRY_LIMIT`
-    word entries, or sum_v |D_v^J|^2 entries of the C_v, it raises TooLarge."""
+    word entries it raises TooLarge before it builds the level."""
     if spec is None:
         spec = MeasureSpec.perron_frobenius(graph)
     shape = as_degree(shape, graph.k)
     if any(j < 1 for j in shape):
         raise BadShape(f"every shape entry must be >= 1, got {shape}")
     check_wavelet_level(graph, shape)
-    sizes = _path_count(graph, shape, math.isqrt(WAVELET_ENTRY_LIMIT) + 1, by_range=True)
-    if np.sum(sizes * sizes) > WAVELET_ENTRY_LIMIT:
-        raise TooLarge(f"the coefficient blocks of shape {shape}, |D_v^J|^2 entries for each vertex v, "
-                       f"hold more than {WAVELET_ENTRY_LIMIT} entries, the limit")
-
     space = level_space(spec, shape)
     blocks = {}
     for i, v in enumerate(graph.vertices):
@@ -153,9 +142,8 @@ def build_wavelet_family(graph: KGraph, shape: Sequence[int],
         if not len(positions):
             raise EmptyDv(f"no paths of shape {shape} reach vertex {v}")
         weights = space.weights[positions]
-        rest = complement_basis(weights)  # checks the weights are positive
-        c = np.vstack([np.full(len(weights), 1.0 / np.sqrt(weights.sum())), rest])
-        blocks[v] = VertexBlock(v, positions, c)
+        nodes = complement_basis(weights)  # checks the weights are positive
+        blocks[v] = VertexBlock(v, positions, 1.0 / np.sqrt(weights.sum()), nodes)
     return WaveletFamily(graph, spec, shape, space, blocks)
 
 
@@ -248,7 +236,7 @@ class WaveletBasis(MemberSet):
         return self._dense_rows()
 
     def _scaling(self) -> np.ndarray:
-        return np.array([self.family.blocks[v].c_vectors[0, 0] for v in self.family.graph.vertices])
+        return np.array([self.family.blocks[v].scale for v in self.family.graph.vertices])
 
     def _analysis(self, a: np.ndarray) -> np.ndarray:
         """Coefficients from a = f * weights over the cascade's level nJ:
@@ -324,12 +312,15 @@ def wavelet_basis(family: WaveletFamily, depth: int) -> WaveletBasis:
     lambdas of level jJ, grouped by source vertex v and by word, and p in
     D_v^J.  The levels are word-kernel rows (`KGraph.word_kernel`): each is
     composed as a whole, and sorting by word is sorting by rank.  Above
-    `WAVELET_ENTRY_LIMIT` word entries at level nJ it raises TooLarge
-    before it builds a level.
+    `WAVELET_ENTRY_LIMIT` entries of the family's dense blocks C_v, or
+    word entries at level nJ, it raises TooLarge before it builds a level.
     """
     if depth < 1:
         raise BadShape(f"depth must be >= 1, got {depth}")
     graph, spec, shape = family.graph, family.spec, family.shape
+    if sum(len(b.positions) ** 2 for b in family.blocks.values()) > WAVELET_ENTRY_LIMIT:
+        raise TooLarge(f"the coefficient blocks of shape {shape}, |D_v^J|^2 entries for each vertex v, "
+                       f"hold more than {WAVELET_ENTRY_LIMIT} entries, the limit")
     level = deg_scale(depth, shape)
     check_wavelet_level(graph, level)
     space = level_space(spec, level)
@@ -347,7 +338,7 @@ def wavelet_basis(family: WaveletFamily, depth: int) -> WaveletBasis:
         bounds = np.searchsorted(sources[order], np.arange(len(graph.vertices) + 1)).tolist()
         groups, n_fine = [], 0
         for v, name in enumerate(graph.vertices):
-            block, c = family.blocks[name].positions, family.blocks[name].c_vectors[1:]
+            block, c = family.blocks[name].positions, family.blocks[name].nodes.rows()
             lams = order[bounds[v]:bounds[v + 1]]
             groups.append(_Group(lams, slice(n_fine, n_fine + len(lams) * len(block)),
                                  slice(n_coeffs, n_coeffs + len(lams) * len(c)),
@@ -477,15 +468,17 @@ def subspace_compare(family: WaveletFamily, coarse_family: WaveletFamily) -> Sub
     """Compare the single-scale wavelet space of shape lJ with the direct sum
     of the first l layers of the shape-J decomposition, via principal angles.
 
-    With orthonormal C_v (reported, never assumed: a weighted Gram more than
-    1e-10 off the identity raises ResidualTooLarge), the depth-l basis of J
-    and the depth-1 basis of lJ are orthonormal bases of one space that lead
-    with the same scaling functions phi_v.  The residual of the coarse
-    wavelets f^{m,v} against the fine wavelet span is then their projection
-    onto phi_v: the sines are s_v = ||(<f^{m,v}, phi_v>)_m||, one per vertex
-    with a wavelet, by numpy sums whose bits do not depend on the BLAS, and
-    every other angle is 0.  The spaces count as equal when every angle is
-    below 1e-8.  No level-lJ basis is built.
+    With orthonormal C_v (reported, never assumed: s^2 W = 1 for the
+    constant s over the total weight W, and the node identities of
+    `HaarNodes.residual`, each within 1e-10, else ResidualTooLarge), the
+    depth-l basis of J and the depth-1 basis of lJ are orthonormal bases of
+    one space that lead with the same scaling functions phi_v.  The residual
+    of the coarse wavelets f^{m,v} against the fine wavelet span is then
+    their projection onto phi_v: the sines are s_v = ||(<f^{m,v}, phi_v>)_m||,
+    one per vertex with a wavelet, by numpy sums over whole dense rows, in
+    chunks of at most `_CHUNK_ENTRIES`, whose bits do not depend on the BLAS,
+    and every other angle is 0.  The spaces count as equal when every angle
+    is below 1e-8.  No level-lJ basis is built.
     """
     if family.graph is not coarse_family.graph:
         raise ShapeMismatch("families live on different graphs")
@@ -495,14 +488,15 @@ def subspace_compare(family: WaveletFamily, coarse_family: WaveletFamily) -> Sub
     sines = []
     for coarse, fam in enumerate((family, coarse_family)):
         for v, block in fam.blocks.items():
-            c = block.c_vectors
-            weighted = c * fam.space.weights[block.positions]
-            off = float(np.max(np.abs(weighted @ c.T - np.eye(len(c)))))
+            weights, nodes = fam.space.weights[block.positions], block.nodes
+            off = float(np.max([abs(block.scale * block.scale * weights.sum() - 1.0), nodes.residual(weights)]))
             if not off <= 1e-10:
                 raise ResidualTooLarge(f"the coefficient rows of vertex {v} at shape {fam.shape} are off "
                                        f"orthonormal by {off:.2e}, above 1e-10")
-            if coarse and len(c) > 1:
-                products = np.sum(c[1:] * weighted[0], axis=1)
+            if coarse and len(nodes.lo):
+                phi, step = block.scale * weights, max(1, _CHUNK_ENTRIES // len(weights))
+                products = np.concatenate([np.sum(nodes.rows(i, i + step) * phi, axis=1)
+                                           for i in range(0, len(nodes.lo), step)])
                 sines.append(np.sqrt(np.sum(products * products)))
     # either basis has a member per path of level lJ, |V| of them scaling functions
     dim = len(coarse_family.space.weights) - len(family.graph.vertices)

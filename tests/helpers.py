@@ -61,10 +61,38 @@ from kgraphwave import (
 )
 import kgraphwave.cli
 from kgraphwave.kgraph import (
-    WordKernel, _degree_colors, _same_graph, _swap_schedule, as_degree, deg_add, deg_join, deg_le, deg_sub, form_of,
-    normal_form_rows)
+    WordKernel, _degree_colors, _expand_runs, _same_graph, _swap_schedule, as_degree, deg_add, deg_join, deg_le,
+    deg_sub, form_of, normal_form_rows)
 from kgraphwave.orthobasis import complement_basis
 from kgraphwave.sbfs import CKReport, RelationCheck
+
+
+def edges_into(graph, vertex, color):
+    """Edge ids with the given range and color, sorted by id: the run of
+    the vertex in the word kernel's edges of that color by range."""
+    if vertex not in graph.vertex_index:
+        return ()
+    by_range, starts = graph.word_kernel._runs(color)
+    v = graph.vertex_index[vertex]
+    return tuple(graph.edge_ids[e] for e in by_range[starts[v]:starts[v + 1]].tolist())
+
+
+def graph_document(graph):
+    """The JSON document of a graph, as `load_kgraph` reads it."""
+    ids = graph.edge_ids
+    return {
+        "k": graph.k,
+        "vertices": list(graph.vertices),
+        "edges": [
+            {"id": eid, "color": c, "source": graph.vertices[s], "range": graph.vertices[r]}
+            for eid, c, s, r in zip(ids, graph.edge_color.tolist(),
+                                    graph.edge_source.tolist(), graph.edge_range.tolist())
+        ],
+        "squares": [
+            {"left": [ids[a], ids[b]], "right": [ids[c], ids[d]]}
+            for a, b, c, d in graph.square_edges.tolist()
+        ],
+    }
 
 
 def words_with_pattern(graph, pattern):
@@ -80,7 +108,7 @@ def words_with_pattern(graph, pattern):
         if pos == 0:
             candidates = [e for e in sorted(graph.edges) if graph.color(e) == color]
         else:
-            candidates = graph.edges_into(graph.edge(word[-1]).source, color)
+            candidates = edges_into(graph, graph.edge(word[-1]).source, color)
         for eid in candidates:
             word.append(eid)
             extend(word)
@@ -304,7 +332,7 @@ def random_word(graph, length, rng):
     word = [rng.choice(sorted(graph.edges))]
     while len(word) < length:
         into = [eid for c in range(1, graph.k + 1)
-                for eid in graph.edges_into(graph.edge(word[-1]).source, c)]
+                for eid in edges_into(graph, graph.edge(word[-1]).source, c)]
         if not into:
             break
         word.append(rng.choice(into))
@@ -334,7 +362,7 @@ def pruned_paths(graph, degree, range=None, source=None, limit=None):
         marks[graph.vertex_index[source]] = True
         reach[-1] = marks.tolist()
         for pos in builtins.range(last, 0, -1):
-            edges = kernel.edges_of(colors[pos])
+            edges = kernel._runs(colors[pos])[0]
             marks, prev = np.zeros(n, dtype=bool), marks
             marks[kernel.range[edges[prev[kernel.source[edges]]]]] = True
             reach[pos] = marks.tolist()
@@ -387,7 +415,7 @@ def least_total_chooser(graph, root):
         nxt = []
         for v in frontier:
             for c in range(1, graph.k + 1):
-                for eid in graph.edges_into(v, c):
+                for eid in edges_into(graph, v, c):
                     u = graph.edge(eid).source
                     if u not in dist:
                         dist[u] = dist[v] + 1
@@ -429,7 +457,7 @@ def enumerated_least_degrees(graph, root):
         below, back, count, total = back, {}, len(least), total + 1
         for d in degrees_of_total(total, graph.k):
             c = next(i for i, x in enumerate(d) if x)
-            edges = kernel.edges_of(c + 1)
+            edges = kernel._runs(c + 1)[0]
             prev = below[d[:c] + (d[c] - 1,) + d[c + 1:]]
             marks = np.zeros(len(graph.vertices), dtype=bool)
             marks[kernel.source[edges[prev[kernel.range[edges]]]]] = True
@@ -464,7 +492,7 @@ def dense_traffic_family(graph, pf, degrees):
         members = classes[J]
         if len(members) < 2:
             continue
-        for m, row in enumerate(complement_basis(nu[members]), start=1):
+        for m, row in enumerate(complement_rows(nu[members]), start=1):
             signal = np.zeros(len(graph.vertices))
             signal[members] = row
             wavelets.append(((m, J), signal))
@@ -481,6 +509,18 @@ def traffic_gram(measure, wavelets, constant):
     returns, or of a family's ``measure``, ``signals()`` and ``constant``."""
     rows = np.array([signal for _, signal in wavelets] + ([] if constant is None else [constant]))
     return (rows * measure) @ rows.T
+
+
+def complement_rows(weights):
+    """The rows of `complement_basis` as one dense (m - 1, m) array, by the
+    library's one scatter (`HaarNodes.rows`)."""
+    return complement_basis(weights).rows()
+
+
+def block_rows(block):
+    """C_v of a `VertexBlock` as one dense (m, m) array: the constant row,
+    then the node rows."""
+    return np.vstack([np.full(len(block.positions), block.scale), block.nodes.rows()])
 
 
 def unscaled_complement_basis(weights):
@@ -503,6 +543,19 @@ def unscaled_complement_basis(weights):
         row[lo:mid] = np.sqrt(right / (left * (left + right)))
         row[mid:hi] = -np.sqrt(left / (right * (left + right)))
     return rows
+
+
+def column_stack_words(kernel, colors):
+    """Oracle for `WordKernel.words`: the builder that stacked every column
+    built so far onto each letter, in time quadratic in the length."""
+    words = np.flatnonzero(kernel.color == colors[0])[:, None]
+    for c in colors[1:]:
+        by_range, starts = kernel._runs(c)
+        tail = kernel.source[words[:, -1]]
+        count = starts[tail + 1] - starts[tail]
+        words = np.column_stack([np.repeat(words, count, axis=0),
+                                 by_range[_expand_runs(starts[tail], count)]])
+    return words
 
 
 def check_confluence(graph, max_census=(2, 2)):
@@ -817,7 +870,7 @@ def eager_wavelet_family(graph, shape):
     for i, v in enumerate(graph.vertices):
         paths = tuple(enumerate_paths(graph, shape, range=v))
         weights = space.weights[space.ranges == i]
-        c = np.vstack([np.full(len(weights), 1.0 / np.sqrt(weights.sum())), complement_basis(weights)])
+        c = np.vstack([np.full(len(weights), 1.0 / np.sqrt(weights.sum())), complement_rows(weights)])
         blocks[v] = paths, c
         scaling.append(CylinderFn(graph, {vertex_path(graph, v): float(c[0, 0])}))
         for m in range(1, len(paths)):
@@ -1170,7 +1223,7 @@ def markov_member_records(n_letters, weights, depth):
     spec = MeasureSpec.bernoulli(graph, weights)
     letters = graph.edge_ids
     p = np.array([float(w) for w in spec.weights])
-    c_rows = complement_basis(p)
+    c_rows = complement_rows(p)
     labels, functions = [], []
     for k, a in enumerate(letters):
         labels.append({"kind": "scaling", "letter": a})
@@ -1208,7 +1261,7 @@ def markov_run_listing(n_letters, weights, depth):
     run = n_letters ** depth
     heads = [jsonl.cells('{"kind": "scaling", "letter": ', letter_texts)]
     layers = [(np.arange(n_letters) * run, np.repeat((1.0 / np.sqrt(p))[:, None], run, axis=1))]
-    psi = complement_basis(p)[None, :, :] / np.sqrt(p)[:, None, None]  # [a, j - 1, b]
+    psi = complement_rows(p)[None, :, :] / np.sqrt(p)[:, None, None]  # [a, j - 1, b]
     for m in range(depth):
         words = kernel.level((m,))[0]
         run = n_letters ** (depth - m)
@@ -1337,6 +1390,17 @@ def twisted_circulant_document(n, shifts1, shifts2, seed):
                                 "right": [edge(2, u + a2, t2), edge(1, u, a2)]})
     return {"k": 2, "vertices": [f"v{u}" for u in range(n)],
             "edges": edges, "squares": squares}
+
+
+def star_document(n):
+    """A 1-graph with a root r and n leaves v0, ..., v{n-1}: each leaf has one
+    edge u_i up to r and one edge d_i down from r.  Every leaf's least path to
+    r has degree 1, so default traffic makes one class of n leaves."""
+    leaves = [f"v{i}" for i in range(n)]
+    return {"k": 1, "vertices": ["r", *leaves], "squares": [],
+            "edges": [edge for i, v in enumerate(leaves) for edge in (
+                {"id": f"u{i}", "color": 1, "source": v, "range": "r"},
+                {"id": f"d{i}", "color": 1, "source": "r", "range": v})]}
 
 
 def skeleton_doc(squares):

@@ -16,14 +16,18 @@ from hypothesis import strategies as st
 import kgraphwave
 from kgraphwave import (
     CylinderFn,
+    PreferredPaths,
+    ValidationError,
     WaveletBasis,
     fixture_path,
     load_kgraph,
     load_kgraph_file,
     normal_form,
+    vertex_path,
 )
 from kgraphwave.cli import _read_records, main
 from helpers import (
+    graph_document,
     count_edge_objects,
     count_path_objects,
     cylinder_fns_equal,
@@ -342,6 +346,22 @@ class TestBadWords:
         _, errtext = run_cli(capsys, "traffic", LED, "--prefs", str(prefs), *root, expect_exit=3)
         assert json.loads(errtext) == {"error": "validation", "reason": "bad_preferred_path", "message": message}
 
+    @pytest.mark.parametrize("path", ["@v2", "a,c,c"], ids=["range", "source"])
+    def test_traffic_prefs_and_preferred_paths_give_one_message(self, capsys, tmp_path, ledrappier, path):
+        """A path for v2 that ends off the root v1, or starts off v2: the
+        same record through --prefs as the error `PreferredPaths` raises."""
+        pairs = (("v1", "a,c,c"), ("v2", path))
+        prefs = tmp_path / "prefs.jsonl"
+        prefs.write_text("".join(json.dumps({"vertex": v, "path": p}) + "\n" for v, p in pairs))
+        _, errtext = run_cli(capsys, "traffic", LED, "--prefs", str(prefs), expect_exit=3)
+        with pytest.raises(ValidationError) as exc:
+            PreferredPaths("v1", {v: vertex_path(ledrappier, p[1:]) if p.startswith("@")
+                                  else normal_form(ledrappier, p.split(",")) for v, p in pairs})
+        assert exc.value.reason == "bad_preferred_path"
+        assert json.loads(errtext) == {"error": "validation", "reason": exc.value.reason, "message": str(exc.value)}
+        assert str(exc.value) == {"@v2": "path for v2 has range v2, not the root",
+                                  "a,c,c": "path for v2 has source v1, not v2"}[path]
+
 
 class TestErrorChannel:
     @pytest.mark.parametrize("argv", [
@@ -626,6 +646,23 @@ class TestErrorChannel:
         monkeypatch.setattr(kgraphwave.cli, "pf_data", counting)
         out, _ = run_cli(capsys, "pf", LED, "--hausdorff")
         assert records(out)[0]["hausdorff_dimension"] == 0.5
+        assert len(calls) == 1
+
+    def test_compare_solves_pf_once(self, capsys, monkeypatch):
+        """The coarse family of --compare is built under the fine family's
+        measure, as the basis route builds everything under one."""
+        calls = []
+        real = kgraphwave.perron.pf_data
+
+        def counting(graph, *args, **kwargs):
+            calls.append(graph)
+            return real(graph, *args, **kwargs)
+
+        monkeypatch.setattr(kgraphwave.perron, "pf_data", counting)
+        monkeypatch.setattr(kgraphwave.measure, "pf_data", counting)
+        monkeypatch.setattr(kgraphwave.cli, "pf_data", counting)
+        out, _ = run_cli(capsys, "wavelets", LED, "--shape", "1,1", "--compare", "2")
+        assert records(out)[0]["equal"] is True
         assert len(calls) == 1
 
     @pytest.mark.parametrize("lines", [
@@ -1200,8 +1237,7 @@ class TestRoundTrips:
 
     def test_graph_document_reparse(self):
         graph = load_kgraph(open(LED).read())
-        assert load_kgraph(json.dumps(graph.to_document())).to_document() \
-            == graph.to_document()
+        assert graph_document(load_kgraph(json.dumps(graph_document(graph)))) == graph_document(graph)
 
 
 class TestLaplacianListing:

@@ -27,6 +27,7 @@ from kgraphwave import (
 )
 from kgraphwave.kgraph import normal_form_rows, path_of
 from helpers import (
+    graph_document,
     VALID_SQUARES,
     check_confluence,
     double_cover,
@@ -47,7 +48,7 @@ from helpers import (
 
 
 def doc_of(graph):
-    return graph.to_document()
+    return graph_document(graph)
 
 
 class TestLoading:
@@ -152,7 +153,7 @@ class TestLoading:
     def test_document_round_trip(self, ledrappier):
         doc = doc_of(ledrappier)
         again = load_kgraph(json.dumps(doc))
-        assert again.to_document() == doc
+        assert graph_document(again) == doc
 
     def test_cube_condition_k3(self):
         # three commuting loops on one vertex: the free abelian 3-graph
@@ -397,7 +398,7 @@ class TestRecordChecks:
         doc = doc_of(lambda3)
         doc["edges"] = [Record(rec, id=Name(rec["id"])) for rec in doc["edges"]]
         doc["squares"] = [Record(sq) for sq in doc["squares"]]
-        assert load_kgraph(doc).to_document() == doc_of(lambda3)
+        assert graph_document(load_kgraph(doc)) == doc_of(lambda3)
 
     @pytest.mark.parametrize("edit, message", [
         (lambda rec: rec.update(color=True), "edge 'e' color must be an integer"),

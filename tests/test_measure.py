@@ -46,6 +46,7 @@ from kgraphwave import (
 from kgraphwave.kgraph import form_of, is_zero_one, normal_form_rows
 from kgraphwave.measure import check_zero_one, embed_interval
 from helpers import (
+    edges_into,
     check_ip_refinement_invariance,
     check_measure_additivity,
     composed_refine,
@@ -585,7 +586,7 @@ def deep_path(graph, colors):
     into the last source: near the end of its level's order."""
     word, v = [], graph.vertices[-1]
     for c in colors:
-        word.append(graph.edges_into(v, c)[-1])
+        word.append(edges_into(graph, v, c)[-1])
         v = graph.edge(word[-1]).source
     return normal_form(graph, word)
 

@@ -22,6 +22,7 @@ from kgraphwave import (
 from kgraphwave.cli import main
 from kgraphwave.perron import has_sources
 from helpers import (
+    graph_document,
     dense_pf_data,
     family_documents,
     generated_documents,
@@ -161,7 +162,7 @@ class TestPFData:
         assert np.allclose(pf.x_lambda, [0.5, 0.5], atol=1e-12)
 
     def test_relabeling_equivariance(self, ledrappier):
-        doc = ledrappier.to_document()
+        doc = graph_document(ledrappier)
         order = [2, 0, 3, 1]
         doc["vertices"] = [doc["vertices"][i] for i in order]
         shuffled = load_kgraph(doc)

@@ -42,6 +42,7 @@ from kgraphwave.cli import main
 from kgraphwave.kgraph import deg_add, deg_le
 import helpers
 from helpers import (
+    graph_document,
     case_ck_report,
     check_isometry_columns,
     cylinder_fns_equal,
@@ -455,8 +456,8 @@ class TestTableReadCheck:
         assert str(got.value) == str(expected.value)
 
     @pytest.mark.parametrize("doc,level", [
-        pytest.param(load_kgraph_file(fixture_path("lambda3")).to_document(), (2, 2), id="lambda3"),
-        pytest.param(load_kgraph_file(fixture_path("ledrappier")).to_document(), (1, 2), id="ledrappier"),
+        pytest.param(graph_document(load_kgraph_file(fixture_path("lambda3"))), (2, 2), id="lambda3"),
+        pytest.param(graph_document(load_kgraph_file(fixture_path("ledrappier"))), (1, 2), id="ledrappier"),
         pytest.param(twisted_circulant_document(5, (1, 2), (1, 2), 7), (1, 1), id="circulant-5"),
         pytest.param(torus_document(3, 2), (1, 1), id="torus-3x2"),
     ])

@@ -35,6 +35,7 @@ from kgraphwave import (
     vertex_matrices,
 )
 from helpers import (
+    graph_document,
     cg_constant_numeric,
     entry_incidence_matrices,
     generated_documents,
@@ -125,7 +126,7 @@ class TestIncidenceAndLaplacian:
         assert np.array_equal(delta, sum(m @ m.T for m in entry_incidence_matrices(graph)[0]))
 
     def test_orientation_invariance(self, ledrappier):
-        doc = ledrappier.to_document()
+        doc = graph_document(ledrappier)
         flipped = []
         for rec in doc["edges"]:
             rec = dict(rec)

@@ -31,6 +31,7 @@ from helpers import (
     family_documents,
     generated_documents,
     least_total_chooser,
+    star_document,
     traffic_gram,
     twisted_circulant_document,
 )
@@ -386,7 +387,7 @@ class TestPerClassFamily:
 
     def test_three_thousand_vertex_family_allocates_no_dense_signal(self, circulant_3000):
         """The dense family held 2599 signals of 3000 floats (60 MB traced);
-        the blocks hold the (m - 1) x m rows of each class."""
+        the classes hold the split nodes of their rows."""
         pf = pf_data(circulant_3000)
         degrees = least_degrees(circulant_3000, "v0")
         tracemalloc.start()
@@ -395,5 +396,21 @@ class TestPerClassFamily:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sum(len(rows) for _, _, rows in fam.classes) > 2000
+        assert sum(len(nodes.lo) for _, _, nodes in fam.classes) > 2000
         assert peak < 5 * 2 ** 20
+
+    def test_one_class_of_five_thousand_leaves_is_held_as_nodes(self):
+        """Default degrees on a 5000-leaf star: one class of 5000 leaves,
+        whose dense rows would take 191 MiB; its 4999 nodes take kilobytes."""
+        star = load_kgraph(star_document(5000))
+        pf, degrees = pf_data(star), least_degrees(star, "r")
+        tracemalloc.start()
+        try:
+            fam = traffic_wavelet_family(star, pf, degrees)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ((J, members, nodes),) = fam.classes
+        assert J == (1,) and len(members) == 5000 and len(nodes.lo) == 4999
+        assert peak < 5 * 2 ** 20
+        assert nodes.residual(fam.measure[members]) < 1e-10

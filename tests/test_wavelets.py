@@ -18,6 +18,7 @@ from kgraphwave import (
     BadShape,
     BadWeights,
     CylinderFn,
+    MeasureSpec,
     ResidualTooLarge,
     TooLarge,
     analyze,
@@ -44,7 +45,9 @@ from kgraphwave import (
 from kgraphwave.cli import main
 from kgraphwave.wavelets import MemberSet, _path_count
 from helpers import (
+    graph_document,
     block_paths,
+    block_rows,
     count_path_objects,
     cylinder_fns_equal,
     cylinder_listing,
@@ -105,10 +108,16 @@ class TestFamilyConstruction:
             [0, 0, 0, 0, 2 * SQRT2, 2 * SQRT2, -2 * SQRT2, -2 * SQRT2],
             [2, 2, 2, 2, -2, -2, -2, -2],
         ], dtype=float)
-        assert np.max(np.abs(block.c_vectors - expected)) < 1e-12
+        assert np.max(np.abs(block_rows(block) - expected)) < 1e-12
         # every vertex shares the same coefficient pattern here
         for v in ledrappier.vertices:
-            assert np.max(np.abs(famL.blocks[v].c_vectors - expected)) < 1e-12
+            assert np.max(np.abs(block_rows(famL.blocks[v]) - expected)) < 1e-12
+        # each zero-mean row is one node: a value on [lo, mid), one on [mid, hi)
+        nodes = block.nodes
+        assert (nodes.lo.tolist(), nodes.mid.tolist(), nodes.hi.tolist()) == (
+            [0, 2, 4, 6, 0, 4, 0], [1, 3, 5, 7, 2, 6, 4], [2, 4, 6, 8, 4, 8, 8])
+        assert np.max(np.abs(nodes.left - [4, 4, 4, 4, 2 * SQRT2, 2 * SQRT2, 2])) < 1e-12
+        assert np.max(np.abs(nodes.right + nodes.left)) < 1e-12
 
     def test_scaling_functions_are_normalized_indicators(self, ledrappier, famL):
         spec = famL.spec
@@ -127,9 +136,12 @@ class TestFamilyConstruction:
 
     def test_orthonormal_within_vertex(self, famL):
         spec = famL.spec
-        fns = [famL.wavelet(m, "v3") for m in range(8)]
+        fns = [famL.scaling[2]] + [famL.wavelet(m, "v3") for m in range(1, 8)]
         gram = np.array([[inner_product(spec, a, b) for b in fns] for a in fns])
         assert np.max(np.abs(gram - np.eye(8))) < 1e-12
+        for m in (0, 8):
+            with pytest.raises(KeyError):
+                famL.wavelet(m, "v3")
 
     def test_degenerate_single_path_vertex(self):
         fam = build_wavelet_family(bouquet_graph(1), shape=(1,))
@@ -168,7 +180,7 @@ class TestRowFamily:
         family = build_wavelet_family(graph, shape=shape)
         assert list(family.blocks) == list(blocks)
         for v, (paths, c) in blocks.items():
-            got = family.blocks[v].c_vectors
+            got = block_rows(family.blocks[v])
             assert got.shape == c.shape and got.tobytes() == c.tobytes()
             assert block_paths(family, v) == paths
         assert [fn.terms for fn in family.scaling] == [fn.terms for fn in scaling]
@@ -182,7 +194,7 @@ class TestRowFamily:
         expected = "".join(json.dumps(r) + "\n" for r in eager_family_records(graph, scaling, wavelets))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp, "graph.kg")
-            path.write_text(json.dumps(graph.to_document()))
+            path.write_text(json.dumps(graph_document(graph)))
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
                 assert main(["wavelets", str(path), "--shape", ",".join(map(str, shape)),
@@ -611,15 +623,38 @@ class TestSubspaceCompare:
 
     @pytest.mark.parametrize("which", ["fine", "coarse"])
     def test_perturbed_block_raises(self, ledrappier, which):
-        # a C_v entry off by 1e-6 breaks the orthonormality the sines rest on;
-        # in the fine family it would not even move them
+        # a node value, on either side, off by 1e-6 breaks the orthonormality
+        # the sines rest on; in the fine family it would not even move them
+        for side in ("left", "right"):
+            fam = build_wavelet_family(ledrappier, shape=(1, 1))
+            coarse = build_wavelet_family(ledrappier, shape=(2, 2))
+            assert subspace_compare(fam, coarse).equal
+            getattr((fam if which == "fine" else coarse).blocks["v1"].nodes, side)[0] += 1e-6
+            with pytest.raises(ResidualTooLarge, match="vertex v1 "):
+                subspace_compare(fam, coarse)
+
+    def test_perturbed_scaling_value_raises(self, ledrappier):
         fam = build_wavelet_family(ledrappier, shape=(1, 1))
-        coarse = build_wavelet_family(ledrappier, shape=(2, 2))
-        assert subspace_compare(fam, coarse).equal
-        block = (fam if which == "fine" else coarse).blocks["v1"]
-        block.c_vectors[1, 0] += 1e-6
-        with pytest.raises(ResidualTooLarge, match="vertex v1 "):
-            subspace_compare(fam, coarse)
+        blocks = dict(fam.blocks)
+        block = blocks["v2"]
+        blocks["v2"] = type(block)(block.vertex, block.positions, block.scale * (1 + 1e-6), block.nodes)
+        off = type(fam)(fam.graph, fam.spec, fam.shape, fam.space, blocks)
+        with pytest.raises(ResidualTooLarge, match="vertex v2 "):
+            subspace_compare(fam, off)
+
+    @pytest.mark.parametrize("rows", [1, 2, 7])
+    def test_sines_read_whole_rows_in_chunks(self, monkeypatch, rows):
+        """Chunks of a few rows give the bits of one chunk per block: each
+        sum runs over one whole dense row.  Bernoulli weights leave a
+        round-off sine of about 1e-16."""
+        graph = bouquet_graph(3)
+        spec = MeasureSpec.bernoulli(graph, [0.2, 0.3, 0.5])
+        fam = build_wavelet_family(graph, shape=(1,), spec=spec)
+        coarse = build_wavelet_family(graph, shape=(4,), spec=spec)
+        whole = subspace_compare(fam, coarse).principal_angles
+        assert max(whole) > 0.0
+        monkeypatch.setattr(kgraphwave.wavelets, "_CHUNK_ENTRIES", rows * 81)
+        assert subspace_compare(fam, coarse).principal_angles == whole
 
     def test_family_against_itself(self, fam3):
         cmp = subspace_compare(fam3, fam3)
@@ -694,18 +729,6 @@ class TestWaveletLimit:
         got = _path_count(graph, level, cap)
         assert got == exact if exact < cap else got >= cap
 
-    @settings(max_examples=60, deadline=None)
-    @given(family_documents(), st.data())
-    def test_counts_by_range_against_vertex_matrices(self, doc, data):
-        """The paths into each vertex: A_1^{d_1} ... A_k^{d_k} 1, saturated."""
-        graph = load_kgraph(doc)
-        level = tuple(data.draw(st.integers(0, 4)) for _ in range(graph.k))
-        cap = data.draw(st.integers(1, 2 ** 12))
-        exact = np.ones(len(graph.vertices), dtype=np.int64)
-        for matrix, d in zip(vertex_matrices(graph), level):
-            exact = np.linalg.matrix_power(matrix, d) @ exact
-        assert np.array_equal(_path_count(graph, level, cap, by_range=True), np.minimum(exact, cap))
-
     def test_a_color_that_loses_paths_is_counted_first(self):
         # two color-1 loops at u and at w; one color-2 edge w -> u: no path of
         # degree (0, 2), and four of degree (2, 1) from two of degree (2, 0)
@@ -715,9 +738,7 @@ class TestWaveletLimit:
             "squares": [{"left": [f"lu{i}", "f"], "right": ["f", f"lw{i}"]} for i in (1, 2)]})
         counts = path_counts(graph, (2, 2))
         assert counts[2, 2] == 0 == _path_count(graph, (2, 2), 1)
-        assert counts[2, 1] == 4 and _path_count(graph, (2, 1), 2) >= 2
-        # all four run from w into u
-        assert _path_count(graph, (2, 1), 8, by_range=True).tolist() == [4, 0]
+        assert counts[2, 1] == 4 and _path_count(graph, (2, 1), 2) >= 2 and _path_count(graph, (2, 1), 8) == 4
 
     def test_ledrappier_sizes(self, ledrappier):
         """Depth 8 of shape (1,1) is admitted: 262,144 paths of 16 edges;
@@ -727,36 +748,37 @@ class TestWaveletLimit:
         for level in [(9, 9), (12, 12), (30, 30), (40, 40), (10 ** 9, 10 ** 9)]:
             with pytest.raises(TooLarge, match=re.escape(f"level {level} ")):
                 check_wavelet_level(ledrappier, level)
-        # a family holds a dense |D_v^J|^2 block per vertex: 4 * 1024^2 at
-        # shape (5, 5), so --compare 5, and 4 * 4096^2 at (6, 6)
-        blocks = {ell: np.sum(_path_count(ledrappier, (ell, ell), 2 ** 30, by_range=True) ** 2) for ell in (5, 6)}
+        # a basis holds a dense |D_v^J|^2 block per vertex: 4 * 1024^2 at
+        # shape (5, 5), and 4 * 4096^2 at (6, 6); |D_v^J| = (A_1^J1 A_2^J2 1)_v
+        a1, a2 = vertex_matrices(ledrappier)
+        blocks = {ell: np.sum((np.linalg.matrix_power(a1 @ a2, ell) @ np.ones(4)) ** 2) for ell in (5, 6)}
         assert blocks[5] == 4 * 1024 ** 2 <= WAVELET_ENTRY_LIMIT < blocks[6] == 4 * 4096 ** 2
 
     def test_refusals_build_no_level(self, ledrappier, monkeypatch):
-        fam = build_wavelet_family(ledrappier, shape=(1, 1))
+        fam, fam6, fam7 = (build_wavelet_family(ledrappier, shape=(ell, ell)) for ell in (1, 6, 7))
 
         def no_levels(*args):
             raise AssertionError("a level space was built")
 
         monkeypatch.setattr(kgraphwave.wavelets, "level_space", no_levels)
-        # (6, 6) and (7, 7) pass the word-entry count; their blocks, the
-        # coarse family of --compare 6 and 7, do not
+        # the families of (6, 6) and (7, 7) pass the word-entry count; the
+        # dense blocks of their bases do not
         for build in (lambda: build_wavelet_family(ledrappier, shape=(30, 30)),
-                      lambda: build_wavelet_family(ledrappier, shape=(6, 6)),
-                      lambda: build_wavelet_family(ledrappier, shape=(7, 7)),
+                      lambda: wavelet_basis(fam6, 1), lambda: wavelet_basis(fam7, 1),
                       lambda: wavelet_basis(fam, 9), lambda: wavelet_basis(fam, 40)):
             with pytest.raises(TooLarge):
                 build()
 
     def test_patched_limit(self, ledrappier, monkeypatch):
         """At the limit a level is built, one entry below it is refused:
-        shape (1,1) has 16 paths of 2 edges in blocks of 4 x 4 per vertex,
-        depth 2 has 64 paths of 4, and the coarse family of --compare 2 has
-        blocks of 16 x 16."""
+        shape (1,1) has 16 paths of 2 edges, and its basis blocks of 4 x 4
+        per vertex; depth 2 has 64 paths of 4, as has the coarse family of
+        --compare 2."""
         fam = build_wavelet_family(ledrappier, shape=(1, 1))
-        cases = [(4 * 4 ** 2, lambda: build_wavelet_family(ledrappier, shape=(1, 1))),
+        cases = [(16 * 2, lambda: build_wavelet_family(ledrappier, shape=(1, 1))),
+                 (4 * 4 ** 2, lambda: wavelet_basis(fam, 1)),
                  (256, lambda: wavelet_basis(fam, 2)),
-                 (4 * 16 ** 2, lambda: subspace_compare(fam, build_wavelet_family(ledrappier, shape=(2, 2))))]
+                 (256, lambda: subspace_compare(fam, build_wavelet_family(ledrappier, shape=(2, 2))))]
         for limit, build in cases:
             monkeypatch.setattr(kgraphwave.wavelets, "WAVELET_ENTRY_LIMIT", limit)
             build()
@@ -764,23 +786,32 @@ class TestWaveletLimit:
             with pytest.raises(TooLarge, match=f"more than {limit - 1} "):
                 build()
 
-    @pytest.mark.parametrize("shape", ["6,6", "7,7"])
-    def test_cli_family_blocks_size_limit(self, capsys, shape):
-        # within the word-entry count, past the blocks' entries
+    @pytest.mark.parametrize("args", [["6,6"], ["7,7", "--depth", "1"]], ids=["6,6", "7,7 depth 1"])
+    def test_cli_basis_blocks_size_limit(self, capsys, args):
+        # the family is within the word-entry count, its basis's dense blocks are not
         with pytest.raises(SystemExit) as exc:
-            main(["wavelets", str(fixture_path("ledrappier")), "--shape", shape, "--list-family"])
+            main(["wavelets", str(fixture_path("ledrappier")), "--shape", *args])
         captured = capsys.readouterr()
         assert exc.value.code == 1 and captured.out == ""
         rec = json.loads(captured.err)
-        assert rec["reason"] == "size_limit" and f"more than {WAVELET_ENTRY_LIMIT} entries" in rec["message"]
+        assert rec["reason"] == "size_limit"
+        assert rec["message"] == (f"the coefficient blocks of shape ({args[0][0]}, {args[0][0]}), |D_v^J|^2 entries "
+                                  f"for each vertex v, hold more than {WAVELET_ENTRY_LIMIT} entries, the limit")
 
-    def test_cli_family_blocks_admit_shape_5(self, capsys):
-        main(["wavelets", str(fixture_path("ledrappier")), "--shape", "5,5", "--list-family"])
+    @pytest.mark.parametrize("shape,lines", [("5,5", 4096), ("6,6", 16384)])
+    def test_cli_family_listing_admits_shapes_5_and_6(self, capsys, shape, lines):
+        main(["wavelets", str(fixture_path("ledrappier")), "--shape", shape, "--list-family"])
         out = capsys.readouterr().out
-        assert out.count("\n") == 4096  # 4 scaling functions and 4 * 1023 wavelets
+        assert out.count("\n") == lines  # 4 scaling functions and 4 * (|D_v^J| - 1) wavelets
+
+    def test_cli_compare_6_is_admitted(self, capsys):
+        # the coarse family's blocks of 4096 coordinates, read in chunks of rows
+        main(["wavelets", str(fixture_path("ledrappier")), "--shape", "1,1", "--compare", "6"])
+        (rec,) = jsonl.parse(capsys.readouterr().out)
+        assert rec["equal"] and rec["dim_multiscale"] == rec["dim_single_scale"] == 4 ** 7 - 4
 
     @pytest.mark.parametrize("args", [["--depth", "40"], ["--list-family"], ["--compare", "40"],
-                                      ["--depth", "12"], ["--compare", "6"]])
+                                      ["--depth", "12"]])
     def test_cli_size_limit(self, capsys, args):
         shape = "30,30" if "--list-family" in args else "1,1"
         with pytest.raises(SystemExit) as exc:

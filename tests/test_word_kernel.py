@@ -34,6 +34,7 @@ from kgraphwave import (
 from kgraphwave.kgraph import _degree_colors, _merge_schedules, _swap_schedule, deg_add, normal_form_rows
 from helpers import (
     VALID_SQUARES,
+    column_stack_words,
     compose_cascade,
     compose_prefix_map,
     dense_listing,
@@ -143,6 +144,32 @@ class TestLevels:
 
 
 FIXTURES = ["ledrappier", "lambda3", "lambda1-sphere", "bouquet-2", "bouquet-3"]
+
+
+class TestWords:
+    """`WordKernel.words` gathers each column once at the end; the builder
+    that stacked every column onto each letter gives the same rows."""
+
+    @pytest.mark.parametrize("doc", [*FIXTURES, "circulant", "torus"])
+    def test_every_color_sequence_up_to_length_5(self, doc):
+        graph = (load_kgraph(twisted_circulant_document(7, (1, 2), (1, 3), 5)) if doc == "circulant"
+                 else load_kgraph(torus_document(3, 4)) if doc == "torus" else load_kgraph_file(fixture_path(doc)))
+        kernel = graph.word_kernel
+        for length in range(1, 6):
+            for colors in product(range(1, graph.k + 1), repeat=length):
+                got, expected = kernel.words(colors), column_stack_words(kernel, colors)
+                assert got.dtype == expected.dtype and got.flags.c_contiguous
+                assert got.shape == expected.shape and np.array_equal(got, expected)
+
+    def test_a_long_path_in_time_linear_in_its_length(self):
+        """One vertex, one loop: the one word of 100,000 letters.  Stacking
+        the columns took 18.5 s for it."""
+        graph = load_kgraph({"k": 1, "vertices": ["v"], "squares": [],
+                             "edges": [{"id": "e", "color": 1, "source": "v", "range": "v"}]})
+        start = time.perf_counter()
+        words = graph.word_kernel.words((1,) * 100_000)
+        assert time.perf_counter() - start < 5.0
+        assert words.shape == (1, 100_000) and not words.any()
 
 
 class TestRangeIndex:
@@ -284,8 +311,8 @@ class TestUnusedColors:
         paths = enumerate_paths(graph, degree, source="v")
         assert time.perf_counter() - start < 0.5
         assert [p.word for p in paths] == [("e", "e", "e")]
-        assert kernel.edges_of(1).tolist() == [] and kernel.edges_of(k // 2).tolist() == []
-        assert kernel.edges_of(k).tolist() == [0]
+        assert kernel._runs(1)[0].tolist() == [] and kernel._runs(k // 2)[0].tolist() == []
+        assert kernel._runs(k)[0].tolist() == [0]
 
 
 class TestRowsOfManyDegrees:
