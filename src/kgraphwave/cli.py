@@ -211,31 +211,39 @@ def _decode_line(line: str):
 
 def _json_lines(filename: str):
     """Each nonblank line of a JSON-lines file with its line number and its
-    value (`_decode_line`); a line that is no JSON raises ParseError naming
-    the file and the line."""
+    value (`_decode_line`), a line at a time, sliced off the text of the
+    whole file: a byte that is not UTF-8 wins over any JSON fault, and a
+    line that is no JSON raises ParseError naming the file and the line."""
     with open(filename) as fh:
-        lines = [(number, line) for number, line in enumerate(fh, 1) if line.strip()]
-    for number, line in lines:
-        try:
-            yield number, line, _decode_line(line)
-        except json.JSONDecodeError as exc:
-            raise err.ParseError(f"{filename} line {number}: invalid JSON: {exc.msg} at column {exc.colno}") from exc
+        text = fh.read()
+    number, start = 0, 0
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        number, line, start = number + 1, text[start:end], end
+        if line.strip():
+            try:
+                yield number, line, _decode_line(line)
+            except json.JSONDecodeError as exc:
+                raise err.ParseError(f"{filename} line {number}: invalid JSON: {exc.msg} "
+                                     f"at column {exc.colno}") from exc
 
 
-def _read_records(filename: str, fields: tuple[str, ...]) -> list[dict]:
-    """The records of a JSON-lines transform input, one object per nonblank
-    line, each holding the named `fields` in valid form: ``path`` a list of
-    strings, ``coeff`` a number.  The first line with a fault names it."""
+def _records(filename: str, fields: tuple[str, ...]):
+    """Each record of a JSON-lines transform input as it is read, an object per nonblank line holding
+    the named `fields` in valid form (``path`` a list of strings, ``coeff`` a number); a fault names its line."""
     checks = [(name, *_RECORD_FIELDS[name]) for name in fields]
-    records = []
     for number, line, rec in _json_lines(filename):
         if type(rec) is not dict:
             raise err.ParseError(f"{filename} line {number}: expected a JSON object, got {line.strip()}")
         for name, check, what in checks:
             if not check(rec.get(name)):
                 raise err.ParseError(f"{filename} line {number}: field {name!r} must be {what}")
-        records.append(rec)
-    return records
+        yield rec
+
+
+def _read_records(filename: str, fields: tuple[str, ...]) -> list[dict]:
+    """The `_records` of a file as a list: every line is checked before the first record is used."""
+    return list(_records(filename, fields))
 
 
 def _finite(values: np.ndarray, flag: str, what: str) -> np.ndarray:
@@ -326,27 +334,27 @@ def _cmd_wavelets(args):
         _emit(args, [subspace_compare(family, coarse).to_record()])
         return
     if args.list_family:
-        _write(args, [family.listing()])
+        _write(args, family.listing())
         return
     basis = wavelet_basis(family, 1 if args.depth is None else args.depth)
     if args.analyze:
         fn = CylinderFn.from_records(graph, _read_records(args.analyze, ("path", "coeff")))
         with np.errstate(over="ignore", invalid="ignore"):
             coeffs = _finite(analyze(basis, fn), "--analyze", "coefficients")
-        _write(args, [basis.coefficient_lines(coeffs)])
+        _write(args, basis.coefficient_lines(coeffs))
         return
     if args.synthesize:
-        coeffs = [float(rec["coeff"]) for rec in _read_records(args.synthesize, ("coeff",))]
+        coeffs = [float(rec["coeff"]) for rec in _records(args.synthesize, ("coeff",))]  # no record kept
         with np.errstate(over="ignore", invalid="ignore"):
             values = _finite(synthesize_vector(basis, coeffs), "--synthesize", "values")
-        _write(args, [basis.space.lines(np.arange(len(values)), values)])
+        _write(args, basis.space.lines(np.arange(len(values)), values))
         return
-    _write(args, [basis.listing()])
+    _write(args, basis.listing())
 
 
 def _cmd_markov(args):
     system = markov_wavelets(args.alphabet, _parse_weights(args.weights), args.depth)
-    _write(args, [system.listing()])
+    _write(args, system.listing())
 
 
 def _cmd_traffic(args):
@@ -552,12 +560,13 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    out_of_memory = None
     try:
         args.handler(args)
     except err.TooLarge as exc:
         _fail(USAGE_EXIT, "usage", exc, reason="size_limit")
     except MemoryError as exc:  # an allocation past the address space, raised as it is tried
-        _fail(USAGE_EXIT, "usage", str(exc) or "out of memory", reason="out_of_memory")
+        out_of_memory = str(exc) or "out of memory"
     except err.ParseError as exc:
         _fail(PARSE_EXIT, "parse", exc)
     except OSError as exc:  # a missing or unreadable file, or a directory in its place
@@ -570,6 +579,8 @@ def main(argv: list[str] | None = None) -> int:
         _fail(NUMERIC_EXIT, "numeric", exc)
     except (err.KGraphWaveError, ValueError) as exc:
         _fail(VALIDATION_EXIT, "validation", exc)
+    if out_of_memory is not None:  # written once the traceback, and the locals of its frames, are let go
+        _fail(USAGE_EXIT, "usage", out_of_memory, reason="out_of_memory")
     return 0
 
 

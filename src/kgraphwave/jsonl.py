@@ -9,10 +9,11 @@ text is made once and the records are joined from columns of texts:
   -0.0, NaN and Infinity read exactly as `json.dumps` writes them;
 - `word_lists` makes the inside of the JSON list of each word row;
 - `cells` and `text` lay columns of texts side by side, row by row;
-- `int_matrix` makes the text of an integer matrix from its nonzeros.
+- `int_matrix` makes the text of an integer matrix from its nonzeros;
+- `listing` and `parts` make texts of whole records, `PART_ROWS` rows or so.
 
-The output equals ``"".join(json.dumps(r) + "\\n" for r in records)`` for the
-records the same columns describe; `parse` reads such text back as dicts.
+Joined, the texts equal ``"".join(json.dumps(r) + "\\n" for r in records)``
+for the records the same columns describe; `parse` reads them back as dicts.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ import json
 from typing import Sequence
 
 import numpy as np
+
+PART_ROWS = 2 ** 16  # about the rows, terms or records, of one text of a listing
 
 
 def _column(texts: list[str]) -> np.ndarray:
@@ -118,31 +121,51 @@ def int_matrix(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray,
     return "".join(table.ravel().tolist())
 
 
-def listing(heads: np.ndarray, term_heads: np.ndarray, members) -> str:
+def listing(heads: np.ndarray, term_heads: np.ndarray, members):
     """One record per member, ``{<head>, "terms": [<term>, ...]}``, each
-    term ``<term head><value>}``.
+    term ``<term head><value>}``, as texts of whole records.
 
-    ``members`` gives, for each head, the positions its terms sit at, in
-    ascending order, and their values; exact zeros, -0.0 too, are left out.
-    The text is one join of a table with a row per term (per member if it
-    keeps none): the member's head where its record opens, the term, and
-    what follows it.
+    ``members`` gives the heads' ascending term positions and their values
+    as pairs of 2-d arrays, a member per row; exact zeros, -0.0 too, are
+    left out.  A text ends with the rows that bring its positions to
+    `PART_ROWS` and is one join of a table with a row per term (per member
+    if it keeps none): the member's head where its record opens, the term,
+    and what follows it.
     """
-    members = list(members)
-    at = np.concatenate([a for a, _ in members]) if members else np.empty(0, dtype=np.intp)
-    values = np.concatenate([v for _, v in members]) if members else np.empty(0)
-    owner = np.repeat(np.arange(len(members)), [len(a) for a, _ in members])
-    keep = values != 0.0
-    counts = np.bincount(owner[keep], minlength=len(members))
-    rows = np.maximum(counts, 1)
-    first = np.cumsum(rows) - rows
-    table = np.full((rows.sum(), 5), "", dtype=object)
-    table[first, 0], table[first, 1] = heads, ', "terms": ['
-    filled = np.repeat(counts > 0, rows)
-    table[filled, 2], table[filled, 3] = term_heads[at[keep]], numbers(values[keep])
-    table[:, 4] = "}, "
-    table[first + rows - 1, 4] = np.where(counts > 0, "}]}\n", "]}\n").astype(object)
-    return "".join(table.ravel().tolist())
+    def part(batch: list, lo: int) -> str:
+        at = np.concatenate([a.ravel() for a, _ in batch])
+        values = np.concatenate([v.ravel() for _, v in batch])
+        lengths = np.concatenate([np.full(len(a), a.shape[1]) for a, _ in batch])
+        keep = values != 0.0
+        counts = np.bincount(np.repeat(np.arange(len(lengths)), lengths)[keep], minlength=len(lengths))
+        rows = np.maximum(counts, 1)
+        first = np.cumsum(rows) - rows
+        table = np.full((rows.sum(), 5), "", dtype=object)
+        table[first, 0], table[first, 1] = heads[lo:lo + len(lengths)], ', "terms": ['
+        filled = np.repeat(counts > 0, rows)
+        table[filled, 2], table[filled, 3] = term_heads[at[keep]], numbers(values[keep])
+        table[:, 4] = "}, "
+        table[first + rows - 1, 4] = np.where(counts > 0, "}]}\n", "]}\n").astype(object)
+        return "".join(table.ravel().tolist())
+
+    batch, size, lo = [], 0, 0
+    for at, values in members:
+        step = PART_ROWS // max(at.shape[1], 1) or 1  # the rows of a run that fill a text
+        for i in range(0, len(at), step):
+            batch.append((at[i:i + step], values[i:i + step]))
+            if (size := size + batch[-1][0].size) >= PART_ROWS:
+                yield part(batch, lo)
+                batch, size, lo = [], 0, lo + sum(len(a) for a, _ in batch)
+    if batch:
+        yield part(batch, lo)
+
+
+def parts(*columns):
+    """`text` of the columns in texts of `PART_ROWS` rows; a float column is
+    made text by `numbers`, part by part."""
+    for start in range(0, max(len(c) for c in columns if not isinstance(c, str)), PART_ROWS):
+        cut = [c if isinstance(c, str) else c[start:start + PART_ROWS] for c in columns]
+        yield text(*(c if isinstance(c, str) or c.dtype == object else numbers(c) for c in cut))
 
 
 def parse(lines: str) -> list[dict]:

@@ -39,7 +39,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -116,9 +116,9 @@ class LevelSpace:
             paths = jsonl.strings(["@" + v for v in self.graph.vertices])[self.ranges]
         return jsonl.cells('{"path": [', paths, '], "coeff": ')
 
-    def lines(self, at: np.ndarray, values: np.ndarray) -> str:
+    def lines(self, at: np.ndarray, values: np.ndarray) -> Iterator[str]:
         """The JSON lines of `CylinderFn.to_records` of `function_at(at,
-        values)`, from the rows.
+        values)`, from the rows, in parts (`jsonl.parts`).
 
         ``at`` must ascend.  At a nonzero level, position order is the
         (word, range) order the records are sorted by; at level zero they
@@ -131,7 +131,7 @@ class LevelSpace:
             names = self.graph.vertices
             order = sorted(range(len(at)), key=lambda i: names[at[i]])
             at, values = at[order], values[order]
-        return jsonl.text(self.term_heads[at], jsonl.numbers(values), "}\n")
+        return jsonl.parts(self.term_heads[at], values, "}\n")
 
 
 def level_space(spec: MeasureSpec, level: Sequence[int]) -> LevelSpace:

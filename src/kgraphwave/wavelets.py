@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -35,10 +35,14 @@ from .sbfs import LevelSpace, level_space
 # `build_wavelet_family` or `wavelet_basis` builds, and the most entries
 # sum_v |D_v^J|^2 of the dense coefficient blocks of a basis's cascade.
 # 2^24 admits ledrappier (1,1) at depth 8 (262,144 paths of 16 edges: 4.2M
-# entries, a listing of about 7 s and 1.4 GB), refuses depth 9 (18.9M), and
+# entries, a listing of about 2.7 s and 271 MB), refuses depth 9 (18.9M), and
 # admits the bases of shape (5,5) (blocks of 4 * 1024^2) but not (6,6)
 # (4 * 4096^2).  A family holds O(|D_v^J|) numbers per vertex.
 WAVELET_ENTRY_LIMIT = 2 ** 24
+# The most entries sum_v |D_v^J|^2 of the dense rows `subspace_compare` scatters for
+# the coarse family's sines: 2^30 admits ledrappier (1,1) --compare 7 (4 * 16384^2,
+# about 4 s), not --compare 8 (2^34, 88 s).
+_COMPARE_ENTRY_LIMIT = 2 ** 30
 _CHUNK_ENTRIES = 2 ** 20  # the most entries of one chunk of dense rows in `subspace_compare`
 
 
@@ -98,9 +102,9 @@ class WaveletFamily:
     def wavelet(self, m: int, vertex: str) -> CylinderFn:
         return dict(self.wavelets)[m, vertex]
 
-    def listing(self) -> str:
-        """The JSON lines of the family: per vertex its scaling function,
-        then every f^{m,v}, each with the term records of its `CylinderFn`.
+    def listing(self) -> Iterator[str]:
+        """The JSON lines of the family in parts (`jsonl.listing`): per vertex
+        its scaling function, then every f^{m,v}, each with its term records.
 
         A scaling function is one level-0 term; f^{m,v} sits at the
         positions of D_v^J with the values of row m, passed as the run of
@@ -116,8 +120,8 @@ class WaveletFamily:
                         ', "m": ', np.concatenate([ms[1:count + 1] for count in counts]))])
         n = len(blocks)
         vertex_heads = level_space(self.spec, self.graph.zero_degree()).term_heads
-        members = [(np.array([v]), np.array([b.scale])) for v, b in enumerate(blocks)]
-        members += [(n + b.positions[lo:hi], values) for b in blocks for lo, hi, values in b.nodes.runs()]
+        members = [(np.arange(n)[:, None], np.array([[b.scale] for b in blocks]))]
+        members += [(n + b.positions[None, lo:hi], values[None]) for b in blocks for lo, hi, values in b.nodes.runs()]
         return jsonl.listing(heads, np.concatenate([vertex_heads, self.space.term_heads]), members)
 
 
@@ -150,8 +154,8 @@ def build_wavelet_family(graph: KGraph, shape: Sequence[int],
 class MemberSet:
     """An orthonormal basis of one level space ``space``, a member per position:
     each in label order as the ascending positions it is nonzero on and its
-    values there (``_members``), its label text in ``heads`` (`jsonl`).  The
-    views ``labels`` and ``functions`` are built on first access."""
+    values there (``_members``, the rows of the arrays of ``_groups``), its
+    label text in ``heads`` (`jsonl`).  ``labels`` and ``functions`` are built on first access."""
 
     @cached_property
     def labels(self) -> tuple[dict, ...]:
@@ -162,6 +166,10 @@ class MemberSet:
     def functions(self) -> tuple[CylinderFn, ...]:
         return tuple(self.space.function_at(at, values) for at, values in self._members())
 
+    def _members(self):
+        for at, values in self._groups():
+            yield from zip(at, values)
+
     def _dense_rows(self) -> np.ndarray:
         """The members in label order, each scattered into a zero row over ``space``."""
         rows = np.zeros((len(self.space.weights),) * 2)
@@ -169,9 +177,9 @@ class MemberSet:
             row[at] = values
         return rows
 
-    def listing(self) -> str:
-        """The JSON lines of the members: per member its label and its term records."""
-        return jsonl.listing(self.heads, self.space.term_heads, self._members())
+    def listing(self) -> Iterator[str]:
+        """The JSON lines of the members in parts (`jsonl.listing`): per member its label and its term records."""
+        return jsonl.listing(self.heads, self.space.term_heads, self._groups())
 
 
 @dataclass(frozen=True)
@@ -263,9 +271,9 @@ class WaveletBasis(MemberSet):
             s = fine
         return s
 
-    def _members(self):
-        """Each basis vector in label order, as the ascending space positions
-        it is nonzero on and its values there.
+    def _groups(self):
+        """The basis vectors in label order, a group per vertex scaling function and per
+        cascade `_Group`: a row each of the ascending space positions it is nonzero on and its values there.
 
         A member lives on the level-nJ descendants of its cascade node: the
         scaling function of v on the paths from v, S_lambda f^{m,v} on those
@@ -284,7 +292,7 @@ class WaveletBasis(MemberSet):
         child.reverse()  # child[j] is for level (j+1)J
         for v, value in enumerate(self._scaling()):  # on the paths from v
             at = np.flatnonzero(self.space.ranges == v)
-            yield at, np.full(len(at), value)
+            yield at[None], np.full((1, len(at)), value)
         for j, layer in enumerate(self.layers):
             # nodes by level-jJ ancestor, then by space position: each run ascends
             by_node = np.lexsort((self.order, ancestors[j]))
@@ -295,13 +303,13 @@ class WaveletBasis(MemberSet):
                 # every lambda of v has as many level-nJ descendants: one run per lambda, as rows
                 runs = bounds[g.lams, None] + np.arange(bounds[g.lams[0] + 1] - bounds[g.lams[0]])
                 values = g.factors[:, None] * (g.c[:, block_index[runs]] / g.roots[:, None])  # [m, lambda, p]
-                yield from zip(np.repeat(self.order[by_node[runs]], len(g.c), axis=0),
-                               values.transpose(1, 0, 2).reshape(-1, runs.shape[1]))
+                yield (np.repeat(self.order[by_node[runs]], len(g.c), axis=0),
+                       values.transpose(1, 0, 2).reshape(-1, runs.shape[1]))
 
-    def coefficient_lines(self, coeffs: np.ndarray) -> str:
-        """The JSON lines of coefficients: per basis vector its label and
-        its coefficient."""
-        return jsonl.text(self.heads, ', "coeff": ', jsonl.numbers(coeffs), "}\n")
+    def coefficient_lines(self, coeffs: np.ndarray) -> Iterator[str]:
+        """The JSON lines of coefficients in parts (`jsonl.parts`): per
+        basis vector its label and its coefficient."""
+        return jsonl.parts(self.heads, ', "coeff": ', coeffs, "}\n")
 
 
 def wavelet_basis(family: WaveletFamily, depth: int) -> WaveletBasis:
@@ -407,12 +415,12 @@ class MarkovWaveletSystem(MemberSet):
     space: LevelSpace = field(repr=False)
     basis: WaveletBasis = field(repr=False)
 
-    def _members(self):
-        """Each member in label order, as its positions and its values there."""
+    def _groups(self):
+        """The members in label order, as groups of rows of positions and values."""
         for a, value in enumerate(1.0 / np.sqrt(self.spec.w)):  # on the words from letter a
             at = np.flatnonzero(self.space.words[:, 0] == a)
-            yield at, np.full(len(at), value)
-        yield from itertools.islice(self.basis._members(), len(self.spec.w), None)
+            yield at[None], np.full((1, len(at)), value)
+        yield from itertools.islice(self.basis._groups(), 2, None)  # past its vertex and layer-0 groups
 
 
 def markov_wavelets(n_letters: int, weights: Sequence[float], depth: int) -> MarkovWaveletSystem:
@@ -478,13 +486,17 @@ def subspace_compare(family: WaveletFamily, coarse_family: WaveletFamily) -> Sub
     one per vertex with a wavelet, by numpy sums over whole dense rows, in
     chunks of at most `_CHUNK_ENTRIES`, whose bits do not depend on the BLAS,
     and every other angle is 0.  The spaces count as equal when every angle
-    is below 1e-8.  No level-lJ basis is built.
+    is below 1e-8.  No level-lJ basis is built.  Above `_COMPARE_ENTRY_LIMIT`
+    entries of those dense rows it raises TooLarge before it scatters one.
     """
     if family.graph is not coarse_family.graph:
         raise ShapeMismatch("families live on different graphs")
     ell = coarse_family.shape[0] // family.shape[0]
     if coarse_family.shape != tuple(ell * j for j in family.shape):
         raise ShapeMismatch(f"{coarse_family.shape} is not an integer multiple of {family.shape}")
+    if sum(len(b.positions) ** 2 for b in coarse_family.blocks.values()) > _COMPARE_ENTRY_LIMIT:
+        raise TooLarge(f"the dense rows of the sines of shape {coarse_family.shape}, |D_v^J|^2 entries for each "
+                       f"vertex v, hold more than {_COMPARE_ENTRY_LIMIT} entries, the limit")
     sines = []
     for coarse, fam in enumerate((family, coarse_family)):
         for v, block in fam.blocks.items():

@@ -1273,9 +1273,35 @@ def markov_run_listing(n_letters, weights, depth):
             np.repeat(jsonl.word_lists(letter_texts, words), n_letters * (n_letters - 1)),
             '], "letter": ', np.tile(np.repeat(letter_texts, n_letters - 1), len(words)),
             ', "m": ', np.tile(ms[1:], len(words) * n_letters)))
-    members = [(np.arange(start, start + len(row)), row)
+    members = [(np.arange(start, start + len(row))[None], row[None])
                for starts, rows in layers for start, row in zip(starts.tolist(), rows)]
-    return jsonl.listing(np.concatenate(heads), space.term_heads, members)
+    return "".join(jsonl.listing(np.concatenate(heads), space.term_heads, members))
+
+
+def one_join_listing(heads, term_heads, members):
+    """Oracle for `jsonl.listing`: the whole listing as one join of one
+    table, a row per term (per member if it keeps none)."""
+    members = [member for at, values in members for member in zip(at, values)]
+    at = np.concatenate([a for a, _ in members]) if members else np.empty(0, dtype=np.intp)
+    values = np.concatenate([v for _, v in members]) if members else np.empty(0)
+    owner = np.repeat(np.arange(len(members)), [len(a) for a, _ in members])
+    keep = values != 0.0
+    counts = np.bincount(owner[keep], minlength=len(members))
+    rows = np.maximum(counts, 1)
+    first = np.cumsum(rows) - rows
+    table = np.full((rows.sum(), 5), "", dtype=object)
+    table[first, 0], table[first, 1] = heads, ', "terms": ['
+    filled = np.repeat(counts > 0, rows)
+    table[filled, 2], table[filled, 3] = term_heads[at[keep]], jsonl.numbers(values[keep])
+    table[:, 4] = "}, "
+    table[first + rows - 1, 4] = np.where(counts > 0, "}]}\n", "]}\n").astype(object)
+    return ["".join(table.ravel().tolist())]
+
+
+def one_join_parts(*columns):
+    """Oracle for `jsonl.parts`: the whole text as one join, the float
+    columns made text by one `jsonl.numbers` each."""
+    return [jsonl.text(*(c if isinstance(c, str) or c.dtype == object else jsonl.numbers(c) for c in columns))]
 
 
 def random_cylinder_fn(graph, level, terms, rng):

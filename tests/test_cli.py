@@ -5,7 +5,9 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -19,11 +21,13 @@ from kgraphwave import (
     PreferredPaths,
     ValidationError,
     WaveletBasis,
+    build_wavelet_family,
     fixture_path,
     load_kgraph,
     load_kgraph_file,
     normal_form,
     vertex_path,
+    wavelet_basis,
 )
 from kgraphwave.cli import _read_records, main
 from helpers import (
@@ -419,6 +423,19 @@ class TestErrorChannel:
         (line,) = errtext.splitlines()
         rec = json.loads(line)
         assert rec["error"] == "parse" and "0xff" in rec["message"]
+
+    @pytest.mark.parametrize("flag", ["--analyze", "--synthesize"])
+    def test_non_utf8_wins_over_an_earlier_json_fault(self, capsys, tmp_path, flag):
+        """The reader decodes the whole file before it reads a line: a byte
+        that is not UTF-8 on the last line is reported, not the JSON fault
+        of line 2."""
+        bad = tmp_path / "bad"
+        bad.write_bytes(b'{"path": ["a"], "coeff": 1}\n{"path": ["a"] "coeff": 1}\n{"path": ["c"], "coeff": 2}\n'
+                        b'{"path": ["c"], "coeff": "\xff"}\n')
+        _, errtext = run_cli(capsys, "wavelets", LED, "--shape", "1,1", flag, str(bad), expect_exit=2)
+        (line,) = errtext.splitlines()
+        rec = json.loads(line)
+        assert rec["error"] == "parse" and "can't decode byte 0xff" in rec["message"]
 
     @pytest.mark.parametrize("argv,text,message", [
         (("wavelets", LED, "--shape", "1,1", "--analyze", "{bad}"),
@@ -878,6 +895,54 @@ def test_memory_error_is_one_record(message, shown, capsys, monkeypatch):
     _, errtext = run_cli(capsys, "traffic", LED, expect_exit=1)
     assert errtext.count("\n") == 1
     assert json.loads(errtext) == {"error": "usage", "message": shown, "reason": "out_of_memory"}
+
+
+def test_memory_error_record_is_written_once_the_handler_is_let_go(capsys, monkeypatch):
+    """The out-of-memory record is written after the `try` statement: the
+    traceback, and with it the locals of the frame that raised, are gone by
+    then, so writing the record cannot run out of memory on them."""
+    class Held:
+        pass
+    refs, alive = [], []
+
+    def exhausted(*args):
+        held = Held()
+        refs.append(weakref.ref(held))
+        raise MemoryError
+
+    def fail(*args, **kwargs):
+        alive.append(refs[0]() is not None)
+        fail_record(*args, **kwargs)
+    fail_record = kgraphwave.cli._fail
+    monkeypatch.setattr(kgraphwave.cli, "traffic_wavelet_family", exhausted)
+    monkeypatch.setattr(kgraphwave.cli, "_fail", fail)
+    _, errtext = run_cli(capsys, "traffic", LED, expect_exit=1)
+    assert alive == [False]
+    assert json.loads(errtext) == {"error": "usage", "message": "out of memory", "reason": "out_of_memory"}
+
+
+def test_synthesize_keeps_no_input_record(tmp_path, monkeypatch):
+    """--synthesize builds its coefficient list as it reads: the 65,536
+    lines of a depth-7 input are read within 25 MB of traced memory (whole
+    records, about 800 bytes each, would take over 50 MB)."""
+    basis = wavelet_basis(build_wavelet_family(load_kgraph(LED), shape=(1, 1)), 7)
+    coeff_file, out = tmp_path / "coeffs.jsonl", tmp_path / "out.jsonl"
+    coeffs = np.random.default_rng(7).standard_normal(len(basis.order))
+    coeff_file.write_text("".join(basis.coefficient_lines(coeffs)))
+    peaks = []
+
+    def synthesize_vector(_, read):  # the peak from the start of the op to the end of the reading
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        assert read == coeffs.tolist()
+        return np.zeros(len(read))
+    monkeypatch.setattr(kgraphwave.cli, "wavelet_basis", lambda family, depth: basis)
+    monkeypatch.setattr(kgraphwave.cli, "synthesize_vector", synthesize_vector)
+    tracemalloc.start()
+    try:
+        main(["wavelets", LED, "--shape", "1,1", "--depth", "7", "--synthesize", str(coeff_file), "--out", str(out)])
+    finally:
+        tracemalloc.stop()
+    assert len(coeffs) == 65536 and peaks[0] < 25 * 2 ** 20
 
 
 @pytest.mark.parametrize("argv", [

@@ -41,6 +41,8 @@ from helpers import (
     label_records,
     markov_labels,
     markov_records,
+    one_join_listing,
+    one_join_parts,
     random_cylinder_fn,
     skeleton_doc,
     term_records,
@@ -119,13 +121,13 @@ class TestColumns:
         record with an empty term list."""
         heads = jsonl.cells('{"id": ', jsonl.integers(4))
         term_heads = jsonl.cells('{"p": ', jsonl.integers(3), ', "coeff": ')
-        members = [(np.array([0, 1]), np.array([1.0, 2.0])), (np.empty(0, dtype=int), np.empty(0)),
-                   (np.arange(3), np.array([0.0, -0.0, 0.0])), (np.array([2]), np.array([math.nan]))]
+        members = [(np.array([[0, 1]]), np.array([[1.0, 2.0]])), (np.empty((1, 0), dtype=int), np.empty((1, 0))),
+                   (np.arange(3)[None], np.array([[0.0, -0.0, 0.0]])), (np.array([[2]]), np.array([[math.nan]]))]
         expected = [{"id": 0, "terms": [{"p": 0, "coeff": 1.0}, {"p": 1, "coeff": 2.0}]},
                     {"id": 1, "terms": []}, {"id": 2, "terms": []},
                     {"id": 3, "terms": [{"p": 2, "coeff": math.nan}]}]
-        assert jsonl.listing(heads, term_heads, members) == dumps_lines(expected)
-        assert jsonl.listing(heads[:0], term_heads, []) == ""
+        assert "".join(jsonl.listing(heads, term_heads, members)) == dumps_lines(expected)
+        assert list(jsonl.listing(heads[:0], term_heads, [])) == []
 
     def test_strings_escape_as_json_dumps(self):
         names = ["e", 'q"uote', "back\\slash", "new\nline", "ünï", "a, b"]
@@ -136,7 +138,7 @@ class TestWriterAgainstDictRecords:
     @PROPERTY
     @given(bases())
     def test_basis_listing_and_labels(self, basis):
-        assert basis.listing() == dumps_lines(basis_records(basis))
+        assert "".join(basis.listing()) == dumps_lines(basis_records(basis))
         assert list(basis.labels) == label_records(basis)
 
     @PROPERTY
@@ -149,9 +151,9 @@ class TestWriterAgainstDictRecords:
         # can overflow to +-Infinity and, where they meet, to NaN
         values = data.draw(vectors(len(space.weights)))
         coeffs = analyze(basis, space.function_of(values))
-        assert basis.coefficient_lines(coeffs) == dumps_lines(coefficient_records(basis, coeffs))
+        assert "".join(basis.coefficient_lines(coeffs)) == dumps_lines(coefficient_records(basis, coeffs))
         direct = data.draw(vectors(len(basis.order)))
-        assert basis.coefficient_lines(direct) == dumps_lines(coefficient_records(basis, direct))
+        assert "".join(basis.coefficient_lines(direct)) == dumps_lines(coefficient_records(basis, direct))
 
     @PROPERTY
     @given(st.data())
@@ -160,12 +162,12 @@ class TestWriterAgainstDictRecords:
         basis = data.draw(bases())
         values = synthesize_vector(basis, data.draw(vectors(len(basis.order))))
         at = np.arange(len(values))
-        assert basis.space.lines(at, values) == dumps_lines(term_records(basis.space, at, values))
+        assert "".join(basis.space.lines(at, values)) == dumps_lines(term_records(basis.space, at, values))
 
     @PROPERTY
     @given(markov_systems())
     def test_markov_listing_and_labels(self, system):
-        assert system.listing() == dumps_lines(markov_records(system))
+        assert "".join(system.listing()) == dumps_lines(markov_records(system))
         assert list(system.labels) == markov_labels(system)
 
     def test_level_zero_terms_sort_by_vertex_name(self):
@@ -175,8 +177,43 @@ class TestWriterAgainstDictRecords:
                "squares": []}
         space = level_space(MeasureSpec.perron_frobenius(load_kgraph(doc)), (0,))
         at, values = np.arange(3), np.array([1.5, -0.0, 2.5])
-        assert space.lines(at, values) == dumps_lines(term_records(space, at, values))
-        assert [r["path"] for r in jsonl.parse(space.lines(at, values))] == [["@v1"], ["@v2"]]
+        assert "".join(space.lines(at, values)) == dumps_lines(term_records(space, at, values))
+        assert [r["path"] for r in jsonl.parse("".join(space.lines(at, values)))] == [["@v1"], ["@v2"]]
+
+
+class TestParts:
+    """Listings longer than `jsonl.PART_ROWS` rows come in several texts of
+    whole records, whose join is the one-join text of the same columns to
+    the last byte."""
+
+    @staticmethod
+    def check(render, monkeypatch, name, oracle):
+        parts = list(render())
+        assert len(parts) > 1 and all(part.endswith("\n") for part in parts)
+        with monkeypatch.context() as patch:
+            patch.setattr(jsonl, name, oracle)
+            (whole,) = render()
+        assert "".join(parts) == whole
+
+    def test_depth6_basis(self, monkeypatch):
+        basis = wavelet_basis(build_wavelet_family(load_kgraph(LED), shape=(1, 1)), 6)
+        self.check(basis.listing, monkeypatch, "listing", one_join_listing)
+
+    def test_family_6_6(self, monkeypatch):
+        family = build_wavelet_family(load_kgraph(LED), shape=(6, 6))
+        self.check(family.listing, monkeypatch, "listing", one_join_listing)
+
+    def test_markov_4_letters_depth_6(self, monkeypatch):
+        system = markov_wavelets(4, [0.1, 0.2, 0.3, 0.4], 6)
+        self.check(system.listing, monkeypatch, "listing", one_join_listing)
+
+    def test_depth8_coefficient_and_value_lines(self, monkeypatch):
+        basis = wavelet_basis(build_wavelet_family(load_kgraph(LED), shape=(1, 1)), 8)
+        # a third of the values exactly zero, so the value lines drop some
+        values = np.random.default_rng(8).standard_normal(len(basis.order)) * (np.arange(len(basis.order)) % 3 > 0)
+        at = np.arange(len(values))
+        self.check(lambda: basis.coefficient_lines(values), monkeypatch, "parts", one_join_parts)
+        self.check(lambda: basis.space.lines(at, values), monkeypatch, "parts", one_join_parts)
 
 
 LED = str(fixture_path("ledrappier"))

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+import kgraphwave.orthobasis
 import kgraphwave.wavelets
 from kgraphwave import (
     WAVELET_ENTRY_LIMIT,
@@ -439,7 +440,7 @@ class TestRecords:
     def test_listing_and_synthesis_against_cylinder_oracle(self, case):
         doc, shape, depth, seed = case
         basis = wavelet_basis(build_wavelet_family(load_kgraph(doc), shape=shape), depth)
-        assert jsonl.parse(basis.listing()) == cylinder_listing(basis)
+        assert jsonl.parse("".join(basis.listing())) == cylinder_listing(basis)
         rng = np.random.default_rng(seed)
         # sparse coefficients leave whole subtrees at exactly zero
         coeffs = rng.standard_normal(len(basis.labels)) * (rng.random(len(basis.labels)) < rng.random())
@@ -488,13 +489,13 @@ class TestMarkov:
     def test_listing_bit_for_bit_against_run_engine(self, case):
         # the cascade members equal the per-layer runs of C / sqrt(p_a) times
         # the prefix factor of the word, to the last bit
-        assert markov_wavelets(*case).listing() == markov_run_listing(*case)
+        assert "".join(markov_wavelets(*case).listing()) == markov_run_listing(*case)
 
     @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(letter_weights(), st.integers(0, 4))
     def test_records_against_member_oracle(self, letters, depth):
         n_letters, weights = letters
-        assert jsonl.parse(markov_wavelets(n_letters, weights, depth).listing()) \
+        assert jsonl.parse("".join(markov_wavelets(n_letters, weights, depth).listing())) \
             == markov_member_records(n_letters, weights, depth)
 
     def test_haar_system(self):
@@ -809,6 +810,31 @@ class TestWaveletLimit:
         main(["wavelets", str(fixture_path("ledrappier")), "--shape", "1,1", "--compare", "6"])
         (rec,) = jsonl.parse(capsys.readouterr().out)
         assert rec["equal"] and rec["dim_multiscale"] == rec["dim_single_scale"] == 4 ** 7 - 4
+
+    def test_compare_sines_limit(self, ledrappier, monkeypatch):
+        """--compare 7 scatters the dense rows of 4 blocks of 16384^2 entries
+        (2^30) for its sines, and is admitted; --compare 8 would scatter 2^34
+        and is refused once the coarse family is built, before any row."""
+        a1, a2 = vertex_matrices(ledrappier)
+        blocks = {ell: np.sum((np.linalg.matrix_power(a1 @ a2, ell) @ np.ones(4)) ** 2) for ell in (7, 8)}
+        assert blocks[7] == 2 ** 30 <= kgraphwave.wavelets._COMPARE_ENTRY_LIMIT < blocks[8] == 2 ** 34
+        fam, coarse = (build_wavelet_family(ledrappier, shape=(ell, ell)) for ell in (1, 8))
+
+        def no_rows(*args):
+            raise AssertionError("a dense row was scattered")
+        monkeypatch.setattr(kgraphwave.orthobasis.HaarNodes, "rows", no_rows)
+        with pytest.raises(TooLarge, match=re.escape(
+                "the dense rows of the sines of shape (8, 8), |D_v^J|^2 entries for each vertex v, "
+                f"hold more than {2 ** 30} entries, the limit")):
+            subspace_compare(fam, coarse)
+
+    def test_cli_compare_8_size_limit(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["wavelets", str(fixture_path("ledrappier")), "--shape", "1,1", "--compare", "8"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 1 and captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert json.loads(line)["reason"] == "size_limit"
 
     @pytest.mark.parametrize("args", [["--depth", "40"], ["--list-family"], ["--compare", "40"],
                                       ["--depth", "12"]])

@@ -247,12 +247,12 @@ class TestCascade:
     @given(measured_graphs(), st.integers(1, 3))
     def test_listing_from_supports(self, case, depth):
         basis = _basis(*case, depth)
-        assert jsonl.parse(basis.listing()) == dense_listing(basis)
+        assert jsonl.parse("".join(basis.listing())) == dense_listing(basis)
         assert "matrix" in basis.__dict__  # the oracle built it, not the listing
 
     def test_listing_builds_no_dense_matrix(self, ledrappier):
         basis = wavelet_basis(build_wavelet_family(ledrappier, shape=(1, 1)), 3)
-        records = jsonl.parse(basis.listing())
+        records = jsonl.parse("".join(basis.listing()))
         assert "matrix" not in basis.__dict__
         assert records == dense_listing(basis)
 
